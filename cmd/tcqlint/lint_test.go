@@ -17,10 +17,6 @@ func TestClockCheckFixture(t *testing.T) {
 	lint.RunFixture(t, "testdata/src/clockcheck", checks.ClockCheck())
 }
 
-func TestPoolCheckFixture(t *testing.T) {
-	lint.RunFixture(t, "testdata/src/poolcheck", checks.PoolCheck())
-}
-
 func TestOwnerCheckFixture(t *testing.T) {
 	lint.RunFixture(t, "testdata/src/ownercheck", checks.OwnerCheck(checks.NewRepoSummaries()))
 }

@@ -1,5 +1,5 @@
-// Command tcqlint is the repo's invariant linter: a multichecker of eight
-// repo-specific analyzers (clockcheck, poolcheck, ownercheck, alloccheck,
+// Command tcqlint is the repo's invariant linter: a multichecker of seven
+// repo-specific analyzers (clockcheck, ownercheck, alloccheck,
 // chancheck, lineagecheck, metriccheck, lockcheck) enforcing the engine's
 // concurrency, lifecycle, and hot-path allocation invariants that go vet
 // cannot see. It type-checks the named packages

@@ -37,7 +37,7 @@ func goodIntrospection(r *metrics.Registry, module string) {
 
 // goodRouting mirrors the adaptive-routing families: the probe-order
 // planning counters registered per query (label appended to a constant
-// family prefix, the query.go/pareddy.go pattern).
+// family prefix, the query.go/eddyrun.go pattern).
 func goodRouting(r *metrics.Registry, lbl string) {
 	for name := range map[string]struct{}{
 		"tcq_policy_orders_total":       {},

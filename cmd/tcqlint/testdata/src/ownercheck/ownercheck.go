@@ -1,6 +1,8 @@
-// Package ownercheck is the tcqlint fixture for interprocedural
-// recycler-ownership discipline: releases and ownership transfers that
-// hide one call down still kill or claim the value in the caller.
+// Package ownercheck is the tcqlint fixture for recycler-ownership
+// discipline: a variable handed to Pool.Put / Block.Release /
+// Arena.Release is dead until reassigned, and releases and ownership
+// transfers that hide one call down still kill or claim the value in the
+// caller.
 package ownercheck
 
 import "telegraphcq/internal/tuple"
@@ -138,4 +140,98 @@ func returnedOwned(p *tuple.Pool) *tuple.Tuple {
 func storedOwned(p *tuple.Pool, s *sink) {
 	t := p.Get(1)
 	s.keep(t)
+}
+
+// The direct kills: the same discipline with the release call in plain
+// sight.
+
+// useAfterPut reads the recycled tuple; the read is a finding.
+func useAfterPut(p *tuple.Pool) int {
+	t := p.Get(2)
+	p.Put(t)
+	return len(t.Vals) // want `t is used after Pool\.Put released it \(use-after-release\)`
+}
+
+// doublePut hands the same tuple back twice; the second Put is a use.
+func doublePut(p *tuple.Pool) {
+	t := p.Get(1)
+	p.Put(t)
+	p.Put(t) // want `t is used after Pool\.Put released it \(use-after-release\)`
+}
+
+// guarded is the engine's guard-and-bail idiom: the Put sits in a block
+// that transfers control, so later iterations (and the code after the if)
+// see a fresh binding and stay clean.
+func guarded(p *tuple.Pool, ts []*tuple.Tuple) int {
+	n := 0
+	for _, t := range ts {
+		if t.TS < 0 {
+			p.Put(t)
+			continue
+		}
+		n += len(t.Vals)
+	}
+	return n
+}
+
+// reassignedAfterPut overwrites the variable before reading it again.
+func reassignedAfterPut(p *tuple.Pool) int {
+	t := p.Get(1)
+	p.Put(t)
+	t = p.Get(3)
+	return len(t.Vals)
+}
+
+// deferredPut recycles at return, after every read.
+func deferredPut(p *tuple.Pool) int {
+	t := p.Get(1)
+	defer p.Put(t)
+	return len(t.Vals)
+}
+
+// useAfterBlockRelease reads a column of the freed block; the read is a
+// finding (at runtime it would panic on the poisoned block).
+func useAfterBlockRelease(a *tuple.Arena) int {
+	b := a.Get(2, 64)
+	b.Release()
+	return len(b.Col(0)) // want `b is used after Block\.Release released it \(use-after-release\)`
+}
+
+// useAfterArenaRelease frees through the arena; same discipline.
+func useAfterArenaRelease(a *tuple.Arena) int {
+	b := a.Get(2, 64)
+	a.Release(b)
+	return b.Len() // want `b is used after Arena\.Release released it \(use-after-release\)`
+}
+
+// doubleRelease frees the same block twice; the second call is a use.
+func doubleRelease(a *tuple.Arena) {
+	b := a.Get(1, 8)
+	b.Release()
+	b.Release() // want `b is used after Block\.Release released it \(use-after-release\)`
+}
+
+// releaseThenReget is the engine's grow-the-ingress-block idiom: the
+// variable is reassigned from the arena before the next read.
+func releaseThenReget(a *tuple.Arena, need int) int {
+	b := a.Get(2, 64)
+	if b.Cap() < need {
+		b.Release()
+		b = a.Get(2, need)
+	}
+	return b.Cap()
+}
+
+// guardedRelease confines the kill to a control-transferring block, the
+// same shape guarded uses for Pool.Put.
+func guardedRelease(a *tuple.Arena, blocks []*tuple.Block) int {
+	n := 0
+	for _, b := range blocks {
+		if b.Len() == 0 {
+			b.Release()
+			continue
+		}
+		n += b.Len()
+	}
+	return n
 }

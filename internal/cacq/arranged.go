@@ -30,9 +30,6 @@ func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg
 	return newEngine(layout, joins, policy, &cfg)
 }
 
-// Arranged reports whether this engine runs on shared arrangements.
-func (e *Engine) Arranged() bool { return e.arranged != nil }
-
 // trackArrangement records a (deduplicated) arrangement this engine reads,
 // opening the engine's cursor on it.
 func (e *Engine) trackArrangement(a *arrange.Arrangement) {
@@ -79,10 +76,6 @@ func (e *Engine) AdvanceEpoch() {
 		c.Sync()
 	}
 }
-
-// Arrangements returns the arrangements this engine reads (nil when not
-// arranged), for stats and introspection.
-func (e *Engine) Arrangements() []*arrange.Arrangement { return e.arrs }
 
 // SlotHighWater returns the number of lineage-slot IDs ever minted — with
 // ReuseSlots this stays near the live query count under churn instead of

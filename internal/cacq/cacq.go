@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"telegraphcq/internal/arrange"
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/gfilter"
@@ -357,58 +356,10 @@ func (e *Engine) EvictWindows(watermark int64) int {
 // Stats exposes the underlying eddy counters.
 func (e *Engine) Stats() eddy.Stats { return e.ed.Stats() }
 
-// SetRoutingPolicy swaps the shared eddy's routing policy at runtime (the
-// SET POLICY path). The factory receives shard -1: a sequential engine has
-// one eddy; the parallel engine shares this entry point with real shard
-// numbers.
-func (e *Engine) SetRoutingPolicy(newPol func(shard int) eddy.Policy) {
-	e.ed.SetPolicy(newPol(-1))
-}
-
-// PolicyInfo reports the active policy kind and its current module ranking
-// (EXPLAIN's probe order).
-func (e *Engine) PolicyInfo() (string, []int) { return e.ed.PolicyInfo() }
-
-// ModuleNames returns the eddy's module names in Stats order (the shared
-// module set is fixed at construction).
-func (e *Engine) ModuleNames() []string {
-	mods := e.ed.Modules()
-	names := make([]string, len(mods))
-	for i, m := range mods {
-		names[i] = m.Name()
-	}
-	return names
-}
-
-// probeTimed is any module offering sampled probe latency measurement
-// (grouped filters and SteM modules).
-type probeTimed interface {
-	SetProbeTimer(clk chaos.Clock, every int)
-	ProbeNanos() int64
-}
-
-// SetProbeTimer enables sampled probe/filter latency measurement on every
-// module that supports it (see stem.SteM.SetProbeTimer).
-func (e *Engine) SetProbeTimer(clk chaos.Clock, every int) {
-	for _, m := range e.ed.Modules() {
-		if pt, ok := m.(probeTimed); ok {
-			pt.SetProbeTimer(clk, every)
-		}
-	}
-}
-
-// ModuleProbeNanos returns each module's sampled probe latency EWMA in
-// Stats order (0 for modules without probe timing).
-func (e *Engine) ModuleProbeNanos() []int64 {
-	mods := e.ed.Modules()
-	out := make([]int64, len(mods))
-	for i, m := range mods {
-		if pt, ok := m.(probeTimed); ok {
-			out[i] = pt.ProbeNanos()
-		}
-	}
-	return out
-}
+// Host returns the engine's eddy as its control plane: stats, module names,
+// probe timing, live policy swaps (eddy/host.go). Unsynchronized like every
+// Engine method; callers exclude the ingest goroutine.
+func (e *Engine) Host() *eddy.Eddy { return e.ed }
 
 // QueryCount returns the number of standing queries.
 func (e *Engine) QueryCount() int { return len(e.queries) }

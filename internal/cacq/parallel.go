@@ -2,10 +2,8 @@ package cacq
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
@@ -17,8 +15,6 @@ type ParallelOptions struct {
 	Workers int
 	// BatchSize amortizes each driver-to-shard handoff (default 64).
 	BatchSize int
-	// QueueCap bounds each shard's input queue (default 8*BatchSize).
-	QueueCap int
 	// Policy builds each shard's routing policy (shards adapt
 	// independently; default lottery with per-shard derived seeds). Called
 	// once per worker shard plus once with shard -1 for the front engine.
@@ -47,10 +43,9 @@ type ParallelOptions struct {
 // equijoin equivalence class (see PartitionColumns), so every pair of
 // tuples that could join meets in the same shard's SteMs.
 type Parallel struct {
-	front   *Engine
-	pe      *eddy.ParallelEddy
-	layout  *tuple.Layout
-	keyCols []int
+	front  *Engine
+	pe     *eddy.ParallelEddy
+	layout *tuple.Layout
 	// shardEngs lists the shard engines (construction-time only) so
 	// AdvanceEpoch can reach their internally-locked arrangements without
 	// a barrier.
@@ -74,6 +69,7 @@ type Parallel struct {
 type parShard struct{ *Engine }
 
 func (p parShard) Ingest(t *tuple.Tuple) { p.Engine.IngestWide(t) }
+func (p parShard) Eddy() *eddy.Eddy      { return p.Engine.ed }
 
 // NewParallelEngine builds a parallel shared engine over layout with the
 // given shared join edges. It fails when the join set is not partitionable
@@ -117,11 +113,7 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 	if err != nil {
 		return nil, err
 	}
-	p := &Parallel{
-		front:   front,
-		layout:  layout,
-		keyCols: keyCols,
-	}
+	p := &Parallel{front: front, layout: layout}
 	var orderBy func(*tuple.Tuple) int64
 	if opt.Ordered {
 		orderBy = func(t *tuple.Tuple) int64 { return t.Seq }
@@ -129,11 +121,7 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 	p.pe = eddy.NewParallel(eddy.ParallelConfig{
 		Workers:   opt.Workers,
 		BatchSize: opt.BatchSize,
-		QueueCap:  opt.QueueCap,
-		Partition: func(t *tuple.Tuple) int {
-			s := bits.TrailingZeros64(uint64(t.Source))
-			return int(t.Vals[keyCols[s]].Hash())
-		},
+		Partition: eddy.KeyPartition(keyCols),
 		NewShard: func(shard int, emit func(*tuple.Tuple)) eddy.Shard {
 			sh, err := newEng(shard)
 			if err != nil {
@@ -154,26 +142,11 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 	return p, nil
 }
 
-// Workers returns the shard count.
-func (p *Parallel) Workers() int { return p.pe.Workers() }
-
-// Ingest widens one base tuple of stream s, stamps its lineage from the
-// front engine's standing-query set, and routes it to its key's shard.
-// Single ingest goroutine, like Engine.Ingest.
-func (p *Parallel) Ingest(s int, base *tuple.Tuple) {
-	p.ctlMu.RLock()
-	defer p.ctlMu.RUnlock()
-	t := p.layout.Widen(s, base)
-	t.Queries = p.front.lineageFor(s)
-	if !t.Queries.Any() {
-		return
-	}
-	p.pe.Ingest(t)
-}
-
-// IngestBatch widens and lineage-stamps a batch of base tuples of stream s
-// under one control-plane lock acquisition and routes each to its key's
-// shard. The caller keeps ownership of the base tuples (Widen copies).
+// IngestBatch widens a batch of base tuples of stream s, stamps their
+// lineage from the front engine's standing-query set under one
+// control-plane lock acquisition, and routes each to its key's shard.
+// Single ingest goroutine, like Engine.IngestBatch; the caller keeps
+// ownership of the base tuples (Widen copies).
 func (p *Parallel) IngestBatch(s int, base []*tuple.Tuple) {
 	if len(base) == 0 {
 		return
@@ -241,7 +214,9 @@ func (p *Parallel) AddQuery(footprint tuple.SourceSet, selections []expr.Predica
 	return q, nil
 }
 
-// RemoveQuery unregisters a standing query from the front and every shard.
+// RemoveQuery unregisters a standing query from every shard, lets the merge
+// stage deliver what the shards had already produced for it, then drops it
+// from the front.
 func (p *Parallel) RemoveQuery(id int) error {
 	p.ctlMu.Lock()
 	defer p.ctlMu.Unlock()
@@ -251,6 +226,7 @@ func (p *Parallel) RemoveQuery(id int) error {
 			err = serr
 		}
 	})
+	p.pe.Settle()
 	p.deliverMu.Lock()
 	if ferr := p.front.RemoveQuery(id); ferr != nil && err == nil {
 		err = ferr
@@ -270,126 +246,12 @@ func (p *Parallel) AdvanceEpoch() {
 	}
 }
 
-// EvictWindows drops SteM state older than watermark on every shard.
-func (p *Parallel) EvictWindows(watermark int64) int {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	n := 0
-	p.pe.Barrier(func(_ int, s eddy.Shard) {
-		n += s.(parShard).Engine.EvictWindows(watermark)
-	})
-	return n
-}
-
-// Stats sums the shard eddies' counters (a barrier snapshot).
-func (p *Parallel) Stats() eddy.Stats {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	var agg eddy.Stats
-	p.pe.Barrier(func(_ int, s eddy.Shard) {
-		st := s.(parShard).Engine.Stats()
-		agg.Ingested += st.Ingested
-		agg.Emitted += st.Emitted
-		agg.Dropped += st.Dropped
-		agg.Decisions += st.Decisions
-		agg.Visits += st.Visits
-		agg.Runs += st.Runs
-		agg.Splits += st.Splits
-		agg.Orders += st.Orders
-		agg.OrderReuses += st.OrderReuses
-		agg.NWayPruned += st.NWayPruned
-		if agg.Modules == nil {
-			agg.Modules = make([]eddy.ModuleStats, len(st.Modules))
-		}
-		for i := range st.Modules {
-			agg.Modules[i].Visits += st.Modules[i].Visits
-			agg.Modules[i].Passed += st.Modules[i].Passed
-			agg.Modules[i].Produced += st.Modules[i].Produced
-		}
-		if st.Tickets != nil {
-			if agg.Tickets == nil {
-				agg.Tickets = make([]int64, len(st.Tickets))
-			}
-			for i := range st.Tickets {
-				agg.Tickets[i] += st.Tickets[i]
-			}
-		}
-	})
-	return agg
-}
-
-// ModuleNames returns the shared module set's names in Stats order (every
-// shard builds the same module list as the front engine).
-func (p *Parallel) ModuleNames() []string { return p.front.ModuleNames() }
-
-// SetRoutingPolicy swaps every shard's routing policy under a barrier
-// (atomic w.r.t. in-flight tuples); the front engine gets shard -1.
-func (p *Parallel) SetRoutingPolicy(newPol func(shard int) eddy.Policy) {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	p.front.SetRoutingPolicy(newPol)
-	p.pe.Barrier(func(shard int, s eddy.Shard) {
-		s.(parShard).Engine.SetRoutingPolicy(func(int) eddy.Policy { return newPol(shard) })
-	})
-}
-
-// PolicyInfo reports shard 0's policy kind and current module ranking —
-// shards adapt independently, so one representative order stands in for
-// the set (the front engine sees no tuples and never learns).
-func (p *Parallel) PolicyInfo() (string, []int) {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	var name string
-	var order []int
-	p.pe.Barrier(func(shard int, s eddy.Shard) {
-		if shard == 0 {
-			name, order = s.(parShard).Engine.PolicyInfo()
-		}
-	})
-	return name, order
-}
-
-// SetProbeTimer enables sampled probe latency measurement on every shard's
-// modules (barrier: applied atomically w.r.t. in-flight tuples).
-func (p *Parallel) SetProbeTimer(clk chaos.Clock, every int) {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	p.pe.Barrier(func(_ int, s eddy.Shard) {
-		s.(parShard).Engine.SetProbeTimer(clk, every)
-	})
-}
-
-// ModuleProbeNanos returns the per-module probe latency EWMA, averaged
-// across the shards that have a sample.
-func (p *Parallel) ModuleProbeNanos() []int64 {
-	p.ctlMu.Lock()
-	defer p.ctlMu.Unlock()
-	var sums []int64
-	var counts []int64
-	p.pe.Barrier(func(_ int, s eddy.Shard) {
-		ns := s.(parShard).Engine.ModuleProbeNanos()
-		if sums == nil {
-			sums = make([]int64, len(ns))
-			counts = make([]int64, len(ns))
-		}
-		for i, n := range ns {
-			if n > 0 {
-				sums[i] += n
-				counts[i]++
-			}
-		}
-	})
-	for i := range sums {
-		if counts[i] > 0 {
-			sums[i] /= counts[i]
-		}
-	}
-	return sums
-}
-
-// ParStats exposes the underlying parallel layer's counters (batches,
-// merge buffer, per-shard queue depths).
-func (p *Parallel) ParStats() eddy.ParallelStats { return p.pe.Stats() }
+// Host returns the shard layer as the engine's control plane: summed shard
+// stats, probe timing, per-shard policy swaps, ParStats (eddy/host.go). Its
+// methods quiesce the shards under a Barrier, which locks the driver out by
+// itself, and touch no front-engine state, so they need no ctlMu. The front
+// engine sees no tuples and never learns: its policy is not part of it.
+func (p *Parallel) Host() *eddy.ParallelEddy { return p.pe }
 
 // QueryCount returns the number of standing queries.
 func (p *Parallel) QueryCount() int {

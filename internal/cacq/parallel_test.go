@@ -64,7 +64,7 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := run(func(tp *tuple.Tuple) { par.Ingest(0, tp.Clone()) },
+			got := run(func(tp *tuple.Tuple) { par.IngestBatch(0, []*tuple.Tuple{tp.Clone()}) },
 				func(q int, sels []expr.Predicate, out func(*tuple.Tuple)) {
 					if _, err := par.AddQuery(tuple.SingleSource(0), sels, nil, out); err != nil {
 						t.Fatal(err)
@@ -144,7 +144,7 @@ func TestParallelSharedJoinMatchesSequential(t *testing.T) {
 			if _, err := par.AddQuery(both, sels, nil, count(gotSel)); err != nil {
 				t.Fatal(err)
 			}
-			feed(func(s int, tp *tuple.Tuple) { par.Ingest(s, tp.Clone()) })
+			feed(func(s int, tp *tuple.Tuple) { par.IngestBatch(s, []*tuple.Tuple{tp.Clone()}) })
 			par.Close()
 			for name, want := range map[string]map[string]int{"join": wantJoin, "sel": wantSel} {
 				got := map[string]map[string]int{"join": gotJoin, "sel": gotSel}[name]
@@ -182,7 +182,7 @@ func TestParallelDynamicAddRemove(t *testing.T) {
 			seq++
 			tp := mk(int64(i%4), int64(i%100))
 			tp.Seq = seq
-			par.Ingest(0, tp)
+			par.IngestBatch(0, []*tuple.Tuple{tp})
 		}
 		par.Flush()
 	}

@@ -6,6 +6,7 @@ import (
 
 	"telegraphcq/internal/catalog"
 	"telegraphcq/internal/expr"
+	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/ops"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/stem"
@@ -115,24 +116,13 @@ func newColRuntime(q *RunningQuery) (runtime, error) {
 			ops.NewFilter(fmt.Sprintf("sel%d", i), layout, p))
 	}
 	for s := 0; s < 2; s++ {
-		// Collect the predicates whose stored side is position s — the
-		// same derivation buildQueryModules uses for SteMModules.
-		var preds []expr.JoinPredicate
-		for _, j := range plan.Joins {
-			switch s {
-			case j.StreamA:
-				preds = append(preds, expr.JoinPredicate{
-					LeftCol: j.ColB, Op: j.Op.Flip(), RightCol: j.ColA})
-			case j.StreamB:
-				preds = append(preds, expr.JoinPredicate{
-					LeftCol: j.ColA, Op: j.Op, RightCol: j.ColB})
-			}
-		}
+		preds, _ := storedSidePreds(plan, s)
 		rt.stems[s] = stem.NewColSteM(layout.Schemas[s].Relation,
 			tuple.SingleSource(s), layout, preds, rt.arena)
 	}
 	rt.drainer = newBatchDrain(q.inputs, make([]int64, len(plan.Entries)),
 		rt.pool, q.engine.opts.BatchSize, 256)
+	rt.registerMetrics(queryMetrics{q})
 	return rt, nil
 }
 
@@ -210,6 +200,65 @@ func (rt *colRuntime) step() (bool, bool) {
 	progressed, allDrained := rt.drainer.drain(rt.ingest)
 	rt.flushOut()
 	return progressed, allDrained
+}
+
+// close is a no-op: the columnar pipeline runs entirely on the stepping DU.
+func (rt *colRuntime) close() {}
+
+// control reports false: routing is static, there is no eddy to re-route.
+func (rt *colRuntime) control(func(eddyHost, func(int) int64)) bool { return false }
+
+// stages reports the two columnar SteMs from the counters they keep: rows
+// that survived their position's filters and built in, plus probes from
+// the opposite side, against the matches produced.
+func (rt *colRuntime) stages() []ModuleTelemetry {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rows := make([]ModuleTelemetry, len(rt.stems))
+	for i, sm := range rt.stems {
+		st := sm.Stats()
+		rows[i] = stageRow(rt.q.label, "SteM("+sm.Name()+")", st.Builds+st.Probes, st.Matches)
+	}
+	return rows
+}
+
+// stageRow is one pipeline stage of a runtime without an eddy, in
+// ModuleTelemetry shape: what entered the stage and what it generated. A
+// stage has no routing choice to learn, so selectivity reads 1.
+func stageRow(owner, name string, visits, produced int64) ModuleTelemetry {
+	return ModuleTelemetry{Owner: owner, Module: name, Visits: visits, Produced: produced, Selectivity: 1}
+}
+
+// registerMetrics exports the columnar SteMs' and the block arena's series.
+func (rt *colRuntime) registerMetrics(reg queryMetrics) {
+	for i := range rt.stems {
+		i := i
+		slbl := fmt.Sprintf(`{query="%d",stem=%q}`, rt.q.ID, rt.stems[i].Name())
+		for name, get := range map[string]func(stem.ColStats) int64{
+			"tcq_stem_builds_total":  func(st stem.ColStats) int64 { return st.Builds },
+			"tcq_stem_probes_total":  func(st stem.ColStats) int64 { return st.Probes },
+			"tcq_stem_matches_total": func(st stem.ColStats) int64 { return st.Matches },
+		} {
+			get := get
+			reg.RegisterFunc(name+slbl, metrics.KindCounter, func() float64 {
+				return float64(get(rt.stemStats(i)))
+			})
+		}
+		reg.RegisterFunc("tcq_stem_size"+slbl, metrics.KindGauge, func() float64 {
+			return float64(rt.stemStats(i).Size)
+		})
+	}
+	lbl := fmt.Sprintf(`{query="%d"}`, rt.q.ID)
+	for name, get := range map[string]func(gets, reuses, releases int64) int64{
+		"tcq_arena_gets_total":     func(g, _, _ int64) int64 { return g },
+		"tcq_arena_reuses_total":   func(_, r, _ int64) int64 { return r },
+		"tcq_arena_releases_total": func(_, _, r int64) int64 { return r },
+	} {
+		get := get
+		reg.RegisterFunc(name+lbl, metrics.KindCounter, func() float64 {
+			return float64(get(rt.ArenaStats()))
+		})
+	}
 }
 
 // stemStats snapshots one columnar SteM's counters under the runtime

@@ -289,6 +289,44 @@ func TestGroupedAggregateWindowed(t *testing.T) {
 	}
 }
 
+// TestTumblingWindowKeepsTiedTimestamps: rows sharing a window's right-edge
+// timestamp all belong to it, however the drain batches fall — an instance
+// closes at the first tuple beyond its right edge, not at the first one
+// reaching it. In a tumbling window a row closed out this way would fall
+// into no instance at all. The feed ends exactly on the last right edge, so
+// the final instance fires on the quiet stream, still with both its rows;
+// a row arriving for it after that is late and only counted.
+func TestTumblingWindowKeepsTiedTimestamps(t *testing.T) {
+	for _, bs := range []int{1, 3, 64} {
+		e := NewEngine(Options{EOs: 2, BatchSize: bs})
+		if err := e.CreateStream("ClosingStockPrices", workload.StockSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		q, err := e.Register(`SELECT COUNT(*) FROM ClosingStockPrices
+			for (t = 2; ; t += 2) { WindowIs(ClosingStockPrices, t - 1, t); }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedStocks(t, e, 1, 6)
+		for i, row := range fetchAll(t, q, 3) {
+			if want := fmt.Sprintf("ts=%d [4]", 2*i+2); row != want {
+				t.Errorf("BatchSize=%d instance %d = %q, want %q", bs, i, row, want)
+			}
+		}
+		feedStocks(t, e, 6, 6)
+		late := fmt.Sprintf(`tcq_window_late_total{query="%d"}`, q.ID)
+		waitFor(t, "late rows counted", func() bool {
+			for _, s := range e.Metrics().Snapshot() {
+				if s.Name == late {
+					return s.Value == 2
+				}
+			}
+			return false
+		})
+		e.Stop()
+	}
+}
+
 func TestGroupedAggregateWithoutWindowRejected(t *testing.T) {
 	e := newStockEngine(t)
 	defer e.Stop()
@@ -387,6 +425,42 @@ func TestSlidingForeverKeepsRunning(t *testing.T) {
 	}
 	feedStocks(t, e, 11, 12)
 	waitFor(t, "more instances", func() bool { return q.Results() >= 9 })
+}
+
+// TestUnboundedLoopTearsDown: deregistering a standing for-loop query with
+// no upper bound must retire its DU — after the inputs close it fires the
+// instances that can still see buffered data (the sliding window draining
+// to empty), then stops, instead of evaluating "t += 100" forever. The
+// package's leakcheck TestMain fails the run if the executor cannot stop.
+func TestUnboundedLoopTearsDown(t *testing.T) {
+	e := newStockEngine(t)
+	defer e.Stop()
+	q, err := e.Register(`SELECT COUNT(*) FROM ClosingStockPrices
+		for (t = 1000; ; t += 100) { WindowIs(ClosingStockPrices, t - 999, t); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedStocks(t, e, 1, 1250)
+	waitFor(t, "instances 1000..1200", func() bool { return q.Results() == 3 })
+	if err := e.Deregister(q.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Another unbounded CQ on the same EO set proves the executor is not
+	// wedged behind the deregistered one's DU.
+	q2, err := e.Register(`SELECT COUNT(*) FROM ClosingStockPrices
+		for (t = 1300; ; t += 100) { WindowIs(ClosingStockPrices, t - 99, t); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedStocks(t, e, 1251, 1300)
+	waitFor(t, "second standing query fires", func() bool { return q2.Results() == 1 })
+	// Days up to 1250 arrived, so instances 1300..2200 still overlap data
+	// (left edge t-999 <= 1250): ten more, then the loop ends.
+	waitFor(t, "deregistered query drains and stops", func() bool { return q.Results() == 13 })
+	chaos.Real().Sleep(10 * time.Millisecond)
+	if q.Results() != 13 {
+		t.Errorf("deregistered unbounded loop kept firing: %d instances", q.Results())
+	}
 }
 
 func TestFeedUnknownStream(t *testing.T) {
@@ -738,7 +812,7 @@ func TestSharedClassServesQualifyingQueries(t *testing.T) {
 		return q1n == 10 && q2n == 7 // MSFT 10 rows; IBM 104..110
 	})
 	// The shared eddy ingested each tuple once for both queries.
-	st := e.SharedStats("ClosingStockPrices")
+	st, _ := q1.EddyStats()
 	if st.Ingested != 20 {
 		t.Errorf("shared ingested = %d, want 20", st.Ingested)
 	}

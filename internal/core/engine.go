@@ -9,7 +9,8 @@
 // Execution model: each registered query becomes one Dispatch Unit
 // scheduled on the Execution Object owning its footprint class.
 // Unwindowed continuous queries run through an adaptive eddy (filters +
-// SteMs with lottery routing); windowed queries follow the paper's
+// SteMs with lottery routing; hash-partitioned across worker shards when
+// Options.Workers > 1 and the plan allows); windowed queries follow the paper's
 // sequence-of-sets semantics — for every for-loop instance the engine
 // evaluates the query over the declared window of each stream, buffered in
 // memory and optionally spooled through the storage manager.
@@ -65,12 +66,12 @@ type Options struct {
 	// fire latency). nil defaults to the real clock; tests inject a
 	// virtual clock for deterministic runs.
 	Clock chaos.Clock
-	// Workers selects intra-process parallel execution: eligible query
-	// classes (shared CACQ classes, private unwindowed eddies whose join
-	// edges form one equijoin key class) run as Workers hash-partitioned
-	// shards with a merge stage. 1 (the default) keeps every query on the
-	// sequential path, bit-identical to previous behavior; ineligible
-	// plans fall back to sequential regardless of this setting.
+	// Workers selects intra-process parallel execution: an eligible eddy
+	// (a shared CACQ class, a private unwindowed eddy whose join edges form
+	// one equijoin key class) gets a hash-partitioning stage in front of
+	// Workers shard copies of its modules, with a merge stage behind them.
+	// 1 (the default) runs every eddy inline on its dispatch unit;
+	// ineligible plans stay inline regardless of this setting.
 	Workers int
 	// BatchSize is the tuple-batch granularity of the whole dataflow:
 	// ingress fan-out, each runtime's input drain, eddy entry, and shard
@@ -289,7 +290,7 @@ func (e *Engine) Traces(qid int) ([]*metrics.Trace, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: query %d not found", qid)
 	}
-	return e.tracer.Recent(q.traceTag()), nil
+	return e.tracer.Recent(q.label), nil
 }
 
 // CreateStream registers a stream. timeCol is the schema column carrying

@@ -17,8 +17,11 @@ import (
 // ModuleTelemetry is one module's live routing state: the observed work,
 // selectivity, the policy's current lottery allocation, and the sampled
 // probe latency. It is both the EXPLAIN/TOP row and the tcq.stats payload.
+// Runtimes without an eddy report their pipeline stages in the same shape:
+// Visits is what entered the stage, Produced what it generated, and the
+// routing columns (Tickets, TicketShare) stay zero.
 type ModuleTelemetry struct {
-	Owner       string // owning eddy ("q3" or "shared:quotes")
+	Owner       string // owning eddy or pipeline ("q3" or "shared:quotes")
 	Module      string
 	Visits      int64
 	Produced    int64
@@ -33,13 +36,15 @@ type ModuleTelemetry struct {
 type QueryTelemetry struct {
 	ID      int
 	Label   string // trace tag: "q<id>", or "shared:<stream>" inside a class
-	HasEddy bool   // false for windowed runtimes (no adaptive routing state)
+	HasEddy bool   // false for windowed and columnar runtimes (no adaptive routing state)
 	Stats   eddy.Stats
 	// QueueDepth is the pending-input backlog across the query's (or its
 	// class's) input queues.
 	QueueDepth int
 	Results    int64
-	Modules    []ModuleTelemetry
+	// Modules has one row per eddy module, or per pipeline stage when the
+	// runtime has no eddy — never empty for a running query.
+	Modules []ModuleTelemetry
 	// Policy names the routing policy steering this query's eddy (empty
 	// without an eddy); Order is the policy's current deterministic probe
 	// ranking as module names, best first.
@@ -47,8 +52,9 @@ type QueryTelemetry struct {
 	Order  []string
 }
 
-// moduleTelemetry zips module names, eddy counters, and probe latencies
-// into per-module rows.
+// moduleTelemetry zips one host's module names, eddy counters, and probe
+// latencies (all in Stats order) into per-module rows; only policies with
+// lottery tickets report those.
 func moduleTelemetry(owner string, names []string, st eddy.Stats, probe []int64) []ModuleTelemetry {
 	var total int64
 	for _, tk := range st.Tickets {
@@ -56,86 +62,37 @@ func moduleTelemetry(owner string, names []string, st eddy.Stats, probe []int64)
 	}
 	out := make([]ModuleTelemetry, 0, len(names))
 	for i, name := range names {
-		mt := ModuleTelemetry{Owner: owner, Module: name}
-		if i < len(st.Modules) {
-			mt.Visits = st.Modules[i].Visits
-			mt.Produced = st.Modules[i].Produced
-			mt.Selectivity = st.Modules[i].Selectivity()
-		}
+		mt := ModuleTelemetry{Owner: owner, Module: name, Visits: st.Modules[i].Visits,
+			Produced: st.Modules[i].Produced, Selectivity: st.Modules[i].Selectivity(), ProbeNanos: probe[i]}
 		if i < len(st.Tickets) {
 			mt.Tickets = st.Tickets[i]
 			if total > 0 {
 				mt.TicketShare = float64(st.Tickets[i]) / float64(total)
 			}
 		}
-		if i < len(probe) {
-			mt.ProbeNanos = probe[i]
-		}
 		out = append(out, mt)
 	}
 	return out
 }
 
-// telemetry snapshots the runtime state of a private sequential eddy under
-// the runtime lock.
-func (rt *eddyRuntime) telemetry(owner string) ([]ModuleTelemetry, eddy.Stats) {
-	rt.mu.Lock()
-	st := rt.ed.Stats()
-	mods := rt.ed.Modules()
-	names := make([]string, len(mods))
-	probe := make([]int64, len(mods))
-	for i, m := range mods {
-		names[i] = m.Name()
-		if pt, ok := m.(interface{ ProbeNanos() int64 }); ok {
-			probe[i] = pt.ProbeNanos()
-		}
-	}
-	rt.mu.Unlock()
-	return moduleTelemetry(owner, names, st, probe), st
-}
-
-// telemetry snapshots a shared class's engine state under the class lock.
-func (sc *sharedClass) telemetry() ([]ModuleTelemetry, eddy.Stats) {
-	owner := "shared:" + sc.key
-	sc.mu.Lock()
-	st := sc.eng.Stats()
-	names := sc.eng.ModuleNames()
-	probe := sc.eng.ModuleProbeNanos()
-	sc.mu.Unlock()
-	return moduleTelemetry(owner, names, st, probe), st
-}
-
-// Telemetry returns the query's live execution state: for a shared-class
-// member, the class's super-query state (every member shares it).
+// Telemetry returns the query's live execution state, whatever runtime
+// executes it: for a shared-class member, the class's super-query state
+// (every member shares it).
 func (q *RunningQuery) Telemetry() QueryTelemetry {
-	qt := QueryTelemetry{ID: q.ID, Label: q.traceTag(), Results: q.Results()}
-	if q.shared != nil {
-		qt.HasEddy = true
-		qt.Modules, qt.Stats = q.shared.telemetry()
-		qt.QueueDepth = q.shared.queueDepth()
-		qt.Policy, qt.Order = q.shared.policyInfo()
-		return qt
-	}
-	for _, c := range q.inputs {
+	qt := QueryTelemetry{ID: q.ID, Label: q.label, Results: q.Results()}
+	for _, c := range q.queues {
 		qt.QueueDepth += c.Q.Len()
 	}
-	switch rt := q.rt.(type) {
-	case *eddyRuntime:
-		qt.HasEddy = true
-		qt.Modules, qt.Stats = rt.telemetry(qt.Label)
+	qt.HasEddy = q.rt.control(func(h eddyHost, _ func(int) int64) {
+		qt.Stats = h.Stats()
+		names := h.ModuleNames()
+		qt.Modules = moduleTelemetry(q.label, names, qt.Stats, h.ModuleProbeNanos())
 		var order []int
-		rt.mu.Lock()
-		qt.Policy, order = rt.ed.PolicyInfo()
-		names := moduleNames(rt.ed.Modules())
-		rt.mu.Unlock()
+		qt.Policy, order = h.PolicyInfo()
 		qt.Order = orderNames(names, order)
-	case *parEddyRuntime:
-		qt.HasEddy = true
-		qt.Stats = rt.Stats()
-		qt.Modules = moduleTelemetry(qt.Label, rt.moduleNames(), qt.Stats, rt.moduleProbeNanos())
-		var order []int
-		qt.Policy, order = rt.policyInfo()
-		qt.Order = orderNames(rt.moduleNames(), order)
+	})
+	if !qt.HasEddy {
+		qt.Modules = q.rt.stages()
 	}
 	return qt
 }
@@ -150,37 +107,41 @@ func (e *Engine) ExplainQuery(qid int) (QueryTelemetry, error) {
 	return q.Telemetry(), nil
 }
 
-// TopModules returns the engine-wide hot-module table: every module of
-// every running eddy (shared classes counted once, not per member), sorted
-// by visits descending, capped at n (n < 1 returns all).
+// TopModules returns the engine-wide hot-module table: every module or
+// pipeline stage of every standing query (shared classes counted once, not
+// per member), sorted by visits descending, capped at n (n < 1 returns all).
 func (e *Engine) TopModules(n int) []ModuleTelemetry {
-	e.mu.Lock()
-	qs := make([]*RunningQuery, 0, len(e.queries))
-	for _, q := range e.queries {
-		qs = append(qs, q)
-	}
-	scs := make([]*sharedClass, 0, len(e.shared))
-	for _, sc := range e.shared {
-		scs = append(scs, sc)
-	}
-	e.mu.Unlock()
-
 	var all []ModuleTelemetry
-	for _, q := range qs {
-		if q.shared != nil {
-			continue // the class is reported once below
-		}
-		all = append(all, q.Telemetry().Modules...)
-	}
-	for _, sc := range scs {
-		mods, _ := sc.telemetry()
-		all = append(all, mods...)
+	for _, qt := range e.telemetryByOwner() {
+		all = append(all, qt.Modules...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Visits > all[j].Visits })
 	if n > 0 && len(all) > n {
 		all = all[:n]
 	}
 	return all
+}
+
+// telemetryByOwner snapshots one QueryTelemetry per distinct label, in
+// label order: each private query, and each shared class once through any
+// one member (members share the class's eddy, so any of them reports it) —
+// or, while it has none, through a bare handle on the class.
+func (e *Engine) telemetryByOwner() []QueryTelemetry {
+	e.mu.Lock()
+	owners := make(map[string]*RunningQuery, len(e.queries)+len(e.shared))
+	for _, sc := range e.shared {
+		owners["shared:"+sc.key] = &RunningQuery{ID: -1, rt: sharedMember{sc}, label: "shared:" + sc.key, queues: sc.conns}
+	}
+	for _, q := range e.queries {
+		owners[q.label] = q
+	}
+	e.mu.Unlock()
+	out := make([]QueryTelemetry, 0, len(owners))
+	for _, q := range owners {
+		out = append(out, q.Telemetry())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
+	return out
 }
 
 // introspector publishes the engine's telemetry into the tcq.* streams: a
@@ -313,19 +274,11 @@ func (in *introspector) tick() {
 	now := e.opts.Clock.Now().UnixNano()
 
 	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
+	stopped := e.stopped
+	e.mu.Unlock()
+	if stopped {
 		return
 	}
-	qs := make([]*RunningQuery, 0, len(e.queries))
-	for _, q := range e.queries {
-		qs = append(qs, q)
-	}
-	scs := make([]*sharedClass, 0, len(e.shared))
-	for _, sc := range e.shared {
-		scs = append(scs, sc)
-	}
-	e.mu.Unlock()
 
 	byStream := make(map[string][]*tuple.Tuple)
 	statsRow := func(owner string, queueDepth int, m ModuleTelemetry) {
@@ -344,20 +297,9 @@ func (in *introspector) tick() {
 			},
 		})
 	}
-	for _, q := range qs {
-		if q.shared != nil {
-			continue // classes are reported once below, not per member
-		}
-		qt := q.Telemetry()
+	for _, qt := range e.telemetryByOwner() {
 		for _, m := range qt.Modules {
 			statsRow(qt.Label, qt.QueueDepth, m)
-		}
-	}
-	for _, sc := range scs {
-		mods, _ := sc.telemetry()
-		depth := sc.queueDepth()
-		for _, m := range mods {
-			statsRow("shared:"+sc.key, depth, m)
 		}
 	}
 

@@ -178,40 +178,6 @@ func TestIntrospectPoolStream(t *testing.T) {
 	}
 }
 
-func TestExplainQueryTelemetry(t *testing.T) {
-	e, q := newIntrospectEngine(t, Options{})
-	defer e.Stop()
-	qt, err := e.ExplainQuery(q.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qt.HasEddy || qt.Label != "q0" {
-		t.Fatalf("telemetry = %+v", qt)
-	}
-	if qt.Stats.Ingested == 0 || qt.Stats.Visits == 0 {
-		t.Errorf("eddy counters empty: %+v", qt.Stats)
-	}
-	if qt.Stats.Runs == 0 {
-		t.Error("batch run counter empty after batched ingest")
-	}
-	names := make([]string, 0, len(qt.Modules))
-	var shareSum float64
-	for _, m := range qt.Modules {
-		names = append(names, m.Module)
-		shareSum += m.TicketShare
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "SteM(S)") || !strings.Contains(joined, "SteM(R)") {
-		t.Errorf("module names = %v", names)
-	}
-	if shareSum < 0.99 || shareSum > 1.01 {
-		t.Errorf("ticket shares sum to %v, want ~1", shareSum)
-	}
-	if _, err := e.ExplainQuery(999); err == nil {
-		t.Error("ExplainQuery(999) succeeded for a missing query")
-	}
-}
-
 func TestTopModulesOrdering(t *testing.T) {
 	e, _ := newIntrospectEngine(t, Options{})
 	defer e.Stop()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
@@ -39,7 +41,9 @@ type incJoinState struct {
 	// buffer proportional to the live window even under bursty drains.
 	deltaLo, deltaHi int64
 
-	produced int64
+	// produced counts materialized matches (atomic: telemetry reads it
+	// while the DU steps).
+	produced atomic.Int64
 }
 
 // newIncJoin wires the fast path, or returns nil when the plan shape does
@@ -138,7 +142,7 @@ func (s *incJoinState) ingest(pos int, raw *tuple.Tuple) {
 			continue // no instance can hold both sides together
 		}
 		s.matches.Add(m)
-		s.produced++
+		s.produced.Add(1)
 	}
 }
 

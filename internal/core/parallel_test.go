@@ -20,10 +20,25 @@ func newParStockEngine(t *testing.T, workers int) *Engine {
 	return e
 }
 
-// TestParallelRuntimeSelection: Workers=1 keeps every plan on the
-// sequential private eddy; Workers>1 moves partitionable plans to the
-// parallel runtime and leaves non-partitionable ones (join edges spanning
-// two key classes) sequential.
+// wantShards asserts where a query's eddy runs, through the observable
+// surface: ParallelStats reports ok with the worker count when the host is
+// hash-partitioned, and !ok when the eddy runs inline on the stepping DU
+// (shards == 0).
+func wantShards(t *testing.T, q *RunningQuery, shards int) {
+	t.Helper()
+	ps, ok := q.ParallelStats()
+	if ok != (shards > 0) || ps.Workers != shards {
+		t.Fatalf("query %d: ParallelStats ok=%v workers=%d, want %d shards", q.ID, ok, ps.Workers, shards)
+	}
+	if _, ok := q.EddyStats(); !ok {
+		t.Fatalf("query %d: no eddy behind an unwindowed private query", q.ID)
+	}
+}
+
+// TestParallelRuntimeSelection: Workers=1 keeps every plan on the inline
+// private eddy; Workers>1 puts the partitioning stage in front of
+// partitionable plans and leaves non-partitionable ones (join edges
+// spanning two key classes) inline.
 func TestParallelRuntimeSelection(t *testing.T) {
 	seq := newParStockEngine(t, 1)
 	defer seq.Stop()
@@ -31,9 +46,7 @@ func TestParallelRuntimeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.rt.(*eddyRuntime); !ok {
-		t.Fatalf("Workers=1 runtime = %T, want *eddyRuntime", q.rt)
-	}
+	wantShards(t, q, 0)
 
 	par := newParStockEngine(t, 2)
 	defer par.Stop()
@@ -41,9 +54,7 @@ func TestParallelRuntimeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q2.rt.(*parEddyRuntime); !ok {
-		t.Fatalf("Workers=2 runtime = %T, want *parEddyRuntime", q2.rt)
-	}
+	wantShards(t, q2, 2)
 
 	// Two equivalence classes (A.k=B.k, B.j=C.j) cannot partition; the
 	// engine must fall back to the sequential eddy even with Workers>1.
@@ -63,9 +74,7 @@ func TestParallelRuntimeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q3.rt.(*eddyRuntime); !ok {
-		t.Fatalf("two-class join runtime = %T, want sequential fallback", q3.rt)
-	}
+	wantShards(t, q3, 0)
 }
 
 // TestParallelRunningMaxMatchesSequential runs the same unwindowed
@@ -129,9 +138,7 @@ func TestParallelUnwindowedJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.rt.(*parEddyRuntime); !ok {
-		t.Fatalf("runtime = %T, want *parEddyRuntime", q.rt)
-	}
+	wantShards(t, q, 4)
 	for i := int64(0); i < 30; i++ {
 		e.Feed("S", tuple.New(tuple.Int(i%5), tuple.Int(i)))
 	}
@@ -165,9 +172,7 @@ func TestParallelDistinctUnwindowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.rt.(*parEddyRuntime); !ok {
-		t.Fatalf("runtime = %T, want *parEddyRuntime", q.rt)
-	}
+	wantShards(t, q, 3)
 	feedStocks(t, e, 1, 50)
 	waitFor(t, "2 distinct symbols", func() bool { return q.Results() == 2 })
 	chaos.Real().Sleep(10 * time.Millisecond)
@@ -228,14 +233,20 @@ func TestParallelDeregisterReleasesRuntime(t *testing.T) {
 	if err := e.Deregister(q.ID); err != nil {
 		t.Fatal(err)
 	}
-	rt := q.rt.(*parEddyRuntime)
-	waitFor(t, "runtime stopped", func() bool {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return rt.stopped
-	})
+	// Deregister closes the runtime synchronously: the shard queues are
+	// sealed and drained (the package's leakcheck TestMain additionally
+	// fails the run if a worker or merge goroutine survives).
+	ps, ok := q.ParallelStats()
+	if !ok || ps.Workers != 2 {
+		t.Fatalf("ParallelStats after deregister ok=%v %+v", ok, ps)
+	}
+	for shard, depth := range ps.QueueDepths {
+		if depth != 0 {
+			t.Errorf("shard %d still holds %d tuples after close", shard, depth)
+		}
+	}
 	// A second close is a no-op, and feeding after deregister changes nothing.
-	rt.close()
+	q.rt.close()
 	feedStocks(t, e, 6, 8)
 	chaos.Real().Sleep(10 * time.Millisecond)
 	if q.Results() != 10 {

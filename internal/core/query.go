@@ -12,7 +12,6 @@ import (
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/sql"
-	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
 )
 
@@ -30,12 +29,23 @@ type RunningQuery struct {
 	Plan *sql.Plan
 
 	engine *Engine
-	inputs []*fjord.Conn // one per FROM position
+	inputs []*fjord.Conn // owned input queues, one per FROM position
 	subIDs []subRef      // subscription handles for detach
 	rt     runtime
-	// shared is non-nil when the query runs inside a stream's shared
-	// CACQ class (§3.1) instead of a private runtime.
+	// shared is non-nil when the query runs inside a shared CACQ class
+	// (§3.1); only registration and teardown consult it, everything else
+	// goes through rt.
 	shared *sharedClass
+	// label names the eddy or pipeline executing the query in traces and
+	// telemetry: "q<id>", or "shared:<class key>" for every class member.
+	label string
+	// queues are where the query's tuples wait: its own inputs, or its
+	// shared class's (sheds there affect every member).
+	queues []*fjord.Conn
+	// parStats reads the shard layer's counters when the query's eddy host
+	// is partitioned (nil otherwise). Lock-free, unlike rt.control: STATS
+	// polls it, and must not queue behind the stepping DU twice.
+	parStats func() eddy.ParallelStats
 
 	push *egress.PushEgress
 	pull *egress.PullEgress
@@ -64,12 +74,28 @@ type RunningQuery struct {
 	closeOnce sync.Once
 }
 
-// runtime is the per-query execution strategy.
+// runtime is the per-query execution strategy and its control plane. A
+// private eddy (inline or partitioned), a shared-class member, the windowed
+// and the columnar runtime all satisfy it, so nothing above asks which one
+// a query landed on.
 type runtime interface {
 	// step consumes pending input and produces results; progressed
 	// reports whether anything happened, finished whether the query has
 	// produced its final window instance.
 	step() (progressed, finished bool)
+	// close stops whatever could outlive the stepping DU (worker and merge
+	// goroutines); Deregister and shutdown call it because the executor may
+	// never step the DU again. Idempotent.
+	close()
+	// control runs fn on the query's eddy host with the runtime's
+	// policy-seed rule, under the lock that excludes the stepping DU; it
+	// returns false without calling fn when there is no adaptive routing
+	// layer (windowed, columnar).
+	control(fn func(h eddyHost, seed func(shard int) int64)) bool
+	// stages reports one row per pipeline stage, from counters already
+	// kept, for a runtime without an eddy (nil with one: the host's modules
+	// are the rows).
+	stages() []ModuleTelemetry
 }
 
 // Subscribe attaches a push client to the query's results.
@@ -97,16 +123,8 @@ func (q *RunningQuery) Results() int64 { return q.results.Load() }
 // query running in a shared class the count is the class queue's — sheds
 // there affect every member.
 func (q *RunningQuery) InputDrops() int64 {
-	if q.shared != nil {
-		var n int64
-		for _, c := range q.shared.conns {
-			_, dropped := c.Q.Stats()
-			n += dropped
-		}
-		return n
-	}
 	var n int64
-	for _, c := range q.inputs {
+	for _, c := range q.queues {
 		_, dropped := c.Q.Stats()
 		n += dropped
 	}
@@ -208,26 +226,22 @@ func (q *RunningQuery) emitBlockRows(b *tuple.Block, sinks []func(*tuple.Tuple))
 	}
 }
 
+// finish retires the query exactly once — its DU finishing and a
+// concurrent Deregister/Stop may both get here — dropping its metric series
+// before waiters are released.
 func (q *RunningQuery) finish() {
 	q.closeOnce.Do(func() {
+		q.unregisterMetrics()
 		q.doneFlag.Store(true)
 		close(q.doneCh)
 	})
 }
 
-// traceTag names the trace stream this query's tuples are recorded under:
-// its private eddy, or the stream's shared class when it runs inside one.
-func (q *RunningQuery) traceTag() string {
-	if q.shared != nil {
-		return "shared:" + q.shared.key
-	}
-	return fmt.Sprintf("q%d", q.ID)
-}
-
-// registerMetrics exports the query's observability series into the
-// engine registry. Everything is computed at scrape time from counters the
-// runtime already keeps, so registration adds no hot-path cost. All series
-// carry a query="<id>" label and are recorded in q.metricNames so
+// registerMetrics exports the query's runtime-independent series (each
+// runtime registers its own at construction, through the same
+// queryMetrics). Everything is computed at scrape time from counters
+// already kept, so registration adds no hot-path cost. All series carry a
+// query="<id>" label and are recorded in q.metricNames so
 // unregisterMetrics can remove them by exact name.
 func (q *RunningQuery) registerMetrics() {
 	reg := queryMetrics{q}
@@ -255,97 +269,6 @@ func (q *RunningQuery) registerMetrics() {
 		reg.RegisterFunc("tcq_query_shed_total"+plbl, metrics.KindCounter, func() float64 {
 			_, dropped := conn.Q.Stats()
 			return float64(dropped)
-		})
-	}
-	if prt, ok := q.rt.(*parEddyRuntime); ok {
-		prt.registerParMetrics(reg)
-		return
-	}
-	if crt, ok := q.rt.(*colRuntime); ok {
-		for i := range crt.stems {
-			i := i
-			slbl := fmt.Sprintf(`{query="%d",stem=%q}`, q.ID, crt.stems[i].Name())
-			for name, get := range map[string]func(stem.ColStats) int64{
-				"tcq_stem_builds_total":  func(st stem.ColStats) int64 { return st.Builds },
-				"tcq_stem_probes_total":  func(st stem.ColStats) int64 { return st.Probes },
-				"tcq_stem_matches_total": func(st stem.ColStats) int64 { return st.Matches },
-			} {
-				get := get
-				reg.RegisterFunc(name+slbl, metrics.KindCounter, func() float64 {
-					return float64(get(crt.stemStats(i)))
-				})
-			}
-			reg.RegisterFunc("tcq_stem_size"+slbl, metrics.KindGauge, func() float64 {
-				return float64(crt.stemStats(i).Size)
-			})
-		}
-		for name, get := range map[string]func(gets, reuses, releases int64) int64{
-			"tcq_arena_gets_total":     func(g, _, _ int64) int64 { return g },
-			"tcq_arena_reuses_total":   func(_, r, _ int64) int64 { return r },
-			"tcq_arena_releases_total": func(_, _, r int64) int64 { return r },
-		} {
-			get := get
-			reg.RegisterFunc(name+lbl, metrics.KindCounter, func() float64 {
-				return float64(get(crt.ArenaStats()))
-			})
-		}
-		return
-	}
-	rt, ok := q.rt.(*eddyRuntime)
-	if !ok {
-		return
-	}
-	for name, get := range map[string]func(eddy.Stats) int64{
-		"tcq_eddy_ingested_total":       func(s eddy.Stats) int64 { return s.Ingested },
-		"tcq_eddy_emitted_total":        func(s eddy.Stats) int64 { return s.Emitted },
-		"tcq_eddy_dropped_total":        func(s eddy.Stats) int64 { return s.Dropped },
-		"tcq_eddy_decisions_total":      func(s eddy.Stats) int64 { return s.Decisions },
-		"tcq_eddy_visits_total":         func(s eddy.Stats) int64 { return s.Visits },
-		"tcq_policy_orders_total":       func(s eddy.Stats) int64 { return s.Orders },
-		"tcq_policy_order_reuses_total": func(s eddy.Stats) int64 { return s.OrderReuses },
-		"tcq_nway_pruned_total":         func(s eddy.Stats) int64 { return s.NWayPruned },
-	} {
-		get := get
-		reg.RegisterFunc(name+lbl, metrics.KindCounter, func() float64 {
-			return float64(get(rt.Stats()))
-		})
-	}
-	for i, mod := range rt.ed.Modules() {
-		i := i
-		mlbl := fmt.Sprintf(`{query="%d",module=%q}`, q.ID, mod.Name())
-		reg.RegisterFunc("tcq_eddy_module_visits_total"+mlbl, metrics.KindCounter, func() float64 {
-			return float64(rt.Stats().Modules[i].Visits)
-		})
-		reg.RegisterFunc("tcq_eddy_module_produced_total"+mlbl, metrics.KindCounter, func() float64 {
-			return float64(rt.Stats().Modules[i].Produced)
-		})
-		reg.RegisterFunc("tcq_eddy_module_selectivity"+mlbl, metrics.KindGauge, func() float64 {
-			return rt.Stats().Modules[i].Selectivity()
-		})
-		reg.RegisterFunc("tcq_eddy_module_tickets"+mlbl, metrics.KindGauge, func() float64 {
-			s := rt.Stats()
-			if i >= len(s.Tickets) {
-				return 0
-			}
-			return float64(s.Tickets[i])
-		})
-	}
-	for i, sm := range rt.stems {
-		i := i
-		slbl := fmt.Sprintf(`{query="%d",stem=%q}`, q.ID, sm.SteM().Name())
-		for name, get := range map[string]func(st stemStats) int64{
-			"tcq_stem_builds_total":  func(st stemStats) int64 { return st.Builds },
-			"tcq_stem_probes_total":  func(st stemStats) int64 { return st.Probes },
-			"tcq_stem_matches_total": func(st stemStats) int64 { return st.Matches },
-			"tcq_stem_evicted_total": func(st stemStats) int64 { return st.Evicted },
-		} {
-			get := get
-			reg.RegisterFunc(name+slbl, metrics.KindCounter, func() float64 {
-				return float64(get(rt.stemStats(i)))
-			})
-		}
-		reg.RegisterFunc("tcq_stem_size"+slbl, metrics.KindGauge, func() float64 {
-			return float64(rt.stemStats(i).Size)
 		})
 	}
 }
@@ -403,7 +326,8 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 		if err := sc.add(q, plan); err != nil {
 			return nil, err
 		}
-		q.shared = sc
+		q.shared, q.rt = sc, sharedMember{sc}
+		q.label, q.queues, q.parStats = "shared:"+sc.key, sc.conns, sc.parStats
 		e.mu.Lock()
 		e.queries[id] = q
 		e.mu.Unlock()
@@ -434,25 +358,24 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 		q.subIDs = append(q.subIDs, subRef{stream: entry.Name, id: sub})
 	}
 
+	q.label, q.queues = fmt.Sprintf("q%d", id), q.inputs
+
 	var err error
-	if plan.Loop == nil {
-		// With Columnar on, eligible single-worker equijoin plans run on
-		// struct-of-arrays blocks. With Workers > 1, partitionable plans
-		// (join edges forming one equijoin key class, or no joins at all)
-		// run as parallel shards; anything else keeps the sequential
-		// private eddy.
-		if e.opts.Columnar && e.opts.Workers == 1 && columnarEligible(plan) {
-			q.rt, err = newColRuntime(q)
-		} else if cols, ok := parallelKeyColumns(plan); ok && e.opts.Workers > 1 {
-			q.rt, err = newParEddyRuntime(q, cols)
-		} else {
-			q.rt, err = newEddyRuntime(q)
-		}
-	} else {
+	switch {
+	case plan.Loop != nil:
 		q.rt, err = newWindowRuntime(q)
+	case e.opts.Columnar && e.opts.Workers == 1 && columnarEligible(plan):
+		// Eligible single-worker equijoin plans run on struct-of-arrays
+		// blocks.
+		q.rt, err = newColRuntime(q)
+	default:
+		// One private eddy; with Workers > 1 a partitionable plan gets the
+		// hash-partitioning stage in front of it (see eddyRuntime).
+		q.rt, err = newEddyRuntime(q)
 	}
 	if err != nil {
 		e.detach(q)
+		q.unregisterMetrics()
 		return nil, err
 	}
 
@@ -462,13 +385,12 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	q.registerMetrics()
 
 	du := &executor.FuncDU{
-		DUName: fmt.Sprintf("q%d", id),
+		DUName: q.label,
 		Fn: func() (bool, bool) {
 			progressed, finished := q.rt.step()
 			if finished {
 				q.finish()
 				q.engine.detach(q)
-				q.unregisterMetrics()
 				q.engine.mu.Lock()
 				delete(q.engine.queries, q.ID)
 				q.engine.mu.Unlock()
@@ -525,13 +447,7 @@ func (e *Engine) deregister(q *RunningQuery, dropShared bool) {
 		q.shared.remove(q.ID)
 	}
 	e.detach(q)
-	// A parallel runtime owns worker goroutines; stop them now instead of
-	// waiting for its DU to observe the closed inputs (the executor may
-	// already be shutting down and never step it again).
-	if cl, ok := q.rt.(interface{ close() }); ok {
-		cl.close()
-	}
-	q.unregisterMetrics()
+	q.rt.close()
 	q.finish()
 }
 
@@ -546,30 +462,19 @@ func (e *Engine) tableContents(entry *catalog.Entry) ([]*tuple.Tuple, error) {
 }
 
 // EddyStats returns the adaptive-routing counters behind this query: its
-// private eddy for unwindowed queries, or the stream's shared-class eddy
-// when the query runs inside one. ok is false for windowed queries, whose
-// runtime has no eddy.
-func (q *RunningQuery) EddyStats() (eddy.Stats, bool) {
-	if q.shared != nil {
-		q.shared.mu.Lock()
-		defer q.shared.mu.Unlock()
-		return q.shared.eng.Stats(), true
-	}
-	if rt, ok := q.rt.(*eddyRuntime); ok {
-		return rt.Stats(), true
-	}
-	if rt, ok := q.rt.(*parEddyRuntime); ok {
-		return rt.Stats(), true
-	}
-	return eddy.Stats{}, false
+// private eddy (summed over shards) or its shared class's. ok is false for
+// windowed and columnar queries, whose runtimes have no eddy.
+func (q *RunningQuery) EddyStats() (st eddy.Stats, ok bool) {
+	ok = q.rt.control(func(h eddyHost, _ func(int) int64) { st = h.Stats() })
+	return st, ok
 }
 
 // ParallelStats returns the shard-layer counters (handoff batches, queue
-// depths, merge buffer high-water mark) for a query running on the
-// parallel runtime; ok is false on the sequential or windowed paths.
+// depths, merge buffer high-water mark) of a hash-partitioned eddy host;
+// ok is false on an inline host and on runtimes without an eddy.
 func (q *RunningQuery) ParallelStats() (eddy.ParallelStats, bool) {
-	if rt, ok := q.rt.(*parEddyRuntime); ok {
-		return rt.pe.Stats(), true
+	if q.parStats == nil {
+		return eddy.ParallelStats{}, false
 	}
-	return eddy.ParallelStats{}, false
+	return q.parStats(), true
 }

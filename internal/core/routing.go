@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the one place routing policies are constructed: every
-// runtime (private eddy, parallel shards, shared CACQ classes, sequential
-// or parallel) resolves Options.Routing through the engine factory below
-// with its historically-derived seed, instead of hard-coding policy
+// eddy host (a private eddy inline or partitioned, a shared CACQ class at
+// one worker or many) resolves Options.Routing through the engine factory
+// below with its historically-derived seed, instead of hard-coding policy
 // literals per construction site.
 
 // routingPolicy resolves Options.Routing into a policy instance for one
@@ -56,11 +56,10 @@ func nwayEligible(plan *sql.Plan) bool {
 	return len(participates) >= 3
 }
 
-// nwayEvery returns the probe-order reuse interval for a plan, or 0 when
-// the k-ary chain stays off: Routing unset (the legacy pin), nway=off, or
-// a join graph too small to benefit.
-func (e *Engine) nwayEvery(plan *sql.Plan) int {
-	r := e.opts.Routing
+// nwayEvery returns the probe-order reuse interval for a plan under routing
+// config r, or 0 when the k-ary chain stays off: r unset (the legacy pin),
+// nway=off, or a join graph too small to benefit.
+func nwayEvery(r eddy.RoutingConfig, plan *sql.Plan) int {
 	if r.IsZero() || r.NoNWay || !nwayEligible(plan) {
 		return 0
 	}
@@ -77,12 +76,6 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 	}
 	in := e.intro
 	return func(sig uint64, order []int) {
-		parts := make([]string, 0, len(order))
-		for _, i := range order {
-			if i >= 0 && i < len(names) {
-				parts = append(parts, names[i])
-			}
-		}
 		in.ring.Publish(introspect.Row{
 			Stream: introspect.RoutesStream,
 			Vals: []tuple.Value{
@@ -92,7 +85,7 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 				tuple.Bool(false),
 				tuple.Int(int64(len(order))),
 				tuple.Int(0),
-				tuple.String_("order:" + strings.Join(parts, ">")),
+				tuple.String_("order:" + strings.Join(orderNames(names, order), ">")),
 			},
 		})
 	}
@@ -101,11 +94,11 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 // SetQueryPolicy swaps a standing query's routing policy at runtime (the
 // SET POLICY wire command): the spec is ParseRouting grammar, e.g.
 // "selectivity every=16" or "fixed order=2,1,3". The swap applies to the
-// query's private eddy, each of its parallel shards (under a barrier), or
-// its whole shared class — every member of a shared class is re-routed
-// together, since they share one super-query eddy. Learned routing state
-// starts fresh. Windowed and columnar runtimes have no adaptive routing
-// layer and report an error.
+// query's eddy host — its private eddy, each of its shards (under a
+// barrier), or its whole shared class: every member of a shared class is
+// re-routed together, since they share one super-query eddy. Learned
+// routing state starts fresh. Windowed and columnar runtimes have no
+// adaptive routing layer and report an error.
 func (e *Engine) SetQueryPolicy(qid int, spec string) error {
 	cfg, err := eddy.ParseRouting(spec)
 	if err != nil {
@@ -115,53 +108,19 @@ func (e *Engine) SetQueryPolicy(qid int, spec string) error {
 	if !ok {
 		return fmt.Errorf("core: query %d not found", qid)
 	}
-	newPol := func(seed int64) eddy.Policy {
-		p, perr := cfg.NewPolicy(seed)
-		if perr != nil {
-			p = eddy.NewLotteryPolicy(seed)
-		}
-		return p
-	}
-	nwayEvery := 0
-	if !cfg.NoNWay && nwayEligible(q.Plan) {
-		nwayEvery = cfg.EveryOrDefault()
-	}
-	if q.shared != nil {
-		sc := q.shared
-		seed := classSeed(sc.key)
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		sc.eng.SetRoutingPolicy(func(shard int) eddy.Policy {
-			return newPol(seed + int64(shard) + 2)
-		})
-		return nil
-	}
-	switch rt := q.rt.(type) {
-	case *eddyRuntime:
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		rt.ed.SetPolicy(newPol(int64(q.ID) + 1))
-		rt.ed.SetNWay(nwayEvery)
-		return nil
-	case *parEddyRuntime:
-		rt.pe.Barrier(func(shard int, s eddy.Shard) {
-			ed := s.(*eddy.Eddy)
-			ed.SetPolicy(newPol(int64(q.ID)*64 + int64(shard) + 1))
-			ed.SetNWay(nwayEvery)
-		})
-		return nil
-	default:
+	every := nwayEvery(cfg, q.Plan)
+	if !q.rt.control(func(h eddyHost, seed func(shard int) int64) {
+		h.SetRoutingPolicy(func(shard int) eddy.Policy {
+			p, perr := cfg.NewPolicy(seed(shard))
+			if perr != nil {
+				p = eddy.NewLotteryPolicy(seed(shard))
+			}
+			return p
+		}, every)
+	}) {
 		return fmt.Errorf("core: query %d runs on a runtime without an adaptive routing layer", qid)
 	}
-}
-
-// moduleNames snapshots the display names of an eddy module set.
-func moduleNames(modules []eddy.Module) []string {
-	names := make([]string, len(modules))
-	for i, m := range modules {
-		names[i] = m.Name()
-	}
-	return names
+	return nil
 }
 
 // orderNames maps a module-index ranking to module names.

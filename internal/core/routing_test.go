@@ -120,72 +120,127 @@ func TestSetQueryPolicyLive(t *testing.T) {
 	}
 }
 
-// TestRoutingThreadsAllRuntimes checks Options.Routing reaches the
-// parallel shards and shared classes, not just private eddies.
+// TestRoutingThreadsAllRuntimes drives every runtime a plan can land on
+// through the one control-plane contract: Options.Routing must reach each
+// eddy host (not just the inline private eddy), Telemetry must be labelled
+// and non-empty whatever executes the query, EddyStats must have the same
+// shape on every eddy-backed row, and SET POLICY must either apply or
+// return the one "no adaptive routing layer" error.
 func TestRoutingThreadsAllRuntimes(t *testing.T) {
-	t.Run("parallel", func(t *testing.T) {
-		// A single-key-class equijoin is parallel-eligible; the three-way
-		// chain above is not (two key classes), so use two streams here.
-		e := NewEngine(Options{EOs: 1, Workers: 2,
-			Routing: eddy.RoutingConfig{Kind: "selectivity"}})
-		defer e.Stop()
-		mkInt := func(name string, cols ...string) {
-			cs := make([]tuple.Column, len(cols))
-			for i, c := range cols {
-				cs[i] = tuple.Column{Name: c, Kind: tuple.KindInt}
+	const join = `SELECT S.v, R.w FROM S, R WHERE S.k = R.k`
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		query   string
+		label   string
+		hasEddy bool
+		shards  int      // ParallelStats worker count; 0 = inline host or no eddy
+		modules []string // names that must appear among the telemetry rows
+	}{
+		{"private/workers=1", Options{}, join, "q0", true, 0, []string{"SteM(S)", "SteM(R)"}},
+		{"private/workers=4", Options{Workers: 4}, join, "q0", true, 4, []string{"SteM(S)", "SteM(R)"}},
+		{"shared/workers=1", Options{}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 0, []string{"GF(S.v)"}},
+		{"shared/workers=4", Options{Workers: 4}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 4, []string{"GF(S.v)"}},
+		{"windowed", Options{}, `SELECT COUNT(*) FROM S for (t = 4; ; t += 4) { WindowIs(S, t - 3, t); }`,
+			"q0", false, 0, []string{"Window(S)", "Fire"}},
+		{"columnar", Options{Columnar: true}, join, "q0", false, 0, []string{"SteM(S)", "SteM(R)"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.EOs = 1
+			tc.opts.Routing = eddy.RoutingConfig{Kind: "selectivity"}
+			e := NewEngine(tc.opts)
+			defer e.Stop()
+			for name, col := range map[string]string{"S": "v", "R": "w"} {
+				if err := e.CreateStream(name, tuple.NewSchema(name,
+					tuple.Column{Name: "k", Kind: tuple.KindInt},
+					tuple.Column{Name: col, Kind: tuple.KindInt}), -1); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := e.CreateStream(name, tuple.NewSchema(name, cs...), -1); err != nil {
+			q, err := e.Register(tc.query)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		mkInt("S", "k", "v")
-		mkInt("R", "k", "w")
-		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := q.rt.(*parEddyRuntime); !ok {
-			t.Fatalf("query runs on %T, want the parallel runtime", q.rt)
-		}
-		for i := int64(0); i < 4; i++ {
-			e.Feed("S", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-			e.Feed("R", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-		}
-		// Per key: 2 S x 2 R = 4; two keys → 8.
-		waitFor(t, "8 parallel join results", func() bool { return q.Results() == 8 })
-		if qt := q.Telemetry(); qt.Policy != "selectivity" {
-			t.Fatalf("parallel telemetry policy = %q, want selectivity", qt.Policy)
-		}
-		if err := e.SetQueryPolicy(q.ID, "lottery"); err != nil {
-			t.Fatal(err)
-		}
-		if qt := q.Telemetry(); qt.Policy != "lottery" {
-			t.Fatalf("parallel telemetry policy = %q after swap, want lottery", qt.Policy)
-		}
-	})
-	t.Run("shared", func(t *testing.T) {
-		e := NewEngine(Options{EOs: 1, Routing: eddy.RoutingConfig{Kind: "selectivity"}})
-		defer e.Stop()
-		if err := e.CreateStream("s", tuple.NewSchema("s",
-			tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
-			t.Fatal(err)
-		}
-		q, err := e.Register(`SELECT x FROM s WHERE x > 2`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 6; i++ {
-			e.Feed("s", tuple.New(tuple.Int(i)))
-		}
-		waitFor(t, "3 shared results", func() bool { return q.Results() == 3 })
-		if qt := q.Telemetry(); qt.Policy != "selectivity" {
-			t.Fatalf("shared telemetry policy = %q, want selectivity", qt.Policy)
-		}
-		if err := e.SetQueryPolicy(q.ID, "lottery"); err != nil {
-			t.Fatal(err)
-		}
-		if qt := q.Telemetry(); qt.Policy != "lottery" {
-			t.Fatalf("shared telemetry policy = %q after swap, want lottery", qt.Policy)
-		}
-	})
+			for i := int64(0); i < 16; i++ {
+				e.Feed("S", tuple.New(tuple.Int(i%4), tuple.Int(i)))
+				e.Feed("R", tuple.New(tuple.Int(i%4), tuple.Int(i)))
+			}
+			waitFor(t, "results", func() bool { return q.Results() >= 4 })
+
+			qt, err := e.ExplainQuery(q.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if qt.Label != tc.label || qt.HasEddy != tc.hasEddy || len(qt.Modules) == 0 {
+				t.Fatalf("telemetry label=%q hasEddy=%v modules=%d, want %q %v non-empty",
+					qt.Label, qt.HasEddy, len(qt.Modules), tc.label, tc.hasEddy)
+			}
+			var names []string
+			var visits int64
+			for _, m := range qt.Modules {
+				if m.Owner != tc.label {
+					t.Errorf("row %q owned by %q, want %q", m.Module, m.Owner, tc.label)
+				}
+				names = append(names, m.Module)
+				visits += m.Visits
+			}
+			for _, want := range tc.modules {
+				if !strings.Contains(strings.Join(names, ","), want) {
+					t.Errorf("telemetry rows %v lack %s", names, want)
+				}
+			}
+			if visits == 0 {
+				t.Errorf("telemetry rows report no work: %+v", qt.Modules)
+			}
+			if ps, ok := q.ParallelStats(); ok != (tc.shards > 0) || ps.Workers != tc.shards {
+				t.Errorf("ParallelStats ok=%v workers=%d, want %d shards", ok, ps.Workers, tc.shards)
+			}
+
+			st, ok := q.EddyStats()
+			if ok != tc.hasEddy {
+				t.Fatalf("EddyStats ok=%v, want %v", ok, tc.hasEddy)
+			}
+			if !tc.hasEddy {
+				err := e.SetQueryPolicy(q.ID, "lottery")
+				if err == nil || !strings.Contains(err.Error(), "without an adaptive routing layer") {
+					t.Fatalf("SET POLICY on a runtime without an eddy: err = %v", err)
+				}
+				return
+			}
+			if st.Ingested == 0 || st.Visits == 0 || len(st.Modules) != len(qt.Modules) {
+				t.Errorf("eddy stats shape: %+v against %d telemetry rows", st, len(qt.Modules))
+			}
+			// Inline hosts take whole drained batches; shards are fed tuple
+			// by tuple behind the partitioner, so only the former must have
+			// counted lineage runs.
+			if tc.shards == 0 && st.Runs == 0 {
+				t.Error("batch run counter empty after batched ingest")
+			}
+			if qt.Policy != "selectivity" {
+				t.Fatalf("telemetry policy = %q, want the engine-wide selectivity", qt.Policy)
+			}
+			if err := e.SetQueryPolicy(q.ID, "lottery"); err != nil {
+				t.Fatal(err)
+			}
+			qt = q.Telemetry()
+			if qt.Policy != "lottery" {
+				t.Fatalf("telemetry policy = %q after swap, want lottery", qt.Policy)
+			}
+			// Lottery tickets are part of the shape: one per module, shares
+			// summing to one, on every host.
+			if st, _ = q.EddyStats(); len(st.Tickets) != len(st.Modules) {
+				t.Errorf("tickets = %d for %d modules", len(st.Tickets), len(st.Modules))
+			}
+			var shareSum float64
+			for _, m := range qt.Modules {
+				shareSum += m.TicketShare
+			}
+			if shareSum < 0.99 || shareSum > 1.01 {
+				t.Errorf("ticket shares sum to %v, want ~1", shareSum)
+			}
+			if _, err := e.ExplainQuery(999); err == nil {
+				t.Error("ExplainQuery(999) succeeded for a missing query")
+			}
+		})
+	}
 }

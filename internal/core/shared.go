@@ -7,7 +7,6 @@ import (
 	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/cacq"
 	"telegraphcq/internal/catalog"
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/expr"
@@ -39,11 +38,15 @@ type sharedClass struct {
 	// mu guards the cacq engine and membership: the class DU steps the
 	// engine on its EO thread while Register/Deregister mutate it from
 	// client goroutines.
-	mu      sync.Mutex
-	eng     sharedEngine
-	members map[int]int // RunningQuery.ID -> cacq query id
-	batch   int
-	buf     []*tuple.Tuple
+	mu  sync.Mutex
+	eng sharedEngine
+	// host is eng's eddy control plane: its one eddy, or its shard layer
+	// (then parStats reads that layer's own counters).
+	host     eddyHost
+	parStats func() eddy.ParallelStats
+	members  map[int]int // RunningQuery.ID -> cacq query id
+	batch    int
+	buf      []*tuple.Tuple
 	// recycler reclaims each spent subscriber clone after the engine has
 	// widened it into the super-query's wide row.
 	recycler *tuple.Pool
@@ -61,13 +64,34 @@ type sharedEngine interface {
 	IngestBatch(s int, base []*tuple.Tuple)
 	AddQuery(fp tuple.SourceSet, sels []expr.Predicate, project []int, out func(*tuple.Tuple)) (*cacq.Query, error)
 	RemoveQuery(id int) error
-	Stats() eddy.Stats
 	Delivered() int64
-	ModuleNames() []string
-	SetProbeTimer(clk chaos.Clock, every int)
-	ModuleProbeNanos() []int64
-	SetRoutingPolicy(newPol func(shard int) eddy.Policy)
-	PolicyInfo() (name string, order []int)
+	AdvanceEpoch()
+}
+
+// stopEngine stops a sharded engine's workers; the single engine has none.
+func stopEngine(eng sharedEngine) {
+	if cl, ok := eng.(interface{ Close() }); ok {
+		cl.Close()
+	}
+}
+
+// sharedMember is the runtime of a query inside a shared class: the class's
+// DU steps the engine, so a member has nothing to step or stop, and its
+// control plane is the class's — every member observes and re-routes the
+// one super-query eddy.
+type sharedMember struct{ sc *sharedClass }
+
+func (sharedMember) step() (bool, bool)        { return false, false }
+func (sharedMember) close()                    {}
+func (sharedMember) stages() []ModuleTelemetry { return nil }
+
+func (m sharedMember) control(fn func(h eddyHost, seed func(shard int) int64)) bool {
+	m.sc.mu.Lock()
+	defer m.sc.mu.Unlock()
+	// The single or front engine is shard -1: classSeed+shard+2 throughout.
+	base := classSeed(m.sc.key)
+	fn(m.sc.host, func(shard int) int64 { return base + int64(shard) + 2 })
+	return true
 }
 
 // qualifiesShared reports whether a plan can join a shared selection class.
@@ -194,25 +218,25 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc.eng = par
-	} else if e.opts.SharedArrangements {
-		seq, err := cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
-			Provider: e.arrangedProvider(key, -1),
-			// The sequential step is fully synchronous, so freed lineage
-			// slots can be scrubbed and reused — bitmaps stay dense under
-			// query churn.
-			ReuseSlots: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sc.eng = seq
+		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
 	} else {
-		seq, err := cacq.New(plan.Layout, joins, e.routingPolicy(seed))
+		var seq *cacq.Engine
+		var err error
+		if e.opts.SharedArrangements {
+			seq, err = cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
+				Provider: e.arrangedProvider(key, -1),
+				// The sequential step is fully synchronous, so freed lineage
+				// slots can be scrubbed and reused — bitmaps stay dense under
+				// query churn.
+				ReuseSlots: true,
+			})
+		} else {
+			seq, err = cacq.New(plan.Layout, joins, e.routingPolicy(seed))
+		}
 		if err != nil {
 			return nil, err
 		}
-		sc.eng = seq
+		sc.eng, sc.host = seq, seq.Host()
 	}
 
 	e.mu.Lock()
@@ -221,9 +245,7 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		for _, c := range sc.conns {
 			c.Close()
 		}
-		if cl, ok := sc.eng.(interface{ Close() }); ok {
-			cl.Close()
-		}
+		stopEngine(sc.eng)
 		return existing, nil
 	}
 	e.shared[key] = sc
@@ -247,7 +269,7 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		}
 	}
 	if e.opts.Introspect {
-		sc.eng.SetProbeTimer(e.opts.Clock, 0)
+		sc.host.SetProbeTimer(e.opts.Clock, 0)
 	}
 	lbl := fmt.Sprintf(`{stream=%q}`, key)
 	classStat := func(get func() float64) func() float64 {
@@ -264,7 +286,7 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 	// Tuples whose lineage bitmap died entirely (every member's grouped
 	// filter rejected them) count as eddy drops in the shared super-query.
 	e.reg.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
-		classStat(func() float64 { return float64(sc.eng.Stats().Dropped) }))
+		classStat(func() float64 { return float64(sc.host.Stats().Dropped) }))
 
 	e.exec.Submit(streams, &executor.FuncDU{
 		DUName: "shared:" + key,
@@ -307,9 +329,7 @@ func (sc *sharedClass) step() (progressed, done bool) {
 		if fl, ok := sc.eng.(interface{ Flush() }); ok {
 			fl.Flush()
 		}
-		if ae, ok := sc.eng.(interface{ AdvanceEpoch() }); ok {
-			ae.AdvanceEpoch()
-		}
+		sc.eng.AdvanceEpoch()
 	}
 	return progressed, false
 }
@@ -319,9 +339,7 @@ func (sc *sharedClass) step() (progressed, done bool) {
 func (sc *sharedClass) close() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if cl, ok := sc.eng.(interface{ Close() }); ok {
-		cl.Close()
-	}
+	stopEngine(sc.eng)
 }
 
 // add registers a query with the class, delivering into q's egress.
@@ -347,40 +365,8 @@ func (sc *sharedClass) remove(queryID int) {
 	}
 }
 
-// policyInfo reports the class engine's routing policy and its current
-// deterministic probe ranking as module names.
-func (sc *sharedClass) policyInfo() (string, []string) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	name, order := sc.eng.PolicyInfo()
-	return name, orderNames(sc.eng.ModuleNames(), order)
-}
-
-// queueDepth sums the class's pending input across its queues.
-func (sc *sharedClass) queueDepth() int {
-	depth := 0
-	for _, c := range sc.conns {
-		depth += c.Q.Len()
-	}
-	return depth
-}
-
-// SharedStats exposes the shared engine's eddy counters for a class key —
-// the stream name for selection classes, "A+B|colA=colB" for join classes
-// (zero Stats when no such class exists).
-func (e *Engine) SharedStats(key string) eddy.Stats {
-	e.mu.Lock()
-	sc, ok := e.shared[key]
-	e.mu.Unlock()
-	if !ok {
-		return eddy.Stats{}
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.eng.Stats()
-}
-
-// SharedQueryCount reports how many standing queries share a class.
+// SharedQueryCount reports how many standing queries share a class: the
+// stream name keys a selection class, "A+B|colA=colB" a join class.
 func (e *Engine) SharedQueryCount(key string) int {
 	e.mu.Lock()
 	sc, ok := e.shared[key]

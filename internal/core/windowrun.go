@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/metrics"
@@ -30,6 +32,23 @@ type windowRuntime struct {
 	drainer *batchDrain
 	pool    *tuple.Pool
 
+	// single is the one windowed FROM position of a forward loop, or -1:
+	// only then is "where in the arrival order did the window close" a
+	// property of one stream, so only then does intake fire at the arrival
+	// position. Across several windowed positions the interleaving is
+	// undefined and instances fire between drains.
+	single int
+	// quietSince is when step first found the pending instance's right edge
+	// reached and nothing arriving (zero while tuples flow); see quiet.
+	quietSince time.Time
+	// firedRight[pos] is the last fired forward-loop instance's right
+	// edge: a tuple arriving at or below it missed that instance.
+	firedRight []int64
+	// absorbed counts tuples taken in per position, late those at or below
+	// firedRight; atomic because client goroutines read them mid-step.
+	absorbed []atomic.Int64
+	late     atomic.Int64
+
 	selsFor [][]expr.Predicate // per-position single-stream selections
 	agg     *ops.Aggregator
 	proj    *ops.Project
@@ -38,8 +57,7 @@ type windowRuntime struct {
 	// the window only grows, so aggregates fold in each instance's delta
 	// instead of rescanning the whole window, and folded tuples are
 	// evicted immediately (no retention).
-	incAgg  *ops.IncrementalAggregator
-	incUpto int64
+	incAgg *ops.IncrementalAggregator
 
 	// incJoin is the sliding two-stream join fast path: matches are
 	// produced incrementally through SteMs as tuples arrive (the
@@ -52,11 +70,20 @@ type windowRuntime struct {
 	// instance (the query's emission latency).
 	fireLat *metrics.Histogram
 
+	// pend is a forward loop's next instance to fire, at loop value nextT;
+	// cached so firing checks allocate nothing. finished once the loop
+	// condition no longer holds there (or, any loop, all instances fired).
 	nextT    int64
+	pend     window.Instance
 	finished bool
 }
 
 const maxLoopInstances = 100000
+
+// windowQuiet is how long a stream must bring nothing before a pending
+// instance fires on data that has reached, but not passed, its right edge
+// (see quiet). Lateness itself stays fixed at 0.
+const windowQuiet = 5 * time.Millisecond
 
 func newWindowRuntime(q *RunningQuery) (runtime, error) {
 	plan := q.Plan
@@ -69,11 +96,13 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 		preSeq:  make([]int64, len(plan.Entries)),
 		maxTime: make([]int64, len(plan.Entries)),
 		pool:    q.engine.recycler,
+
+		firedRight: make([]int64, len(plan.Entries)),
+		absorbed:   make([]atomic.Int64, len(plan.Entries)),
 	}
-	rt.fireLat = q.engine.reg.Histogram(
-		fmt.Sprintf(`tcq_window_fire_seconds{query="%d"}`, q.ID), 256)
 
 	// Map WindowIs declarations to FROM positions.
+	windowed := 0 // positions a forward loop windows
 	for pos := range plan.Entries {
 		rt.winFor[pos] = -1
 		ref := plan.Query.From[pos]
@@ -83,6 +112,14 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 			}
 		}
 		rt.maxTime[pos] = -1 << 62
+		rt.firedRight[pos] = -1 << 62
+		if rt.winFor[pos] >= 0 && plan.Loop.Step > 0 {
+			windowed++
+			rt.single = pos
+		}
+	}
+	if windowed != 1 {
+		rt.single = -1
 	}
 
 	// Partition selections by owning position.
@@ -97,7 +134,6 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 		if len(plan.Entries) == 1 && plan.Loop.Classify() == window.ShapeLandmark &&
 			plan.Loop.Step > 0 {
 			rt.incAgg = ops.NewIncrementalAggregator(plan.GroupBy, plan.Aggs...)
-			rt.incUpto = -1 << 62
 		}
 	} else if plan.Project != nil {
 		rt.proj = ops.NewProject(plan.Project...)
@@ -123,31 +159,54 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 		if err != nil {
 			return nil, err
 		}
+		rt.absorb(pos, hist)
 		for _, t := range hist {
-			rt.absorb(pos, t)
 			if t.Seq > rt.preSeq[pos] {
 				rt.preSeq[pos] = t.Seq
-			}
-			if k := rt.key(t); k > rt.maxTime[pos] {
-				rt.maxTime[pos] = k
 			}
 		}
 	}
 
-	rt.nextT = plan.Loop.Init
 	rt.drainer = newBatchDrain(q.inputs, rt.preSeq, rt.pool, q.engine.opts.BatchSize, 512)
+	reg := queryMetrics{q}
+	lbl := fmt.Sprintf(`{query="%d"}`, q.ID)
+	// Recorded with the query's series so teardown drops the histogram too.
+	rt.fireLat = q.engine.reg.Histogram("tcq_window_fire_seconds"+lbl, 256)
+	q.metricNames = append(q.metricNames, "tcq_window_fire_seconds"+lbl)
+	reg.RegisterFunc("tcq_window_late_total"+lbl, metrics.KindCounter, func() float64 {
+		return float64(rt.late.Load())
+	})
+	if rt.loop.Step > 0 {
+		// Instances the preloaded history already reaches fire now: history
+		// is complete, there is nothing to wait for.
+		rt.setNext(plan.Loop.Init)
+		rt.fireReady(false)
+		return rt, nil
+	}
+	// Snapshot or backward loop: every instance is anchored at or below
+	// Init and all fire together once data reaches the highest right edge,
+	// so the "instance" reached waits on carries that edge everywhere.
+	var need int64 = -1 << 62
+	rt.loop.Instances(maxLoopInstances, func(inst window.Instance) bool {
+		for _, iv := range inst.Windows {
+			if iv.Right > need {
+				need = iv.Right
+			}
+		}
+		return true
+	})
+	rt.pend.Windows = make([]window.Interval, len(rt.loop.Windows))
+	for i := range rt.pend.Windows {
+		rt.pend.Windows[i].Right = need
+	}
 	return rt, nil
 }
 
-// absorb routes one raw stream tuple into the runtime's state: the
-// incremental join (builds + probes) or the position's window buffer.
-func (rt *windowRuntime) absorb(pos int, t *tuple.Tuple) {
-	if rt.incJoin != nil {
-		rt.incJoin.ingest(pos, t)
-		return
-	}
-	if rt.buffers[pos] != nil {
-		rt.buffers[pos].Add(t)
+// setNext moves the forward loop to value t and caches its instance.
+func (rt *windowRuntime) setNext(t int64) {
+	rt.nextT = t
+	if rt.finished = !rt.loop.Cond.Holds(t); !rt.finished {
+		rt.pend = rt.loop.At(t)
 	}
 }
 
@@ -158,55 +217,78 @@ func (rt *windowRuntime) key(t *tuple.Tuple) int64 {
 	return t.TS
 }
 
-// intake is the drain sink: it advances the position's time high-water
-// mark and routes windowed tuples into the runtime's state. Arriving
-// subscriber clones that nothing retains — static-table positions, and
-// the incremental join (which widens into its own rows) — return to the
-// tuple pool; clones absorbed into a window buffer are retained and must
-// not be recycled.
+// intake is the drain sink. With one windowed position in a forward loop
+// it decides firing at the arrival position: an instance closes at the
+// first tuple beyond its right edge, so the batch is split there, the prefix
+// is absorbed, the instance fires, and the rest continues against the next
+// instance. Every tuple that arrived before the closing one is in — rows
+// sharing the right edge's timestamp included — and a straggler behind it
+// is late, whatever BatchSize, EOs or scheduling did: an instance's contents
+// are a pure function of the arrival order, not of where a drain batch
+// happened to end.
+//
+// Subscriber clones that nothing retains — static-table positions, and the
+// incremental join (which widens into its own rows) — return to the pool;
+// clones absorbed into a window buffer are retained.
 func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
-	for _, t := range ts {
-		if k := rt.key(t); k > rt.maxTime[pos] {
-			rt.maxTime[pos] = k
+	all := ts
+	for pos == rt.single && !rt.finished {
+		right := rt.pend.Windows[rt.winFor[pos]].Right
+		i := 0
+		for i < len(ts) && rt.key(ts[i]) <= right {
+			i++
+		}
+		if i == len(ts) {
+			break
+		}
+		rt.absorb(pos, ts[:i])
+		ts = ts[i:]
+		rt.fireNext()
+	}
+	rt.absorb(pos, ts)
+	if rt.winFor[pos] < 0 || rt.incJoin != nil {
+		for _, t := range all {
+			rt.pool.Put(t)
 		}
 	}
-	if rt.winFor[pos] < 0 {
-		rt.recycle(ts)
-		return
+}
+
+// absorb takes tuples of one position (arriving, or preloaded history)
+// into the runtime's state: the time high-water mark, the late count
+// (late tuples stay buffered for later overlapping instances), and the
+// incremental join or the position's window buffer.
+func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
+	rt.absorbed[pos].Add(int64(len(ts)))
+	for _, t := range ts {
+		k := rt.key(t)
+		if k > rt.maxTime[pos] {
+			rt.maxTime[pos] = k
+		}
+		if k <= rt.firedRight[pos] {
+			rt.late.Add(1)
+		}
 	}
-	if rt.incJoin != nil {
+	switch {
+	case rt.winFor[pos] < 0:
+	case rt.incJoin != nil:
 		for _, t := range ts {
 			rt.incJoin.ingest(pos, t)
 		}
-		rt.recycle(ts)
-		return
-	}
-	if rt.buffers[pos] != nil {
+	default:
 		rt.buffers[pos].AddBatch(ts)
 	}
 }
 
-func (rt *windowRuntime) recycle(ts []*tuple.Tuple) {
-	if rt.pool == nil {
-		return
-	}
-	for _, t := range ts {
-		rt.pool.Put(t)
-	}
-}
-
-// canFire reports whether instance inst's windows are fully covered by the
-// data seen so far (or the inputs have ended, in which case we fire with
-// what we have).
-func (rt *windowRuntime) canFire(inst window.Instance) bool {
+// reached reports whether the data seen so far has reached the pending
+// instance's right edge on every open windowed position — with beyond, has
+// moved past it (so: always, once the inputs have ended).
+func (rt *windowRuntime) reached(beyond bool) bool {
 	for pos, wi := range rt.winFor {
-		if wi < 0 {
+		if wi < 0 || rt.drainer.closed[pos] {
 			continue
 		}
-		if rt.drainer.closed[pos] {
-			continue
-		}
-		if rt.maxTime[pos] < inst.Windows[wi].Right {
+		right := rt.pend.Windows[wi].Right
+		if rt.maxTime[pos] < right || beyond && rt.maxTime[pos] == right {
 			return false
 		}
 	}
@@ -222,6 +304,72 @@ func (rt *windowRuntime) allClosed() bool {
 	return true
 }
 
+// worthFiring decides, for an unbounded loop whose windowed inputs have all
+// closed, whether the pending instance can still show data the previous one
+// did not: some window must reach back to the data seen (left edge at or
+// below the newest time), and either its left edge moves with t (a sliding
+// window sheds old data until it is empty) or the last fired right edge had
+// not reached the newest time (a landmark window is complete once it has).
+// Past that every instance is empty or a repeat, so the loop ends there
+// instead of spinning forever.
+func (rt *windowRuntime) worthFiring() bool {
+	for pos, wi := range rt.winFor {
+		if wi < 0 || rt.pend.Windows[wi].Left > rt.maxTime[pos] {
+			continue
+		}
+		if rt.loop.Windows[wi].Left.Coeff != 0 || rt.firedRight[pos] < rt.maxTime[pos] {
+			return true
+		}
+	}
+	return false
+}
+
+// quiet reports whether the data has reached the pending instance's right
+// edge, not passed it, and the streams then brought nothing for windowQuiet.
+// The last instance of a paused stream must not wait for a tuple that may
+// never come; but a same-timestamp row or a straggler a scheduling gap
+// behind the row that reached the edge must not find the instance closed.
+func (rt *windowRuntime) quiet(progressed bool) bool {
+	if progressed || !rt.reached(false) {
+		rt.quietSince = time.Time{}
+		return false
+	}
+	now := rt.q.engine.opts.Clock.Now()
+	if rt.quietSince.IsZero() {
+		rt.quietSince = now
+	}
+	return now.Sub(rt.quietSince) >= windowQuiet
+}
+
+// fireNext fires the pending instance and moves the loop on.
+func (rt *windowRuntime) fireNext() {
+	inst := rt.pend
+	rt.fire(inst)
+	for pos, wi := range rt.winFor {
+		if wi >= 0 {
+			rt.firedRight[pos] = inst.Windows[wi].Right
+		}
+	}
+	rt.setNext(rt.nextT + rt.loop.Step)
+	rt.evict()
+}
+
+// fireReady fires the forward loop's pending instances while the data has
+// reached (beyond: passed) their right edges. A bounded loop whose inputs
+// ended thus fires every remaining instance over what arrived; an unbounded
+// one stops when no longer worthFiring.
+func (rt *windowRuntime) fireReady(beyond bool) (fired bool) {
+	for !rt.finished && rt.reached(beyond) {
+		if rt.loop.Cond.Always && rt.allClosed() && !rt.worthFiring() {
+			rt.finished = true
+			break
+		}
+		rt.fireNext()
+		fired = true
+	}
+	return fired
+}
+
 func (rt *windowRuntime) step() (bool, bool) {
 	if rt.finished {
 		return false, true
@@ -229,51 +377,19 @@ func (rt *windowRuntime) step() (bool, bool) {
 	progressed, _ := rt.drainer.drain(rt.intake)
 
 	if rt.loop.Step > 0 {
-		// Forward loop: fire instances whose windows have filled.
-		for rt.loop.Cond.Holds(rt.nextT) {
-			inst := rt.loop.At(rt.nextT)
-			if !rt.canFire(inst) {
-				if rt.allClosed() {
-					// Inputs ended before the window filled: fire the
-					// remaining instances over what arrived, then stop.
-					rt.fire(inst)
-					rt.nextT += rt.loop.Step
-					progressed = true
-					continue
-				}
-				return progressed, false
-			}
-			rt.fire(inst)
-			rt.nextT += rt.loop.Step
+		// An instance closes once every windowed stream has moved beyond its
+		// right edge (with one stream intake did that, at the arrival
+		// position), or reached it and gone quiet, or ended.
+		quiet := rt.quiet(progressed)
+		if rt.fireReady(true) || quiet && rt.fireReady(false) {
 			progressed = true
-			rt.evict()
 		}
-		rt.finished = true
-		return true, true
+		return progressed || rt.finished, rt.finished
 	}
 
-	// Snapshot or backward loop: all instances are anchored at or below
-	// Init; fire them all once data reaches the highest right edge (or
-	// the inputs end).
-	var need int64 = -1 << 62
-	rt.loop.Instances(maxLoopInstances, func(inst window.Instance) bool {
-		for _, iv := range inst.Windows {
-			if iv.Right > need {
-				need = iv.Right
-			}
-		}
-		return true
-	})
-	ready := rt.allClosed()
-	if !ready {
-		ready = true
-		for pos, wi := range rt.winFor {
-			if wi >= 0 && !rt.drainer.closed[pos] && rt.maxTime[pos] < need {
-				ready = false
-			}
-		}
-	}
-	if !ready {
+	// Snapshot or backward loop: fire every instance once the data reaches
+	// the highest right edge (or the inputs end).
+	if !rt.reached(false) {
 		return progressed, false
 	}
 	rt.loop.Instances(maxLoopInstances, func(inst window.Instance) bool {
@@ -284,12 +400,40 @@ func (rt *windowRuntime) step() (bool, bool) {
 	return true, true
 }
 
+// close is a no-op: the windowed runtime runs entirely on its stepping DU.
+func (rt *windowRuntime) close() {}
+
+// control reports false: instances are evaluated over buffered windows;
+// there is no eddy to observe or re-route.
+func (rt *windowRuntime) control(func(eddyHost, func(int) int64)) bool { return false }
+
+// stages reports the windowed pipeline: tuples taken in per windowed
+// position, the incremental join's materialized matches, and instance
+// evaluation (instances fired, results emitted, mean time per instance).
+func (rt *windowRuntime) stages() []ModuleTelemetry {
+	var rows []ModuleTelemetry
+	var in int64
+	for pos, wi := range rt.winFor {
+		if wi >= 0 {
+			n := rt.absorbed[pos].Load()
+			rows = append(rows, stageRow(rt.q.label, "Window("+rt.layout.Schemas[pos].Relation+")", n, 0))
+			in += n
+		}
+	}
+	if rt.incJoin != nil {
+		rows = append(rows, stageRow(rt.q.label, "IncJoin", in, rt.incJoin.produced.Load()))
+	}
+	fire := stageRow(rt.q.label, "Fire", rt.fireLat.Count(), rt.q.Results())
+	fire.ProbeNanos = rt.fireLat.Mean().Nanoseconds()
+	return append(rows, fire)
+}
+
 // evict drops buffered tuples no future window instance can need.
 func (rt *windowRuntime) evict() {
-	if rt.loop.Step <= 0 || !rt.loop.Cond.Holds(rt.nextT) {
+	if rt.finished {
 		return
 	}
-	inst := rt.loop.At(rt.nextT)
+	inst := rt.pend
 	if rt.incJoin != nil {
 		rt.incJoin.evict(inst)
 		return
@@ -300,6 +444,18 @@ func (rt *windowRuntime) evict() {
 		}
 		rt.buffers[pos].Evict(inst.Windows[wi].Left)
 	}
+}
+
+// admit widens one tuple of FROM position pos and applies the position's
+// selections, returning nil when one fails.
+func (rt *windowRuntime) admit(pos int, t *tuple.Tuple) *tuple.Tuple {
+	w := rt.layout.Widen(pos, t)
+	for _, p := range rt.selsFor[pos] {
+		if !p.Eval(w) {
+			return nil
+		}
+	}
+	return w
 }
 
 // rowsFor gathers, widens, and pre-filters the tuples of FROM position pos
@@ -318,15 +474,7 @@ func (rt *windowRuntime) rowsFor(pos int, inst window.Instance) ([]*tuple.Tuple,
 	}
 	out := make([]*tuple.Tuple, 0, len(raw))
 	for _, t := range raw {
-		w := rt.layout.Widen(pos, t)
-		ok := true
-		for _, p := range rt.selsFor[pos] {
-			if !p.Eval(w) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if w := rt.admit(pos, t); w != nil {
 			out = append(out, w)
 		}
 	}
@@ -397,32 +545,21 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 }
 
 // fireLandmark folds only the instance's delta into the incremental
-// aggregator and emits a snapshot; folded tuples are evicted right away.
+// aggregator and emits a snapshot. Folded tuples are evicted right away, so
+// whatever the buffer still holds inside the window is exactly the delta —
+// including tuples that arrived late for an earlier instance.
 func (rt *windowRuntime) fireLandmark(inst window.Instance) {
 	iv := inst.Windows[rt.winFor[0]]
-	lo := iv.Left
-	if rt.incUpto+1 > lo {
-		lo = rt.incUpto + 1
-	}
-	for _, t := range rt.buffers[0].Range(lo, iv.Right) {
-		w := rt.layout.Widen(0, t)
-		ok := true
-		for _, p := range rt.selsFor[0] {
-			if !p.Eval(w) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, t := range rt.buffers[0].Range(iv.Left, iv.Right) {
+		if w := rt.admit(0, t); w != nil {
 			rt.incAgg.Add(w)
 		}
 	}
-	rt.incUpto = iv.Right
 	for _, out := range rt.incAgg.Snapshot() {
 		out.TS = inst.T
 		rt.q.emit(out)
 	}
-	rt.buffers[0].Evict(rt.incUpto + 1)
+	rt.buffers[0].Evict(iv.Right + 1)
 }
 
 // joinRec nested-loop joins the per-position row sets, applying every join

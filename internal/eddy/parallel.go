@@ -13,9 +13,12 @@ import (
 
 // Shard is one worker's execution unit inside a ParallelEddy: an eddy (or
 // an engine wrapping one) that processes a tuple synchronously on the
-// worker's goroutine. *Eddy satisfies Shard.
+// worker's goroutine. Eddy exposes the shard's eddy to the control plane
+// (host.go), which observes and re-routes it under a Barrier. *Eddy
+// satisfies Shard.
 type Shard interface {
 	Ingest(*tuple.Tuple)
+	Eddy() *Eddy
 }
 
 // ParallelConfig parameterizes a ParallelEddy.
@@ -26,9 +29,6 @@ type ParallelConfig struct {
 	// (default 64). Ingest buffers per shard and flushes full batches;
 	// Flush pushes partial ones.
 	BatchSize int
-	// QueueCap bounds each shard's input queue in tuples (default
-	// 8*BatchSize). Full queues back-pressure Ingest.
-	QueueCap int
 	// Partition maps a tuple to a shard index (taken mod Workers). Use
 	// flux-style key hashing so tuples that must meet in one SteM
 	// co-locate; see flux.KeyPartitioner.
@@ -56,9 +56,6 @@ func (c *ParallelConfig) defaults() {
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 64
-	}
-	if c.QueueCap < c.BatchSize {
-		c.QueueCap = 8 * c.BatchSize
 	}
 }
 
@@ -95,6 +92,8 @@ type parMsg struct {
 	// next output can only be triggered by a key > g.
 	g    int64
 	sent []int64
+	// ack, on a driver mark, is closed once the mark is handled (Settle).
+	ack chan struct{}
 }
 
 // ParallelEddy executes one logical eddy as hash-partitioned worker
@@ -127,6 +126,10 @@ type ParallelEddy struct {
 	sent      []int64
 	g         int64
 	closed    bool
+	// processed[i] is worker i's cumulative count of inputs fully processed
+	// (stored under shardMu[i]), handed[i] of those whose outputs it has
+	// passed to the merge stage; Barrier and Settle compare them with sent[i].
+	processed, handed []atomic.Int64
 
 	// ingestMu excludes Barrier from the driver hot path: Ingest/Flush
 	// hold it shared, Barrier exclusively.
@@ -160,12 +163,16 @@ func NewParallel(cfg ParallelConfig) *ParallelEddy {
 		pending:   make([][]*tuple.Tuple, cfg.Workers),
 		pendFirst: make([]int64, cfg.Workers),
 		sent:      make([]int64, cfg.Workers),
+		processed: make([]atomic.Int64, cfg.Workers),
+		handed:    make([]atomic.Int64, cfg.Workers),
 		mergeCh:   make(chan parMsg, 4*cfg.Workers),
 		mergeDone: make(chan struct{}),
 	}
 	pe.wstate = make([]*workerState, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		pe.conns[i] = fjord.NewConn(fjord.Pull, cfg.QueueCap)
+		// Eight handoff batches of slack per shard; a full queue
+		// back-pressures Ingest.
+		pe.conns[i] = fjord.NewConn(fjord.Pull, 8*cfg.BatchSize)
 		pe.pending[i] = make([]*tuple.Tuple, 0, cfg.BatchSize)
 		ws := &workerState{}
 		pe.wstate[i] = ws
@@ -188,9 +195,6 @@ func NewParallel(cfg ParallelConfig) *ParallelEddy {
 	}()
 	return pe
 }
-
-// Workers returns the shard count.
-func (pe *ParallelEddy) Workers() int { return pe.cfg.Workers }
 
 // Ingest partitions one tuple to its shard, buffering up to BatchSize
 // before handing the batch to the worker. Single-goroutine, like a
@@ -221,6 +225,14 @@ func (pe *ParallelEddy) Ingest(t *tuple.Tuple) {
 	if len(pe.pending[s]) >= pe.cfg.BatchSize {
 		pe.flushShard(s)
 		pe.driverMark()
+	}
+}
+
+// IngestBatch partitions a batch of tuples in order. The caller keeps
+// ownership of b's header and may reuse it on return, like Eddy.IngestBatch.
+func (pe *ParallelEddy) IngestBatch(b *tuple.Batch) {
+	for _, t := range b.Tuples {
+		pe.Ingest(t)
 	}
 }
 
@@ -292,19 +304,23 @@ func (pe *ParallelEddy) Close() {
 	<-pe.mergeDone
 }
 
-// Barrier quiesces the shards — drains every input queue, then locks out
-// the workers — and runs fn once per shard. Use it to mutate shard state
-// (add or remove standing queries) or snapshot shard statistics without
-// racing the workers. The driver is locked out for the duration; outputs
-// already handed to the merge stage keep flowing.
+// Barrier quiesces the shards — waits until every worker has processed all
+// it was sent, then locks out the workers — and runs fn once per shard. Use
+// it to mutate shard state (add or remove standing queries, swap policies)
+// or snapshot shard statistics without racing the workers. The driver is
+// locked out for the duration; outputs already handed to the merge stage
+// keep flowing.
 func (pe *ParallelEddy) Barrier(fn func(shard int, s Shard)) {
 	pe.ingestMu.Lock()
 	defer pe.ingestMu.Unlock()
 	if !pe.closed {
 		pe.flushAll()
 	}
-	for i := range pe.conns {
-		for pe.conns[i].Q.Len() > 0 {
+	for i := range pe.shardMu {
+		// Wait for the worker to have processed everything handed to it —
+		// not merely for an empty queue: a batch it has received but not
+		// yet started on is in neither the queue nor the shard.
+		for pe.processed[i].Load() < pe.sent[i] {
 			runtime.Gosched()
 		}
 		pe.shardMu[i].Lock()
@@ -315,6 +331,26 @@ func (pe *ParallelEddy) Barrier(fn func(shard int, s Shard)) {
 	for i := range pe.shardMu {
 		pe.shardMu[i].Unlock()
 	}
+}
+
+// Settle returns once the merge stage has delivered every output of the
+// input handed to the shards. A Barrier quiesces only the shards; call
+// Settle after one, the driver still held off, before retiring something
+// the Merge callback needs (a standing query's delivery entry).
+func (pe *ParallelEddy) Settle() {
+	pe.ingestMu.Lock()
+	defer pe.ingestMu.Unlock()
+	if pe.closed {
+		return // Close drained the merge stage
+	}
+	for i := range pe.handed {
+		for pe.handed[i].Load() < pe.sent[i] {
+			runtime.Gosched()
+		}
+	}
+	ack := make(chan struct{})
+	pe.mergeCh <- parMsg{shard: -1, g: pe.g, sent: append([]int64(nil), pe.sent...), ack: ack}
+	<-ack
 }
 
 // worker is shard i's goroutine: receive a batch, process each tuple
@@ -350,9 +386,11 @@ func (pe *ParallelEddy) worker(i int) {
 		}
 		out := ws.out
 		ws.out = nil
-		pe.shardMu[i].Unlock()
 		done += int64(n)
+		pe.processed[i].Store(done)
+		pe.shardMu[i].Unlock()
 		pe.mergeCh <- parMsg{shard: i, items: out, done: done, procMax: procMax}
+		pe.handed[i].Store(done)
 	}
 }
 
@@ -408,6 +446,9 @@ func (pe *ParallelEddy) mergeLoop() {
 			}
 			copy(sent, msg.sent)
 			release(false)
+			if msg.ack != nil {
+				close(msg.ack)
+			}
 			continue
 		}
 		if !ordered {
@@ -446,8 +487,9 @@ type ParallelStats struct {
 	QueueDepths []int // current per-shard input queue depths
 }
 
-// Stats returns a snapshot (safe to call while running).
-func (pe *ParallelEddy) Stats() ParallelStats {
+// ParStats returns a snapshot of the shard layer's own counters (safe to
+// call while running); Stats reports the shard eddies' summed counters.
+func (pe *ParallelEddy) ParStats() ParallelStats {
 	st := ParallelStats{
 		Workers:     pe.cfg.Workers,
 		Ingested:    pe.ingested.Load(),

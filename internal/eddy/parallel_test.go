@@ -2,6 +2,8 @@ package eddy
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -178,12 +180,46 @@ func TestParallelBarrier(t *testing.T) {
 	if count != 2*wave {
 		t.Errorf("merged %d outputs, want %d", count, 2*wave)
 	}
-	st := pe.Stats()
+	st := pe.ParStats()
 	if st.Ingested != 2*wave || st.Merged != 2*wave {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Batches == 0 || st.BatchTuples != st.Ingested {
 		t.Errorf("batch accounting: %+v", st)
+	}
+}
+
+// TestStatsAddMatchesBarrierSnapshot is the aggregation property behind
+// every partitioned host: for random worker counts, batch sizes and inputs,
+// folding the shard eddies' Stats with Add — counters, per-module counters
+// and lottery tickets — equals the host's own Stats, and the summed
+// counters account for every tuple ingested.
+func TestStatsAddMatchesBarrierSnapshot(t *testing.T) {
+	l := oneStreamLayout()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		workers, batch, n := 1+rng.Intn(5), 1+rng.Intn(16), 50+rng.Intn(400)
+		cfg := filterShardConfig(l, workers, batch, 3, nil)
+		cfg.NewShard = func(shard int, emit func(*tuple.Tuple)) Shard {
+			keep := ops.NewFilter("keep", l, expr.Predicate{Col: 1, Op: expr.Ge, Val: tuple.Int(3)})
+			even := ops.NewFilter("even", l, expr.Predicate{Col: 0, Op: expr.Ne, Val: tuple.Int(1)})
+			return New(tuple.SingleSource(0), NewLotteryPolicy(int64(shard)+1), emit, keep, even)
+		}
+		pe := NewParallel(cfg)
+		for i := 0; i < n; i++ {
+			pe.Ingest(widen(l, 0, int64(i+1), tuple.Int(rng.Int63n(9)), tuple.Int(rng.Int63n(7))))
+		}
+		var folded Stats
+		pe.Barrier(func(_ int, s Shard) { folded.Add(s.Eddy().Stats()) })
+		got := pe.Stats()
+		if !reflect.DeepEqual(got, folded) {
+			t.Fatalf("trial %d (workers=%d): host Stats %+v != folded shard Stats %+v", trial, workers, got, folded)
+		}
+		if got.Ingested != int64(n) || got.Ingested != got.Emitted+got.Dropped ||
+			len(got.Modules) != 2 || len(got.Tickets) != 2 {
+			t.Fatalf("trial %d: summed stats do not account for %d tuples: %+v", trial, n, got)
+		}
+		pe.Close()
 	}
 }
 

@@ -50,9 +50,13 @@ type ExecutionObject struct {
 	ID    int
 	clock chaos.Clock
 
-	mu   sync.Mutex
-	dus  []DispatchUnit
-	cond *sync.Cond
+	mu  sync.Mutex
+	dus []DispatchUnit
+	// wake holds at most one token: Attach and waitForWork's timer leave one
+	// for an EO parked there. A channel rather than a condition variable: a
+	// token cannot be lost when the parked goroutine is descheduled between
+	// deciding to wait and waiting.
+	wake chan struct{}
 
 	quit   chan struct{}
 	done   chan struct{}
@@ -62,8 +66,8 @@ type ExecutionObject struct {
 }
 
 func newEO(id int, clk chaos.Clock) *ExecutionObject {
-	eo := &ExecutionObject{ID: id, clock: clk, quit: make(chan struct{}), done: make(chan struct{})}
-	eo.cond = sync.NewCond(&eo.mu)
+	eo := &ExecutionObject{ID: id, clock: clk,
+		wake: make(chan struct{}, 1), quit: make(chan struct{}), done: make(chan struct{})}
 	go eo.run()
 	return eo
 }
@@ -73,7 +77,7 @@ func (eo *ExecutionObject) Attach(du DispatchUnit) {
 	eo.mu.Lock()
 	eo.dus = append(eo.dus, du)
 	eo.mu.Unlock()
-	eo.cond.Signal()
+	eo.rouse()
 }
 
 // DUCount returns the number of scheduled DUs.
@@ -151,25 +155,31 @@ func (eo *ExecutionObject) safeStep(du DispatchUnit) (progressed, done bool) {
 	return du.Step()
 }
 
+// waitForWork parks an EO that has no DUs until one is attached, the EO is
+// stopped, or a millisecond passes; run re-checks on return. The timed
+// re-check is not needed for correctness — it is how an idle EO has always
+// waited, and the busy EOs' 100µs idle sleeps measurably depend on it: with
+// every other EO parked for good they oversleep, and shared_cqs_embedded's
+// median latency rises from 0.87 to 0.93–1.19 ms.
 func (eo *ExecutionObject) waitForWork() {
-	eo.mu.Lock()
-	defer eo.mu.Unlock()
-	for len(eo.dus) == 0 {
-		select {
-		case <-eo.quit:
-			return
-		default:
-		}
-		// Timed wait so quit is honored promptly.
-		t := eo.clock.AfterFunc(time.Millisecond, eo.cond.Signal)
-		eo.cond.Wait()
-		t.Stop()
+	t := eo.clock.AfterFunc(time.Millisecond, eo.rouse)
+	select {
+	case <-eo.quit:
+	case <-eo.wake:
+	}
+	t.Stop()
+}
+
+// rouse leaves the wake token for an EO parked in waitForWork.
+func (eo *ExecutionObject) rouse() {
+	select {
+	case eo.wake <- struct{}{}:
+	default:
 	}
 }
 
 func (eo *ExecutionObject) stop() {
 	close(eo.quit)
-	eo.cond.Broadcast()
 	<-eo.done
 }
 

@@ -3,8 +3,6 @@
 //
 //   - clockcheck: time flows only through chaos.Clock, so chaos campaigns
 //     stay deterministic.
-//   - poolcheck: a tuple handed to Pool.Put is dead; any later use is a
-//     use-after-recycle.
 //   - lineagecheck: tuple Ready/Done bitmaps change only through the
 //     tuple package's accessors, which preserve done ⊆ ready.
 //   - metriccheck: metric families are tcq_-prefixed snake_case and
@@ -14,9 +12,10 @@
 // On top of those per-function walks sit three interprocedural analyzers
 // driven by the compositional summary layer in internal/lint/interproc.go:
 //
-//   - ownercheck: recycler ownership across call boundaries —
-//     use-after-release through a callee, double release, release after a
-//     callee took ownership, leaked producer results.
+//   - ownercheck: recycler ownership — a tuple handed to Pool.Put (a block
+//     to Block.Release/Arena.Release) is dead, directly or through a
+//     callee: use-after-release, double release, release after a callee
+//     took ownership, leaked producer results.
 //   - alloccheck: //tcq:hotpath functions and everything they transitively
 //     call must not heap-allocate; //tcq:coldpath marks audited
 //     amortization points.
@@ -44,7 +43,6 @@ func All() []*lint.Analyzer {
 	sums := NewRepoSummaries()
 	return []*lint.Analyzer{
 		ClockCheck(),
-		PoolCheck(),
 		OwnerCheck(sums),
 		AllocCheck(sums),
 		ChanCheck(sums),

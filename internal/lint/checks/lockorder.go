@@ -26,7 +26,6 @@ var RepoLockOrder = []LockClass{
 
 	// Per-query runtimes: stepping locks, then the result sink.
 	{modulePath + "/internal/core", "eddyRuntime", "mu"},
-	{modulePath + "/internal/core", "parEddyRuntime", "mu"},
 	{modulePath + "/internal/core", "RunningQuery", "sinkMu"},
 
 	// Parallel eddy: the ingest gate strictly precedes the per-shard

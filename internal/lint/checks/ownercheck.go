@@ -8,15 +8,24 @@ import (
 	"telegraphcq/internal/lint"
 )
 
-// OwnerCheck returns the interprocedural ownership analyzer. poolcheck
-// sees a direct Pool.Put/Block.Release/Arena.Release and flags later uses
-// in the same body; ownercheck extends the same discipline across call
-// boundaries using the per-function summaries:
+// OwnerCheck returns the recycler-ownership analyzer. Pool.Put hands a
+// tuple's memory back to the tuple recycler, and Block.Release /
+// Arena.Release hand a columnar block's slabs back to its arena; in each
+// case the caller must hold the only live reference and must not touch the
+// variable afterwards. The check is flow-approximate but source-order
+// sound for the patterns the engine uses, and it follows the discipline
+// across call boundaries using the per-function summaries:
 //
-//   - use-after-release through a callee: `recycle(pool, t)` kills t just
-//     as surely as `pool.Put(t)` does, however many calls deep the Put
-//     sits, and any later read of t is flagged — including handing it to
-//     a second releasing call (a double release).
+//   - use-after-release: after `pool.Put(t)` (or `b.Release()`,
+//     `arena.Release(b)`), any later read of the variable inside the same
+//     function is flagged until it is reassigned — and `recycle(pool, t)`
+//     kills t just as surely, however many calls deep the Put sits.
+//     Handing the dead value to a second releasing call is the same
+//     finding (a double release). A kill whose enclosing block or
+//     case/comm clause ends by transferring control (return/continue/
+//     break) confines its effect to that block, so guard-and-bail
+//     recycling stays clean. (Block.Release also poisons the block at
+//     runtime — this check catches the same bug before it runs.)
 //   - release-after-transfer: a call whose summary stores an argument
 //     (into a field, global, container, channel, or its return value) may
 //     take ownership; directly releasing the value afterwards races the
@@ -25,14 +34,12 @@ import (
 //     Pool.Get, NewBlock, or any function summarized as returning an
 //     owned value) whose result is discarded, or bound to a variable that
 //     is never used again, leaks arena slabs for the engine's lifetime.
-//
-// Direct-kill-then-use in one body stays poolcheck's report so each bug
-// has exactly one analyzer naming it.
 func OwnerCheck(sums *lint.Summaries) *lint.Analyzer {
 	a := &lint.Analyzer{
 		Name: "ownercheck",
-		Doc: "interprocedural recycler-ownership discipline: use-after-release " +
-			"and double-release through call boundaries, release of a value " +
+		Doc: "recycler-ownership discipline: use-after-release and double-release " +
+			"of a *tuple.Tuple (Pool.Put) or *tuple.Block (Block.Release/" +
+			"Arena.Release), directly or through call boundaries, release of a value " +
 			"whose ownership a callee took, and leaked producer results " +
 			"(Arena.Get/Pool.Get/NewBlock results that are discarded or never used)",
 	}
@@ -46,11 +53,14 @@ func OwnerCheck(sums *lint.Summaries) *lint.Analyzer {
 	return a
 }
 
-// ownerEvent is one summary-driven kill or transfer observed at a call
-// site: obj changes state at pos, with effect bounded by end.
+// ownerEvent is one kill or transfer observed at a call site — a direct
+// release call, or a callee whose summary releases or stores the argument:
+// obj changes state at pos, with effect bounded by end. by names the call
+// for the diagnostic.
 type ownerEvent struct {
 	obj      *types.Var
-	callee   lint.FuncRef
+	by       string
+	direct   bool // Pool.Put/Block.Release/Arena.Release itself, not a callee
 	transfer bool // Stores (ownership taken) rather than Releases (killed)
 	pos, end token.Pos
 }
@@ -71,8 +81,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 		return obj
 	}
 
-	// Pass 1: collect summary-driven kill/transfer events and producer
-	// bindings.
+	// Pass 1: collect kill/transfer events and producer bindings.
 	var events []ownerEvent
 	type binding struct {
 		obj  *types.Var
@@ -120,29 +129,34 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			// Direct kills are poolcheck's beat.
-			if _, _, direct := killSlot(info, n); direct {
-				return true
-			}
 			f := callee(info, n)
 			if f == nil {
 				return true
 			}
-			sum := sums.Of(f)
-			if sum == nil {
-				return true
-			}
-			// Deferred/go'd calls run out of source order; skip, matching
-			// poolcheck (but a deferred kill still counts as a release for
-			// leak purposes — handled below).
+			// A deferred or go'd call runs after (or concurrently with) the
+			// rest of the function; source order says nothing, so skip it
+			// (a deferred kill still counts as a use for leak purposes —
+			// handled below).
 			for p := parents[n]; p != nil; p = parents[p] {
 				switch p.(type) {
 				case *ast.DeferStmt, *ast.GoStmt:
 					return true
 				}
 			}
-			ref, _ := lint.RefOf(f)
 			slots := lint.CallSlotExprs(info, n, f)
+			if slot, verb, direct := killSlot(info, n); direct {
+				if slot < len(slots) {
+					if obj := localVar(slots[slot]); obj != nil {
+						events = append(events, ownerEvent{obj: obj, by: verb, direct: true, pos: n.End(), end: putEffectEnd(parents, n, decl.Body)})
+					}
+				}
+				return true
+			}
+			sum := sums.Of(f)
+			if sum == nil {
+				return true
+			}
+			ref, _ := lint.RefOf(f)
 			for i, e := range slots {
 				if i > 63 {
 					break
@@ -152,7 +166,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 					continue
 				}
 				if sum.Releases&(1<<uint(i)) != 0 {
-					events = append(events, ownerEvent{obj: obj, callee: ref, pos: n.End(), end: putEffectEnd(parents, n, decl.Body)})
+					events = append(events, ownerEvent{obj: obj, by: ref.Short(), pos: n.End(), end: putEffectEnd(parents, n, decl.Body)})
 				} else if sum.Stores&(1<<uint(i)) != 0 {
 					// Only an unconditional transfer (bare call statement)
 					// hands ownership for sure. When the caller consumes the
@@ -160,7 +174,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 					// branching on whether the transfer happened, and the
 					// release on the failure path is the correct cleanup.
 					if _, bare := parents[n].(*ast.ExprStmt); bare {
-						events = append(events, ownerEvent{obj: obj, callee: ref, transfer: true, pos: n.End(), end: putEffectEnd(parents, n, decl.Body)})
+						events = append(events, ownerEvent{obj: obj, by: ref.Short(), transfer: true, pos: n.End(), end: putEffectEnd(parents, n, decl.Body)})
 					}
 				}
 			}
@@ -187,8 +201,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 		return true
 	})
 
-	// Pass 2: flag uses after a summary kill, and direct releases after a
-	// transfer.
+	// Pass 2: flag uses after a kill, and direct releases after a transfer.
 	if len(events) > 0 {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
@@ -206,7 +219,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 								}
 								pass.Reportf(p,
 									"%s releases %s after %s may have taken ownership of it (release-after-transfer); the new owner releases it",
-									verb, objName(obj), ev.callee.Short())
+									verb, objName(obj), ev.by)
 								return true
 							}
 						}
@@ -228,9 +241,13 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 				if isClearedBetween(clears[obj], ev.pos, id.Pos()) || isAssignTarget(parents, id) {
 					continue
 				}
+				where := "use-after-release across a call boundary"
+				if ev.direct {
+					where = "use-after-release"
+				}
 				pass.Reportf(id.Pos(),
-					"%s is used after %s released it (use-after-release across a call boundary); reassign it or drop the reference",
-					id.Name, ev.callee.Short())
+					"%s is used after %s released it (%s); reassign it or drop the reference",
+					id.Name, ev.by, where)
 				break
 			}
 			return true
@@ -305,4 +322,73 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 		return f.Name()
 	}
 	return "the call"
+}
+
+// putEffectEnd bounds how far a kill's dead-mark extends: climbing the
+// enclosing blocks, a block whose final statement transfers control
+// (return/branch/panic) confines the effect to that block; otherwise the
+// effect reaches the end of the function body.
+func putEffectEnd(parents map[ast.Node]ast.Node, call *ast.CallExpr, body *ast.BlockStmt) token.Pos {
+	for n := ast.Node(call); n != nil; n = parents[n] {
+		var list []ast.Stmt
+		var end token.Pos
+		switch blk := n.(type) {
+		case *ast.BlockStmt:
+			if blk == body {
+				return body.End()
+			}
+			list, end = blk.List, blk.End()
+		case *ast.CaseClause:
+			// A switch case that ends by returning confines the effect
+			// the same way a terminated block does: the other cases run
+			// only on executions that never reached this kill point.
+			list, end = blk.Body, blk.End()
+		case *ast.CommClause:
+			list, end = blk.Body, blk.End()
+		default:
+			continue
+		}
+		if len(list) > 0 && isTerminator(list[len(list)-1]) {
+			return end
+		}
+	}
+	return body.End()
+}
+
+func isTerminator(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := s.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+				return id.Name == "panic"
+			}
+		}
+	}
+	return false
+}
+
+func isClearedBetween(clears []token.Pos, from, to token.Pos) bool {
+	for _, c := range clears {
+		if c > from && c < to {
+			return true
+		}
+	}
+	return false
+}
+
+// isAssignTarget reports whether id is the left-hand side of an
+// assignment (being overwritten, not read).
+func isAssignTarget(parents map[ast.Node]ast.Node, id *ast.Ident) bool {
+	as, ok := parents[id].(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	for _, lhs := range as.Lhs {
+		if lhs == ast.Expr(id) {
+			return true
+		}
+	}
+	return false
 }

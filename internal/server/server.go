@@ -517,7 +517,7 @@ func (fe *frontEnd) handleStats(rest string) error {
 			fe.send(line)
 		}
 	}
-	// Queries on the parallel runtime also carry shard-layer counters
+	// Queries whose eddy host is partitioned also carry shard-layer counters
 	// (the tcq_parallel_* metric family), merged into the same report.
 	if ps, ok := q.ParallelStats(); ok {
 		avg := 0.0

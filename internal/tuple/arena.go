@@ -12,7 +12,7 @@ package tuple
 // discipline internal/arrange uses). Blocks handed to an egress are
 // released back on that same goroutine when they age out of retention.
 //
-// Lifetime rules, machine-enforced by tcqlint's poolcheck:
+// Lifetime rules, machine-enforced by tcqlint's ownercheck:
 //
 //  1. Release means the caller holds the only live reference; reading or
 //     appending after Release panics at runtime and is flagged statically.

@@ -18,7 +18,7 @@ package tuple
 // and either hands it to an egress (which later Releases it) or Releases
 // it directly. Release returns the slabs to the arena's free list and
 // poisons the block; any later append or row access panics, and tcqlint's
-// poolcheck flags such use statically.
+// ownercheck flags such use statically.
 type Block struct {
 	width int
 	n     int

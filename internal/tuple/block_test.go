@@ -256,7 +256,7 @@ func TestArenaReuseNeverAliasesLiveRows(t *testing.T) {
 }
 
 // TestBlockUseAfterReleasePanics pins the runtime half of the lifetime
-// rule (tcqlint's poolcheck enforces the static half).
+// rule (tcqlint's ownercheck enforces the static half).
 func TestBlockUseAfterReleasePanics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -278,7 +278,7 @@ func TestBlockUseAfterReleasePanics(t *testing.T) {
 					t.Fatalf("%s after Release did not panic", tc.name)
 				}
 			}()
-			//lint:ignore poolcheck the use-after-release is the behavior under test
+			//lint:ignore ownercheck the use-after-release is the behavior under test
 			tc.op(b)
 		})
 	}

@@ -4,8 +4,10 @@
 #
 #   check.sh lint    docs/gofmt/vet, tcqlint incl. -ignores audit (blocking),
 #                    staticcheck (blocking when TCQ_REQUIRE_STATICCHECK=1)
-#   check.sh test    build + full test suite, arrangement coverage floor
-#   check.sh race    race-instrumented suite, chaos campaign, E13 workload, fuzz smoke
+#   check.sh test    build + full test suite, benchmark module vet + tests,
+#                    arrangement coverage floor
+#   check.sh race    race-instrumented suite, chaos campaign, soak x50,
+#                    E13 workload, fuzz smoke
 #   check.sh bench   bench smoke: E15 introspection + E16 shared-arrangement +
 #                    E17 columnar zero-alloc + E18 adaptive N-way ordering gates
 #   check.sh [all]   every stage in order
@@ -46,8 +48,8 @@ stage_lint() {
     echo "==> go vet ./..."
     go vet ./...
 
-    # The -ignores audit runs the full eight-analyzer suite (clock, pool,
-    # owner, alloc, chan, lineage, metrics, lock order), prints any live
+    # The -ignores audit runs the full seven-analyzer suite (clock, owner,
+    # alloc, chan, lineage, metrics, lock order), prints any live
     # findings, and additionally fails on stale //lint:ignore directives —
     # suppressions whose excused code has since been fixed or deleted.
     # The ledger lands in reports/ so CI can attach it on failure.
@@ -78,6 +80,14 @@ stage_test() {
     echo "==> go test ./..."
     go test ./...
 
+    # The repo benchmark is its own module (benchmark/go.mod, replace
+    # telegraphcq => ../), so ./... above does not reach it. Its tests drive
+    # the engine through the exported surface the benchmark depends on
+    # (eddy.New, cacq.New/AddQuery/IngestBatch, core.NewEngine, ...): an
+    # API break there fails here rather than in the next benchmark run.
+    echo "==> benchmark module: go vet + go test"
+    (cd benchmark && go vet ./... && go test ./...)
+
     # The arrangement layer is the engine's shared-state backbone: one
     # writer, many cursors, epoch-deferred frees. Hold its line coverage to
     # a floor so the cursor/epoch protocol never drifts out from under its
@@ -104,6 +114,13 @@ stage_race() {
     # race detector on every invocation.
     echo "==> chaos campaign under race (CHAOS_TRIALS=25)"
     CHAOS_TRIALS=25 go test -race -count=1 -run 'TestChaosCampaign' ./internal/chaos/
+
+    # The soak's windowed-determinism check compares two engines over one
+    # chaos-reordered arrival; it was red about one run in four before
+    # window firing moved to the arrival position, so hold it to fifty
+    # consecutive race-instrumented passes.
+    echo "==> full-pipeline soak under race (-count=50)"
+    go test -race -count=50 -run 'TestChaosSoakFullPipeline' ./internal/chaos/
 
     # The parallel partitioned-eddy layer is all goroutine handoff (driver ->
     # shard queues -> workers -> merge), so run its bench workload — worker
