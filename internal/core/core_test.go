@@ -41,7 +41,7 @@ func newStockEngine(t *testing.T) *Engine {
 }
 
 // waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := chaos.Real().Now().Add(10 * time.Second)
 	for chaos.Real().Now().Before(deadline) {

@@ -123,15 +123,9 @@ func newIncJoin(rt *windowRuntime) *incJoinState {
 	return s
 }
 
-// ingest processes one arriving base tuple of position pos: widen,
-// pre-filter, build, probe the opposite SteM, and materialize matches.
-func (s *incJoinState) ingest(pos int, raw *tuple.Tuple) {
-	w := s.rt.layout.Widen(pos, raw)
-	for _, p := range s.rt.selsFor[pos] {
-		if !p.Eval(w) {
-			return
-		}
-	}
+// ingest processes one admitted wide row of position pos: build, probe the
+// opposite SteM, and materialize matches.
+func (s *incJoinState) ingest(pos int, w *tuple.Tuple) {
 	if err := s.stems[pos].Build(w); err != nil {
 		return // spans mismatch cannot happen; defensive
 	}
@@ -159,7 +153,9 @@ func (s *incJoinState) rowsAt(inst window.Instance) []*tuple.Tuple {
 		hi = iv1.Right
 	}
 	var rows []*tuple.Tuple
-	for _, m := range s.matches.Range(lo, hi) {
+	cand := s.matches.Range(lo, hi)
+	s.rt.scanned.Add(int64(len(cand)))
+	for _, m := range cand {
 		t0 := m.Vals[s.timeCol[0]].AsInt()
 		t1 := m.Vals[s.timeCol[1]].AsInt()
 		if iv0.Contains(t0) && iv1.Contains(t1) {
@@ -176,8 +172,8 @@ func (s *incJoinState) rowsAt(inst window.Instance) []*tuple.Tuple {
 func (s *incJoinState) evict(inst window.Instance) {
 	iv0 := inst.Windows[s.rt.winFor[0]]
 	iv1 := inst.Windows[s.rt.winFor[1]]
-	s.stems[0].Evict(iv0.Left)
-	s.stems[1].Evict(iv1.Left)
+	s.rt.held[0].Add(-int64(s.stems[0].Evict(iv0.Left)))
+	s.rt.held[1].Add(-int64(s.stems[1].Evict(iv1.Left)))
 	min := iv0.Left
 	if iv1.Left < min {
 		min = iv1.Left

@@ -115,6 +115,12 @@ func (q *RunningQuery) Fetch(cursor int) ([]*tuple.Tuple, error) {
 	return res, err
 }
 
+// CloseCursor drops a pull cursor; a client that goes away closes its own.
+func (q *RunningQuery) CloseCursor(cursor int) { q.pull.Deregister(cursor) }
+
+// Cursors returns the number of open pull cursors.
+func (q *RunningQuery) Cursors() int { return q.pull.Cursors() }
+
 // Results returns the lifetime result count.
 func (q *RunningQuery) Results() int64 { return q.results.Load() }
 
@@ -145,9 +151,10 @@ func (q *RunningQuery) AddSink(fn func(*tuple.Tuple)) {
 	q.sinkMu.Unlock()
 }
 
-// emit delivers one result to both egress paths and any extra sinks.
+// emit delivers one result to both egress paths and any extra sinks. The
+// result count moves after the publishes: whoever reads Results() == n can
+// fetch n rows.
 func (q *RunningQuery) emit(t *tuple.Tuple) {
-	q.results.Add(1)
 	nPush := q.push.Publish(t)
 	q.sinkMu.Lock()
 	sinks := q.sinks
@@ -155,6 +162,7 @@ func (q *RunningQuery) emit(t *tuple.Tuple) {
 	// The pull log owns the tuple's memory only when no one else could
 	// still hold the pointer.
 	q.pull.PublishOwned(t, q.recyclable && nPush == 0 && len(sinks) == 0)
+	q.results.Add(1)
 	for _, fn := range sinks {
 		fn(t)
 	}
@@ -165,12 +173,12 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	q.results.Add(int64(len(ts)))
 	nPush := q.push.PublishBatch(ts)
 	q.sinkMu.Lock()
 	sinks := q.sinks
 	q.sinkMu.Unlock()
 	q.pull.PublishBatch(ts, q.recyclable && nPush == 0 && len(sinks) == 0)
+	q.results.Add(int64(len(ts)))
 	for _, fn := range sinks {
 		for _, t := range ts {
 			fn(t)

@@ -1,0 +1,291 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"telegraphcq/internal/tuple"
+)
+
+const tickSyms = 8
+
+func tickSchema() *tuple.Schema {
+	return tuple.NewSchema("ticks",
+		tuple.Column{Name: "ts", Kind: tuple.KindTime},
+		tuple.Column{Name: "sym", Kind: tuple.KindInt},
+		tuple.Column{Name: "v", Kind: tuple.KindInt})
+}
+
+// newTickEngine creates ticks(ts, sym, v) under physical time (TIMECOL ts)
+// or, with timeCol -1, logical time (windows over arrival sequence numbers).
+func newTickEngine(t testing.TB, timeCol int) *Engine {
+	t.Helper()
+	e := NewEngine(Options{EOs: 2})
+	if err := e.CreateStream("ticks", tickSchema(), timeCol); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// feedTicks feeds tickSyms rows per day: sym 0..tickSyms-1, v = day.
+func feedTicks(t testing.TB, e *Engine, fromDay, toDay int64) {
+	t.Helper()
+	for d := fromDay; d <= toDay; d++ {
+		for s := int64(0); s < tickSyms; s++ {
+			if err := e.Feed("ticks", tuple.New(tuple.Time(d), tuple.Int(s), tuple.Int(d))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// fetchWhileFiring feeds days 1..days to a query on ticks while a second
+// goroutine calls check after every Fetch, and returns every row fetched
+// once the query is done. check runs off the test goroutine: t.Error only.
+func fetchWhileFiring(t *testing.T, e *Engine, q *RunningQuery, days int64, check func(results int64, fetched []*tuple.Tuple)) []*tuple.Tuple {
+	t.Helper()
+	cur := q.Cursor()
+	var all []*tuple.Tuple
+	poll := func() {
+		n := q.Results()
+		rows, err := q.Fetch(cur)
+		if err != nil {
+			t.Error(err)
+		}
+		all = append(all, rows...)
+		check(n, rows)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !q.Done() {
+			poll()
+		}
+		poll()
+	}()
+	feedTicks(t, e, 1, days)
+	q.Wait()
+	wg.Wait()
+	return all
+}
+
+// TestResultsNeverAheadOfFetch: a client that read Results() == n can fetch
+// n rows — the count moves after the rows are published, not before.
+func TestResultsNeverAheadOfFetch(t *testing.T) {
+	e := newTickEngine(t, 0)
+	defer e.Stop()
+	q, err := e.Register(`SELECT sym, COUNT(*) FROM ticks GROUP BY sym
+		for (t = 3; t <= 400; t++) { WindowIs(ticks, t - 2, t); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched int64
+	fetchWhileFiring(t, e, q, 401, func(results int64, rows []*tuple.Tuple) {
+		if fetched += int64(len(rows)); fetched < results {
+			t.Errorf("Results() = %d with only %d rows fetchable", results, fetched)
+		}
+	})
+	if want := int64(398 * tickSyms); fetched != want {
+		t.Fatalf("fetched %d rows, want %d", fetched, want)
+	}
+}
+
+// TestWindowInstanceAtomic: an instance reaches the pull log as one batch,
+// so a Fetch racing the fires returns whole instances only — every group of
+// an instance, or none of them.
+func TestWindowInstanceAtomic(t *testing.T) {
+	e := newTickEngine(t, 0)
+	defer e.Stop()
+	q, err := e.Register(`SELECT sym, COUNT(*) FROM ticks GROUP BY sym
+		for (t = 3; t <= 400; t++) { WindowIs(ticks, t - 2, t); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := fetchWhileFiring(t, e, q, 401, func(_ int64, rows []*tuple.Tuple) {
+		perT := map[int64]int{}
+		for _, r := range rows {
+			perT[r.TS]++
+		}
+		for T, n := range perT {
+			if n != tickSyms {
+				t.Errorf("a Fetch returned %d of instance %d's %d rows", n, T, tickSyms)
+			}
+		}
+	})
+	if want := 398 * tickSyms; len(all) != want {
+		t.Fatalf("fetched %d rows, want %d", len(all), want)
+	}
+}
+
+// TestWindowRowsNotAliased: SELECT * emits the buffered rows themselves, and
+// each sits in span overlapping instances. The rows a client holds for
+// instance i must still say TS = T_i after the later instances fired, and
+// every instance must still see its whole window (under physical time a
+// rewritten TS would be a rewritten sort key).
+func TestWindowRowsNotAliased(t *testing.T) {
+	const span, lastT = 4, 60
+	for _, tc := range []struct {
+		name    string
+		timeCol int
+		perUnit int64 // rows per unit of window time
+	}{
+		{"physical", 0, tickSyms},
+		{"logical", -1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTickEngine(t, tc.timeCol)
+			defer e.Stop()
+			q, err := e.Register(fmt.Sprintf(`SELECT * FROM ticks
+				for (t = %d; t <= %d; t++) { WindowIs(ticks, t - %d, t); }`, span, lastT, span-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := fetchWhileFiring(t, e, q, lastT+1, func(int64, []*tuple.Tuple) {})
+			perT := map[int64]int64{}
+			for _, r := range held {
+				perT[r.TS]++
+				// A row's window time: its day, or its arrival number.
+				at := r.Vals[0].AsInt()
+				if tc.timeCol < 0 {
+					at = r.Seq
+				}
+				if at < r.TS-span+1 || at > r.TS {
+					t.Fatalf("a row of window time %d is stamped instance %d (span %d)", at, r.TS, span)
+				}
+			}
+			for T := int64(span); T <= lastT; T++ {
+				if perT[T] != span*tc.perUnit {
+					t.Errorf("instance %d holds %d rows, want %d", T, perT[T], span*tc.perUnit)
+				}
+			}
+		})
+	}
+}
+
+// slidingAvg is a grouped AVG over the last span units of ticks, every 100.
+func slidingAvg(span int64) string {
+	return fmt.Sprintf(`SELECT sym, AVG(v) FROM ticks GROUP BY sym
+		for (t = %d; ; t += 100) { WindowIs(ticks, t - %d, t); }`, span, span-1)
+}
+
+// handFilled registers an unbounded query on an engine that is then stopped with nothing fed — the runtime has fired nothing and
+// its DU will not step again — and absorbs rows for window times 1..span by
+// hand, so the test goroutine may fire rt.loop.At(span) as often as it likes
+// over a buffer nothing else touches.
+func handFilled(t testing.TB, query string, span int64, row func(ts int64) *tuple.Tuple) (*windowRuntime, *RunningQuery) {
+	t.Helper()
+	e := newTickEngine(t, 0)
+	q, err := e.Register(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Stop()
+	rt := q.rt.(*windowRuntime)
+	batch := make([]*tuple.Tuple, 0, span)
+	for ts := int64(1); ts <= span; ts++ {
+		r := row(ts)
+		r.TS, r.Seq = ts, ts
+		batch = append(batch, r)
+	}
+	rt.absorb(0, batch)
+	return rt, q
+}
+
+// TestWindowAdmitsOncePerTuple: a tuple is widened and filtered when it
+// arrives, once, however many overlapping instances read it; a fire then
+// allocates for its groups, not for its rows.
+func TestWindowAdmitsOncePerTuple(t *testing.T) {
+	const span, extra = 10, 90
+	e := newTickEngine(t, 0)
+	defer e.Stop()
+	q, err := e.Register(fmt.Sprintf(`SELECT sym, AVG(v) FROM ticks GROUP BY sym
+		for (t = %d; t < %d; t++) { WindowIs(ticks, t - %d, t); }`, span, span+extra, span-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedTicks(t, e, 1, span+extra)
+	q.Wait()
+	rt := q.rt.(*windowRuntime)
+	// The last instance closed at day span+extra's first row; the rest of
+	// that day may still sit in the input queue.
+	a, m := rt.absorbed[0].Load(), rt.admitted[0].Load()
+	if min, max := int64((span+extra-1)*tickSyms+1), int64((span+extra)*tickSyms); a != m || a < min || a > max {
+		t.Errorf("absorbed %d, admitted %d, want equal and in [%d, %d]: every tuple sits in %d instances", a, m, min, max, span)
+	}
+	if sc, want := rt.scanned.Load(), int64(extra*span*tickSyms); sc != want {
+		t.Errorf("scanned %d rows over %d instances, want %d", sc, extra, want)
+	}
+	if h := rt.held[0].Load(); h != int64(rt.buffers[0].Len()) || h > 2*span*tickSyms {
+		t.Errorf("held gauge %d, buffer holds %d, a window is %d rows", h, rt.buffers[0].Len(), span*tickSyms)
+	}
+
+	fireAllocs := func(span int64) float64 {
+		rt, _ := handFilled(t, slidingAvg(span), span, func(ts int64) *tuple.Tuple {
+			return tuple.New(tuple.Time(ts), tuple.Int(ts%tickSyms), tuple.Int(ts))
+		})
+		inst := rt.loop.At(span)
+		if n := len(rt.rowsFor(0, inst)); int64(n) != span {
+			t.Fatalf("span %d: instance reads %d rows", span, n)
+		}
+		return testing.AllocsPerRun(50, func() { rt.fire(inst) })
+	}
+	short, long := fireAllocs(100), fireAllocs(5000)
+	// The pull log's amortized growth may land in either measurement.
+	if long > short+2 {
+		t.Errorf("a fire over 5000 rows allocates %.0f times, over 100 rows %.0f: per-row work is back in fire", long, short)
+	}
+}
+
+// TestWindowSelectionPreloadedAndLive: admission at arrival applies the
+// selections the same way to preloaded history and to live tuples; rejected
+// tuples still move time on but are not held.
+func TestWindowSelectionPreloadedAndLive(t *testing.T) {
+	e := newStockEngine(t)
+	defer e.Stop()
+	feedStocks(t, e, 1, 10) // history: instances 4 and 8, part of 12
+	q, err := e.Register(`SELECT COUNT(*), MAX(closingPrice) FROM ClosingStockPrices
+		WHERE stockSymbol = 'MSFT'
+		for (t = 4; t <= 20; t += 4) { WindowIs(ClosingStockPrices, t - 3, t); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedStocks(t, e, 11, 21)
+	q.Wait()
+	res, err := q.Fetch(q.Cursor())
+	if err != nil || len(res) != 5 {
+		t.Fatalf("fetched %d instances (err %v), want 5", len(res), err)
+	}
+	for i, r := range res {
+		T := int64(4 * (i + 1))
+		// IBM's rows (price day+100) are rejected on both paths.
+		if r.TS != T || r.Vals[0].AsInt() != 4 || r.Vals[1].AsFloat() != float64(T) {
+			t.Errorf("instance %d = %s, want COUNT 4 MAX %d", T, rowKey(r), T)
+		}
+	}
+	rt := q.rt.(*windowRuntime)
+	if a, m := rt.absorbed[0].Load(), rt.admitted[0].Load(); a != 42 || m != 21 {
+		t.Errorf("absorbed %d admitted %d, want 42 and 21", a, m)
+	}
+}
+
+// BenchmarkWindowFire measures the hop between a closed window and the
+// client's log: one instance of a sliding 1,000/100 window over 50 groups,
+// evaluated and delivered, with the pull log already past its cap.
+func BenchmarkWindowFire(b *testing.B) {
+	const span, syms = 1000, 50
+	rt, q := handFilled(b, slidingAvg(span), span, func(ts int64) *tuple.Tuple {
+		return tuple.New(tuple.Time(ts), tuple.Int(ts%syms), tuple.Int(ts))
+	})
+	inst := rt.loop.At(span)
+	for q.pull.Len() < 1<<16 {
+		rt.fire(inst)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.fire(inst)
+	}
+	b.ReportMetric(float64(len(rt.rowsFor(0, inst))), "rows/op")
+}

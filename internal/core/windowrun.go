@@ -44,12 +44,16 @@ type windowRuntime struct {
 	// firedRight[pos] is the last fired forward-loop instance's right
 	// edge: a tuple arriving at or below it missed that instance.
 	firedRight []int64
-	// absorbed counts tuples taken in per position, late those at or below
-	// firedRight; atomic because client goroutines read them mid-step.
-	absorbed []atomic.Int64
-	late     atomic.Int64
+	// Per windowed position: absorbed counts tuples taken in, admitted those
+	// that passed the position's selections, held the admitted rows its
+	// buffer (or SteM) holds now. late counts tuples at or below firedRight,
+	// scanned the rows fires have read. Atomic because client goroutines
+	// read them mid-step; one add per absorbed batch or fire, none per tuple.
+	absorbed, admitted, held []atomic.Int64
+	late, scanned            atomic.Int64
 
 	selsFor [][]expr.Predicate // per-position single-stream selections
+	wide    []*tuple.Tuple     // absorb's scratch: one batch's admitted rows
 	agg     *ops.Aggregator
 	proj    *ops.Project
 
@@ -99,6 +103,8 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 
 		firedRight: make([]int64, len(plan.Entries)),
 		absorbed:   make([]atomic.Int64, len(plan.Entries)),
+		admitted:   make([]atomic.Int64, len(plan.Entries)),
+		held:       make([]atomic.Int64, len(plan.Entries)),
 	}
 
 	// Map WindowIs declarations to FROM positions.
@@ -166,6 +172,7 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 			}
 		}
 	}
+	rt.wide = nil // history-sized; arrivals come a drain batch at a time
 
 	rt.drainer = newBatchDrain(q.inputs, rt.preSeq, rt.pool, q.engine.opts.BatchSize, 512)
 	reg := queryMetrics{q}
@@ -175,6 +182,16 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 	q.metricNames = append(q.metricNames, "tcq_window_fire_seconds"+lbl)
 	reg.RegisterFunc("tcq_window_late_total"+lbl, metrics.KindCounter, func() float64 {
 		return float64(rt.late.Load())
+	})
+	reg.RegisterFunc("tcq_window_rows_scanned_total"+lbl, metrics.KindCounter, func() float64 {
+		return float64(rt.scanned.Load())
+	})
+	reg.RegisterFunc("tcq_window_buffer_rows"+lbl, metrics.KindGauge, func() float64 {
+		var n int64
+		for pos := range rt.held {
+			n += rt.held[pos].Load()
+		}
+		return float64(n)
 	})
 	if rt.loop.Step > 0 {
 		// Instances the preloaded history already reaches fire now: history
@@ -227,9 +244,8 @@ func (rt *windowRuntime) key(t *tuple.Tuple) int64 {
 // are a pure function of the arrival order, not of where a drain batch
 // happened to end.
 //
-// Subscriber clones that nothing retains — static-table positions, and the
-// incremental join (which widens into its own rows) — return to the pool;
-// clones absorbed into a window buffer are retained.
+// absorb keeps widened copies only, so every subscriber clone returns to the
+// pool.
 func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
 	all := ts
 	for pos == rt.single && !rt.finished {
@@ -246,19 +262,20 @@ func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
 		rt.fireNext()
 	}
 	rt.absorb(pos, ts)
-	if rt.winFor[pos] < 0 || rt.incJoin != nil {
-		for _, t := range all {
-			rt.pool.Put(t)
-		}
+	for _, t := range all {
+		rt.pool.Put(t)
 	}
 }
 
 // absorb takes tuples of one position (arriving, or preloaded history)
 // into the runtime's state: the time high-water mark, the late count
-// (late tuples stay buffered for later overlapping instances), and the
-// incremental join or the position's window buffer.
+// (late tuples stay buffered for later overlapping instances), and — admitted
+// here, once, however many instances will read it — the incremental join or
+// the position's window buffer. A tuple its selections reject still moves
+// time on; it is only not kept. ts itself is not retained.
 func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
 	rt.absorbed[pos].Add(int64(len(ts)))
+	windowed, wide := rt.winFor[pos] >= 0, rt.wide[:0]
 	for _, t := range ts {
 		k := rt.key(t)
 		if k > rt.maxTime[pos] {
@@ -267,16 +284,23 @@ func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
 		if k <= rt.firedRight[pos] {
 			rt.late.Add(1)
 		}
-	}
-	switch {
-	case rt.winFor[pos] < 0:
-	case rt.incJoin != nil:
-		for _, t := range ts {
-			rt.incJoin.ingest(pos, t)
+		if windowed {
+			if w := rt.admit(pos, t); w != nil {
+				wide = append(wide, w)
+			}
 		}
-	default:
-		rt.buffers[pos].AddBatch(ts)
 	}
+	rt.admitted[pos].Add(int64(len(wide)))
+	rt.held[pos].Add(int64(len(wide)))
+	if rt.incJoin != nil {
+		for _, w := range wide {
+			rt.incJoin.ingest(pos, w)
+		}
+	} else if windowed {
+		rt.buffers[pos].AddBatch(wide)
+	}
+	clear(wide) // the scratch must not pin rows past their eviction
+	rt.wide = wide[:0]
 }
 
 // reached reports whether the data seen so far has reached the pending
@@ -407,28 +431,37 @@ func (rt *windowRuntime) close() {}
 // there is no eddy to observe or re-route.
 func (rt *windowRuntime) control(func(eddyHost, func(int) int64)) bool { return false }
 
-// stages reports the windowed pipeline: tuples taken in per windowed
-// position, the incremental join's materialized matches, and instance
-// evaluation (instances fired, results emitted, mean time per instance).
+// stages reports the windowed pipeline in the one telemetry shape. A
+// Window(<stream>) row per windowed position: visits = tuples absorbed,
+// produced = those admitted (so selectivity is its selections'), tickets =
+// rows held now. The incremental join's materialized matches. Fire: visits =
+// instances fired, produced = results emitted, tickets = rows scanned,
+// probe_ns = mean time per instance.
 func (rt *windowRuntime) stages() []ModuleTelemetry {
 	var rows []ModuleTelemetry
 	var in int64
 	for pos, wi := range rt.winFor {
 		if wi >= 0 {
-			n := rt.absorbed[pos].Load()
-			rows = append(rows, stageRow(rt.q.label, "Window("+rt.layout.Schemas[pos].Relation+")", n, 0))
-			in += n
+			n, adm := rt.absorbed[pos].Load(), rt.admitted[pos].Load()
+			row := stageRow(rt.q.label, "Window("+rt.layout.Schemas[pos].Relation+")", n, adm)
+			if n > 0 {
+				row.Selectivity = float64(adm) / float64(n)
+			}
+			row.Tickets = rt.held[pos].Load()
+			rows = append(rows, row)
+			in += adm
 		}
 	}
 	if rt.incJoin != nil {
 		rows = append(rows, stageRow(rt.q.label, "IncJoin", in, rt.incJoin.produced.Load()))
 	}
 	fire := stageRow(rt.q.label, "Fire", rt.fireLat.Count(), rt.q.Results())
+	fire.Tickets = rt.scanned.Load()
 	fire.ProbeNanos = rt.fireLat.Mean().Nanoseconds()
 	return append(rows, fire)
 }
 
-// evict drops buffered tuples no future window instance can need.
+// evict drops buffered rows no future window instance can need.
 func (rt *windowRuntime) evict() {
 	if rt.finished {
 		return
@@ -439,79 +472,102 @@ func (rt *windowRuntime) evict() {
 		return
 	}
 	for pos, wi := range rt.winFor {
-		if wi < 0 || rt.buffers[pos] == nil {
-			continue
+		if wi >= 0 {
+			rt.evictBelow(pos, inst.Windows[wi].Left)
 		}
-		rt.buffers[pos].Evict(inst.Windows[wi].Left)
 	}
 }
 
-// admit widens one tuple of FROM position pos and applies the position's
-// selections, returning nil when one fails.
-func (rt *windowRuntime) admit(pos int, t *tuple.Tuple) *tuple.Tuple {
-	w := rt.layout.Widen(pos, t)
+// evictBelow evicts position pos's buffer and keeps its held count.
+func (rt *windowRuntime) evictBelow(pos int, watermark int64) {
+	rt.held[pos].Add(-int64(rt.buffers[pos].Evict(watermark)))
+}
+
+// selected applies FROM position pos's selections to one of its wide rows.
+func (rt *windowRuntime) selected(pos int, w *tuple.Tuple) bool {
 	for _, p := range rt.selsFor[pos] {
 		if !p.Eval(w) {
-			return nil
+			return false
 		}
 	}
-	return w
+	return true
 }
 
-// rowsFor gathers, widens, and pre-filters the tuples of FROM position pos
-// for one instance.
-func (rt *windowRuntime) rowsFor(pos int, inst window.Instance) ([]*tuple.Tuple, error) {
-	var raw []*tuple.Tuple
+// admit widens one tuple of FROM position pos, returning nil when one of
+// the position's selections fails.
+func (rt *windowRuntime) admit(pos int, t *tuple.Tuple) *tuple.Tuple {
+	if w := rt.layout.Widen(pos, t); rt.selected(pos, w) {
+		return w
+	}
+	return nil
+}
+
+// rowsFor returns FROM position pos's rows for one instance: the admitted
+// rows of its window, aliasing the buffer, or a static table's contents,
+// which may change between fires and so are widened and filtered here.
+// Storage errors surface as an empty instance; the engine keeps running
+// (fault containment per query).
+func (rt *windowRuntime) rowsFor(pos int, inst window.Instance) []*tuple.Tuple {
 	if wi := rt.winFor[pos]; wi >= 0 {
 		iv := inst.Windows[wi]
-		raw = rt.buffers[pos].Range(iv.Left, iv.Right)
-	} else {
-		var err error
-		raw, err = rt.q.engine.tableContents(rt.q.Plan.Entries[pos])
-		if err != nil {
-			return nil, err
-		}
+		return rt.buffers[pos].Range(iv.Left, iv.Right)
 	}
+	raw, _ := rt.q.engine.tableContents(rt.q.Plan.Entries[pos])
 	out := make([]*tuple.Tuple, 0, len(raw))
 	for _, t := range raw {
-		if w := rt.admit(pos, t); w != nil {
+		if w := rt.layout.Widen(pos, t); rt.selected(pos, w) {
 			out = append(out, w)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// fire evaluates one window instance and emits its result set. Result
-// tuples carry the instance's loop value in TS so clients can regroup the
-// output sequence of sets.
+// fire evaluates one window instance and delivers its result set as one
+// batch: each egress takes the instance under one lock acquisition, so a
+// concurrent Fetch sees all of it or none. Result tuples carry the instance's
+// loop value in TS so clients can regroup the output sequence of sets.
 func (rt *windowRuntime) fire(inst window.Instance) {
 	clk := rt.q.engine.opts.Clock
 	start := clk.Now()
-	defer func() { rt.fireLat.Record(clk.Since(start)) }()
+	var out []*tuple.Tuple
 	if rt.incAgg != nil && rt.winFor[0] >= 0 {
-		rt.fireLandmark(inst)
-		return
+		out = rt.fireLandmark(inst)
+	} else {
+		out = rt.evaluate(inst)
 	}
+	for _, r := range out {
+		r.TS = inst.T
+	}
+	rt.q.emitBatch(out)
+	rt.fireLat.Record(clk.Since(start))
+}
+
+// evaluate computes one instance's result rows, all fresh: none is a row a
+// buffer holds.
+func (rt *windowRuntime) evaluate(inst window.Instance) []*tuple.Tuple {
 	var rows []*tuple.Tuple
 	if rt.incJoin != nil {
 		rows = rt.incJoin.rowsAt(inst)
 	} else {
 		perPos := make([][]*tuple.Tuple, len(rt.q.Plan.Entries))
+		var scanned int64
 		for pos := range perPos {
-			prows, err := rt.rowsFor(pos, inst)
-			if err != nil {
-				// Storage errors surface as an empty instance; the
-				// engine keeps running (fault containment per query).
-				prows = nil
-			}
-			perPos[pos] = prows
+			perPos[pos] = rt.rowsFor(pos, inst)
+			scanned += int64(len(perPos[pos]))
 		}
-		rt.joinRec(perPos, 0, nil, &rows)
+		rt.scanned.Add(scanned)
+		if len(perPos) == 1 {
+			rows = perPos[0]
+		} else {
+			rt.joinRec(perPos, 0, nil, &rows)
+		}
 	}
 
 	// ORDER BY / LIMIT shape the instance's result set (top-k per
-	// window), evaluated before projection so any wide column can sort.
+	// window), evaluated before projection so any wide column can sort —
+	// on a copy: rows may alias a buffer, whose order is its index.
 	if rt.q.Plan.OrderCol >= 0 {
+		rows = append([]*tuple.Tuple(nil), rows...)
 		ops.SortTuples(rows, rt.q.Plan.OrderCol, !rt.q.Plan.OrderDesc)
 	}
 	if lim := rt.q.Plan.Limit; lim >= 0 && int64(len(rows)) > lim {
@@ -519,11 +575,7 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 	}
 
 	if rt.agg != nil {
-		for _, out := range rt.agg.Compute(rows) {
-			out.TS = inst.T
-			rt.q.emit(out)
-		}
-		return
+		return rt.agg.Compute(rows)
 	}
 	// DISTINCT has set semantics per window instance (§4.1: each
 	// instance's output is a set), so the seen-set resets here.
@@ -531,35 +583,41 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 	if rt.q.Plan.Distinct {
 		dedup = ops.NewDupElim()
 	}
+	// One position's rows, and materialized matches, are a buffer's own and
+	// stay there for the overlapping instances still to come; joined rows
+	// are fresh.
+	buffered := rt.incJoin != nil || len(rt.q.Plan.Entries) == 1
+	out := make([]*tuple.Tuple, 0, len(rows))
 	for _, r := range rows {
-		out := r
-		if rt.proj != nil {
-			out = rt.proj.Apply(r)
+		switch {
+		case rt.proj != nil:
+			r = rt.proj.Apply(r)
+		case buffered:
+			// Stamping the buffer's row would rewrite the TS of the row an
+			// earlier instance delivered and, under physical time, the
+			// buffer's sort key.
+			r = r.Clone()
 		}
-		if dedup != nil && !dedup.Accept(out) {
-			continue
+		if dedup == nil || dedup.Accept(r) {
+			out = append(out, r)
 		}
-		out.TS = inst.T
-		rt.q.emit(out)
 	}
+	return out
 }
 
 // fireLandmark folds only the instance's delta into the incremental
-// aggregator and emits a snapshot. Folded tuples are evicted right away, so
+// aggregator and returns a snapshot. Folded rows are evicted right away, so
 // whatever the buffer still holds inside the window is exactly the delta —
 // including tuples that arrived late for an earlier instance.
-func (rt *windowRuntime) fireLandmark(inst window.Instance) {
+func (rt *windowRuntime) fireLandmark(inst window.Instance) []*tuple.Tuple {
 	iv := inst.Windows[rt.winFor[0]]
-	for _, t := range rt.buffers[0].Range(iv.Left, iv.Right) {
-		if w := rt.admit(0, t); w != nil {
-			rt.incAgg.Add(w)
-		}
+	delta := rt.buffers[0].Range(iv.Left, iv.Right)
+	for _, w := range delta {
+		rt.incAgg.Add(w)
 	}
-	for _, out := range rt.incAgg.Snapshot() {
-		out.TS = inst.T
-		rt.q.emit(out)
-	}
-	rt.buffers[0].Evict(iv.Right + 1)
+	rt.scanned.Add(int64(len(delta)))
+	rt.evictBelow(0, iv.Right+1)
+	return rt.incAgg.Snapshot()
 }
 
 // joinRec nested-loop joins the per-position row sets, applying every join

@@ -259,6 +259,9 @@ func (e *PullEgress) RegisterAt(pos int64) int {
 	if pos < e.base {
 		pos = e.base
 	}
+	if end := e.base + int64(len(e.log)); pos > end {
+		pos = end
+	}
 	id := e.nextID
 	e.nextID++
 	e.cursors[id] = pos
@@ -303,6 +306,13 @@ func (e *PullEgress) Deregister(id int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.cursors, id)
+}
+
+// Cursors returns the number of registered client cursors.
+func (e *PullEgress) Cursors() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cursors)
 }
 
 // Len returns the number of retained results.

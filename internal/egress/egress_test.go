@@ -74,6 +74,16 @@ func TestPullReplayFromStart(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("replay = %d", len(got))
 	}
+	// A position past the log end is clamped to it: the cursor sees what is
+	// published from now on (Fetch used to panic on a negative capacity).
+	ahead := e.RegisterAt(1 << 40)
+	if got, missed, err := e.Fetch(ahead); err != nil || missed != 0 || len(got) != 0 {
+		t.Errorf("fetch past the end = %d rows, missed %d, err %v", len(got), missed, err)
+	}
+	e.Publish(mk(3))
+	if got, _, _ := e.Fetch(ahead); len(got) != 1 || got[0].Vals[0].AsInt() != 3 {
+		t.Errorf("after the clamp fetched %v, want the one new row", got)
+	}
 }
 
 func TestPullAgedOutResults(t *testing.T) {

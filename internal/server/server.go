@@ -163,6 +163,7 @@ func (fe *frontEnd) serve() {
 		}
 	}()
 	defer fe.stopPushers()
+	defer fe.closeCursors()
 	sc := bufio.NewScanner(fe.conn)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -185,6 +186,17 @@ func (fe *frontEnd) stopPushers() {
 		stop()
 	}
 	fe.pushers = map[int]func(){}
+}
+
+// closeCursors drops every pull cursor the connection opened; the queries
+// stand on, and the next connection to fetch from one opens its own.
+func (fe *frontEnd) closeCursors() {
+	fe.mu.Lock()
+	defer fe.mu.Unlock()
+	for id, cur := range fe.cursors {
+		fe.queries[id].CloseCursor(cur)
+	}
+	fe.cursors = map[int]int{}
 }
 
 func (fe *frontEnd) dispatch(line string) {

@@ -176,6 +176,47 @@ func TestWindowedQueryOverWire(t *testing.T) {
 	}
 }
 
+// TestDisconnectClosesCursors: a connection that fetched from a standing
+// query it did not register opened a cursor on it, and takes that cursor
+// with it when it goes — the registering connection's stays.
+func TestDisconnectClosesCursors(t *testing.T) {
+	e, pm := startServer(t)
+	owner := dial(t, pm.Addr())
+	if err := owner.CreateStream("s", "ts TIME, v INT", "ts"); err != nil {
+		t.Fatal(err)
+	}
+	qid, err := owner.Query("SELECT v FROM s WHERE v > 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := e.Query(qid)
+	for i := 0; i < 20; i++ {
+		c, err := Dial(pm.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Fetch(qid); err != nil {
+			t.Fatal(err)
+		}
+		if n := q.Cursors(); n < 2 {
+			t.Fatalf("cycle %d: %d cursors while a second connection fetches", i, n)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := chaos.Real().Now().Add(10 * time.Second)
+	for q.Cursors() != 1 && chaos.Real().Now().Before(deadline) {
+		chaos.Real().Sleep(time.Millisecond)
+	}
+	if n := q.Cursors(); n != 1 {
+		t.Fatalf("%d cursors after 20 connect/FETCH/disconnect cycles, want the owner's 1", n)
+	}
+	if _, err := owner.Fetch(qid); err != nil {
+		t.Fatalf("owner's cursor did not survive: %v", err)
+	}
+}
+
 func TestProxyMultiplexesCursors(t *testing.T) {
 	_, pm := startServer(t)
 	proxy, err := NewProxy(pm.Addr(), "127.0.0.1:0")

@@ -7,9 +7,10 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    E13 workload, fuzz smoke
+#                    window delivery x20, E13 workload, fuzz smoke
 #   check.sh bench   bench smoke: E15 introspection + E16 shared-arrangement +
-#                    E17 columnar zero-alloc + E18 adaptive N-way ordering gates
+#                    E17 columnar zero-alloc + E18 adaptive N-way ordering
+#                    gates, BenchmarkWindowFire (no threshold)
 #   check.sh [all]   every stage in order
 set -eu
 cd "$(dirname "$0")/.."
@@ -122,6 +123,13 @@ stage_race() {
     echo "==> full-pipeline soak under race (-count=50)"
     go test -race -count=50 -run 'TestChaosSoakFullPipeline' ./internal/chaos/
 
+    # A window instance reaches egress as one batch of rows no buffer still
+    # holds, and the result count moves after it: each is a claim about what
+    # a client goroutine racing the fires can observe, so hold all three to
+    # twenty race-instrumented passes.
+    echo "==> window delivery under race: atomic instances, no aliasing, count after rows (-count=20)"
+    go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch' ./internal/core/
+
     # The parallel partitioned-eddy layer is all goroutine handoff (driver ->
     # shard queues -> workers -> merge), so run its bench workload — worker
     # counts up to 8 — race-instrumented end to end.
@@ -159,6 +167,13 @@ stage_bench() {
     # re-planning no longer pays for itself after a mid-run shift.
     echo "==> bench smoke: E18 adaptive N-way ordering gate (strict, -short)"
     TCQ_BENCH_STRICT=1 go test -count=1 -short -run TestE18NWayAdaptiveGate ./internal/bench/
+
+    # The per-hop number under window_agg_embedded: one sliding 1,000/100
+    # instance over 50 groups, evaluated and delivered into a pull log past
+    # its cap. A smoke, not a gate: it must run, and it prints ns, B and
+    # allocs per fire for the next window change to compare against.
+    echo "==> bench smoke: BenchmarkWindowFire (100 fires, no threshold)"
+    go test -run '^$' -bench BenchmarkWindowFire -benchtime=100x ./internal/core/
 }
 
 stage="${1:-all}"
