@@ -513,6 +513,53 @@ func TestPushAndPullAgree(t *testing.T) {
 	}
 }
 
+// TestAgedOutResultsAreCounted: rows that leave the pull log unread used to
+// vanish — RunningQuery.Fetch drops the missed count. Now the query's series
+// account for every published row (retained + evicted = results) and for
+// what the returning cursor was told it missed, and both go with the query.
+func TestAgedOutResultsAreCounted(t *testing.T) {
+	const retention, days = 1 << 16, 35000 // two rows a day: 70,000 results
+	e := newStockEngine(t)
+	defer e.Stop()
+	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	away := q.Cursor() // replays from the start, and stays away past the cap
+	feedStocks(t, e, 1, days)
+	waitFor(t, "every result", func() bool { return q.Results() == 2*days })
+	series := func() map[string]float64 {
+		got := map[string]float64{}
+		for _, s := range e.Metrics().Snapshot() {
+			if strings.HasSuffix(s.Name, fmt.Sprintf(`{query="%d"}`, q.ID)) {
+				got[strings.TrimSuffix(s.Name, fmt.Sprintf(`{query="%d"}`, q.ID))] = s.Value
+			}
+		}
+		return got
+	}
+	m := series()
+	if m["tcq_egress_pull_retained"] != retention || m["tcq_egress_pull_evicted_total"] != 2*days-retention ||
+		m["tcq_query_results_total"] != 2*days || m["tcq_egress_pull_missed_total"] != 0 {
+		t.Fatalf("before the fetch: %v", m)
+	}
+	rows, err := q.Fetch(away)
+	if err != nil || len(rows) != retention {
+		t.Fatalf("fetched %d rows, err %v", len(rows), err)
+	}
+	if first := rows[0].Vals[0].AsFloat(); first != float64((2*days-retention)/2+1) {
+		t.Errorf("the retained suffix starts at price %v", first)
+	}
+	if m = series(); m["tcq_egress_pull_missed_total"] != 2*days-retention {
+		t.Fatalf("after the fetch: %v", m)
+	}
+	if err := e.Deregister(q.ID); err != nil {
+		t.Fatal(err)
+	}
+	if m = series(); len(m) != 0 {
+		t.Fatalf("series left behind by a deregistered query: %v", m)
+	}
+}
+
 func TestStreamTableJoinPreloadsTable(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()

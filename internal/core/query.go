@@ -268,6 +268,16 @@ func (q *RunningQuery) registerMetrics() {
 	reg.RegisterFunc("tcq_egress_pull_retained"+lbl, metrics.KindGauge, func() float64 {
 		return float64(q.pull.Len())
 	})
+	// Rows that aged out of the pull log, and the ones a returning cursor
+	// was told it missed: published = retained + evicted, per query.
+	reg.RegisterFunc("tcq_egress_pull_evicted_total"+lbl, metrics.KindCounter, func() float64 {
+		evicted, _ := q.pull.Stats()
+		return float64(evicted)
+	})
+	reg.RegisterFunc("tcq_egress_pull_missed_total"+lbl, metrics.KindCounter, func() float64 {
+		_, missed := q.pull.Stats()
+		return float64(missed)
+	})
 	for pos, conn := range q.inputs {
 		conn := conn
 		plbl := fmt.Sprintf(`{query="%d",pos="%d"}`, q.ID, pos)

@@ -123,11 +123,22 @@ type pullEntry struct {
 
 // PullEgress logs results in arrival order; disconnected clients fetch
 // everything since their cursor when they return.
+//
+// The log is a ring over one backing array: ring[head] is the oldest
+// retained row, at absolute position base, and the n retained rows follow
+// it, wrapping at len(ring). Publishing writes behind the newest row and
+// aging out advances head, so both cost the same however full the log is.
+// The array grows on demand as a slice under append would (grow) until it
+// holds cap rows; nothing is evicted before then, so head stays 0 while
+// len(ring) < cap and growing never has to unwrap.
 type PullEgress struct {
 	mu      sync.Mutex
-	log     []pullEntry
+	ring    []pullEntry
+	head    int
+	n       int
 	cap     int
-	base    int64 // absolute index of log[0]
+	base    int64 // absolute position of ring[head]; also the rows aged out so far
+	missed  int64 // aged-out rows Fetch has reported to a cursor, summed over cursors
 	cursors map[int]int64
 	nextID  int
 	pool    *tuple.Pool // recycles owned entries aging out; nil disables
@@ -164,8 +175,7 @@ func (e *PullEgress) Publish(t *tuple.Tuple) { e.PublishOwned(t, false) }
 func (e *PullEgress) PublishOwned(t *tuple.Tuple, owned bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.log = append(e.log, pullEntry{t: t, owned: owned && e.pool != nil})
-	e.evictOverLocked()
+	e.pushLocked(pullEntry{t: t, owned: owned && e.pool != nil})
 }
 
 // PublishBatch appends a batch of results under one lock acquisition.
@@ -174,9 +184,8 @@ func (e *PullEgress) PublishBatch(ts []*tuple.Tuple, owned bool) {
 	defer e.mu.Unlock()
 	owned = owned && e.pool != nil
 	for _, t := range ts {
-		e.log = append(e.log, pullEntry{t: t, owned: owned})
+		e.pushLocked(pullEntry{t: t, owned: owned})
 	}
-	e.evictOverLocked()
 }
 
 // PublishBlock appends every row of a columnar result block under one
@@ -203,40 +212,85 @@ func (e *PullEgress) PublishBlock(b *tuple.Block, owned bool) {
 		e.blockRows[b] = int32(n)
 	}
 	for i := 0; i < n; i++ {
-		e.log = append(e.log, pullEntry{blk: b, row: int32(i), owned: owned})
+		e.pushLocked(pullEntry{blk: b, row: int32(i), owned: owned})
 	}
-	e.evictOverLocked()
 }
 
-func (e *PullEgress) evictOverLocked() {
-	over := len(e.log) - e.cap
-	if over <= 0 {
+// pushLocked writes one row behind the newest, first aging out the oldest
+// when the log is at its cap. A batch larger than the cap therefore ages
+// out its own first rows, oldest first, exactly as later publishes would.
+func (e *PullEgress) pushLocked(ent pullEntry) {
+	if e.n == len(e.ring) {
+		if e.n < e.cap {
+			e.grow()
+		} else {
+			e.evictOldestLocked()
+		}
+	}
+	e.ring[e.at(e.n)] = ent
+	e.n++
+}
+
+// at returns the ring index of the i-th retained row (i == n: the slot the
+// next row takes).
+func (e *PullEgress) at(i int) int {
+	if i += e.head; i >= len(e.ring) {
+		i -= len(e.ring)
+	}
+	return i
+}
+
+// grow enlarges a full backing array that is still under the cap. It grows
+// by append itself, so a log that never reaches its cap allocates what a
+// plain slice would; the step that could cross the cap allocates the cap
+// exactly, and the array is never larger than that. Audited amortization
+// point: O(log cap) calls per log lifetime, none once the log is at its cap.
+//
+//tcq:coldpath
+func (e *PullEgress) grow() {
+	n := len(e.ring)
+	// append's next capacity before it rounds up to an allocation size
+	// class; the rounding adds less than an eighth.
+	next := 2 * n
+	if n >= 256 {
+		next = n + (n+3*256)/4
+	}
+	if next+next/8 >= e.cap {
+		ring := make([]pullEntry, e.cap)
+		copy(ring, e.ring)
+		e.ring = ring
 		return
 	}
-	for i := 0; i < over; i++ {
-		ent := e.log[i]
-		switch {
-		case ent.blk != nil:
-			if ent.owned {
-				if left := e.blockRows[ent.blk] - 1; left > 0 {
-					//lint:ignore alloccheck refcount decrement on an existing key: no bucket growth in steady state
-					e.blockRows[ent.blk] = left
-				} else {
-					delete(e.blockRows, ent.blk)
-					ent.blk.Release()
-				}
+	e.ring = append(e.ring, pullEntry{})
+	// How far append rounds up is the allocator's business: whatever it
+	// does, the log never uses more than cap slots.
+	e.ring = e.ring[:min(cap(e.ring), e.cap)]
+}
+
+// evictOldestLocked ages out the oldest retained row: an owned tuple
+// returns to the pool, and the last retained row of an owned block releases
+// the block. It runs only on a full ring at its cap, where the slot it
+// vacates is the one the incoming row is about to overwrite, so no slot
+// outside the retained range ever holds a pointer.
+func (e *PullEgress) evictOldestLocked() {
+	ent := &e.ring[e.head]
+	switch {
+	case ent.blk != nil:
+		if ent.owned {
+			if left := e.blockRows[ent.blk] - 1; left > 0 {
+				//lint:ignore alloccheck refcount decrement on an existing key: no bucket growth in steady state
+				e.blockRows[ent.blk] = left
+			} else {
+				delete(e.blockRows, ent.blk)
+				ent.blk.Release()
 			}
-		case ent.owned:
-			e.pool.Put(ent.t)
 		}
-		e.log[i] = pullEntry{}
+	case ent.owned:
+		e.pool.Put(ent.t)
 	}
-	n := copy(e.log, e.log[over:])
-	for i := n; i < len(e.log); i++ {
-		e.log[i] = pullEntry{}
-	}
-	e.log = e.log[:n]
-	e.base += int64(over)
+	e.head = e.at(1)
+	e.n--
+	e.base++
 }
 
 // Register creates a client cursor positioned at the current log end
@@ -247,7 +301,7 @@ func (e *PullEgress) Register() int {
 	defer e.mu.Unlock()
 	id := e.nextID
 	e.nextID++
-	e.cursors[id] = e.base + int64(len(e.log))
+	e.cursors[id] = e.base + int64(e.n)
 	return id
 }
 
@@ -259,7 +313,7 @@ func (e *PullEgress) RegisterAt(pos int64) int {
 	if pos < e.base {
 		pos = e.base
 	}
-	if end := e.base + int64(len(e.log)); pos > end {
+	if end := e.base + int64(e.n); pos > end {
 		pos = end
 	}
 	id := e.nextID
@@ -280,24 +334,26 @@ func (e *PullEgress) Fetch(id int) (results []*tuple.Tuple, missed int64, err er
 	}
 	if cur < e.base {
 		missed = e.base - cur
+		e.missed += missed
 		cur = e.base
 	}
 	start := int(cur - e.base)
-	results = make([]*tuple.Tuple, 0, len(e.log)-start)
-	for i := start; i < len(e.log); i++ {
-		if b := e.log[i].blk; b != nil {
+	results = make([]*tuple.Tuple, 0, e.n-start)
+	for i := start; i < e.n; i++ {
+		ent := &e.ring[e.at(i)]
+		if ent.blk != nil {
 			// Columnar rows materialize on fetch as independent copies;
 			// the block itself stays owned by the egress (it may back
 			// other unfetched rows) and is released on age-out as usual.
-			results = append(results, b.Row(int(e.log[i].row)))
+			results = append(results, ent.blk.Row(int(ent.row)))
 			continue
 		}
 		// The client holds the pointer from here on: the egress no longer
 		// owns the tuple's memory.
-		e.log[i].owned = false
-		results = append(results, e.log[i].t)
+		ent.owned = false
+		results = append(results, ent.t)
 	}
-	e.cursors[id] = e.base + int64(len(e.log))
+	e.cursors[id] = e.base + int64(e.n)
 	return results, missed, nil
 }
 
@@ -319,5 +375,14 @@ func (e *PullEgress) Cursors() int {
 func (e *PullEgress) Len() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.log)
+	return e.n
+}
+
+// Stats returns the rows aged out of retention so far and how many of them
+// Fetch reported to a cursor as missed (a row two cursors missed counts
+// twice). Published = Len + evicted at every instant.
+func (e *PullEgress) Stats() (evicted, missed int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.base, e.missed
 }

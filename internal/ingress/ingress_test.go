@@ -3,6 +3,7 @@ package ingress
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -52,6 +53,38 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		if !tuple.Equal(in.Vals[i], out.Vals[i]) {
 			t.Errorf("val %d: %v != %v", i, in.Vals[i], out.Vals[i])
 		}
+	}
+}
+
+// TestAppendCSVMatchesValueString: AppendCSV writes, for every kind, the
+// bytes the string-per-field formatter it replaced produced (Value.String,
+// and a time without its '@'), appends after what dst already holds, and
+// allocates nothing when dst has the room.
+func TestAppendCSVMatchesValueString(t *testing.T) {
+	row := tuple.New(
+		tuple.Value{}, tuple.Int(0), tuple.Int(-1<<63), tuple.Float(88.5), tuple.Float(1e21),
+		tuple.Float(-0.000001), tuple.Float(math.Inf(-1)), tuple.Float(math.NaN()), tuple.Float(3),
+		tuple.String_(""), tuple.String_("a b;c"), tuple.Bool(true), tuple.Bool(false),
+		tuple.Time(-7), tuple.Time(1<<62), tuple.Value{K: tuple.Kind(99), I: 5})
+	parts := make([]string, len(row.Vals))
+	for i, v := range row.Vals {
+		if parts[i] = v.String(); v.K == tuple.KindTime {
+			parts[i] = strings.TrimPrefix(parts[i], "@")
+		}
+	}
+	want := strings.Join(parts, ",")
+	if got := FormatCSV(row); got != want {
+		t.Errorf("FormatCSV = %q, want %q", got, want)
+	}
+	if got := string(AppendCSV([]byte("ROW q7 "), row)); got != "ROW q7 "+want {
+		t.Errorf("AppendCSV after a prefix = %q", got)
+	}
+	if got := string(AppendCSV(nil, tuple.New())); got != "" {
+		t.Errorf("an empty tuple renders as %q", got)
+	}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendCSV(buf[:0], row) }); n != 0 {
+		t.Errorf("AppendCSV into a buffer with room allocates %v times", n)
 	}
 }
 

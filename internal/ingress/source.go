@@ -203,16 +203,33 @@ func ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error) {
 
 // FormatCSV renders a tuple as a comma-separated line (inverse of
 // ParseCSV; used by egress and the TCP wire protocol).
-func FormatCSV(t *tuple.Tuple) string {
-	parts := make([]string, len(t.Vals))
+func FormatCSV(t *tuple.Tuple) string { return string(AppendCSV(nil, t)) }
+
+// AppendCSV appends FormatCSV's rendering of t to dst without building a
+// string per field: what a writer of many rows into one buffer wants. Every
+// kind prints as Value.String does, except a time, which goes without the
+// '@' so that ParseCSV reads it back.
+func AppendCSV(dst []byte, t *tuple.Tuple) []byte {
 	for i, v := range t.Vals {
-		if v.K == tuple.KindTime {
-			parts[i] = strconv.FormatInt(v.I, 10)
-		} else {
-			parts[i] = v.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.K {
+		case tuple.KindNull:
+			dst = append(dst, "NULL"...)
+		case tuple.KindInt, tuple.KindTime:
+			dst = strconv.AppendInt(dst, v.I, 10)
+		case tuple.KindFloat:
+			dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		case tuple.KindString:
+			dst = append(dst, v.S...)
+		case tuple.KindBool:
+			dst = strconv.AppendBool(dst, v.I != 0)
+		default:
+			dst = append(dst, '?')
 		}
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // OpenCSVFile opens a CSV file as a pull source — the "local file reader"

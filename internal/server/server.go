@@ -102,6 +102,9 @@ func (pm *Postmaster) Close() error {
 	return err
 }
 
+// pushBatch is the most rows a SUBSCRIBE goroutine writes under one flush.
+const pushBatch = 64
+
 // frontEnd serves one client connection.
 type frontEnd struct {
 	engine *core.Engine
@@ -143,6 +146,15 @@ func (fe *frontEnd) sendAll(lines []string) {
 		fe.w.WriteString(line)
 		fe.w.WriteByte('\n')
 	}
+	fe.flushLocked()
+}
+
+// sendBytes writes already terminated lines under one lock acquisition and
+// flush.
+func (fe *frontEnd) sendBytes(lines []byte) {
+	fe.wmu.Lock()
+	defer fe.wmu.Unlock()
+	fe.w.Write(lines)
 	fe.flushLocked()
 }
 
@@ -461,25 +473,30 @@ func (fe *frontEnd) handleSubscribe(rest string) error {
 	fe.mu.Unlock()
 	go func() {
 		defer close(stopped)
-		// Greedily drain whatever the egress has already pushed and write
-		// it under one lock/flush, so a fast query does not pay a syscall
+		// Greedily drain whatever the egress has already pushed — up to
+		// pushBatch rows — into one reused buffer and write it under one
+		// lock/flush, so a fast query pays neither a syscall nor a string
 		// per row.
-		lines := make([]string, 0, 64)
+		prefix := fmt.Sprintf("ROW q%d ", id)
+		row := func(buf []byte, t *tuple.Tuple) []byte {
+			return append(ingress.AppendCSV(append(buf, prefix...), t), '\n')
+		}
+		var buf []byte
 		for t := range ch {
-			lines = append(lines[:0], fmt.Sprintf("ROW q%d %s", id, ingress.FormatCSV(t)))
+			buf = row(buf[:0], t)
 		fill:
-			for len(lines) < cap(lines) {
+			for rows := 1; rows < pushBatch; rows++ {
 				select {
 				case t2, ok := <-ch:
 					if !ok {
 						break fill
 					}
-					lines = append(lines, fmt.Sprintf("ROW q%d %s", id, ingress.FormatCSV(t2)))
+					buf = row(buf, t2)
 				default:
 					break fill
 				}
 			}
-			fe.sendAll(lines)
+			fe.sendBytes(buf)
 		}
 	}()
 	fe.send(fmt.Sprintf("OK subscribed %d", id))

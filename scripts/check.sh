@@ -7,10 +7,12 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window delivery x20, E13 workload, fuzz smoke
+#                    window delivery x20, pull-log ring x20, E13 workload,
+#                    fuzz smoke
 #   check.sh bench   bench smoke: E15 introspection + E16 shared-arrangement +
 #                    E17 columnar zero-alloc + E18 adaptive N-way ordering
-#                    gates, BenchmarkWindowFire (no threshold)
+#                    gates, BenchmarkWindowFire and BenchmarkPullPublish (no
+#                    threshold)
 #   check.sh [all]   every stage in order
 set -eu
 cd "$(dirname "$0")/.."
@@ -130,6 +132,14 @@ stage_race() {
     echo "==> window delivery under race: atomic instances, no aliasing, count after rows (-count=20)"
     go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch' ./internal/core/
 
+    # The pull log is a ring whose head and count the publisher moves while
+    # cursors read it, all under one mutex: the model test checks every
+    # observable against the slice it replaced, the concurrent test wraps the
+    # ring under a racing Fetch. (The window tests above race a client
+    # against the same log from the query's side.)
+    echo "==> pull-log ring under race: slice model, concurrent fetch (-count=20)"
+    go test -race -count=20 -run 'TestPullRingMatchesSliceModel|TestPullRingConcurrentFetch' ./internal/egress/
+
     # The parallel partitioned-eddy layer is all goroutine handoff (driver ->
     # shard queues -> workers -> merge), so run its bench workload — worker
     # counts up to 8 — race-instrumented end to end.
@@ -174,6 +184,13 @@ stage_bench() {
     # allocs per fire for the next window change to compare against.
     echo "==> bench smoke: BenchmarkWindowFire (100 fires, no threshold)"
     go test -run '^$' -bench BenchmarkWindowFire -benchtime=100x ./internal/core/
+
+    # The per-row cost of publishing into a pull log that is still growing
+    # and into one at its 65,536-row cap, a row at a time and in 64s: the
+    # four should be within a small factor of each other (before the ring,
+    # atcap/b1 was ~74,000 ns/row). Also a smoke with no threshold.
+    echo "==> bench smoke: BenchmarkPullPublish (1,000 publishes each, no threshold)"
+    go test -run '^$' -bench BenchmarkPullPublish -benchtime=1000x ./internal/egress/
 }
 
 stage="${1:-all}"
