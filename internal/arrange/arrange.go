@@ -1,18 +1,20 @@
-// Package arrange implements shared arrangements (PAPERS.md, McSherry et
-// al.): multi-reader index state built once and probed by many standing
-// queries. An Arrangement is the storage half of a SteM — a hash index on
-// the join column plus the time-ordered (or insertion-ordered) tuple store
-// — owned by exactly ONE writer, the engine that builds it, and readable by
-// any number of concurrent cursors.
+// Package arrange implements arrangements (PAPERS.md, McSherry et al.): the
+// one row store behind every SteM. An Arrangement is the storage half of a
+// SteM — a hash index on the join column plus the time-ordered (or
+// insertion-ordered) tuple store — owned by exactly ONE writer, the engine
+// that builds it, and readable by any number of concurrent cursors. A private
+// join is the one-reader case: its SteM owns an arrangement nobody else can
+// reach, with no cursor, and pays an uncontended lock per call.
 //
 // The writer applies inserts and window evictions in epoch batches: every
-// mutation lands in the current epoch, and Advance seals it. Evicted tuples
-// are not freed immediately — a reader holding a cursor at an older epoch
-// may still be probing state that referenced them — but parked on a retired
-// list tagged with the eviction epoch. Only when every open cursor has
-// synced past that epoch are the tuples reclaimed (returned to the tuple
-// pool). This is the classic epoch-based reclamation discipline: frees are
-// deferred until all cursors pass.
+// mutation lands in the current epoch, and Advance seals it. While cursors
+// are open, evicted tuples are not freed immediately — a reader holding a
+// cursor at an older epoch may still be probing state that referenced them —
+// but parked on a retired list tagged with the eviction epoch. Only when
+// every open cursor has synced past that epoch are the tuples reclaimed
+// (returned to the tuple pool). This is the classic epoch-based reclamation
+// discipline: frees are deferred until all cursors pass. With no cursor open
+// there is nobody to wait for and evictions free at once.
 //
 // Registering the 10,000th query against an arrangement therefore costs one
 // reader handle — an index entry — instead of a copy of the state: queries
@@ -115,55 +117,74 @@ func (a *Arrangement) Insert(ts []*tuple.Tuple) {
 	}
 }
 
-// Lookup calls emit for every stored tuple whose key column hashes to hash
-// (every stored tuple when the arrangement is unindexed). Safe to call
-// concurrently with other readers; emit must not retain candidates past the
-// call (merge-copy matches instead).
-func (a *Arrangement) Lookup(hash uint64, emit func(*tuple.Tuple)) {
+// Rows is an arrangement held read-locked: the view Read passes to its
+// callback. The slices it returns alias the store; neither they nor the
+// Rows may outlive the callback (merge-copy matches instead).
+type Rows struct{ a *Arrangement }
+
+// Read calls fn with the arrangement read-locked once for the whole call,
+// so a probe batch pays one lock however many keys it looks up. Safe to call
+// concurrently with other readers.
+func (a *Arrangement) Read(fn func(Rows)) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	if a.index == nil {
-		a.scanLocked(emit)
-		return
+	fn(Rows{a})
+}
+
+// Bucket returns the stored tuples whose key column hashes to hash, in
+// insertion order (every stored tuple when the arrangement is unindexed).
+func (r Rows) Bucket(hash uint64) []*tuple.Tuple {
+	if r.a.index == nil {
+		return r.All()
 	}
-	for _, t := range a.index[hash] {
-		emit(t)
+	return r.a.index[hash]
+}
+
+// All returns every stored tuple in time/insertion order.
+func (r Rows) All() []*tuple.Tuple {
+	if r.a.all != nil {
+		return r.a.all.Range(-1<<62, 1<<62)
 	}
+	return r.a.inseq
+}
+
+// Lookup calls emit for every tuple of Bucket(hash), under one Read.
+func (a *Arrangement) Lookup(hash uint64, emit func(*tuple.Tuple)) {
+	a.Read(func(r Rows) {
+		for _, t := range r.Bucket(hash) {
+			emit(t)
+		}
+	})
 }
 
 // Scan calls emit for every stored tuple in time/insertion order.
 func (a *Arrangement) Scan(emit func(*tuple.Tuple)) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	a.scanLocked(emit)
-}
-
-func (a *Arrangement) scanLocked(emit func(*tuple.Tuple)) {
-	if a.all != nil {
-		for _, t := range a.all.Range(-1<<62, 1<<62) {
+	a.Read(func(r Rows) {
+		for _, t := range r.All() {
 			emit(t)
 		}
-		return
-	}
-	for _, t := range a.inseq {
-		emit(t)
-	}
+	})
 }
 
 // Len returns the number of stored (live, non-retired) tuples.
 func (a *Arrangement) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	return a.lenLocked()
+}
+
+func (a *Arrangement) lenLocked() int {
 	if a.all != nil {
 		return a.all.Len()
 	}
 	return len(a.inseq)
 }
 
-// Evict removes stored tuples with window time strictly below watermark,
-// parking them on the retired list of the current epoch; they are freed
-// only once every open cursor has synced past it. Writer-only. Returns the
-// number evicted. Only valid on windowed arrangements (no-op otherwise).
+// Evict removes stored tuples with window time strictly below watermark.
+// While any cursor is open they are parked on the retired list of the
+// current epoch and freed only once every open cursor has synced past it;
+// with none open they are freed here. Writer-only. Returns the number
+// evicted. Only valid on windowed arrangements (no-op otherwise).
 func (a *Arrangement) Evict(watermark int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -174,8 +195,16 @@ func (a *Arrangement) Evict(watermark int64) int {
 	if len(old) == 0 {
 		return 0
 	}
-	parked := make([]*tuple.Tuple, len(old))
-	copy(parked, old)
+	if len(a.cursors) == 0 && a.opts.Recycler == nil {
+		// Nobody to wait for and no pool to feed: count them and let the
+		// buffer's shift below hand them to the collector.
+		a.free(old)
+	} else {
+		// old aliases the buffer, which the shift overwrites.
+		parked := make([]*tuple.Tuple, len(old))
+		copy(parked, old)
+		a.retired = append(a.retired, retiredBatch{epoch: a.epoch, ts: parked})
+	}
 	n := a.all.Evict(watermark)
 	a.evicted += int64(n)
 	if a.index != nil {
@@ -185,7 +214,6 @@ func (a *Arrangement) Evict(watermark int64) int {
 			a.index[h] = append(a.index[h], t)
 		}
 	}
-	a.retired = append(a.retired, retiredBatch{epoch: a.epoch, ts: parked})
 	a.reclaimLocked()
 	return n
 }
@@ -207,22 +235,23 @@ func (a *Arrangement) Advance() {
 func (a *Arrangement) ScrubLineage(mask tuple.Bitset) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.scanLocked(func(t *tuple.Tuple) {
+	for _, t := range (Rows{a}).All() {
 		for i := range mask {
 			if i < len(t.Queries) {
 				t.Queries[i] &^= mask[i]
 			}
 		}
-	})
+	}
 }
 
 // reclaimLocked frees retired batches every open cursor has passed. With no
-// open cursors everything retired is reclaimable.
+// open cursors everything retired is reclaimable, the current epoch's
+// evictions included.
 func (a *Arrangement) reclaimLocked() {
 	if len(a.retired) == 0 {
 		return
 	}
-	min := a.epoch
+	min := a.epoch + 1
 	for _, c := range a.cursors {
 		if c.at < min {
 			min = c.at
@@ -234,19 +263,24 @@ func (a *Arrangement) reclaimLocked() {
 			kept = append(kept, rb)
 			continue
 		}
-		for _, t := range rb.ts {
-			a.reclaimedN++
-			a.reclaimedB += tupleBytes(t)
-			if a.opts.Recycler != nil {
-				a.opts.Recycler.Put(t)
-			}
-		}
+		a.free(rb.ts)
 	}
 	// Clear the tail so freed batches become collectable.
 	for i := len(kept); i < len(a.retired); i++ {
 		a.retired[i] = retiredBatch{}
 	}
 	a.retired = kept
+}
+
+// free counts ts as reclaimed and hands them to the recycler, if any.
+func (a *Arrangement) free(ts []*tuple.Tuple) {
+	for _, t := range ts {
+		a.reclaimedN++
+		a.reclaimedB += tupleBytes(t)
+		if a.opts.Recycler != nil {
+			a.opts.Recycler.Put(t)
+		}
+	}
 }
 
 // tupleBytes estimates a tuple's resident size: the struct, its value
@@ -372,11 +406,7 @@ func (a *Arrangement) Stats() Stats {
 		ReclaimedBytes:  a.reclaimedB,
 		MaxReaders:      a.maxReaders,
 	}
-	if a.all != nil {
-		st.Size = a.all.Len()
-	} else {
-		st.Size = len(a.inseq)
-	}
+	st.Size = a.lenLocked()
 	for _, c := range a.cursors {
 		if c.at < st.MinCursor {
 			st.MinCursor = c.at

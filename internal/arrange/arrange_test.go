@@ -276,3 +276,64 @@ func TestRegistryKeysAndDrop(t *testing.T) {
 		t.Fatalf("after Drop: %d arrangements, want 1", n)
 	}
 }
+
+// TestCursorlessEvictFreesAtOnce: a private owner opens no cursor and never
+// calls Advance, so what it evicts must be freed by Evict itself — nothing
+// parks on the retired list, with a recycler (tuples go back to the pool) or
+// without (they go to the collector).
+func TestCursorlessEvictFreesAtOnce(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		opts := windowedOpts()
+		pool := tuple.NewPool()
+		if pooled {
+			opts.Recycler = pool
+		}
+		a := New(opts)
+		for round := int64(1); round <= 3; round++ {
+			batch := make([]*tuple.Tuple, 100)
+			for i := range batch {
+				batch[i] = mk(round*1000+int64(i), int64(i%8))
+			}
+			a.Insert(batch)
+			if n := a.Evict(round*1000 + 100); n != 100 {
+				t.Fatalf("pooled=%v round %d: Evict = %d, want 100", pooled, round, n)
+			}
+			st := a.Stats()
+			if st.Retired != 0 || st.ReclaimedTuples != 100*round || st.Size != 0 {
+				t.Fatalf("pooled=%v round %d: retired=%d reclaimed=%d size=%d, want 0/%d/0",
+					pooled, round, st.Retired, st.ReclaimedTuples, st.Size, 100*round)
+			}
+		}
+		if got := pool.Stats().Puts; pooled && got != 300 {
+			t.Fatalf("pool puts = %d, want 300", got)
+		}
+	}
+}
+
+// TestReadLocksOncePerBatch: Read answers any number of lookups under one
+// acquisition, and Bucket/All see what Lookup/Scan see, in the same order.
+func TestReadLocksOncePerBatch(t *testing.T) {
+	a := New(windowedOpts())
+	a.Insert([]*tuple.Tuple{mk(3, 10), mk(1, 20), mk(2, 10)})
+	var byKey, all []int64
+	a.Read(func(r Rows) {
+		for _, k := range []int64{10, 20, 30} {
+			for _, tt := range r.Bucket(tuple.Int(k).Hash()) {
+				byKey = append(byKey, tt.TS)
+			}
+		}
+		for _, tt := range r.All() {
+			all = append(all, tt.TS)
+		}
+		// The read lock is held across the whole callback.
+		if a.mu.TryLock() {
+			t.Error("Read does not hold the arrangement's lock")
+		}
+	})
+	if len(byKey) != 3 || byKey[0] != 3 || byKey[1] != 2 || byKey[2] != 1 {
+		t.Fatalf("Bucket order = %v, want insertion order per key [3 2 1]", byKey)
+	}
+	if len(all) != 3 || all[0] != 1 || all[1] != 2 || all[2] != 3 {
+		t.Fatalf("All = %v, want time order [1 2 3]", all)
+	}
+}

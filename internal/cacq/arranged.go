@@ -2,12 +2,11 @@ package cacq
 
 import (
 	"telegraphcq/internal/arrange"
-	"telegraphcq/internal/eddy"
-	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
 
-// ArrangedConfig switches an engine's SteM storage to shared arrangements.
+// ArrangedConfig says where an engine's SteMs store their rows and how it
+// numbers its queries.
 type ArrangedConfig struct {
 	// Provider returns the arrangement storing build tuples of the named
 	// stream keyed on keyCol. The provider decides sharing scope (the
@@ -23,11 +22,10 @@ type ArrangedConfig struct {
 	ReuseSlots bool
 }
 
-// NewArranged creates a shared engine whose join SteMs delegate storage to
-// arrangements from cfg.Provider. Everything else matches New: the SteM
-// fronts keep validation, predicate verification, and counters private.
-func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg ArrangedConfig) (*Engine, error) {
-	return newEngine(layout, joins, policy, &cfg)
+// privateArrangement is New's provider: a fresh arrangement per SteM, in no
+// registry and with no recycler, read through this engine's cursor alone.
+func privateArrangement(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement {
+	return arrange.New(arrange.Options{Name: stream, KeyCol: keyCol, Windowed: true, TimeKind: kind})
 }
 
 // trackArrangement records a (deduplicated) arrangement this engine reads,
@@ -44,7 +42,8 @@ func (e *Engine) trackArrangement(a *arrange.Arrangement) {
 
 // allocSlot hands out a lineage-slot ID: a scrubbed free slot when one
 // exists; else, if removed queries are cooling, scrub their bits from every
-// arrangement in one batched pass, promote, and retry; else a fresh ID.
+// arrangement in one batched pass, promote, and retry; else a fresh ID —
+// always a fresh one without ReuseSlots, where nothing is ever freed.
 // Purely driven by allocator state, so the same mutation sequence yields
 // the same IDs regardless of timing.
 func (e *Engine) allocSlot() int {
@@ -80,9 +79,4 @@ func (e *Engine) AdvanceEpoch() {
 // SlotHighWater returns the number of lineage-slot IDs ever minted — with
 // ReuseSlots this stays near the live query count under churn instead of
 // growing monotonically.
-func (e *Engine) SlotHighWater() int {
-	if e.arranged != nil && e.arranged.ReuseSlots {
-		return e.slots.High()
-	}
-	return e.nextID
-}
+func (e *Engine) SlotHighWater() int { return e.slots.High() }

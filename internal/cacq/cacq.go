@@ -63,20 +63,20 @@ type Engine struct {
 	byFootprint map[tuple.SourceSet][]*Query
 	// interested[s] caches the lineage template for tuples of stream s.
 	interested []tuple.Bitset
-	nextID     int
 	maxID      int
 	watermarks []int64
 	// wide is the reusable ingest batch (single ingest goroutine).
 	wide tuple.Batch
 
-	// arranged is non-nil when SteM storage is delegated to shared
-	// arrangements (NewArranged); handles holds each query's reader
-	// handles and slots reallocates lineage-slot IDs of removed queries.
-	arranged *ArrangedConfig
-	arrs     []*arrange.Arrangement
-	cursors  []*arrange.Cursor
-	handles  map[int][]*arrange.Handle
-	slots    arrange.Slots
+	// cfg says where SteM rows live and whether lineage slots are reused
+	// (arranged.go). arrs are the arrangements behind the SteMs, cursors the
+	// engine's cursor on each, handles each query's reader handles; slots
+	// hands out lineage-slot IDs.
+	cfg     ArrangedConfig
+	arrs    []*arrange.Arrangement
+	cursors []*arrange.Cursor
+	handles map[int][]*arrange.Handle
+	slots   arrange.Slots
 }
 
 // ModuleCount returns how many eddy modules a shared engine over layout
@@ -86,11 +86,13 @@ func ModuleCount(layout *tuple.Layout, joins []JoinSpec) int {
 	return layout.Width() + 2*len(joins)
 }
 
-// New creates a shared engine over layout with the given shared join edges.
-// policy nil selects a lottery policy. It fails when the super-query needs
-// more modules than one eddy's 64-bit lineage bitmaps can route.
+// New creates a shared engine over layout with the given shared join edges,
+// its SteMs storing into arrangements only this engine reaches and its query
+// IDs monotone. policy nil selects a lottery policy. It fails when the
+// super-query needs more modules than one eddy's 64-bit lineage bitmaps can
+// route.
 func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, error) {
-	return newEngine(layout, joins, policy, nil)
+	return NewArranged(layout, joins, policy, ArrangedConfig{Provider: privateArrangement})
 }
 
 // engineSeq numbers engine constructions so defaulted policies get distinct
@@ -98,7 +100,11 @@ func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, e
 // replaying one RNG stream.
 var engineSeq atomic.Int64
 
-func newEngine(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, arr *ArrangedConfig) (*Engine, error) {
+// NewArranged is New with the caller deciding, through cfg, which
+// arrangements the join SteMs store into and whether lineage slots are
+// reused. The SteM fronts keep validation, predicate verification and
+// counters private either way.
+func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg ArrangedConfig) (*Engine, error) {
 	if err := eddy.CheckModuleCount(ModuleCount(layout, joins)); err != nil {
 		return nil, err
 	}
@@ -110,10 +116,8 @@ func newEngine(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, arr *
 		queries:     make(map[int]*Query),
 		byFootprint: make(map[tuple.SourceSet][]*Query),
 		interested:  make([]tuple.Bitset, layout.Streams()),
-		arranged:    arr,
-	}
-	if arr != nil {
-		e.handles = make(map[int][]*arrange.Handle)
+		cfg:         cfg,
+		handles:     make(map[int][]*arrange.Handle),
 	}
 
 	var modules []eddy.Module
@@ -145,18 +149,14 @@ func newEngine(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, arr *
 	return e, nil
 }
 
-// newSteM builds one join SteM for stream s keyed on keyCol — private
-// storage normally, a shared arrangement from the provider in arranged
-// mode.
+// newSteM builds one join SteM for stream s keyed on keyCol, storing into
+// the provider's arrangement for it.
 func (e *Engine) newSteM(s, keyCol int, kind window.TimeKind) *stem.SteM {
 	name := e.layout.Schemas[s].Relation
-	opts := []stem.Option{stem.WithIndex(keyCol), stem.WithWindowEviction(kind)}
-	if e.arranged != nil {
-		a := e.arranged.Provider(name, keyCol, kind)
-		e.trackArrangement(a)
-		opts = append(opts, stem.WithStore(a))
-	}
-	return stem.New(name, tuple.SingleSource(s), e.layout, opts...)
+	a := e.cfg.Provider(name, keyCol, kind)
+	e.trackArrangement(a)
+	return stem.New(name, tuple.SingleSource(s), e.layout,
+		stem.WithIndex(keyCol), stem.WithWindowEviction(kind), stem.WithStore(a))
 }
 
 // AddQuery registers a standing query and returns it. Footprint must be a
@@ -172,12 +172,7 @@ func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate
 		Project:    project,
 		Output:     out,
 	}
-	if e.arranged != nil && e.arranged.ReuseSlots {
-		q.ID = e.allocSlot()
-	} else {
-		q.ID = e.nextID
-		e.nextID++
-	}
+	q.ID = e.allocSlot()
 	if q.ID > e.maxID {
 		e.maxID = q.ID
 	}
@@ -192,7 +187,7 @@ func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate
 	}
 	e.queries[q.ID] = q
 	e.byFootprint[footprint] = append(e.byFootprint[footprint], q)
-	if e.arranged != nil && len(e.cursors) > 0 {
+	if len(e.cursors) > 0 {
 		hs := make([]*arrange.Handle, len(e.cursors))
 		for i, c := range e.cursors {
 			hs[i] = c.Attach()
@@ -220,14 +215,12 @@ func (e *Engine) RemoveQuery(id int) error {
 			break
 		}
 	}
-	if e.arranged != nil {
-		for _, h := range e.handles[id] {
-			h.Close()
-		}
-		delete(e.handles, id)
-		if e.arranged.ReuseSlots {
-			e.slots.Free(id)
-		}
+	for _, h := range e.handles[id] {
+		h.Close()
+	}
+	delete(e.handles, id)
+	if e.cfg.ReuseSlots {
+		e.slots.Free(id)
 	}
 	e.invalidate()
 	return nil
@@ -344,7 +337,8 @@ func (e *Engine) deliver(t *tuple.Tuple) {
 }
 
 // EvictWindows drops SteM state older than watermark across all shared
-// SteMs (the engine's window maintenance tick).
+// SteMs (the engine's window maintenance tick). The engine holds a cursor on
+// every arrangement, so what is dropped is freed at the next AdvanceEpoch.
 func (e *Engine) EvictWindows(watermark int64) int {
 	n := 0
 	for _, sm := range e.stems {

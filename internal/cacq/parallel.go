@@ -24,13 +24,12 @@ type ParallelOptions struct {
 	// engine's order. Leave false for workloads without a global arrival
 	// order (independently sequenced streams).
 	Ordered bool
-	// Arranged, when non-nil, makes each engine delegate SteM storage to
-	// shared arrangements: called once with shard -1 for the front engine
-	// and once per worker shard (shard-local arrangements — partitioned
-	// state never crosses shards). Returning nil keeps that engine on
-	// private storage. ReuseSlots is forced off in parallel mode (see
-	// ArrangedConfig).
-	Arranged func(shard int) *ArrangedConfig
+	// Arranged says where each engine's SteMs store their rows: called
+	// once with shard -1 for the front engine and once per worker shard
+	// (shard-local arrangements — partitioned state never crosses shards).
+	// Nil gives every engine New's private arrangements. ReuseSlots is
+	// forced off in parallel mode (see ArrangedConfig).
+	Arranged func(shard int) ArrangedConfig
 }
 
 // Parallel executes one shared CACQ super-query across hash-partitioned
@@ -94,20 +93,16 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 		}
 	}
 	newEng := func(shard int) (*Engine, error) {
-		if opt.Arranged == nil {
-			return New(layout, joins, pol(shard))
+		cfg := ArrangedConfig{Provider: privateArrangement}
+		if opt.Arranged != nil {
+			cfg = opt.Arranged(shard)
 		}
-		cfg := opt.Arranged(shard)
-		if cfg == nil {
-			return New(layout, joins, pol(shard))
-		}
-		c := *cfg
 		// Slot reuse is unsound here: outputs already handed to the merge
 		// stage keep flowing through a Barrier, so a tuple carrying a
 		// freed slot's bit can still be in flight when the slot is
 		// reallocated. Monotone IDs also keep front/shard lockstep.
-		c.ReuseSlots = false
-		return NewArranged(layout, joins, pol(shard), c)
+		cfg.ReuseSlots = false
+		return NewArranged(layout, joins, pol(shard), cfg)
 	}
 	front, err := newEng(-1)
 	if err != nil {

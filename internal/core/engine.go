@@ -83,9 +83,8 @@ type Options struct {
 	// two-stream equijoin queries join a shared class whose SteM builds
 	// are stored once in multi-reader arrangements (one writer, epoch-
 	// based reclamation), so the N-th overlapping continuous query costs a
-	// registry handle instead of a state copy. Selection classes reuse the
-	// same machinery for lineage-slot recycling under query churn. Off
-	// (the default) keeps every plan on its previous path, bit-identical.
+	// registry handle instead of a state copy. Off (the default) gives
+	// every equijoin its private eddy.
 	SharedArrangements bool
 	// Columnar routes qualifying plans — unwindowed two-stream equijoins
 	// (self-joins included) with their selections, without aggregates,
@@ -177,10 +176,9 @@ type Engine struct {
 	// out of retention.
 	recycler *tuple.Pool
 
-	// arrReg holds every shared arrangement, keyed on
-	// (class, stream, shard); always non-nil so metrics and introspection
-	// can enumerate arrangements without mode checks (empty when
-	// SharedArrangements is off).
+	// arrReg holds every shared class's arrangements, keyed on
+	// (class, stream, shard), for metrics and introspection to enumerate;
+	// a private eddy's SteMs own theirs and are not in it.
 	arrReg *arrange.Registry
 
 	// intro is the introspection collector (nil without Options.Introspect).

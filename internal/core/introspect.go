@@ -303,8 +303,8 @@ func (in *introspector) tick() {
 		}
 	}
 
-	// One tcq.arrange row per shared arrangement per tick (none when
-	// SharedArrangements is off — the registry is empty).
+	// One tcq.arrange row per registry arrangement per tick (none until
+	// a shared join class exists).
 	e.arrReg.Each(func(k arrange.Key, a *arrange.Arrangement) {
 		st := a.Stats()
 		byStream[introspect.ArrangeStream] = append(byStream[introspect.ArrangeStream], &tuple.Tuple{

@@ -20,11 +20,11 @@ import (
 // sharedClass implements the paper's shared processing (§1.1, §3.1) inside
 // the SQL engine: qualifying queries join a CACQ engine instead of getting
 // a private eddy. Selection classes (one per stream) share one grouped-
-// filter pass per tuple among all members; with SharedArrangements on,
-// equijoin classes (one per stream-pair + join-column key) additionally
-// share one SteM build — stored in multi-reader arrangements — among every
-// overlapping join query. Queries enter and leave the running class
-// dynamically.
+// filter pass per tuple among all members; equijoin classes (one per
+// stream-pair + join-column key; RegisterPlan decides whether equijoins are
+// routed here) additionally share one SteM build — stored in the engine
+// registry's multi-reader arrangements — among every overlapping join
+// query. Queries enter and leave the running class dynamically.
 type sharedClass struct {
 	// key identifies the class: the stream name for selection classes
 	// (unchanged from before join sharing existed), or
@@ -110,7 +110,7 @@ func qualifiesShared(plan *sql.Plan) bool {
 // join class: an unwindowed two-stream single-equijoin select (no
 // aggregates/ordering/limit/distinct, no self-join — one stream feeding two
 // FROM positions would need per-position lineage the class key can't
-// express). Only consulted when Options.SharedArrangements is on.
+// express).
 func qualifiesSharedJoin(plan *sql.Plan) bool {
 	if len(plan.Entries) != 2 ||
 		plan.Entries[0].Kind != catalog.Stream ||
@@ -208,11 +208,9 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			Policy: func(shard int) eddy.Policy {
 				return e.routingPolicy(seed + int64(shard) + 2)
 			},
-		}
-		if e.opts.SharedArrangements {
-			popt.Arranged = func(shard int) *cacq.ArrangedConfig {
-				return &cacq.ArrangedConfig{Provider: e.arrangedProvider(key, shard)}
-			}
+			Arranged: func(shard int) cacq.ArrangedConfig {
+				return cacq.ArrangedConfig{Provider: e.arrangedProvider(key, shard)}
+			},
 		}
 		par, err := cacq.NewParallelEngine(plan.Layout, joins, popt)
 		if err != nil {
@@ -220,19 +218,13 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		}
 		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
 	} else {
-		var seq *cacq.Engine
-		var err error
-		if e.opts.SharedArrangements {
-			seq, err = cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
-				Provider: e.arrangedProvider(key, -1),
-				// The sequential step is fully synchronous, so freed lineage
-				// slots can be scrubbed and reused — bitmaps stay dense under
-				// query churn.
-				ReuseSlots: true,
-			})
-		} else {
-			seq, err = cacq.New(plan.Layout, joins, e.routingPolicy(seed))
-		}
+		seq, err := cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
+			Provider: e.arrangedProvider(key, -1),
+			// The sequential step is fully synchronous, so freed lineage
+			// slots can be scrubbed and reused — bitmaps stay dense under
+			// query churn.
+			ReuseSlots: true,
+		})
 		if err != nil {
 			return nil, err
 		}

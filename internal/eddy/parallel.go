@@ -31,7 +31,7 @@ type ParallelConfig struct {
 	BatchSize int
 	// Partition maps a tuple to a shard index (taken mod Workers). Use
 	// flux-style key hashing so tuples that must meet in one SteM
-	// co-locate; see flux.KeyPartitioner.
+	// co-locate; see KeyPartition.
 	Partition func(*tuple.Tuple) int
 	// NewShard builds shard s's execution unit. emit is the shard's
 	// output: it may be called only while the shard is processing a

@@ -5,9 +5,10 @@ package checks
 // while holding one further up, never the reverse. The table encodes the
 // layering of the dataflow: server session state wraps engine registry
 // state, which wraps per-stream and per-class state, which wraps the
-// runtime/shard structures, with egress sinks and scrape-time metric state
-// innermost. lockcheck verifies every function (and every helper reachable
-// through same-package calls) against it.
+// runtime/shard structures, with egress sinks, the arrangement a SteM stores
+// into and scrape-time metric state innermost. lockcheck verifies every
+// function (and every helper reachable through same-package calls) against
+// it.
 var RepoLockOrder = []LockClass{
 	// Server layer: per-connection session state. The proxy's upstream
 	// gate wraps its ownership map (redial holds upMu while snapshotting
@@ -42,6 +43,12 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/egress", "PushEgress", "mu"},
 	{modulePath + "/internal/egress", "PullEgress", "mu"},
 	{modulePath + "/internal/egress", "PriorityEgress", "mu"},
+
+	// The one row store behind every SteM: taken under the class, runtime
+	// and shard locks above by whichever eddy steps the SteM. A leaf — a
+	// callback running under it merges rows and may enter tuple.Pool,
+	// nothing in this table.
+	{modulePath + "/internal/arrange", "Arrangement", "mu"},
 
 	// Innermost leaves: metric registry/tracer and the fjord queues. Code
 	// holding any of these must not call back up into the engine.

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/expr"
+	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
@@ -229,6 +231,25 @@ func TestSteMModuleAppliesTo(t *testing.T) {
 	}
 	if modS.AppliesTo(tuple.SingleSource(0).Union(tuple.SingleSource(1))) {
 		t.Error("SteM_S must not accept overlapping SR tuples")
+	}
+}
+
+// TestSteMModuleNames: the eddy module over a SteM that owns its store is
+// SteM(<stream>); over a shared arrangement it is Arr(<stream>), so EXPLAIN,
+// TOP and tcq.stats show which state is shared.
+func TestSteMModuleNames(t *testing.T) {
+	s := tuple.NewSchema("S", tuple.Column{Name: "k", Kind: tuple.KindInt})
+	r := tuple.NewSchema("R", tuple.Column{Name: "k", Kind: tuple.KindInt})
+	l := tuple.NewLayout(s, r)
+	modS, modR := BuildSteMPair(l, 0, 1, 0, 1, window.Physical)
+	if modS.Name() != "SteM(S)" || modR.Name() != "SteM(R)" || modS.SteM().Shared() {
+		t.Errorf("private pair named %s / %s, shared=%v", modS.Name(), modR.Name(), modS.SteM().Shared())
+	}
+	arr := arrange.New(arrange.Options{Name: "S", KeyCol: 0, Windowed: true, TimeKind: window.Physical})
+	shared := NewSteMModule(stem.New("S", tuple.SingleSource(0), l, stem.WithIndex(0),
+		stem.WithWindowEviction(window.Physical), stem.WithStore(arr)), l, nil)
+	if shared.Name() != "Arr(S)" || !shared.SteM().Shared() {
+		t.Errorf("front over a shared arrangement named %s, shared=%v", shared.Name(), shared.SteM().Shared())
 	}
 }
 

@@ -12,49 +12,33 @@ import (
 	"fmt"
 	"time"
 
+	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
 
-// Store abstracts the SteM's tuple storage so it can be swapped for a
-// shared arrangement (internal/arrange): a multi-reader index built once
-// and probed by many queries' SteM fronts. The default SteM owns its
-// private index/buffer; WithStore delegates storage to an external Store
-// while the SteM keeps its per-instance counters and probe timing.
-type Store interface {
-	// Insert adds build tuples.
-	Insert(ts []*tuple.Tuple)
-	// Lookup emits stored tuples whose key column hashes to hash.
-	Lookup(hash uint64, emit func(*tuple.Tuple))
-	// Scan emits all stored tuples in time/insertion order.
-	Scan(emit func(*tuple.Tuple))
-	// Evict drops tuples with window time strictly below watermark.
-	Evict(watermark int64) int
-	// Len is the stored tuple count.
-	Len() int
-}
-
-// SteM is a state module. It is not safe for concurrent use: within an
-// eddy, SteMs are invoked synchronously from the routing loop (the paper's
-// non-preemptive Dispatch Unit model); Flux partitions SteMs across
-// goroutine-confined nodes.
+// SteM is a state module: the per-query front of an arrangement
+// (internal/arrange), which holds the rows — hash index, ordered store and
+// eviction. The front keeps what is per-SteM: span checks, predicate
+// verification, merge construction, counters and sampled probe timing. It is
+// not safe for concurrent use: within an eddy, SteMs are invoked
+// synchronously from the routing loop (the paper's non-preemptive Dispatch
+// Unit model); Flux partitions SteMs across goroutine-confined nodes.
 type SteM struct {
 	name   string
 	spans  tuple.SourceSet // stream set of stored tuples
 	layout *tuple.Layout
 
-	// store, when set, replaces the private index/buffer below with a
-	// shared arrangement; probes and builds delegate to it.
-	store Store
+	// store holds the rows: an arrangement New builds for this SteM alone
+	// (unregistered, no cursor, no recycler), or a shared one from WithStore.
+	store  *arrange.Arrangement
+	shared bool
 
 	// keyCol is the wide-row slot the hash index is built on (the join
 	// attribute); -1 disables indexing and probes scan.
 	keyCol int
-	index  map[uint64][]*tuple.Tuple
-	all    *window.Buffer // time-ordered for window eviction
-	inseq  []*tuple.Tuple // insertion order when no window eviction is used
 
 	timeKind window.TimeKind
 	windowed bool
@@ -87,12 +71,11 @@ func WithWindowEviction(kind window.TimeKind) Option {
 	}
 }
 
-// WithStore delegates tuple storage to st — typically a shared arrangement
-// serving many queries' SteMs — instead of a private index/buffer. The SteM
-// remains the validation/probe front: spans checks, predicate verification,
-// merge construction, and counters stay per-SteM; only storage is shared.
-func WithStore(st Store) Option {
-	return func(s *SteM) { s.store = st }
+// WithStore stores into a — a shared arrangement serving many queries'
+// SteMs — instead of one the SteM owns. a's own index column and ordering
+// apply; WithIndex still says whether probes go through the index.
+func WithStore(a *arrange.Arrangement) Option {
+	return func(s *SteM) { s.store, s.shared = a, true }
 }
 
 // New creates a SteM named name holding tuples that span the stream set
@@ -107,13 +90,9 @@ func New(name string, spans tuple.SourceSet, layout *tuple.Layout, opts ...Optio
 	for _, o := range opts {
 		o(s)
 	}
-	if s.store == nil {
-		if s.keyCol >= 0 {
-			s.index = make(map[uint64][]*tuple.Tuple)
-		}
-		if s.windowed {
-			s.all = window.NewBuffer(s.timeKind)
-		}
+	if !s.shared {
+		s.store = arrange.New(arrange.Options{Name: name, KeyCol: s.keyCol,
+			Windowed: s.windowed, TimeKind: s.timeKind})
 	}
 	return s
 }
@@ -124,26 +103,15 @@ func (s *SteM) Name() string { return s.name }
 // Spans returns the stream set of stored tuples.
 func (s *SteM) Spans() tuple.SourceSet { return s.spans }
 
-// Shared reports whether storage is delegated to an external Store.
-func (s *SteM) Shared() bool { return s.store != nil }
+// Shared reports whether the store is a shared arrangement (WithStore).
+func (s *SteM) Shared() bool { return s.shared }
 
 // Size returns the number of stored tuples.
-func (s *SteM) Size() int {
-	if s.store != nil {
-		return s.store.Len()
-	}
-	if s.windowed {
-		return s.all.Len()
-	}
-	return len(s.inseq)
-}
+func (s *SteM) Size() int { return s.store.Len() }
 
 // Accepts reports whether t is a build tuple for this SteM (spans exactly
 // the stored stream set).
 func (s *SteM) Accepts(t *tuple.Tuple) bool { return t.Source == s.spans }
-
-// CanProbe reports whether t may probe this SteM (spans a disjoint set).
-func (s *SteM) CanProbe(t *tuple.Tuple) bool { return !t.Source.Overlaps(s.spans) }
 
 // SetProbeTimer enables sampled probe latency measurement: roughly one in
 // every `every` probed tuples triggers a clocked probe whose latency folds
@@ -189,28 +157,11 @@ func (s *SteM) probeEnd(start time.Time, tuples int) {
 // Build inserts a tuple. It returns an error if the tuple does not span the
 // SteM's stream set — that indicates an eddy routing bug.
 func (s *SteM) Build(t *tuple.Tuple) error {
-	if !s.Accepts(t) {
-		return fmt.Errorf("stem %s: build tuple spans %b, want %b", s.name, t.Source, s.spans)
-	}
-	s.builds++
-	if s.store != nil {
-		s.store.Insert([]*tuple.Tuple{t})
-		return nil
-	}
-	if s.keyCol >= 0 {
-		h := t.Vals[s.keyCol].Hash()
-		s.index[h] = append(s.index[h], t)
-	}
-	if s.windowed {
-		s.all.Add(t)
-	} else {
-		s.inseq = append(s.inseq, t)
-	}
-	return nil
+	return s.BuildBatch([]*tuple.Tuple{t})
 }
 
-// BuildBatch inserts every tuple of ts, validating spans up front and
-// amortizing counter updates and buffer bookkeeping over the batch.
+// BuildBatch inserts every tuple of ts under one acquisition of the store's
+// lock, validating spans up front.
 func (s *SteM) BuildBatch(ts []*tuple.Tuple) error {
 	for _, t := range ts {
 		if !s.Accepts(t) {
@@ -218,28 +169,17 @@ func (s *SteM) BuildBatch(ts []*tuple.Tuple) error {
 		}
 	}
 	s.builds += int64(len(ts))
-	if s.store != nil {
-		s.store.Insert(ts)
-		return nil
-	}
-	if s.keyCol >= 0 {
-		for _, t := range ts {
-			h := t.Vals[s.keyCol].Hash()
-			s.index[h] = append(s.index[h], t)
-		}
-	}
-	if s.windowed {
-		s.all.AddBatch(ts)
-	} else {
-		s.inseq = append(s.inseq, ts...)
-	}
+	s.store.Insert(ts)
 	return nil
 }
 
-// ProbeBatch probes with every tuple of ps under one call, appending the
-// merged matches for all probes (in probe order) to out and returning it.
-// probeKey and preds are shared by the whole batch — the caller selects
-// them once per batch instead of once per tuple.
+// ProbeBatch probes with every tuple of ps under one acquisition of the
+// store's lock, appending the merged matches for all probes (in probe
+// order) to out and returning it. probeKey is the wide-row slot of a probe
+// holding the value hashed against the index (ignored when the SteM is
+// unindexed); preds are the join predicates verified on each candidate,
+// evaluated as preds[i].Eval(probe, candidate). Both are shared by the
+// whole batch — the caller selects them once per batch, not once per tuple.
 func (s *SteM) ProbeBatch(ps []*tuple.Tuple, probeKey int, preds []expr.JoinPredicate, out []*tuple.Tuple) []*tuple.Tuple {
 	s.probes += int64(len(ps))
 	if start, sampled := s.probeStart(len(ps)); sampled {
@@ -247,131 +187,39 @@ func (s *SteM) ProbeBatch(ps []*tuple.Tuple, probeKey int, preds []expr.JoinPred
 	}
 	before := len(out)
 	indexed := s.keyCol >= 0 && probeKey >= 0
-	for _, p := range ps {
-		pp := p
-		emit := func(cand *tuple.Tuple) {
-			for _, jp := range preds {
-				if !jp.Eval(pp, cand) {
-					return
-				}
+	s.store.Read(func(r arrange.Rows) {
+		for _, p := range ps {
+			var cands []*tuple.Tuple
+			if indexed {
+				cands = r.Bucket(p.Vals[probeKey].Hash())
+			} else {
+				cands = r.All()
 			}
-			out = append(out, s.layout.Merge(pp, cand))
+		next:
+			for _, cand := range cands {
+				for _, jp := range preds {
+					if !jp.Eval(p, cand) {
+						continue next
+					}
+				}
+				out = append(out, s.layout.Merge(p, cand))
+			}
 		}
-		if indexed {
-			s.lookup(pp.Vals[probeKey].Hash(), emit)
-		} else {
-			s.scan(emit)
-		}
-	}
+	})
 	s.matches += int64(len(out) - before)
 	return out
 }
 
-// Probe looks up matches for probe tuple p. probeKey is the wide-row slot
-// of p holding the value hashed against the index (ignored when the SteM is
-// unindexed). preds are the join predicates to verify on each candidate,
-// evaluated as preds[i].Eval(p, candidate). Matches are returned as merged
-// wide rows ({p} ⋈ SteM).
+// Probe is ProbeBatch for one probe tuple: the merged wide rows {p} ⋈ SteM.
 func (s *SteM) Probe(p *tuple.Tuple, probeKey int, preds []expr.JoinPredicate) []*tuple.Tuple {
-	s.probes++
-	if start, sampled := s.probeStart(1); sampled {
-		defer s.probeEnd(start, 1)
-	}
-	var out []*tuple.Tuple
-	emit := func(cand *tuple.Tuple) {
-		for _, jp := range preds {
-			if !jp.Eval(p, cand) {
-				return
-			}
-		}
-		out = append(out, s.layout.Merge(p, cand))
-	}
-	if s.keyCol >= 0 && probeKey >= 0 {
-		s.lookup(p.Vals[probeKey].Hash(), emit)
-	} else {
-		s.scan(emit)
-	}
-	s.matches += int64(len(out))
-	return out
+	return s.ProbeBatch([]*tuple.Tuple{p}, probeKey, preds, nil)
 }
 
-// ProbeRange returns merged matches whose time falls within [left, right];
-// only valid for window-evicting SteMs. Join predicates still verify.
-func (s *SteM) ProbeRange(p *tuple.Tuple, left, right int64, preds []expr.JoinPredicate) []*tuple.Tuple {
-	if s.store != nil {
-		panic("stem: ProbeRange on shared-store SteM")
-	}
-	if !s.windowed {
-		panic("stem: ProbeRange on non-windowed SteM")
-	}
-	s.probes++
-	var out []*tuple.Tuple
-	for _, cand := range s.all.Range(left, right) {
-		ok := true
-		for _, jp := range preds {
-			if !jp.Eval(p, cand) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, s.layout.Merge(p, cand))
-		}
-	}
-	s.matches += int64(len(out))
-	return out
-}
-
-// lookup emits every stored candidate under hash, from the shared store or
-// the private index.
-func (s *SteM) lookup(hash uint64, emit func(*tuple.Tuple)) {
-	if s.store != nil {
-		s.store.Lookup(hash, emit)
-		return
-	}
-	for _, cand := range s.index[hash] {
-		emit(cand)
-	}
-}
-
-func (s *SteM) scan(emit func(*tuple.Tuple)) {
-	if s.store != nil {
-		s.store.Scan(emit)
-		return
-	}
-	if s.windowed {
-		for _, t := range s.all.Range(-1<<62, 1<<62) {
-			emit(t)
-		}
-		return
-	}
-	for _, t := range s.inseq {
-		emit(t)
-	}
-}
-
-// Evict removes stored tuples older than watermark (window time). It
-// rebuilds the hash index; amortize by evicting in batches.
+// Evict removes stored tuples older than watermark (window time). The store
+// rebuilds its hash index; amortize by evicting in batches.
 func (s *SteM) Evict(watermark int64) int {
-	if s.store != nil {
-		n := s.store.Evict(watermark)
-		s.evicted += int64(n)
-		return n
-	}
-	if !s.windowed {
-		return 0
-	}
-	n := s.all.Evict(watermark)
-	if n > 0 {
-		s.evicted += int64(n)
-		if s.keyCol >= 0 {
-			s.index = make(map[uint64][]*tuple.Tuple, s.all.Len())
-			for _, t := range s.all.Range(-1<<62, 1<<62) {
-				h := t.Vals[s.keyCol].Hash()
-				s.index[h] = append(s.index[h], t)
-			}
-		}
-	}
+	n := s.store.Evict(watermark)
+	s.evicted += int64(n)
 	return n
 }
 
@@ -388,27 +236,4 @@ type Stats struct {
 func (s *SteM) Stats() Stats {
 	return Stats{Builds: s.builds, Probes: s.probes, Matches: s.matches,
 		Evicted: s.evicted, Size: s.Size(), ProbeNanos: s.probeNanos}
-}
-
-// Drain returns all stored tuples in time/insertion order (used by Flux
-// state movement when repartitioning a SteM across nodes).
-func (s *SteM) Drain() []*tuple.Tuple {
-	var out []*tuple.Tuple
-	s.scan(func(t *tuple.Tuple) { out = append(out, t) })
-	return out
-}
-
-// Reset clears all state. Disallowed on shared-store SteMs: the store
-// serves other readers that a reset would silently wipe.
-func (s *SteM) Reset() {
-	if s.store != nil {
-		panic("stem: Reset on shared-store SteM")
-	}
-	if s.keyCol >= 0 {
-		s.index = make(map[uint64][]*tuple.Tuple)
-	}
-	if s.windowed {
-		s.all = window.NewBuffer(s.timeKind)
-	}
-	s.inseq = nil
 }

@@ -1,9 +1,11 @@
 package stem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
@@ -75,16 +77,13 @@ func TestBuildRejectsWrongSpan(t *testing.T) {
 	}
 }
 
-func TestAcceptsCanProbe(t *testing.T) {
+func TestAccepts(t *testing.T) {
 	l := twoStreamLayout()
 	st := New("S", tuple.SingleSource(0), l)
 	sTup := widen(l, 0, 0, tuple.Int(1), tuple.Int(2))
 	tTup := widen(l, 1, 0, tuple.Int(1), tuple.Int(2))
 	if !st.Accepts(sTup) || st.Accepts(tTup) {
 		t.Error("Accepts misbehaves")
-	}
-	if st.CanProbe(sTup) || !st.CanProbe(tTup) {
-		t.Error("CanProbe misbehaves")
 	}
 }
 
@@ -111,38 +110,6 @@ func TestWindowEviction(t *testing.T) {
 	probe = widen(l, 1, 100, tuple.Int(15), tuple.Int(0))
 	if m := st.Probe(probe, 2, preds); len(m) != 1 {
 		t.Errorf("probe for live key found %d matches", len(m))
-	}
-}
-
-func TestProbeRange(t *testing.T) {
-	l := twoStreamLayout()
-	st := New("S", tuple.SingleSource(0), l, WithWindowEviction(window.Physical))
-	for i := int64(0); i < 10; i++ {
-		st.Build(widen(l, 0, i, tuple.Int(1), tuple.Int(i)))
-	}
-	probe := widen(l, 1, 100, tuple.Int(1), tuple.Int(0))
-	preds := []expr.JoinPredicate{{LeftCol: 2, Op: expr.Eq, RightCol: 0}}
-	if m := st.ProbeRange(probe, 3, 6, preds); len(m) != 4 {
-		t.Errorf("ProbeRange = %d matches, want 4", len(m))
-	}
-}
-
-func TestDrainAndReset(t *testing.T) {
-	l := twoStreamLayout()
-	st := New("S", tuple.SingleSource(0), l, WithIndex(0))
-	for i := int64(0); i < 5; i++ {
-		st.Build(widen(l, 0, i, tuple.Int(i), tuple.Int(i)))
-	}
-	if got := st.Drain(); len(got) != 5 {
-		t.Errorf("drain = %d", len(got))
-	}
-	st.Reset()
-	if st.Size() != 0 {
-		t.Errorf("size after reset = %d", st.Size())
-	}
-	probe := widen(l, 1, 0, tuple.Int(1), tuple.Int(0))
-	if m := st.Probe(probe, 2, []expr.JoinPredicate{{LeftCol: 2, Op: expr.Eq, RightCol: 0}}); len(m) != 0 {
-		t.Errorf("probe after reset = %d", len(m))
 	}
 }
 
@@ -237,5 +204,133 @@ func TestEvictionWatermarkQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEvictThenProbeKeepsSurvivorOrder: after Evict a private SteM's probe
+// returns exactly the survivors, in the order the store promises — time
+// order (arrival order among ties) when windowed, insertion order otherwise
+// — whether the probe goes through the hash index or a scan.
+func TestEvictThenProbeKeepsSurvivorOrder(t *testing.T) {
+	l := twoStreamLayout()
+	preds := []expr.JoinPredicate{{LeftCol: 2, Op: expr.Eq, RightCol: 0}}
+	probe := widen(l, 1, 100, tuple.Int(1), tuple.Int(0))
+	// Arrival order, as (time, v): out of order and with a tie at time 7.
+	arrivals := [][2]int64{{5, 0}, {2, 1}, {7, 2}, {3, 3}, {7, 4}, {9, 5}, {1, 6}}
+	for _, windowed := range []bool{true, false} {
+		for _, indexed := range []bool{true, false} {
+			t.Run(fmt.Sprintf("windowed=%v/indexed=%v", windowed, indexed), func(t *testing.T) {
+				var opts []Option
+				probeKey := -1
+				if indexed {
+					opts, probeKey = append(opts, WithIndex(0)), 2
+				}
+				if windowed {
+					opts = append(opts, WithWindowEviction(window.Physical))
+				}
+				st := New("S", tuple.SingleSource(0), l, opts...)
+				for _, a := range arrivals {
+					if err := st.Build(widen(l, 0, a[0], tuple.Int(1), tuple.Int(a[1]))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Time order of the rows at or past the watermark; an
+				// insertion-ordered SteM evicts nothing.
+				want, evicted := []int64{0, 2, 4, 5}, 3
+				if !windowed {
+					want, evicted = []int64{0, 1, 2, 3, 4, 5, 6}, 0
+				}
+				if n := st.Evict(4); n != evicted {
+					t.Fatalf("Evict(4) = %d, want %d", n, evicted)
+				}
+				var got []int64
+				for _, m := range st.Probe(probe, probeKey, preds) {
+					got = append(got, m.Vals[1].I)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("survivors probed as v=%v, want %v", got, want)
+				}
+				if s := st.Stats(); s.Size != len(want) || s.Evicted != int64(evicted) {
+					t.Fatalf("stats = %+v, want size %d evicted %d", s, len(want), evicted)
+				}
+			})
+		}
+	}
+}
+
+// TestBuildAllocatesLikeBuildBatch: a single-row Build allocates no slice of
+// its own, over a private store or a shared one — n Builds cost what one
+// BuildBatch of the same n rows costs, and nothing at all once an unindexed
+// store has grown to hold them (a cursor-less Evict parks no copy either).
+func TestBuildAllocatesLikeBuildBatch(t *testing.T) {
+	l := twoStreamLayout()
+	rows := make([]*tuple.Tuple, 64)
+	for i := range rows {
+		rows[i] = widen(l, 0, int64(i), tuple.Int(int64(i%8)), tuple.Int(int64(i)))
+	}
+	for _, shared := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
+			keyCol := -1
+			opts := []Option{WithWindowEviction(window.Physical)}
+			if indexed {
+				keyCol, opts = 0, append(opts, WithIndex(0))
+			}
+			if shared {
+				opts = append(opts, WithStore(arrange.New(arrange.Options{
+					Name: "S", KeyCol: keyCol, Windowed: true, TimeKind: window.Physical})))
+			}
+			st := New("S", tuple.SingleSource(0), l, opts...)
+			single := testing.AllocsPerRun(20, func() {
+				for _, r := range rows {
+					st.Build(r)
+				}
+				st.Evict(1 << 40)
+			})
+			batch := testing.AllocsPerRun(20, func() {
+				st.BuildBatch(rows)
+				st.Evict(1 << 40)
+			})
+			if single != batch || (!indexed && single != 0) {
+				t.Errorf("shared=%v indexed=%v: %d Builds allocate %.0f, one BuildBatch %.0f",
+					shared, indexed, len(rows), single, batch)
+			}
+		}
+	}
+}
+
+// TestSharedAndPrivateFronts: New owns its store and reports private;
+// WithStore reports shared, stores into the arrangement it was handed, and a
+// second front over the same arrangement probes what the first built.
+func TestSharedAndPrivateFronts(t *testing.T) {
+	l := twoStreamLayout()
+	if New("S", tuple.SingleSource(0), l, WithIndex(0)).Shared() {
+		t.Fatal("a SteM that owns its store reports Shared")
+	}
+	arr := arrange.New(arrange.Options{Name: "S", KeyCol: 0, Windowed: true, TimeKind: window.Physical})
+	mk := func() *SteM {
+		return New("S", tuple.SingleSource(0), l, WithIndex(0),
+			WithWindowEviction(window.Physical), WithStore(arr))
+	}
+	builder, reader := mk(), mk()
+	if !builder.Shared() || builder.Name() != "S" {
+		t.Fatalf("WithStore front: Shared=%v Name=%q", builder.Shared(), builder.Name())
+	}
+	if err := builder.BuildBatch([]*tuple.Tuple{
+		widen(l, 0, 1, tuple.Int(1), tuple.Int(10)),
+		widen(l, 0, 2, tuple.Int(2), tuple.Int(20)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if arr.Len() != 2 || reader.Size() != 2 {
+		t.Fatalf("arrangement holds %d rows, second front sees %d, want 2/2", arr.Len(), reader.Size())
+	}
+	probe := widen(l, 1, 100, tuple.Int(2), tuple.Int(0))
+	m := reader.Probe(probe, 2, []expr.JoinPredicate{{LeftCol: 2, Op: expr.Eq, RightCol: 0}})
+	if len(m) != 1 || m[0].Vals[1].I != 20 {
+		t.Fatalf("second front probed %v, want the row the first built", m)
+	}
+	// Counters are per front.
+	if b, r := builder.Stats(), reader.Stats(); b.Builds != 2 || b.Probes != 0 || r.Builds != 0 || r.Probes != 1 || r.Matches != 1 {
+		t.Fatalf("front stats: builder %+v reader %+v", b, r)
 	}
 }
