@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build test race vet bench chaos fuzz soak
 
-check: ## vet + build + race tests + chaos campaign + fuzz smoke
+check: ## every check.sh stage: lint, test, race, bench smoke
 	./scripts/check.sh
 
 chaos: ## full 200-trial chaos campaign (CHAOS_SEED/CHAOS_TRIALS honoured)
@@ -27,5 +27,5 @@ race:
 vet:
 	$(GO) vet ./...
 
-bench: ## run the experiment harness, JSON report included
-	$(GO) run ./cmd/tcqbench -json bench-report.json
+bench: ## run the repository benchmark: all four workloads -> benchmark/out/BENCH_<commit>.json
+	cd benchmark && $(GO) run .

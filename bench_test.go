@@ -1,8 +1,7 @@
 // Package-level benchmarks: one testing.B benchmark per experiment in
 // DESIGN.md §4 (E1–E12), measuring the per-operation cost of each
-// experiment's hot path. The full parameter sweeps (the "tables") are
-// produced by cmd/tcqbench; these benches regenerate each table's core
-// series under `go test -bench`.
+// experiment's hot path: each table's core series under `go test -bench`.
+// The full parameter sweeps as last run are recorded in EXPERIMENTS.md.
 package telegraphcq
 
 import (

@@ -28,6 +28,16 @@ import (
 // clockcheck discipline.
 var clk = chaos.Real()
 
+// feedInterval is the demo feeder's pause between tuples. Rates it cannot
+// turn into a positive pause are refused: 0 would divide by zero inside the
+// feeder goroutine, a negative rate or one past 1e9 would never sleep.
+func feedInterval(rate int) (time.Duration, error) {
+	if rate < 1 || rate > int(time.Second) {
+		return 0, fmt.Errorf("-rate %d: want 1 to %d tuples/second", rate, int(time.Second))
+	}
+	return time.Second / time.Duration(rate), nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:5433", "listen address")
 	httpAddr := flag.String("http", "127.0.0.1:8088", "observability HTTP address serving /metrics (Prometheus text) and /debug/pprof (empty disables)")
@@ -44,6 +54,13 @@ func main() {
 	columnar := flag.Bool("columnar", false, "columnar execution: eligible two-stream equijoin CQs run on struct-of-arrays blocks with arena allocation (zero-alloc hot path; requires workers=1 for the eligible queries)")
 	policy := flag.String("policy", "", "engine-wide eddy routing policy: \"<kind> [seed=N] [every=N] [refresh=N] [order=a,b,c] [nway=on|off]\" with kinds lottery, naive, fixed, batching, fixing, selectivity; empty keeps the legacy per-query lottery. Also enables batch-granular N-way probe-order planning on 3+-stream joins unless nway=off. Individual queries can be re-routed live with SET POLICY <qid> <spec>")
 	flag.Parse()
+
+	interval, err := feedInterval(*rate)
+	if err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "tcqd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var routing eddy.RoutingConfig
 	if *policy != "" {
@@ -104,7 +121,6 @@ func main() {
 		fmt.Println("tcqd: demo stream ClosingStockPrices(timestamp TIME, stockSymbol STRING, closingPrice FLOAT)")
 		go func() {
 			gen := workload.NewStockGenerator(clk.Now().UnixNano(), nil)
-			interval := time.Second / time.Duration(*rate)
 			for {
 				if err := engine.Feed("ClosingStockPrices", gen.Next()); err != nil {
 					return

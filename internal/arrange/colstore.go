@@ -102,7 +102,7 @@ func (s *ColumnStore) AppendFrom(b *tuple.Block, sel *tuple.Mask) {
 		si := int32(len(s.segs) - 1)
 		row := int32(seg.AppendRowFrom(b, i))
 		h := key[i].Hash()
-		//lint:ignore alloccheck hash-index insert: amortized O(1) bucket growth per stored row, pinned below the E17 allocs/tuple gate
+		//lint:ignore alloccheck hash-index insert: amortized O(1) bucket growth per stored row, held under one alloc per fed tuple by core.TestColumnarSteadyStateAllocs
 		s.index[h] = append(s.index[h], RowRef{Seg: si, Row: row})
 		s.rows++
 		s.inserts++

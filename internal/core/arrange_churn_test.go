@@ -29,18 +29,7 @@ import (
 func churnEngine(t *testing.T, workers int) *Engine {
 	t.Helper()
 	e := NewEngine(Options{EOs: 2, Workers: workers, BatchSize: 16, SharedArrangements: true})
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 	return e
 }
 

@@ -94,18 +94,7 @@ func runArrangeWorkload(t *testing.T, shared bool, workers, bs int) arrangeWorkl
 	if err := e.CreateStream("ClosingStockPrices", workload.StockSchema(), 0); err != nil {
 		t.Fatal(err)
 	}
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 
 	var selQ, joinQ []*RunningQuery
 	for _, text := range selQueries {

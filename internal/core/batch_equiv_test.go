@@ -158,18 +158,7 @@ func runJoinQuery(t *testing.T, bs int) []string {
 	t.Helper()
 	e := NewEngine(Options{EOs: 1, BatchSize: bs})
 	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
 	if err != nil {
 		t.Fatal(err)

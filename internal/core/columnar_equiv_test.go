@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"sort"
 	"testing"
 
@@ -70,18 +71,7 @@ func runColumnarWorkload(t *testing.T, columnar bool, bs int) [][]string {
 	t.Helper()
 	e := NewEngine(Options{EOs: 2, Workers: 1, BatchSize: bs, Columnar: columnar})
 	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 
 	var qs []*RunningQuery
 	for _, text := range columnarQueries {
@@ -170,18 +160,7 @@ func TestColumnarEquivalence(t *testing.T) {
 func TestColumnarPushDelivery(t *testing.T) {
 	e := NewEngine(Options{EOs: 2, Workers: 1, BatchSize: 8, Columnar: true})
 	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
 	if err != nil {
 		t.Fatal(err)
@@ -217,5 +196,88 @@ func TestColumnarPushDelivery(t *testing.T) {
 	}
 	if len(res) != want[0] {
 		t.Fatalf("pull fetch returned %d rows, want %d", len(res), want[0])
+	}
+}
+
+// steadyStateAllocsPerTuple feeds the S ⋈ R equijoin 8,000 S rows past a
+// warm-up and returns the process's heap allocations per fed row, the best
+// of three engines (a collection inside the window empties the sync.Pool
+// behind the tuple recycler and charges the refill to the steady state).
+// Every input is built before the window opens, so the count is the
+// engine's own. The warm-up has to reach the recycler's high-water mark:
+// FeedMany clones a whole 512-row chunk before pushing and the input queue
+// holds 4,096, so about queue+chunk clones are in flight before the first
+// recycles come back.
+func steadyStateAllocsPerTuple(t *testing.T, columnar bool) float64 {
+	t.Helper()
+	const keys, rRows, warm, sRows, chunk = 64, 64, 6144, 8000, 512
+	rows := func(from, n int64) []*tuple.Tuple {
+		in := make([]*tuple.Tuple, 0, n)
+		for i := from; i < from+n; i++ {
+			in = append(in, tuple.New(tuple.Int(i%keys), tuple.Int(i)))
+		}
+		return in
+	}
+	chunks := func(in []*tuple.Tuple) [][]*tuple.Tuple {
+		var out [][]*tuple.Tuple
+		for ; len(in) > chunk; in = in[chunk:] {
+			out = append(out, in[:chunk])
+		}
+		return append(out, in)
+	}
+	rIn, warmIn, sIn := rows(0, rRows), chunks(rows(0, warm)), chunks(rows(warm, sRows))
+
+	best := -1.0
+	for trial := 0; trial < 3; trial++ {
+		e := twoStreamEngine(t, Options{EOs: 2, Workers: 1, BatchSize: 32, Columnar: columnar})
+		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func(stream string, parts ...[]*tuple.Tuple) {
+			for _, in := range parts {
+				if err := e.FeedMany(stream, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// One R row per key: every S row joins exactly once.
+		feed("R", rIn)
+		feed("S", warmIn...)
+		waitFor(t, "the warm-up's results", func() bool { return q.Results() >= warm })
+
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		feed("S", sIn...)
+		waitFor(t, "the measured rows' results", func() bool { return q.Results() >= warm+sRows })
+		goruntime.ReadMemStats(&after)
+		e.Stop()
+		if got := q.Results(); got != warm+sRows {
+			t.Fatalf("columnar=%v: %d results, want %d", columnar, got, warm+sRows)
+		}
+		if a := float64(after.Mallocs-before.Mallocs) / sRows; best < 0 || a < best {
+			best = a
+		}
+	}
+	return best
+}
+
+// TestColumnarSteadyStateAllocs pins what the columnar runtime is for
+// (experiment E17): once pools and arenas are warm, the equijoin hot path
+// allocates at most one object per fed tuple — it measures 0.04–0.13 here,
+// the residue being output-block slabs and index growth amortised over
+// hundreds of rows — and fewer than the row runtime on the same feed (4.2).
+// The standing alloccheck suppressions on that path (the hash-index append
+// in arrange.ColumnStore, the tuple pool's miss slab) are excused by this
+// bound.
+func TestColumnarSteadyStateAllocs(t *testing.T) {
+	rowMode := steadyStateAllocsPerTuple(t, false)
+	col := steadyStateAllocsPerTuple(t, true)
+	t.Logf("allocs per fed tuple: rows %.2f, columnar %.2f", rowMode, col)
+	if col > 1.0 {
+		t.Errorf("columnar runtime allocates %.2f objects per fed tuple at steady state, want <= 1.0", col)
+	}
+	if col >= rowMode {
+		t.Errorf("columnar runtime allocates %.2f objects per fed tuple, row runtime %.2f: want fewer", col, rowMode)
 	}
 }

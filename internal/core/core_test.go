@@ -53,6 +53,25 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// intStream creates a logical-time stream whose columns are all INT.
+func intStream(t testing.TB, e *Engine, name string, cols ...string) {
+	t.Helper()
+	cs := make([]tuple.Column, len(cols))
+	for i, c := range cols {
+		cs[i] = tuple.Column{Name: c, Kind: tuple.KindInt}
+	}
+	if err := e.CreateStream(name, tuple.NewSchema(name, cs...), -1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// createSR creates the S(k, v) / R(k, w) pair most join tests run on.
+func createSR(t testing.TB, e *Engine) {
+	t.Helper()
+	intStream(t, e, "S", "k", "v")
+	intStream(t, e, "R", "k", "w")
+}
+
 // TestE7PaperWindowExamples reproduces the four §4.1 example queries over
 // a deterministic stock stream (experiment E7).
 func TestE7PaperWindowExamples(t *testing.T) {
@@ -197,18 +216,7 @@ func TestUnwindowedSelectionCQ(t *testing.T) {
 func TestUnwindowedJoinCQ(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
 	if err != nil {
 		t.Fatal(err)
@@ -803,18 +811,9 @@ func TestThreeWayJoinCQ(t *testing.T) {
 	// every match.
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
-	mkStream := func(name string, cols ...string) {
-		cs := make([]tuple.Column, len(cols))
-		for i, c := range cols {
-			cs[i] = tuple.Column{Name: c, Kind: tuple.KindInt}
-		}
-		if err := e.CreateStream(name, tuple.NewSchema(name, cs...), -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mkStream("A", "k", "va")
-	mkStream("B", "k", "j")
-	mkStream("C", "j", "vc")
+	intStream(t, e, "A", "k", "va")
+	intStream(t, e, "B", "k", "j")
+	intStream(t, e, "C", "j", "vc")
 	q, err := e.Register(`SELECT A.va, C.vc FROM A, B, C
 		WHERE A.k = B.k AND B.j = C.j`)
 	if err != nil {
@@ -1197,18 +1196,7 @@ func TestTopKOverIncrementalJoin(t *testing.T) {
 func TestRegisterRejectsOversizedPlan(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
+	createSR(t, e)
 	// 63 selections + 2 SteMs = 65 modules, one past the lineage-bitmap cap.
 	var sb strings.Builder
 	sb.WriteString("SELECT S.v, R.w FROM S, R WHERE S.k = R.k")

@@ -15,14 +15,7 @@ import (
 func twoStreamEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	e := NewEngine(opts)
-	for name, col := range map[string]string{"S": "v", "R": "w"} {
-		schema := tuple.NewSchema(name,
-			tuple.Column{Name: "k", Kind: tuple.KindInt},
-			tuple.Column{Name: col, Kind: tuple.KindInt})
-		if err := e.CreateStream(name, schema, -1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	createSR(t, e)
 	return e
 }
 
@@ -115,6 +108,49 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	}
 	if v := metricValue(t, e, fmt.Sprintf(`tcq_stem_size{query="%d",stem="S"}`, q.ID)); v != 20 {
 		t.Errorf("tcq_stem_size for S = %v, want the 20 rows its private arrangement holds", v)
+	}
+}
+
+// TestTenThousandCQsShareTwoArrangements is the shared-arrangements claim
+// as a count (McSherry et al.; experiment E16): however many equijoin CQs
+// overlap on a stream pair, the registry holds one arrangement per stream,
+// each CQ costs two reader handles, and the one CQ whose selection matches
+// still sees every result.
+func TestTenThousandCQsShareTwoArrangements(t *testing.T) {
+	const cqs, keys, rRows, sRows = 10000, 64, 64, 2000
+	e := twoStreamEngine(t, Options{EOs: 2, BatchSize: 32, SharedArrangements: true})
+	defer e.Stop()
+	probe, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rest subscribe to the same build with bounds no fed value meets.
+	var idle *RunningQuery
+	for i := 1; i < cqs; i++ {
+		if idle, err = e.Register(fmt.Sprintf(
+			`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > %d`, 1_000_000_000+i%keys)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < rRows; i++ { // one R row per key
+		if err := e.Feed("R", tuple.New(tuple.Int(i%keys), tuple.Int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(0); i < sRows; i++ {
+		if err := e.Feed("S", tuple.New(tuple.Int(i%keys), tuple.Int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitResults(t, probe, sRows)
+	if got := idle.Results(); got != 0 {
+		t.Errorf("a CQ whose bound nothing meets received %d results", got)
+	}
+	if v := metricValue(t, e, "tcq_arrangement_count"); v != 2 {
+		t.Errorf("tcq_arrangement_count = %v with %d overlapping CQs, want 2", v, cqs)
+	}
+	if v := metricValue(t, e, "tcq_arrangement_readers"); v != 2*cqs {
+		t.Errorf("tcq_arrangement_readers = %v, want %d (two per CQ)", v, 2*cqs)
 	}
 }
 

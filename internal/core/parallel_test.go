@@ -58,18 +58,9 @@ func TestParallelRuntimeSelection(t *testing.T) {
 
 	// Two equivalence classes (A.k=B.k, B.j=C.j) cannot partition; the
 	// engine must fall back to the sequential eddy even with Workers>1.
-	mkStream := func(e *Engine, name string, cols ...string) {
-		cs := make([]tuple.Column, len(cols))
-		for i, c := range cols {
-			cs[i] = tuple.Column{Name: c, Kind: tuple.KindInt}
-		}
-		if err := e.CreateStream(name, tuple.NewSchema(name, cs...), -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mkStream(par, "A", "k", "va")
-	mkStream(par, "B", "k", "j")
-	mkStream(par, "C", "j", "vc")
+	intStream(t, par, "A", "k", "va")
+	intStream(t, par, "B", "k", "j")
+	intStream(t, par, "C", "j", "vc")
 	q3, err := par.Register(`SELECT A.va, C.vc FROM A, B, C WHERE A.k = B.k AND B.j = C.j`)
 	if err != nil {
 		t.Fatal(err)
@@ -118,48 +109,53 @@ func TestParallelRunningMaxMatchesSequential(t *testing.T) {
 
 // TestParallelUnwindowedJoin runs the equijoin workload from
 // TestUnwindowedJoinCQ on a parallel engine: hash partitioning must
-// co-locate matching keys so no result is lost or duplicated.
+// co-locate matching keys so no result is lost or duplicated. The second
+// row is experiment E13's workload at its widest setting — eight shards,
+// 256-tuple handoffs, 20,000+64 rows — so the race stage drives the whole
+// driver → shard queues → workers → merge handoff at volume.
 func TestParallelUnwindowedJoin(t *testing.T) {
-	e := NewEngine(Options{EOs: 1, Workers: 4, BatchSize: 4})
-	defer e.Stop()
-	sSchema := tuple.NewSchema("S",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "v", Kind: tuple.KindInt})
-	rSchema := tuple.NewSchema("R",
-		tuple.Column{Name: "k", Kind: tuple.KindInt},
-		tuple.Column{Name: "w", Kind: tuple.KindInt})
-	if err := e.CreateStream("S", sSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CreateStream("R", rSchema, -1); err != nil {
-		t.Fatal(err)
-	}
-	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards(t, q, 4)
-	for i := int64(0); i < 30; i++ {
-		e.Feed("S", tuple.New(tuple.Int(i%5), tuple.Int(i)))
-	}
-	for i := int64(0); i < 20; i++ {
-		e.Feed("R", tuple.New(tuple.Int(i%5), tuple.Int(i)))
-	}
-	// Per key: |S|=6, |R|=4 → 24 matches per key, 5 keys → 120.
-	waitFor(t, "120 join results", func() bool { return q.Results() == 120 })
-	chaos.Real().Sleep(20 * time.Millisecond)
-	if q.Results() != 120 {
-		t.Errorf("join results = %d (duplicates?)", q.Results())
-	}
-	// Every result must be a genuine key match.
-	res, _ := q.Fetch(q.Cursor())
-	for _, r := range res {
-		if r.Vals[0].AsInt()%5 != r.Vals[1].AsInt()%5 {
-			t.Errorf("mismatched join row: %v", r)
-		}
-	}
-	if st, ok := q.EddyStats(); !ok || st.Ingested != 50 {
-		t.Errorf("aggregate shard stats = %+v ok=%v, want Ingested=50", st, ok)
+	for _, tc := range []struct {
+		workers, batch     int
+		sRows, rRows, keys int64
+		want               int64 // Σ over keys of |S_k|·|R_k|
+	}{
+		{4, 4, 30, 20, 5, 120},         // per key |S|=6, |R|=4
+		{8, 256, 20000, 64, 64, 20000}, // one R row per key
+	} {
+		t.Run(fmt.Sprintf("workers=%d/batch=%d", tc.workers, tc.batch), func(t *testing.T) {
+			e := NewEngine(Options{EOs: 1, Workers: tc.workers, BatchSize: tc.batch})
+			defer e.Stop()
+			createSR(t, e)
+			q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantShards(t, q, tc.workers)
+			for i := int64(0); i < tc.sRows; i++ {
+				e.Feed("S", tuple.New(tuple.Int(i%tc.keys), tuple.Int(i)))
+			}
+			for i := int64(0); i < tc.rRows; i++ {
+				e.Feed("R", tuple.New(tuple.Int(i%tc.keys), tuple.Int(i)))
+			}
+			waitFor(t, "the join's results", func() bool { return q.Results() >= tc.want })
+			chaos.Real().Sleep(20 * time.Millisecond)
+			if q.Results() != tc.want {
+				t.Errorf("join results = %d, want %d (duplicates?)", q.Results(), tc.want)
+			}
+			// Every result must be a genuine key match.
+			res, _ := q.Fetch(q.Cursor())
+			for _, r := range res {
+				if r.Vals[0].AsInt()%tc.keys != r.Vals[1].AsInt()%tc.keys {
+					t.Errorf("mismatched join row: %v", r)
+				}
+			}
+			if int64(len(res)) != tc.want {
+				t.Errorf("fetched %d rows, want %d", len(res), tc.want)
+			}
+			if st, ok := q.EddyStats(); !ok || st.Ingested != tc.sRows+tc.rRows {
+				t.Errorf("aggregate shard stats = %+v ok=%v, want Ingested=%d", st, ok, tc.sRows+tc.rRows)
+			}
+		})
 	}
 }
 

@@ -200,15 +200,18 @@ func (q *RunningQuery) emitBlock(b *tuple.Block) {
 		b.Release()
 		return
 	}
-	q.results.Add(int64(n))
 	q.sinkMu.Lock()
 	sinks := q.sinks
 	q.sinkMu.Unlock()
+	// The count moves after the rows are published, as in emit and
+	// emitBatch: a client that read Results() == n can fetch n rows.
 	if q.push.Clients() == 0 && len(sinks) == 0 {
 		q.pull.PublishBlock(b, q.recyclable)
+		q.results.Add(int64(n))
 		return
 	}
 	q.emitBlockRows(b, sinks)
+	q.results.Add(int64(n))
 }
 
 // emitBlockRows materializes a block's rows for row-at-a-time delivery.

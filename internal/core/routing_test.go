@@ -15,18 +15,9 @@ func newThreeWayEngine(t *testing.T, opts Options) (*Engine, *RunningQuery) {
 	t.Helper()
 	e := NewEngine(opts)
 	t.Cleanup(e.Stop)
-	mkStream := func(name string, cols ...string) {
-		cs := make([]tuple.Column, len(cols))
-		for i, c := range cols {
-			cs[i] = tuple.Column{Name: c, Kind: tuple.KindInt}
-		}
-		if err := e.CreateStream(name, tuple.NewSchema(name, cs...), -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mkStream("A", "k", "va")
-	mkStream("B", "k", "j")
-	mkStream("C", "j", "vc")
+	intStream(t, e, "A", "k", "va")
+	intStream(t, e, "B", "k", "j")
+	intStream(t, e, "C", "j", "vc")
 	q, err := e.Register(`SELECT A.va, C.vc FROM A, B, C
 		WHERE A.k = B.k AND B.j = C.j`)
 	if err != nil {
@@ -150,13 +141,7 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 			tc.opts.Routing = eddy.RoutingConfig{Kind: "selectivity"}
 			e := NewEngine(tc.opts)
 			defer e.Stop()
-			for name, col := range map[string]string{"S": "v", "R": "w"} {
-				if err := e.CreateStream(name, tuple.NewSchema(name,
-					tuple.Column{Name: "k", Kind: tuple.KindInt},
-					tuple.Column{Name: col, Kind: tuple.KindInt}), -1); err != nil {
-					t.Fatal(err)
-				}
-			}
+			createSR(t, e)
 			q, err := e.Register(tc.query)
 			if err != nil {
 				t.Fatal(err)
@@ -242,5 +227,83 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 				t.Error("ExplainQuery(999) succeeded for a missing query")
 			}
 		})
+	}
+}
+
+// driftStarVisits runs F ⋈ A ⋈ B ⋈ C (one key column per dimension) under
+// one routing configuration and returns the eddy's module visits once the
+// exact result count is in. Each of 32 keys is held 1, 2 and 8 times by A,
+// B and C in phase 1 and 8, 2 and 1 times in phase 2 (disjoint key ranges,
+// loaded up front), so a fact row matches 16 results in both phases while
+// the cheapest probe order reverses. 300 fact rows per phase arrive in
+// 50-row chunks with the engine draining between them, the arrival pattern
+// of a continuous query: one dump would let a stale plan cover a whole phase.
+func driftStarVisits(t *testing.T, routing eddy.RoutingConfig) int64 {
+	t.Helper()
+	const keys, chunk, rowsPerPhase, perFact, phaseBase = 32, 50, 300, 1 * 2 * 8, 1_000_000
+	fanout := [2][3]int64{{1, 2, 8}, {8, 2, 1}}
+	e := NewEngine(Options{EOs: 1, Workers: 1, BatchSize: 16, Routing: routing})
+	defer e.Stop()
+	intStream(t, e, "A", "a", "va")
+	intStream(t, e, "B", "b", "vb")
+	intStream(t, e, "C", "c", "vc")
+	intStream(t, e, "F", "a", "b", "c")
+	q, err := e.Register(`SELECT F.a, A.va FROM F, A, B, C WHERE F.a = A.a AND F.b = B.b AND F.c = C.c`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for phase, dups := range fanout {
+		for i, dim := range []string{"A", "B", "C"} {
+			var in []*tuple.Tuple
+			for k := int64(0); k < keys; k++ {
+				for r := int64(0); r < dups[i]; r++ {
+					in = append(in, tuple.New(tuple.Int(int64(phase)*phaseBase+k), tuple.Int(r)))
+				}
+			}
+			if err := e.FeedMany(dim, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var fed int64
+	for phase := int64(0); phase < 2; phase++ {
+		for lo := int64(0); lo < rowsPerPhase; lo += chunk {
+			var in []*tuple.Tuple
+			for i := lo; i < lo+chunk; i++ {
+				k := tuple.Int(phase*phaseBase + i%keys)
+				in = append(in, tuple.New(k, k, k))
+			}
+			if err := e.FeedMany("F", in); err != nil {
+				t.Fatal(err)
+			}
+			fed += chunk
+			waitResults(t, q, fed*perFact)
+		}
+	}
+	st, ok := q.EddyStats()
+	if !ok {
+		t.Fatal("no eddy stats: the star join is not on an eddy runtime")
+	}
+	return st.Visits
+}
+
+// TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift is the paper's
+// adaptivity claim at probe-order granularity (§2.2, §4.3; experiment E18):
+// when dimension fanouts flip [1,2,8] → [8,2,1] mid-run, each fixed probe
+// order is cheapest in at most one phase, so the selectivity policy
+// re-planning every 2 batches finishes the identical result count (every
+// arm's is checked exactly, chunk by chunk) with strictly fewer module
+// visits than all six of them. It counts visits, not seconds, so it holds
+// on any machine.
+func TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift(t *testing.T) {
+	adaptive := driftStarVisits(t, eddy.RoutingConfig{Kind: "selectivity", Every: 2})
+	// Module 0 is the fact SteM; builds are forced, so its rank is moot.
+	for _, order := range [][]int{{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}} {
+		static := driftStarVisits(t, eddy.RoutingConfig{Kind: "fixed", Order: order, Every: 4})
+		if adaptive >= static {
+			t.Errorf("adaptive selectivity made %d module visits, fixed %v made %d: re-planning no longer pays after the flip",
+				adaptive, order, static)
+		}
+		t.Logf("fixed %v: %d visits (adaptive %d)", order, static, adaptive)
 	}
 }

@@ -45,6 +45,13 @@ func feedTicks(t testing.TB, e *Engine, fromDay, toDay int64) {
 // once the query is done. check runs off the test goroutine: t.Error only.
 func fetchWhileFiring(t *testing.T, e *Engine, q *RunningQuery, days int64, check func(results int64, fetched []*tuple.Tuple)) []*tuple.Tuple {
 	t.Helper()
+	return fetchWhile(t, q, func() { feedTicks(t, e, 1, days) }, check)
+}
+
+// fetchWhile runs feed, which must leave q finishing, while a second
+// goroutine reads Results() and then fetches, over and over.
+func fetchWhile(t *testing.T, q *RunningQuery, feed func(), check func(results int64, fetched []*tuple.Tuple)) []*tuple.Tuple {
+	t.Helper()
 	cur := q.Cursor()
 	var all []*tuple.Tuple
 	poll := func() {
@@ -65,30 +72,69 @@ func fetchWhileFiring(t *testing.T, e *Engine, q *RunningQuery, days int64, chec
 		}
 		poll()
 	}()
-	feedTicks(t, e, 1, days)
+	feed()
 	q.Wait()
 	wg.Wait()
 	return all
 }
 
 // TestResultsNeverAheadOfFetch: a client that read Results() == n can fetch
-// n rows — the count moves after the rows are published, not before.
+// n rows — the count moves after the rows are published, not before — on
+// each emit path: a window instance (emitBatch), a columnar block handed
+// whole to the pull log, and a columnar block materialised for a subscriber.
 func TestResultsNeverAheadOfFetch(t *testing.T) {
-	e := newTickEngine(t, 0)
-	defer e.Stop()
-	q, err := e.Register(`SELECT sym, COUNT(*) FROM ticks GROUP BY sym
-		for (t = 3; t <= 400; t++) { WindowIs(ticks, t - 2, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fetched int64
-	fetchWhileFiring(t, e, q, 401, func(results int64, rows []*tuple.Tuple) {
-		if fetched += int64(len(rows)); fetched < results {
-			t.Errorf("Results() = %d with only %d rows fetchable", results, fetched)
+	neverAhead := func(t *testing.T, q *RunningQuery, want int64, feed func()) {
+		var fetched int64
+		fetchWhile(t, q, feed, func(results int64, rows []*tuple.Tuple) {
+			if fetched += int64(len(rows)); fetched < results {
+				t.Errorf("Results() = %d with only %d rows fetchable", results, fetched)
+			}
+		})
+		if fetched != want {
+			t.Fatalf("fetched %d rows, want %d", fetched, want)
 		}
+	}
+
+	t.Run("window", func(t *testing.T) {
+		e := newTickEngine(t, 0)
+		defer e.Stop()
+		q, err := e.Register(`SELECT sym, COUNT(*) FROM ticks GROUP BY sym
+			for (t = 3; t <= 400; t++) { WindowIs(ticks, t - 2, t); }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		neverAhead(t, q, 398*tickSyms, func() { feedTicks(t, e, 1, 401) })
 	})
-	if want := int64(398 * tickSyms); fetched != want {
-		t.Fatalf("fetched %d rows, want %d", fetched, want)
+
+	for _, subscribed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("columnar/subscribed=%v", subscribed), func(t *testing.T) {
+			e := NewEngine(Options{EOs: 2, BatchSize: 8, Columnar: true})
+			defer e.Stop()
+			if err := e.CreateStream("ticks", tickSchema(), 0); err != nil {
+				t.Fatal(err)
+			}
+			q, err := e.Register(`SELECT a.v, b.v FROM ticks a, ticks b WHERE a.sym = b.sym`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := q.rt.(*colRuntime); !ok {
+				t.Fatalf("query runs on %T, want *colRuntime", q.rt)
+			}
+			if subscribed {
+				q.Subscribe(1)
+			}
+			// Every day's row of a symbol pairs with every day's, itself
+			// included: days² results per symbol.
+			const days = 40
+			want := int64(tickSyms * days * days)
+			neverAhead(t, q, want, func() {
+				feedTicks(t, e, 1, days)
+				waitFor(t, "the self-join's results", func() bool { return q.Results() >= want })
+				if err := e.Deregister(q.ID); err != nil {
+					t.Error(err)
+				}
+			})
+		})
 	}
 }
 

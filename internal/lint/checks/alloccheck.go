@@ -24,7 +24,8 @@ import (
 // point //tcq:coldpath (arena slab carving, scratch growth — its body
 // and callees stop propagating to hot roots), or suppress one site with
 // //lint:ignore alloccheck <reason> where the allocation is real but
-// amortizes below the E17 gate (free-list map writes).
+// amortizes below one per fed tuple, the bound
+// core.TestColumnarSteadyStateAllocs holds (free-list map writes).
 func AllocCheck(sums *lint.Summaries) *lint.Analyzer {
 	a := &lint.Analyzer{
 		Name: "alloccheck",

@@ -48,7 +48,8 @@ func arenaRound(rows int) int {
 // Get returns an empty block of the given width with capacity for at
 // least rows rows. Audited amortization point: free-list bookkeeping and
 // the miss-path slab carve are per-block costs, amortized across every
-// row the block will hold (the E17 gate pins the realized rate).
+// row the block will hold (core.TestColumnarSteadyStateAllocs pins the
+// realized rate).
 //
 //tcq:coldpath
 func (a *Arena) Get(width, rows int) *Block {

@@ -80,7 +80,7 @@ func (p *Pool) Get(width int) *Tuple {
 		// alternates narrow subscriber clones with wide rows, and exact
 		// sizing would make every other Get a miss.
 		c := (width + 3) &^ 3
-		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized to the E17 gate by the core freelist hit rate
+		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestColumnarSteadyStateAllocs bounds the sum
 		t.Vals = make([]Value, width, c)
 	}
 	t.TS, t.Seq, t.Source, t.Ready, t.Done, t.Queries = 0, 0, 0, 0, 0, nil
