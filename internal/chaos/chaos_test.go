@@ -7,24 +7,32 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-func TestVirtualClockAdvanceFiresTimersInOrder(t *testing.T) {
-	v := NewVirtual(time.Time{})
-	var order []int
-	v.AfterFunc(3*time.Millisecond, func() { order = append(order, 3) })
-	v.AfterFunc(1*time.Millisecond, func() { order = append(order, 1) })
-	v.AfterFunc(2*time.Millisecond, func() { order = append(order, 2) })
-	ch := v.After(4 * time.Millisecond)
-	v.Advance(10 * time.Millisecond)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("fire order = %v", order)
-	}
+// fired returns the offset from the zero time a timer channel delivered,
+// or false if it holds nothing.
+func fired(ch <-chan time.Time) (time.Duration, bool) {
 	select {
 	case at := <-ch:
-		if got := at.Sub(time.Time{}); got != 4*time.Millisecond {
-			t.Errorf("After fired at +%v, want +4ms", got)
-		}
+		return at.Sub(time.Time{}), true
 	default:
-		t.Error("After channel did not fire")
+		return 0, false
+	}
+}
+
+// TestVirtualClockAdvanceFiresTimersInOrder: one Advance past several
+// deadlines fires each timer at its own deadline — in deadline order, or a
+// later timer would have moved the clock past an earlier one's.
+func TestVirtualClockAdvanceFiresTimersInOrder(t *testing.T) {
+	v := NewVirtual(time.Time{})
+	var chs []<-chan time.Time
+	for _, ms := range []time.Duration{3, 1, 2} {
+		chs = append(chs, v.NewTimer(ms*time.Millisecond).C())
+	}
+	chs = append(chs, v.After(4*time.Millisecond))
+	v.Advance(10 * time.Millisecond)
+	for i, want := range []time.Duration{3, 1, 2, 4} {
+		if at, ok := fired(chs[i]); !ok || at != want*time.Millisecond {
+			t.Errorf("timer %d: fired=%v at +%v, want +%vms", i, ok, at, want)
+		}
 	}
 	if got := v.Since(time.Time{}); got != 10*time.Millisecond {
 		t.Errorf("Since = %v", got)
@@ -33,8 +41,7 @@ func TestVirtualClockAdvanceFiresTimersInOrder(t *testing.T) {
 
 func TestVirtualClockTimerStop(t *testing.T) {
 	v := NewVirtual(time.Time{})
-	fired := false
-	timer := v.AfterFunc(time.Millisecond, func() { fired = true })
+	timer := v.NewTimer(time.Millisecond)
 	if !timer.Stop() {
 		t.Error("first Stop reported false")
 	}
@@ -42,8 +49,42 @@ func TestVirtualClockTimerStop(t *testing.T) {
 		t.Error("second Stop reported true")
 	}
 	v.Advance(time.Second)
-	if fired {
+	if _, ok := fired(timer.C()); ok {
 		t.Error("stopped timer fired")
+	}
+}
+
+// TestVirtualClockTimerReset re-arms one timer after it fired, while it is
+// pending and after a Stop: it fires once per arming, at the new deadline.
+func TestVirtualClockTimerReset(t *testing.T) {
+	v := NewVirtual(time.Time{})
+	timer := v.NewTimer(time.Millisecond)
+	v.Advance(time.Millisecond)
+	if at, ok := fired(timer.C()); !ok || at != time.Millisecond {
+		t.Fatalf("first arming: fired=%v at +%v", ok, at)
+	}
+	if timer.Reset(2 * time.Millisecond) {
+		t.Error("Reset of a fired timer reported it pending")
+	}
+	if !timer.Reset(3 * time.Millisecond) {
+		t.Error("Reset of a pending timer reported it fired")
+	}
+	v.Advance(2 * time.Millisecond)
+	if _, ok := fired(timer.C()); ok {
+		t.Fatal("re-armed timer fired at its superseded deadline")
+	}
+	v.Advance(time.Millisecond)
+	if at, ok := fired(timer.C()); !ok || at != 4*time.Millisecond {
+		t.Fatalf("second arming: fired=%v at +%v, want +4ms", ok, at)
+	}
+	timer.Reset(time.Millisecond)
+	timer.Stop()
+	if timer.Reset(time.Millisecond) {
+		t.Error("Reset of a stopped timer reported it pending")
+	}
+	v.Advance(time.Millisecond)
+	if at, ok := fired(timer.C()); !ok || at != 5*time.Millisecond {
+		t.Fatalf("after Stop and Reset: fired=%v at +%v, want +5ms", ok, at)
 	}
 }
 

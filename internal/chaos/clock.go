@@ -30,14 +30,24 @@ type Clock interface {
 	// After returns a channel that delivers the then-current time once d
 	// has elapsed.
 	After(d time.Duration) <-chan time.Time
-	// AfterFunc runs f in its own goroutine once d has elapsed.
-	AfterFunc(d time.Duration, f func()) Timer
+	// NewTimer returns a timer that delivers the then-current time on its
+	// channel once d has elapsed: After, but stoppable and re-armable, so a
+	// loop that waits with a timeout over and over needs one timer, not one
+	// per wait (and no goroutine per expiry, as a timer running a function
+	// would).
+	NewTimer(d time.Duration) Timer
 }
 
-// Timer is the stoppable handle returned by AfterFunc.
+// Timer is the handle returned by NewTimer.
 type Timer interface {
-	// Stop prevents the timer from firing, reporting whether it did.
+	// C is the channel the timer delivers on (one-element buffered).
+	C() <-chan time.Time
+	// Stop prevents the timer from firing, reporting whether it did. A
+	// value it already delivered stays in C.
 	Stop() bool
+	// Reset re-arms the timer to fire once d has elapsed, whether or not it
+	// has fired or been stopped, reporting whether it was still pending.
+	Reset(d time.Duration) bool
 }
 
 // realClock implements Clock with the time package. This is the one place
@@ -52,13 +62,13 @@ func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
+func (realClock) NewTimer(d time.Duration) Timer         { return realTimer{time.NewTimer(d)} }
 
 type realTimer struct{ t *time.Timer }
 
-func (r realTimer) Stop() bool { return r.t.Stop() }
+func (r realTimer) C() <-chan time.Time        { return r.t.C }
+func (r realTimer) Stop() bool                 { return r.t.Stop() }
+func (r realTimer) Reset(d time.Duration) bool { return r.t.Reset(d) }
 
 // VirtualClock is a deterministic simulated clock: time advances only via
 // Advance (or, in auto-advance mode, when a goroutine sleeps). Timers fire
@@ -74,12 +84,13 @@ type VirtualClock struct {
 	seq    uint64 // tie-break so equal deadlines fire in creation order
 }
 
+// vtimer is a VirtualClock timer: pending while it is in the clock's
+// timers list.
 type vtimer struct {
+	clk      *VirtualClock
 	deadline time.Time
 	seq      uint64
-	ch       chan time.Time // nil for func timers
-	fn       func()
-	stopped  bool
+	ch       chan time.Time
 }
 
 // NewVirtual returns a virtual clock starting at start. The zero time is a
@@ -119,7 +130,7 @@ func (v *VirtualClock) Advance(d time.Duration) {
 }
 
 // advanceToLocked moves time to target, firing due timers in (deadline,
-// creation) order. Fired func timers run without the lock held.
+// creation) order.
 func (v *VirtualClock) advanceToLocked(target time.Time) {
 	if target.Before(v.now) {
 		return
@@ -128,7 +139,7 @@ func (v *VirtualClock) advanceToLocked(target time.Time) {
 		var next *vtimer
 		idx := -1
 		for i, t := range v.timers {
-			if t.stopped || t.deadline.After(target) {
+			if t.deadline.After(target) {
 				continue
 			}
 			if next == nil || t.deadline.Before(next.deadline) ||
@@ -143,14 +154,9 @@ func (v *VirtualClock) advanceToLocked(target time.Time) {
 		if v.now.Before(next.deadline) {
 			v.now = next.deadline
 		}
-		if next.ch != nil {
-			next.ch <- v.now
-		}
-		if next.fn != nil {
-			fn := next.fn
-			v.mu.Unlock()
-			fn()
-			v.mu.Lock()
+		select {
+		case next.ch <- v.now:
+		default: // a re-armed timer whose last value nobody took
 		}
 	}
 	v.now = target
@@ -178,41 +184,44 @@ func (v *VirtualClock) Sleep(d time.Duration) {
 
 // After implements Clock. The channel fires when Advance passes the
 // deadline (buffered so the advancer never blocks).
-func (v *VirtualClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	v.mu.Lock()
-	v.seq++
-	v.timers = append(v.timers, &vtimer{deadline: v.now.Add(d), seq: v.seq, ch: ch})
-	v.mu.Unlock()
-	return ch
+func (v *VirtualClock) After(d time.Duration) <-chan time.Time { return v.NewTimer(d).C() }
+
+// NewTimer implements Clock.
+func (v *VirtualClock) NewTimer(d time.Duration) Timer {
+	t := &vtimer{clk: v, ch: make(chan time.Time, 1)}
+	t.Reset(d)
+	return t
 }
 
-// AfterFunc implements Clock.
-func (v *VirtualClock) AfterFunc(d time.Duration, f func()) Timer {
-	v.mu.Lock()
-	v.seq++
-	t := &vtimer{deadline: v.now.Add(d), seq: v.seq, fn: f}
-	v.timers = append(v.timers, t)
-	v.mu.Unlock()
-	return &virtualTimer{clk: v, t: t}
-}
-
-type virtualTimer struct {
-	clk *VirtualClock
-	t   *vtimer
-}
+// C implements Timer.
+func (t *vtimer) C() <-chan time.Time { return t.ch }
 
 // Stop implements Timer.
-func (vt *virtualTimer) Stop() bool {
-	vt.clk.mu.Lock()
-	defer vt.clk.mu.Unlock()
-	if vt.t.stopped {
-		return false
-	}
-	vt.t.stopped = true
-	for i, t := range vt.clk.timers {
-		if t == vt.t {
-			vt.clk.timers = append(vt.clk.timers[:i], vt.clk.timers[i+1:]...)
+func (t *vtimer) Stop() bool {
+	t.clk.mu.Lock()
+	defer t.clk.mu.Unlock()
+	return t.unlinkLocked()
+}
+
+// Reset implements Timer: the timer leaves the pending set if it is still
+// there and rejoins it due d from now, behind every timer already due then.
+func (t *vtimer) Reset(d time.Duration) bool {
+	v := t.clk
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	pending := t.unlinkLocked()
+	v.seq++
+	t.deadline, t.seq = v.now.Add(d), v.seq
+	v.timers = append(v.timers, t)
+	return pending
+}
+
+// unlinkLocked removes the timer from the clock's pending set, reporting
+// whether it was there (a fired or stopped timer is not).
+func (t *vtimer) unlinkLocked() bool {
+	for i, p := range t.clk.timers {
+		if p == t {
+			t.clk.timers = append(t.clk.timers[:i], t.clk.timers[i+1:]...)
 			return true
 		}
 	}

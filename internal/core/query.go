@@ -419,8 +419,20 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 			return progressed, finished
 		},
 	}
-	e.exec.Submit(names, du)
+	e.schedule(names, du, q.inputs)
 	return q, nil
+}
+
+// schedule submits du under the class owning streams and has each of its
+// input queues rouse that class's EO once per push call, so the EO parks
+// while they are empty instead of polling them.
+func (e *Engine) schedule(streams []string, du executor.DispatchUnit, inputs []*fjord.Conn) {
+	eo := e.exec.Submit(streams, du)
+	wake := eo.Rouse
+	for _, c := range inputs {
+		c.Q.Notify(wake)
+	}
+	wake() // a push that landed between Submit and Notify roused nobody
 }
 
 // subRef names one stream subscription held by a query.

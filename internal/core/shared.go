@@ -280,10 +280,10 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 	e.reg.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
 		classStat(func() float64 { return float64(sc.host.Stats().Dropped) }))
 
-	e.exec.Submit(streams, &executor.FuncDU{
+	e.schedule(streams, &executor.FuncDU{
 		DUName: "shared:" + key,
 		Fn:     sc.step,
-	})
+	}, sc.conns)
 	return sc, nil
 }
 

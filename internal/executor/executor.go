@@ -28,7 +28,7 @@ type DispatchUnit interface {
 	// Name identifies the DU in stats.
 	Name() string
 	// Step runs one bounded slice of work. progressed=false signals the
-	// DU had nothing to do (lets the EO sleep when all DUs are idle);
+	// DU had nothing to do (lets the EO park when all DUs are idle);
 	// done=true removes the DU from its EO.
 	Step() (progressed, done bool)
 }
@@ -52,11 +52,16 @@ type ExecutionObject struct {
 
 	mu  sync.Mutex
 	dus []DispatchUnit
-	// wake holds at most one token: Attach and waitForWork's timer leave one
-	// for an EO parked there. A channel rather than a condition variable: a
+	// pass is run's snapshot of dus, reused so a pass allocates nothing.
+	pass []DispatchUnit
+	// wake holds at most one token: Attach and Rouse leave one for an EO
+	// parked in waitForWork. A channel rather than a condition variable: a
 	// token cannot be lost when the parked goroutine is descheduled between
 	// deciding to wait and waiting.
 	wake chan struct{}
+	// recheck is waitForWork's timed re-check, created by the first timed
+	// park and re-armed by every later one.
+	recheck chaos.Timer
 
 	quit   chan struct{}
 	done   chan struct{}
@@ -77,7 +82,7 @@ func (eo *ExecutionObject) Attach(du DispatchUnit) {
 	eo.mu.Lock()
 	eo.dus = append(eo.dus, du)
 	eo.mu.Unlock()
-	eo.rouse()
+	eo.Rouse()
 }
 
 // DUCount returns the number of scheduled DUs.
@@ -102,10 +107,10 @@ func (eo *ExecutionObject) run() {
 		default:
 		}
 		eo.mu.Lock()
-		dus := append([]DispatchUnit(nil), eo.dus...)
+		dus := append(eo.pass[:0], eo.dus...)
 		eo.mu.Unlock()
 		if len(dus) == 0 {
-			eo.waitForWork()
+			eo.waitForWork(false)
 			continue
 		}
 		anyProgress := false
@@ -132,11 +137,15 @@ func (eo *ExecutionObject) run() {
 			}
 			eo.mu.Unlock()
 		}
+		// Drop the snapshot's references so a retired DU is not kept alive
+		// until the next pass overwrites them.
+		clear(dus)
+		eo.pass = dus[:0]
 		if !anyProgress {
+			// All DUs idle: park until an input queue rouses us (fjord push
+			// queues return control to the consumer when empty, §2.3).
 			eo.idle.Add(1)
-			// All DUs idle: brief sleep rather than a busy spin. DUs
-			// poll their non-blocking Fjord inputs on the next pass.
-			eo.clock.Sleep(100 * time.Microsecond)
+			eo.waitForWork(true)
 		}
 	}
 }
@@ -155,23 +164,46 @@ func (eo *ExecutionObject) safeStep(du DispatchUnit) (progressed, done bool) {
 	return du.Step()
 }
 
-// waitForWork parks an EO that has no DUs until one is attached, the EO is
-// stopped, or a millisecond passes; run re-checks on return. The timed
-// re-check is not needed for correctness — it is how an idle EO has always
-// waited, and the busy EOs' 100µs idle sleeps measurably depend on it: with
-// every other EO parked for good they oversleep, and shared_cqs_embedded's
-// median latency rises from 0.87 to 0.93–1.19 ms.
-func (eo *ExecutionObject) waitForWork() {
-	t := eo.clock.AfterFunc(time.Millisecond, eo.rouse)
+// waitForWork parks the EO until Attach or an input queue rouses it or the
+// EO is stopped; with recheck (it has DUs, all idle) also until a
+// millisecond passes. run re-checks on return. Input queues rouse their EO
+// once per push call (core wires every DU's fjord queues to Rouse), so a
+// tuple never waits for the timer; the re-check is for what no queue
+// announces, such as a windowed query's quiet timeout, and an EO with no
+// DUs has nothing to re-check. Parking instead of sleeping between polls
+// matters once the process idles between bursts: a short sleep in an idle
+// Go process oversleeps (a 100µs one raised filter_push_wire's median
+// latency ~27% once the wire stopped making a syscall per line). The one
+// timer is re-armed per park and read as a channel, so a park allocates
+// nothing and its expiry starts no goroutine.
+func (eo *ExecutionObject) waitForWork(recheck bool) {
+	var tick <-chan time.Time
+	if recheck {
+		if eo.recheck == nil {
+			eo.recheck = eo.clock.NewTimer(time.Millisecond)
+		} else {
+			eo.recheck.Reset(time.Millisecond)
+		}
+		tick = eo.recheck.C()
+	}
 	select {
 	case <-eo.quit:
 	case <-eo.wake:
+	case <-tick:
+		return
 	}
-	t.Stop()
+	if recheck && !eo.recheck.Stop() {
+		select {
+		case <-tick: // it fired as we woke: the next park waits afresh
+		default:
+		}
+	}
 }
 
-// rouse leaves the wake token for an EO parked in waitForWork.
-func (eo *ExecutionObject) rouse() {
+// Rouse leaves the wake token for an EO parked in waitForWork (or about to
+// park there: the token makes it return at once). Safe from any goroutine;
+// it never blocks.
+func (eo *ExecutionObject) Rouse() {
 	select {
 	case eo.wake <- struct{}{}:
 	default:
@@ -198,9 +230,8 @@ type Executor struct {
 // clock.
 func New(n int) *Executor { return NewWithClock(n, chaos.Real()) }
 
-// NewWithClock creates an executor whose EOs pace their idle backoff and
-// wakeup timers through clk, so schedulers under a VirtualClock are
-// deterministic.
+// NewWithClock creates an executor whose EOs time their idle re-check
+// through clk, so schedulers under a VirtualClock are deterministic.
 func NewWithClock(n int, clk chaos.Clock) *Executor {
 	if n < 1 {
 		n = 1

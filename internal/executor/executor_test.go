@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"telegraphcq/internal/chaos"
+	"telegraphcq/internal/fjord"
+	"telegraphcq/internal/tuple"
 )
 
 func TestDURunsAndFinishes(t *testing.T) {
@@ -67,13 +69,91 @@ func TestIdleDUsDoNotSpinHot(t *testing.T) {
 		return false, false // never progresses
 	}})
 	chaos.Real().Sleep(20 * time.Millisecond)
-	// With a 100µs idle sleep, 20ms permits ~200 steps; a hot spin would
-	// show orders of magnitude more.
-	if s := steps.Load(); s > 2000 {
-		t.Errorf("idle DU stepped %d times in 20ms (spinning)", s)
+	// An idle EO parks until something rouses it or its 1ms re-check
+	// fires: 20ms permits ~20 steps. The 100µs idle sleep it replaced
+	// allowed ~150; a hot spin would show orders of magnitude more.
+	if s := steps.Load(); s > 100 {
+		t.Errorf("idle DU stepped %d times in 20ms (polling)", s)
 	}
 	if x.EOs()[0].idle.Load() == 0 {
 		t.Error("idle passes not recorded")
+	}
+}
+
+// TestIdleEOWakesOnEnqueue: an EO whose DU found its queue empty parks, and
+// a push into a queue wired to Rouse steps the DU again with the virtual
+// clock standing still. An EO that slept between polls would wait on the
+// clock forever.
+func TestIdleEOWakesOnEnqueue(t *testing.T) {
+	clk := chaos.NewVirtual(time.Time{})
+	x := NewWithClock(1, clk)
+	defer x.Stop()
+	q := fjord.NewQueue(4)
+	var got atomic.Int64
+	eo := x.Submit([]string{"s"}, &FuncDU{DUName: "drain", Fn: func() (bool, bool) {
+		_, ok := q.Pop()
+		if ok {
+			got.Add(1)
+		}
+		return ok, false
+	}})
+	q.Notify(eo.Rouse)
+	// idleAfter waits for an idle pass beyond the first n: the EO parks
+	// right after one.
+	idleAfter := func(n int64) {
+		t.Helper()
+		if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool { return eo.idle.Load() > n }) {
+			t.Fatal("EO never went idle")
+		}
+	}
+	idleAfter(0)
+	for i := int64(1); i <= 3; i++ {
+		idle := eo.idle.Load()
+		q.Push(tuple.New(tuple.Int(i)))
+		if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool { return got.Load() == i }) {
+			t.Fatalf("push %d: DU took %d tuples; the parked EO was not roused", i, got.Load())
+		}
+		idleAfter(idle)
+	}
+	if d := clk.Since(time.Time{}); d != 0 {
+		t.Errorf("virtual clock moved %v", d)
+	}
+}
+
+// TestParkedEORechecksOnTimer: with nothing to rouse it, a parked EO steps
+// its DUs again each time the clock passes its 1ms re-check — one timer,
+// re-armed by every park.
+func TestParkedEORechecksOnTimer(t *testing.T) {
+	clk := chaos.NewVirtual(time.Time{})
+	x := NewWithClock(1, clk)
+	defer x.Stop()
+	var steps atomic.Int64
+	x.Submit([]string{"s"}, &FuncDU{DUName: "idle", Fn: func() (bool, bool) {
+		steps.Add(1)
+		return false, false
+	}})
+	for want := int64(2); want <= 5; want++ {
+		// Advance until the EO has re-armed its timer and the clock passed it.
+		if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool {
+			clk.Advance(time.Millisecond)
+			return steps.Load() >= want
+		}) {
+			t.Fatalf("DU stepped %d times, want %d: the re-check did not fire", steps.Load(), want)
+		}
+	}
+}
+
+// TestParkDoesNotAllocate: parking re-arms the EO's one timer; neither the
+// park nor the rouse that ends it allocates.
+func TestParkDoesNotAllocate(t *testing.T) {
+	eo := &ExecutionObject{clock: chaos.Real(), wake: make(chan struct{}, 1), quit: make(chan struct{})}
+	eo.Rouse()
+	eo.waitForWork(true) // the first timed park creates the timer
+	if allocs := testing.AllocsPerRun(100, func() {
+		eo.Rouse()
+		eo.waitForWork(true)
+	}); allocs != 0 {
+		t.Errorf("park: %v allocs", allocs)
 	}
 }
 

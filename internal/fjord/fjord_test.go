@@ -32,6 +32,60 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueNotify: the consumer registered with Notify is roused once per
+// push call that enqueued anything — not per tuple, not for a rejected
+// push — before a blocking batch push waits for room, and on Close.
+func TestQueueNotify(t *testing.T) {
+	q := NewQueue(4)
+	var mu sync.Mutex
+	wakes := 0
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return wakes
+	}
+	q.Notify(func() {
+		mu.Lock()
+		wakes++
+		mu.Unlock()
+	})
+	ts := func(n int) []*tuple.Tuple {
+		out := make([]*tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.New(tuple.Int(int64(i)))
+		}
+		return out
+	}
+	q.Push(ts(1)[0])
+	q.PushWait(ts(1)[0])
+	if n := q.PushMany(ts(3)); n != 2 || count() != 3 {
+		t.Fatalf("PushMany enqueued %d, wakes %d; want 2, 3", n, count())
+	}
+	if q.Push(ts(1)[0]) || q.PushMany(ts(2)) != 0 || count() != 3 {
+		t.Fatalf("a rejected push roused the consumer: wakes %d", count())
+	}
+	// Full queue: PushWaitMany rouses before it waits, so the consumer
+	// drains; then once more for what it enqueued after.
+	done := make(chan int)
+	go func() { done <- q.PushWaitMany(ts(6)) }()
+	dst := make([]*tuple.Tuple, 4)
+	for got := 0; got < 10; {
+		got += q.PopMany(dst)
+		runtime.Gosched()
+	}
+	if n := <-done; n != 6 {
+		t.Fatalf("PushWaitMany enqueued %d", n)
+	}
+	if w := count(); w < 4 {
+		t.Fatalf("PushWaitMany did not rouse the consumer before waiting: wakes %d", w)
+	}
+	before := count()
+	q.Close()
+	if count() != before+1 {
+		t.Error("Close did not rouse the consumer")
+	}
+}
+
 func TestQueueWraparound(t *testing.T) {
 	q := NewQueue(3)
 	for round := 0; round < 10; round++ {

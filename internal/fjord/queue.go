@@ -54,6 +54,8 @@ type Queue struct {
 	head     int
 	size     int
 	closed   bool
+	// wake, set by Notify, rouses the consumer after a push or a close.
+	wake func()
 
 	// stats
 	enqueued int64
@@ -81,16 +83,39 @@ func (q *Queue) Len() int {
 	return q.size
 }
 
+// Notify registers wake to be called once per push call that enqueued
+// anything, and on Close, after the queue lock is released: how a consumer
+// that polls with Pop/PopMany — an Execution Object — parks while the queue
+// is empty instead of sleeping and re-polling. wake must not block. A
+// blocking push that waits for room mid-batch calls it before waiting, so
+// the consumer it waits on is awake.
+func (q *Queue) Notify(wake func()) {
+	q.mu.Lock()
+	q.wake = wake
+	q.mu.Unlock()
+}
+
+// unlockWake releases the lock and, if rouse is set, then calls the wake
+// function registered with Notify.
+func (q *Queue) unlockWake(rouse bool) {
+	wake := q.wake
+	q.mu.Unlock()
+	if rouse && wake != nil {
+		wake()
+	}
+}
+
 // Push enqueues without blocking. It returns false when the queue is full
 // or closed; callers may spool, drop, or retry.
 func (q *Queue) Push(t *tuple.Tuple) bool {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed || q.size == len(q.buf) {
 		q.dropped++
+		q.mu.Unlock()
 		return false
 	}
 	q.put(t)
+	q.unlockWake(true)
 	return true
 }
 
@@ -98,14 +123,15 @@ func (q *Queue) Push(t *tuple.Tuple) bool {
 // the queue was closed before the tuple could be enqueued.
 func (q *Queue) PushWait(t *tuple.Tuple) bool {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	for q.size == len(q.buf) && !q.closed {
 		q.notFull.Wait()
 	}
 	if q.closed {
+		q.mu.Unlock()
 		return false
 	}
 	q.put(t)
+	q.unlockWake(true)
 	return true
 }
 
@@ -156,16 +182,16 @@ func (q *Queue) take() *tuple.Tuple {
 // dropped, mirroring Push's shed-at-boundary contract.
 func (q *Queue) PushMany(ts []*tuple.Tuple) int {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	n := 0
 	for _, t := range ts {
 		if q.closed || q.size == len(q.buf) {
 			q.dropped += int64(len(ts) - n)
-			return n
+			break
 		}
 		q.put(t)
 		n++
 	}
+	q.unlockWake(n > 0)
 	return n
 }
 
@@ -174,18 +200,25 @@ func (q *Queue) PushMany(ts []*tuple.Tuple) int {
 // closed mid-batch.
 func (q *Queue) PushWaitMany(ts []*tuple.Tuple) int {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
+	n, roused := 0, 0
 	for _, t := range ts {
 		for q.size == len(q.buf) && !q.closed {
+			if n > roused && q.wake != nil {
+				// The consumer must drain what this call queued to make room.
+				roused = n
+				q.unlockWake(true)
+				q.mu.Lock()
+				continue
+			}
 			q.notFull.Wait()
 		}
 		if q.closed {
-			return n
+			break
 		}
 		q.put(t)
 		n++
 	}
+	q.unlockWake(n > roused)
 	return n
 }
 
@@ -224,10 +257,10 @@ func (q *Queue) PopWaitMany(dst []*tuple.Tuple) int {
 // enqueues fail. Closing twice is harmless.
 func (q *Queue) Close() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.closed = true
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
+	q.unlockWake(true)
 }
 
 // Closed reports whether Close has been called.

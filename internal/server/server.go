@@ -28,10 +28,21 @@
 //	QUIT
 //
 // Replies are "OK ...", "ERR <msg>", "ROW ...", "END".
+//
+// Pipelining: a client may send many commands in one write without waiting
+// for replies, which come back in command order. Replies are flushed when
+// the connection's input is drained — before the FrontEnd reads again with
+// no complete line buffered — so a pipelined burst costs a socket write per
+// read and per 64 KiB of replies, not one per line. Push rows
+// ("ROW q<qid> ...") are written by their own goroutine and may fall
+// between any two reply lines except inside a FETCH. A line longer than
+// 1 MiB is answered with "ERR line exceeds 1 MiB" and the connection closed.
 package server
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -42,6 +53,7 @@ import (
 
 	"telegraphcq/internal/core"
 	"telegraphcq/internal/ingress"
+	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/tuple"
 )
@@ -102,8 +114,18 @@ func (pm *Postmaster) Close() error {
 	return err
 }
 
-// pushBatch is the most rows a SUBSCRIBE goroutine writes under one flush.
-const pushBatch = 64
+const (
+	// pushBatch is the most rows a SUBSCRIBE goroutine writes under one flush.
+	pushBatch = 64
+	// ioBuf sizes a connection's read and write buffers: a drained read of
+	// pipelined commands is answered in one write per ioBuf of replies.
+	ioBuf = 64 << 10
+	// maxLine caps one command line, terminator included.
+	maxLine = 1 << 20
+)
+
+// errLineTooLong ends a connection whose client sent a line over maxLine.
+var errLineTooLong = errors.New("line exceeds 1 MiB")
 
 // frontEnd serves one client connection.
 type frontEnd struct {
@@ -111,7 +133,12 @@ type frontEnd struct {
 	conn   net.Conn
 	wmu    sync.Mutex // serializes writes: pushers and replies interleave
 	w      *bufio.Writer
-	werr   error // first write error, guarded by wmu; logged once
+	werr   error  // first write error, guarded by wmu; logged once
+	row    []byte // handleFetch's row scratch, guarded by wmu
+	long   []byte // readLine's scratch for a line longer than the read buffer
+	// cmdCount holds the tcq_server_commands_total series this connection
+	// has counted into, so each is looked up in the registry once.
+	cmdCount map[string]*metrics.Counter
 
 	mu      sync.Mutex
 	queries map[int]*core.RunningQuery
@@ -121,36 +148,34 @@ type frontEnd struct {
 
 func newFrontEnd(engine *core.Engine, conn net.Conn) *frontEnd {
 	return &frontEnd{
-		engine:  engine,
-		conn:    conn,
-		w:       bufio.NewWriter(conn),
-		queries: make(map[int]*core.RunningQuery),
-		cursors: make(map[int]int),
-		pushers: make(map[int]func()),
+		engine:   engine,
+		conn:     conn,
+		w:        bufio.NewWriterSize(conn, ioBuf),
+		cmdCount: make(map[string]*metrics.Counter),
+		queries:  make(map[int]*core.RunningQuery),
+		cursors:  make(map[int]int),
+		pushers:  make(map[int]func()),
 	}
 }
 
+// send buffers one reply line. serve flushes once the connection's input
+// is drained.
 func (fe *frontEnd) send(line string) {
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
 	fe.w.WriteString(line)
 	fe.w.WriteByte('\n')
-	fe.flushLocked()
 }
 
-// sendAll writes a batch of lines under one lock acquisition and flush.
-func (fe *frontEnd) sendAll(lines []string) {
+// flush writes every buffered reply to the connection.
+func (fe *frontEnd) flush() {
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
-	for _, line := range lines {
-		fe.w.WriteString(line)
-		fe.w.WriteByte('\n')
-	}
 	fe.flushLocked()
 }
 
 // sendBytes writes already terminated lines under one lock acquisition and
-// flush.
+// flush: the SUBSCRIBE pushers' path, which no read of serve's would flush.
 func (fe *frontEnd) sendBytes(lines []byte) {
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
@@ -174,21 +199,56 @@ func (fe *frontEnd) serve() {
 			log.Printf("server: client %s close: %v", fe.conn.RemoteAddr(), err)
 		}
 	}()
+	defer fe.flush()
 	defer fe.stopPushers()
 	defer fe.closeCursors()
-	sc := bufio.NewScanner(fe.conn)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	r := bufio.NewReaderSize(fe.conn, ioBuf)
+	for {
+		if !lineBuffered(r) {
+			fe.flush() // the next read may block: answer what was asked
 		}
-		if strings.EqualFold(line, "QUIT") {
-			fe.send("OK bye")
+		raw, err := fe.readLine(r)
+		if err == errLineTooLong {
+			log.Printf("server: client %s: %v; closing", fe.conn.RemoteAddr(), err)
+			fe.send("ERR " + err.Error())
 			return
 		}
-		fe.dispatch(line)
+		if line := string(bytes.TrimSpace(raw)); line != "" {
+			if strings.EqualFold(line, "QUIT") {
+				fe.send("OK bye")
+				return
+			}
+			fe.dispatch(line)
+		}
+		if err != nil {
+			return // EOF or a read error, after serving a last unterminated line
+		}
 	}
+}
+
+// lineBuffered reports whether r holds a complete line, i.e. whether the
+// next readLine returns without reading the connection.
+func lineBuffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered()) // within Buffered: never reads, never fails
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// readLine returns the next line, terminator included. The slice is valid
+// until the next call: a line that fits the read buffer is returned in
+// place, a longer one is assembled in fe.long, up to maxLine.
+func (fe *frontEnd) readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	fe.long = append(fe.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		if line, err = r.ReadSlice('\n'); len(fe.long)+len(line) > maxLine {
+			return nil, errLineTooLong
+		}
+		fe.long = append(fe.long, line...)
+	}
+	return fe.long, err
 }
 
 func (fe *frontEnd) stopPushers() {
@@ -214,7 +274,6 @@ func (fe *frontEnd) closeCursors() {
 func (fe *frontEnd) dispatch(line string) {
 	cmd := strings.ToUpper(firstWord(line))
 	rest := strings.TrimSpace(line[len(firstWord(line)):])
-	fe.engine.Metrics().Counter(fmt.Sprintf(`tcq_server_commands_total{cmd=%q}`, cmd)).Inc()
 	var err error
 	switch cmd {
 	case "PING":
@@ -253,10 +312,19 @@ func (fe *frontEnd) dispatch(line string) {
 		fe.handleInfo()
 	default:
 		err = fmt.Errorf("unknown command %q", cmd)
+		// Every garbage word shares one series, or a client could grow
+		// the registry without bound.
+		cmd = "UNKNOWN"
 	}
 	if err != nil {
 		fe.send("ERR " + err.Error())
 	}
+	c, ok := fe.cmdCount[cmd]
+	if !ok {
+		c = fe.engine.Metrics().Counter(fmt.Sprintf(`tcq_server_commands_total{cmd=%q}`, cmd))
+		fe.cmdCount[cmd] = c
+	}
+	c.Inc()
 }
 
 func firstWord(s string) string {
@@ -372,28 +440,27 @@ func (fe *frontEnd) explainLive(id int) error {
 	if err != nil {
 		return err
 	}
-	lines := []string{fmt.Sprintf(
+	fe.send(fmt.Sprintf(
 		"ROW . query %s id=%d results=%d queue=%d ingested=%d emitted=%d dropped=%d decisions=%d visits=%d runs=%d splits=%d",
 		qt.Label, qt.ID, qt.Results, qt.QueueDepth,
 		qt.Stats.Ingested, qt.Stats.Emitted, qt.Stats.Dropped,
-		qt.Stats.Decisions, qt.Stats.Visits, qt.Stats.Runs, qt.Stats.Splits)}
+		qt.Stats.Decisions, qt.Stats.Visits, qt.Stats.Runs, qt.Stats.Splits))
 	if qt.Policy != "" {
 		line := fmt.Sprintf("ROW . policy %s order=[%s]", qt.Policy, strings.Join(qt.Order, ">"))
 		if qt.Stats.Orders > 0 || qt.Stats.NWayPruned > 0 {
 			line += fmt.Sprintf(" orders=%d orderReuses=%d nwayPruned=%d",
 				qt.Stats.Orders, qt.Stats.OrderReuses, qt.Stats.NWayPruned)
 		}
-		lines = append(lines, line)
+		fe.send(line)
 	}
 	if len(qt.Modules) > 0 {
-		lines = append(lines, "ROW . module\tvisits\tproduced\tselectivity\ttickets\tshare\tprobe_ns")
+		fe.send("ROW . module\tvisits\tproduced\tselectivity\ttickets\tshare\tprobe_ns")
 		for _, m := range qt.Modules {
-			lines = append(lines, fmt.Sprintf("ROW . %s\t%d\t%d\t%.3f\t%d\t%.3f\t%d",
+			fe.send(fmt.Sprintf("ROW . %s\t%d\t%d\t%.3f\t%d\t%.3f\t%d",
 				m.Module, m.Visits, m.Produced, m.Selectivity, m.Tickets, m.TicketShare, m.ProbeNanos))
 		}
 	}
-	lines = append(lines, "END")
-	fe.sendAll(lines)
+	fe.send("END")
 	return nil
 }
 
@@ -408,15 +475,12 @@ func (fe *frontEnd) handleTop(rest string) error {
 		}
 		n = v
 	}
-	top := fe.engine.TopModules(n)
-	lines := make([]string, 0, len(top)+2)
-	lines = append(lines, "ROW . query\tmodule\tvisits\tproduced\tselectivity\tshare\tprobe_ns")
-	for _, m := range top {
-		lines = append(lines, fmt.Sprintf("ROW . %s\t%s\t%d\t%d\t%.3f\t%.3f\t%d",
+	fe.send("ROW . query\tmodule\tvisits\tproduced\tselectivity\tshare\tprobe_ns")
+	for _, m := range fe.engine.TopModules(n) {
+		fe.send(fmt.Sprintf("ROW . %s\t%s\t%d\t%d\t%.3f\t%.3f\t%d",
 			m.Owner, m.Module, m.Visits, m.Produced, m.Selectivity, m.TicketShare, m.ProbeNanos))
 	}
-	lines = append(lines, "END")
-	fe.sendAll(lines)
+	fe.send("END")
 	return nil
 }
 
@@ -471,6 +535,9 @@ func (fe *frontEnd) handleSubscribe(rest string) error {
 	}
 	fe.pushers[id] = func() { q.Unsubscribe(sub); <-stopped }
 	fe.mu.Unlock()
+	// The reply goes into the write buffer before the pusher exists, so no
+	// pushed row can precede it.
+	fe.send(fmt.Sprintf("OK subscribed %d", id))
 	go func() {
 		defer close(stopped)
 		// Greedily drain whatever the egress has already pushed — up to
@@ -499,7 +566,6 @@ func (fe *frontEnd) handleSubscribe(rest string) error {
 			fe.sendBytes(buf)
 		}
 	}()
-	fe.send(fmt.Sprintf("OK subscribed %d", id))
 	return nil
 }
 
@@ -516,11 +582,17 @@ func (fe *frontEnd) handleFetch(rest string) error {
 		return err
 	}
 	// Pull rows carry the "." tag so clients can tell them apart from
-	// asynchronous push rows ("ROW q<id> ...") on the same connection.
+	// asynchronous push rows ("ROW q<id> ...") on the same connection. One
+	// lock acquisition for the whole reply keeps push rows out of it; each
+	// row is rendered into one reused buffer, and bufio writes a full buffer
+	// at a time.
+	fe.wmu.Lock()
+	defer fe.wmu.Unlock()
 	for _, t := range rows {
-		fe.send("ROW . " + ingress.FormatCSV(t))
+		fe.row = append(ingress.AppendCSV(append(fe.row[:0], "ROW . "...), t), '\n')
+		fe.w.Write(fe.row)
 	}
-	fe.send("END")
+	fe.w.WriteString("END\n")
 	return nil
 }
 

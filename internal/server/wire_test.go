@@ -1,0 +1,291 @@
+package server
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"telegraphcq/internal/chaos"
+	"telegraphcq/internal/core"
+	"telegraphcq/internal/tuple"
+)
+
+// countingConn counts the writes that reach a connection: on a socket, one
+// syscall each.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// pipeFrontEnd serves one FrontEnd over an in-memory pipe. It returns the
+// client end, a reader over it, and the server end's write counter.
+func pipeFrontEnd(t *testing.T, e *core.Engine) (net.Conn, *bufio.Reader, *countingConn) {
+	t.Helper()
+	srv, cli := net.Pipe()
+	cc := &countingConn{Conn: srv}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		newFrontEnd(e, cc).serve()
+	}()
+	t.Cleanup(func() {
+		cli.Close()
+		<-done
+	})
+	return cli, bufio.NewReader(cli), cc
+}
+
+// pipeline writes payload in one client write from its own goroutine (a
+// pipe write blocks until the server has read it all, and the server
+// answers as it reads) and waits for it at cleanup.
+func pipeline(t *testing.T, conn net.Conn, payload string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		io.WriteString(conn, payload) // a failure shows up as a short read
+	}()
+	t.Cleanup(func() { <-done })
+}
+
+// wireEngine is an engine with one integer stream s and a standing
+// selection over it.
+func wireEngine(t *testing.T) (*core.Engine, *core.RunningQuery) {
+	t.Helper()
+	e := core.NewEngine(core.Options{EOs: 1})
+	t.Cleanup(e.Stop)
+	if err := e.CreateStream("s", tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Register("SELECT x FROM s WHERE x >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, q
+}
+
+// readReplies reads n lines, returning them and their byte count.
+func readReplies(t *testing.T, r *bufio.Reader, n int) ([]string, int) {
+	t.Helper()
+	lines, bytes := make([]string, 0, n), 0
+	for len(lines) < n {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d of %d lines: %v", len(lines), n, err)
+		}
+		bytes += len(line)
+		lines = append(lines, strings.TrimSuffix(line, "\n"))
+	}
+	return lines, bytes
+}
+
+// maxWrites is the write budget of a reply of the given size: one per full
+// write buffer, plus the flush of the rest.
+func maxWrites(bytes int) int64 { return int64((bytes+ioBuf-1)/ioBuf + 1) }
+
+// TestPipelinedFeedsFlushPerRead: FEEDs pipelined in one client write are
+// answered in command order at one write per read buffer of input, not one
+// per "OK fed" (the parent wrote each reply with its own flush).
+func TestPipelinedFeedsFlushPerRead(t *testing.T) {
+	e, _ := wireEngine(t)
+	cli, r, cc := pipeFrontEnd(t, e)
+	const n = 10000 // ~117 KB: two reads of the 64 KiB buffer
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "FEED s %d\n", i)
+	}
+	pipeline(t, cli, b.String())
+	lines, bytes := readReplies(t, r, n)
+	for i, l := range lines {
+		if l != "OK fed" {
+			t.Fatalf("reply %d = %q", i, l)
+		}
+	}
+	if w := cc.writes.Load(); w > maxWrites(bytes) {
+		t.Errorf("%d FEED replies (%d bytes) took %d conn writes, want <= %d", n, bytes, w, maxWrites(bytes))
+	}
+}
+
+// TestFetchWritesPerBuffer: a FETCH of R rows is rendered into the write
+// buffer and written a full buffer at a time (the parent flushed per row:
+// R+1 writes).
+func TestFetchWritesPerBuffer(t *testing.T) {
+	e, q := wireEngine(t)
+	const rows = 20000
+	for i := 0; i < rows; i++ {
+		if err := e.Feed("s", tuple.New(tuple.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == rows }) {
+		t.Fatalf("%d of %d results", q.Results(), rows)
+	}
+	cli, r, cc := pipeFrontEnd(t, e)
+	pipeline(t, cli, fmt.Sprintf("FETCH %d\n", q.ID))
+	lines, bytes := readReplies(t, r, rows+1)
+	for i, l := range lines[:rows] {
+		if want := fmt.Sprintf("ROW . %d", i); l != want {
+			t.Fatalf("row %d = %q, want %q", i, l, want)
+		}
+	}
+	if lines[rows] != "END" {
+		t.Fatalf("last line = %q, want END", lines[rows])
+	}
+	if w := cc.writes.Load(); w > maxWrites(bytes) {
+		t.Errorf("FETCH of %d rows (%d bytes) took %d conn writes, want <= %d", rows, bytes, w, maxWrites(bytes))
+	}
+}
+
+// TestPipelinedRepliesInCommandOrder: FEEDs, a FETCH, a STATS and a PING in
+// one write come back as N "OK fed", the FETCH's ROW lines and END, the
+// STATS rows and END, then "OK pong" — each reply whole and in order.
+func TestPipelinedRepliesInCommandOrder(t *testing.T) {
+	e, q := wireEngine(t)
+	cli, r, _ := pipeFrontEnd(t, e)
+	const n = 500
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "FEED s %d\n", i)
+	}
+	fmt.Fprintf(&b, "FETCH %d\nSTATS %d\nPING\n", q.ID, q.ID)
+	pipeline(t, cli, b.String())
+
+	next := func() string {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(line, "\n")
+	}
+	for i := 0; i < n; i++ {
+		if l := next(); l != "OK fed" {
+			t.Fatalf("reply %d = %q, want OK fed", i, l)
+		}
+	}
+	l := next()
+	for ; l != "END"; l = next() {
+		if !strings.HasPrefix(l, "ROW . ") || strings.HasPrefix(l, "ROW . results=") {
+			t.Fatalf("FETCH reply line %q", l)
+		}
+	}
+	if l = next(); !strings.HasPrefix(l, "ROW . results=") {
+		t.Fatalf("STATS reply starts %q", l)
+	}
+	for l != "END" {
+		if l = next(); !strings.HasPrefix(l, "ROW . ") && l != "END" {
+			t.Fatalf("STATS reply line %q", l)
+		}
+	}
+	if l = next(); l != "OK pong" {
+		t.Fatalf("PING reply %q", l)
+	}
+}
+
+// TestOverlongLineIsRefused: a line past the read buffer but under 1 MiB is
+// served; one over 1 MiB gets "ERR line exceeds 1 MiB" and then EOF (the
+// Scanner the reader replaced dropped the connection without a word).
+func TestOverlongLineIsRefused(t *testing.T) {
+	e, _ := wireEngine(t)
+	cli, r, _ := pipeFrontEnd(t, e)
+	pipeline(t, cli, "PING"+strings.Repeat(" ", 200<<10)+"\n"+strings.Repeat("x", maxLine)+"\n")
+	if lines, _ := readReplies(t, r, 2); lines[0] != "OK pong" || lines[1] != "ERR line exceeds 1 MiB" {
+		t.Fatalf("replies = %q", lines)
+	}
+	if line, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after the ERR: %q, %v; want EOF", line, err)
+	}
+}
+
+// TestReadLineDoesNotAllocate: reading a command line that fits the buffer
+// costs no allocation (ReadString would cost one per line).
+func TestReadLineDoesNotAllocate(t *testing.T) {
+	r := bufio.NewReaderSize(strings.NewReader(strings.Repeat("FEED s 1,2,3\n", 2000)), ioBuf)
+	fe := &frontEnd{}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := fe.readLine(r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("readLine: %v allocs per line", allocs)
+	}
+}
+
+// TestSubscribeReplyPrecedesPushedRows: with rows arriving all the while,
+// the first line after SUBSCRIBE is its OK, never a pushed row (the parent
+// started the pusher before writing the reply).
+func TestSubscribeReplyPrecedesPushedRows(t *testing.T) {
+	_, pm := startServer(t)
+	admin := dial(t, pm.Addr())
+	if err := admin.CreateStream("s", "x INT", ""); err != nil {
+		t.Fatal(err)
+	}
+	qid, err := admin.Query("SELECT x FROM s WHERE x >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeder := dial(t, pm.Addr())
+	stop, fed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(fed)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if feeder.Feed("s", fmt.Sprint(i)) != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-fed }()
+
+	for i := 0; i < 20; i++ {
+		conn, err := net.Dial("tcp", pm.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "SUBSCRIBE %d\n", qid)
+		line, err := bufio.NewReader(conn).ReadString('\n')
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("OK subscribed %d\n", qid); line != want {
+			t.Fatalf("subscription %d: first line %q, want %q", i, line, want)
+		}
+	}
+}
+
+// TestUnknownCommandsShareOneSeries: garbage first words all count under
+// cmd="UNKNOWN" instead of each minting a permanent series.
+func TestUnknownCommandsShareOneSeries(t *testing.T) {
+	_, pm := startServer(t)
+	c := dial(t, pm.Addr())
+	for i := 0; i < 100; i++ {
+		if _, err := c.cmd(fmt.Sprintf("BOGUS%d x", i)); err == nil {
+			t.Fatalf("BOGUS%d accepted", i)
+		}
+	}
+	rows, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(rows, "\n")
+	if !strings.Contains(joined, `tcq_server_commands_total{cmd="UNKNOWN"} 100`) {
+		t.Errorf("no UNKNOWN series counting 100 in:\n%s", joined)
+	}
+	if strings.Contains(joined, "BOGUS") {
+		t.Errorf("a bogus command minted its own series:\n%s", joined)
+	}
+}

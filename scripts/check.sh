@@ -9,7 +9,7 @@
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window and columnar delivery x20, pull-log ring x20,
-#                    fuzz smoke
+#                    wire flushes and EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -156,6 +156,15 @@ stage_race() {
     # against the same log from the query's side.)
     echo "==> pull-log ring under race: slice model, concurrent fetch (-count=20)"
     go test -race -count=20 -run 'TestPullRingMatchesSliceModel|TestPullRingConcurrentFetch' ./internal/egress/
+
+    # Replies are buffered and flushed when a FrontEnd's input is drained,
+    # while SUBSCRIBE pushers write the same buffer from their goroutines; an
+    # idle EO parks until a queue push rouses it. Hold the reply order, the
+    # write counts, the SUBSCRIBE reply and the park/rouse handshake to twenty
+    # race-instrumented passes.
+    echo "==> wire flushes and EO wake under race (-count=20)"
+    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
+    go test -race -count=20 -run 'TestIdleEOWakesOnEnqueue|TestParkedEORechecksOnTimer|TestIdleDUsDoNotSpinHot' ./internal/executor/
 
     echo "==> fuzz smoke (5s per target)"
     go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/sql/
