@@ -24,6 +24,7 @@ package arrange
 
 import (
 	"sync"
+	"unsafe"
 
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
@@ -284,11 +285,16 @@ func (a *Arrangement) free(ts []*tuple.Tuple) {
 }
 
 // tupleBytes estimates a tuple's resident size: the struct, its value
-// slice, and its lineage bitmap. An estimate is enough — the metric tracks
-// reclamation volume, not exact heap accounting.
+// slice, and its lineage bitmap, sized from the types themselves. An
+// estimate is enough — the metric tracks reclamation volume, not exact heap
+// accounting (slice capacity and allocator rounding are not counted).
 func tupleBytes(t *tuple.Tuple) int64 {
-	const structBytes = 96
-	return structBytes + 24*int64(len(t.Vals)) + 8*int64(len(t.Queries))
+	const (
+		structBytes = int64(unsafe.Sizeof(tuple.Tuple{}))
+		valueBytes  = int64(unsafe.Sizeof(tuple.Value{}))
+		wordBytes   = int64(unsafe.Sizeof(uint64(0)))
+	)
+	return structBytes + valueBytes*int64(len(t.Vals)) + wordBytes*int64(len(t.Queries))
 }
 
 // Cursor tracks one reader group's progress through the arrangement's

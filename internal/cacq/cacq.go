@@ -67,6 +67,12 @@ type Engine struct {
 	watermarks []int64
 	// wide is the reusable ingest batch (single ingest goroutine).
 	wide tuple.Batch
+	// pool, when set (SetRecycler), is where the engine draws the wide rows
+	// it routes and returns the ones nobody kept; spare holds the lineage
+	// bitmaps of finished tuples for the next ingest to copy its template
+	// into. Both are the ingest goroutine's alone.
+	pool  *tuple.Pool
+	spare []tuple.Bitset
 
 	// cfg says where SteM rows live and whether lineage slots are reused
 	// (arranged.go). arrs are the arrangements behind the SteMs, cursors the
@@ -233,9 +239,9 @@ func (e *Engine) invalidate() {
 	}
 }
 
-// lineageFor returns (a clone of) the lineage template for stream s: the
-// bits of every query whose footprint includes s.
-func (e *Engine) lineageFor(s int) tuple.Bitset {
+// interestedFor returns the shared (do-not-mutate) lineage template for
+// stream s: the bits of every query whose footprint includes s.
+func (e *Engine) interestedFor(s int) tuple.Bitset {
 	if e.interested[s] == nil {
 		bs := tuple.NewBitset(e.maxID + 1)
 		src := tuple.SingleSource(s)
@@ -246,16 +252,64 @@ func (e *Engine) lineageFor(s int) tuple.Bitset {
 		}
 		e.interested[s] = bs
 	}
-	return e.interested[s].Clone()
+	return e.interested[s]
+}
+
+// lineage returns a private copy of tmpl for one tuple to carry, written
+// into a spare bitmap when one is large enough. A spare too small for the
+// template (the query population grew since it was minted) is dropped.
+func (e *Engine) lineage(tmpl tuple.Bitset) tuple.Bitset {
+	if n := len(e.spare); n > 0 {
+		bs := e.spare[n-1]
+		e.spare[n-1] = nil
+		e.spare = e.spare[:n-1]
+		if cap(bs) >= len(tmpl) {
+			bs = bs[:len(tmpl)]
+			copy(bs, tmpl)
+			return bs
+		}
+	}
+	return tmpl.Clone()
+}
+
+// maxSpare bounds the spare-bitmap list. An ingest batch and the join
+// matches it spawns are what is in flight at once, well under this, and a
+// full list for a class of 10,000 members is about a megabyte.
+const maxSpare = 1024
+
+// release is the eddy's release func (SetRecycler): it keeps a finished
+// tuple's lineage bitmap for the next ingest and, when the row is dead too,
+// returns the row to the pool. A row that lives on is not touched: the eddy
+// took its lineage off before delivery.
+func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
+	if lineage != nil && len(e.spare) < maxSpare {
+		e.spare = append(e.spare, lineage)
+	}
+	if rowDead && e.pool != nil {
+		e.pool.Put(t)
+	}
+}
+
+// SetRecycler makes the engine reuse what it routes: IngestOwned draws wide
+// rows from p (or adopts the base tuple as one), and once a tuple's routing
+// is over its lineage bitmap is kept for the next ingest and its row, when
+// nobody kept it, goes back to p. Delivered rows then carry no lineage.
+// Sequential engines only: a Parallel's shards forward their completions,
+// lineage intact, to the merge stage.
+func (e *Engine) SetRecycler(p *tuple.Pool) {
+	e.pool = p
+	e.ed.SetRelease(e.release)
 }
 
 // Ingest feeds one base tuple of stream s through the shared super-query.
+// The caller keeps ownership of base (Widen copies).
 func (e *Engine) Ingest(s int, base *tuple.Tuple) {
-	t := e.layout.Widen(s, base)
-	t.Queries = e.lineageFor(s)
-	if !t.Queries.Any() {
+	tmpl := e.interestedFor(s)
+	if !tmpl.Any() {
 		return // no standing query cares about this stream
 	}
+	t := e.layout.Widen(s, base)
+	t.Queries = e.lineage(tmpl)
 	e.ed.Ingest(t)
 }
 
@@ -264,29 +318,49 @@ func (e *Engine) Ingest(s int, base *tuple.Tuple) {
 // template is computed once for the whole batch instead of per tuple. The
 // caller keeps ownership of the base tuples (Widen copies); batches of no
 // interest to any standing query are skipped entirely.
-func (e *Engine) IngestBatch(s int, base []*tuple.Tuple) {
+func (e *Engine) IngestBatch(s int, base []*tuple.Tuple) { e.ingestBatch(s, base, false) }
+
+// IngestOwned is IngestBatch taking ownership of the base tuples, which the
+// caller must not touch again. A base tuple whose stream block is the whole
+// wide row (every single-stream class) becomes the wide row itself; any
+// other is widened into a row drawn from the pool and returned to it.
+func (e *Engine) IngestOwned(s int, base []*tuple.Tuple) { e.ingestBatch(s, base, true) }
+
+func (e *Engine) ingestBatch(s int, base []*tuple.Tuple, owned bool) {
 	if len(base) == 0 {
 		return
 	}
 	tmpl := e.interestedFor(s)
 	if !tmpl.Any() {
+		if owned && e.pool != nil {
+			for _, bt := range base {
+				e.pool.Put(bt)
+			}
+		}
 		return
 	}
+	whole := e.layout.Offsets[s] == 0
 	e.wide.Reset()
 	for _, bt := range base {
-		t := e.layout.Widen(s, bt)
-		t.Queries = tmpl.Clone()
+		var t *tuple.Tuple
+		switch {
+		case !owned:
+			t = e.layout.Widen(s, bt)
+		case whole && len(bt.Vals) == e.layout.Width():
+			t = bt
+			t.Source = tuple.SingleSource(s)
+			t.ClearLineage()
+		default:
+			t = e.layout.WidenUsing(e.pool, s, bt)
+			if e.pool != nil {
+				e.pool.Put(bt)
+			}
+		}
+		t.Queries = e.lineage(tmpl)
 		e.wide.Append(t)
 	}
 	e.ed.IngestBatch(&e.wide)
 	e.wide.Reset()
-}
-
-// interestedFor returns the shared (do-not-mutate) lineage template for
-// stream s.
-func (e *Engine) interestedFor(s int) tuple.Bitset {
-	e.lineageFor(s) // populate the cache
-	return e.interested[s]
 }
 
 // IngestWide feeds a tuple already widened to the engine's layout and
@@ -301,11 +375,12 @@ func (e *Engine) IngestWide(t *tuple.Tuple) { e.ed.Ingest(t) }
 // engine inside a Parallel uses it to forward results — lineage bitmap
 // intact — to the merge stage, where the front engine delivers them.
 func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
-	e.ed.SetCompletionHook(func(t *tuple.Tuple) {
-		if t.Queries == nil || !t.Queries.Any() || len(e.byFootprint[t.Source]) == 0 {
-			return
+	e.ed.SetCompletionHook(func(t *tuple.Tuple, lineage tuple.Bitset) bool {
+		if !lineage.Any() || len(e.byFootprint[t.Source]) == 0 {
+			return false
 		}
 		fn(t)
+		return true
 	})
 }
 
@@ -316,10 +391,13 @@ func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
 // with thousands of mostly-filtered overlapping CQs the member list is
 // long but the survivor set is tiny. Bits whose slot was freed (query
 // removed mid-flight) or whose owner has a different footprint are
-// skipped, matching the old member-list semantics exactly.
-func (e *Engine) deliver(t *tuple.Tuple) {
+// skipped, matching the old member-list semantics exactly. lineage is t's
+// Queries bitmap, which the eddy may already have taken off the row. It
+// reports whether some member received t itself (a query without a
+// projection).
+func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 	src := t.Source
-	t.Queries.ForEach(func(id int) {
+	lineage.ForEach(func(id int) {
 		q := e.queries[id]
 		if q == nil || q.Footprint != src {
 			return
@@ -331,9 +409,12 @@ func (e *Engine) deliver(t *tuple.Tuple) {
 		out := t
 		if q.proj != nil {
 			out = q.proj.Apply(t)
+		} else {
+			kept = true
 		}
 		q.Output(out)
 	})
+	return kept
 }
 
 // EvictWindows drops SteM state older than watermark across all shared

@@ -81,10 +81,26 @@ func TestSelectionEquivalenceWithPerQuery(t *testing.T) {
 	}
 }
 
+// TestSharedJoinDelivery runs once as constructed and once recycling, where
+// the engine owns its input and draws wide rows from the pool: every
+// completed tuple no SteM holds then loses its lineage to the spare list
+// and, unless kept, its row to the pool — but the base tuples are SteM
+// builds, which later probes still read, so they must be neither.
 func TestSharedJoinDelivery(t *testing.T) {
+	for _, recycle := range []bool{false, true} {
+		t.Run(fmt.Sprintf("recycle=%v", recycle), func(t *testing.T) { testSharedJoinDelivery(t, recycle) })
+	}
+}
+
+func testSharedJoinDelivery(t *testing.T, recycle bool) {
 	l := joinLayout()
 	spec := []JoinSpec{{StreamA: 0, StreamB: 1, ColA: 0, ColB: 2, TimeKind: window.Logical}}
 	e, _ := New(l, spec, nil)
+	ingest := e.Ingest
+	if recycle {
+		e.SetRecycler(tuple.NewPool())
+		ingest = func(s int, base *tuple.Tuple) { e.IngestOwned(s, []*tuple.Tuple{base}) }
+	}
 
 	// Query A: full join, no selections.
 	// Query B: join where S.v >= 5.
@@ -104,10 +120,10 @@ func TestSharedJoinDelivery(t *testing.T) {
 
 	// 10 S tuples (k = i%2, v = i), 4 T tuples (k = i%2, w = i).
 	for i := int64(0); i < 10; i++ {
-		e.Ingest(0, mk(i%2, i))
+		ingest(0, mk(i%2, i))
 	}
 	for i := int64(0); i < 4; i++ {
-		e.Ingest(1, mk(i%2, i))
+		ingest(1, mk(i%2, i))
 	}
 
 	// Join matches: S(k)x{T with same k}: 5 S-tuples per key, 2 T per key
@@ -126,6 +142,14 @@ func TestSharedJoinDelivery(t *testing.T) {
 	for _, tp := range cGot {
 		if tp.Source != 1 {
 			t.Errorf("single-stream result spans %b", tp.Source)
+		}
+	}
+	for _, tp := range append(aGot, bGot...) {
+		if tp.Vals[0].AsInt() != tp.Vals[2].AsInt() {
+			t.Errorf("join result %v joins unequal keys", tp)
+		}
+		if recycle && tp.Queries != nil {
+			t.Errorf("join result %v carries lineage %v", tp, tp.Queries)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 		},
 		Merge: func(t *tuple.Tuple) {
 			p.deliverMu.Lock()
-			p.front.deliver(t)
+			p.front.deliver(t, t.Queries)
 			p.deliverMu.Unlock()
 		},
 		OrderBy: orderBy,

@@ -428,7 +428,11 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
 			st.history = append(st.history, t)
 		}
 	}
-	subs := make([]*fjord.Conn, 0, len(st.subs))
+	// Snapshot the subscribers into a stack array: a make sized by the map
+	// escapes, one allocation per Feed. Only past eight does append move to
+	// the heap.
+	var snap [8]*fjord.Conn
+	subs := snap[:0]
 	for _, c := range st.subs {
 		subs = append(subs, c)
 	}

@@ -47,9 +47,11 @@ type sharedClass struct {
 	members  map[int]int // RunningQuery.ID -> cacq query id
 	batch    int
 	buf      []*tuple.Tuple
-	// recycler reclaims each spent subscriber clone after the engine has
-	// widened it into the super-query's wide row.
-	recycler *tuple.Pool
+	// ingest routes one batch of stream-s subscriber clones through eng and
+	// takes ownership of them: the sequential engine adopts or recycles each
+	// itself (cacq.Engine.IngestOwned); a parallel one widens copies, after
+	// which the clones go back to the engine's tuple pool.
+	ingest func(s int, base []*tuple.Tuple)
 }
 
 // sharedEngine abstracts the execution strategy behind a shared class:
@@ -61,7 +63,6 @@ type sharedClass struct {
 // sequences, so their parallel variant merges unordered (join results are
 // a multiset).
 type sharedEngine interface {
-	IngestBatch(s int, base []*tuple.Tuple)
 	AddQuery(fp tuple.SourceSet, sels []expr.Predicate, project []int, out func(*tuple.Tuple)) (*cacq.Query, error)
 	RemoveQuery(id int) error
 	Delivered() int64
@@ -182,13 +183,12 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		sts[i] = st
 	}
 	sc := &sharedClass{
-		key:      key,
-		streams:  streams,
-		layout:   plan.Layout,
-		members:  make(map[int]int),
-		batch:    256,
-		buf:      make([]*tuple.Tuple, e.opts.BatchSize),
-		recycler: e.recycler,
+		key:     key,
+		streams: streams,
+		layout:  plan.Layout,
+		members: make(map[int]int),
+		batch:   256,
+		buf:     make([]*tuple.Tuple, e.opts.BatchSize),
 	}
 	for range streams {
 		sc.conns = append(sc.conns, fjord.NewConn(fjord.Push, e.opts.QueueCap))
@@ -217,6 +217,12 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			return nil, err
 		}
 		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
+		sc.ingest = func(s int, base []*tuple.Tuple) {
+			par.IngestBatch(s, base)
+			for _, t := range base {
+				e.recycler.Put(t)
+			}
+		}
 	} else {
 		seq, err := cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
 			Provider: e.arrangedProvider(key, -1),
@@ -228,7 +234,8 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc.eng, sc.host = seq, seq.Host()
+		seq.SetRecycler(e.recycler)
+		sc.eng, sc.host, sc.ingest = seq, seq.Host(), seq.IngestOwned
 	}
 
 	e.mu.Lock()
@@ -292,9 +299,11 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 // tuple. In the parallel configuration it flushes partial shard batches at
 // the end of the step (so trickle traffic is not held back by batch
 // boundaries); an arranged engine additionally seals one arrangement epoch
-// per progressed step, releasing retired state for reclamation. Each
-// subscriber clone is recycled once the engine has widened it — history
-// retains the original, not the clone.
+// per progressed step, releasing retired state for reclamation. The
+// subscriber clones are the class's own — history retains the original,
+// not the clone — so it hands them to the engine: the sequential engine
+// routes a selection class's clone as the wide row itself, lineage in a
+// reused bitmap, and returns the row to the pool when no member kept it.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -306,12 +315,7 @@ func (sc *sharedClass) step() (progressed, done bool) {
 			}
 			taken += n
 			progressed = true
-			sc.eng.IngestBatch(s, sc.buf[:n])
-			if sc.recycler != nil {
-				for i := 0; i < n; i++ {
-					sc.recycler.Put(sc.buf[i])
-				}
-			}
+			sc.ingest(s, sc.buf[:n])
 			for i := 0; i < n; i++ {
 				sc.buf[i] = nil
 			}

@@ -133,8 +133,8 @@ type Eddy struct {
 	// complete, when set, observes every tuple that has visited all of
 	// its applicable modules — including partial (sub-join) tuples. CACQ
 	// uses it to deliver results per query footprint rather than per
-	// full-span tuple.
-	complete func(*tuple.Tuple)
+	// full-span tuple; it reports whether it kept the tuple itself.
+	complete func(t *tuple.Tuple, lineage tuple.Bitset) (kept bool)
 
 	// tracer, when set, samples ingested tuples and records their
 	// module-visit path with per-hop latency under traceTag.
@@ -145,11 +145,9 @@ type Eddy struct {
 	// virtual clock in deterministic tests.
 	clk chaos.Clock
 
-	// recycler, when set, receives tuples the eddy can prove dead: dropped
-	// by a module, never retained as a SteM build, and not sampled by the
-	// tracer. Everything else (emitted, delivered, or built into state)
-	// stays with the garbage collector.
-	recycler *tuple.Pool
+	// release, when set, receives tuples whose routing is over and which no
+	// SteM retains (SetRelease).
+	release func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)
 }
 
 // CheckModuleCount reports whether n modules fit one eddy's 64-bit
@@ -264,9 +262,18 @@ func (e *Eddy) PolicyInfo() (name string, order []int) {
 func (e *Eddy) Modules() []Module { return e.modules }
 
 // SetCompletionHook installs fn to observe every tuple (full or partial
-// span) that completes its applicable module set. Shared (CACQ) execution
-// delivers per-query results from this hook.
-func (e *Eddy) SetCompletionHook(fn func(*tuple.Tuple)) { e.complete = fn }
+// span) that completes its applicable module set, and makes the eddy a
+// shared one: results leave only through fn, never through the eddy's
+// output. Shared (CACQ) execution delivers per-query results from this
+// hook. fn receives the tuple's lineage (its Queries bitmap) as an
+// argument because, when a release func is set and no SteM retains the
+// tuple, the eddy has already taken the bitmap off the row: a row the hook
+// hands on is lineage-free before anyone else can see it. fn reports
+// whether it kept the tuple itself (handed the pointer on) rather than only
+// reading it.
+func (e *Eddy) SetCompletionHook(fn func(t *tuple.Tuple, lineage tuple.Bitset) (kept bool)) {
+	e.complete = fn
+}
 
 // SetTracer attaches a sampled lineage tracer; tag identifies this eddy in
 // recorded traces (e.g. "q3" or "shared:quotes").
@@ -276,10 +283,28 @@ func (e *Eddy) SetTracer(tr *metrics.Tracer, tag string) {
 }
 
 // SetRecycler installs a tuple pool that reclaims provably-dead tuples on
-// the drop path. Only tuples that no SteM retains (their source set builds
-// into no module) and that the tracer is not following are recycled; the
-// conservative gate means correctness never depends on the pool.
-func (e *Eddy) SetRecycler(p *tuple.Pool) { e.recycler = p }
+// the drop path: SetRelease with a func that Puts every dead row.
+func (e *Eddy) SetRecycler(p *tuple.Pool) {
+	e.SetRelease(func(t *tuple.Tuple, _ tuple.Bitset, rowDead bool) {
+		if rowDead {
+			p.Put(t)
+		}
+	})
+}
+
+// SetRelease installs fn to reclaim what a tuple leaves behind once its
+// routing is over. It is called only for tuples no SteM retains (their
+// source set builds into no module): for one a module dropped, and — in a
+// shared eddy — for one that completed. The tuple's lineage is dead then,
+// and fn receives it already taken off the row. rowDead reports whether
+// the row is dead too: nobody kept it (the completion hook returned false,
+// or a module dropped it) and the tracer was not following it. Everything
+// else (emitted, kept, sampled, or built into state) stays with its holder;
+// the conservative gate means correctness never depends on what fn does
+// with the memory.
+func (e *Eddy) SetRelease(fn func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)) {
+	e.release = fn
+}
 
 // SetClock replaces the clock used for per-hop trace timing (nil restores
 // the real clock). Call before Ingest.
@@ -537,11 +562,13 @@ func (e *Eddy) step(b *tuple.Batch) {
 		e.stats.Dropped++
 		if e.tracer != nil && e.tracer.Live(t) {
 			e.tracer.Finish(t, false)
-		} else if e.recycler != nil && e.buildMask(t.Source) == 0 {
+		} else if e.release != nil && e.buildMask(t.Source) == 0 {
 			// Dead for sure: dropped here, never retained as a build, and
 			// invisible to the tracer. Outputs (if any) are independent
 			// copies, so handing t's memory back is safe.
-			e.recycler.Put(t)
+			lineage := t.Queries
+			t.Queries = nil
+			e.release(t, lineage, true)
 		}
 	}
 	b.Tuples = b.Tuples[:passed]
@@ -661,7 +688,8 @@ func (e *Eddy) finishBatch(b *tuple.Batch, required uint64) {
 // (they live on inside SteMs and in the matches they seeded).
 func (e *Eddy) finish(t *tuple.Tuple, required uint64) {
 	if e.complete != nil {
-		e.complete(t)
+		e.finishShared(t)
+		return
 	}
 	if t.Source.Contains(e.all) && e.all.Contains(t.Source) {
 		if t.Queries != nil && !t.Queries.Any() {
@@ -676,11 +704,29 @@ func (e *Eddy) finish(t *tuple.Tuple, required uint64) {
 		}
 		return
 	}
-	// Partial tuple: consumed, not dropped — it was built into SteMs. In
-	// shared execution (all == 0) completion with live lineage is
-	// delivery, so the trace records it as emitted.
-	e.traceFinish(t, e.all == 0 && t.Queries != nil && t.Queries.Any())
+	// Partial tuple: consumed, not dropped — it was built into SteMs.
+	e.traceFinish(t, false)
 	_ = required
+}
+
+// finishShared is finish in a shared eddy: the completion hook delivers t,
+// and completion with live lineage is delivery, so the trace records it as
+// emitted. t's routing is over here, so unless a SteM holds it (and reads
+// its lineage on every probe) the lineage comes off the row before the hook
+// runs and goes to the release func afterwards, with the row when the hook
+// did not keep it and the tracer was not following it.
+func (e *Eddy) finishShared(t *tuple.Tuple) {
+	traced := e.tracer != nil && e.tracer.Live(t)
+	free := e.release != nil && e.buildMask(t.Source) == 0
+	lineage := t.Queries
+	if free {
+		t.Queries = nil
+	}
+	kept := e.complete(t, lineage)
+	e.traceFinish(t, lineage.Any())
+	if free {
+		e.release(t, lineage, !kept && !traced)
+	}
 }
 
 func (e *Eddy) traceFinish(t *tuple.Tuple, emitted bool) {

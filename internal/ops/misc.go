@@ -15,16 +15,15 @@ type Project struct {
 // NewProject builds a projection.
 func NewProject(cols ...int) *Project { return &Project{Cols: cols} }
 
-// Apply returns a fresh tuple holding only the projected columns (lineage
-// and timestamps carry over).
+// Apply returns a fresh tuple holding only the projected columns, with t's
+// timestamps and source set. Projection is a final output step, so the
+// result carries no lineage: CACQ lineage routes a tuple in flight and
+// means nothing on a delivered row.
 func (p *Project) Apply(t *tuple.Tuple) *tuple.Tuple {
 	out := &tuple.Tuple{TS: t.TS, Seq: t.Seq, Source: t.Source}
 	out.Vals = make([]tuple.Value, len(p.Cols))
 	for i, c := range p.Cols {
 		out.Vals[i] = t.Vals[c]
-	}
-	if t.Queries != nil {
-		out.Queries = t.Queries.Clone()
 	}
 	return out
 }

@@ -122,9 +122,14 @@ func TestProject(t *testing.T) {
 	p := NewProject(1)
 	tp := mk(l, 7, 2.5)
 	tp.TS = 11
+	tp.Queries = tuple.NewBitset(8)
+	tp.Queries.Set(3)
 	out := p.Apply(tp)
 	if len(out.Vals) != 1 || out.Vals[0].AsFloat() != 2.5 || out.TS != 11 {
 		t.Errorf("project = %+v", out)
+	}
+	if out.Queries != nil {
+		t.Errorf("projected row carries lineage %v, want none", out.Queries)
 	}
 }
 

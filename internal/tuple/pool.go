@@ -88,9 +88,11 @@ func (p *Pool) Get(width int) *Tuple {
 }
 
 // Put returns a dead tuple to the pool. Oversized tuples are dropped so
-// the pool retains only hot-path-sized rows; the lineage bitmap is
-// released to the garbage collector rather than pooled (its size varies
-// with the standing-query population).
+// the pool retains only hot-path-sized rows. The lineage bitmap is dropped
+// to the garbage collector rather than pooled: across the pool's users its
+// size varies with each class's standing-query population. A shared CACQ
+// class, where the size is uniform, takes the bitmap off the tuple and
+// reuses it itself before calling Put.
 //
 //tcq:hotpath
 func (p *Pool) Put(t *Tuple) {

@@ -57,7 +57,8 @@ type Tuple struct {
 	Done  uint64
 
 	// Queries is the CACQ completion bitmap: bit q set means the tuple can
-	// still contribute to query q's output. Nil outside shared execution.
+	// still contribute to query q's output. It is routing state: nil outside
+	// shared execution and on every delivered row.
 	Queries Bitset
 }
 

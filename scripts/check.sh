@@ -8,8 +8,9 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window and columnar delivery x20, pull-log ring x20,
-#                    wire flushes and EO wake x20, fuzz smoke
+#                    window and columnar delivery x20, shared-class reuse
+#                    x20, pull-log ring x20, wire flushes and EO wake x20,
+#                    fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -148,6 +149,14 @@ stage_race() {
     # observe, so hold all five to twenty race-instrumented passes.
     echo "==> delivery under race: atomic instances, no aliasing, count after rows, columnar push and pull (-count=20)"
     go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch|TestColumnarPushDelivery|TestColumnarEquivalence' ./internal/core/
+
+    # A selection class returns every row no member kept to the tuple pool
+    # while push clients and cursors still read the rows members did keep,
+    # and takes lineage off a row before delivering it: hold the steady-state
+    # allocation bound, the lineage-free delivery and the use-after-free
+    # differential to twenty race-instrumented passes.
+    echo "==> shared-class row and lineage reuse under race (-count=20)"
+    go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe' ./internal/core/
 
     # The pull log is a ring whose head and count the publisher moves while
     # cursors read it, all under one mutex: the model test checks every
