@@ -728,10 +728,10 @@ func TestSlidingForeverEvictsBuffer(t *testing.T) {
 	// Quiesce the executor before inspecting runtime internals.
 	e.Stop()
 	rt := q.rt.(*windowRuntime)
-	// Buffer holds at most the live window plus the undrained tail; far
-	// less than the 400 tuples fed.
-	if n := rt.buffers[0].Len(); n > 50 {
-		t.Errorf("window buffer retained %d tuples; eviction broken", n)
+	// The live panes hold at most the live window plus the undrained tail;
+	// far less than the 400 tuples fed.
+	if n := rt.held[0].Load(); rt.panes == nil || n > 50 {
+		t.Errorf("window holds %d tuples (pane path: %v); eviction broken", n, rt.panes != nil)
 	}
 }
 
@@ -909,9 +909,11 @@ func TestLandmarkGroupedAggIncrementalFastPath(t *testing.T) {
 	}
 	feedStocks(t, e, 1, 8)
 	q.Wait()
-	// Fast path must be active (landmark + aggregate + single stream).
-	if q.rt.(*windowRuntime).incAgg == nil {
-		t.Fatal("landmark fast path not selected")
+	// The pane path must be active (landmark + aggregate + single stream):
+	// one pane per day, and fired days merged into the prefix.
+	rt := q.rt.(*windowRuntime)
+	if rt.panes == nil || rt.buffers[0] != nil {
+		t.Fatal("landmark pane path not selected")
 	}
 	res, _ := q.Fetch(q.Cursor())
 	if len(res) != 10 { // 5 instances x 2 groups
@@ -931,11 +933,15 @@ func TestLandmarkGroupedAggIncrementalFastPath(t *testing.T) {
 			t.Errorf("%s@%d max = %v, want %v", sym, inst, r.Vals[2], wantMax)
 		}
 	}
-	// The buffer must not retain the landmark window (tuples evicted as
-	// they fold in).
+	// No row of the landmark window is retained: fired panes live on as the
+	// prefix's partial aggregates, and the live panes hold only what
+	// arrived past the last instance. Each row was read once.
 	e.Stop()
-	if n := q.rt.(*windowRuntime).buffers[0].Len(); n > 8 {
-		t.Errorf("landmark buffer retained %d tuples", n)
+	if n := rt.held[0].Load(); n != rt.panes.Rows() || n > 8 {
+		t.Errorf("landmark panes hold %d rows (gauge %d)", rt.panes.Rows(), n)
+	}
+	if sc, adm := rt.scanned.Load(), rt.admitted[0].Load(); sc != adm {
+		t.Errorf("scanned %d rows for %d admitted", sc, adm)
 	}
 }
 

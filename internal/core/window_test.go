@@ -239,9 +239,10 @@ func handFilled(t testing.TB, query string, span int64, row func(ts int64) *tupl
 	return rt, q
 }
 
-// TestWindowAdmitsOncePerTuple: a tuple is widened and filtered when it
-// arrives, once, however many overlapping instances read it; a fire then
-// allocates for its groups, not for its rows.
+// TestWindowAdmitsOncePerTuple: a tuple is filtered and folded into its pane
+// when it arrives, once, however many overlapping instances read it;
+// absorbing allocates nothing once the panes are warm, and a fire allocates
+// for its groups, not for its rows or its panes.
 func TestWindowAdmitsOncePerTuple(t *testing.T) {
 	const span, extra = 10, 90
 	e := newTickEngine(t, 0)
@@ -254,33 +255,49 @@ func TestWindowAdmitsOncePerTuple(t *testing.T) {
 	feedTicks(t, e, 1, span+extra)
 	q.Wait()
 	rt := q.rt.(*windowRuntime)
-	// The last instance closed at day span+extra's first row; the rest of
-	// that day may still sit in the input queue.
-	a, m := rt.absorbed[0].Load(), rt.admitted[0].Load()
-	if min, max := int64((span+extra-1)*tickSyms+1), int64((span+extra)*tickSyms); a != m || a < min || a > max {
-		t.Errorf("absorbed %d, admitted %d, want equal and in [%d, %d]: every tuple sits in %d instances", a, m, min, max, span)
+	if rt.panes == nil {
+		t.Fatal("sliding grouped AVG is not on the pane path")
 	}
-	if sc, want := rt.scanned.Load(), int64(extra*span*tickSyms); sc != want {
-		t.Errorf("scanned %d rows over %d instances, want %d", sc, extra, want)
+	// The last instance closed at day span+extra's first row, and a finished
+	// loop takes nothing more in: days 1..span+extra-1, every row once.
+	want := int64((span + extra - 1) * tickSyms)
+	a, m, sc := rt.absorbed[0].Load(), rt.admitted[0].Load(), rt.scanned.Load()
+	if a != want || m != want || sc != want {
+		t.Errorf("absorbed %d, admitted %d, scanned %d, want %d each: every tuple sits in %d instances and is read once",
+			a, m, sc, want, span)
 	}
-	if h := rt.held[0].Load(); h != int64(rt.buffers[0].Len()) || h > 2*span*tickSyms {
-		t.Errorf("held gauge %d, buffer holds %d, a window is %d rows", h, rt.buffers[0].Len(), span*tickSyms)
+	// The loop ended at its last fire: the panes of that instance remain.
+	if h := rt.held[0].Load(); h != rt.panes.Rows() || h != span*tickSyms {
+		t.Errorf("held gauge %d, live panes hold %d rows, a window is %d rows", h, rt.panes.Rows(), span*tickSyms)
 	}
 
+	row := func(ts int64) *tuple.Tuple {
+		return tuple.New(tuple.Time(ts), tuple.Int(ts%tickSyms), tuple.Int(ts))
+	}
 	fireAllocs := func(span int64) float64 {
-		rt, _ := handFilled(t, slidingAvg(span), span, func(ts int64) *tuple.Tuple {
-			return tuple.New(tuple.Time(ts), tuple.Int(ts%tickSyms), tuple.Int(ts))
-		})
-		inst := rt.loop.At(span)
-		if n := len(rt.rowsFor(0, inst)); int64(n) != span {
-			t.Fatalf("span %d: instance reads %d rows", span, n)
+		rt, _ := handFilled(t, slidingAvg(span), span, row)
+		if h := rt.held[0].Load(); h != span {
+			t.Fatalf("span %d: panes hold %d rows", span, h)
 		}
+		inst := rt.loop.At(span)
 		return testing.AllocsPerRun(50, func() { rt.fire(inst) })
 	}
 	short, long := fireAllocs(100), fireAllocs(5000)
-	// The pull log's amortized growth may land in either measurement.
-	if long > short+2 {
-		t.Errorf("a fire over 5000 rows allocates %.0f times, over 100 rows %.0f: per-row work is back in fire", long, short)
+	// Eight groups per fire in both, so both pull logs grow alike.
+	if long > short {
+		t.Errorf("a fire over 5000 rows allocates %.0f times, over 100 rows %.0f: per-row or per-pane work is back in fire", long, short)
+	}
+
+	// Steady-state absorb: the same hundred rows again and again into live
+	// panes — read in place, no new group, no new pane.
+	rt, _ = handFilled(t, slidingAvg(100), 100, row)
+	batch := make([]*tuple.Tuple, 100)
+	for i := range batch {
+		batch[i] = row(int64(i) + 1)
+		batch[i].TS = int64(i) + 1
+	}
+	if n := testing.AllocsPerRun(100, func() { rt.absorb(0, batch) }); n != 0 {
+		t.Errorf("absorbing %d rows into warm panes allocates %.1f times", len(batch), n)
 	}
 }
 
@@ -310,15 +327,19 @@ func TestWindowSelectionPreloadedAndLive(t *testing.T) {
 			t.Errorf("instance %d = %s, want COUNT 4 MAX %d", T, rowKey(r), T)
 		}
 	}
+	// Days 1..20: the loop's last instance closed at day 21's first row
+	// (MSFT), and a finished loop absorbs nothing after it, whichever drain
+	// batch IBM's day-21 row lands in.
 	rt := q.rt.(*windowRuntime)
-	if a, m := rt.absorbed[0].Load(), rt.admitted[0].Load(); a != 42 || m != 21 {
-		t.Errorf("absorbed %d admitted %d, want 42 and 21", a, m)
+	if a, m := rt.absorbed[0].Load(), rt.admitted[0].Load(); a != 40 || m != 20 {
+		t.Errorf("absorbed %d admitted %d, want 40 and 20", a, m)
 	}
 }
 
 // BenchmarkWindowFire measures the hop between a closed window and the
-// client's log: one instance of a sliding 1,000/100 window over 50 groups,
-// evaluated and delivered, with the pull log already past its cap.
+// client's log: one instance of a sliding 1,000/100 window over 50 groups —
+// ten 100-row panes combined — delivered with the pull log already past its
+// cap.
 func BenchmarkWindowFire(b *testing.B) {
 	const span, syms = 1000, 50
 	rt, q := handFilled(b, slidingAvg(span), span, func(ts int64) *tuple.Tuple {
@@ -333,5 +354,5 @@ func BenchmarkWindowFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt.fire(inst)
 	}
-	b.ReportMetric(float64(len(rt.rowsFor(0, inst))), "rows/op")
+	b.ReportMetric(float64(rt.panes.Panes()), "panes/op")
 }

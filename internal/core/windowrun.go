@@ -8,6 +8,7 @@ import (
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/ops"
+	"telegraphcq/internal/sql"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
@@ -26,7 +27,7 @@ type windowRuntime struct {
 	// winFor[pos] is the WindowIs declaration index for FROM position
 	// pos, or -1 for static tables.
 	winFor  []int
-	buffers []*window.Buffer // per windowed position
+	buffers []*window.Buffer // per windowed position, unless panes or incJoin
 	preSeq  []int64          // max preloaded Seq per position (dedup)
 	maxTime []int64          // newest window-time seen per position
 	drainer *batchDrain
@@ -46,9 +47,10 @@ type windowRuntime struct {
 	firedRight []int64
 	// Per windowed position: absorbed counts tuples taken in, admitted those
 	// that passed the position's selections, held the admitted rows its
-	// buffer (or SteM) holds now. late counts tuples at or below firedRight,
-	// scanned the rows fires have read. Atomic because client goroutines
-	// read them mid-step; one add per absorbed batch or fire, none per tuple.
+	// buffer, SteM or live panes hold now. late counts tuples at or below
+	// firedRight, scanned the rows aggregation has read: rows folded into
+	// panes, or rows fires read back. Atomic because client goroutines read
+	// them mid-step; one add per absorbed batch or fire, none per tuple.
 	absorbed, admitted, held []atomic.Int64
 	late, scanned            atomic.Int64
 
@@ -57,11 +59,10 @@ type windowRuntime struct {
 	agg     *ops.Aggregator
 	proj    *ops.Project
 
-	// incAgg is the landmark fast path (§4.1.2): with a fixed left end
-	// the window only grows, so aggregates fold in each instance's delta
-	// instead of rescanning the whole window, and folded tuples are
-	// evicted immediately (no retention).
-	incAgg *ops.IncrementalAggregator
+	// panes is the pane path (see newPanes): an aggregate over one sliding
+	// or landmark window folds each admitted row into its pane at arrival,
+	// keeps no rows, and fires by combining the instance's panes.
+	panes *ops.PaneAgg
 
 	// incJoin is the sliding two-stream join fast path: matches are
 	// produced incrementally through SteMs as tuples arrive (the
@@ -137,10 +138,7 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 
 	if plan.HasAgg() {
 		rt.agg = ops.NewAggregator(plan.GroupBy, plan.Aggs...)
-		if len(plan.Entries) == 1 && plan.Loop.Classify() == window.ShapeLandmark &&
-			plan.Loop.Step > 0 {
-			rt.incAgg = ops.NewIncrementalAggregator(plan.GroupBy, plan.Aggs...)
-		}
+		rt.panes = newPanes(plan, rt.winFor[0])
 	} else if plan.Project != nil {
 		rt.proj = ops.NewProject(plan.Project...)
 	}
@@ -154,7 +152,7 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 		if rt.winFor[pos] < 0 {
 			continue
 		}
-		if rt.incJoin == nil {
+		if rt.incJoin == nil && rt.panes == nil {
 			rt.buffers[pos] = window.NewBuffer(plan.TimeKind)
 		}
 		st, err := q.engine.stream(entry.Name)
@@ -219,6 +217,39 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 	return rt, nil
 }
 
+// newPanes returns the pane aggregator for a plan that aggregates one
+// windowed FROM position over a forward loop whose window either slides
+// (both edges move with t) or is a landmark (left edge fixed), with no
+// ORDER BY or LIMIT (evaluate applies those to the rows before
+// aggregating); nil for every other plan, which keeps the rescan. Panes are
+// gcd(extent, step) wide and start at the first instance's left edge, so
+// every instance edge, and every edge a later instance moves to, is a pane
+// edge.
+func newPanes(plan *sql.Plan, wi int) *ops.PaneAgg {
+	if len(plan.Entries) != 1 || wi < 0 || plan.Loop.Step <= 0 || plan.OrderCol >= 0 || plan.Limit >= 0 {
+		return nil
+	}
+	w := plan.Loop.Windows[wi]
+	landmark := w.Left.Coeff == 0 && w.Right.Coeff == 1
+	if !landmark && (w.Left.Coeff != 1 || w.Right.Coeff != 1) {
+		return nil
+	}
+	left := w.Left.At(plan.Loop.Init)
+	extent := w.Right.At(plan.Loop.Init) - left + 1
+	if extent <= 0 {
+		return nil // the first instance is empty: the rescan says so
+	}
+	return ops.NewPaneAgg(plan.GroupBy, plan.Aggs, left, gcd(extent, plan.Loop.Step), landmark)
+}
+
+// gcd is the greatest common divisor of a > 0 and b > 0.
+func gcd(a, b int64) int64 {
+	for a != 0 {
+		a, b = b%a, a
+	}
+	return b
+}
+
 // setNext moves the forward loop to value t and caches its instance.
 func (rt *windowRuntime) setNext(t int64) {
 	rt.nextT = t
@@ -244,6 +275,9 @@ func (rt *windowRuntime) key(t *tuple.Tuple) int64 {
 // are a pure function of the arrival order, not of where a drain batch
 // happened to end.
 //
+// A loop that has fired its last instance takes nothing more in: what
+// arrives behind the closing tuple belongs to no instance.
+//
 // absorb keeps widened copies only, so every subscriber clone returns to the
 // pool.
 func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
@@ -261,7 +295,9 @@ func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
 		ts = ts[i:]
 		rt.fireNext()
 	}
-	rt.absorb(pos, ts)
+	if !rt.finished {
+		rt.absorb(pos, ts)
+	}
 	for _, t := range all {
 		rt.pool.Put(t)
 	}
@@ -269,13 +305,15 @@ func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
 
 // absorb takes tuples of one position (arriving, or preloaded history)
 // into the runtime's state: the time high-water mark, the late count
-// (late tuples stay buffered for later overlapping instances), and — admitted
-// here, once, however many instances will read it — the incremental join or
-// the position's window buffer. A tuple its selections reject still moves
-// time on; it is only not kept. ts itself is not retained.
+// (late tuples stay buffered, or folded, for later overlapping instances),
+// and — admitted here, once, however many instances will read it — the
+// panes, the incremental join or the position's window buffer. A tuple its
+// selections reject still moves time on; it is only not kept. ts itself is
+// not retained.
 func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
 	rt.absorbed[pos].Add(int64(len(ts)))
 	windowed, wide := rt.winFor[pos] >= 0, rt.wide[:0]
+	var admitted, folded int64
 	for _, t := range ts {
 		k := rt.key(t)
 		if k > rt.maxTime[pos] {
@@ -284,11 +322,21 @@ func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
 		if k <= rt.firedRight[pos] {
 			rt.late.Add(1)
 		}
-		if windowed {
+		if rt.panes != nil {
+			a, f := rt.fold(k, t)
+			admitted += a
+			folded += f
+		} else if windowed {
 			if w := rt.admit(pos, t); w != nil {
 				wide = append(wide, w)
 			}
 		}
+	}
+	if rt.panes != nil {
+		rt.admitted[pos].Add(admitted)
+		rt.scanned.Add(folded)
+		rt.held[pos].Store(rt.panes.Rows())
+		return
 	}
 	rt.admitted[pos].Add(int64(len(wide)))
 	rt.held[pos].Add(int64(len(wide)))
@@ -434,9 +482,10 @@ func (rt *windowRuntime) control(func(eddyHost, func(int) int64)) bool { return 
 // stages reports the windowed pipeline in the one telemetry shape. A
 // Window(<stream>) row per windowed position: visits = tuples absorbed,
 // produced = those admitted (so selectivity is its selections'), tickets =
-// rows held now. The incremental join's materialized matches. Fire: visits =
-// instances fired, produced = results emitted, tickets = rows scanned,
-// probe_ns = mean time per instance.
+// rows held now (in live panes, on the pane path). The incremental join's
+// materialized matches. Fire: visits = instances fired, produced = results
+// emitted, tickets = rows scanned (on the pane path, rows folded: each row
+// once), probe_ns = mean time per instance.
 func (rt *windowRuntime) stages() []ModuleTelemetry {
 	var rows []ModuleTelemetry
 	var in int64
@@ -471,6 +520,17 @@ func (rt *windowRuntime) evict() {
 		rt.incJoin.evict(inst)
 		return
 	}
+	if rt.panes != nil {
+		wi := rt.winFor[0]
+		below := inst.Windows[wi].Left
+		if rt.loop.Windows[wi].Left.Coeff == 0 {
+			// Every later landmark instance covers the fired panes whole.
+			below = rt.firedRight[0] + 1
+		}
+		rt.panes.Evict(below)
+		rt.held[0].Store(rt.panes.Rows())
+		return
+	}
 	for pos, wi := range rt.winFor {
 		if wi >= 0 {
 			rt.evictBelow(pos, inst.Windows[wi].Left)
@@ -502,6 +562,30 @@ func (rt *windowRuntime) admit(pos int, t *tuple.Tuple) *tuple.Tuple {
 	return nil
 }
 
+// fold is admit on the pane path: it checks the position's selections on
+// the tuple's wide row and folds the row into its pane, keeping nothing,
+// because panes hold partial aggregates, not rows. With one FROM position
+// a tuple of the stream's arity already is its wide row and is read in
+// place; any other is widened into a pooled row that goes straight back.
+// It returns whether the row was admitted and whether it was folded (a row
+// below every live pane belongs to no instance still to come).
+func (rt *windowRuntime) fold(k int64, t *tuple.Tuple) (admitted, folded int64) {
+	w := t
+	if len(t.Vals) != rt.layout.Width() {
+		w = rt.layout.WidenUsing(rt.pool, 0, t)
+	}
+	if rt.selected(0, w) {
+		admitted = 1
+		if rt.panes.Fold(k, w) {
+			folded = 1
+		}
+	}
+	if w != t {
+		rt.pool.Put(w)
+	}
+	return admitted, folded
+}
+
 // rowsFor returns FROM position pos's rows for one instance: the admitted
 // rows of its window, aliasing the buffer, or a static table's contents,
 // which may change between fires and so are widened and filtered here.
@@ -530,8 +614,9 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 	clk := rt.q.engine.opts.Clock
 	start := clk.Now()
 	var out []*tuple.Tuple
-	if rt.incAgg != nil && rt.winFor[0] >= 0 {
-		out = rt.fireLandmark(inst)
+	if rt.panes != nil {
+		iv := inst.Windows[rt.winFor[0]]
+		out = rt.panes.Combine(iv.Left, iv.Right)
 	} else {
 		out = rt.evaluate(inst)
 	}
@@ -603,21 +688,6 @@ func (rt *windowRuntime) evaluate(inst window.Instance) []*tuple.Tuple {
 		}
 	}
 	return out
-}
-
-// fireLandmark folds only the instance's delta into the incremental
-// aggregator and returns a snapshot. Folded rows are evicted right away, so
-// whatever the buffer still holds inside the window is exactly the delta —
-// including tuples that arrived late for an earlier instance.
-func (rt *windowRuntime) fireLandmark(inst window.Instance) []*tuple.Tuple {
-	iv := inst.Windows[rt.winFor[0]]
-	delta := rt.buffers[0].Range(iv.Left, iv.Right)
-	for _, w := range delta {
-		rt.incAgg.Add(w)
-	}
-	rt.scanned.Add(int64(len(delta)))
-	rt.evictBelow(0, iv.Right+1)
-	return rt.incAgg.Snapshot()
 }
 
 // joinRec nested-loop joins the per-position row sets, applying every join

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -267,39 +269,216 @@ func TestAggSpecString(t *testing.T) {
 	}
 }
 
-// TestIncrementalAggregatorMatchesBatch: for random grouped input, folding
-// tuples incrementally and snapshotting equals batch recomputation.
-func TestIncrementalAggregatorMatchesBatch(t *testing.T) {
-	l := singleLayout()
-	rng := rand.New(rand.NewSource(8))
-	inc := NewIncrementalAggregator([]int{0},
-		AggSpec{Fn: Count, Col: -1}, AggSpec{Fn: Sum, Col: 1},
-		AggSpec{Fn: Min, Col: 1}, AggSpec{Fn: Max, Col: 1})
-	batch := NewAggregator([]int{0},
-		AggSpec{Fn: Count, Col: -1}, AggSpec{Fn: Sum, Col: 1},
-		AggSpec{Fn: Min, Col: 1}, AggSpec{Fn: Max, Col: 1})
-	var all []*tuple.Tuple
-	for i := 0; i < 500; i++ {
-		tp := mk(l, int64(rng.Intn(7)), rng.Float64()*100)
-		inc.Add(tp)
-		all = append(all, tp)
-		if i%97 == 0 {
-			a := inc.Snapshot()
-			b := batch.Compute(all)
-			if len(a) != len(b) {
-				t.Fatalf("step %d: %d vs %d groups", i, len(a), len(b))
+// sameRows compares aggregate rows exactly, except float values, which
+// may differ in summation order and so only to within 1e-9 relative.
+func sameRows(t *testing.T, what string, got, want []*tuple.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", what, len(got), len(want))
+	}
+	for g := range got {
+		for v := range got[g].Vals {
+			a, b := got[g].Vals[v], want[g].Vals[v]
+			if a.K == tuple.KindFloat && b.K == tuple.KindFloat &&
+				math.Abs(a.F-b.F) <= 1e-9*math.Max(1, math.Abs(b.F)) {
+				continue
 			}
-			for g := range a {
-				for v := range a[g].Vals {
-					if !tuple.Equal(a[g].Vals[v], b[g].Vals[v]) {
-						t.Fatalf("step %d group %d val %d: %v != %v",
-							i, g, v, a[g].Vals[v], b[g].Vals[v])
-					}
-				}
+			if a != b {
+				t.Fatalf("%s: group %d value %d = %v, want %v", what, g, v, a, b)
 			}
 		}
 	}
-	if inc.Groups() != 7 {
-		t.Errorf("groups = %d", inc.Groups())
+}
+
+// TestPaneAggLandmarkMatchesBatch: a landmark folded pane by pane, its fired
+// panes merged into the prefix, combines to what recomputing over every row
+// so far gives — including rows that arrive late, below the live panes.
+func TestPaneAggLandmarkMatchesBatch(t *testing.T) {
+	l := singleLayout()
+	rng := rand.New(rand.NewSource(8))
+	specs := []AggSpec{{Fn: Count, Col: -1}, {Fn: Sum, Col: 1},
+		{Fn: Min, Col: 1}, {Fn: Max, Col: 1}, {Fn: Avg, Col: 1}}
+	const width = 10
+	panes := NewPaneAgg([]int{0}, specs, 0, width, true)
+	batch := NewAggregator([]int{0}, specs...)
+	var all []*tuple.Tuple
+	for key := int64(0); key < 500; key++ {
+		tp := mk(l, int64(rng.Intn(7)), rng.Float64()*100)
+		if rng.Intn(10) == 0 && key > 3*width {
+			// Late: two panes behind, into the prefix.
+			if !panes.Fold(key-2*width, tp) {
+				t.Fatalf("key %d: late landmark row dropped", key-2*width)
+			}
+		} else if !panes.Fold(key, tp) {
+			t.Fatalf("key %d: row dropped", key)
+		}
+		all = append(all, tp)
+		if key%width == width-1 {
+			got := panes.Combine(0, key)
+			want := batch.Compute(all)
+			// Same groups; the pane order may place a late row's group
+			// differently, so match by key.
+			byKey := map[int64]*tuple.Tuple{}
+			for _, r := range want {
+				byKey[r.Vals[0].I] = r
+			}
+			for i, r := range got {
+				want[i] = byKey[r.Vals[0].I]
+			}
+			sameRows(t, fmt.Sprintf("instance ending %d", key), got, want)
+			panes.Evict(key + 1)
+			if panes.Rows() != 0 || panes.Panes() != 0 {
+				t.Fatalf("after evicting through %d: %d rows in %d live panes", key, panes.Rows(), panes.Panes())
+			}
+		}
+	}
+	if got := panes.Combine(0, 499); len(got) != 7 {
+		t.Errorf("the prefix holds %d groups, want 7", len(got))
+	}
+	if panes.Fold(-1, mk(l, 0, 1)) {
+		t.Error("a row left of the landmark was folded")
+	}
+}
+
+// TestPaneAggSlidingDropsBelowLivePanes: a sliding window keeps only the
+// panes its next instance can reach; a row older than those is dropped, and
+// an evicted pane's groups vanish from the next combination.
+func TestPaneAggSlidingDropsBelowLivePanes(t *testing.T) {
+	l := singleLayout()
+	panes := NewPaneAgg([]int{0}, []AggSpec{{Fn: Count, Col: -1}}, 1, 2, false)
+	for key := int64(1); key <= 6; key++ {
+		panes.Fold(key, mk(l, key, 0)) // one group per key
+	}
+	if got := panes.Combine(3, 6); len(got) != 4 || got[0].Vals[0].I != 3 {
+		t.Fatalf("window [3, 6] = %v", got)
+	}
+	panes.Evict(3)
+	if panes.Fold(2, mk(l, 9, 0)) {
+		t.Error("a row below the live panes was folded")
+	}
+	if panes.Panes() != 2 || panes.Rows() != 4 {
+		t.Errorf("%d live panes holding %d rows, want 2 and 4", panes.Panes(), panes.Rows())
+	}
+	if got := panes.Combine(3, 6); len(got) != 4 {
+		t.Errorf("after eviction window [3, 6] = %v", got)
+	}
+	// Pane index is floored, not truncated: key 0 is pane -1, not pane 0.
+	fresh := NewPaneAgg(nil, []AggSpec{{Fn: Count, Col: -1}}, 1, 2, false)
+	if fresh.Fold(0, mk(l, 0, 0)) {
+		t.Error("a row left of the first window was folded")
+	}
+}
+
+// TestGroupingComparesKeyValues: NULL and the string "\x00" hash alike
+// (one FNV round over a zero byte); they are still two groups, in the
+// rescan aggregator and in the pane dictionary.
+func TestGroupingComparesKeyValues(t *testing.T) {
+	l := tuple.NewLayout(tuple.NewSchema("S", tuple.Column{Name: "k", Kind: tuple.KindString}))
+	rows := []*tuple.Tuple{
+		l.Widen(0, tuple.New(tuple.Null)),
+		l.Widen(0, tuple.New(tuple.String_("\x00"))),
+		l.Widen(0, tuple.New(tuple.Null)),
+	}
+	if rows[0].Vals[0].Hash() != rows[1].Vals[0].Hash() {
+		t.Fatal("NULL and \"\\x00\" no longer collide; pick another pair")
+	}
+	count := []AggSpec{{Fn: Count, Col: -1}}
+	out := NewAggregator([]int{0}, count...).Compute(rows)
+	if len(out) != 2 || out[0].Vals[1].I != 2 || out[1].Vals[1].I != 1 {
+		t.Errorf("Compute grouped NULL, \"\\x00\", NULL as %v, want 2 groups counting 2 and 1", out)
+	}
+	panes := NewPaneAgg([]int{0}, count, 0, 10, false)
+	for i, r := range rows {
+		panes.Fold(int64(i), r)
+	}
+	if got := panes.Combine(0, 9); len(got) != 2 || got[0].Vals[1].I != 2 || got[1].Vals[1].I != 1 {
+		t.Errorf("panes grouped NULL, \"\\x00\", NULL as %v, want 2 groups counting 2 and 1", got)
+	}
+}
+
+// TestPaneAggSlidingFreesEvictedGroups: a sliding window over ever-new
+// group keys reuses the slots of groups no live pane holds, so the
+// dictionary and every pane's slot index stay the size of one window's
+// groups; a group still in a live pane keeps its slot and its partials.
+func TestPaneAggSlidingFreesEvictedGroups(t *testing.T) {
+	l := singleLayout()
+	const width = 10 // panes per window, one key each
+	panes := NewPaneAgg([]int{0}, []AggSpec{{Fn: Count, Col: -1}, {Fn: Sum, Col: 1}}, 0, 1, false)
+	for key := int64(0); key < 1000; key++ {
+		panes.Fold(key, mk(l, key, 1)) // a group of its own
+		panes.Fold(key, mk(l, -1, 10)) // one group in every pane
+		if key < width-1 {
+			continue
+		}
+		got := panes.Combine(key-width+1, key)
+		if len(got) != width+1 || got[0].Vals[0].I != key-width+1 || got[1].Vals[0].I != -1 ||
+			got[1].Vals[1].I != width || got[1].Vals[2].F != 10*width {
+			t.Fatalf("window ending %d = %v", key, got)
+		}
+		for _, r := range got[2:] {
+			if r.Vals[1].I != 1 || r.Vals[0].I <= key-width || r.Vals[0].I > key {
+				t.Fatalf("window ending %d holds %v", key, r.Vals)
+			}
+		}
+		panes.Evict(key - width + 2)
+	}
+	if n := panes.Slots(); n > width+2 {
+		t.Errorf("%d group slots after 1,000 keys through a %d-key window", n, width)
+	}
+	for _, p := range append(append(panes.panes, panes.free...), &panes.window) {
+		if len(p.local) > panes.Slots() {
+			t.Errorf("pane %d indexes %d slots, the dictionary has %d", p.idx, len(p.local), panes.Slots())
+		}
+	}
+}
+
+// TestPaneAggFreedSlotLeavesItsHashChain: a freed slot is unlinked from
+// the chain of keys sharing its hash, head or not, and its key is found no
+// more; the colliding key still is.
+func TestPaneAggFreedSlotLeavesItsHashChain(t *testing.T) {
+	l := tuple.NewLayout(tuple.NewSchema("S", tuple.Column{Name: "k", Kind: tuple.KindString}))
+	null, zero := l.Widen(0, tuple.New(tuple.Null)), l.Widen(0, tuple.New(tuple.String_("\x00")))
+	panes := NewPaneAgg([]int{0}, []AggSpec{{Fn: Count, Col: -1}}, 0, 1, false)
+	only := func(key int64, want tuple.Value) {
+		t.Helper()
+		if got := panes.Combine(key, key); len(got) != 1 || got[0].Vals[0] != want || got[0].Vals[1].I != 1 {
+			t.Fatalf("pane %d = %v, want %v counting 1", key, got, want)
+		}
+	}
+	panes.Fold(0, null)
+	panes.Fold(0, zero) // "\x00" heads the chain, NULL behind it
+	panes.Fold(1, null)
+	panes.Evict(1) // frees "\x00", the chain's head
+	only(1, tuple.Null)
+	panes.Fold(2, zero) // a new group again, heading the chain
+	panes.Evict(2)      // frees NULL, the chain's tail
+	only(2, zero.Vals[0])
+	panes.Evict(3) // frees "\x00", alone in its chain
+	panes.Fold(3, null)
+	panes.Fold(3, zero)
+	panes.Fold(4, null)
+	if got := panes.Combine(3, 4); len(got) != 2 || got[0].Vals[1].I != 2 || got[1].Vals[1].I != 1 {
+		t.Errorf("panes 3..4 = %v, want NULL counting 2 and \"\\x00\" 1", got)
+	}
+	if n := panes.Slots(); n != 2 {
+		t.Errorf("%d slots for two colliding keys", n)
+	}
+}
+
+// TestPaneFoldDoesNotAllocate: once a pane and its groups exist, folding a
+// row into it allocates nothing.
+func TestPaneFoldDoesNotAllocate(t *testing.T) {
+	l := singleLayout()
+	panes := NewPaneAgg([]int{0}, []AggSpec{{Fn: Avg, Col: 1}, {Fn: Max, Col: 1}}, 0, 100, false)
+	rows := make([]*tuple.Tuple, 50)
+	for i := range rows {
+		rows[i] = mk(l, int64(i%5), float64(i))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i, r := range rows {
+			panes.Fold(int64(i), r)
+		}
+	}); n != 0 {
+		t.Errorf("folding %d rows allocates %.1f times", len(rows), n)
 	}
 }

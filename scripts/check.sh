@@ -8,9 +8,9 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window and columnar delivery x20, shared-class reuse
-#                    x20, pull-log ring x20, wire flushes and EO wake x20,
-#                    fuzz smoke
+#                    window and columnar delivery x20, panes against the
+#                    rescan x20, shared-class reuse x20, pull-log ring x20,
+#                    wire flushes and EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -149,6 +149,14 @@ stage_race() {
     # observe, so hold all five to twenty race-instrumented passes.
     echo "==> delivery under race: atomic instances, no aliasing, count after rows, columnar push and pull (-count=20)"
     go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch|TestColumnarPushDelivery|TestColumnarEquivalence' ./internal/core/
+
+    # A sliding or landmark aggregate folds each row into a pane as it
+    # arrives and combines panes at each fire: the differential test holds
+    # that to the rescan it replaced across window shapes, time kinds, late
+    # and tied rows and batch sizes, with the drain racing the feeder; and a
+    # sliding GROUP BY over ever-new keys keeps only the window's groups.
+    echo "==> panes against the rescan under race (-count=20)"
+    go test -race -count=20 -run 'TestPanesMatchRescan|TestSlidingGroupsForgetEvictedKeys' ./internal/core/
 
     # A selection class returns every row no member kept to the tuple pool
     # while push clients and cursors still read the rows members did keep,
