@@ -51,7 +51,6 @@ func main() {
 	introspect := flag.Bool("introspect", false, "register the tcq.* introspection streams (query engine telemetry with ordinary CQs; enables live EXPLAIN <qid> and TOP)")
 	introInterval := flag.Duration("introspect-interval", 250*time.Millisecond, "telemetry sampling period for the tcq.* streams")
 	shared := flag.Bool("shared", false, "share arrangements: qualifying equijoins on the same stream pair reuse one SteM build across all registered CQs")
-	columnar := flag.Bool("columnar", false, "columnar execution: eligible two-stream equijoin CQs run on struct-of-arrays blocks with arena allocation (zero-alloc hot path; requires workers=1 for the eligible queries)")
 	policy := flag.String("policy", "", "engine-wide eddy routing policy: \"<kind> [seed=N] [every=N] [refresh=N] [order=a,b,c] [nway=on|off]\" with kinds lottery, naive, fixed, batching, fixing, selectivity; empty keeps the legacy per-query lottery. Also enables batch-granular N-way probe-order planning on 3+-stream joins unless nway=off. Individual queries can be re-routed live with SET POLICY <qid> <spec>")
 	flag.Parse()
 
@@ -80,7 +79,6 @@ func main() {
 		Introspect:         *introspect,
 		IntrospectInterval: *introInterval,
 		SharedArrangements: *shared,
-		Columnar:           *columnar,
 		Routing:            routing,
 	})
 	defer engine.Stop()
@@ -90,8 +88,8 @@ func main() {
 		log.Fatalf("tcqd: %v", err)
 	}
 	defer pm.Close()
-	fmt.Printf("tcqd: listening on %s (EOs=%d workers=%d batch=%d spool=%q trace=%g introspect=%v shared=%v columnar=%v)\n",
-		pm.Addr(), *eos, *workers, *batch, *spool, *traceRate, *introspect, *shared, *columnar)
+	fmt.Printf("tcqd: listening on %s (EOs=%d workers=%d batch=%d spool=%q trace=%g introspect=%v shared=%v)\n",
+		pm.Addr(), *eos, *workers, *batch, *spool, *traceRate, *introspect, *shared)
 	if *introspect {
 		fmt.Printf("tcqd: introspection streams tcq.stats tcq.routes tcq.pool tcq.chaos (every %s)\n",
 			*introInterval)

@@ -1,8 +1,7 @@
 // Package ownercheck is the tcqlint fixture for recycler-ownership
-// discipline: a variable handed to Pool.Put / Block.Release /
-// Arena.Release is dead until reassigned, and releases and ownership
-// transfers that hide one call down still kill or claim the value in the
-// caller.
+// discipline: a variable handed to Pool.Put is dead until reassigned, and
+// releases and ownership transfers that hide one call down still kill or
+// claim the value in the caller.
 package ownercheck
 
 import "telegraphcq/internal/tuple"
@@ -12,13 +11,9 @@ func recycle(p *tuple.Pool, t *tuple.Tuple) {
 	p.Put(t)
 }
 
-// freeBlock releases b two calls down; the summary composes.
-func freeBlock(b *tuple.Block) {
-	dropBlock(b)
-}
-
-func dropBlock(b *tuple.Block) {
-	b.Release()
+// recycleDeep returns t to the pool two calls down; the summary composes.
+func recycleDeep(p *tuple.Pool, t *tuple.Tuple) {
+	recycle(p, t)
 }
 
 // sink retains every tuple handed to it: its summary records that slot 1
@@ -44,10 +39,10 @@ func useAfterCalleeRelease(p *tuple.Pool) int {
 }
 
 // useAfterDeepRelease shows the summary composing through two calls.
-func useAfterDeepRelease(a *tuple.Arena) int {
-	b := a.Get(2, 64)
-	freeBlock(b)
-	return b.Len() // want `b is used after ownercheck\.freeBlock released it`
+func useAfterDeepRelease(p *tuple.Pool) int {
+	t := p.Get(2)
+	recycleDeep(p, t)
+	return len(t.Vals) // want `t is used after ownercheck\.recycleDeep released it`
 }
 
 // doubleReleaseThroughCallee hands the dead tuple straight back to the
@@ -71,8 +66,8 @@ func discardedProducer(p *tuple.Pool) {
 }
 
 // blankProducer binds the owned result to _, which is the same leak.
-func blankProducer(a *tuple.Arena) {
-	_ = a.Get(1, 8) // want `owned result of Arena\.Get is assigned to _: the value leaks`
+func blankProducer(p *tuple.Pool) {
+	_ = p.Get(1) // want `owned result of Pool\.Get is assigned to _: the value leaks`
 }
 
 // overwrittenBeforeUse rebinds the variable before the first value is
@@ -189,49 +184,24 @@ func deferredPut(p *tuple.Pool) int {
 	return len(t.Vals)
 }
 
-// useAfterBlockRelease reads a column of the freed block; the read is a
-// finding (at runtime it would panic on the poisoned block).
-func useAfterBlockRelease(a *tuple.Arena) int {
-	b := a.Get(2, 64)
-	b.Release()
-	return len(b.Col(0)) // want `b is used after Block\.Release released it \(use-after-release\)`
-}
-
-// useAfterArenaRelease frees through the arena; same discipline.
-func useAfterArenaRelease(a *tuple.Arena) int {
-	b := a.Get(2, 64)
-	a.Release(b)
-	return b.Len() // want `b is used after Arena\.Release released it \(use-after-release\)`
-}
-
-// doubleRelease frees the same block twice; the second call is a use.
-func doubleRelease(a *tuple.Arena) {
-	b := a.Get(1, 8)
-	b.Release()
-	b.Release() // want `b is used after Block\.Release released it \(use-after-release\)`
-}
-
-// releaseThenReget is the engine's grow-the-ingress-block idiom: the
-// variable is reassigned from the arena before the next read.
-func releaseThenReget(a *tuple.Arena, need int) int {
-	b := a.Get(2, 64)
-	if b.Cap() < need {
-		b.Release()
-		b = a.Get(2, need)
+// releaseThenReget is the grow-the-row idiom: the Put sits in a block that
+// falls through, and the variable is reassigned from the pool before the
+// next read.
+func releaseThenReget(p *tuple.Pool, need int) int {
+	t := p.Get(2)
+	if len(t.Vals) < need {
+		p.Put(t)
+		t = p.Get(need)
 	}
-	return b.Cap()
+	return len(t.Vals)
 }
 
-// guardedRelease confines the kill to a control-transferring block, the
-// same shape guarded uses for Pool.Put.
-func guardedRelease(a *tuple.Arena, blocks []*tuple.Block) int {
-	n := 0
-	for _, b := range blocks {
-		if b.Len() == 0 {
-			b.Release()
-			continue
-		}
-		n += b.Len()
+// guardedRelease confines the kill to a block that returns, the same shape
+// guarded uses with continue.
+func guardedRelease(p *tuple.Pool, t *tuple.Tuple) int {
+	if t.TS < 0 {
+		p.Put(t)
+		return 0
 	}
-	return n
+	return len(t.Vals)
 }

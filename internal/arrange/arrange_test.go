@@ -107,6 +107,13 @@ func TestTupleBytesCountsRealSizes(t *testing.T) {
 	}
 }
 
+func TestArrangementName(t *testing.T) {
+	a := New(Options{Name: "orders", KeyCol: 0})
+	if a.Name() != "orders" {
+		t.Fatalf("Name = %q, want orders", a.Name())
+	}
+}
+
 func TestCursorCloseReleasesRetired(t *testing.T) {
 	a := New(windowedOpts())
 	c := a.NewCursor()

@@ -152,55 +152,120 @@ func TestWindowedOutputIsAFunctionOfArrivalOrder(t *testing.T) {
 	}
 }
 
-// runJoinQuery runs the S ⋈ R equijoin at the given BatchSize and returns
-// the sorted multiset of result rows.
-func runJoinQuery(t *testing.T, bs int) []string {
+// joinShapes covers five equijoin shapes: a bare equijoin, a selection, a
+// conjunction of selections on both sides, SELECT * and a self-join (two
+// FROM positions over one stream).
+var joinShapes = []string{
+	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`,
+	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 10`,
+	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND R.w < 100 AND S.v > 2`,
+	`SELECT * FROM S, R WHERE S.k = R.k`,
+	`SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`,
+}
+
+// joinShapeFeed builds deterministic inputs plus each joinShapes entry's
+// expected result count, evaluated in plain Go, independent of the engine.
+func joinShapeFeed() (sRows, rRows []*tuple.Tuple, want []int) {
+	for i := int64(0); i < 40; i++ {
+		sRows = append(sRows, tuple.New(tuple.Int(i%7), tuple.Int(i)))
+	}
+	for j := int64(0); j < 25; j++ {
+		rRows = append(rRows, tuple.New(tuple.Int(j%7), tuple.Int(j*10)))
+	}
+	want = make([]int, len(joinShapes))
+	for _, s := range sRows {
+		for _, r := range rRows {
+			if s.Vals[0].AsInt() != r.Vals[0].AsInt() {
+				continue
+			}
+			want[0]++
+			if s.Vals[1].AsInt() > 10 {
+				want[1]++
+			}
+			if r.Vals[1].AsInt() < 100 && s.Vals[1].AsInt() > 2 {
+				want[2]++
+			}
+			want[3]++
+		}
+	}
+	for _, a := range sRows {
+		for _, b := range sRows {
+			if a.Vals[0].AsInt() == b.Vals[0].AsInt() {
+				want[4]++
+			}
+		}
+	}
+	return sRows, rRows, want
+}
+
+// runJoinShapes registers every joinShapes entry on one engine at the
+// given BatchSize, replays the feed, and returns each query's sorted
+// result multiset.
+func runJoinShapes(t *testing.T, bs int) [][]string {
 	t.Helper()
-	e := NewEngine(Options{EOs: 1, BatchSize: bs})
+	e := NewEngine(Options{EOs: 2, BatchSize: bs})
 	defer e.Stop()
 	createSR(t, e)
-	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-	if err != nil {
+	var qs []*RunningQuery
+	for _, text := range joinShapes {
+		q, err := e.Register(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := q.rt.(*eddyRuntime); !ok {
+			t.Fatalf("%q runs on %T, want a private eddy", text, q.rt)
+		}
+		qs = append(qs, q)
+	}
+	sRows, rRows, want := joinShapeFeed()
+	if err := e.FeedMany("S", sRows); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 30; i++ {
-		e.Feed("S", tuple.New(tuple.Int(i%5), tuple.Int(i)))
-	}
-	for i := int64(0); i < 20; i++ {
-		e.Feed("R", tuple.New(tuple.Int(i%5), tuple.Int(i*10)))
-	}
-	// Per key: 6 S rows x 4 R rows over 5 keys = 120 matches.
-	waitFor(t, "120 join results", func() bool { return q.Results() >= 120 })
-	res, err := q.Fetch(q.Cursor())
-	if err != nil {
+	if err := e.FeedMany("R", rRows); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]string, len(res))
-	for i, r := range res {
-		// TS of a match depends on probe arrival order, which batching may
-		// shift; compare the joined values only.
-		out[i] = fmt.Sprint(r.Vals)
+	out := make([][]string, len(qs))
+	for i, q := range qs {
+		waitFor(t, fmt.Sprintf("query %d: %d results", i, want[i]),
+			func() bool { return q.Results() >= int64(want[i]) })
+		res, err := q.Fetch(q.Cursor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]string, len(res))
+		for k, r := range res {
+			// TS of a match depends on probe arrival order, which batching
+			// may shift; compare the joined values only.
+			rows[k] = fmt.Sprint(r.Vals)
+		}
+		sort.Strings(rows)
+		out[i] = rows
 	}
-	sort.Strings(out)
 	return out
 }
 
-// TestBatchEquivalenceJoinMultiset: the equijoin produces the identical
-// multiset of matches at every batch size.
+// TestBatchEquivalenceJoinMultiset: every equijoin shape produces its
+// plain-Go result count at BatchSize 1, and the identical multiset of
+// matches at every larger batch size.
 func TestBatchEquivalenceJoinMultiset(t *testing.T) {
-	base := runJoinQuery(t, 1)
-	if len(base) != 120 {
-		t.Fatalf("baseline join produced %d rows, want 120", len(base))
-	}
-	for _, bs := range []int{32, 128} {
-		got := runJoinQuery(t, bs)
-		if len(got) != len(base) {
-			t.Fatalf("BatchSize=%d: %d rows, want %d", bs, len(got), len(base))
+	_, _, want := joinShapeFeed()
+	base := runJoinShapes(t, 1)
+	for i, rows := range base {
+		if len(rows) != want[i] {
+			t.Fatalf("BatchSize=1: %q produced %d rows, want %d", joinShapes[i], len(rows), want[i])
 		}
+	}
+	for _, bs := range []int{8, 32} {
+		got := runJoinShapes(t, bs)
 		for i := range base {
-			if base[i] != got[i] {
-				t.Fatalf("BatchSize=%d: multiset diverges at %d: %q vs %q",
-					bs, i, got[i], base[i])
+			if len(got[i]) != len(base[i]) {
+				t.Fatalf("BatchSize=%d: %q produced %d rows, want %d", bs, joinShapes[i], len(got[i]), len(base[i]))
+			}
+			for k := range base[i] {
+				if base[i][k] != got[i][k] {
+					t.Fatalf("BatchSize=%d: %q multiset diverges at %d: %q vs %q",
+						bs, joinShapes[i], k, got[i][k], base[i][k])
+				}
 			}
 		}
 	}

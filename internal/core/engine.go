@@ -86,18 +86,6 @@ type Options struct {
 	// registry handle instead of a state copy. Off (the default) gives
 	// every equijoin its private eddy.
 	SharedArrangements bool
-	// Columnar routes qualifying plans — unwindowed two-stream equijoins
-	// (self-joins included) with their selections, without aggregates,
-	// GROUP BY, DISTINCT, ORDER BY, LIMIT, or static tables, on one
-	// worker — onto the columnar runtime: tuples
-	// travel as struct-of-arrays blocks carved from a per-query arena,
-	// filters run as tight loops down single columns with mask-based
-	// survivor selection, and join state lives in columnar segment
-	// stores. Results are the same multiset the row-at-a-time path
-	// produces (the differential harness in columnar_equiv_test.go pins
-	// this) at a fraction of the allocation cost (see E17). Off (the
-	// default) keeps every plan on its previous path, bit-identical.
-	Columnar bool
 	// Introspect registers the engine's telemetry streams (tcq.stats,
 	// tcq.routes, tcq.pool, tcq.chaos) as ordinary catalog sources fed by a
 	// background collector, so continuous queries can run over the engine's

@@ -36,7 +36,7 @@ type ModuleTelemetry struct {
 type QueryTelemetry struct {
 	ID      int
 	Label   string // trace tag: "q<id>", or "shared:<stream>" inside a class
-	HasEddy bool   // false for windowed and columnar runtimes (no adaptive routing state)
+	HasEddy bool   // false for the windowed runtime (no adaptive routing state)
 	Stats   eddy.Stats
 	// QueueDepth is the pending-input backlog across the query's (or its
 	// class's) input queues.

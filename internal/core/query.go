@@ -75,9 +75,9 @@ type RunningQuery struct {
 }
 
 // runtime is the per-query execution strategy and its control plane. A
-// private eddy (inline or partitioned), a shared-class member, the windowed
-// and the columnar runtime all satisfy it, so nothing above asks which one
-// a query landed on.
+// private eddy (inline or partitioned), a shared-class member and the
+// windowed runtime all satisfy it, so nothing above asks which one a query
+// landed on.
 type runtime interface {
 	// step consumes pending input and produces results; progressed
 	// reports whether anything happened, finished whether the query has
@@ -90,7 +90,7 @@ type runtime interface {
 	// control runs fn on the query's eddy host with the runtime's
 	// policy-seed rule, under the lock that excludes the stepping DU; it
 	// returns false without calling fn when there is no adaptive routing
-	// layer (windowed, columnar).
+	// layer (windowed).
 	control(fn func(h eddyHost, seed func(shard int) int64)) bool
 	// stages reports one row per pipeline stage, from counters already
 	// kept, for a runtime without an eddy (nil with one: the host's modules
@@ -179,57 +179,6 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 	q.sinkMu.Unlock()
 	q.pull.PublishBatch(ts, q.recyclable && nPush == 0 && len(sinks) == 0)
 	q.results.Add(int64(len(ts)))
-	for _, fn := range sinks {
-		for _, t := range ts {
-			fn(t)
-		}
-	}
-}
-
-// emitBlock delivers a columnar result block, taking ownership of it.
-// With no push clients and no sinks attached the block goes to the pull
-// egress whole — rows stay struct-of-arrays until a client fetches them,
-// and the egress releases the block to its arena when the rows age out
-// of retention. Otherwise rows materialize once (emitBlockRows) and flow
-// through the classic row-at-a-time delivery.
-//
-//tcq:hotpath
-func (q *RunningQuery) emitBlock(b *tuple.Block) {
-	n := b.Len()
-	if n == 0 {
-		b.Release()
-		return
-	}
-	q.sinkMu.Lock()
-	sinks := q.sinks
-	q.sinkMu.Unlock()
-	// The count moves after the rows are published, as in emit and
-	// emitBatch: a client that read Results() == n can fetch n rows.
-	if q.push.Clients() == 0 && len(sinks) == 0 {
-		q.pull.PublishBlock(b, q.recyclable)
-		q.results.Add(int64(n))
-		return
-	}
-	q.emitBlockRows(b, sinks)
-	q.results.Add(int64(n))
-}
-
-// emitBlockRows materializes a block's rows for row-at-a-time delivery.
-// Audited amortization point: it runs only when push clients or sinks are
-// attached, and those delivery paths allocate per row by design (each
-// client receives its own *Tuple); the zero-alloc guarantee covers the
-// whole-block pull egress, not row-mode fan-out.
-//
-//tcq:coldpath
-func (q *RunningQuery) emitBlockRows(b *tuple.Block, sinks []func(*tuple.Tuple)) {
-	n := b.Len()
-	ts := make([]*tuple.Tuple, n)
-	for i := 0; i < n; i++ {
-		ts[i] = b.Row(i)
-	}
-	b.Release()
-	q.push.PublishBatch(ts)
-	q.pull.PublishBatch(ts, false)
 	for _, fn := range sinks {
 		for _, t := range ts {
 			fn(t)
@@ -385,10 +334,6 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	switch {
 	case plan.Loop != nil:
 		q.rt, err = newWindowRuntime(q)
-	case e.opts.Columnar && e.opts.Workers == 1 && columnarEligible(plan):
-		// Eligible single-worker equijoin plans run on struct-of-arrays
-		// blocks.
-		q.rt, err = newColRuntime(q)
 	default:
 		// One private eddy; with Workers > 1 a partitionable plan gets the
 		// hash-partitioning stage in front of it (see eddyRuntime).
@@ -496,7 +441,7 @@ func (e *Engine) tableContents(entry *catalog.Entry) ([]*tuple.Tuple, error) {
 
 // EddyStats returns the adaptive-routing counters behind this query: its
 // private eddy (summed over shards) or its shared class's. ok is false for
-// windowed and columnar queries, whose runtimes have no eddy.
+// windowed queries, whose runtime has no eddy.
 func (q *RunningQuery) EddyStats() (st eddy.Stats, ok bool) {
 	ok = q.rt.control(func(h eddyHost, _ func(int) int64) { st = h.Stats() })
 	return st, ok

@@ -97,8 +97,8 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 // query's eddy host — its private eddy, each of its shards (under a
 // barrier), or its whole shared class: every member of a shared class is
 // re-routed together, since they share one super-query eddy. Learned
-// routing state starts fresh. Windowed and columnar runtimes have no
-// adaptive routing layer and report an error.
+// routing state starts fresh. The windowed runtime has no adaptive routing
+// layer and reports an error.
 func (e *Engine) SetQueryPolicy(qid int, spec string) error {
 	cfg, err := eddy.ParseRouting(spec)
 	if err != nil {

@@ -134,7 +134,6 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 		{"shared/workers=4", Options{Workers: 4}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 4, []string{"GF(S.v)"}},
 		{"windowed", Options{}, `SELECT COUNT(*) FROM S for (t = 4; ; t += 4) { WindowIs(S, t - 3, t); }`,
 			"q0", false, 0, []string{"Window(S)", "Fire"}},
-		{"columnar", Options{Columnar: true}, join, "q0", false, 0, []string{"SteM(S)", "SteM(R)"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.EOs = 1

@@ -79,9 +79,9 @@ func fetchWhile(t *testing.T, q *RunningQuery, feed func(), check func(results i
 }
 
 // TestResultsNeverAheadOfFetch: a client that read Results() == n can fetch
-// n rows — the count moves after the rows are published, not before — on
-// each emit path: a window instance (emitBatch), a columnar block handed
-// whole to the pull log, and a columnar block materialised for a subscriber.
+// n rows — the count moves after the rows are published, not before — for a
+// window instance (emitBatch) and for an eddy's self-join, whose rows the
+// pull log owns without a subscriber and shares with one.
 func TestResultsNeverAheadOfFetch(t *testing.T) {
 	neverAhead := func(t *testing.T, q *RunningQuery, want int64, feed func()) {
 		var fetched int64
@@ -107,8 +107,8 @@ func TestResultsNeverAheadOfFetch(t *testing.T) {
 	})
 
 	for _, subscribed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("columnar/subscribed=%v", subscribed), func(t *testing.T) {
-			e := NewEngine(Options{EOs: 2, BatchSize: 8, Columnar: true})
+		t.Run(fmt.Sprintf("eddy/subscribed=%v", subscribed), func(t *testing.T) {
+			e := NewEngine(Options{EOs: 2, BatchSize: 8})
 			defer e.Stop()
 			if err := e.CreateStream("ticks", tickSchema(), 0); err != nil {
 				t.Fatal(err)
@@ -117,8 +117,8 @@ func TestResultsNeverAheadOfFetch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := q.rt.(*colRuntime); !ok {
-				t.Fatalf("query runs on %T, want *colRuntime", q.rt)
+			if _, ok := q.rt.(*eddyRuntime); !ok {
+				t.Fatalf("query runs on %T, want a private eddy", q.rt)
 			}
 			if subscribed {
 				q.Subscribe(1)

@@ -510,6 +510,13 @@ func (rt *windowRuntime) stages() []ModuleTelemetry {
 	return append(rows, fire)
 }
 
+// stageRow is one pipeline stage of a runtime without an eddy, in
+// ModuleTelemetry shape: what entered the stage and what it generated. A
+// stage has no routing choice to learn, so selectivity reads 1.
+func stageRow(owner, name string, visits, produced int64) ModuleTelemetry {
+	return ModuleTelemetry{Owner: owner, Module: name, Visits: visits, Produced: produced, Selectivity: 1}
+}
+
 // evict drops buffered rows no future window instance can need.
 func (rt *windowRuntime) evict() {
 	if rt.finished {

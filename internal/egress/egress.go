@@ -95,29 +95,12 @@ func (e *PushEgress) Stats() (sent, dropped int64) {
 	return e.sent, e.dropped
 }
 
-// Clients returns the number of subscribed push clients. The columnar
-// emit path checks it before deciding whether result blocks can stay
-// columnar (pull-only delivery) or must materialize rows for push fan-out.
-func (e *PushEgress) Clients() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.clients)
-}
-
 // pullEntry is one logged result. owned marks tuples the egress holds the
 // only live reference to: when they age out of the retention window they
 // return to the tuple pool instead of the garbage collector. Fetching an
 // entry hands its pointer to a client and clears the mark.
-//
-// A columnar result occupies one entry per row with blk set and t nil:
-// the row stays struct-of-arrays in the retained block and is only
-// materialized as a *Tuple when a client fetches it. Owned block rows are
-// refcounted per block (blockRows): when the last retained row of an
-// owned block ages out, the whole block returns to its arena.
 type pullEntry struct {
 	t     *tuple.Tuple
-	blk   *tuple.Block
-	row   int32
 	owned bool
 }
 
@@ -142,13 +125,6 @@ type PullEgress struct {
 	cursors map[int]int64
 	nextID  int
 	pool    *tuple.Pool // recycles owned entries aging out; nil disables
-
-	// blockRows counts retained rows per owned block; the publisher's
-	// goroutine releases a block to its arena when the count hits zero.
-	// Arenas are single-goroutine, but eviction only runs inside Publish*
-	// calls — which the single producing runtime makes — so releases stay
-	// on the arena's owning goroutine.
-	blockRows map[*tuple.Block]int32
 }
 
 // NewPullEgress keeps at most capTuples results (older ones age out).
@@ -185,34 +161,6 @@ func (e *PullEgress) PublishBatch(ts []*tuple.Tuple, owned bool) {
 	owned = owned && e.pool != nil
 	for _, t := range ts {
 		e.pushLocked(pullEntry{t: t, owned: owned})
-	}
-}
-
-// PublishBlock appends every row of a columnar result block under one
-// lock acquisition, without materializing tuples: rows stay in the block
-// until fetched. owned marks blocks the egress must release back to
-// their arena once all rows age out of retention (the producer
-// guarantees no other live reference to the block).
-func (e *PullEgress) PublishBlock(b *tuple.Block, owned bool) {
-	n := b.Len()
-	if n == 0 {
-		if owned {
-			b.Release()
-		}
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if owned {
-		if e.blockRows == nil {
-			//lint:ignore alloccheck lazy refcount-map init: once per egress lifetime, not per row
-			e.blockRows = make(map[*tuple.Block]int32)
-		}
-		//lint:ignore alloccheck block refcount insert: one map write per published block, amortized across its rows
-		e.blockRows[b] = int32(n)
-	}
-	for i := 0; i < n; i++ {
-		e.pushLocked(pullEntry{blk: b, row: int32(i), owned: owned})
 	}
 }
 
@@ -267,25 +215,12 @@ func (e *PullEgress) grow() {
 	e.ring = e.ring[:min(cap(e.ring), e.cap)]
 }
 
-// evictOldestLocked ages out the oldest retained row: an owned tuple
-// returns to the pool, and the last retained row of an owned block releases
-// the block. It runs only on a full ring at its cap, where the slot it
-// vacates is the one the incoming row is about to overwrite, so no slot
+// evictOldestLocked ages out the oldest retained row, returning an owned
+// tuple to the pool. It runs only on a full ring at its cap, where the slot
+// it vacates is the one the incoming row is about to overwrite, so no slot
 // outside the retained range ever holds a pointer.
 func (e *PullEgress) evictOldestLocked() {
-	ent := &e.ring[e.head]
-	switch {
-	case ent.blk != nil:
-		if ent.owned {
-			if left := e.blockRows[ent.blk] - 1; left > 0 {
-				//lint:ignore alloccheck refcount decrement on an existing key: no bucket growth in steady state
-				e.blockRows[ent.blk] = left
-			} else {
-				delete(e.blockRows, ent.blk)
-				ent.blk.Release()
-			}
-		}
-	case ent.owned:
+	if ent := &e.ring[e.head]; ent.owned {
 		e.pool.Put(ent.t)
 	}
 	e.head = e.at(1)
@@ -341,13 +276,6 @@ func (e *PullEgress) Fetch(id int) (results []*tuple.Tuple, missed int64, err er
 	results = make([]*tuple.Tuple, 0, e.n-start)
 	for i := start; i < e.n; i++ {
 		ent := &e.ring[e.at(i)]
-		if ent.blk != nil {
-			// Columnar rows materialize on fetch as independent copies;
-			// the block itself stays owned by the egress (it may back
-			// other unfetched rows) and is released on age-out as usual.
-			results = append(results, ent.blk.Row(int(ent.row)))
-			continue
-		}
 		// The client holds the pointer from here on: the egress no longer
 		// owns the tuple's memory.
 		ent.owned = false

@@ -191,7 +191,6 @@ type pullLog interface {
 	Publish(t *tuple.Tuple)
 	PublishOwned(t *tuple.Tuple, owned bool)
 	PublishBatch(ts []*tuple.Tuple, owned bool)
-	PublishBlock(b *tuple.Block, owned bool)
 	Register() int
 	RegisterAt(pos int64) int
 	Fetch(id int) ([]*tuple.Tuple, int64, error)
@@ -204,13 +203,12 @@ type pullLog interface {
 // that appends, then shifts the survivors down over whatever aged out. It
 // stays here as the oracle the ring is checked against.
 type sliceLog struct {
-	log       []pullEntry
-	cap       int
-	base      int64
-	cursors   map[int]int64
-	nextID    int
-	pool      *tuple.Pool
-	blockRows map[*tuple.Block]int32
+	log     []pullEntry
+	cap     int
+	base    int64
+	cursors map[int]int64
+	nextID  int
+	pool    *tuple.Pool
 }
 
 func (e *sliceLog) Publish(t *tuple.Tuple) { e.PublishOwned(t, false) }
@@ -228,44 +226,13 @@ func (e *sliceLog) PublishBatch(ts []*tuple.Tuple, owned bool) {
 	e.evictOver()
 }
 
-func (e *sliceLog) PublishBlock(b *tuple.Block, owned bool) {
-	n := b.Len()
-	if n == 0 {
-		if owned {
-			b.Release()
-		}
-		return
-	}
-	if owned {
-		if e.blockRows == nil {
-			e.blockRows = make(map[*tuple.Block]int32)
-		}
-		e.blockRows[b] = int32(n)
-	}
-	for i := 0; i < n; i++ {
-		e.log = append(e.log, pullEntry{blk: b, row: int32(i), owned: owned})
-	}
-	e.evictOver()
-}
-
 func (e *sliceLog) evictOver() {
 	over := len(e.log) - e.cap
 	if over <= 0 {
 		return
 	}
 	for i := 0; i < over; i++ {
-		ent := e.log[i]
-		switch {
-		case ent.blk != nil:
-			if ent.owned {
-				if left := e.blockRows[ent.blk] - 1; left > 0 {
-					e.blockRows[ent.blk] = left
-				} else {
-					delete(e.blockRows, ent.blk)
-					ent.blk.Release()
-				}
-			}
-		case ent.owned:
+		if ent := e.log[i]; ent.owned {
 			e.pool.Put(ent.t)
 		}
 	}
@@ -302,10 +269,6 @@ func (e *sliceLog) Fetch(id int) (results []*tuple.Tuple, missed int64, err erro
 		cur = e.base
 	}
 	for i := int(cur - e.base); i < len(e.log); i++ {
-		if b := e.log[i].blk; b != nil {
-			results = append(results, b.Row(int(e.log[i].row)))
-			continue
-		}
 		e.log[i].owned = false
 		results = append(results, e.log[i].t)
 	}
@@ -317,22 +280,18 @@ func (e *sliceLog) Deregister(id int) { delete(e.cursors, id) }
 func (e *sliceLog) Cursors() int      { return len(e.cursors) }
 func (e *sliceLog) Len() int          { return len(e.log) }
 
-// modelSide is one log under test with a pool and an arena of its own: an
-// owned tuple or block goes back exactly once, so the ring and the oracle
-// cannot share them. Rows are told apart by the number in their one column.
+// modelSide is one log under test with a pool of its own: an owned tuple
+// goes back exactly once, so the ring and the oracle cannot share one. Rows
+// are told apart by the number in their one column.
 type modelSide struct {
-	log      pullLog
-	pool     *tuple.Pool
-	arena    *tuple.Arena
-	tuples   map[*tuple.Tuple]int64
-	blocks   map[*tuple.Block]int64
-	puts     int64
-	releases int64
+	log    pullLog
+	pool   *tuple.Pool
+	tuples map[*tuple.Tuple]int64
+	puts   int64
 }
 
 func newModelSide(log pullLog, pool *tuple.Pool) *modelSide {
-	return &modelSide{log: log, pool: pool, arena: tuple.NewArena(),
-		tuples: make(map[*tuple.Tuple]int64), blocks: make(map[*tuple.Block]int64)}
+	return &modelSide{log: log, pool: pool, tuples: make(map[*tuple.Tuple]int64)}
 }
 
 func (s *modelSide) tuple(id int64) *tuple.Tuple {
@@ -349,22 +308,10 @@ func (s *modelSide) batch(first int64, n int) []*tuple.Tuple {
 	return ts
 }
 
-// block draws from the side's arena whether or not the log will own it, so
-// that a block released by mistake shows up in recycled too.
-func (s *modelSide) block(first int64, rows int) *tuple.Block {
-	b := s.arena.Get(1, 64)
-	for i := 0; i < rows; i++ {
-		b.AppendRow([]tuple.Value{tuple.Int(first + int64(i))}, 0, 0, 0)
-	}
-	s.blocks[b] = first
-	return b
-}
-
-// recycled takes back what the log has returned to the pool and the arena
-// since the last call (both hand out their most recent returns first) and
-// names it: the ids of the tuples Put and the first-row ids of the blocks
-// Released, each sorted.
-func (s *modelSide) recycled(t *testing.T) (tuples, blocks []int64) {
+// recycled takes back what the log has returned to the pool since the last
+// call (the pool hands out its most recent returns first) and names it: the
+// ids of the tuples Put, sorted.
+func (s *modelSide) recycled(t *testing.T) (tuples []int64) {
 	t.Helper()
 	for puts := s.pool.Stats().Puts; s.puts < puts; s.puts++ {
 		tp := s.pool.Get(1)
@@ -375,30 +322,21 @@ func (s *modelSide) recycled(t *testing.T) (tuples, blocks []int64) {
 		delete(s.tuples, tp)
 		tuples = append(tuples, id)
 	}
-	for _, _, rel := s.arena.Stats(); s.releases < rel; s.releases++ {
-		b := s.arena.Get(1, 64)
-		id, ok := s.blocks[b]
-		if !ok {
-			t.Fatalf("the arena handed out a block that was never published or was released twice")
-		}
-		delete(s.blocks, b)
-		blocks = append(blocks, id)
-	}
 	slices.Sort(tuples)
-	slices.Sort(blocks)
-	return tuples, blocks
+	return tuples
 }
 
-// rowIDs names fetched rows: a tuple by the id it was made with (the log
-// must hand back the very pointer), a materialized block row by its value.
-func (s *modelSide) rowIDs(rows []*tuple.Tuple) []int64 {
+// rowIDs names fetched rows by the id each was made with: the log must hand
+// back the very pointer it was given.
+func (s *modelSide) rowIDs(t *testing.T, rows []*tuple.Tuple) []int64 {
+	t.Helper()
 	ids := make([]int64, len(rows))
 	for i, r := range rows {
-		if id, ok := s.tuples[r]; ok {
-			ids[i] = id
-		} else {
-			ids[i] = -r.Vals[0].AsInt() // a copy: no pointer to know it by
+		id, ok := s.tuples[r]
+		if !ok {
+			t.Fatalf("fetched a tuple that was never published or was already recycled")
 		}
+		ids[i] = id
 	}
 	return ids
 }
@@ -424,8 +362,8 @@ func checkRing(t *testing.T, e *PullEgress) {
 // TestPullRingMatchesSliceModel drives the ring and the slice it replaced
 // through one seeded random history per cap and requires them to be
 // indistinguishable: the same rows fetched in the same order, the same
-// missed counts, lengths and cursor counts, and the same tuples and blocks
-// handed back for reuse after every single operation.
+// missed counts, lengths and cursor counts, and the same tuples handed back
+// for reuse after every single operation.
 func TestPullRingMatchesSliceModel(t *testing.T) {
 	const ops = 12000
 	for _, capRows := range []int{1, 2, 3, 7, 64} {
@@ -456,7 +394,7 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 						s.log.PublishOwned(s.tuple(next), true)
 					}
 					next, published = next+1, published+1
-				case k <= 3:
+				case k <= 5:
 					sizes := []int{0, 1, rng.Intn(capRows), capRows, capRows + 1 + rng.Intn(capRows+2)}
 					n, owned := sizes[rng.Intn(len(sizes))], rng.Intn(2) == 0
 					what = fmt.Sprintf("PublishBatch(%d rows, owned=%v)", n, owned)
@@ -464,16 +402,6 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 						s.log.PublishBatch(s.batch(next, n), owned)
 					}
 					next, published = next+int64(n), published+int64(n)
-				case k <= 5:
-					n, owned := rng.Intn(65), rng.Intn(2) == 0
-					if rng.Intn(8) == 0 {
-						n = 0
-					}
-					what = fmt.Sprintf("PublishBlock(%d rows, owned=%v)", n, owned)
-					for _, s := range sides {
-						s.log.PublishBlock(s.block(next, n), owned)
-					}
-					next, published = next+int64(n)+1, published+int64(n) // +1: an empty block still needs a name
 				case k == 6 && len(cursors) < 6:
 					what = "Register"
 					id := ring.log.Register()
@@ -508,7 +436,7 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 					if (err == nil) != (wantErr == nil) || missed != wantMissed {
 						t.Fatalf("op %d %s: missed %d err %v, model missed %d err %v", op, what, missed, err, wantMissed, wantErr)
 					}
-					if g, w := ring.rowIDs(got), model.rowIDs(want); !reflect.DeepEqual(g, w) {
+					if g, w := ring.rowIDs(t, got), model.rowIDs(t, want); !reflect.DeepEqual(g, w) {
 						t.Fatalf("op %d %s: fetched %v, model %v", op, what, g, w)
 					}
 					missedSum += missed
@@ -530,10 +458,8 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 				if got, want := ring.log.Cursors(), model.log.Cursors(); got != want {
 					t.Fatalf("op %d %s: Cursors %d, model %d", op, what, got, want)
 				}
-				gotT, gotB := ring.recycled(t)
-				wantT, wantB := model.recycled(t)
-				if !reflect.DeepEqual(gotT, wantT) || !reflect.DeepEqual(gotB, wantB) {
-					t.Fatalf("op %d %s: recycled tuples %v blocks %v, model tuples %v blocks %v", op, what, gotT, gotB, wantT, wantB)
+				if got, want := ring.recycled(t), model.recycled(t); !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d %s: recycled tuples %v, model %v", op, what, got, want)
 				}
 				checkRing(t, ringLog)
 				evicted, missedTotal := ringLog.Stats()

@@ -21,11 +21,11 @@ import (
 //
 // Escape hatches, in order of preference: eliminate the allocation
 // (reuse a field or parameter buffer), mark an audited amortization
-// point //tcq:coldpath (arena slab carving, scratch growth — its body
+// point //tcq:coldpath (mask and ring growth, scratch growth — its body
 // and callees stop propagating to hot roots), or suppress one site with
 // //lint:ignore alloccheck <reason> where the allocation is real but
-// amortizes below one per fed tuple, the bound
-// core.TestColumnarSteadyStateAllocs holds (free-list map writes).
+// amortized, under the per-fed-tuple bounds core.TestJoinSteadyStateAllocs
+// and core.TestSharedClassSteadyStateAllocs hold (free-list map writes).
 func AllocCheck(sums *lint.Summaries) *lint.Analyzer {
 	a := &lint.Analyzer{
 		Name: "alloccheck",

@@ -12,10 +12,9 @@
 // On top of those per-function walks sit three interprocedural analyzers
 // driven by the compositional summary layer in internal/lint/interproc.go:
 //
-//   - ownercheck: recycler ownership — a tuple handed to Pool.Put (a block
-//     to Block.Release/Arena.Release) is dead, directly or through a
-//     callee: use-after-release, double release, release after a callee
-//     took ownership, leaked producer results.
+//   - ownercheck: recycler ownership — a tuple handed to Pool.Put is dead,
+//     directly or through a callee: use-after-release, double release,
+//     release after a callee took ownership, leaked producer results.
 //   - alloccheck: //tcq:hotpath functions and everything they transitively
 //     call must not heap-allocate; //tcq:coldpath marks audited
 //     amortization points.

@@ -36,25 +36,16 @@ func repoModel() lint.Model {
 	}
 }
 
-// killSlot classifies the engine's three direct release calls. Slots
-// number the receiver first: Pool.Put(t) kills slot 1 (the argument),
-// b.Release() kills slot 0 (the receiver).
+// killSlot classifies the engine's one direct release call. Slots number
+// the receiver first: Pool.Put(t) kills slot 1 (the argument).
 func killSlot(info *types.Info, call *ast.CallExpr) (int, string, bool) {
 	f := callee(info, call)
 	if f == nil {
 		return 0, "", false
 	}
-	recv := recvNamed(f)
-	if recv == nil {
-		return 0, "", false
-	}
-	switch {
-	case f.Name() == "Put" && isNamedType(recv, tuplePath, "Pool") && len(call.Args) == 1:
+	if recv := recvNamed(f); recv != nil && f.Name() == "Put" &&
+		isNamedType(recv, tuplePath, "Pool") && len(call.Args) == 1 {
 		return 1, "Pool.Put", true
-	case f.Name() == "Release" && isNamedType(recv, tuplePath, "Arena") && len(call.Args) == 1:
-		return 1, "Arena.Release", true
-	case f.Name() == "Release" && isNamedType(recv, tuplePath, "Block") && len(call.Args) == 0:
-		return 0, "Block.Release", true
 	}
 	return 0, "", false
 }
@@ -66,20 +57,19 @@ func produces(info *types.Info, call *ast.CallExpr) bool {
 	if f == nil || f.Pkg() == nil || f.Pkg().Path() != tuplePath {
 		return false
 	}
-	if recv := recvNamed(f); recv != nil {
-		switch {
-		case f.Name() == "Get" && isNamedType(recv, tuplePath, "Arena"):
-			return true
-		case f.Name() == "Get" && isNamedType(recv, tuplePath, "Pool"):
-			return true
-		case f.Name() == "CloneUsing" && isNamedType(recv, tuplePath, "Tuple"):
-			return true
-		case f.Name() == "WidenUsing" && isNamedType(recv, tuplePath, "Layout"):
-			return true
-		}
+	recv := recvNamed(f)
+	if recv == nil {
 		return false
 	}
-	return f.Name() == "NewBlock"
+	switch {
+	case f.Name() == "Get" && isNamedType(recv, tuplePath, "Pool"):
+		return true
+	case f.Name() == "CloneUsing" && isNamedType(recv, tuplePath, "Tuple"):
+		return true
+	case f.Name() == "WidenUsing" && isNamedType(recv, tuplePath, "Layout"):
+		return true
+	}
+	return false
 }
 
 // noAllocPkgs are external packages whose (static, non-variadic-boxing)

@@ -9,39 +9,35 @@ import (
 )
 
 // OwnerCheck returns the recycler-ownership analyzer. Pool.Put hands a
-// tuple's memory back to the tuple recycler, and Block.Release /
-// Arena.Release hand a columnar block's slabs back to its arena; in each
-// case the caller must hold the only live reference and must not touch the
-// variable afterwards. The check is flow-approximate but source-order
-// sound for the patterns the engine uses, and it follows the discipline
-// across call boundaries using the per-function summaries:
+// tuple's memory back to the tuple recycler: the caller must hold the only
+// live reference and must not touch the variable afterwards. The check is
+// flow-approximate but source-order sound for the patterns the engine
+// uses, and it follows the discipline across call boundaries using the
+// per-function summaries:
 //
-//   - use-after-release: after `pool.Put(t)` (or `b.Release()`,
-//     `arena.Release(b)`), any later read of the variable inside the same
-//     function is flagged until it is reassigned — and `recycle(pool, t)`
-//     kills t just as surely, however many calls deep the Put sits.
-//     Handing the dead value to a second releasing call is the same
-//     finding (a double release). A kill whose enclosing block or
-//     case/comm clause ends by transferring control (return/continue/
+//   - use-after-release: after `pool.Put(t)`, any later read of the
+//     variable inside the same function is flagged until it is reassigned
+//     — and `recycle(pool, t)` kills t just as surely, however many calls
+//     deep the Put sits. Handing the dead value to a second releasing call
+//     is the same finding (a double release). A kill whose enclosing block
+//     or case/comm clause ends by transferring control (return/continue/
 //     break) confines its effect to that block, so guard-and-bail
-//     recycling stays clean. (Block.Release also poisons the block at
-//     runtime — this check catches the same bug before it runs.)
+//     recycling stays clean.
 //   - release-after-transfer: a call whose summary stores an argument
 //     (into a field, global, container, channel, or its return value) may
 //     take ownership; directly releasing the value afterwards races the
 //     new owner and is flagged.
-//   - ownership leaks: a freshly produced Block/Tuple (Arena.Get,
-//     Pool.Get, NewBlock, or any function summarized as returning an
-//     owned value) whose result is discarded, or bound to a variable that
-//     is never used again, leaks arena slabs for the engine's lifetime.
+//   - ownership leaks: a freshly produced Tuple (Pool.Get, CloneUsing,
+//     WidenUsing, or any function summarized as returning an owned value)
+//     whose result is discarded, or bound to a variable that is never used
+//     again, never returns to the recycler.
 func OwnerCheck(sums *lint.Summaries) *lint.Analyzer {
 	a := &lint.Analyzer{
 		Name: "ownercheck",
 		Doc: "recycler-ownership discipline: use-after-release and double-release " +
-			"of a *tuple.Tuple (Pool.Put) or *tuple.Block (Block.Release/" +
-			"Arena.Release), directly or through call boundaries, release of a value " +
-			"whose ownership a callee took, and leaked producer results " +
-			"(Arena.Get/Pool.Get/NewBlock results that are discarded or never used)",
+			"of a *tuple.Tuple (Pool.Put), directly or through call boundaries, " +
+			"release of a value whose ownership a callee took, and leaked producer " +
+			"results (Pool.Get results that are discarded or never used)",
 	}
 	a.Run = func(pass *lint.Pass) error {
 		sums.AddPackage(pass)
@@ -60,7 +56,7 @@ func OwnerCheck(sums *lint.Summaries) *lint.Analyzer {
 type ownerEvent struct {
 	obj      *types.Var
 	by       string
-	direct   bool // Pool.Put/Block.Release/Arena.Release itself, not a callee
+	direct   bool // Pool.Put itself, not a callee
 	transfer bool // Stores (ownership taken) rather than Releases (killed)
 	pos, end token.Pos
 }
@@ -259,7 +255,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 	// before the variable is overwritten. Go's unused-variable error
 	// already rules out "never mentioned again", so the provable leak is
 	// reassignment before first real use; anything subtler is left to the
-	// runtime arena counters.
+	// runtime pool counters.
 	for _, b := range produced {
 		use := firstRealUse(info, parents, decl.Body, b.obj, b.pos)
 		re := firstClearAfter(clears[b.obj], b.pos)

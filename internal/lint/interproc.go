@@ -41,8 +41,8 @@ const (
 	HotpathDirective = "//tcq:hotpath"
 	// ColdpathDirective marks a function as an audited amortization
 	// point: it may allocate even when reached from a hot path, because
-	// review established its cost amortizes to ~0 per tuple (arena slab
-	// carving, scratch growth, sampled telemetry).
+	// review established its cost amortizes to ~0 per tuple (ring and
+	// scratch growth, sampled telemetry).
 	ColdpathDirective = "//tcq:coldpath"
 )
 
@@ -131,7 +131,7 @@ type Summary struct {
 	Ref FuncRef
 
 	// Releases marks slots whose value the function may release or
-	// recycle (Block.Release, Arena.Release, Pool.Put), directly or
+	// recycle (Pool.Put), directly or
 	// through any repo function it calls.
 	Releases uint64
 	// Stores marks slots whose value may escape the callee's frame: into
@@ -141,7 +141,7 @@ type Summary struct {
 	// Closes marks channel-typed slots the function may close.
 	Closes uint64
 	// ReturnsOwned reports that the function may return a freshly owned
-	// value (a Block or Tuple obtained from an arena/pool producer).
+	// value (a Tuple obtained from a pool producer).
 	ReturnsOwned bool
 	// ForeverLoop reports that the function body contains an infinite,
 	// channel-coupled for loop with no reachable exit (no return, no
@@ -184,7 +184,7 @@ type Model struct {
 	// verb for diagnostics.
 	KillSlot func(info *types.Info, call *ast.CallExpr) (slot int, verb string, ok bool)
 	// Produces reports whether a direct call returns a freshly owned
-	// value (e.g. Arena.Get, Pool.Get, NewBlock).
+	// value (e.g. Pool.Get).
 	Produces func(info *types.Info, call *ast.CallExpr) bool
 	// Internal reports whether a package path belongs to the analyzed
 	// repository (its functions have summaries; its calls are followed).
@@ -592,7 +592,7 @@ func (s *Summaries) scanCall(pass *Pass, d *declState, call *ast.CallExpr,
 		}
 	}
 
-	// Direct kills (Pool.Put / Arena.Release / Block.Release ...).
+	// Direct kills (Pool.Put ...).
 	if s.Model.KillSlot != nil {
 		if slot, _, ok := s.Model.KillSlot(info, call); ok {
 			f := callee(info, call)

@@ -7,7 +7,8 @@ import (
 )
 
 // edgeModel recognizes edge.Res.Free as a direct release of the
-// receiver, mirroring how the repo model treats Block.Release.
+// receiver (slot 0), the receiver-side counterpart of the repo model's
+// Pool.Put(t), which releases its argument.
 func edgeModel() Model {
 	return Model{
 		KillSlot: func(info *types.Info, call *ast.CallExpr) (int, string, bool) {
@@ -129,8 +130,8 @@ func TestRunWithAuditTestVariants(t *testing.T) {
 	if _, _, err := RunWithAudit("../..", []string{"./internal/tuple/"}, []*Analyzer{probe}); err != nil {
 		t.Fatalf("RunWithAudit over internal/tuple with tests: %v", err)
 	}
-	if sums.Lookup(FuncRef{Pkg: "telegraphcq/internal/tuple", Recv: "Block", Name: "Release"}) == nil {
-		t.Error("missing summary for Block.Release from the base package")
+	if sums.Lookup(FuncRef{Pkg: "telegraphcq/internal/tuple", Recv: "Pool", Name: "Put"}) == nil {
+		t.Error("missing summary for Pool.Put from the base package")
 	}
 	if sums.Lookup(FuncRef{Pkg: "telegraphcq/internal/tuple", Name: "layoutUnderTest"}) == nil {
 		t.Error("missing summary for layoutUnderTest, a helper that exists only in the test variant")

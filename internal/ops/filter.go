@@ -20,9 +20,9 @@ type Filter struct {
 	pred expr.Predicate
 	owns tuple.SourceSet
 
-	// mask is the reused selection bitmap for the batch and columnar
-	// paths: predicates evaluate into it, then survivors are selected in
-	// one pass (Batch.PartitionByMask / Block.Compact).
+	// mask is the reused selection bitmap for the batch path: predicates
+	// evaluate into it, then survivors are selected in one pass
+	// (Batch.PartitionByMask).
 	mask tuple.Mask
 }
 
@@ -61,21 +61,6 @@ func (f *Filter) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
 		}
 	}
 	return nil, b.PartitionByMask(&f.mask)
-}
-
-// EvalCols evaluates the predicate over a columnar block as a tight loop
-// down the single tested column, clearing sel bits for failing rows. Only
-// rows whose sel bit is already set are tested, so a conjunction of
-// filters shares one mask.
-//
-//tcq:hotpath
-func (f *Filter) EvalCols(b *tuple.Block, sel *tuple.Mask) {
-	col := b.Col(f.pred.Col)
-	for i := range col {
-		if sel.Test(i) && !f.pred.Op.Apply(tuple.Compare(col[i], f.pred.Val)) {
-			sel.Clear(i)
-		}
-	}
 }
 
 // String describes the filter.

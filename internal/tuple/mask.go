@@ -1,17 +1,14 @@
 package tuple
 
-import "math/bits"
-
-// Mask is a fixed-length selection bitmap over the rows of a Block or
-// Batch: bit i set means row i survives the current operator. Operators
-// evaluate predicates into a Mask and then partition or copy survivors in
-// one tight pass, instead of splicing pointer slices per row. Unlike
-// Bitset (which grows on Set and serves unbounded query-ID spaces), a Mask
-// is sized once per batch via Reset and reused across batches, so the
-// survivor-selection path allocates nothing in steady state.
+// Mask is a fixed-length selection bitmap over the rows of a Batch: bit i
+// set means row i survives the current operator. Operators evaluate
+// predicates into a Mask and then partition survivors in one tight pass,
+// instead of splicing pointer slices per row. Unlike Bitset (which grows
+// on Set and serves unbounded query-ID spaces), a Mask is sized once per
+// batch via Reset and reused across batches, so the survivor-selection
+// path allocates nothing in steady state.
 type Mask struct {
 	words []uint64
-	n     int
 }
 
 // Reset sizes the mask for n rows with every bit clear, reusing the
@@ -28,7 +25,6 @@ func (m *Mask) Reset(n int) {
 			m.words[i] = 0
 		}
 	}
-	m.n = n
 }
 
 // grow replaces the backing words with a larger slab. It runs once per
@@ -40,74 +36,12 @@ func (m *Mask) grow(w int) {
 	m.words = make([]uint64, w)
 }
 
-// ResetSet sizes the mask for n rows with every bit set (the common
-// filter idiom: start from all-survive, clear failures).
-//
-//tcq:hotpath
-func (m *Mask) ResetSet(n int) {
-	m.Reset(n)
-	for i := range m.words {
-		m.words[i] = ^uint64(0)
-	}
-	if tail := uint(n & 63); tail != 0 && len(m.words) > 0 {
-		m.words[len(m.words)-1] = (1 << tail) - 1
-	}
-}
-
-// Len returns the number of rows the mask covers.
-func (m *Mask) Len() int { return m.n }
-
 // Set marks row i as surviving.
 //
 //tcq:hotpath
 func (m *Mask) Set(i int) { m.words[i>>6] |= 1 << uint(i&63) }
 
-// Clear marks row i as dropped.
-//
-//tcq:hotpath
-func (m *Mask) Clear(i int) { m.words[i>>6] &^= 1 << uint(i&63) }
-
 // Test reports whether row i survives.
 //
 //tcq:hotpath
 func (m *Mask) Test(i int) bool { return m.words[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Count returns the number of surviving rows.
-//
-//tcq:hotpath
-func (m *Mask) Count() int {
-	c := 0
-	for _, w := range m.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// None reports whether no row survives — operators use it to skip the
-// partition pass entirely.
-//
-//tcq:hotpath
-func (m *Mask) None() bool {
-	for _, w := range m.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// All reports whether every row survives.
-func (m *Mask) All() bool { return m.Count() == m.n }
-
-// ForEach calls fn with each surviving row index in ascending order.
-//
-//tcq:hotpath
-func (m *Mask) ForEach(fn func(i int)) {
-	for wi, w := range m.words {
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}

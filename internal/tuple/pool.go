@@ -21,10 +21,9 @@ import (
 type Pool struct {
 	p sync.Pool
 	// core is a bounded freelist in front of the sync.Pool. sync.Pool is
-	// emptied by every garbage collection, and on a zero-alloc steady
-	// state the collector still runs (block slabs, index growth), so a
-	// purely sync.Pool-backed recycler pays a burst of misses after each
-	// cycle. The core list holds strong references the collector never
+	// emptied by every garbage collection, and in steady state the
+	// collector still runs (join matches, index growth), so a purely
+	// sync.Pool-backed recycler pays a burst of misses after each cycle. The core list holds strong references the collector never
 	// reclaims; its fixed depth bounds the retained memory, and overflow
 	// spills to the sync.Pool, which still absorbs transient bursts.
 	mu    sync.Mutex
@@ -80,7 +79,7 @@ func (p *Pool) Get(width int) *Tuple {
 		// alternates narrow subscriber clones with wide rows, and exact
 		// sizing would make every other Get a miss.
 		c := (width + 3) &^ 3
-		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestColumnarSteadyStateAllocs bounds the sum
+		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestJoinSteadyStateAllocs bounds the sum
 		t.Vals = make([]Value, width, c)
 	}
 	t.TS, t.Seq, t.Source, t.Ready, t.Done, t.Queries = 0, 0, 0, 0, 0, nil

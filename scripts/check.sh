@@ -8,7 +8,7 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window and columnar delivery x20, panes against the
+#                    window and join delivery x20, panes against the
 #                    rescan x20, shared-class reuse x20, pull-log ring x20,
 #                    wire flushes and EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
@@ -143,12 +143,13 @@ stage_race() {
     go test -race -count=50 -run 'TestChaosSoakFullPipeline' ./internal/chaos/
 
     # A window instance reaches egress as one batch of rows no buffer still
-    # holds, and the result count moves after the rows on every emit path,
-    # the columnar block's included (its two tests wait on Results() and then
-    # read): each is a claim about what a client goroutine racing the engine can
-    # observe, so hold all five to twenty race-instrumented passes.
-    echo "==> delivery under race: atomic instances, no aliasing, count after rows, columnar push and pull (-count=20)"
-    go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch|TestColumnarPushDelivery|TestColumnarEquivalence' ./internal/core/
+    # holds, the result count moves after the rows on every emit path, and
+    # every equijoin shape yields the same multiset at every batch size (its
+    # test waits on Results() and then reads): each is a claim about what a
+    # client goroutine racing the engine can observe, so hold all four to
+    # twenty race-instrumented passes.
+    echo "==> delivery under race: atomic instances, no aliasing, count after rows, join multisets (-count=20)"
+    go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch|TestBatchEquivalenceJoinMultiset' ./internal/core/
 
     # A sliding or landmark aggregate folds each row into a pane as it
     # arrives and combines panes at each fire: the differential test holds

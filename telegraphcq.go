@@ -70,15 +70,6 @@ type Config struct {
 	// index entry instead of a state copy. Off (the default) keeps every
 	// query on its previous path, bit-identical.
 	SharedArrangements bool
-	// Columnar enables the columnar zero-alloc hot path: eligible
-	// unwindowed two-stream equijoins (self-joins included, with their
-	// selections) run on struct-of-arrays blocks carved from a per-query
-	// arena instead of per-tuple heap rows, with mask-based survivor
-	// selection and columnar SteM state. Requires Workers == 1 for the
-	// eligible queries; results are the same multiset either way (E17
-	// measures ~0 allocs/tuple and ~3x single-core throughput). Off (the
-	// default) keeps every query on its previous path, bit-identical.
-	Columnar bool
 }
 
 // DB is an embedded TelegraphCQ engine.
@@ -98,7 +89,6 @@ func Open(cfg Config) *DB {
 		Workers:         cfg.Workers,
 
 		SharedArrangements: cfg.SharedArrangements,
-		Columnar:           cfg.Columnar,
 	})}
 }
 
