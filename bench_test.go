@@ -73,9 +73,6 @@ func BenchmarkE2EddyVsStatic(b *testing.B) {
 	}{
 		{"static", func() eddy.Policy { return eddy.NewFixedPolicy(0, 1) }},
 		{"lottery", func() eddy.Policy { return eddy.NewLotteryPolicy(7) }},
-		{"batched64", func() eddy.Policy {
-			return eddy.NewBatchingPolicy(eddy.NewLotteryPolicy(7), 64)
-		}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -226,20 +223,23 @@ func BenchmarkE7WindowInstance(b *testing.B) {
 	}
 }
 
-// BenchmarkE8Batching measures routing overhead as the batching knob
-// sweeps (E8).
+// BenchmarkE8Batching measures routing overhead as the run length handed
+// to Eddy.IngestBatch sweeps (E8): the eddy makes one routing decision per
+// lineage-homogeneous batch, so longer runs amortize it (§4.3 "batching
+// tuples").
 func BenchmarkE8Batching(b *testing.B) {
-	for _, batch := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			var p eddy.Policy = eddy.NewLotteryPolicy(7)
-			if batch > 1 {
-				p = eddy.NewBatchingPolicy(eddy.NewLotteryPolicy(7), batch)
-			}
-			e, l := driftEddy(p)
+	for _, run := range []int{1, 8, 64, 512} {
+		b.Run(fmt.Sprintf("batch%d", run), func(b *testing.B) {
+			e, l := driftEddy(eddy.NewLotteryPolicy(7))
 			gen := workload.NewDriftGenerator(42, 100000)
+			batch := tuple.NewBatch(run)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Ingest(l.Widen(0, gen.Next()))
+				batch.Append(l.Widen(0, gen.Next()))
+				if batch.Len() == run || i == b.N-1 {
+					e.IngestBatch(batch)
+					batch.Reset()
+				}
 			}
 		})
 	}

@@ -18,7 +18,6 @@ import (
 
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/core"
-	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/server"
 	"telegraphcq/internal/workload"
@@ -51,7 +50,6 @@ func main() {
 	introspect := flag.Bool("introspect", false, "register the tcq.* introspection streams (query engine telemetry with ordinary CQs; enables live EXPLAIN <qid> and TOP)")
 	introInterval := flag.Duration("introspect-interval", 250*time.Millisecond, "telemetry sampling period for the tcq.* streams")
 	shared := flag.Bool("shared", false, "share arrangements: qualifying equijoins on the same stream pair reuse one SteM build across all registered CQs")
-	policy := flag.String("policy", "", "engine-wide eddy routing policy: \"<kind> [seed=N] [every=N] [refresh=N] [order=a,b,c] [nway=on|off]\" with kinds lottery, naive, fixed, batching, fixing, selectivity; empty keeps the legacy per-query lottery. Also enables batch-granular N-way probe-order planning on 3+-stream joins unless nway=off. Individual queries can be re-routed live with SET POLICY <qid> <spec>")
 	flag.Parse()
 
 	interval, err := feedInterval(*rate)
@@ -59,15 +57,6 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(), "tcqd: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	var routing eddy.RoutingConfig
-	if *policy != "" {
-		cfg, err := eddy.ParseRouting(*policy)
-		if err != nil {
-			log.Fatalf("tcqd: -policy: %v", err)
-		}
-		routing = cfg
 	}
 
 	engine := core.NewEngine(core.Options{
@@ -79,7 +68,6 @@ func main() {
 		Introspect:         *introspect,
 		IntrospectInterval: *introInterval,
 		SharedArrangements: *shared,
-		Routing:            routing,
 	})
 	defer engine.Stop()
 
@@ -93,9 +81,6 @@ func main() {
 	if *introspect {
 		fmt.Printf("tcqd: introspection streams tcq.stats tcq.routes tcq.pool tcq.chaos (every %s)\n",
 			*introInterval)
-	}
-	if !routing.IsZero() {
-		fmt.Printf("tcqd: routing policy %s\n", routing.String())
 	}
 
 	if *httpAddr != "" {

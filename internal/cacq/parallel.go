@@ -242,7 +242,7 @@ func (p *Parallel) AdvanceEpoch() {
 }
 
 // Host returns the shard layer as the engine's control plane: summed shard
-// stats, probe timing, per-shard policy swaps, ParStats (eddy/host.go). Its
+// stats, probe timing, shard 0's policy info, ParStats (eddy/host.go). Its
 // methods quiesce the shards under a Barrier, which locks the driver out by
 // itself, and touch no front-engine state, so they need no ctlMu. The front
 // engine sees no tuples and never learns: its policy is not part of it.

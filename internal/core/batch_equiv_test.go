@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -152,60 +153,99 @@ func TestWindowedOutputIsAFunctionOfArrivalOrder(t *testing.T) {
 	}
 }
 
-// joinShapes covers five equijoin shapes: a bare equijoin, a selection, a
-// conjunction of selections on both sides, SELECT * and a self-join (two
-// FROM positions over one stream).
+// joinShapes covers five two-stream equijoin shapes — a bare equijoin, a
+// selection, a conjunction of selections on both sides, SELECT * and a
+// self-join (two FROM positions over one stream) — and four over three
+// streams, which the routing rule gives a probe-order-planning selectivity
+// eddy: a chain on two keys, a cyclic triangle (pruning after one probe must
+// not lose the S⋈R→T path), a chain with a selection on its middle stream,
+// and a join on one key class, the one three-stream shape whose eddy can be
+// hash-partitioned.
 var joinShapes = []string{
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`,
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 10`,
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND R.w < 100 AND S.v > 2`,
 	`SELECT * FROM S, R WHERE S.k = R.k`,
 	`SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`,
+	`SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.w = T.w`,
+	`SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.w = T.w AND T.k = S.k`,
+	`SELECT S.v, T.x FROM S, R, T WHERE S.k = R.k AND R.w = T.w AND R.w < 50`,
+	`SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.k = T.k`,
+}
+
+// oneKeyClassShape indexes the joinShapes entry partitioned at Workers > 1.
+const oneKeyClassShape = 8
+
+// createSRT adds T(k, w, x) to the S/R pair for the three-stream shapes.
+func createSRT(t testing.TB, e *Engine) {
+	t.Helper()
+	createSR(t, e)
+	intStream(t, e, "T", "k", "w", "x")
 }
 
 // joinShapeFeed builds deterministic inputs plus each joinShapes entry's
 // expected result count, evaluated in plain Go, independent of the engine.
-func joinShapeFeed() (sRows, rRows []*tuple.Tuple, want []int) {
+func joinShapeFeed() (sRows, rRows, tRows []*tuple.Tuple, want []int) {
 	for i := int64(0); i < 40; i++ {
 		sRows = append(sRows, tuple.New(tuple.Int(i%7), tuple.Int(i)))
 	}
 	for j := int64(0); j < 25; j++ {
 		rRows = append(rRows, tuple.New(tuple.Int(j%7), tuple.Int(j*10)))
 	}
+	for m := int64(0); m < 35; m++ {
+		tRows = append(tRows, tuple.New(tuple.Int(m%7), tuple.Int(m%5*20), tuple.Int(m)))
+	}
+	col := func(t *tuple.Tuple, i int) int64 { return t.Vals[i].AsInt() }
 	want = make([]int, len(joinShapes))
 	for _, s := range sRows {
 		for _, r := range rRows {
-			if s.Vals[0].AsInt() != r.Vals[0].AsInt() {
+			if col(s, 0) != col(r, 0) {
 				continue
 			}
 			want[0]++
-			if s.Vals[1].AsInt() > 10 {
+			if col(s, 1) > 10 {
 				want[1]++
 			}
-			if r.Vals[1].AsInt() < 100 && s.Vals[1].AsInt() > 2 {
+			if col(r, 1) < 100 && col(s, 1) > 2 {
 				want[2]++
 			}
 			want[3]++
+			for _, x := range tRows {
+				if col(r, 1) == col(x, 1) {
+					want[5]++
+					if col(x, 0) == col(s, 0) {
+						want[6]++
+					}
+					if col(r, 1) < 50 {
+						want[7]++
+					}
+				}
+				if col(r, 0) == col(x, 0) {
+					want[8]++
+				}
+			}
 		}
 	}
 	for _, a := range sRows {
 		for _, b := range sRows {
-			if a.Vals[0].AsInt() == b.Vals[0].AsInt() {
+			if col(a, 0) == col(b, 0) {
 				want[4]++
 			}
 		}
 	}
-	return sRows, rRows, want
+	return sRows, rRows, tRows, want
 }
 
 // runJoinShapes registers every joinShapes entry on one engine at the
-// given BatchSize, replays the feed, and returns each query's sorted
-// result multiset.
-func runJoinShapes(t *testing.T, bs int) [][]string {
+// given BatchSize and Workers, replays the feed, and returns each query's
+// sorted result multiset. It checks each eddy routes by the rule: per-hop
+// lottery under three streams, selectivity planning from three on, and at
+// Workers > 1 the one-key-class shape planning on its partitioned shards.
+func runJoinShapes(t *testing.T, bs, workers int) [][]string {
 	t.Helper()
-	e := NewEngine(Options{EOs: 2, BatchSize: bs})
+	e := NewEngine(Options{EOs: 2, BatchSize: bs, Workers: workers})
 	defer e.Stop()
-	createSR(t, e)
+	createSRT(t, e)
 	var qs []*RunningQuery
 	for _, text := range joinShapes {
 		q, err := e.Register(text)
@@ -217,11 +257,8 @@ func runJoinShapes(t *testing.T, bs int) [][]string {
 		}
 		qs = append(qs, q)
 	}
-	sRows, rRows, want := joinShapeFeed()
-	if err := e.FeedMany("S", sRows); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.FeedMany("R", rRows); err != nil {
+	sRows, rRows, tRows, want := joinShapeFeed()
+	if err := errors.Join(e.FeedMany("S", sRows), e.FeedMany("R", rRows), e.FeedMany("T", tRows)); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]string, len(qs))
@@ -240,31 +277,40 @@ func runJoinShapes(t *testing.T, bs int) [][]string {
 		}
 		sort.Strings(rows)
 		out[i] = rows
+
+		qt := q.Telemetry()
+		if planned := len(joinStreams(q.Plan)) >= 3; planned != (qt.Policy == "selectivity" && qt.Stats.Orders > 0) {
+			t.Errorf("BatchSize=%d Workers=%d: %q routes by %s with %d plans", bs, workers, joinShapes[i], qt.Policy, qt.Stats.Orders)
+		}
+		if _, sharded := q.ParallelStats(); i == oneKeyClassShape && sharded != (workers > 1) {
+			t.Errorf("Workers=%d: %q partitioned=%v", workers, joinShapes[i], sharded)
+		}
 	}
 	return out
 }
 
 // TestBatchEquivalenceJoinMultiset: every equijoin shape produces its
 // plain-Go result count at BatchSize 1, and the identical multiset of
-// matches at every larger batch size.
+// matches at every larger batch size and on partitioned shards.
 func TestBatchEquivalenceJoinMultiset(t *testing.T) {
-	_, _, want := joinShapeFeed()
-	base := runJoinShapes(t, 1)
+	_, _, _, want := joinShapeFeed()
+	base := runJoinShapes(t, 1, 1)
 	for i, rows := range base {
 		if len(rows) != want[i] {
 			t.Fatalf("BatchSize=1: %q produced %d rows, want %d", joinShapes[i], len(rows), want[i])
 		}
 	}
-	for _, bs := range []int{8, 32} {
-		got := runJoinShapes(t, bs)
+	for _, run := range []struct{ bs, workers int }{{8, 1}, {32, 1}, {1, 4}, {8, 4}, {32, 4}} {
+		got := runJoinShapes(t, run.bs, run.workers)
 		for i := range base {
 			if len(got[i]) != len(base[i]) {
-				t.Fatalf("BatchSize=%d: %q produced %d rows, want %d", bs, joinShapes[i], len(got[i]), len(base[i]))
+				t.Fatalf("BatchSize=%d Workers=%d: %q produced %d rows, want %d",
+					run.bs, run.workers, joinShapes[i], len(got[i]), len(base[i]))
 			}
 			for k := range base[i] {
 				if base[i][k] != got[i][k] {
-					t.Fatalf("BatchSize=%d: %q multiset diverges at %d: %q vs %q",
-						bs, joinShapes[i], k, got[i][k], base[i][k])
+					t.Fatalf("BatchSize=%d Workers=%d: %q multiset diverges at %d: %q vs %q",
+						run.bs, run.workers, joinShapes[i], k, got[i][k], base[i][k])
 				}
 			}
 		}

@@ -17,16 +17,14 @@ import (
 )
 
 // eddyHost is the one contract behind which every eddy in the engine is
-// observed and re-routed (internal/eddy/host.go). *eddy.Eddy and
-// *eddy.ParallelEddy satisfy it, so a private query's inline or partitioned
-// eddy and a shared class's cacq engine, at one worker or many, are all
-// driven the same way.
+// observed (internal/eddy/host.go). *eddy.Eddy and *eddy.ParallelEddy
+// satisfy it, so a private query's inline or partitioned eddy and a shared
+// class's cacq engine, at one worker or many, are all driven the same way.
 type eddyHost interface {
 	Stats() eddy.Stats
 	ModuleNames() []string
 	ModuleProbeNanos() []int64
 	SetProbeTimer(clk chaos.Clock, every int)
-	SetRoutingPolicy(newPol func(shard int) eddy.Policy, nwayEvery int)
 	PolicyInfo() (name string, order []int)
 }
 
@@ -65,7 +63,7 @@ type eddyRuntime struct {
 	outBuf  []*tuple.Tuple // inline only: results of the current step
 
 	// mu serializes the stepping DU against the control plane (stats,
-	// policy swaps and Deregister-time close arrive on client goroutines
+	// telemetry and Deregister-time close arrive on client goroutines
 	// while the query runs).
 	mu       sync.Mutex
 	stopped  bool
@@ -83,11 +81,7 @@ func buildQueryModules(plan *sql.Plan) (modules []eddy.Module, stems []*ops.SteM
 	}
 	if len(plan.Joins) > 0 {
 		// One SteM per stream that participates in a join edge.
-		participates := map[int]bool{}
-		for _, j := range plan.Joins {
-			participates[j.StreamA] = true
-			participates[j.StreamB] = true
-		}
+		participates := joinStreams(plan)
 		for s := range layout.Schemas {
 			if !participates[s] {
 				continue
@@ -104,6 +98,17 @@ func buildQueryModules(plan *sql.Plan) (modules []eddy.Module, stems []*ops.SteM
 		}
 	}
 	return modules, stems
+}
+
+// joinStreams returns the FROM positions a plan's join edges touch: the
+// streams that get a SteM.
+func joinStreams(plan *sql.Plan) map[int]bool {
+	participates := map[int]bool{}
+	for _, j := range plan.Joins {
+		participates[j.StreamA] = true
+		participates[j.StreamB] = true
+	}
+	return participates
 }
 
 // storedSidePreds collects the join predicates whose stored side is FROM
@@ -176,15 +181,15 @@ func newEddyRuntime(q *RunningQuery) (runtime, error) {
 	if err := eddy.CheckModuleCount(len(modules)); err != nil {
 		return nil, err
 	}
-	nway := nwayEvery(e.opts.Routing, plan)
 	// newEddy wires one eddy over its own module set: the inline host
 	// (shard -1) or one shard of the partitioned one.
 	newEddy := func(shard int, emit func(*tuple.Tuple), mods []eddy.Module) *eddy.Eddy {
-		ed := eddy.New(plan.Footprint, e.routingPolicy(rt.policySeed(shard)), emit, mods...)
+		pol, reuse := route(plan, rt.policySeed(shard))
+		ed := eddy.New(plan.Footprint, pol, emit, mods...)
 		ed.SetClock(e.opts.Clock)
 		ed.SetRecycler(rt.pool)
-		if nway > 0 {
-			ed.SetNWay(nway)
+		if reuse > 0 {
+			ed.SetNWay(reuse)
 			owner := q.label
 			if shard >= 0 {
 				owner = fmt.Sprintf("%s/s%d", q.label, shard)
@@ -354,10 +359,10 @@ func (rt *eddyRuntime) close() {
 	rt.shutdown()
 }
 
-func (rt *eddyRuntime) control(fn func(h eddyHost, seed func(shard int) int64)) bool {
+func (rt *eddyRuntime) control(fn func(h eddyHost)) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	fn(rt.host, rt.policySeed)
+	fn(rt.host)
 	return true
 }
 

@@ -9,11 +9,12 @@
 // Execution model: each registered query becomes one Dispatch Unit
 // scheduled on the Execution Object owning its footprint class.
 // Unwindowed continuous queries run through an adaptive eddy (filters +
-// SteMs with lottery routing; hash-partitioned across worker shards when
-// Options.Workers > 1 and the plan allows); windowed queries follow the paper's
-// sequence-of-sets semantics — for every for-loop instance the engine
-// evaluates the query over the declared window of each stream, buffered in
-// memory and optionally spooled through the storage manager.
+// SteMs, routed by the one rule in routing.go; hash-partitioned across
+// worker shards when Options.Workers > 1 and the plan allows); windowed
+// queries follow the paper's sequence-of-sets semantics — for every
+// for-loop instance the engine evaluates the query over the declared window
+// of each stream, buffered in memory and optionally spooled through the
+// storage manager.
 package core
 
 import (
@@ -27,7 +28,6 @@ import (
 	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/catalog"
 	"telegraphcq/internal/chaos"
-	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/ingress"
@@ -95,14 +95,6 @@ type Options struct {
 	Introspect bool
 	// IntrospectInterval is the collector's tick period (default 250ms).
 	IntrospectInterval time.Duration
-	// Routing selects the eddy routing policy engine-wide (§4.3): policy
-	// kind (lottery, naive, fixed, batching, fixing, selectivity), a seed
-	// offset, the batching/fixing knobs, and batch-granular N-way
-	// probe-order planning for 3+-stream joins. The zero value keeps the
-	// legacy per-runtime lottery seeding, bit-identical to previous
-	// behavior. Individual queries can be re-routed live with
-	// Engine.SetQueryPolicy (the SET POLICY wire command).
-	Routing eddy.RoutingConfig
 }
 
 func (o *Options) defaults() {

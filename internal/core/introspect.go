@@ -83,7 +83,7 @@ func (q *RunningQuery) Telemetry() QueryTelemetry {
 	for _, c := range q.queues {
 		qt.QueueDepth += c.Q.Len()
 	}
-	qt.HasEddy = q.rt.control(func(h eddyHost, _ func(int) int64) {
+	qt.HasEddy = q.rt.control(func(h eddyHost) {
 		qt.Stats = h.Stats()
 		names := h.ModuleNames()
 		qt.Modules = moduleTelemetry(q.label, names, qt.Stats, h.ModuleProbeNanos())

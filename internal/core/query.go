@@ -87,11 +87,10 @@ type runtime interface {
 	// goroutines); Deregister and shutdown call it because the executor may
 	// never step the DU again. Idempotent.
 	close()
-	// control runs fn on the query's eddy host with the runtime's
-	// policy-seed rule, under the lock that excludes the stepping DU; it
-	// returns false without calling fn when there is no adaptive routing
-	// layer (windowed).
-	control(fn func(h eddyHost, seed func(shard int) int64)) bool
+	// control runs fn on the query's eddy host under the lock that
+	// excludes the stepping DU; it returns false without calling fn when
+	// there is no adaptive routing layer (windowed).
+	control(fn func(h eddyHost)) bool
 	// stages reports one row per pipeline stage, from counters already
 	// kept, for a runtime without an eddy (nil with one: the host's modules
 	// are the rows).
@@ -443,7 +442,7 @@ func (e *Engine) tableContents(entry *catalog.Entry) ([]*tuple.Tuple, error) {
 // private eddy (summed over shards) or its shared class's. ok is false for
 // windowed queries, whose runtime has no eddy.
 func (q *RunningQuery) EddyStats() (st eddy.Stats, ok bool) {
-	ok = q.rt.control(func(h eddyHost, _ func(int) int64) { st = h.Stats() })
+	ok = q.rt.control(func(h eddyHost) { st = h.Stats() })
 	return st, ok
 }
 

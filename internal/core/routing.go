@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"strings"
 
@@ -11,59 +10,38 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// This file is the one place routing policies are constructed: every
-// eddy host (a private eddy inline or partitioned, a shared CACQ class at
-// one worker or many) resolves Options.Routing through the engine factory
-// below with its historically-derived seed, instead of hard-coding policy
-// literals per construction site.
+// planReuse is how many batches of one lineage signature ride a probe-order
+// plan before the policy is consulted again: §4.3's "batching tuples" at
+// the grain the batch-native eddy routes.
+const planReuse = 32
 
-// routingPolicy resolves Options.Routing into a policy instance for one
-// eddy. seed is the runtime-derived base (per query, per shard, per class).
-// With the zero config this returns exactly the legacy
-// eddy.NewLotteryPolicy(seed); an invalid Kind (only reachable by setting
-// Options.Routing programmatically — the flag/wire parsers validate) falls
-// back to the same legacy lottery.
-func (e *Engine) routingPolicy(seed int64) eddy.Policy {
-	p, err := e.opts.Routing.NewPolicy(seed)
-	if err != nil {
-		return eddy.NewLotteryPolicy(seed)
+// route is the engine's one routing rule (§2.2, §4.3): every eddy host — a
+// private eddy inline or partitioned, a shared CACQ class at one worker or
+// many — takes its policy from the shape of its plan, not from
+// configuration. seed is the host's per-query, per-shard or per-class seed.
+//
+// A join graph spanning fewer than three streams (selections, two-stream
+// joins, every shared class) has at most one probe per hop to choose, so it
+// keeps the per-hop LotteryPolicy and reuse is 0. A private eddy over three
+// or more streams plans each batch's whole probe order with
+// SelectivityPolicy, reuses the plan for planReuse batches per lineage
+// signature, and prunes sibling probes whose intermediates are doomed;
+// reuse is the interval for eddy.SetNWay.
+func route(plan *sql.Plan, seed int64) (p eddy.Policy, reuse int) {
+	if len(joinStreams(plan)) < 3 {
+		return eddy.NewLotteryPolicy(seed), 0
 	}
-	return p
+	return eddy.NewSelectivityPolicy(seed), planReuse
 }
 
 // classSeed derives a shared class's policy seed from its class key, so
 // every engine resolving the same class (e.g. both sides of an
 // arrangement-equivalence pin) seeds identically while distinct classes
-// adapt independently — replacing the historical hard-coded seed 1.
+// adapt independently.
 func classSeed(key string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int64(h.Sum64()&(1<<62-1)) + 1
-}
-
-// nwayEligible reports whether a plan's join graph spans three or more
-// streams — the shape where a per-batch probe-order plan (one ChooseOrder
-// across all SteMs) differs from per-hop binary routing.
-func nwayEligible(plan *sql.Plan) bool {
-	if len(plan.Joins) == 0 {
-		return false
-	}
-	participates := map[int]bool{}
-	for _, j := range plan.Joins {
-		participates[j.StreamA] = true
-		participates[j.StreamB] = true
-	}
-	return len(participates) >= 3
-}
-
-// nwayEvery returns the probe-order reuse interval for a plan under routing
-// config r, or 0 when the k-ary chain stays off: r unset (the legacy pin),
-// nway=off, or a join graph too small to benefit.
-func nwayEvery(r eddy.RoutingConfig, plan *sql.Plan) int {
-	if r.IsZero() || r.NoNWay || !nwayEligible(plan) {
-		return 0
-	}
-	return r.EveryOrDefault()
 }
 
 // orderSink returns a publisher recording fresh probe-order plans as
@@ -89,38 +67,6 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 			},
 		})
 	}
-}
-
-// SetQueryPolicy swaps a standing query's routing policy at runtime (the
-// SET POLICY wire command): the spec is ParseRouting grammar, e.g.
-// "selectivity every=16" or "fixed order=2,1,3". The swap applies to the
-// query's eddy host — its private eddy, each of its shards (under a
-// barrier), or its whole shared class: every member of a shared class is
-// re-routed together, since they share one super-query eddy. Learned
-// routing state starts fresh. The windowed runtime has no adaptive routing
-// layer and reports an error.
-func (e *Engine) SetQueryPolicy(qid int, spec string) error {
-	cfg, err := eddy.ParseRouting(spec)
-	if err != nil {
-		return err
-	}
-	q, ok := e.Query(qid)
-	if !ok {
-		return fmt.Errorf("core: query %d not found", qid)
-	}
-	every := nwayEvery(cfg, q.Plan)
-	if !q.rt.control(func(h eddyHost, seed func(shard int) int64) {
-		h.SetRoutingPolicy(func(shard int) eddy.Policy {
-			p, perr := cfg.NewPolicy(seed(shard))
-			if perr != nil {
-				p = eddy.NewLotteryPolicy(seed(shard))
-			}
-			return p
-		}, every)
-	}) {
-		return fmt.Errorf("core: query %d runs on a runtime without an adaptive routing layer", qid)
-	}
-	return nil
 }
 
 // orderNames maps a module-index ranking to module names.

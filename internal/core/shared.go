@@ -78,20 +78,18 @@ func stopEngine(eng sharedEngine) {
 
 // sharedMember is the runtime of a query inside a shared class: the class's
 // DU steps the engine, so a member has nothing to step or stop, and its
-// control plane is the class's — every member observes and re-routes the
-// one super-query eddy.
+// control plane is the class's — every member observes the one super-query
+// eddy.
 type sharedMember struct{ sc *sharedClass }
 
 func (sharedMember) step() (bool, bool)        { return false, false }
 func (sharedMember) close()                    {}
 func (sharedMember) stages() []ModuleTelemetry { return nil }
 
-func (m sharedMember) control(fn func(h eddyHost, seed func(shard int) int64)) bool {
+func (m sharedMember) control(fn func(h eddyHost)) bool {
 	m.sc.mu.Lock()
 	defer m.sc.mu.Unlock()
-	// The single or front engine is shard -1: classSeed+shard+2 throughout.
-	base := classSeed(m.sc.key)
-	fn(m.sc.host, func(shard int) int64 { return base + int64(shard) + 2 })
+	fn(m.sc.host)
 	return true
 }
 
@@ -196,6 +194,8 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 	// Class-key-derived seed: every engine resolving the same class seeds
 	// identically (the arrangement-equivalence pins compare two engines
 	// running the same class), while distinct classes adapt independently.
+	// A class spans at most two streams, so route hands it the per-hop
+	// lottery and no probe-order plan to reuse.
 	seed := classSeed(key)
 	if e.opts.Workers > 1 {
 		popt := cacq.ParallelOptions{
@@ -206,7 +206,8 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			// multiset, merged unordered.
 			Ordered: len(joins) == 0,
 			Policy: func(shard int) eddy.Policy {
-				return e.routingPolicy(seed + int64(shard) + 2)
+				p, _ := route(plan, seed+int64(shard)+2)
+				return p
 			},
 			Arranged: func(shard int) cacq.ArrangedConfig {
 				return cacq.ArrangedConfig{Provider: e.arrangedProvider(key, shard)}
@@ -224,7 +225,8 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			}
 		}
 	} else {
-		seq, err := cacq.NewArranged(plan.Layout, joins, e.routingPolicy(seed), cacq.ArrangedConfig{
+		pol, _ := route(plan, seed)
+		seq, err := cacq.NewArranged(plan.Layout, joins, pol, cacq.ArrangedConfig{
 			Provider: e.arrangedProvider(key, -1),
 			// The sequential step is fully synchronous, so freed lineage
 			// slots can be scrubbed and reused — bitmaps stay dense under

@@ -476,8 +476,8 @@ func (rt *windowRuntime) step() (bool, bool) {
 func (rt *windowRuntime) close() {}
 
 // control reports false: instances are evaluated over buffered windows;
-// there is no eddy to observe or re-route.
-func (rt *windowRuntime) control(func(eddyHost, func(int) int64)) bool { return false }
+// there is no eddy to observe.
+func (rt *windowRuntime) control(func(eddyHost)) bool { return false }
 
 // stages reports the windowed pipeline in the one telemetry shape. A
 // Window(<stream>) row per windowed position: visits = tuples absorbed,

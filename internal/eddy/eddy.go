@@ -168,7 +168,7 @@ func New(allSources tuple.SourceSet, policy Policy, out func(*tuple.Tuple), modu
 		panic(err.Error())
 	}
 	if policy == nil {
-		policy = NewNaivePolicy()
+		policy = NewFixedPolicy()
 	}
 	e := &Eddy{
 		modules:  modules,
@@ -238,11 +238,12 @@ func (e *Eddy) SetNWay(every int) {
 // re-reported.
 func (e *Eddy) SetOrderSink(fn func(sig uint64, order []int)) { e.orderSink = fn }
 
-// SetPolicy swaps the routing policy at runtime (the SET POLICY wire
-// command). Learned state starts fresh; cached probe orders are dropped.
+// SetPolicy replaces the routing policy; tests use it to install a static
+// control (FixedPolicy) in place of the one the engine chose. Learned
+// state starts fresh; cached probe orders are dropped.
 func (e *Eddy) SetPolicy(p Policy) {
 	if p == nil {
-		p = NewNaivePolicy()
+		p = NewFixedPolicy()
 	}
 	e.policy = p
 	p.Reset(len(e.modules))
@@ -255,7 +256,7 @@ func (e *Eddy) SetPolicy(p Policy) {
 // PolicyInfo reports the active policy's kind and its current module
 // ranking (EXPLAIN's probe order) without perturbing policy state.
 func (e *Eddy) PolicyInfo() (name string, order []int) {
-	return PolicyName(e.policy), CurrentOrder(e.policy, len(e.modules))
+	return PolicyName(e.policy), e.policy.CurrentOrder(len(e.modules))
 }
 
 // Modules returns the attached modules (read-only use).

@@ -60,10 +60,10 @@ func TestSymmetricJoinCompleteness(t *testing.T) {
 		want += c * c
 	}
 	for name, p := range map[string]Policy{
-		"naive":   NewNaivePolicy(),
-		"lottery": NewLotteryPolicy(1),
-		"fixed":   NewFixedPolicy(0, 1),
-		"batched": NewBatchingPolicy(NewLotteryPolicy(1), 16),
+		"default":     NewFixedPolicy(),
+		"lottery":     NewLotteryPolicy(1),
+		"fixed":       NewFixedPolicy(0, 1),
+		"selectivity": NewSelectivityPolicy(1),
 	} {
 		out := runSymmetricJoin(t, p, n, mod)
 		if len(out) != want {
@@ -133,7 +133,7 @@ func TestFilterJoinCommutativity(t *testing.T) {
 		}
 	}
 	for name, p := range map[string]Policy{
-		"naive":    NewNaivePolicy(),
+		"default":  NewFixedPolicy(),
 		"lottery1": NewLotteryPolicy(1),
 		"lottery2": NewLotteryPolicy(99),
 		"fixedFwd": NewFixedPolicy(0, 1, 2, 3),
@@ -244,31 +244,40 @@ func TestEddySharedLineageDrop(t *testing.T) {
 	}
 }
 
-func TestBatchingPolicyCaches(t *testing.T) {
-	inner := &countingPolicy{}
-	p := NewBatchingPolicy(inner, 8)
-	p.Reset(2)
-	tp := &tuple.Tuple{Source: 1}
-	for i := 0; i < 64; i++ {
-		p.Choose(tp, 0b11)
+// TestPlanReusedPerSignature pins §4.3's "batching tuples" as the eddy
+// does it: with N-way planning on, one ChooseOrder plan serves every
+// batches of a lineage signature before the policy is asked again.
+func TestPlanReusedPerSignature(t *testing.T) {
+	l := tuple.NewLayout(tuple.NewSchema("S", tuple.Column{Name: "x", Kind: tuple.KindInt}))
+	keep := func(name string) Module {
+		return ops.NewFilter(name, l, expr.Predicate{Col: 0, Op: expr.Ge, Val: tuple.Int(0)})
 	}
-	if inner.chooses != 8 {
-		t.Errorf("inner policy consulted %d times, want 8", inner.chooses)
+	p := &countingPolicy{}
+	e := New(tuple.SingleSource(0), p, nil, keep("A"), keep("B"))
+	e.SetNWay(8)
+	for i := int64(0); i < 64; i++ {
+		e.Ingest(widen(l, 0, i, tuple.Int(i)))
+	}
+	// The second hop has one ready module: no plan, one per-hop Choose.
+	st := e.Stats()
+	if p.orders != 8 || st.Orders != 8 || st.OrderReuses != 56 {
+		t.Errorf("policy planned %d times, stats orders=%d reuses=%d; want 8, 8, 56",
+			p.orders, st.Orders, st.OrderReuses)
 	}
 }
 
-type countingPolicy struct{ chooses int }
+type countingPolicy struct{ orders int }
 
 func (c *countingPolicy) Reset(int) {}
 func (c *countingPolicy) Choose(_ *tuple.Tuple, ready uint64) int {
-	c.chooses++
-	return lowestBit(ready)
+	return setBits(ready)[0]
 }
 func (c *countingPolicy) ChooseOrder(_ uint64, ready uint64) []int {
-	c.chooses++
+	c.orders++
 	return setBits(ready)
 }
-func (c *countingPolicy) Observe(int, bool, int) {}
+func (c *countingPolicy) Observe(int, bool, int)   {}
+func (c *countingPolicy) CurrentOrder(n int) []int { return nil }
 
 func TestTooManyModulesPanics(t *testing.T) {
 	defer func() {
@@ -316,51 +325,6 @@ func TestJoinEquivalenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFixingPolicyCorrectAndAdaptive(t *testing.T) {
-	// Correctness: same join results as any other policy.
-	out := runSymmetricJoin(t, NewFixingPolicy(3, 128), 30, 5)
-	counts := map[int64]int{}
-	for i := 0; i < 30; i++ {
-		counts[int64(i)%5]++
-	}
-	want := 0
-	for _, c := range counts {
-		want += c * c
-	}
-	if len(out) != want {
-		t.Fatalf("fixing policy join = %d, want %d", len(out), want)
-	}
-
-	// Adaptivity: under the drift workload it must still beat both pure
-	// static orders (it re-freezes its order as tickets shift).
-	l := tuple.NewLayout(tuple.NewSchema("S",
-		tuple.Column{Name: "x", Kind: tuple.KindInt},
-		tuple.Column{Name: "phase", Kind: tuple.KindInt}))
-	run := func(policy Policy) int64 {
-		fA := ops.NewFilter("A", l, expr.Predicate{Col: 0, Op: expr.Lt, Val: tuple.Int(10)})
-		fB := ops.NewFilter("B", l, expr.Predicate{Col: 1, Op: expr.Lt, Val: tuple.Int(10)})
-		e := New(tuple.SingleSource(0), policy, nil, fA, fB)
-		const n = 4000
-		for i := int64(0); i < n; i++ {
-			var a, b int64
-			if i < n/2 {
-				a, b = i%100, i%10
-			} else {
-				a, b = i%10, i%100
-			}
-			e.Ingest(widen(l, 0, i, tuple.Int(a), tuple.Int(b)))
-		}
-		return e.Stats().Visits
-	}
-	fixing := run(NewFixingPolicy(3, 256))
-	staticA := run(NewFixedPolicy(0, 1))
-	staticB := run(NewFixedPolicy(1, 0))
-	if fixing >= staticA || fixing >= staticB {
-		t.Errorf("fixing visits %d not better than static (%d, %d)",
-			fixing, staticA, staticB)
 	}
 }
 

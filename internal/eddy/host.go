@@ -9,11 +9,11 @@ import (
 
 // This file is the eddy control plane: how an eddy host — one Eddy run
 // inline by its caller, or a ParallelEddy's hash-partitioned shards — is
-// observed and re-routed. Both offer Stats, ModuleNames, ModuleProbeNanos,
-// SetProbeTimer, SetRoutingPolicy and PolicyInfo, so a private query and a
-// shared CACQ class, at one worker or many, are driven through one
-// contract. An Eddy's methods are unsynchronized like the rest of its API;
-// a ParallelEddy's quiesce the shards under a Barrier.
+// observed. Both offer Stats, ModuleNames, ModuleProbeNanos, SetProbeTimer
+// and PolicyInfo, so a private query and a shared CACQ class, at one worker
+// or many, are driven through one contract. An Eddy's methods are
+// unsynchronized like the rest of its API; a ParallelEddy's quiesce the
+// shards under a Barrier.
 
 // Add accumulates o into s, folding shard eddies into one logical eddy's
 // Stats: every shard builds the same module list, so per-module counters
@@ -86,14 +86,6 @@ func (e *Eddy) SetProbeTimer(clk chaos.Clock, every int) {
 	}
 }
 
-// SetRoutingPolicy swaps the routing policy and the N-way planning
-// interval at runtime (the SET POLICY path). newPol receives shard -1, so
-// callers can seed a single eddy differently from a ParallelEddy's shards.
-func (e *Eddy) SetRoutingPolicy(newPol func(shard int) Policy, nwayEvery int) {
-	e.SetPolicy(newPol(-1))
-	e.SetNWay(nwayEvery)
-}
-
 // Eddy makes *Eddy a Shard: it is its own eddy.
 func (e *Eddy) Eddy() *Eddy { return e }
 
@@ -138,15 +130,6 @@ func (pe *ParallelEddy) ModuleProbeNanos() []int64 {
 // modules (barrier: applied atomically w.r.t. in-flight tuples).
 func (pe *ParallelEddy) SetProbeTimer(clk chaos.Clock, every int) {
 	pe.Barrier(func(_ int, s Shard) { s.Eddy().SetProbeTimer(clk, every) })
-}
-
-// SetRoutingPolicy swaps every shard's routing policy under a barrier
-// (atomic w.r.t. in-flight tuples), seeding each by its shard number.
-func (pe *ParallelEddy) SetRoutingPolicy(newPol func(shard int) Policy, nwayEvery int) {
-	pe.Barrier(func(shard int, s Shard) {
-		s.Eddy().SetPolicy(newPol(shard))
-		s.Eddy().SetNWay(nwayEvery)
-	})
 }
 
 // PolicyInfo reports shard 0's policy kind and module ranking: every shard

@@ -14,7 +14,7 @@ import (
 // Shard is one worker's execution unit inside a ParallelEddy: an eddy (or
 // an engine wrapping one) that processes a tuple synchronously on the
 // worker's goroutine. Eddy exposes the shard's eddy to the control plane
-// (host.go), which observes and re-routes it under a Barrier. *Eddy
+// (host.go), which observes it under a Barrier. *Eddy
 // satisfies Shard.
 type Shard interface {
 	Ingest(*tuple.Tuple)
@@ -306,7 +306,7 @@ func (pe *ParallelEddy) Close() {
 
 // Barrier quiesces the shards — waits until every worker has processed all
 // it was sent, then locks out the workers — and runs fn once per shard. Use
-// it to mutate shard state (add or remove standing queries, swap policies)
+// it to mutate shard state (add or remove standing queries, set probe timers)
 // or snapshot shard statistics without racing the workers. The driver is
 // locked out for the duration; outputs already handed to the merge stage
 // keep flowing.

@@ -33,7 +33,7 @@ func filterShardConfig(l *tuple.Layout, workers, batch, keep int, merge func(*tu
 		Partition: func(t *tuple.Tuple) int { return int(t.Vals[0].Hash()) },
 		NewShard: func(shard int, emit func(*tuple.Tuple)) Shard {
 			f := ops.NewFilter("keep", l, expr.Predicate{Col: 1, Op: expr.Ge, Val: tuple.Int(int64(keep))})
-			return New(tuple.SingleSource(0), NewNaivePolicy(), emit, f)
+			return New(tuple.SingleSource(0), NewFixedPolicy(), emit, f)
 		},
 		Merge:   merge,
 		OrderBy: func(t *tuple.Tuple) int64 { return t.Seq },
@@ -53,7 +53,7 @@ func TestParallelOrderedMatchesSequential(t *testing.T) {
 
 	var want []int64
 	seqF := ops.NewFilter("keep", l, expr.Predicate{Col: 1, Op: expr.Ge, Val: tuple.Int(keep)})
-	seq := New(tuple.SingleSource(0), NewNaivePolicy(), func(tp *tuple.Tuple) { want = append(want, tp.Seq) }, seqF)
+	seq := New(tuple.SingleSource(0), NewFixedPolicy(), func(tp *tuple.Tuple) { want = append(want, tp.Seq) }, seqF)
 	for i := 0; i < n; i++ {
 		seq.Ingest(mk(i))
 	}
@@ -91,7 +91,7 @@ func TestParallelPartitionedJoin(t *testing.T) {
 	const n, mod = 120, 7
 
 	// Sequential reference join.
-	ref := runSymmetricJoin(t, NewNaivePolicy(), n, mod)
+	ref := runSymmetricJoin(t, NewFixedPolicy(), n, mod)
 	want := map[string]int{}
 	for _, m := range ref {
 		want[fmt.Sprint(m.Vals)]++
@@ -115,7 +115,7 @@ func TestParallelPartitionedJoin(t *testing.T) {
 				},
 				NewShard: func(shard int, emit func(*tuple.Tuple)) Shard {
 					modS, modT := ops.BuildSteMPair(l, 0, 1, 0, 2, window.Physical)
-					return New(tuple.SingleSource(0).Union(tuple.SingleSource(1)), NewNaivePolicy(), emit, modS, modT)
+					return New(tuple.SingleSource(0).Union(tuple.SingleSource(1)), NewFixedPolicy(), emit, modS, modT)
 				},
 				Merge: func(tp *tuple.Tuple) {
 					mu.Lock()
@@ -267,7 +267,7 @@ func TestParallelRecyclerDropPath(t *testing.T) {
 		Partition: func(t *tuple.Tuple) int { return int(t.Vals[0].Hash()) },
 		NewShard: func(shard int, emit func(*tuple.Tuple)) Shard {
 			f := ops.NewFilter("keep", l, expr.Predicate{Col: 1, Op: expr.Ge, Val: tuple.Int(5)})
-			ed := New(tuple.SingleSource(0), NewNaivePolicy(), emit, f)
+			ed := New(tuple.SingleSource(0), NewFixedPolicy(), emit, f)
 			ed.SetRecycler(pool)
 			return ed
 		},

@@ -1,7 +1,6 @@
 package eddy
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -26,51 +25,24 @@ type Policy interface {
 	ChooseOrder(sig uint64, ready uint64) []int
 	// Observe reports the outcome of routing a tuple to module idx.
 	Observe(idx int, pass bool, produced int)
-}
-
-// orderer is implemented by policies that can report their current full
-// ranking without mutating any state (no RNG draws) — the EXPLAIN view of
-// the probe order.
-type orderer interface {
+	// CurrentOrder returns the present ranking of n modules without
+	// perturbing any state (no RNG draws): EXPLAIN's probe order.
 	CurrentOrder(n int) []int
-}
-
-// CurrentOrder returns p's present module ranking over n modules without
-// perturbing the policy (lottery RNG state untouched). Policies without a
-// deterministic ranking report ascending index order.
-func CurrentOrder(p Policy, n int) []int {
-	if o, ok := p.(orderer); ok {
-		return o.CurrentOrder(n)
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // PolicyName reports a routing policy's kind for EXPLAIN/telemetry.
 func PolicyName(p Policy) string {
-	switch q := p.(type) {
-	case *NaivePolicy:
-		return "naive"
+	switch p.(type) {
 	case *FixedPolicy:
 		return "fixed"
 	case *LotteryPolicy:
 		return "lottery"
 	case *SelectivityPolicy:
 		return "selectivity"
-	case *BatchingPolicy:
-		return fmt.Sprintf("batching(%s,%d)", PolicyName(q.Inner), q.Batch)
-	case *FixingPolicy:
-		return fmt.Sprintf("fixing(%d)", q.refresh)
 	default:
 		return "custom"
 	}
 }
-
-// lowestBit returns the index of the lowest set bit.
-func lowestBit(ready uint64) int { return bits.TrailingZeros64(ready) }
 
 // setBits appends the indexes of ready's set bits in ascending order.
 func setBits(ready uint64) []int {
@@ -81,30 +53,10 @@ func setBits(ready uint64) []int {
 	return out
 }
 
-// NaivePolicy always routes to the lowest-numbered ready module: the
-// "static order" degenerate case, useful as a control in experiments.
-type NaivePolicy struct{}
-
-// NewNaivePolicy returns a NaivePolicy.
-func NewNaivePolicy() *NaivePolicy { return &NaivePolicy{} }
-
-// Reset implements Policy.
-func (*NaivePolicy) Reset(int) {}
-
-// Choose implements Policy.
-func (*NaivePolicy) Choose(_ *tuple.Tuple, ready uint64) int { return lowestBit(ready) }
-
-// ChooseOrder implements Policy: ascending module index.
-func (*NaivePolicy) ChooseOrder(_ uint64, ready uint64) []int { return setBits(ready) }
-
-// CurrentOrder implements orderer.
-func (*NaivePolicy) CurrentOrder(n int) []int { return setBits((uint64(1) << uint(n)) - 1) }
-
-// Observe implements Policy.
-func (*NaivePolicy) Observe(int, bool, int) {}
-
 // FixedPolicy routes every tuple through a fixed module order, emulating a
-// conventional static plan inside the eddy harness (the baseline in E2).
+// conventional static plan inside the eddy harness (the baseline in E2 and
+// the static arms of the E18 drift pin). With no order it visits modules
+// in index order, the eddy's default when given no policy.
 type FixedPolicy struct {
 	order []int // module index -> rank; lower rank first
 }
@@ -112,13 +64,7 @@ type FixedPolicy struct {
 // NewFixedPolicy fixes the visit order to the given module indexes;
 // modules not listed are visited last in index order.
 func NewFixedPolicy(order ...int) *FixedPolicy {
-	p := &FixedPolicy{}
-	p.setOrder(order)
-	return p
-}
-
-func (p *FixedPolicy) setOrder(order []int) {
-	p.order = make([]int, 64)
+	p := &FixedPolicy{order: make([]int, 64)}
 	for i := range p.order {
 		p.order[i] = 64 + i
 	}
@@ -127,14 +73,11 @@ func (p *FixedPolicy) setOrder(order []int) {
 			p.order[idx] = rank
 		}
 	}
+	return p
 }
 
-// Reset implements Policy.
-func (p *FixedPolicy) Reset(n int) {
-	if p.order == nil {
-		p.setOrder(nil)
-	}
-}
+// Reset implements Policy: the order does not learn.
+func (*FixedPolicy) Reset(int) {}
 
 // Choose implements Policy.
 func (p *FixedPolicy) Choose(_ *tuple.Tuple, ready uint64) int {
@@ -155,7 +98,7 @@ func (p *FixedPolicy) ChooseOrder(_ uint64, ready uint64) []int {
 	return out
 }
 
-// CurrentOrder implements orderer.
+// CurrentOrder implements Policy.
 func (p *FixedPolicy) CurrentOrder(n int) []int {
 	if n > 64 {
 		n = 64
@@ -267,7 +210,7 @@ func (p *LotteryPolicy) ChooseOrder(_ uint64, ready uint64) []int {
 	return out
 }
 
-// CurrentOrder implements orderer: modules ranked by tickets, highest first,
+// CurrentOrder implements Policy: modules ranked by tickets, highest first,
 // without touching the RNG.
 func (p *LotteryPolicy) CurrentOrder(n int) []int {
 	if n > len(p.tickets) {
@@ -287,151 +230,3 @@ func (p *LotteryPolicy) CurrentOrder(n int) []int {
 func (p *LotteryPolicy) Tickets() []int64 {
 	return append([]int64(nil), p.tickets...)
 }
-
-// BatchingPolicy wraps another policy, re-drawing the routing decision only
-// every Batch tuples per (source-set, ready) signature. This is the
-// "batching tuples" knob of §4.3: when change is slow, many tuples ride a
-// cached route and per-tuple decision overhead collapses; when change is
-// fast a small batch keeps the eddy responsive.
-type BatchingPolicy struct {
-	Inner Policy
-	Batch int
-
-	cache map[uint64]batched
-}
-
-// batchingCacheCap bounds the (source, ready) route cache. Signatures are
-// few in steady state (one per lineage shape), so hitting the cap means
-// module-set churn left stale routes behind: flush and rebuild.
-const batchingCacheCap = 512
-
-type batched struct {
-	choice int
-	left   int
-}
-
-// NewBatchingPolicy wraps inner, re-deciding every batch tuples.
-func NewBatchingPolicy(inner Policy, batch int) *BatchingPolicy {
-	if batch < 1 {
-		batch = 1
-	}
-	return &BatchingPolicy{Inner: inner, Batch: batch, cache: make(map[uint64]batched)}
-}
-
-// Reset implements Policy.
-func (p *BatchingPolicy) Reset(n int) {
-	p.Inner.Reset(n)
-	p.cache = make(map[uint64]batched)
-}
-
-// Choose implements Policy.
-func (p *BatchingPolicy) Choose(t *tuple.Tuple, ready uint64) int {
-	key := uint64(t.Source)<<32 ^ ready
-	if c, ok := p.cache[key]; ok && c.left > 0 && ready&(1<<uint(c.choice)) != 0 {
-		c.left--
-		p.cache[key] = c
-		return c.choice
-	}
-	choice := p.Inner.Choose(t, ready)
-	if len(p.cache) >= batchingCacheCap {
-		p.cache = make(map[uint64]batched)
-	}
-	p.cache[key] = batched{choice: choice, left: p.Batch - 1}
-	return choice
-}
-
-// ChooseOrder implements Policy by delegating to the inner policy; the
-// eddy's own per-signature order cache already provides the batching.
-func (p *BatchingPolicy) ChooseOrder(sig uint64, ready uint64) []int {
-	return p.Inner.ChooseOrder(sig, ready)
-}
-
-// CurrentOrder implements orderer via the inner policy.
-func (p *BatchingPolicy) CurrentOrder(n int) []int { return CurrentOrder(p.Inner, n) }
-
-// Observe implements Policy.
-func (p *BatchingPolicy) Observe(idx int, pass bool, produced int) {
-	p.Inner.Observe(idx, pass, produced)
-}
-
-// Tickets exposes the inner policy's ticket counts when it has any.
-func (p *BatchingPolicy) Tickets() []int64 {
-	if th, ok := p.Inner.(interface{ Tickets() []int64 }); ok {
-		return th.Tickets()
-	}
-	return nil
-}
-
-// FixingPolicy implements the second §4.3 knob, "fixing operators": it
-// observes with an inner lottery, but routes through a frozen ticket-ranked
-// module order, re-deriving that order only every Refresh observations.
-// Between refreshes the eddy behaves like a static plan — no per-tuple
-// lottery draws at all — so the knob trades re-optimization frequency
-// against routing overhead at a coarser grain than tuple batching.
-type FixingPolicy struct {
-	inner   *LotteryPolicy
-	refresh int64
-	seen    int64
-	fixed   *FixedPolicy
-}
-
-// NewFixingPolicy wraps a lottery, refreshing the fixed order every
-// refresh observations.
-func NewFixingPolicy(seed int64, refresh int) *FixingPolicy {
-	if refresh < 1 {
-		refresh = 1
-	}
-	return &FixingPolicy{
-		inner:   NewLotteryPolicy(seed),
-		refresh: int64(refresh),
-		fixed:   NewFixedPolicy(),
-	}
-}
-
-// Reset implements Policy.
-func (p *FixingPolicy) Reset(n int) {
-	p.inner.Reset(n)
-	p.fixed.Reset(n)
-	p.seen = 0
-	p.refreshOrder()
-}
-
-// refreshOrder freezes the current ticket ranking into a fixed visit order.
-func (p *FixingPolicy) refreshOrder() {
-	tickets := p.inner.Tickets()
-	order := make([]int, 0, len(tickets))
-	for i := range tickets {
-		order = append(order, i)
-	}
-	// Highest tickets (most selective) first.
-	sort.SliceStable(order, func(a, b int) bool {
-		return tickets[order[a]] > tickets[order[b]]
-	})
-	p.fixed.setOrder(order)
-}
-
-// Choose implements Policy: the frozen order decides.
-func (p *FixingPolicy) Choose(t *tuple.Tuple, ready uint64) int {
-	return p.fixed.Choose(t, ready)
-}
-
-// ChooseOrder implements Policy: the frozen ranking, as a full chain.
-func (p *FixingPolicy) ChooseOrder(sig uint64, ready uint64) []int {
-	return p.fixed.ChooseOrder(sig, ready)
-}
-
-// CurrentOrder implements orderer.
-func (p *FixingPolicy) CurrentOrder(n int) []int { return p.fixed.CurrentOrder(n) }
-
-// Observe implements Policy: the lottery keeps learning in the background;
-// every refresh observations its ranking is re-frozen.
-func (p *FixingPolicy) Observe(idx int, pass bool, produced int) {
-	p.inner.Observe(idx, pass, produced)
-	p.seen++
-	if p.seen%p.refresh == 0 {
-		p.refreshOrder()
-	}
-}
-
-// Tickets exposes the learning lottery's ticket counts.
-func (p *FixingPolicy) Tickets() []int64 { return p.inner.Tickets() }

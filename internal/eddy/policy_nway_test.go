@@ -12,11 +12,9 @@ import (
 // modules.
 func allPolicies(n int) map[string]Policy {
 	ps := map[string]Policy{
-		"naive":       NewNaivePolicy(),
+		"default":     NewFixedPolicy(),
 		"fixed":       NewFixedPolicy(2, 0, 1),
 		"lottery":     NewLotteryPolicy(7),
-		"batching":    NewBatchingPolicy(NewLotteryPolicy(7), 8),
-		"fixing":      NewFixingPolicy(7, 16),
 		"selectivity": NewSelectivityPolicy(7),
 	}
 	for _, p := range ps {
@@ -65,8 +63,8 @@ func TestPolicyReadyBitsProperty(t *testing.T) {
 // not perturb policy state, so consecutive calls agree.
 func TestCurrentOrderDeterministic(t *testing.T) {
 	for name, p := range allPolicies(4) {
-		a := CurrentOrder(p, 4)
-		b := CurrentOrder(p, 4)
+		a := p.CurrentOrder(4)
+		b := p.CurrentOrder(4)
 		if len(a) != len(b) {
 			t.Fatalf("%s: CurrentOrder changed length across calls: %v vs %v", name, a, b)
 		}
@@ -78,25 +76,26 @@ func TestCurrentOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchingCacheBounded drives BatchingPolicy through more distinct
-// (source, ready) signatures than its cache admits and checks the cache
-// stays capped, and that Reset discards it entirely.
+// TestBatchingCacheBounded drives the eddy's per-signature plan cache —
+// where §4.3's batching lives — through more distinct (source, ready)
+// signatures than it admits and checks it stays capped, and that a policy
+// swap discards it entirely.
 func TestBatchingCacheBounded(t *testing.T) {
-	p := NewBatchingPolicy(NewLotteryPolicy(1), 4)
-	p.Reset(2)
-	for i := 0; i < batchingCacheCap*2; i++ {
-		tt := &tuple.Tuple{Source: tuple.SourceSet(i + 1)}
-		p.Choose(tt, 3)
-		if len(p.cache) > batchingCacheCap {
-			t.Fatalf("cache grew to %d entries, cap is %d", len(p.cache), batchingCacheCap)
+	// Two module slots for ready = 0b11; planning never calls into them.
+	e := New(0, NewLotteryPolicy(1), nil, nil, nil)
+	e.SetNWay(4)
+	for i := 0; i < orderCacheCap*2; i++ {
+		e.chooseNWay(&tuple.Tuple{Source: tuple.SourceSet(i + 1)}, 3)
+		if len(e.orderCache) > orderCacheCap {
+			t.Fatalf("cache grew to %d entries, cap is %d", len(e.orderCache), orderCacheCap)
 		}
 	}
-	if len(p.cache) == 0 {
+	if len(e.orderCache) == 0 {
 		t.Fatal("cache unexpectedly empty after warm-up")
 	}
-	p.Reset(2)
-	if len(p.cache) != 0 {
-		t.Fatalf("Reset left %d cached routes", len(p.cache))
+	e.SetPolicy(NewLotteryPolicy(1))
+	if len(e.orderCache) != 0 {
+		t.Fatalf("SetPolicy left %d cached plans", len(e.orderCache))
 	}
 }
 
@@ -128,14 +127,13 @@ func driftPhase(p Policy, rng *rand.Rand, dropProb [2]float64, steps int) (first
 func TestDriftReconvergence(t *testing.T) {
 	for name, p := range map[string]Policy{
 		"lottery":     NewLotteryPolicy(3),
-		"fixing":      NewFixingPolicy(3, 64),
 		"selectivity": NewSelectivityPolicy(3),
 	} {
 		p.Reset(2)
 		rng := rand.New(rand.NewSource(99))
 
 		driftPhase(p, rng, [2]float64{0.9, 0.1}, 4000)
-		if got := CurrentOrder(p, 2); got[0] != 0 {
+		if got := p.CurrentOrder(2); got[0] != 0 {
 			t.Fatalf("%s: after phase 1 (module 0 selective) ranking = %v, want module 0 first", name, got)
 		}
 		counts := driftPhase(p, rng, [2]float64{0.9, 0.1}, 1000)
@@ -146,51 +144,13 @@ func TestDriftReconvergence(t *testing.T) {
 
 		// The drift: selectivities swap mid-stream.
 		driftPhase(p, rng, [2]float64{0.1, 0.9}, 4000)
-		if got := CurrentOrder(p, 2); got[0] != 1 {
+		if got := p.CurrentOrder(2); got[0] != 1 {
 			t.Fatalf("%s: after drift (module 1 selective) ranking = %v, want module 1 first", name, got)
 		}
 		counts = driftPhase(p, rng, [2]float64{0.1, 0.9}, 1000)
 		if counts[1] <= counts[0] {
 			t.Fatalf("%s: post-drift steady state chose module 1 first %d/%d times, expected majority",
 				name, counts[1], counts[0]+counts[1])
-		}
-	}
-}
-
-// TestParseRoutingRoundTrip pins the flag/wire grammar.
-func TestParseRoutingRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"lottery",
-		"naive",
-		"selectivity",
-		"fixed order=2,0,1",
-		"batching every=16",
-		"fixing refresh=128",
-		"selectivity seed=9 every=8 nway=off",
-	} {
-		cfg, err := ParseRouting(spec)
-		if err != nil {
-			t.Fatalf("ParseRouting(%q): %v", spec, err)
-		}
-		if cfg.IsZero() {
-			t.Fatalf("ParseRouting(%q) produced the zero config", spec)
-		}
-		if _, err := cfg.NewPolicy(1); err != nil {
-			t.Fatalf("NewPolicy for %q: %v", spec, err)
-		}
-		back, err := ParseRouting(cfg.String())
-		if err != nil {
-			t.Fatalf("re-parse of String() %q: %v", cfg.String(), err)
-		}
-		if back.Kind != cfg.Kind || back.Seed != cfg.Seed || back.Every != cfg.Every ||
-			back.Refresh != cfg.Refresh || back.NoNWay != cfg.NoNWay ||
-			len(back.Order) != len(cfg.Order) {
-			t.Fatalf("round trip changed config: %+v vs %+v", cfg, back)
-		}
-	}
-	for _, bad := range []string{"", "warlock", "fixed order=x", "lottery seed=", "naive every=abc"} {
-		if _, err := ParseRouting(bad); err == nil {
-			t.Fatalf("ParseRouting(%q) unexpectedly succeeded", bad)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func (p *SelectivityPolicy) ChooseOrder(_ uint64, ready uint64) []int {
 	return out
 }
 
-// CurrentOrder implements orderer: the deterministic ranking, no
+// CurrentOrder implements Policy: the deterministic ranking, no
 // exploration and no RNG mutation.
 func (p *SelectivityPolicy) CurrentOrder(n int) []int {
 	if n > len(p.rate) {
@@ -129,9 +129,4 @@ func (p *SelectivityPolicy) Observe(idx int, pass bool, produced int) {
 		sample++
 	}
 	p.rate[idx] += p.alpha * (sample - p.rate[idx])
-}
-
-// Rates exposes the current EWMA estimates (for experiments/diagnostics).
-func (p *SelectivityPolicy) Rates() []float64 {
-	return append([]float64(nil), p.rate...)
 }

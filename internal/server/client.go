@@ -275,10 +275,3 @@ func (c *Client) Trace(qid int) ([]string, error) {
 func (c *Client) Info() ([]string, error) {
 	return c.cmdRows("INFO")
 }
-
-// SetPolicy swaps a running query's routing policy live, e.g.
-// SetPolicy(3, "selectivity every=16").
-func (c *Client) SetPolicy(qid int, spec string) error {
-	_, err := c.cmd(fmt.Sprintf("SET POLICY %d %s", qid, spec))
-	return err
-}

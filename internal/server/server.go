@@ -19,8 +19,6 @@
 //	FETCH <qid>                -- pull delivery: ROW lines then END
 //	DEREGISTER <qid>
 //	STATS <qid>                -- results + adaptive-routing + shard counters
-//	SET POLICY <qid> <spec>    -- swap the query's routing policy live, e.g.
-//	                              SET POLICY 3 selectivity every=16
 //	METRICS                    -- engine metric registry snapshot
 //	TRACE <qid>                -- sampled tuple-lineage traces
 //	LIST
@@ -300,8 +298,6 @@ func (fe *frontEnd) dispatch(line string) {
 		err = fe.handleDeregister(rest)
 	case "STATS":
 		err = fe.handleStats(rest)
-	case "SET":
-		err = fe.handleSet(rest)
 	case "METRICS":
 		fe.handleMetrics()
 	case "TRACE":
@@ -634,31 +630,6 @@ func (fe *frontEnd) handleStats(rest string) error {
 			strings.Join(depths, ",")))
 	}
 	fe.send("END")
-	return nil
-}
-
-// handleSet serves "SET POLICY <qid> <spec>": swap a running query's
-// routing policy live. The spec is the routing grammar also accepted by the
-// tcqd -policy flag: "<kind> [seed=N] [every=N] [refresh=N] [order=a,b,c]
-// [nway=on|off]" with kinds lottery, naive, fixed, batching, fixing,
-// selectivity.
-func (fe *frontEnd) handleSet(rest string) error {
-	fields := strings.Fields(rest)
-	if len(fields) < 2 || !strings.EqualFold(fields[0], "POLICY") {
-		return fmt.Errorf("expected SET POLICY <qid> <spec>")
-	}
-	id, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return fmt.Errorf("bad query id %q", fields[1])
-	}
-	spec := strings.TrimSpace(strings.Join(fields[2:], " "))
-	if spec == "" {
-		return fmt.Errorf("SET POLICY needs a policy spec")
-	}
-	if err := fe.engine.SetQueryPolicy(id, spec); err != nil {
-		return err
-	}
-	fe.send(fmt.Sprintf("OK policy %d %s", id, spec))
 	return nil
 }
 

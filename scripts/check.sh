@@ -8,9 +8,9 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window and join delivery x20, panes against the
-#                    rescan x20, shared-class reuse x20, pull-log ring x20,
-#                    wire flushes and EO wake x20, fuzz smoke
+#                    window delivery x20, routing rule x20, panes against
+#                    the rescan x20, shared-class reuse x20, pull-log ring
+#                    x20, wire flushes and EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -143,13 +143,21 @@ stage_race() {
     go test -race -count=50 -run 'TestChaosSoakFullPipeline' ./internal/chaos/
 
     # A window instance reaches egress as one batch of rows no buffer still
-    # holds, the result count moves after the rows on every emit path, and
-    # every equijoin shape yields the same multiset at every batch size (its
-    # test waits on Results() and then reads): each is a claim about what a
-    # client goroutine racing the engine can observe, so hold all four to
-    # twenty race-instrumented passes.
-    echo "==> delivery under race: atomic instances, no aliasing, count after rows, join multisets (-count=20)"
-    go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch|TestBatchEquivalenceJoinMultiset' ./internal/core/
+    # holds and the result count moves after the rows on every emit path:
+    # each is a claim about what a client goroutine racing the engine can
+    # observe, so hold all three to twenty race-instrumented passes.
+    echo "==> delivery under race: atomic instances, no aliasing, count after rows (-count=20)"
+    go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch' ./internal/core/
+
+    # The routing rule picks each eddy's policy from its plan: every join
+    # shape, two streams or more, inline or on partitioned shards, must yield
+    # its plain-Go multiset at every batch size (the test waits on Results()
+    # and then reads, racing the engine), and on the E18 drift star the
+    # default engine must make fewer module visits than every static probe
+    # order. That margin moves with drain boundaries from run to run, so
+    # twenty passes show it shrinking before it flips.
+    echo "==> routing rule under race: join multisets, drift pin (-count=20)"
+    go test -race -count=20 -run 'TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift|TestBatchEquivalenceJoinMultiset' ./internal/core/
 
     # A sliding or landmark aggregate folds each row into a pane as it
     # arrives and combines panes at each fire: the differential test holds
