@@ -49,7 +49,6 @@ func main() {
 	batch := flag.Int("batch", 64, "engine-wide tuple batch size: ingress fan-out, each query's input drain, eddy entry and (with -workers > 1) shard handoff all move up to this many tuples per operation; 1 = per-tuple processing")
 	introspect := flag.Bool("introspect", false, "register the tcq.* introspection streams (query engine telemetry with ordinary CQs; enables live EXPLAIN <qid> and TOP)")
 	introInterval := flag.Duration("introspect-interval", 250*time.Millisecond, "telemetry sampling period for the tcq.* streams")
-	shared := flag.Bool("shared", false, "share arrangements: qualifying equijoins on the same stream pair reuse one SteM build across all registered CQs")
 	flag.Parse()
 
 	interval, err := feedInterval(*rate)
@@ -67,7 +66,6 @@ func main() {
 		BatchSize:          *batch,
 		Introspect:         *introspect,
 		IntrospectInterval: *introInterval,
-		SharedArrangements: *shared,
 	})
 	defer engine.Stop()
 
@@ -76,8 +74,8 @@ func main() {
 		log.Fatalf("tcqd: %v", err)
 	}
 	defer pm.Close()
-	fmt.Printf("tcqd: listening on %s (EOs=%d workers=%d batch=%d spool=%q trace=%g introspect=%v shared=%v)\n",
-		pm.Addr(), *eos, *workers, *batch, *spool, *traceRate, *introspect, *shared)
+	fmt.Printf("tcqd: listening on %s (EOs=%d workers=%d batch=%d spool=%q trace=%g introspect=%v)\n",
+		pm.Addr(), *eos, *workers, *batch, *spool, *traceRate, *introspect)
 	if *introspect {
 		fmt.Printf("tcqd: introspection streams tcq.stats tcq.routes tcq.pool tcq.chaos (every %s)\n",
 			*introInterval)

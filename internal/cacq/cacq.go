@@ -15,6 +15,7 @@ package cacq
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"telegraphcq/internal/arrange"
@@ -61,8 +62,10 @@ type Engine struct {
 	queries map[int]*Query
 	// byFootprint lists live queries per exact footprint for delivery.
 	byFootprint map[tuple.SourceSet][]*Query
-	// interested[s] caches the lineage template for tuples of stream s.
+	// interested[s] caches the lineage template for tuples of stream s, and
+	// borrow[s] says whether those tuples carry the template itself.
 	interested []tuple.Bitset
+	borrow     []bool
 	maxID      int
 	watermarks []int64
 	// wide is the reusable ingest batch (single ingest goroutine).
@@ -122,6 +125,7 @@ func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg
 		queries:     make(map[int]*Query),
 		byFootprint: make(map[tuple.SourceSet][]*Query),
 		interested:  make([]tuple.Bitset, layout.Streams()),
+		borrow:      make([]bool, layout.Streams()),
 		cfg:         cfg,
 		handles:     make(map[int][]*arrange.Handle),
 	}
@@ -239,26 +243,63 @@ func (e *Engine) invalidate() {
 	}
 }
 
-// interestedFor returns the shared (do-not-mutate) lineage template for
-// stream s: the bits of every query whose footprint includes s.
+// interestedFor returns the lineage template for stream s: the bits of every
+// query whose footprint includes s. A template equal to another stream's is
+// that stream's, so in a class whose members share one footprint the rows
+// of every stream can hold one bitmap, which Layout.Merge then passes on
+// instead of intersecting. When no grouped filter holds a factor on s's
+// columns, no module writes the lineage of s's tuples, and they borrow the
+// template itself. The one write a borrowed template can see is
+// arrange.ScrubLineage clearing freed slots: a current template has none of
+// their bits (it was minted after the removal), and every holder of a stale
+// one wants them gone.
 func (e *Engine) interestedFor(s int) tuple.Bitset {
-	if e.interested[s] == nil {
-		bs := tuple.NewBitset(e.maxID + 1)
-		src := tuple.SingleSource(s)
-		for _, q := range e.queries {
-			if q.Footprint.Contains(src) {
-				bs.Set(q.ID)
-			}
-		}
-		e.interested[s] = bs
+	if e.interested[s] != nil {
+		return e.interested[s]
 	}
-	return e.interested[s]
+	bs := tuple.NewBitset(e.maxID + 1)
+	src := tuple.SingleSource(s)
+	for _, q := range e.queries {
+		if q.Footprint.Contains(src) {
+			bs.Set(q.ID)
+		}
+	}
+	for _, other := range e.interested {
+		if slices.Equal(other, bs) {
+			bs = other
+			break
+		}
+	}
+	borrow := true
+	off := e.layout.Offsets[s]
+	for _, g := range e.filters[off : off+e.layout.Schemas[s].Arity()] {
+		borrow = borrow && g.Empty()
+	}
+	e.interested[s], e.borrow[s] = bs, borrow
+	return bs
 }
 
-// lineage returns a private copy of tmpl for one tuple to carry, written
-// into a spare bitmap when one is large enough. A spare too small for the
-// template (the query population grew since it was minted) is dropped.
-func (e *Engine) lineage(tmpl tuple.Bitset) tuple.Bitset {
+// isTemplate reports whether bs is one of the current lineage templates.
+// Tuples carrying a borrowed template finish inside the ingest that stamped
+// them, before a query change can replace it, so the current templates are
+// the only borrowed bitmaps a finished tuple can hold.
+func (e *Engine) isTemplate(bs tuple.Bitset) bool {
+	for _, tmpl := range e.interested {
+		if tmpl.Same(bs) {
+			return true
+		}
+	}
+	return false
+}
+
+// lineage returns the lineage one tuple of stream s carries: the template
+// itself when s borrows it, else a private copy written into a spare bitmap
+// when one is large enough. A spare too small for the template (the query
+// population grew since it was minted) is dropped.
+func (e *Engine) lineage(s int, tmpl tuple.Bitset) tuple.Bitset {
+	if e.borrow[s] {
+		return tmpl
+	}
 	if n := len(e.spare); n > 0 {
 		bs := e.spare[n-1]
 		e.spare[n-1] = nil
@@ -278,11 +319,12 @@ func (e *Engine) lineage(tmpl tuple.Bitset) tuple.Bitset {
 const maxSpare = 1024
 
 // release is the eddy's release func (SetRecycler): it keeps a finished
-// tuple's lineage bitmap for the next ingest and, when the row is dead too,
-// returns the row to the pool. A row that lives on is not touched: the eddy
-// took its lineage off before delivery.
+// tuple's lineage bitmap for the next ingest, unless the bitmap is a
+// borrowed template that the next copy would overwrite under every holder,
+// and, when the row is dead too, returns the row to the pool. A row that
+// lives on is not touched: the eddy took its lineage off before delivery.
 func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
-	if lineage != nil && len(e.spare) < maxSpare {
+	if lineage != nil && len(e.spare) < maxSpare && !e.isTemplate(lineage) {
 		e.spare = append(e.spare, lineage)
 	}
 	if rowDead && e.pool != nil {
@@ -309,7 +351,7 @@ func (e *Engine) Ingest(s int, base *tuple.Tuple) {
 		return // no standing query cares about this stream
 	}
 	t := e.layout.Widen(s, base)
-	t.Queries = e.lineage(tmpl)
+	t.Queries = e.lineage(s, tmpl)
 	e.ed.Ingest(t)
 }
 
@@ -356,7 +398,7 @@ func (e *Engine) ingestBatch(s int, base []*tuple.Tuple, owned bool) {
 				e.pool.Put(bt)
 			}
 		}
-		t.Queries = e.lineage(tmpl)
+		t.Queries = e.lineage(s, tmpl)
 		e.wide.Append(t)
 	}
 	e.ed.IngestBatch(&e.wide)
@@ -435,6 +477,10 @@ func (e *Engine) Stats() eddy.Stats { return e.ed.Stats() }
 // probe timing, policy info (eddy/host.go). Unsynchronized like every
 // Engine method; callers exclude the ingest goroutine.
 func (e *Engine) Host() *eddy.Eddy { return e.ed }
+
+// SteMs returns the join SteM modules, two per join edge. Unsynchronized
+// like every Engine method.
+func (e *Engine) SteMs() []*ops.SteMModule { return e.stems }
 
 // QueryCount returns the number of standing queries.
 func (e *Engine) QueryCount() int { return len(e.queries) }

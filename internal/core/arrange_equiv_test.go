@@ -9,14 +9,13 @@ import (
 	"telegraphcq/internal/workload"
 )
 
-// Differential harness for shared arrangements: the SharedArrangements knob
-// must be purely an execution-strategy choice. The same seeded workloads
-// (the stock generator behind E13's churn experiment and the deterministic
-// S/R equijoin feed) replayed with the knob on and off must produce, for
-// every registered query, identical result sequences (order-preserving
-// selection classes) and identical result multisets (equijoins, whose
-// match order legitimately depends on probe interleaving) — across
-// Workers ∈ {1, 4} × BatchSize ∈ {1, 32}.
+// Differential harness for shared classes: the same seeded workloads (the
+// stock generator behind E13's churn experiment and the deterministic S/R
+// equijoin feed) replayed at every (shared, Workers, BatchSize) cell must
+// give every registered query what arrangeFeed computes in plain Go, whether
+// the equijoins share one class or each is its own class's sole member — the exact result
+// sequence for the order-preserving selection class, the result multiset
+// for the equijoins, whose match order depends on probe interleaving.
 
 // arrangeWorkloadResult captures every query's output under one engine
 // configuration.
@@ -26,7 +25,7 @@ type arrangeWorkloadResult struct {
 }
 
 // selQueries are overlapping single-stream selections sharing one CACQ
-// class; their expected counts are computed from the generated feed.
+// class.
 var selQueries = []string{
 	`SELECT closingPrice FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'`,
 	`SELECT stockSymbol, closingPrice FROM ClosingStockPrices WHERE closingPrice > 50`,
@@ -34,31 +33,33 @@ var selQueries = []string{
 }
 
 // joinQueries are overlapping equijoins on the same stream pair and join
-// column — exactly the shape that shares one SteM build per stream under
-// SharedArrangements.
+// column: members of one class sharing one SteM build per stream.
 var joinQueries = []string{
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`,
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 10`,
 	`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND R.w < 100`,
 }
 
-// arrangeFeed builds the deterministic inputs and the per-query expected
-// result counts (evaluated in plain Go, independent of the engine).
-func arrangeFeed() (stocks []*tuple.Tuple, sRows, rRows []*tuple.Tuple, selWant, joinWant []int) {
+// arrangeFeed builds the deterministic inputs and, evaluated in plain Go
+// independently of the engine, every query's reference: each selection's
+// rows in feed order (rowKey form) and each join's sorted match values.
+func arrangeFeed() (stocks, sRows, rRows []*tuple.Tuple, want arrangeWorkloadResult) {
 	gen := workload.NewStockGenerator(99, nil)
 	stocks = gen.Take(30 * len(workload.Symbols))
-	selWant = make([]int, len(selQueries))
+	want.selections = make([][]string, len(selQueries))
+	sel := func(i int, st *tuple.Tuple, vals ...tuple.Value) {
+		want.selections[i] = append(want.selections[i], fmt.Sprintf("ts=%d %v", st.Vals[0].AsInt(), vals))
+	}
 	for _, st := range stocks {
-		sym := st.Vals[1].AsString()
-		price := st.Vals[2].AsFloat()
-		if sym == "MSFT" {
-			selWant[0]++
+		sym, price := st.Vals[1], st.Vals[2]
+		if sym.AsString() == "MSFT" {
+			sel(0, st, price)
 		}
-		if price > 50 {
-			selWant[1]++
+		if price.AsFloat() > 50 {
+			sel(1, st, sym, price)
 		}
-		if sym == "IBM" && price < 90 {
-			selWant[2]++
+		if sym.AsString() == "IBM" && price.AsFloat() < 90 {
+			sel(2, st, price)
 		}
 	}
 	for i := int64(0); i < 30; i++ {
@@ -67,29 +68,52 @@ func arrangeFeed() (stocks []*tuple.Tuple, sRows, rRows []*tuple.Tuple, selWant,
 	for j := int64(0); j < 20; j++ {
 		rRows = append(rRows, tuple.New(tuple.Int(j%5), tuple.Int(j*10)))
 	}
-	joinWant = make([]int, len(joinQueries))
+	want.joins = make([][]string, len(joinQueries))
 	for _, s := range sRows {
 		for _, r := range rRows {
 			if s.Vals[0].AsInt() != r.Vals[0].AsInt() {
 				continue
 			}
-			joinWant[0]++
+			match := fmt.Sprint([]tuple.Value{s.Vals[1], r.Vals[1]})
+			want.joins[0] = append(want.joins[0], match)
 			if s.Vals[1].AsInt() > 10 {
-				joinWant[1]++
+				want.joins[1] = append(want.joins[1], match)
 			}
 			if r.Vals[1].AsInt() < 100 {
-				joinWant[2]++
+				want.joins[2] = append(want.joins[2], match)
 			}
 		}
 	}
-	return stocks, sRows, rRows, selWant, joinWant
+	for _, rows := range want.joins {
+		sort.Strings(rows)
+	}
+	return stocks, sRows, rRows, want
 }
 
 // runArrangeWorkload replays the seeded workloads through one engine
-// configuration and collects every query's results.
-func runArrangeWorkload(t *testing.T, shared bool, workers, bs int) arrangeWorkloadResult {
+// configuration and collects every query's results. With shared, all the
+// join queries are members of one class; without, each join query runs in
+// an engine of its own as the sole member of its class.
+func runArrangeWorkload(t *testing.T, shared bool, workers, bs int) (got, want arrangeWorkloadResult) {
 	t.Helper()
-	e := NewEngine(Options{EOs: 2, Workers: workers, BatchSize: bs, SharedArrangements: shared})
+	if shared {
+		return runArrangeJoins(t, []int{0, 1, 2}, workers, bs)
+	}
+	for i := range joinQueries {
+		g, w := runArrangeJoins(t, []int{i}, workers, bs)
+		got.selections, want.selections = g.selections, w.selections
+		got.joins = append(got.joins, g.joins...)
+		want.joins = append(want.joins, w.joins...)
+	}
+	return got, want
+}
+
+// runArrangeJoins replays the seeded workloads through one engine that
+// registers every selection query and the join queries at the given
+// indices, all of which must belong to one class.
+func runArrangeJoins(t *testing.T, joinIdx []int, workers, bs int) (got, want arrangeWorkloadResult) {
+	t.Helper()
+	e := NewEngine(Options{EOs: 2, Workers: workers, BatchSize: bs})
 	defer e.Stop()
 	if err := e.CreateStream("ClosingStockPrices", workload.StockSchema(), 0); err != nil {
 		t.Fatal(err)
@@ -104,25 +128,27 @@ func runArrangeWorkload(t *testing.T, shared bool, workers, bs int) arrangeWorkl
 		}
 		selQ = append(selQ, q)
 	}
-	for _, text := range joinQueries {
-		q, err := e.Register(text)
+	for _, i := range joinIdx {
+		q, err := e.Register(joinQueries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		joinQ = append(joinQ, q)
 	}
-	if shared {
-		// The join queries must actually be sharing: one class, one
-		// arrangement per stream per shard backing all three.
-		if n := e.SharedQueryCount("S+R|0=2"); n != len(joinQuery(joinQ)) {
-			t.Fatalf("shared join class has %d members, want %d", n, len(joinQ))
-		}
-		if n, _, _, _ := e.arrReg.Totals(); n == 0 {
-			t.Fatalf("SharedArrangements on but no arrangements registered")
-		}
+	// The join queries must actually be class members: one class, one
+	// arrangement per stream per shard backing all of them.
+	if n := e.SharedQueryCount("S+R|0=2"); n != len(joinQ) {
+		t.Fatalf("join class has %d members, want %d", n, len(joinQ))
+	}
+	if n, _, _, _ := e.arrReg.Totals(); n == 0 {
+		t.Fatalf("a join class runs but no arrangements are registered")
 	}
 
-	stocks, sRows, rRows, selWant, joinWant := arrangeFeed()
+	stocks, sRows, rRows, ref := arrangeFeed()
+	want.selections = ref.selections
+	for _, i := range joinIdx {
+		want.joins = append(want.joins, ref.joins[i])
+	}
 	if err := e.FeedMany("ClosingStockPrices", stocks); err != nil {
 		t.Fatal(err)
 	}
@@ -133,88 +159,58 @@ func runArrangeWorkload(t *testing.T, shared bool, workers, bs int) arrangeWorkl
 		t.Fatal(err)
 	}
 
-	var out arrangeWorkloadResult
 	for i, q := range selQ {
-		rows := fetchAll(t, q, selWant[i])
-		out.selections = append(out.selections, rows)
+		got.selections = append(got.selections, fetchAll(t, q, len(want.selections[i])))
 	}
 	for i, q := range joinQ {
-		q := q
-		waitFor(t, fmt.Sprintf("join query %d: %d results", i, joinWant[i]),
-			func() bool { return q.Results() >= int64(joinWant[i]) })
-		res, err := q.Fetch(q.Cursor())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]string, len(res))
-		for k, r := range res {
-			// Match TS depends on probe arrival order; compare values only.
-			rows[k] = fmt.Sprint(r.Vals)
-		}
+		waitResults(t, q, int64(len(want.joins[i])))
+		rows := fetchJoinRows(t, q)
 		sort.Strings(rows)
-		out.joins = append(out.joins, rows)
+		got.joins = append(got.joins, rows)
 	}
-	return out
+	return got, want
 }
 
-// joinQuery is a trivial identity helper keeping the member-count check
-// readable.
-func joinQuery(qs []*RunningQuery) []*RunningQuery { return qs }
-
-func assertArrangeEquivalent(t *testing.T, label string, base, got arrangeWorkloadResult) {
+func assertArrangeEquivalent(t *testing.T, label string, want, got arrangeWorkloadResult) {
 	t.Helper()
-	for i := range base.selections {
-		if len(base.selections[i]) != len(got.selections[i]) {
-			t.Fatalf("%s: selection %d emitted %d rows, baseline %d",
-				label, i, len(got.selections[i]), len(base.selections[i]))
+	for i := range want.selections {
+		if len(want.selections[i]) != len(got.selections[i]) {
+			t.Fatalf("%s: selection %d emitted %d rows, want %d",
+				label, i, len(got.selections[i]), len(want.selections[i]))
 		}
-		for k := range base.selections[i] {
-			if base.selections[i][k] != got.selections[i][k] {
-				t.Fatalf("%s: selection %d row %d = %q, baseline %q",
-					label, i, k, got.selections[i][k], base.selections[i][k])
+		for k := range want.selections[i] {
+			if want.selections[i][k] != got.selections[i][k] {
+				t.Fatalf("%s: selection %d row %d = %q, want %q",
+					label, i, k, got.selections[i][k], want.selections[i][k])
 			}
 		}
 	}
-	for i := range base.joins {
-		if len(base.joins[i]) != len(got.joins[i]) {
-			t.Fatalf("%s: join %d produced %d rows, baseline %d",
-				label, i, len(got.joins[i]), len(base.joins[i]))
+	for i := range want.joins {
+		if len(want.joins[i]) != len(got.joins[i]) {
+			t.Fatalf("%s: join %d produced %d rows, want %d",
+				label, i, len(got.joins[i]), len(want.joins[i]))
 		}
-		for k := range base.joins[i] {
-			if base.joins[i][k] != got.joins[i][k] {
-				t.Fatalf("%s: join %d multiset diverges at %d: %q vs baseline %q",
-					label, i, k, got.joins[i][k], base.joins[i][k])
+		for k := range want.joins[i] {
+			if want.joins[i][k] != got.joins[i][k] {
+				t.Fatalf("%s: join %d multiset diverges at %d: %q, want %q",
+					label, i, k, got.joins[i][k], want.joins[i][k])
 			}
 		}
 	}
 }
 
-// TestArrangeEquivalence replays the workloads through every
-// (SharedArrangements, Workers, BatchSize) combination and diffs each
-// against the sequential per-tuple legacy baseline.
+// TestArrangeEquivalence replays the workloads at every (shared, Workers,
+// BatchSize) cell and diffs each against the plain-Go reference: shared
+// puts the three join queries in one class, unshared gives each a class of
+// one member.
 func TestArrangeEquivalence(t *testing.T) {
-	base := runArrangeWorkload(t, false, 1, 1)
-	_, _, _, selWant, joinWant := arrangeFeed()
-	for i, rows := range base.selections {
-		if len(rows) != selWant[i] {
-			t.Fatalf("baseline selection %d: %d rows, want %d", i, len(rows), selWant[i])
-		}
-	}
-	for i, rows := range base.joins {
-		if len(rows) != joinWant[i] {
-			t.Fatalf("baseline join %d: %d rows, want %d", i, len(rows), joinWant[i])
-		}
-	}
 	for _, shared := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			for _, bs := range []int{1, 32} {
-				if !shared && workers == 1 && bs == 1 {
-					continue // the baseline itself
-				}
 				label := fmt.Sprintf("shared=%v workers=%d batch=%d", shared, workers, bs)
 				t.Run(label, func(t *testing.T) {
-					got := runArrangeWorkload(t, shared, workers, bs)
-					assertArrangeEquivalent(t, label, base, got)
+					got, want := runArrangeWorkload(t, shared, workers, bs)
+					assertArrangeEquivalent(t, label, want, got)
 				})
 			}
 		}

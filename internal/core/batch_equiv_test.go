@@ -173,8 +173,11 @@ var joinShapes = []string{
 	`SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.k = T.k`,
 }
 
-// oneKeyClassShape indexes the joinShapes entry partitioned at Workers > 1.
-const oneKeyClassShape = 8
+// classShapes counts the joinShapes entries, first in the list, that are
+// members of class S+R|0=2; the self-join and the three-stream shapes run
+// on private eddies. oneKeyClassShape indexes the private entry partitioned
+// at Workers > 1.
+const classShapes, oneKeyClassShape = 4, 8
 
 // createSRT adds T(k, w, x) to the S/R pair for the three-stream shapes.
 func createSRT(t testing.TB, e *Engine) {
@@ -238,9 +241,10 @@ func joinShapeFeed() (sRows, rRows, tRows []*tuple.Tuple, want []int) {
 
 // runJoinShapes registers every joinShapes entry on one engine at the
 // given BatchSize and Workers, replays the feed, and returns each query's
-// sorted result multiset. It checks each eddy routes by the rule: per-hop
-// lottery under three streams, selectivity planning from three on, and at
-// Workers > 1 the one-key-class shape planning on its partitioned shards.
+// sorted result multiset. It checks each shape lands on its runtime and
+// each eddy routes by the rule: per-hop lottery under three streams,
+// selectivity planning from three on, and at Workers > 1 the one-key-class
+// shape planning on its partitioned shards.
 func runJoinShapes(t *testing.T, bs, workers int) [][]string {
 	t.Helper()
 	e := NewEngine(Options{EOs: 2, BatchSize: bs, Workers: workers})
@@ -252,8 +256,12 @@ func runJoinShapes(t *testing.T, bs, workers int) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := q.rt.(*eddyRuntime); !ok {
-			t.Fatalf("%q runs on %T, want a private eddy", text, q.rt)
+		wantPrivate, want := len(qs) >= classShapes, "shared:S+R|0=2"
+		if wantPrivate {
+			want = fmt.Sprintf("q%d", q.ID)
+		}
+		if _, private := q.rt.(*eddyRuntime); private != wantPrivate || q.label != want {
+			t.Fatalf("%q runs on %T as %s, want %s", text, q.rt, q.label, want)
 		}
 		qs = append(qs, q)
 	}

@@ -1196,18 +1196,20 @@ func TestTopKOverIncrementalJoin(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsOversizedPlan: a plan needing more than 64 eddy
-// modules (one per predicate) must be refused with a descriptive error at
-// registration, not a panic inside the routing core.
+// TestRegisterRejectsOversizedPlan: a private-eddy plan needing more than
+// 64 eddy modules (one per predicate) must be refused with a descriptive
+// error at registration, not a panic inside the routing core. (A class
+// member folds its selections into one grouped filter per column, so the
+// plan is a self-join, which runs privately.)
 func TestRegisterRejectsOversizedPlan(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
 	createSR(t, e)
 	// 63 selections + 2 SteMs = 65 modules, one past the lineage-bitmap cap.
 	var sb strings.Builder
-	sb.WriteString("SELECT S.v, R.w FROM S, R WHERE S.k = R.k")
+	sb.WriteString("SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k")
 	for i := 0; i < 63; i++ {
-		fmt.Fprintf(&sb, " AND S.v > %d", -1-i)
+		fmt.Fprintf(&sb, " AND a.v > %d", -1-i)
 	}
 	_, err := e.Register(sb.String())
 	if err == nil {

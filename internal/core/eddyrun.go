@@ -263,7 +263,11 @@ func newEddyRuntime(q *RunningQuery) (runtime, error) {
 	rt.flush()
 
 	rt.drainer = newBatchDrain(q.inputs, preSeq, rt.pool, e.opts.BatchSize, 256)
-	rt.registerMetrics(queryMetrics{q})
+	var names []string
+	if rt.sharded() == nil {
+		names = rt.host.ModuleNames()
+	}
+	registerEddyMetrics(q.metrics(), fmt.Sprintf(`query="%d"`, q.ID), names, rt.stems, rt.stats, rt.stemStats)
 	return rt, nil
 }
 
@@ -382,13 +386,16 @@ func (rt *eddyRuntime) stemStats(i int) stem.Stats {
 	return rt.stems[i].SteM().Stats()
 }
 
-// registerMetrics exports the host's aggregate counters (summed over
-// shards) and, for the inline host, per-module routing state and per-SteM
-// counters. A partitioned host snapshots under a shard barrier, so it stays
-// at the eight aggregates plus its shard-layer series (par="q<id>",
-// registered with the host).
-func (rt *eddyRuntime) registerMetrics(reg queryMetrics) {
-	lbl := fmt.Sprintf(`{query="%d"}`, rt.q.ID)
+// registerEddyMetrics exports one eddy host's counters under owner, the
+// label naming it (query="3" for a private eddy, stream="S+R|0=2" for a
+// shared class): the eight aggregates and, for an inline host, per-module
+// routing state (names, in Stats order) and per-SteM counters. stats and
+// stemStats snapshot under the lock that excludes the host's stepping DU. A
+// partitioned host snapshots under a shard barrier, so it passes no names
+// or stems and stays at the aggregates (plus its own shard-layer series).
+func registerEddyMetrics(reg recorder, owner string, names []string, stems []*ops.SteMModule,
+	stats func() eddy.Stats, stemStats func(i int) stem.Stats) {
+	lbl := "{" + owner + "}"
 	for name, get := range map[string]func(eddy.Stats) int64{
 		"tcq_eddy_ingested_total":       func(s eddy.Stats) int64 { return s.Ingested },
 		"tcq_eddy_emitted_total":        func(s eddy.Stats) int64 { return s.Emitted },
@@ -401,34 +408,31 @@ func (rt *eddyRuntime) registerMetrics(reg queryMetrics) {
 	} {
 		get := get
 		reg.RegisterFunc(name+lbl, metrics.KindCounter, func() float64 {
-			return float64(get(rt.stats()))
+			return float64(get(stats()))
 		})
 	}
-	if rt.sharded() != nil {
-		return
-	}
-	for i, name := range rt.host.ModuleNames() {
+	for i, name := range names {
 		i := i
-		mlbl := fmt.Sprintf(`{query="%d",module=%q}`, rt.q.ID, name)
+		mlbl := fmt.Sprintf(`{%s,module=%q}`, owner, name)
 		reg.RegisterFunc("tcq_eddy_module_visits_total"+mlbl, metrics.KindCounter, func() float64 {
-			return float64(rt.stats().Modules[i].Visits)
+			return float64(stats().Modules[i].Visits)
 		})
 		reg.RegisterFunc("tcq_eddy_module_produced_total"+mlbl, metrics.KindCounter, func() float64 {
-			return float64(rt.stats().Modules[i].Produced)
+			return float64(stats().Modules[i].Produced)
 		})
 		reg.RegisterFunc("tcq_eddy_module_selectivity"+mlbl, metrics.KindGauge, func() float64 {
-			return rt.stats().Modules[i].Selectivity()
+			return stats().Modules[i].Selectivity()
 		})
 		reg.RegisterFunc("tcq_eddy_module_tickets"+mlbl, metrics.KindGauge, func() float64 {
-			if tk := rt.stats().Tickets; i < len(tk) {
+			if tk := stats().Tickets; i < len(tk) {
 				return float64(tk[i])
 			}
 			return 0
 		})
 	}
-	for i, sm := range rt.stems {
+	for i, sm := range stems {
 		i := i
-		slbl := fmt.Sprintf(`{query="%d",stem=%q}`, rt.q.ID, sm.SteM().Name())
+		slbl := fmt.Sprintf(`{%s,stem=%q}`, owner, sm.SteM().Name())
 		for name, get := range map[string]func(st stem.Stats) int64{
 			"tcq_stem_builds_total":  func(st stem.Stats) int64 { return st.Builds },
 			"tcq_stem_probes_total":  func(st stem.Stats) int64 { return st.Probes },
@@ -437,11 +441,11 @@ func (rt *eddyRuntime) registerMetrics(reg queryMetrics) {
 		} {
 			get := get
 			reg.RegisterFunc(name+slbl, metrics.KindCounter, func() float64 {
-				return float64(get(rt.stemStats(i)))
+				return float64(get(stemStats(i)))
 			})
 		}
 		reg.RegisterFunc("tcq_stem_size"+slbl, metrics.KindGauge, func() float64 {
-			return float64(rt.stemStats(i).Size)
+			return float64(stemStats(i).Size)
 		})
 	}
 }

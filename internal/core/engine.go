@@ -79,13 +79,6 @@ type Options struct {
 	// operation (default 64). BatchSize 1 degenerates to per-tuple
 	// processing with identical output sequences.
 	BatchSize int
-	// SharedArrangements enables shared-arrangement execution: qualifying
-	// two-stream equijoin queries join a shared class whose SteM builds
-	// are stored once in multi-reader arrangements (one writer, epoch-
-	// based reclamation), so the N-th overlapping continuous query costs a
-	// registry handle instead of a state copy. Off (the default) gives
-	// every equijoin its private eddy.
-	SharedArrangements bool
 	// Introspect registers the engine's telemetry streams (tcq.stats,
 	// tcq.routes, tcq.pool, tcq.chaos) as ordinary catalog sources fed by a
 	// background collector, so continuous queries can run over the engine's
@@ -156,9 +149,10 @@ type Engine struct {
 	// out of retention.
 	recycler *tuple.Pool
 
-	// arrReg holds every shared class's arrangements, keyed on
+	// arrReg holds every live shared class's arrangements, keyed on
 	// (class, stream, shard), for metrics and introspection to enumerate;
-	// a private eddy's SteMs own theirs and are not in it.
+	// a private eddy's SteMs (self-joins, three or more streams) own theirs
+	// and are not in it.
 	arrReg *arrange.Registry
 
 	// intro is the introspection collector (nil without Options.Introspect).
@@ -356,6 +350,11 @@ func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
 func (e *Engine) stream(name string) (*streamState, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.streamLocked(name)
+}
+
+// streamLocked is stream with e.mu held.
+func (e *Engine) streamLocked(name string) (*streamState, error) {
 	st, ok := e.streams[name]
 	if !ok {
 		return nil, fmt.Errorf("core: stream %q not found", name)
@@ -560,20 +559,20 @@ func (e *Engine) Stop() {
 	}
 	scs := make([]*sharedClass, 0, len(e.shared))
 	for _, sc := range e.shared {
-		scs = append(scs, sc)
+		if e.retireLocked(sc, false) {
+			scs = append(scs, sc)
+		}
 	}
 	e.mu.Unlock()
 	for _, q := range qs {
 		// Shutdown fast path: skip per-query removal from shared classes.
 		// Each RemoveQuery pays O(class members) to splice delivery lists
 		// and grouped-filter bounds — quadratic across a teardown of many
-		// overlapping CQs — and the classes are dropped wholesale below
-		// anyway.
+		// overlapping CQs — and the classes retired wholesale above.
 		e.deregister(q, false)
 	}
 	for _, sc := range scs {
 		sc.close()
-		e.arrReg.Drop(sc.key)
 	}
 	e.exec.Stop()
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // newIntrospectEngine builds an engine with introspection on and a simple
-// two-stream equijoin workload standing (private eddy with SteMs), fed
-// enough data that every module has visits.
+// two-stream equijoin workload standing (a join class over two
+// arrangements), fed enough data that every module has visits.
 func newIntrospectEngine(t *testing.T, opts Options) (*Engine, *RunningQuery) {
 	t.Helper()
 	opts.Introspect = true
@@ -41,7 +41,7 @@ func TestIntrospectStatsCQEndToEnd(t *testing.T) {
 	// An ordinary continuous query over the engine's own telemetry: it
 	// parses, binds against the catalog, joins the tcq.stats shared class,
 	// and receives rows through the normal eddy/CACQ path.
-	cq, err := e.Register(`SELECT * FROM tcq.stats WHERE module = 'SteM(S)'`)
+	cq, err := e.Register(`SELECT * FROM tcq.stats WHERE module = 'Arr(S)'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestIntrospectStatsCQEndToEnd(t *testing.T) {
 	qCol := schema.MustColumnIndex("query")
 	visCol := schema.MustColumnIndex("visits")
 	for _, r := range rows {
-		if got := r.Vals[modCol].S; got != "SteM(S)" {
-			t.Fatalf("WHERE module='SteM(S)' delivered module %q", got)
+		if got := r.Vals[modCol].S; got != "Arr(S)" {
+			t.Fatalf("WHERE module='Arr(S)' delivered module %q", got)
 		}
-		if got := r.Vals[qCol].S; got != "q0" {
-			t.Fatalf("stats row owner = %q, want q0", got)
+		if got := r.Vals[qCol].S; got != "shared:S+R|0=2" {
+			t.Fatalf("stats row owner = %q, want shared:S+R|0=2", got)
 		}
 		if r.Vals[visCol].AsInt() == 0 {
 			t.Error("stats row has zero visits for a module that processed tuples")
@@ -111,8 +111,8 @@ func TestIntrospectRoutesStreamFromTracer(t *testing.T) {
 		return len(rows) > 0
 	})
 	r := rows[0]
-	if r.Vals[0].S != "q0" {
-		t.Errorf("route tag = %q, want q0", r.Vals[0].S)
+	if r.Vals[0].S != "shared:S+R|0=2" {
+		t.Errorf("route tag = %q, want shared:S+R|0=2", r.Vals[0].S)
 	}
 	if path := r.Vals[2].S; path == "" || path == "(no visits)" {
 		t.Errorf("route path = %q, want a module-visit path", path)

@@ -79,10 +79,12 @@ func TestLineageSlotsReusedAtDefaultOptions(t *testing.T) {
 	waitResults(t, standing, cycles/1000)
 }
 
-// TestArrangementCountCountsRegistryOnly: a private eddy's SteMs own their
-// arrangements, which no registry lists — tcq_arrangement_* and tcq.arrange
-// keep describing shared classes only, and read zero at default flags with
-// a join running.
+// TestArrangementCountCountsRegistryOnly: a default-flag two-stream
+// equijoin is a member of its class, whose two arrangements are in the
+// registry, while a private eddy's SteMs (a self-join here) own theirs,
+// which no registry lists — tcq_arrangement_count reads 2 with both running,
+// and the class's tcq_stem_size series reports the rows S's arrangement
+// holds.
 func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	e := twoStreamEngine(t, Options{})
 	defer e.Stop()
@@ -90,8 +92,15 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.rt.(*eddyRuntime); !ok {
-		t.Fatalf("default-flag equijoin runs on %T, want a private eddy", q.rt)
+	self, err := e.Register(`SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := q.rt.(sharedMember); !ok || q.label != "shared:S+R|0=2" {
+		t.Fatalf("default-flag equijoin runs on %T as %s, want a member of class S+R|0=2", q.rt, q.label)
+	}
+	if _, ok := self.rt.(*eddyRuntime); !ok {
+		t.Fatalf("self-join runs on %T, want a private eddy", self.rt)
 	}
 	for i := int64(0); i < 20; i++ {
 		if err := e.Feed("S", tuple.New(tuple.Int(i%4), tuple.Int(i))); err != nil {
@@ -102,13 +111,15 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 		}
 	}
 	waitResults(t, q, 20*20/4)
-	for _, name := range []string{"tcq_arrangement_count", "tcq_arrangement_readers"} {
-		if v := metricValue(t, e, name); v != 0 {
-			t.Errorf("%s = %v with only a private join running, want 0", name, v)
+	waitResults(t, self, 20*20/4)
+	for name, want := range map[string]float64{
+		"tcq_arrangement_count":                    2,
+		"tcq_arrangement_readers":                  2,
+		`tcq_stem_size{stream="S+R|0=2",stem="S"}`: 20,
+	} {
+		if v := metricValue(t, e, name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
 		}
-	}
-	if v := metricValue(t, e, fmt.Sprintf(`tcq_stem_size{query="%d",stem="S"}`, q.ID)); v != 20 {
-		t.Errorf("tcq_stem_size for S = %v, want the 20 rows its private arrangement holds", v)
 	}
 }
 
@@ -119,7 +130,7 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 // still sees every result.
 func TestTenThousandCQsShareTwoArrangements(t *testing.T) {
 	const cqs, keys, rRows, sRows = 10000, 64, 64, 2000
-	e := twoStreamEngine(t, Options{EOs: 2, BatchSize: 32, SharedArrangements: true})
+	e := twoStreamEngine(t, Options{EOs: 2, BatchSize: 32})
 	defer e.Stop()
 	probe, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
 	if err != nil {
@@ -190,6 +201,9 @@ func steadyStateAllocsPerTuple(t *testing.T) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if q.label != "shared:S+R|0=2" {
+			t.Fatalf("the equijoin runs as %s, want a member of class S+R|0=2", q.label)
+		}
 		feed := func(stream string, parts ...[]*tuple.Tuple) {
 			for _, in := range parts {
 				if err := e.FeedMany(stream, in); err != nil {
@@ -218,17 +232,17 @@ func steadyStateAllocsPerTuple(t *testing.T) float64 {
 	return best
 }
 
-// TestJoinSteadyStateAllocs bounds what the private eddy's equijoin costs
-// per fed tuple once the tuple pool is warm: the subscriber clone comes back
-// to the pool, the wide row is drawn from it, and what is left is the match
-// and its projection (a Tuple and its Vals each) and the arrangement's
-// growth — 4.20–4.24 here. A second layout.Widen per row in
-// eddyRuntime.ingest, replacing the pooled wide row with a fresh one,
-// measures 6.20 and fails.
+// TestJoinSteadyStateAllocs bounds what a default-flag equijoin, a member
+// of its class, costs per fed tuple once the tuple pool is warm: the
+// subscriber clone comes back to the pool, the wide row is drawn from it,
+// S rows borrow their class's lineage template and the match shares it, and
+// what is left is the match and its projection (a Tuple and its Vals each)
+// and the arrangement's growth — 4.20–4.24 here. Merge cloning the shared
+// lineage for every match measures 5.21 and fails.
 func TestJoinSteadyStateAllocs(t *testing.T) {
 	got := steadyStateAllocsPerTuple(t)
-	t.Logf("allocs per fed tuple through the eddy equijoin: %.2f", got)
+	t.Logf("allocs per fed tuple through the class equijoin: %.2f", got)
 	if got > 4.5 {
-		t.Errorf("eddy equijoin allocates %.2f objects per fed tuple at steady state, want <= 4.5", got)
+		t.Errorf("class equijoin allocates %.2f objects per fed tuple at steady state, want <= 4.5", got)
 	}
 }

@@ -62,10 +62,8 @@ type RunningQuery struct {
 	sinkMu sync.Mutex
 	sinks  []func(*tuple.Tuple)
 
-	// metricNames lists every registry series this query registered, so
-	// teardown can unregister by exact name instead of scanning the whole
-	// registry — O(own series), not O(all series), which matters when
-	// thousands of queries deregister at once.
+	// metricNames lists every registry series this query registered
+	// (through metrics()), for teardown to unregister by exact name.
 	metricNames []string
 
 	results   atomic.Int64
@@ -190,20 +188,19 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 // before waiters are released.
 func (q *RunningQuery) finish() {
 	q.closeOnce.Do(func() {
-		q.unregisterMetrics()
+		q.metrics().unregister()
 		q.doneFlag.Store(true)
 		close(q.doneCh)
 	})
 }
 
 // registerMetrics exports the query's runtime-independent series (each
-// runtime registers its own at construction, through the same
-// queryMetrics). Everything is computed at scrape time from counters
-// already kept, so registration adds no hot-path cost. All series carry a
-// query="<id>" label and are recorded in q.metricNames so
-// unregisterMetrics can remove them by exact name.
+// runtime registers its own at construction, through the same recorder).
+// Everything is computed at scrape time from counters already kept, so
+// registration adds no hot-path cost. All series carry a query="<id>"
+// label.
 func (q *RunningQuery) registerMetrics() {
-	reg := queryMetrics{q}
+	reg := q.metrics()
 	lbl := fmt.Sprintf(`{query="%d"}`, q.ID)
 	reg.RegisterFunc("tcq_query_results_total"+lbl, metrics.KindCounter, func() float64 {
 		return float64(q.Results())
@@ -242,24 +239,30 @@ func (q *RunningQuery) registerMetrics() {
 	}
 }
 
-// queryMetrics records each registered series name on the query while
-// forwarding to the engine registry, so teardown knows exactly what to
-// unregister.
-type queryMetrics struct{ q *RunningQuery }
-
-// RegisterFunc forwards to the engine registry and records the name.
-func (m queryMetrics) RegisterFunc(name string, kind metrics.Kind, fn func() float64) {
-	m.q.metricNames = append(m.q.metricNames, name)
-	m.q.engine.reg.RegisterFunc(name, kind, fn)
+// recorder forwards registrations to the engine registry and records each
+// name, so its owner's teardown unregisters by exact name instead of
+// scanning the whole registry — O(own series), not O(all series), which
+// matters when thousands of queries deregister at once.
+type recorder struct {
+	reg   *metrics.Registry
+	names *[]string
 }
 
-// unregisterMetrics drops every series this query registered, by exact
-// name.
-func (q *RunningQuery) unregisterMetrics() {
-	for _, name := range q.metricNames {
-		q.engine.reg.Unregister(name)
+// metrics returns the recorder of the query's series.
+func (q *RunningQuery) metrics() recorder { return recorder{q.engine.reg, &q.metricNames} }
+
+// RegisterFunc forwards to the engine registry and records the name.
+func (r recorder) RegisterFunc(name string, kind metrics.Kind, fn func() float64) {
+	*r.names = append(*r.names, name)
+	r.reg.RegisterFunc(name, kind, fn)
+}
+
+// unregister drops every series recorded, by exact name.
+func (r recorder) unregister() {
+	for _, name := range *r.names {
+		r.reg.Unregister(name)
 	}
-	q.metricNames = nil
+	*r.names = nil
 }
 
 // RegisterPlan schedules a bound plan as a standing query.
@@ -283,16 +286,11 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	q.pull.SetRecycler(e.recycler)
 
 	// Qualifying queries share a CACQ class: one grouped-filter pass per
-	// tuple serves every selection member (§3.1), and — when shared
-	// arrangements are on — one SteM build serves every overlapping
-	// equijoin member.
-	if qualifiesShared(plan) ||
-		(e.opts.SharedArrangements && qualifiesSharedJoin(plan)) {
-		sc, err := e.sharedClassFor(plan)
+	// tuple serves every selection member (§3.1), and one SteM build serves
+	// every overlapping two-stream equijoin member, a lone one included.
+	if qualifiesShared(plan) || qualifiesSharedJoin(plan) {
+		sc, err := e.joinClass(q, plan)
 		if err != nil {
-			return nil, err
-		}
-		if err := sc.add(q, plan); err != nil {
 			return nil, err
 		}
 		q.shared, q.rt = sc, sharedMember{sc}
@@ -340,7 +338,7 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	}
 	if err != nil {
 		e.detach(q)
-		q.unregisterMetrics()
+		q.metrics().unregister()
 		return nil, err
 	}
 
@@ -416,12 +414,12 @@ func (e *Engine) Deregister(id int) error {
 }
 
 // deregister tears one query down. dropShared removes it from its shared
-// class's membership and filters; Engine.Stop passes false because it
-// closes whole classes right after, making per-query removal O(members)
-// of wasted work.
+// class's membership and filters, retiring the class with its last member;
+// Engine.Stop passes false because it retires whole classes, making
+// per-query removal O(members) of wasted work.
 func (e *Engine) deregister(q *RunningQuery, dropShared bool) {
 	if dropShared && q.shared != nil {
-		q.shared.remove(q.ID)
+		e.leaveClass(q.shared, q.ID)
 	}
 	e.detach(q)
 	q.rt.close()

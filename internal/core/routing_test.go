@@ -124,6 +124,7 @@ func TestNWayRoutingEquivalence(t *testing.T) {
 // eddy and no policy.
 func TestRoutingThreadsAllRuntimes(t *testing.T) {
 	const join = `SELECT S.v, R.w FROM S, R WHERE S.k = R.k`
+	const selfJoin = `SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`
 	for _, tc := range []struct {
 		name    string
 		opts    Options
@@ -133,8 +134,10 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 		shards  int      // ParallelStats worker count; 0 = inline host or no eddy
 		modules []string // names that must appear among the telemetry rows
 	}{
-		{"private/workers=1", Options{}, join, "q0", true, 0, []string{"SteM(S)", "SteM(R)"}},
-		{"private/workers=4", Options{Workers: 4}, join, "q0", true, 4, []string{"SteM(S)", "SteM(R)"}},
+		{"private/workers=1", Options{}, selfJoin, "q0", true, 0, []string{"SteM(a)", "SteM(b)"}},
+		{"private/workers=4", Options{Workers: 4}, selfJoin, "q0", true, 4, []string{"SteM(a)", "SteM(b)"}},
+		{"join/workers=1", Options{}, join, "shared:S+R|0=2", true, 0, []string{"Arr(S)", "Arr(R)", "GF(S.v)"}},
+		{"join/workers=4", Options{Workers: 4}, join, "shared:S+R|0=2", true, 4, []string{"Arr(S)", "Arr(R)"}},
 		{"shared/workers=1", Options{}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 0, []string{"GF(S.v)"}},
 		{"shared/workers=4", Options{Workers: 4}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 4, []string{"GF(S.v)"}},
 		{"windowed", Options{}, `SELECT COUNT(*) FROM S for (t = 4; ; t += 4) { WindowIs(S, t - 3, t); }`,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -12,7 +13,9 @@ import (
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/metrics"
+	"telegraphcq/internal/ops"
 	"telegraphcq/internal/sql"
+	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
@@ -21,10 +24,10 @@ import (
 // the SQL engine: qualifying queries join a CACQ engine instead of getting
 // a private eddy. Selection classes (one per stream) share one grouped-
 // filter pass per tuple among all members; equijoin classes (one per
-// stream-pair + join-column key; RegisterPlan decides whether equijoins are
-// routed here) additionally share one SteM build — stored in the engine
-// registry's multi-reader arrangements — among every overlapping join
-// query. Queries enter and leave the running class dynamically.
+// stream-pair + join-column key) additionally share one SteM build — stored
+// in the engine registry's multi-reader arrangements — among every
+// overlapping join query, the first of them included. Queries enter and
+// leave the running class dynamically, and the last one out tears it down.
 type sharedClass struct {
 	// key identifies the class: the stream name for selection classes
 	// (unchanged from before join sharing existed), or
@@ -52,7 +55,17 @@ type sharedClass struct {
 	// itself (cacq.Engine.IngestOwned); a parallel one widens copies, after
 	// which the clones go back to the engine's tuple pool.
 	ingest func(s int, base []*tuple.Tuple)
+	// dead marks a retired class (retireLocked): it is out of e.shared, add
+	// refuses members, and step retires its DU.
+	dead bool
+	// series lists the registry series the class registered, for retirement
+	// to drop by exact name.
+	series []string
 }
+
+// errClassGone is add's answer when the class retired between lookup and
+// join; joinClass then finds or creates a live one.
+var errClassGone = errors.New("core: shared class retired")
 
 // sharedEngine abstracts the execution strategy behind a shared class:
 // the sequential cacq.Engine, or — when the engine runs with Workers > 1 —
@@ -67,13 +80,6 @@ type sharedEngine interface {
 	RemoveQuery(id int) error
 	Delivered() int64
 	AdvanceEpoch()
-}
-
-// stopEngine stops a sharded engine's workers; the single engine has none.
-func stopEngine(eng sharedEngine) {
-	if cl, ok := eng.(interface{ Close() }); ok {
-		cl.Close()
-	}
 }
 
 // sharedMember is the runtime of a query inside a shared class: the class's
@@ -162,19 +168,43 @@ func (e *Engine) arrangedProvider(key string, shard int) func(stream string, key
 	}
 }
 
-// sharedClassFor returns (creating if needed) the plan's shared class.
+// joinClass adds q to its plan's shared class, creating the class when no
+// live one exists. A class whose last member left between the lookup and
+// the join has retired; the retry finds or creates a live one.
+func (e *Engine) joinClass(q *RunningQuery, plan *sql.Plan) (*sharedClass, error) {
+	for {
+		sc, err := e.sharedClassFor(plan)
+		if err != nil {
+			return nil, err
+		}
+		err = sc.add(q, plan)
+		if errors.Is(err, errClassGone) {
+			continue
+		}
+		if err != nil {
+			// A class created for q alone retires with it.
+			e.leaveClass(sc, q.ID)
+			return nil, err
+		}
+		return sc, nil
+	}
+}
+
+// sharedClassFor returns the plan's live shared class, creating it when
+// there is none. Lookup, creation and publication run under one hold of
+// e.mu, as retirement does, so a key has at most one live class, and a
+// retired one's arrangements and series are gone before its successor
+// registers the same names.
 func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 	key, streams, joins := sharedClassSpec(plan)
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if sc, ok := e.shared[key]; ok {
-		e.mu.Unlock()
 		return sc, nil
 	}
-	e.mu.Unlock()
-
 	sts := make([]*streamState, len(streams))
 	for i, name := range streams {
-		st, err := e.stream(name)
+		st, err := e.streamLocked(name)
 		if err != nil {
 			return nil, err
 		}
@@ -192,10 +222,9 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		sc.conns = append(sc.conns, fjord.NewConn(fjord.Push, e.opts.QueueCap))
 	}
 	// Class-key-derived seed: every engine resolving the same class seeds
-	// identically (the arrangement-equivalence pins compare two engines
-	// running the same class), while distinct classes adapt independently.
-	// A class spans at most two streams, so route hands it the per-hop
-	// lottery and no probe-order plan to reuse.
+	// identically, while distinct classes adapt independently. A class spans
+	// at most two streams, so route hands it the per-hop lottery and no
+	// probe-order plan to reuse.
 	seed := classSeed(key)
 	if e.opts.Workers > 1 {
 		popt := cacq.ParallelOptions{
@@ -238,41 +267,38 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 		}
 		seq.SetRecycler(e.recycler)
 		sc.eng, sc.host, sc.ingest = seq, seq.Host(), seq.IngestOwned
-	}
-
-	e.mu.Lock()
-	if existing, raced := e.shared[key]; raced {
-		e.mu.Unlock()
-		for _, c := range sc.conns {
-			c.Close()
-		}
-		stopEngine(sc.eng)
-		return existing, nil
-	}
-	e.shared[key] = sc
-	subBase := e.nextSub
-	e.nextSub += len(streams)
-	e.mu.Unlock()
-
-	for i, st := range sts {
-		sub := subBase + i
-		sc.subIDs = append(sc.subIDs, sub)
-		st.mu.Lock()
-		st.subs[sub] = sc.conns[i]
-		st.mu.Unlock()
-	}
-
-	if e.tracer != nil {
-		// Tracing follows individual tuples through one eddy's hops; only
-		// the sequential engine offers it (shards would interleave hops).
-		if seq, ok := sc.eng.(*cacq.Engine); ok {
+		if e.tracer != nil {
+			// Tracing follows individual tuples through one eddy's hops; only
+			// the sequential engine offers it (shards would interleave hops).
 			seq.SetTracer(e.tracer, "shared:"+key)
 		}
+	}
+	e.shared[key] = sc
+	for i, st := range sts {
+		sc.subIDs = append(sc.subIDs, e.nextSub)
+		st.mu.Lock()
+		st.subs[e.nextSub] = sc.conns[i]
+		st.mu.Unlock()
+		e.nextSub++
 	}
 	if e.opts.Introspect {
 		sc.host.SetProbeTimer(e.opts.Clock, 0)
 	}
-	lbl := fmt.Sprintf(`{stream=%q}`, key)
+	sc.registerMetrics(e.reg)
+	e.schedule(streams, &executor.FuncDU{
+		DUName: "shared:" + key,
+		Fn:     sc.step,
+	}, sc.conns)
+	return sc, nil
+}
+
+// registerMetrics exports the class's series under stream="<class key>":
+// membership and delivery, and the eddy families a private eddy exports
+// under its query label, read under the lock that excludes the stepping DU.
+func (sc *sharedClass) registerMetrics(reg *metrics.Registry) {
+	rec := recorder{reg, &sc.series}
+	owner := fmt.Sprintf(`stream=%q`, sc.key)
+	lbl := "{" + owner + "}"
 	classStat := func(get func() float64) func() float64 {
 		return func() float64 {
 			sc.mu.Lock()
@@ -280,20 +306,31 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			return get()
 		}
 	}
-	e.reg.RegisterFunc("tcq_cacq_members"+lbl, metrics.KindGauge,
+	rec.RegisterFunc("tcq_cacq_members"+lbl, metrics.KindGauge,
 		classStat(func() float64 { return float64(len(sc.members)) }))
-	e.reg.RegisterFunc("tcq_cacq_delivered_total"+lbl, metrics.KindCounter,
+	rec.RegisterFunc("tcq_cacq_delivered_total"+lbl, metrics.KindCounter,
 		classStat(func() float64 { return float64(sc.eng.Delivered()) }))
 	// Tuples whose lineage bitmap died entirely (every member's grouped
 	// filter rejected them) count as eddy drops in the shared super-query.
-	e.reg.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
+	rec.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
 		classStat(func() float64 { return float64(sc.host.Stats().Dropped) }))
 
-	e.schedule(streams, &executor.FuncDU{
-		DUName: "shared:" + key,
-		Fn:     sc.step,
-	}, sc.conns)
-	return sc, nil
+	var names []string
+	var stems []*ops.SteMModule
+	if seq, ok := sc.eng.(*cacq.Engine); ok {
+		names, stems = seq.Host().ModuleNames(), seq.SteMs()
+	}
+	registerEddyMetrics(rec, owner, names, stems,
+		func() eddy.Stats {
+			sc.mu.Lock()
+			defer sc.mu.Unlock()
+			return sc.host.Stats()
+		},
+		func(i int) stem.Stats {
+			sc.mu.Lock()
+			defer sc.mu.Unlock()
+			return stems[i].SteM().Stats()
+		})
 }
 
 // step drains pending stream tuples through the shared engine in batches:
@@ -305,10 +342,14 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 // subscriber clones are the class's own — history retains the original,
 // not the clone — so it hands them to the engine: the sequential engine
 // routes a selection class's clone as the wide row itself, lineage in a
-// reused bitmap, and returns the row to the pool when no member kept it.
+// reused bitmap, and returns the row to the pool when no member kept it. A
+// retired class's DU retires.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if sc.dead {
+		return false, true
+	}
 	for s, conn := range sc.conns {
 		for taken := 0; taken < sc.batch; {
 			n := conn.RecvBatch(sc.buf)
@@ -332,18 +373,14 @@ func (sc *sharedClass) step() (progressed, done bool) {
 	return progressed, false
 }
 
-// close stops a parallel engine's workers and merge stage (no-op for the
-// sequential engine, which has no goroutines).
-func (sc *sharedClass) close() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	stopEngine(sc.eng)
-}
-
-// add registers a query with the class, delivering into q's egress.
+// add registers a query with the class, delivering into q's egress. A
+// retired class answers errClassGone.
 func (sc *sharedClass) add(q *RunningQuery, plan *sql.Plan) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if sc.dead {
+		return errClassGone
+	}
 	cq, err := sc.eng.AddQuery(plan.Footprint, plan.Selections, plan.Project,
 		func(t *tuple.Tuple) { q.emit(t) })
 	if err != nil {
@@ -353,13 +390,73 @@ func (sc *sharedClass) add(q *RunningQuery, plan *sql.Plan) error {
 	return nil
 }
 
-// remove drops a query from the class.
-func (sc *sharedClass) remove(queryID int) {
+// remove drops a query from a live class and reports whether none is left.
+func (sc *sharedClass) remove(queryID int) (empty bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if sc.dead {
+		return false
+	}
 	if cqID, ok := sc.members[queryID]; ok {
 		sc.eng.RemoveQuery(cqID)
 		delete(sc.members, queryID)
+	}
+	return len(sc.members) == 0
+}
+
+// leaveClass drops a query from its class; the last member out retires the
+// class, unless a Register joined it after the removal.
+func (e *Engine) leaveClass(sc *sharedClass, queryID int) {
+	if !sc.remove(queryID) {
+		return
+	}
+	e.mu.Lock()
+	retired := e.retireLocked(sc, true)
+	e.mu.Unlock()
+	if retired {
+		sc.close()
+	}
+}
+
+// retireLocked (e.mu held) takes sc out of the engine, once: out of
+// e.shared, off its streams, its arrangements out of the registry and its
+// series out of the metrics. With ifEmpty it leaves a class that has
+// members alone. It reports whether it retired sc; the caller then closes
+// it outside e.mu.
+func (e *Engine) retireLocked(sc *sharedClass, ifEmpty bool) bool {
+	sc.mu.Lock()
+	retire := !sc.dead && (!ifEmpty || len(sc.members) == 0)
+	if retire {
+		sc.dead = true
+	}
+	sc.mu.Unlock()
+	if !retire {
+		return false
+	}
+	delete(e.shared, sc.key)
+	for i, name := range sc.streams {
+		if st, ok := e.streams[name]; ok {
+			st.mu.Lock()
+			delete(st.subs, sc.subIDs[i])
+			st.mu.Unlock()
+		}
+	}
+	e.arrReg.Drop(sc.key)
+	recorder{e.reg, &sc.series}.unregister()
+	return true
+}
+
+// close stops what a retired class runs: its input queues close, which
+// rouses its EO so the DU retires, and a parallel engine's workers and
+// merge stage stop (the sequential engine has no goroutines).
+func (sc *sharedClass) close() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for _, c := range sc.conns {
+		c.Close()
+	}
+	if par, ok := sc.eng.(*cacq.Parallel); ok {
+		par.Close()
 	}
 }
 

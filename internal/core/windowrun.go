@@ -173,7 +173,7 @@ func newWindowRuntime(q *RunningQuery) (runtime, error) {
 	rt.wide = nil // history-sized; arrivals come a drain batch at a time
 
 	rt.drainer = newBatchDrain(q.inputs, rt.preSeq, rt.pool, q.engine.opts.BatchSize, 512)
-	reg := queryMetrics{q}
+	reg := q.metrics()
 	lbl := fmt.Sprintf(`{query="%d"}`, q.ID)
 	// Recorded with the query's series so teardown drops the histogram too.
 	rt.fireLat = q.engine.reg.Histogram("tcq_window_fire_seconds"+lbl, 256)

@@ -343,6 +343,10 @@ func (g *GroupedFilter) Apply(t *tuple.Tuple) bool {
 	return t.Queries.Any()
 }
 
+// Empty reports whether no query has a factor here: the filter then applies
+// to no tuple and writes no lineage.
+func (g *GroupedFilter) Empty() bool { return !g.registered.Any() }
+
 // Registered returns a copy of the set of queries with factors here.
 func (g *GroupedFilter) Registered() tuple.Bitset { return g.registered.Clone() }
 
@@ -427,7 +431,7 @@ func (m *Module) probeEnd(start time.Time, tuples int) {
 // AppliesTo implements eddy.Module: an empty filter (no registered
 // factors) applies to nothing, so idle columns cost no routing visits.
 func (m *Module) AppliesTo(src tuple.SourceSet) bool {
-	return m.registered.Any() && src.Contains(m.owns)
+	return !m.Empty() && src.Contains(m.owns)
 }
 
 // Process implements eddy.Module: lineage bits of failing queries are

@@ -20,7 +20,9 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/server", "proxyClient", "wmu"},
 
 	// Engine registry: the engine map lock, then per-stream state, then
-	// shared-class state.
+	// shared-class state. Creating a class and retiring one (its last member
+	// out, or Engine.Stop) hold Engine.mu across the class's own lock and its
+	// streams' subscriber maps, so a class key has one live class at a time.
 	{modulePath + "/internal/core", "Engine", "mu"},
 	{modulePath + "/internal/core", "streamState", "mu"},
 	{modulePath + "/internal/core", "sharedClass", "mu"},

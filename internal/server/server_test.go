@@ -492,7 +492,8 @@ func TestTraceDisabled(t *testing.T) {
 
 // TestPrometheusFamiliesEndToEnd drives a join query plus wire commands
 // through a live server, then checks the registry's Prometheus exposition
-// carries the eddy, stem, ingress, and server metric families.
+// carries the eddy, stem, ingress, and server metric families; the join's
+// eddy and SteM series are its class's, labelled with the class key.
 func TestPrometheusFamiliesEndToEnd(t *testing.T) {
 	e, pm := startServer(t)
 	c := dial(t, pm.Addr())
@@ -524,8 +525,8 @@ func TestPrometheusFamiliesEndToEnd(t *testing.T) {
 		"# TYPE tcq_stem_builds_total counter",
 		"# TYPE tcq_ingress_tuples_total counter",
 		"# TYPE tcq_server_commands_total counter",
-		`tcq_eddy_module_visits_total{query="0",module="SteM(a)"}`,
-		`tcq_stem_size{query="0",stem="a"}`,
+		`tcq_eddy_module_visits_total{stream="a+b|0=1",module="Arr(a)"}`,
+		`tcq_stem_size{stream="a+b|0=1",stem="a"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus output missing %q", want)
@@ -606,9 +607,9 @@ func TestExplainLiveAndTop(t *testing.T) {
 			t.Fatal(err)
 		}
 		joined := strings.Join(rows, "\n")
-		return strings.Contains(joined, "query q0") &&
-			strings.Contains(joined, "SteM(a)") &&
-			strings.Contains(joined, "SteM(b)") &&
+		return strings.Contains(joined, "query shared:a+b|0=2 id=0") &&
+			strings.Contains(joined, "Arr(a)") &&
+			strings.Contains(joined, "Arr(b)") &&
 			strings.Contains(joined, "probe_ns")
 	}) {
 		t.Fatal("live EXPLAIN never showed per-module telemetry")
@@ -628,7 +629,7 @@ func TestExplainLiveAndTop(t *testing.T) {
 	if len(top) < 2 || !strings.Contains(top[0], "module") {
 		t.Fatalf("TOP = %v", top)
 	}
-	if !strings.Contains(strings.Join(top, "\n"), "SteM(") {
+	if !strings.Contains(strings.Join(top, "\n"), "Arr(") {
 		t.Errorf("TOP missing join modules: %v", top)
 	}
 	if capped, err := c.Top(1); err != nil || len(capped) != 2 {

@@ -98,6 +98,13 @@ func (b Bitset) Clone() Bitset {
 	return out
 }
 
+// Same reports whether b and other are one non-empty slice: the same
+// backing words at the same length, so a write through either shows in
+// both. Equal contents in separate memory are not the same.
+func (b Bitset) Same(other Bitset) bool {
+	return len(b) > 0 && len(b) == len(other) && &b[0] == &other[0]
+}
+
 // ForEach calls fn with the index of every set bit, in increasing order.
 func (b Bitset) ForEach(fn func(i int)) {
 	for wi, w := range b {

@@ -68,8 +68,11 @@ func (l *Layout) Narrow(s int, wide *Tuple) *Tuple {
 
 // Merge combines two wide rows spanning disjoint stream sets into one wide
 // row spanning their union. Lineage bitmaps intersect (a joined tuple can
-// only satisfy queries both inputs could satisfy), timestamps take the max.
-// Merge panics if the inputs overlap, which indicates a routing bug.
+// only satisfy queries both inputs could satisfy) into a fresh bitmap,
+// except when both inputs hold the very same slice: its intersection with
+// itself is itself, and whoever handed both rows one bitmap has declared it
+// shared, so the output holds it too. Timestamps take the max. Merge panics
+// if the inputs overlap, which indicates a routing bug.
 func (l *Layout) Merge(a, b *Tuple) *Tuple {
 	if a.Source.Overlaps(b.Source) {
 		panic("tuple: Merge of overlapping wide rows")
@@ -96,6 +99,8 @@ func (l *Layout) Merge(a, b *Tuple) *Tuple {
 		copy(out.Vals[off:off+n], from.Vals[off:off+n])
 	}
 	switch {
+	case a.Queries.Same(b.Queries):
+		out.Queries = a.Queries
 	case a.Queries != nil && b.Queries != nil:
 		out.Queries = a.Queries.Clone()
 		out.Queries.And(b.Queries)

@@ -164,6 +164,46 @@ func TestLayoutMergeProperties(t *testing.T) {
 	}
 }
 
+// TestLayoutMergeSharesOnlyTheSameSlice: Merge hands its output the inputs'
+// lineage slice only when both inputs hold that very slice. Equal contents
+// in separate memory, or a shorter view of the same words, get a fresh
+// intersection, so writing the output's lineage never reaches an input's.
+func TestLayoutMergeSharesOnlyTheSameSlice(t *testing.T) {
+	l := layoutUnderTest()
+	rng := rand.New(rand.NewSource(5))
+	rows := func(qa, qb Bitset) (*Tuple, *Tuple) {
+		a := l.Widen(0, randBase(rng, l.Schemas[0], 1))
+		b := l.Widen(1, randBase(rng, l.Schemas[1], 2))
+		a.Queries, b.Queries = qa, qb
+		return a, b
+	}
+	shared := Bitset{0b1011, 0b1}
+	if m := l.Merge(rows(shared, shared)); !m.Queries.Same(shared) {
+		t.Fatalf("both inputs hold one slice: merged lineage %v is a copy", m.Queries)
+	}
+	for name, pair := range map[string][2]Bitset{
+		"equal contents":  {shared, shared.Clone()},
+		"shorter view":    {shared, shared[:1]},
+		"one side only":   {shared, nil},
+		"other side only": {nil, shared},
+	} {
+		a, b := rows(pair[0], pair[1])
+		m := l.Merge(a, b)
+		if m.Queries.Same(a.Queries) || m.Queries.Same(b.Queries) {
+			t.Fatalf("%s: merged lineage shares an input's memory", name)
+		}
+		for i := range m.Queries {
+			m.Queries[i] = 0
+		}
+		if shared[0] != 0b1011 || shared[1] != 0b1 {
+			t.Fatalf("%s: a write to the merged lineage reached an input: %v", name, shared)
+		}
+	}
+	if m := l.Merge(rows(nil, nil)); m.Queries != nil {
+		t.Fatalf("lineage-free inputs merged into lineage %v", m.Queries)
+	}
+}
+
 func TestLayoutThreeStreamMergeOverlapPanics(t *testing.T) {
 	l := layoutUnderTest()
 	rng := rand.New(rand.NewSource(3))

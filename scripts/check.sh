@@ -9,8 +9,9 @@
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window delivery x20, routing rule x20, panes against
-#                    the rescan x20, shared-class reuse x20, pull-log ring
-#                    x20, wire flushes and EO wake x20, fuzz smoke
+#                    the rescan x20, shared-class reuse x20, join classes
+#                    x20, pull-log ring x20, wire flushes and EO wake x20,
+#                    fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -174,6 +175,14 @@ stage_race() {
     # differential to twenty race-instrumented passes.
     echo "==> shared-class row and lineage reuse under race (-count=20)"
     go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe' ./internal/core/
+
+    # Every two-stream equijoin is a class member: rows of a stream no member
+    # filters borrow the class's lineage template, and the last member out
+    # retires the class while other goroutines register into the same key.
+    # Hold members' multisets through slot reuse and the retirement's
+    # bookkeeping to twenty race-instrumented passes.
+    echo "==> join classes under race: borrowed lineage, last member out (-count=20)"
+    go test -race -count=20 -run 'TestBorrowedLineageKeepsMembersExact|TestLastMemberOutRetiresClass' ./internal/core/
 
     # The pull log is a ring whose head and count the publisher moves while
     # cursors read it, all under one mutex: the model test checks every

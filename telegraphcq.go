@@ -63,13 +63,6 @@ type Config struct {
 	// query classes (hash-partitioned eddy shards behind a merge stage);
 	// the default 1 keeps every query on the sequential path.
 	Workers int
-	// SharedArrangements enables shared-arrangement execution: qualifying
-	// two-stream equijoin queries share one SteM build stored in multi-
-	// reader arrangements (one writer, per-query cursor handles, epoch-
-	// based reclamation), so each additional overlapping query costs an
-	// index entry instead of a state copy. Off (the default) keeps every
-	// query on its previous path, bit-identical.
-	SharedArrangements bool
 }
 
 // DB is an embedded TelegraphCQ engine.
@@ -87,8 +80,6 @@ func Open(cfg Config) *DB {
 		TraceSampleRate: cfg.TraceSampleRate,
 		BatchSize:       cfg.BatchSize,
 		Workers:         cfg.Workers,
-
-		SharedArrangements: cfg.SharedArrangements,
 	})}
 }
 
