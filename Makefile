@@ -8,9 +8,10 @@ check: ## every check.sh stage: lint, test, race, bench smoke
 chaos: ## full 200-trial chaos campaign (CHAOS_SEED/CHAOS_TRIALS honoured)
 	$(GO) test -count=1 -run 'TestChaos' ./internal/chaos/
 
-fuzz: ## longer fuzz pass over the SQL and window-spec parsers
+fuzz: ## longer fuzz pass over the SQL, window-spec and CSV parsers
 	$(GO) test -fuzz=FuzzParse -fuzztime=60s -run '^$$' ./internal/sql/
 	$(GO) test -fuzz=FuzzParseLoop -fuzztime=60s -run '^$$' ./internal/window/
+	$(GO) test -fuzz=FuzzParseCSV -fuzztime=60s -run '^$$' ./internal/ingress/
 
 soak: ## 10k-tuple full-pipeline soak under a fixed chaos seed
 	$(GO) test -count=1 -run 'TestChaosSoakFullPipeline' ./internal/chaos/

@@ -101,7 +101,7 @@ func testArrangeChurn(t *testing.T, workers int) {
 			site.PerturbSend(tt, keep)
 		}
 		site.Flush(keep) // release a held reorder slot at the wave tail
-		if err := e.FeedMany(stream, buf); err != nil {
+		if _, err := e.FeedMany(stream, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

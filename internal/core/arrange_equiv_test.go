@@ -149,13 +149,13 @@ func runArrangeJoins(t *testing.T, joinIdx []int, workers, bs int) (got, want ar
 	for _, i := range joinIdx {
 		want.joins = append(want.joins, ref.joins[i])
 	}
-	if err := e.FeedMany("ClosingStockPrices", stocks); err != nil {
+	if _, err := e.FeedMany("ClosingStockPrices", stocks); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FeedMany("S", sRows); err != nil {
+	if _, err := e.FeedMany("S", sRows); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.FeedMany("R", rRows); err != nil {
+	if _, err := e.FeedMany("R", rRows); err != nil {
 		t.Fatal(err)
 	}
 

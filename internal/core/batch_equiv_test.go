@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -266,8 +265,10 @@ func runJoinShapes(t *testing.T, bs, workers int) [][]string {
 		qs = append(qs, q)
 	}
 	sRows, rRows, tRows, want := joinShapeFeed()
-	if err := errors.Join(e.FeedMany("S", sRows), e.FeedMany("R", rRows), e.FeedMany("T", tRows)); err != nil {
-		t.Fatal(err)
+	for i, rows := range [][]*tuple.Tuple{sRows, rRows, tRows} {
+		if _, err := e.FeedMany([]string{"S", "R", "T"}[i], rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := make([][]string, len(qs))
 	for i, q := range qs {

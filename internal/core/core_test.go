@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -1110,7 +1111,7 @@ func TestEngineAccessorsAndSources(t *testing.T) {
 		t.Error("attach to unknown stream succeeded")
 	}
 	// FeedMany batch path.
-	if err := e.FeedMany("ClosingStockPrices", rows[:1]); err != nil {
+	if _, err := e.FeedMany("ClosingStockPrices", rows[:1]); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "batch delivered", func() bool { return q.Results() == 3 })
@@ -1119,6 +1120,57 @@ func TestEngineAccessorsAndSources(t *testing.T) {
 	q.Unsubscribe(sub)
 	if _, open := <-ch; open {
 		t.Error("channel open after unsubscribe")
+	}
+}
+
+// TestFeedManyFeedsSpooledPrefixOnError: when spooling tuple k of a batch
+// fails, tuples 0…k−1, already stamped and spooled, still reach the
+// standing query and the feed counter, and FeedMany reports k fed (the
+// parent returned the error and fanned none of them out).
+func TestFeedManyFeedsSpooledPrefixOnError(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(Options{EOs: 1, SpoolDir: dir, SegmentSize: 8})
+	defer e.Stop()
+	if err := e.CreateStream("s", tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.Register("SELECT x FROM s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(from, to int) []*tuple.Tuple {
+		var out []*tuple.Tuple
+		for i := from; i < to; i++ {
+			out = append(out, tuple.New(tuple.Int(int64(i))))
+		}
+		return out
+	}
+	if n, err := e.FeedMany("s", rows(0, 5)); n != 5 || err != nil {
+		t.Fatalf("first batch: %d fed, %v", n, err)
+	}
+	// The open segment holds 5 of 8; the third tuple of the next batch
+	// fills it, and its flush finds no directory.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.FeedMany("s", rows(5, 15)); n != 2 || err == nil {
+		t.Fatalf("second batch: %d fed, %v; want 2 fed and the spool error", n, err)
+	}
+	waitFor(t, "7 results", func() bool { return q.Results() >= 7 })
+	res, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Vals[0].AsInt() != int64(i) || r.Seq != int64(i+1) {
+			t.Fatalf("result %d = %v seq %d", i, r.Vals, r.Seq)
+		}
+	}
+	if len(res) != 7 {
+		t.Fatalf("%d results, want 7", len(res))
+	}
+	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != 7 {
+		t.Errorf("tcq_ingress_tuples_total = %d, want 7", fed)
 	}
 }
 

@@ -367,30 +367,33 @@ func (e *Engine) streamLocked(name string) (*streamState, error) {
 // query's input queue.
 func (e *Engine) Feed(stream string, t *tuple.Tuple) error {
 	one := [1]*tuple.Tuple{t}
-	return e.FeedMany(stream, one[:])
+	_, err := e.FeedMany(stream, one[:])
+	return err
 }
 
 // FeedMany delivers a batch: the tuples are stamped and recorded under one
 // history lock acquisition and fanned out to each subscriber queue in one
-// batched push, preserving order.
-func (e *Engine) FeedMany(stream string, ts []*tuple.Tuple) error {
+// batched push, preserving order. It returns how many tuples it fed: all of
+// them, or, with an error, fewer. When spooling tuple k fails, tuples
+// 0…k−1 are fed like any others and k comes back with the error.
+func (e *Engine) FeedMany(stream string, ts []*tuple.Tuple) (int, error) {
 	return e.feedMany(stream, ts, e.opts.Shed)
 }
 
 // feedMany is FeedMany with an explicit shed decision: the introspection
 // collector always feeds non-blocking (shed=true) so a slow telemetry
 // subscriber can never back-pressure the engine's own collector.
-func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
+func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, error) {
 	if len(ts) == 0 {
-		return nil
+		return 0, nil
 	}
 	st, err := e.stream(stream)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	st.mu.Lock()
 	tc := st.entry.TimeCol
-	for _, t := range ts {
+	for i, t := range ts {
 		st.seq++
 		t.Seq = st.seq
 		if tc >= 0 && tc < len(t.Vals) {
@@ -399,9 +402,9 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
 			t.TS = t.Seq
 		}
 		if st.store != nil {
-			if err := st.store.Append(t); err != nil {
-				st.mu.Unlock()
-				return err
+			if err = st.store.Append(t); err != nil {
+				ts = ts[:i] // the spooled prefix is fed all the same
+				break
 			}
 		} else if len(st.history) < st.histCap {
 			st.history = append(st.history, t)
@@ -412,8 +415,10 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
 	// the heap.
 	var snap [8]*fjord.Conn
 	subs := snap[:0]
-	for _, c := range st.subs {
-		subs = append(subs, c)
+	if len(ts) > 0 {
+		for _, c := range st.subs {
+			subs = append(subs, c)
+		}
 	}
 	st.mu.Unlock()
 	st.fed.Add(int64(len(ts)))
@@ -448,7 +453,7 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) error {
 			}
 		}
 	}
-	return nil
+	return len(ts), err
 }
 
 // AttachSource pumps an ingress source into a stream until the source
@@ -510,7 +515,7 @@ func (e *Engine) AttachSource(stream string, src ingress.Source) (wait func() er
 					break fill
 				}
 			}
-			if err := e.FeedMany(stream, buf); err != nil {
+			if _, err := e.FeedMany(stream, buf); err != nil {
 				close(done)
 				errc <- err
 				return

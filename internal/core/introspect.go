@@ -348,6 +348,6 @@ func (in *introspector) tick() {
 	for stream, ts := range byStream {
 		in.fed.Add(int64(len(ts)))
 		// Always shed: telemetry must never back-pressure the collector.
-		_ = e.feedMany(stream, ts, true)
+		_, _ = e.feedMany(stream, ts, true)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
@@ -387,8 +386,10 @@ func TestBorrowedLineageKeepsMembersExact(t *testing.T) {
 				}
 			}
 		}
-		if err := errors.Join(e.FeedMany("S", sRows), e.FeedMany("R", rRows)); err != nil {
-			t.Fatal(err)
+		for i, rows := range [][]*tuple.Tuple{sRows, rRows} {
+			if _, err := e.FeedMany([]string{"S", "R"}[i], rows); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for m := range live {
 			verify(m)

@@ -206,7 +206,7 @@ func steadyStateAllocsPerTuple(t *testing.T) float64 {
 		}
 		feed := func(stream string, parts ...[]*tuple.Tuple) {
 			for _, in := range parts {
-				if err := e.FeedMany(stream, in); err != nil {
+				if _, err := e.FeedMany(stream, in); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -263,7 +263,7 @@ func driftStar(t *testing.T, static []int) QueryTelemetry {
 					in = append(in, tuple.New(tuple.Int(int64(phase)*phaseBase+k), tuple.Int(r)))
 				}
 			}
-			if err := e.FeedMany(dim, in); err != nil {
+			if _, err := e.FeedMany(dim, in); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,7 +276,7 @@ func driftStar(t *testing.T, static []int) QueryTelemetry {
 				k := tuple.Int(phase*phaseBase + i%keys)
 				in = append(in, tuple.New(k, k, k))
 			}
-			if err := e.FeedMany("F", in); err != nil {
+			if _, err := e.FeedMany("F", in); err != nil {
 				t.Fatal(err)
 			}
 			fed += chunk

@@ -167,38 +167,86 @@ func (s *CSVSource) Close() error {
 
 // ParseCSV converts one comma-separated line into a tuple under schema.
 func ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error) {
-	fields := strings.Split(line, ",")
-	if len(fields) != schema.Arity() {
-		return nil, fmt.Errorf("want %d fields, got %d", schema.Arity(), len(fields))
+	vals := make([]tuple.Value, schema.Arity())
+	if err := parseFields(schema, line, vals); err != nil {
+		return nil, err
 	}
-	vals := make([]tuple.Value, len(fields))
-	for i, f := range fields {
+	return tuple.New(vals...), nil
+}
+
+// slabTuples is how many tuples a Slab carves from one block.
+const slabTuples = 64
+
+// Slab parses CSV lines into tuples carved from shared blocks — one of
+// slabTuples tuples, one of their values — so a run of lines costs two
+// allocations per slabTuples lines rather than two per line. Its tuples
+// belong to whoever keeps them (stream history, a spool) like ParseCSV's,
+// except that none may be handed to a tuple.Pool: a block is freed only
+// once every tuple carved from it is unreachable, so a recycled one would
+// be reused in place while its neighbours live on.
+type Slab struct {
+	tuples []tuple.Tuple
+	vals   []tuple.Value
+}
+
+// ParseCSV is the package-level ParseCSV, drawing the tuple and its values
+// from the slab's blocks. A line that fails to parse takes no room.
+func (s *Slab) ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error) {
+	n := schema.Arity()
+	if len(s.vals) < n {
+		s.vals = make([]tuple.Value, slabTuples*n)
+	}
+	vals := s.vals[:n:n] // capped: an append to one tuple's Vals never reaches the next
+	if err := parseFields(schema, line, vals); err != nil {
+		return nil, err
+	}
+	if len(s.tuples) == 0 {
+		s.tuples = make([]tuple.Tuple, slabTuples)
+	}
+	t := &s.tuples[0]
+	t.Vals = vals
+	s.tuples, s.vals = s.tuples[1:], s.vals[n:]
+	return t, nil
+}
+
+// parseFields parses line's comma-separated fields into vals, one per
+// column of schema, walking the commas in place: no slice of fields, and a
+// string column keeps a substring of line.
+func parseFields(schema *tuple.Schema, line string, vals []tuple.Value) error {
+	if got := strings.Count(line, ",") + 1; got != len(vals) {
+		return fmt.Errorf("want %d fields, got %d", len(vals), got)
+	}
+	for i := range vals {
+		f := line // the last field runs to the end
+		if j := strings.IndexByte(line, ','); j >= 0 {
+			f, line = line[:j], line[j+1:]
+		}
 		f = strings.TrimSpace(f)
 		col := schema.Columns[i]
 		switch col.Kind {
 		case tuple.KindInt, tuple.KindTime:
 			v, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("field %s: %w", col.Name, err)
+				return fmt.Errorf("field %s: %w", col.Name, err)
 			}
 			vals[i] = tuple.Value{K: col.Kind, I: v}
 		case tuple.KindFloat:
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
-				return nil, fmt.Errorf("field %s: %w", col.Name, err)
+				return fmt.Errorf("field %s: %w", col.Name, err)
 			}
 			vals[i] = tuple.Float(v)
 		case tuple.KindBool:
 			v, err := strconv.ParseBool(f)
 			if err != nil {
-				return nil, fmt.Errorf("field %s: %w", col.Name, err)
+				return fmt.Errorf("field %s: %w", col.Name, err)
 			}
 			vals[i] = tuple.Bool(v)
 		default:
 			vals[i] = tuple.String_(f)
 		}
 	}
-	return tuple.New(vals...), nil
+	return nil
 }
 
 // FormatCSV renders a tuple as a comma-separated line (inverse of

@@ -28,9 +28,14 @@
 // Replies are "OK ...", "ERR <msg>", "ROW ...", "END".
 //
 // Pipelining: a client may send many commands in one write without waiting
-// for replies, which come back in command order. Replies are flushed when
-// the connection's input is drained — before the FrontEnd reads again with
-// no complete line buffered — so a pipelined burst costs a socket write per
+// for replies, which come back in command order. Consecutive FEED lines of
+// one stream form a run, parsed into per-connection slabs and handed to
+// Engine.FeedMany in one call, up to Options.BatchSize lines; a line for
+// another stream, any other command, a line that cannot be fed, and the
+// input running dry each end the run, so arrival order is unchanged and a
+// later command sees every earlier line fed. Replies are flushed when the
+// connection's input is drained — before the FrontEnd reads again with no
+// complete line buffered — so a pipelined burst costs a socket write per
 // read and per 64 KiB of replies, not one per line. Push rows
 // ("ROW q<qid> ...") are written by their own goroutine and may fall
 // between any two reply lines except inside a FETCH. A line longer than
@@ -138,6 +143,12 @@ type frontEnd struct {
 	// has counted into, so each is looked up in the registry once.
 	cmdCount map[string]*metrics.Counter
 
+	// run holds the FEED lines parsed but not yet fed: consecutive lines
+	// of one stream, at most batch of them, carved from slab.
+	run   feedRun
+	batch int
+	slab  ingress.Slab
+
 	mu      sync.Mutex
 	queries map[int]*core.RunningQuery
 	cursors map[int]int    // qid -> pull cursor
@@ -150,6 +161,7 @@ func newFrontEnd(engine *core.Engine, conn net.Conn) *frontEnd {
 		conn:     conn,
 		w:        bufio.NewWriterSize(conn, ioBuf),
 		cmdCount: make(map[string]*metrics.Counter),
+		batch:    engine.Options().BatchSize,
 		queries:  make(map[int]*core.RunningQuery),
 		cursors:  make(map[int]int),
 		pushers:  make(map[int]func()),
@@ -158,11 +170,16 @@ func newFrontEnd(engine *core.Engine, conn net.Conn) *frontEnd {
 
 // send buffers one reply line. serve flushes once the connection's input
 // is drained.
-func (fe *frontEnd) send(line string) {
+func (fe *frontEnd) send(line string) { fe.sendN(line, 1) }
+
+// sendN buffers n copies of one reply line under one lock acquisition.
+func (fe *frontEnd) sendN(line string, n int) {
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
-	fe.w.WriteString(line)
-	fe.w.WriteByte('\n')
+	for ; n > 0; n-- {
+		fe.w.WriteString(line)
+		fe.w.WriteByte('\n')
+	}
 }
 
 // flush writes every buffered reply to the connection.
@@ -203,22 +220,35 @@ func (fe *frontEnd) serve() {
 	r := bufio.NewReaderSize(fe.conn, ioBuf)
 	for {
 		if !lineBuffered(r) {
-			fe.flush() // the next read may block: answer what was asked
+			// The next read may block: feed the run and answer what was
+			// asked, so no tuple or reply waits on the client.
+			fe.feedRun()
+			fe.flush()
 		}
 		raw, err := fe.readLine(r)
 		if err == errLineTooLong {
+			fe.feedRun()
 			log.Printf("server: client %s: %v; closing", fe.conn.RemoteAddr(), err)
 			fe.send("ERR " + err.Error())
 			return
 		}
-		if line := string(bytes.TrimSpace(raw)); line != "" {
-			if strings.EqualFold(line, "QUIT") {
-				fe.send("OK bye")
-				return
-			}
-			fe.dispatch(line)
+		line := string(bytes.TrimSpace(raw))
+		word := firstWord(line)
+		cmd, rest := strings.ToUpper(word), strings.TrimSpace(line[len(word):])
+		switch {
+		case cmd == "FEED":
+			fe.feedLine(rest)
+		case line == "":
+		case strings.EqualFold(line, "QUIT"):
+			fe.feedRun()
+			fe.send("OK bye")
+			return
+		default:
+			fe.feedRun() // every other command sees each earlier line fed
+			fe.dispatch(cmd, rest, line)
 		}
 		if err != nil {
+			fe.feedRun()
 			return // EOF or a read error, after serving a last unterminated line
 		}
 	}
@@ -269,17 +299,15 @@ func (fe *frontEnd) closeCursors() {
 	fe.cursors = map[int]int{}
 }
 
-func (fe *frontEnd) dispatch(line string) {
-	cmd := strings.ToUpper(firstWord(line))
-	rest := strings.TrimSpace(line[len(firstWord(line)):])
+// dispatch serves every command but FEED and QUIT, which serve handles;
+// cmd is line's first word in upper case and rest what follows it.
+func (fe *frontEnd) dispatch(cmd, rest, line string) {
 	var err error
 	switch cmd {
 	case "PING":
 		fe.send("OK pong")
 	case "CREATE":
 		err = fe.handleCreate(rest)
-	case "FEED":
-		err = fe.handleFeed(rest)
 	case "QUERY", "SELECT":
 		text := rest
 		if cmd == "SELECT" {
@@ -315,12 +343,17 @@ func (fe *frontEnd) dispatch(line string) {
 	if err != nil {
 		fe.send("ERR " + err.Error())
 	}
+	fe.count(cmd, 1)
+}
+
+// count adds n to the tcq_server_commands_total series of cmd.
+func (fe *frontEnd) count(cmd string, n int) {
 	c, ok := fe.cmdCount[cmd]
 	if !ok {
 		c = fe.engine.Metrics().Counter(fmt.Sprintf(`tcq_server_commands_total{cmd=%q}`, cmd))
 		fe.cmdCount[cmd] = c
 	}
-	c.Inc()
+	c.Add(int64(n))
 }
 
 func firstWord(s string) string {
@@ -389,25 +422,70 @@ func parseKind(s string) (tuple.Kind, error) {
 	}
 }
 
-func (fe *frontEnd) handleFeed(rest string) error {
+// feedRun is a run of FEED lines: parsed tuples of one stream, in line
+// order, waiting for one Engine.FeedMany.
+type feedRun struct {
+	stream string
+	schema *tuple.Schema
+	ts     []*tuple.Tuple
+}
+
+// feedLine parses one FEED line ("<stream> <csv>") onto the run, feeding
+// the run first when the line names another stream. A line that cannot
+// join it (no CSV, an unknown stream, a malformed row) ends the run before
+// it and is answered ERR in its place.
+func (fe *frontEnd) feedLine(rest string) {
 	i := strings.IndexAny(rest, " \t")
 	if i < 0 {
-		return fmt.Errorf("FEED needs a stream and a CSV row")
+		fe.feedErr(errors.New("FEED needs a stream and a CSV row"))
+		return
 	}
-	stream := rest[:i]
-	entry, err := fe.engine.Catalog().Lookup(stream)
+	if stream := rest[:i]; stream != fe.run.stream || len(fe.run.ts) == 0 {
+		fe.feedRun()
+		entry, err := fe.engine.Catalog().Lookup(stream) // once per run
+		if err != nil {
+			fe.feedErr(err)
+			return
+		}
+		fe.run.stream, fe.run.schema = stream, entry.Schema
+	}
+	t, err := fe.slab.ParseCSV(fe.run.schema, strings.TrimSpace(rest[i:]))
 	if err != nil {
-		return err
+		fe.feedErr(err)
+		return
 	}
-	t, err := ingress.ParseCSV(entry.Schema, strings.TrimSpace(rest[i:]))
-	if err != nil {
-		return err
+	if fe.run.ts = append(fe.run.ts, t); len(fe.run.ts) >= fe.batch {
+		fe.feedRun()
 	}
-	if err := fe.engine.Feed(stream, t); err != nil {
-		return err
+}
+
+// feedErr answers a FEED line that joined no run, after the run before it.
+func (fe *frontEnd) feedErr(err error) {
+	fe.feedRun()
+	fe.send("ERR " + err.Error())
+	fe.count("FEED", 1)
+}
+
+// feedRun hands the run to FeedMany and answers its lines in order: "OK
+// fed" for each line fed, "ERR ..." for the line whose tuple the engine
+// refused, after which the lines behind it are fed as a new run.
+func (fe *frontEnd) feedRun() {
+	ts := fe.run.ts
+	if len(ts) == 0 {
+		return
 	}
-	fe.send("OK fed")
-	return nil
+	fe.count("FEED", len(ts))
+	for len(ts) > 0 {
+		n, err := fe.engine.FeedMany(fe.run.stream, ts)
+		fe.sendN("OK fed", n)
+		if err == nil {
+			break
+		}
+		fe.send("ERR " + err.Error())
+		ts = ts[n+1:]
+	}
+	clear(fe.run.ts) // the tuples are the stream's now
+	fe.run.ts = fe.run.ts[:0]
 }
 
 // handleExplain serves two forms. Given SQL text it binds the query

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -218,6 +220,238 @@ func TestReadLineDoesNotAllocate(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("readLine: %v allocs per line", allocs)
 	}
+}
+
+// scriptConn is a connection whose client sent script and closed its write
+// side; replies are discarded.
+type scriptConn struct {
+	net.Conn // nil: serve calls only Read, Write and Close without an error
+	r        *strings.Reader
+}
+
+func (c *scriptConn) Read(b []byte) (int, error)  { return c.r.Read(b) }
+func (c *scriptConn) Write(b []byte) (int, error) { return len(b), nil }
+func (c *scriptConn) Close() error                { return nil }
+
+// TestPipelinedFeedBurstAllocs: a pipelined burst of FEED lines into a
+// stream no query reads costs the line's string and its share of the
+// parse slabs, about one allocation per line (the parent paid ~4: the
+// string, strings.Split's slice, the values and the tuple).
+func TestPipelinedFeedBurstAllocs(t *testing.T) {
+	e := core.NewEngine(core.Options{EOs: 1})
+	t.Cleanup(e.Stop)
+	schema := tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt},
+		tuple.Column{Name: "y", Kind: tuple.KindFloat}, tuple.Column{Name: "z", Kind: tuple.KindInt})
+	if err := e.CreateStream("s", schema, -1); err != nil {
+		t.Fatal(err)
+	}
+	const n = 4096
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "FEED s %d,%d.5,%d\n", i, i, -i)
+	}
+	fe := newFrontEnd(e, &scriptConn{r: strings.NewReader(b.String())})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fe.serve()
+	runtime.ReadMemStats(&after)
+	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != n {
+		t.Fatalf("%d of %d lines fed", fed, n)
+	}
+	perLine := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.2f mallocs per FEED line", perLine)
+	if perLine > 1.5 {
+		t.Errorf("%.2f mallocs per FEED line, want <= 1.5", perLine)
+	}
+}
+
+// TestSpoolErrorEndsRunInPlace: when spooling fails partway through a run,
+// the lines before the failing one are answered "OK fed", that one ERR, and
+// the lines behind it are fed as a new run (here each fails in turn: the
+// spool's directory is gone).
+func TestSpoolErrorEndsRunInPlace(t *testing.T) {
+	dir := t.TempDir()
+	e := core.NewEngine(core.Options{EOs: 1, SpoolDir: dir, SegmentSize: 8})
+	t.Cleanup(e.Stop)
+	if err := e.CreateStream("s", tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ { // the open segment holds 5 of 8
+		if err := e.Feed("s", tuple.New(tuple.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	cli, r, _ := pipeFrontEnd(t, e)
+	var b strings.Builder
+	for i := 5; i < 15; i++ {
+		fmt.Fprintf(&b, "FEED s %d\n", i)
+	}
+	pipeline(t, cli, b.String()+"PING\n")
+	var got []string
+	for l := ""; l != "OK pong"; {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %q: %v", got, err)
+		}
+		l = strings.TrimSuffix(line, "\n")
+		got = append(got, l)
+	}
+	if len(got) != 11 || got[0] != "OK fed" || got[1] != "OK fed" {
+		t.Fatalf("replies = %q, want 2 OK fed, 8 ERR, OK pong", got)
+	}
+	for _, l := range got[2:10] {
+		if !strings.HasPrefix(l, "ERR storage: flush segment") {
+			t.Fatalf("replies = %q, want 2 OK fed, 8 ERR, OK pong", got)
+		}
+	}
+	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != 7 {
+		t.Errorf("tcq_ingress_tuples_total = %d, want 7", fed)
+	}
+}
+
+// TestPipelinedFeedsMatchOnePerWrite: a script of FEEDs to two streams, a
+// malformed line, a FEED to an unknown stream, a wrong arity, a FETCH, a
+// STATS and a PING between FEEDs, and a QUIT followed by more lines (or an
+// unterminated last line and EOF) gets the same replies, line for line,
+// sent in one write as sent one line per write, and leaves each stream the
+// same history: Seq, TS and values.
+func TestPipelinedFeedsMatchOnePerWrite(t *testing.T) {
+	body := []string{
+		// Query 0 reads c, which no line feeds, so its FETCH and STATS
+		// replies are fixed.
+		"CREATE STREAM c (x INT)", "QUERY SELECT x FROM c WHERE x > 0",
+		"CREATE STREAM a (ts TIME, v INT) TIMECOL ts", "QUERY SELECT * FROM a",
+		"CREATE STREAM b (k INT, name STRING)", "QUERY SELECT * FROM b",
+		"FEED a 1,10", "FEED a 2,20", "FEED b 1,one", "FEED b 2,two", "FEED a 3,30",
+		"FEED a x,40", "FEED a 4,40", "FEED zz 1", "FEED b 3,three", "FETCH 0",
+		"FEED a 5,50", "feed b 4, four ", "STATS 0", "FEED b 5", "FEED", "FEED a 6,60",
+		"FEED a 7,70", "", "PING", "FEED b 6,six",
+	}
+	for _, tc := range []struct {
+		name string
+		tail []string
+		fed  int // the body's 16 FEED lines less its four bad ones, plus the tail's
+	}{
+		{"quit", []string{"QUIT", "FEED a 8,80", "FEED b 7,seven"}, 12},
+		{"eof", []string{"FEED a 8,80", "FEED b 7,seven"}, 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			script := append(append([]string(nil), body...), tc.tail...)
+			// The eof script's last line has no terminator.
+			eof := tc.name == "eof"
+			piped, pipedHist := runScript(t, script, eof, true)
+			single, singleHist := runScript(t, script, eof, false)
+			if strings.Join(piped, "\n") != strings.Join(single, "\n") {
+				t.Fatalf("replies differ:\npipelined:\n%s\none per write:\n%s",
+					strings.Join(piped, "\n"), strings.Join(single, "\n"))
+			}
+			for s, h := range pipedHist {
+				if h != singleHist[s] {
+					t.Errorf("stream %s history differs:\npipelined:\n%s\none per write:\n%s", s, h, singleHist[s])
+				}
+			}
+			fed := 0
+			for _, l := range piped {
+				if l == "OK fed" {
+					fed++
+				}
+			}
+			if fed != tc.fed {
+				t.Errorf("%d lines fed, want %d; replies:\n%s", fed, tc.fed, strings.Join(piped, "\n"))
+			}
+			if eof && piped[len(piped)-1] != "OK fed" {
+				t.Errorf("unterminated last line answered %q", piped[len(piped)-1])
+			}
+		})
+	}
+}
+
+// runScript serves script to a fresh engine. Pipelined, it sends the
+// script in one write; otherwise it sends a line per write and reads each
+// line's reply before the next. Either way it then closes its write side
+// and reads to EOF. It returns the replies and, per stream the script's
+// queries 0 to 2 read, its history rendered "Seq TS values" a row per line.
+func runScript(t *testing.T, script []string, unterminated, pipelined bool) ([]string, map[string]string) {
+	t.Helper()
+	e, pm := startServer(t)
+	raw, err := net.Dial("tcp", pm.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := raw.(*net.TCPConn)
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	var replies []string
+	readReply := func() { // lines up to an OK, ERR or END
+		for {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("reading a reply: %v", err)
+			}
+			line = strings.TrimSuffix(line, "\n")
+			replies = append(replies, line)
+			if strings.HasPrefix(line, "OK") || strings.HasPrefix(line, "ERR") || line == "END" {
+				return
+			}
+		}
+	}
+	text := strings.Join(script, "\n")
+	if !unterminated {
+		text += "\n"
+	}
+	if pipelined {
+		if _, err := io.WriteString(conn, text); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		quit := false
+		for i, line := range script {
+			if i < len(script)-1 || !unterminated {
+				line += "\n"
+			}
+			if _, err := io.WriteString(conn, line); err != nil {
+				if quit {
+					break // the server closed after QUIT
+				}
+				t.Fatal(err)
+			}
+			if !quit && strings.TrimSpace(line) != "" && (i < len(script)-1 || !unterminated) {
+				readReply()
+			}
+			quit = quit || strings.TrimSpace(line) == "QUIT"
+		}
+	}
+	conn.CloseWrite() // fails harmlessly once the server closed after QUIT
+	for {
+		line, err := r.ReadString('\n')
+		if line != "" {
+			replies = append(replies, strings.TrimSuffix(line, "\n"))
+		}
+		if err != nil {
+			break // EOF, or a reset once the server closed on unread lines
+		}
+	}
+	hist := map[string]string{}
+	for id, s := range []string{"c", "a", "b"} {
+		q, _ := e.Query(id)
+		fed := e.Metrics().Counter(fmt.Sprintf(`tcq_ingress_tuples_total{stream=%q}`, s)).Value()
+		if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == fed }) {
+			t.Fatalf("stream %s: %d of %d results", s, q.Results(), fed)
+		}
+		rows, err := q.Fetch(q.Cursor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, row := range rows {
+			fmt.Fprintf(&b, "%d %d %v\n", row.Seq, row.TS, row.Vals)
+		}
+		hist[s] = b.String()
+	}
+	return replies, hist
 }
 
 // TestSubscribeReplyPrecedesPushedRows: with rows arriving all the while,

@@ -10,8 +10,8 @@
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window delivery x20, routing rule x20, panes against
 #                    the rescan x20, shared-class reuse x20, join classes
-#                    x20, pull-log ring x20, wire flushes and EO wake x20,
-#                    fuzz smoke
+#                    x20, pull-log ring x20, wire flushes, FEED runs and
+#                    EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -193,17 +193,19 @@ stage_race() {
     go test -race -count=20 -run 'TestPullRingMatchesSliceModel|TestPullRingConcurrentFetch' ./internal/egress/
 
     # Replies are buffered and flushed when a FrontEnd's input is drained,
-    # while SUBSCRIBE pushers write the same buffer from their goroutines; an
-    # idle EO parks until a queue push rouses it. Hold the reply order, the
-    # write counts, the SUBSCRIBE reply and the park/rouse handshake to twenty
-    # race-instrumented passes.
-    echo "==> wire flushes and EO wake under race (-count=20)"
-    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
+    # while SUBSCRIBE pushers write the same buffer from their goroutines; a
+    # read's FEED lines of one stream are fed as one run; an idle EO parks
+    # until a queue push rouses it. Hold the reply order, pipelined against
+    # one line per write, the write counts, the SUBSCRIBE reply and the
+    # park/rouse handshake to twenty race-instrumented passes.
+    echo "==> wire flushes, FEED runs and EO wake under race (-count=20)"
+    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
     go test -race -count=20 -run 'TestIdleEOWakesOnEnqueue|TestParkedEORechecksOnTimer|TestIdleDUsDoNotSpinHot' ./internal/executor/
 
     echo "==> fuzz smoke (5s per target)"
     go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/sql/
     go test -fuzz=FuzzParseLoop -fuzztime=5s -run '^$' ./internal/window/
+    go test -fuzz=FuzzParseCSV -fuzztime=5s -run '^$' ./internal/ingress/
 }
 
 stage_bench() {
