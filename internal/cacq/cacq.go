@@ -8,9 +8,9 @@
 // matched.
 //
 // Scope: all join queries sharing one engine use the shared JoinSpec set
-// (the common-equijoin sharing CACQ evaluates); queries differ in their
-// selections, projections, and footprints, and may be added and removed
-// while the engine runs.
+// (one SteM per joined stream, with every predicate it stores the side of);
+// queries differ in their selections, projections, and footprints, and may
+// be added and removed while the engine runs.
 package cacq
 
 import (
@@ -29,10 +29,12 @@ import (
 	"telegraphcq/internal/window"
 )
 
-// JoinSpec declares one shared equijoin edge between two base streams.
+// JoinSpec declares one shared join edge between two base streams: ColA Op
+// ColB (the zero Op is equality).
 type JoinSpec struct {
 	StreamA, StreamB int
 	ColA, ColB       int // wide-row join columns
+	Op               expr.Op
 	TimeKind         window.TimeKind
 }
 
@@ -57,7 +59,7 @@ func (q *Query) Delivered() int64 { return q.delivered }
 type Engine struct {
 	layout  *tuple.Layout
 	ed      *eddy.Eddy
-	filters []*gfilter.GroupedFilter // one per wide column, lazily populated
+	filters []*gfilter.GroupedFilter // per wide column; nil until a query selects on it
 	stems   []*ops.SteMModule
 	queries map[int]*Query
 	// byFootprint lists live queries per exact footprint for delivery.
@@ -88,18 +90,9 @@ type Engine struct {
 	slots   arrange.Slots
 }
 
-// ModuleCount returns how many eddy modules a shared engine over layout
-// with the given join edges needs: one grouped filter per wide column plus
-// two SteMs per join.
-func ModuleCount(layout *tuple.Layout, joins []JoinSpec) int {
-	return layout.Width() + 2*len(joins)
-}
-
 // New creates a shared engine over layout with the given shared join edges,
 // its SteMs storing into arrangements only this engine reaches and its query
-// IDs monotone. policy nil selects a lottery policy. It fails when the
-// super-query needs more modules than one eddy's 64-bit lineage bitmaps can
-// route.
+// IDs monotone. policy nil selects a lottery policy.
 func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, error) {
 	return NewArranged(layout, joins, policy, ArrangedConfig{Provider: privateArrangement})
 }
@@ -114,9 +107,6 @@ var engineSeq atomic.Int64
 // reused. The SteM fronts keep validation, predicate verification and
 // counters private either way.
 func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg ArrangedConfig) (*Engine, error) {
-	if err := eddy.CheckModuleCount(ModuleCount(layout, joins)); err != nil {
-		return nil, err
-	}
 	if policy == nil {
 		policy = eddy.NewLotteryPolicy(engineSeq.Add(1))
 	}
@@ -124,43 +114,69 @@ func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg
 		layout:      layout,
 		queries:     make(map[int]*Query),
 		byFootprint: make(map[tuple.SourceSet][]*Query),
+		filters:     make([]*gfilter.GroupedFilter, layout.Width()),
 		interested:  make([]tuple.Bitset, layout.Streams()),
 		borrow:      make([]bool, layout.Streams()),
 		cfg:         cfg,
 		handles:     make(map[int][]*arrange.Handle),
 	}
 
+	// One SteM per joined stream, holding every join predicate whose stored
+	// side it is. Grouped filters come later, one per column the first time
+	// a query selects on it (AddQuery), so the module count follows the
+	// queries, not the layout's width.
 	var modules []eddy.Module
-	// One grouped filter per wide column, created up front so the module
-	// set is fixed; empty filters report AppliesTo = false and cost
-	// nothing until a query registers a factor.
-	e.filters = make([]*gfilter.GroupedFilter, layout.Width())
-	for col := 0; col < layout.Width(); col++ {
-		g := gfilter.New(col, layout.OwnerSet(col))
-		e.filters[col] = g
-		modules = append(modules, gfilter.NewModule(
-			fmt.Sprintf("GF(%s)", layout.Wide.Columns[col].Name), g))
+	var all tuple.SourceSet
+	for s := range layout.Schemas {
+		all |= tuple.SingleSource(s)
+		preds, keyCol, kind := storedSide(joins, s)
+		if preds == nil {
+			continue
+		}
+		sm := ops.NewSteMModule(e.newSteM(s, keyCol, kind), layout, preds)
+		e.stems = append(e.stems, sm)
+		modules = append(modules, sm)
 	}
-	for _, js := range joins {
-		stA := e.newSteM(js.StreamA, js.ColA, js.TimeKind)
-		stB := e.newSteM(js.StreamB, js.ColB, js.TimeKind)
-		modA := ops.NewSteMModule(stA, layout,
-			[]expr.JoinPredicate{{LeftCol: js.ColB, Op: expr.Eq, RightCol: js.ColA}})
-		modB := ops.NewSteMModule(stB, layout,
-			[]expr.JoinPredicate{{LeftCol: js.ColA, Op: expr.Eq, RightCol: js.ColB}})
-		e.stems = append(e.stems, modA, modB)
-		modules = append(modules, modA, modB)
+	if err := eddy.CheckModuleCount(len(modules)); err != nil {
+		return nil, err
 	}
-
-	// The eddy's own all-source output path is disabled (all = 0 matches
-	// no tuple); delivery happens in the completion hook per query.
-	e.ed = eddy.New(0, policy, nil, modules...)
+	// Delivery happens per query in the completion hook, never through the
+	// eddy's output. The full-layout span lets N-way planning (SetNWay on
+	// Host) prune intermediates no full-span result needs: turn it on only
+	// when every query's footprint is the whole layout.
+	e.ed = eddy.New(all, policy, nil, modules...)
 	e.ed.SetCompletionHook(e.deliver)
 	return e, nil
 }
 
+// storedSide collects the join predicates whose stored side is stream s
+// (LeftCol probing, RightCol stored), the first equality column to index s's
+// SteM on (-1: probes scan), and the edges' notion of time. preds is nil
+// when no edge touches s.
+func storedSide(joins []JoinSpec, s int) (preds []expr.JoinPredicate, keyCol int, kind window.TimeKind) {
+	keyCol = -1
+	for _, j := range joins {
+		var p expr.JoinPredicate
+		switch s {
+		case j.StreamA:
+			p = expr.JoinPredicate{LeftCol: j.ColB, Op: j.Op.Flip(), RightCol: j.ColA}
+		case j.StreamB:
+			p = expr.JoinPredicate{LeftCol: j.ColA, Op: j.Op, RightCol: j.ColB}
+		default:
+			continue
+		}
+		preds = append(preds, p)
+		if j.Op == expr.Eq && keyCol < 0 {
+			keyCol = p.RightCol
+		}
+		kind = j.TimeKind
+	}
+	return preds, keyCol, kind
+}
+
 // newSteM builds one join SteM for stream s keyed on keyCol, storing into
-// the provider's arrangement for it.
+// the provider's arrangement for it. The arrangement is named after s's
+// schema, its alias in a self-join.
 func (e *Engine) newSteM(s, keyCol int, kind window.TimeKind) *stem.SteM {
 	name := e.layout.Schemas[s].Relation
 	a := e.cfg.Provider(name, keyCol, kind)
@@ -169,12 +185,42 @@ func (e *Engine) newSteM(s, keyCol int, kind window.TimeKind) *stem.SteM {
 		stem.WithIndex(keyCol), stem.WithWindowEviction(kind), stem.WithStore(a))
 }
 
+// filtersFor creates the grouped filters selections need and no query has
+// created yet, as new eddy modules. It changes nothing when they would take
+// the eddy past 64 modules.
+func (e *Engine) filtersFor(selections []expr.Predicate) error {
+	var fresh []int
+	for _, p := range selections {
+		if p.Col < 0 || p.Col >= len(e.filters) {
+			return fmt.Errorf("cacq: selection column %d out of range", p.Col)
+		}
+		if e.filters[p.Col] == nil && !slices.Contains(fresh, p.Col) {
+			fresh = append(fresh, p.Col)
+		}
+	}
+	if err := eddy.CheckModuleCount(len(e.ed.Modules()) + len(fresh)); err != nil {
+		return err
+	}
+	for _, col := range fresh {
+		g := gfilter.New(col, e.layout.OwnerSet(col))
+		e.filters[col] = g
+		// Cannot fail: the count was checked above.
+		_ = e.ed.AddModule(gfilter.NewModule(fmt.Sprintf("GF(%s)", e.layout.Wide.Columns[col].Name), g))
+	}
+	return nil
+}
+
 // AddQuery registers a standing query and returns it. Footprint must be a
 // non-empty subset of the layout's streams; selections are wide-row bound.
+// It fails, changing nothing, when the query's selections need grouped
+// filters that would take the eddy past 64 modules.
 func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate,
 	project []int, out func(*tuple.Tuple)) (*Query, error) {
 	if footprint == 0 {
 		return nil, fmt.Errorf("cacq: empty query footprint")
+	}
+	if err := e.filtersFor(selections); err != nil {
+		return nil, err
 	}
 	q := &Query{
 		Footprint:  footprint,
@@ -187,9 +233,6 @@ func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate
 		e.maxID = q.ID
 	}
 	for _, p := range selections {
-		if p.Col < 0 || p.Col >= len(e.filters) {
-			return nil, fmt.Errorf("cacq: selection column %d out of range", p.Col)
-		}
 		e.filters[p.Col].Add(q.ID, p)
 	}
 	if q.Project != nil {
@@ -273,7 +316,7 @@ func (e *Engine) interestedFor(s int) tuple.Bitset {
 	borrow := true
 	off := e.layout.Offsets[s]
 	for _, g := range e.filters[off : off+e.layout.Schemas[s].Arity()] {
-		borrow = borrow && g.Empty()
+		borrow = borrow && (g == nil || g.Empty())
 	}
 	e.interested[s], e.borrow[s] = bs, borrow
 	return bs
@@ -478,8 +521,8 @@ func (e *Engine) Stats() eddy.Stats { return e.ed.Stats() }
 // Engine method; callers exclude the ingest goroutine.
 func (e *Engine) Host() *eddy.Eddy { return e.ed }
 
-// SteMs returns the join SteM modules, two per join edge. Unsynchronized
-// like every Engine method.
+// SteMs returns the join SteM modules, one per joined stream in stream
+// order. Unsynchronized like every Engine method.
 func (e *Engine) SteMs() []*ops.SteMModule { return e.stems }
 
 // QueryCount returns the number of standing queries.

@@ -283,23 +283,52 @@ func TestWindowEviction(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOversizedLayout: a shared super-query whose grouped
-// filters plus SteMs exceed 64 modules must fail construction with a
-// descriptive error instead of panicking in eddy.New.
+// TestNewRejectsOversizedLayout: a shared super-query over a layout wider
+// than 64 columns builds (grouped filters come one per column a query
+// selects on), and the query that would need module 65 is refused with a
+// descriptive error instead of a panic in the eddy, while the engine keeps
+// serving the queries already standing.
 func TestNewRejectsOversizedLayout(t *testing.T) {
-	cols := make([]tuple.Column, 65)
+	cols := make([]tuple.Column, 70)
 	for i := range cols {
 		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
 	}
 	layout := tuple.NewLayout(tuple.NewSchema("wide", cols...))
 	e, err := New(layout, nil, nil)
-	if err == nil {
-		t.Fatal("65-module layout accepted")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e != nil {
-		t.Fatal("non-nil engine alongside error")
+	counts := make([]int, 64)
+	for c := range counts {
+		c := c
+		sel := []expr.Predicate{{Col: c, Op: expr.Ge, Val: tuple.Int(0)}}
+		if _, err := e.AddQuery(1, sel, nil, func(*tuple.Tuple) { counts[c]++ }); err != nil {
+			t.Fatalf("query on column %d: %v", c, err)
+		}
+	}
+	// Column 64's filter would be module 65; one more factor on column 0
+	// rides filter 1 and fits.
+	_, err = e.AddQuery(1, []expr.Predicate{
+		{Col: 0, Op: expr.Le, Val: tuple.Int(9)},
+		{Col: 64, Op: expr.Ge, Val: tuple.Int(0)},
+	}, nil, func(*tuple.Tuple) { t.Error("refused query delivered") })
+	if err == nil {
+		t.Fatal("query needing module 65 accepted")
 	}
 	if !strings.Contains(err.Error(), "64") {
 		t.Fatalf("error %q does not mention the 64-module cap", err)
+	}
+	if _, err := e.AddQuery(1, []expr.Predicate{{Col: 0, Op: expr.Le, Val: tuple.Int(9)}}, nil, nil); err != nil {
+		t.Fatalf("query on an existing filter's column refused: %v", err)
+	}
+	vals := make([]int64, 70)
+	e.Ingest(0, mk(vals...))
+	for c, n := range counts {
+		if n != 1 {
+			t.Fatalf("query on column %d got %d results after the refusal, want 1", c, n)
+		}
+	}
+	if e.QueryCount() != 65 || len(e.Host().Modules()) != 64 {
+		t.Fatalf("%d queries over %d modules, want 65 over 64", e.QueryCount(), len(e.Host().Modules()))
 	}
 }

@@ -72,16 +72,12 @@ func (p parShard) Eddy() *eddy.Eddy      { return p.Engine.ed }
 
 // NewParallelEngine builds a parallel shared engine over layout with the
 // given shared join edges. It fails when the join set is not partitionable
-// (more than one column-equivalence class — see PartitionColumns); callers
-// fall back to a sequential Engine.
+// (a non-equi edge, or more than one column-equivalence class — see
+// PartitionColumns); callers fall back to a sequential Engine.
 func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptions) (*Parallel, error) {
 	keyCols, ok := PartitionColumns(layout, joins)
 	if !ok {
-		return nil, fmt.Errorf("cacq: join set spans multiple key equivalence classes; not partitionable")
-	}
-	// Checked up front so the NewShard closures below cannot fail.
-	if err := eddy.CheckModuleCount(ModuleCount(layout, joins)); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cacq: join set is not one equijoin key class; not partitionable")
 	}
 	pol := opt.Policy
 	if pol == nil {
@@ -120,7 +116,7 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 		NewShard: func(shard int, emit func(*tuple.Tuple)) eddy.Shard {
 			sh, err := newEng(shard)
 			if err != nil {
-				// Unreachable: the module count was validated above.
+				// Unreachable: the front engine's identical build succeeded.
 				panic(err)
 			}
 			sh.SetDeliverySink(emit)
@@ -276,8 +272,8 @@ func (p *Parallel) Close() {
 // identically on every stream and all matching tuples co-locate. Streams
 // outside the join set partition on their first column (any deterministic
 // choice is sound — their tuples touch no cross-tuple state). ok=false
-// means the join set spans multiple classes (e.g. A.x=B.x AND B.y=C.y) and
-// the caller must stay sequential.
+// means the join set has a non-equi edge or spans multiple classes (e.g.
+// A.x=B.x AND B.y=C.y) and the caller must stay sequential.
 func PartitionColumns(layout *tuple.Layout, joins []JoinSpec) ([]int, bool) {
 	cols := make([]int, layout.Streams())
 	for s := range cols {
@@ -285,6 +281,11 @@ func PartitionColumns(layout *tuple.Layout, joins []JoinSpec) ([]int, bool) {
 	}
 	if len(joins) == 0 {
 		return cols, true
+	}
+	for _, j := range joins {
+		if j.Op != expr.Eq {
+			return nil, false
+		}
 	}
 	parent := make([]int, layout.Width())
 	for i := range parent {

@@ -106,7 +106,10 @@ func New(cfg Config) (*ParallelCQ, error) {
 				j.ColA, j.ColB, cfg.PartitionCol)
 		}
 	}
-	if err := eddy.CheckModuleCount(cacq.ModuleCount(cfg.Layout, cfg.Joins)); err != nil {
+	// A grouped filter per column plus a SteM per join side bounds what any
+	// replicated query can add to a node's eddy, so AddQuery cannot fail on
+	// a node after the definition was accepted.
+	if err := eddy.CheckModuleCount(cfg.Layout.Width() + 2*len(cfg.Joins)); err != nil {
 		return nil, err
 	}
 	p := &ParallelCQ{cfg: cfg}

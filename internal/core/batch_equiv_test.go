@@ -172,11 +172,17 @@ var joinShapes = []string{
 	`SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.k = T.k`,
 }
 
-// classShapes counts the joinShapes entries, first in the list, that are
-// members of class S+R|0=2; the self-join and the three-stream shapes run
-// on private eddies. oneKeyClassShape indexes the private entry partitioned
-// at Workers > 1.
-const classShapes, oneKeyClassShape = 4, 8
+// joinShapeClasses is each joinShapes entry's class key: the first four
+// share S+R|0=2, and the chain with a selection on its middle stream joins
+// the plain chain's class (same positions and edges, its own selection).
+// oneKeyClassShape indexes the three-stream entry partitioned at
+// Workers > 1.
+var joinShapeClasses = []string{
+	"S+R|0=2", "S+R|0=2", "S+R|0=2", "S+R|0=2", "S a+S b|0=2",
+	"S+R+T|0=2,3=5", "S+R+T|0=2,3=5,4=0", "S+R+T|0=2,3=5", "S+R+T|0=2,2=4",
+}
+
+const oneKeyClassShape = 8
 
 // createSRT adds T(k, w, x) to the S/R pair for the three-stream shapes.
 func createSRT(t testing.TB, e *Engine) {
@@ -255,12 +261,8 @@ func runJoinShapes(t *testing.T, bs, workers int) [][]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPrivate, want := len(qs) >= classShapes, "shared:S+R|0=2"
-		if wantPrivate {
-			want = fmt.Sprintf("q%d", q.ID)
-		}
-		if _, private := q.rt.(*eddyRuntime); private != wantPrivate || q.label != want {
-			t.Fatalf("%q runs on %T as %s, want %s", text, q.rt, q.label, want)
+		if _, ok := q.rt.(sharedMember); !ok || q.label != "shared:"+joinShapeClasses[len(qs)] {
+			t.Fatalf("%q runs on %T as %s, want a member of class %s", text, q.rt, q.label, joinShapeClasses[len(qs)])
 		}
 		qs = append(qs, q)
 	}

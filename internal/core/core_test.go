@@ -877,10 +877,12 @@ func TestSharedClassServesQualifyingQueries(t *testing.T) {
 	}
 }
 
-func TestSharedAndPrivateCoexist(t *testing.T) {
+// TestAggregateJoinsSelectionClass: an ungrouped aggregate is a member of
+// its stream's class like any selection; it folds what it is delivered in
+// its own pipeline, next to a selection member's projected rows.
+func TestAggregateJoinsSelectionClass(t *testing.T) {
 	e := newStockEngine(t)
 	defer e.Stop()
-	// Aggregate query does NOT qualify; runs privately next to a shared one.
 	agg, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
 	if err != nil {
 		t.Fatal(err)
@@ -889,7 +891,7 @@ func TestSharedAndPrivateCoexist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.SharedQueryCount("ClosingStockPrices") != 1 {
+	if e.SharedQueryCount("ClosingStockPrices") != 2 {
 		t.Fatalf("shared members = %d", e.SharedQueryCount("ClosingStockPrices"))
 	}
 	feedStocks(t, e, 1, 5)
@@ -1177,13 +1179,13 @@ func TestFeedManyFeedsSpooledPrefixOnError(t *testing.T) {
 func TestEddyStatsAccessors(t *testing.T) {
 	e := newStockEngine(t)
 	defer e.Stop()
-	// Shared-class query (qualifies).
+	// A selection member.
 	shared, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Private eddy query (aggregate does not qualify).
-	private, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
+	// An aggregate member of the same class.
+	agg, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1195,13 +1197,13 @@ func TestEddyStatsAccessors(t *testing.T) {
 	}
 	feedStocks(t, e, 1, 5)
 	waitFor(t, "deliveries", func() bool {
-		return shared.Results() > 0 && private.Results() > 0
+		return shared.Results() > 0 && agg.Results() > 0
 	})
 	if st, ok := shared.EddyStats(); !ok || st.Ingested == 0 {
 		t.Errorf("shared stats = %+v ok=%v", st, ok)
 	}
-	if st, ok := private.EddyStats(); !ok || st.Ingested == 0 {
-		t.Errorf("private stats = %+v ok=%v", st, ok)
+	if st, ok := agg.EddyStats(); !ok || st.Ingested == 0 {
+		t.Errorf("agg stats = %+v ok=%v", st, ok)
 	}
 	if _, ok := windowed.EddyStats(); ok {
 		t.Error("windowed query reported eddy stats")
@@ -1248,20 +1250,26 @@ func TestTopKOverIncrementalJoin(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsOversizedPlan: a private-eddy plan needing more than
-// 64 eddy modules (one per predicate) must be refused with a descriptive
-// error at registration, not a panic inside the routing core. (A class
-// member folds its selections into one grouped filter per column, so the
-// plan is a self-join, which runs privately.)
+// TestRegisterRejectsOversizedPlan: a plan whose class needs more than 64
+// eddy modules (one grouped filter per selected column, one SteM per joined
+// FROM position) must be refused with a descriptive error at registration,
+// not a panic inside the routing core.
 func TestRegisterRejectsOversizedPlan(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
 	createSR(t, e)
-	// 63 selections + 2 SteMs = 65 modules, one past the lineage-bitmap cap.
+	cols := make([]string, 64)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	intStream(t, e, "W", cols...)
+	// Selections on 63 distinct columns need 63 grouped filters; with the
+	// self-join's 2 SteMs that is 65 modules, one past the lineage-bitmap
+	// cap. (Selections on one column share one filter.)
 	var sb strings.Builder
-	sb.WriteString("SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k")
-	for i := 0; i < 63; i++ {
-		fmt.Fprintf(&sb, " AND a.v > %d", -1-i)
+	sb.WriteString("SELECT a.c0, b.c0 FROM W a, W b WHERE a.c0 = b.c0")
+	for i := 1; i < 64; i++ {
+		fmt.Fprintf(&sb, " AND a.c%d > %d", i, -i)
 	}
 	_, err := e.Register(sb.String())
 	if err == nil {

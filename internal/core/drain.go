@@ -88,75 +88,52 @@ func (d *batchDrain) drain(sink func(pos int, ts []*tuple.Tuple)) (progressed, a
 	return progressed, allDrained
 }
 
-// outPipe is the post-eddy result pipeline shared by the sequential and
-// parallel unwindowed runtimes: ungrouped aggregates fold incrementally
-// (implicit landmark window), then projection, then lifetime DISTINCT.
+// outPipe is the post-eddy pipeline a class member runs on the rows it is
+// delivered: an ungrouped aggregate folds incrementally (an implicit
+// landmark window over the whole stream) and emits the running value after
+// each change; DISTINCT drops repeats for the query's lifetime. Both copy
+// values, never alias t.Vals, and neither recycles t: other members may
+// hold it.
 type outPipe struct {
 	agg   *ops.LandmarkAgg
-	proj  *ops.Project
 	dedup *ops.DupElim
-
-	// pool, when set, receives input tuples the pipeline consumes: after
-	// an aggregate folds t or a projection copies it, the wide tuple is
-	// dead (aggregation and DupElim copy values, never alias t.Vals).
-	// Only the unwindowed runtimes set it — their eddy emissions are
-	// fresh sole-reference tuples — and only with tracing off (a live
-	// tracer keys spans by tuple identity). This was the second per-tuple
-	// Get site the recycler missed: without it every widened join result
-	// died to the GC and the pool hit rate was structurally capped at
-	// 0.50 (one Put per two Gets; see E14's corrected numbers).
-	pool *tuple.Pool
 }
 
-func newOutPipe(plan *sql.Plan) outPipe {
+// memberOutput builds a member's delivery: the projection the class engine
+// applies for it (none for an aggregate, which folds whole rows) and the
+// callback that runs the rest of its pipeline into its egress.
+func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, out func(*tuple.Tuple)) {
 	var p outPipe
 	if plan.HasAgg() {
 		p.agg = ops.NewLandmarkAgg(plan.Aggs...)
-	} else if plan.Project != nil {
-		p.proj = ops.NewProject(plan.Project...)
+	} else {
+		project = plan.Project
 	}
 	if plan.Distinct {
-		// An unwindowed CQ is an ever-growing (landmark) set: the first
-		// occurrence of each output row passes, duplicates are dropped
-		// for the query's lifetime.
 		p.dedup = ops.NewDupElim()
 	}
-	return p
+	if p.agg == nil && p.dedup == nil {
+		return project, q.emit
+	}
+	return project, func(t *tuple.Tuple) {
+		if r := p.route(t); r != nil {
+			q.emit(r)
+		}
+	}
 }
 
-// route maps one completed eddy tuple to the query's result row, or nil
-// when DISTINCT drops it. Not safe for concurrent use: each runtime calls
-// it from a single goroutine (the stepping DU or the merge stage).
+// route maps one delivered row to the member's result row, or nil when
+// DISTINCT drops it. Not safe for concurrent use: the class delivers from a
+// single goroutine (its stepping DU or its merge stage).
 func (p *outPipe) route(t *tuple.Tuple) *tuple.Tuple {
-	switch {
-	case p.agg != nil:
+	if p.agg != nil {
 		p.agg.Add(t)
 		out := p.agg.Result()
-		out.TS = t.TS
-		out.Seq = t.Seq
-		if p.pool != nil {
-			p.pool.Put(t)
-		}
+		out.TS, out.Seq = t.TS, t.Seq
 		return out
-	case p.proj != nil:
-		out := p.proj.Apply(t)
-		if p.pool != nil {
-			p.pool.Put(t)
-		}
-		if p.dedup != nil && !p.dedup.Accept(out) {
-			if p.pool != nil {
-				p.pool.Put(out)
-			}
-			return nil
-		}
-		return out
-	default:
-		if p.dedup != nil && !p.dedup.Accept(t) {
-			if p.pool != nil {
-				p.pool.Put(t)
-			}
-			return nil
-		}
-		return t
 	}
+	if p.dedup != nil && !p.dedup.Accept(t) {
+		return nil
+	}
+	return t
 }

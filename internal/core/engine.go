@@ -66,12 +66,12 @@ type Options struct {
 	// fire latency). nil defaults to the real clock; tests inject a
 	// virtual clock for deterministic runs.
 	Clock chaos.Clock
-	// Workers selects intra-process parallel execution: an eligible eddy
-	// (a shared CACQ class, a private unwindowed eddy whose join edges form
-	// one equijoin key class) gets a hash-partitioning stage in front of
-	// Workers shard copies of its modules, with a merge stage behind them.
-	// 1 (the default) runs every eddy inline on its dispatch unit;
-	// ineligible plans stay inline regardless of this setting.
+	// Workers selects intra-process parallel execution: a CACQ class whose
+	// join edges form one equijoin key class (every selection class does)
+	// gets a hash-partitioning stage in front of Workers shard copies of
+	// its modules, with a merge stage behind them. 1 (the default) runs
+	// every eddy inline on its dispatch unit; other classes stay inline
+	// regardless of this setting.
 	Workers int
 	// BatchSize is the tuple-batch granularity of the whole dataflow:
 	// ingress fan-out, each runtime's input drain, eddy entry, and shard
@@ -150,9 +150,7 @@ type Engine struct {
 	recycler *tuple.Pool
 
 	// arrReg holds every live shared class's arrangements, keyed on
-	// (class, stream, shard), for metrics and introspection to enumerate;
-	// a private eddy's SteMs (self-joins, three or more streams) own theirs
-	// and are not in it.
+	// (class, stream, shard), for metrics and introspection to enumerate.
 	arrReg *arrange.Registry
 
 	// intro is the introspection collector (nil without Options.Introspect).
@@ -251,7 +249,7 @@ func (e *Engine) Options() Options { return e.opts }
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // Traces returns the recorded lineage traces for a standing query (its
-// private eddy's, or its stream's shared class when it runs inside one).
+// class's eddy for a member, its own for a windowed query).
 func (e *Engine) Traces(qid int) ([]*metrics.Trace, error) {
 	if e.tracer == nil {
 		return nil, fmt.Errorf("core: tracing disabled (set TraceSampleRate)")

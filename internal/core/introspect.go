@@ -123,7 +123,7 @@ func (e *Engine) TopModules(n int) []ModuleTelemetry {
 }
 
 // telemetryByOwner snapshots one QueryTelemetry per distinct label, in
-// label order: each private query, and each shared class once through any
+// label order: each windowed query, and each shared class once through any
 // one member (members share the class's eddy, so any of them reports it) —
 // or, while it has none, through a bare handle on the class.
 func (e *Engine) telemetryByOwner() []QueryTelemetry {

@@ -80,11 +80,11 @@ func TestLineageSlotsReusedAtDefaultOptions(t *testing.T) {
 }
 
 // TestArrangementCountCountsRegistryOnly: a default-flag two-stream
-// equijoin is a member of its class, whose two arrangements are in the
-// registry, while a private eddy's SteMs (a self-join here) own theirs,
-// which no registry lists — tcq_arrangement_count reads 2 with both running,
-// and the class's tcq_stem_size series reports the rows S's arrangement
-// holds.
+// equijoin and a self-join are members of two classes, each with two
+// arrangements in the registry, one per FROM position (the self-join's
+// named by alias) — tcq_arrangement_count reads 4 with both running, each
+// member holds a reader on each of its class's two, and the classes'
+// tcq_stem_size series report the rows S's arrangements hold.
 func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	e := twoStreamEngine(t, Options{})
 	defer e.Stop()
@@ -99,8 +99,8 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	if _, ok := q.rt.(sharedMember); !ok || q.label != "shared:S+R|0=2" {
 		t.Fatalf("default-flag equijoin runs on %T as %s, want a member of class S+R|0=2", q.rt, q.label)
 	}
-	if _, ok := self.rt.(*eddyRuntime); !ok {
-		t.Fatalf("self-join runs on %T, want a private eddy", self.rt)
+	if _, ok := self.rt.(sharedMember); !ok || self.label != "shared:S a+S b|0=2" {
+		t.Fatalf("self-join runs on %T as %s, want a member of class S a+S b|0=2", self.rt, self.label)
 	}
 	for i := int64(0); i < 20; i++ {
 		if err := e.Feed("S", tuple.New(tuple.Int(i%4), tuple.Int(i))); err != nil {
@@ -113,9 +113,10 @@ func TestArrangementCountCountsRegistryOnly(t *testing.T) {
 	waitResults(t, q, 20*20/4)
 	waitResults(t, self, 20*20/4)
 	for name, want := range map[string]float64{
-		"tcq_arrangement_count":                    2,
-		"tcq_arrangement_readers":                  2,
-		`tcq_stem_size{stream="S+R|0=2",stem="S"}`: 20,
+		"tcq_arrangement_count":                        4,
+		"tcq_arrangement_readers":                      4,
+		`tcq_stem_size{stream="S+R|0=2",stem="S"}`:     20,
+		`tcq_stem_size{stream="S a+S b|0=2",stem="b"}`: 20,
 	} {
 		if v := metricValue(t, e, name); v != want {
 			t.Errorf("%s = %v, want %v", name, v, want)

@@ -31,14 +31,14 @@ func wantShards(t *testing.T, q *RunningQuery, shards int) {
 		t.Fatalf("query %d: ParallelStats ok=%v workers=%d, want %d shards", q.ID, ok, ps.Workers, shards)
 	}
 	if _, ok := q.EddyStats(); !ok {
-		t.Fatalf("query %d: no eddy behind an unwindowed private query", q.ID)
+		t.Fatalf("query %d: no eddy behind an unwindowed query", q.ID)
 	}
 }
 
-// TestParallelRuntimeSelection: Workers=1 keeps every plan on the inline
-// private eddy; Workers>1 puts the partitioning stage in front of
-// partitionable plans and leaves non-partitionable ones (join edges
-// spanning two key classes) inline.
+// TestParallelRuntimeSelection: Workers=1 keeps every class on its inline
+// eddy; Workers>1 puts the partitioning stage in front of partitionable
+// classes and leaves non-partitionable ones (join edges spanning two key
+// classes) inline.
 func TestParallelRuntimeSelection(t *testing.T) {
 	seq := newParStockEngine(t, 1)
 	defer seq.Stop()
@@ -250,9 +250,9 @@ func TestParallelDeregisterReleasesRuntime(t *testing.T) {
 	}
 }
 
-// TestParallelMetricsExported: a parallel query exports both the aggregate
-// eddy counters (query label) and the shard-layer series (par label), and
-// deregistration removes them all.
+// TestParallelMetricsExported: a parallel class exports both the aggregate
+// eddy counters (class-key stream label) and the shard-layer series (par
+// label), and deregistering its last member removes them all.
 func TestParallelMetricsExported(t *testing.T) {
 	e := newParStockEngine(t, 2)
 	defer e.Stop()
@@ -271,9 +271,9 @@ func TestParallelMetricsExported(t *testing.T) {
 	}
 	snap := byName()
 	for _, name := range []string{
-		fmt.Sprintf(`tcq_eddy_ingested_total{query="%d"}`, q.ID),
-		fmt.Sprintf(`tcq_parallel_workers{par="q%d"}`, q.ID),
-		fmt.Sprintf(`tcq_parallel_shard_queue_depth{par="q%d",shard="0"}`, q.ID),
+		`tcq_eddy_ingested_total{stream="ClosingStockPrices"}`,
+		`tcq_parallel_workers{par="shared:ClosingStockPrices"}`,
+		`tcq_parallel_shard_queue_depth{par="shared:ClosingStockPrices",shard="0"}`,
 		"tcq_tuple_pool_gets_total",
 		"tcq_engine_workers",
 	} {
@@ -281,13 +281,13 @@ func TestParallelMetricsExported(t *testing.T) {
 			t.Errorf("series %s not exported", name)
 		}
 	}
-	if got := snap[fmt.Sprintf(`tcq_eddy_ingested_total{query="%d"}`, q.ID)]; got != 10 {
+	if got := snap[`tcq_eddy_ingested_total{stream="ClosingStockPrices"}`]; got != 10 {
 		t.Errorf("aggregate ingested = %v, want 10", got)
 	}
 	if err := e.Deregister(q.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := byName()[fmt.Sprintf(`tcq_parallel_workers{par="q%d"}`, q.ID)]; ok {
+	if _, ok := byName()[`tcq_parallel_workers{par="shared:ClosingStockPrices"}`]; ok {
 		t.Errorf("par series survived deregistration")
 	}
 }

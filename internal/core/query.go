@@ -32,12 +32,13 @@ type RunningQuery struct {
 	inputs []*fjord.Conn // owned input queues, one per FROM position
 	subIDs []subRef      // subscription handles for detach
 	rt     runtime
-	// shared is non-nil when the query runs inside a shared CACQ class
-	// (§3.1); only registration and teardown consult it, everything else
-	// goes through rt.
+	// shared is the CACQ class (§3.1) an unwindowed query is a member of;
+	// only registration and teardown consult it, everything else goes
+	// through rt.
 	shared *sharedClass
 	// label names the eddy or pipeline executing the query in traces and
-	// telemetry: "q<id>", or "shared:<class key>" for every class member.
+	// telemetry: "shared:<class key>" for a class member, "q<id>" for a
+	// windowed query.
 	label string
 	// queues are where the query's tuples wait: its own inputs, or its
 	// shared class's (sheds there affect every member).
@@ -49,15 +50,6 @@ type RunningQuery struct {
 
 	push *egress.PushEgress
 	pull *egress.PullEgress
-
-	// recyclable marks runtimes whose emissions are fresh sole-reference
-	// tuples: with no push clients and no sinks attached at publish time,
-	// the pull egress owns the tuple's memory and may recycle it when it
-	// ages out of retention. Set (before any emission or goroutine spawn)
-	// only by the unwindowed runtimes; windowed queries re-emit buffered
-	// pointers and shared classes may deliver one pointer to many queries,
-	// so both stay unowned.
-	recyclable bool
 
 	sinkMu sync.Mutex
 	sinks  []func(*tuple.Tuple)
@@ -73,9 +65,8 @@ type RunningQuery struct {
 }
 
 // runtime is the per-query execution strategy and its control plane. A
-// private eddy (inline or partitioned), a shared-class member and the
-// windowed runtime all satisfy it, so nothing above asks which one a query
-// landed on.
+// class member and the windowed runtime both satisfy it, so nothing above
+// asks which one a query landed on.
 type runtime interface {
 	// step consumes pending input and produces results; progressed
 	// reports whether anything happened, finished whether the query has
@@ -150,15 +141,14 @@ func (q *RunningQuery) AddSink(fn func(*tuple.Tuple)) {
 
 // emit delivers one result to both egress paths and any extra sinks. The
 // result count moves after the publishes: whoever reads Results() == n can
-// fetch n rows.
+// fetch n rows. The pull log never owns a result: a class may deliver one
+// row to many members, and a windowed query re-emits buffered rows.
 func (q *RunningQuery) emit(t *tuple.Tuple) {
-	nPush := q.push.Publish(t)
+	q.push.Publish(t)
 	q.sinkMu.Lock()
 	sinks := q.sinks
 	q.sinkMu.Unlock()
-	// The pull log owns the tuple's memory only when no one else could
-	// still hold the pointer.
-	q.pull.PublishOwned(t, q.recyclable && nPush == 0 && len(sinks) == 0)
+	q.pull.Publish(t)
 	q.results.Add(1)
 	for _, fn := range sinks {
 		fn(t)
@@ -170,11 +160,11 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 	if len(ts) == 0 {
 		return
 	}
-	nPush := q.push.PublishBatch(ts)
+	q.push.PublishBatch(ts)
 	q.sinkMu.Lock()
 	sinks := q.sinks
 	q.sinkMu.Unlock()
-	q.pull.PublishBatch(ts, q.recyclable && nPush == 0 && len(sinks) == 0)
+	q.pull.PublishBatch(ts, false)
 	q.results.Add(int64(len(ts)))
 	for _, fn := range sinks {
 		for _, t := range ts {
@@ -283,12 +273,11 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 		pull:   egress.NewPullEgress(1 << 16),
 		doneCh: make(chan struct{}),
 	}
-	q.pull.SetRecycler(e.recycler)
 
-	// Qualifying queries share a CACQ class: one grouped-filter pass per
-	// tuple serves every selection member (§3.1), and one SteM build serves
-	// every overlapping two-stream equijoin member, a lone one included.
-	if qualifiesShared(plan) || qualifiesSharedJoin(plan) {
+	// Every unwindowed query is a CACQ class member (§3.1): one
+	// grouped-filter pass per tuple and one SteM build per FROM position
+	// serve every member with the plan's class key, a lone one included.
+	if plan.Loop == nil {
 		sc, err := e.joinClass(q, plan)
 		if err != nil {
 			return nil, err
@@ -303,8 +292,8 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	}
 
 	// Wire an input queue per FROM position (a self-join subscribes to
-	// one stream twice) and load history for windowed queries whose
-	// windows may reach into the past.
+	// one stream twice); the windowed runtime loads the history its
+	// windows may reach into.
 	var names []string
 	for _, entry := range plan.Entries {
 		names = append(names, entry.Name)
@@ -328,15 +317,7 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 	q.label, q.queues = fmt.Sprintf("q%d", id), q.inputs
 
 	var err error
-	switch {
-	case plan.Loop != nil:
-		q.rt, err = newWindowRuntime(q)
-	default:
-		// One private eddy; with Workers > 1 a partitionable plan gets the
-		// hash-partitioning stage in front of it (see eddyRuntime).
-		q.rt, err = newEddyRuntime(q)
-	}
-	if err != nil {
+	if q.rt, err = newWindowRuntime(q); err != nil {
 		e.detach(q)
 		q.metrics().unregister()
 		return nil, err
@@ -437,8 +418,8 @@ func (e *Engine) tableContents(entry *catalog.Entry) ([]*tuple.Tuple, error) {
 }
 
 // EddyStats returns the adaptive-routing counters behind this query: its
-// private eddy (summed over shards) or its shared class's. ok is false for
-// windowed queries, whose runtime has no eddy.
+// class's eddy, summed over shards. ok is false for windowed queries, whose
+// runtime has no eddy.
 func (q *RunningQuery) EddyStats() (st eddy.Stats, ok bool) {
 	ok = q.rt.control(func(h eddyHost) { st = h.Stats() })
 	return st, ok

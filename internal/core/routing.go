@@ -15,23 +15,32 @@ import (
 // the grain the batch-native eddy routes.
 const planReuse = 32
 
-// route is the engine's one routing rule (§2.2, §4.3): every eddy host — a
-// private eddy inline or partitioned, a shared CACQ class at one worker or
-// many — takes its policy from the shape of its plan, not from
-// configuration. seed is the host's per-query, per-shard or per-class seed.
+// route is the engine's one routing rule (§2.2, §4.3): every class eddy, at
+// one worker or many, takes its policy from the shape of its plan, not from
+// configuration. seed is the class's, or one shard's.
 //
 // A join graph spanning fewer than three streams (selections, two-stream
-// joins, every shared class) has at most one probe per hop to choose, so it
-// keeps the per-hop LotteryPolicy and reuse is 0. A private eddy over three
-// or more streams plans each batch's whole probe order with
-// SelectivityPolicy, reuses the plan for planReuse batches per lineage
-// signature, and prunes sibling probes whose intermediates are doomed;
-// reuse is the interval for eddy.SetNWay.
+// joins) has at most one probe per hop to choose, so it keeps the per-hop
+// LotteryPolicy and reuse is 0. Three or more joined streams plan each
+// batch's whole probe order with SelectivityPolicy, reuse the plan for
+// planReuse batches per lineage signature, and prune sibling probes whose
+// intermediates are doomed; reuse is the interval for eddy.SetNWay.
 func route(plan *sql.Plan, seed int64) (p eddy.Policy, reuse int) {
 	if len(joinStreams(plan)) < 3 {
 		return eddy.NewLotteryPolicy(seed), 0
 	}
 	return eddy.NewSelectivityPolicy(seed), planReuse
+}
+
+// joinStreams returns the FROM positions a plan's join edges touch: the
+// positions that get a SteM.
+func joinStreams(plan *sql.Plan) map[int]bool {
+	participates := map[int]bool{}
+	for _, j := range plan.Joins {
+		participates[j.StreamA] = true
+		participates[j.StreamB] = true
+	}
+	return participates
 }
 
 // classSeed derives a shared class's policy seed from its class key, so
@@ -45,10 +54,11 @@ func classSeed(key string) int64 {
 }
 
 // orderSink returns a publisher recording fresh probe-order plans as
-// tcq.routes rows under owner (path column: "order:SteM(A)>SteM(B)>…"),
-// or nil when introspection is off. Safe to call from worker goroutines —
-// the introspection ring is a bounded multi-producer buffer.
-func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order []int) {
+// tcq.routes rows under owner (path column: "order:Arr(A)>Arr(B)>…"), names
+// read from the eddy's current modules, or nil when introspection is off.
+// Safe to call from worker goroutines — the introspection ring is a bounded
+// multi-producer buffer.
+func (e *Engine) orderSink(owner string, names func() []string) func(sig uint64, order []int) {
 	if e.intro == nil {
 		return nil
 	}
@@ -63,7 +73,7 @@ func (e *Engine) orderSink(owner string, names []string) func(sig uint64, order 
 				tuple.Bool(false),
 				tuple.Int(int64(len(order))),
 				tuple.Int(0),
-				tuple.String_("order:" + strings.Join(orderNames(names, order), ">")),
+				tuple.String_("order:" + strings.Join(orderNames(names(), order), ">")),
 			},
 		})
 	}

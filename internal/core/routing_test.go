@@ -39,8 +39,9 @@ func newThreeWayEngine(t *testing.T, install func(*eddy.Eddy)) *RunningQuery {
 	return q
 }
 
-// onEddy runs fn on q's inline private eddy under the runtime lock: the one
-// seam through which a test replaces the policy the routing rule chose.
+// onEddy runs fn on q's class eddy, when it runs inline, under the class
+// lock: the one seam through which a test replaces the policy the routing
+// rule chose.
 func onEddy(t *testing.T, q *RunningQuery, fn func(*eddy.Eddy)) {
 	t.Helper()
 	var ed *eddy.Eddy
@@ -50,7 +51,7 @@ func onEddy(t *testing.T, q *RunningQuery, fn func(*eddy.Eddy)) {
 		}
 	})
 	if ed == nil {
-		t.Fatalf("query %d has no inline private eddy", q.ID)
+		t.Fatalf("query %d has no inline class eddy", q.ID)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestNWayRoutingEquivalence(t *testing.T) {
 
 // TestRoutingThreadsAllRuntimes drives every runtime a plan can land on
 // through the one control-plane contract: the routing rule must reach each
-// eddy host (not just the inline private eddy), Telemetry must be labelled
+// eddy host (inline or partitioned), Telemetry must be labelled
 // and non-empty whatever executes the query, EddyStats must have the same
 // shape on every eddy-backed row, and the windowed runtime must report no
 // eddy and no policy.
@@ -134,9 +135,9 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 		shards  int      // ParallelStats worker count; 0 = inline host or no eddy
 		modules []string // names that must appear among the telemetry rows
 	}{
-		{"private/workers=1", Options{}, selfJoin, "q0", true, 0, []string{"SteM(a)", "SteM(b)"}},
-		{"private/workers=4", Options{Workers: 4}, selfJoin, "q0", true, 4, []string{"SteM(a)", "SteM(b)"}},
-		{"join/workers=1", Options{}, join, "shared:S+R|0=2", true, 0, []string{"Arr(S)", "Arr(R)", "GF(S.v)"}},
+		{"selfjoin/workers=1", Options{}, selfJoin, "shared:S a+S b|0=2", true, 0, []string{"Arr(a)", "Arr(b)"}},
+		{"selfjoin/workers=4", Options{Workers: 4}, selfJoin, "shared:S a+S b|0=2", true, 4, []string{"Arr(a)", "Arr(b)"}},
+		{"join/workers=1", Options{}, join, "shared:S+R|0=2", true, 0, []string{"Arr(S)", "Arr(R)"}},
 		{"join/workers=4", Options{Workers: 4}, join, "shared:S+R|0=2", true, 4, []string{"Arr(S)", "Arr(R)"}},
 		{"shared/workers=1", Options{}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 0, []string{"GF(S.v)"}},
 		{"shared/workers=4", Options{Workers: 4}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 4, []string{"GF(S.v)"}},
@@ -292,12 +293,14 @@ func driftStar(t *testing.T, static []int) QueryTelemetry {
 // mid-run, each fixed probe order is cheapest in at most one phase, so the
 // selectivity policy the routing rule gives a four-stream join finishes the
 // identical result count (every arm's is checked exactly, chunk by chunk)
-// with strictly fewer module visits than all six of them. Visits are not
-// fixed: where drain batches end varies from run to run and moves every
-// arm's count. Over -count=20 the adaptive arm made 6,508 visits (17 runs)
-// or 7,808 (3) and the static arms 9,208–11,608, so the tightest margin
-// seen is 7,808 against 9,208; scripts/check.sh race repeats the pin 20
-// times so a shrinking margin shows.
+// with strictly fewer module visits than all six of them. The join runs on
+// its class's eddy, whose module 0 is the fact SteM (no member selects, so
+// the class has no grouped filters). Visits are not fixed: where drain
+// batches end varies from run to run and moves every arm's count. Over
+// -count=20 the adaptive arm made 6,508 visits (9 runs), 7,708 (1) or 7,808
+// (10) and the static arms 9,208–11,608, so the tightest margin seen is
+// 7,808 against 9,208; scripts/check.sh race repeats the pin 20 times so a
+// shrinking margin shows.
 func TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift(t *testing.T) {
 	qt := driftStar(t, nil)
 	if qt.Policy != "selectivity" || qt.Stats.Orders == 0 {

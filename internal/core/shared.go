@@ -3,38 +3,49 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/cacq"
 	"telegraphcq/internal/catalog"
+	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/metrics"
-	"telegraphcq/internal/ops"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
 
+// eddyHost is the one contract behind which every eddy in the engine is
+// observed (internal/eddy/host.go). *eddy.Eddy and *eddy.ParallelEddy
+// satisfy it, so a class's cacq engine, at one worker or many, is driven the
+// same way.
+type eddyHost interface {
+	Stats() eddy.Stats
+	ModuleNames() []string
+	ModuleProbeNanos() []int64
+	SetProbeTimer(clk chaos.Clock, every int)
+	PolicyInfo() (name string, order []int)
+}
+
 // sharedClass implements the paper's shared processing (§1.1, §3.1) inside
-// the SQL engine: qualifying queries join a CACQ engine instead of getting
-// a private eddy. Selection classes (one per stream) share one grouped-
-// filter pass per tuple among all members; equijoin classes (one per
-// stream-pair + join-column key) additionally share one SteM build — stored
-// in the engine registry's multi-reader arrangements — among every
-// overlapping join query, the first of them included. Queries enter and
-// leave the running class dynamically, and the last one out tears it down.
+// the SQL engine: every unwindowed query is a member of a CACQ class, and a
+// lone query is the one-member case. Members with one class key share one
+// grouped-filter pass per tuple and one SteM build per FROM position —
+// stored in the engine registry's multi-reader arrangements — while each
+// runs its own projection, aggregate and DISTINCT on what it is delivered.
+// Queries enter and leave the running class dynamically, and the last one
+// out tears it down.
 type sharedClass struct {
-	// key identifies the class: the stream name for selection classes
-	// (unchanged from before join sharing existed), or
-	// "A+B|colA=colB" for shared-join classes.
+	// key identifies the class (classSpec): "S" for selections on S,
+	// "S+R|0=2" for the equijoin of S's column 0 with R's column 2.
 	key     string
-	streams []string // one per FROM position
-	layout  *tuple.Layout
+	streams []string      // one per FROM position
 	conns   []*fjord.Conn // one input queue per FROM position
 	subIDs  []int
 
@@ -48,8 +59,11 @@ type sharedClass struct {
 	host     eddyHost
 	parStats func() eddy.ParallelStats
 	members  map[int]int // RunningQuery.ID -> cacq query id
-	batch    int
-	buf      []*tuple.Tuple
+	// drainer moves the input queues into eng. preSeq, which it aliases,
+	// holds per FROM position the last static-table row replayed at
+	// registration, so a copy of it still queued is dropped.
+	drainer *batchDrain
+	preSeq  []int64
 	// ingest routes one batch of stream-s subscriber clones through eng and
 	// takes ownership of them: the sequential engine adopts or recycles each
 	// itself (cacq.Engine.IngestOwned); a parallel one widens copies, after
@@ -58,9 +72,12 @@ type sharedClass struct {
 	// dead marks a retired class (retireLocked): it is out of e.shared, add
 	// refuses members, and step retires its DU.
 	dead bool
-	// series lists the registry series the class registered, for retirement
-	// to drop by exact name.
-	series []string
+	// rec records the registry series the class registered, for retirement
+	// to drop by exact name; named counts the modules with per-module series.
+	// unregPar drops a parallel engine's shard-layer series.
+	rec      recorder
+	named    int
+	unregPar func()
 }
 
 // errClassGone is add's answer when the class retired between lookup and
@@ -68,16 +85,17 @@ type sharedClass struct {
 var errClassGone = errors.New("core: shared class retired")
 
 // sharedEngine abstracts the execution strategy behind a shared class:
-// the sequential cacq.Engine, or — when the engine runs with Workers > 1 —
-// a cacq.Parallel partitioning the same super-query across worker shards.
-// A selection class is single-stream, so Seq is monotone and the parallel
-// variant runs its ordered merge: members observe the exact sequential
-// delivery order either way. Join classes span streams with independent
-// sequences, so their parallel variant merges unordered (join results are
-// a multiset).
+// the sequential cacq.Engine, or — when the engine runs with Workers > 1 and
+// the class's join set is one equijoin key class — a cacq.Parallel
+// partitioning the same super-query across worker shards. A single-stream
+// class's Seq is monotone, so the parallel variant runs its ordered merge:
+// members observe the exact sequential delivery order either way. Classes
+// over several positions have independent sequences, so their parallel
+// variant merges unordered (join results are a multiset).
 type sharedEngine interface {
 	AddQuery(fp tuple.SourceSet, sels []expr.Predicate, project []int, out func(*tuple.Tuple)) (*cacq.Query, error)
 	RemoveQuery(id int) error
+	IngestBatch(s int, base []*tuple.Tuple)
 	Delivered() int64
 	AdvanceEpoch()
 }
@@ -99,55 +117,39 @@ func (m sharedMember) control(fn func(h eddyHost)) bool {
 	return true
 }
 
-// qualifiesShared reports whether a plan can join a shared selection class.
-func qualifiesShared(plan *sql.Plan) bool {
-	return len(plan.Entries) == 1 &&
-		plan.Entries[0].Kind == catalog.Stream &&
-		plan.Loop == nil &&
-		!plan.HasAgg() &&
-		len(plan.Joins) == 0 &&
-		!plan.Distinct &&
-		plan.OrderCol < 0 &&
-		plan.Limit < 0
-}
-
-// qualifiesSharedJoin reports whether a plan can join a shared-arrangement
-// join class: an unwindowed two-stream single-equijoin select (no
-// aggregates/ordering/limit/distinct, no self-join — one stream feeding two
-// FROM positions would need per-position lineage the class key can't
-// express).
-func qualifiesSharedJoin(plan *sql.Plan) bool {
-	if len(plan.Entries) != 2 ||
-		plan.Entries[0].Kind != catalog.Stream ||
-		plan.Entries[1].Kind != catalog.Stream ||
-		plan.Entries[0].Name == plan.Entries[1].Name ||
-		plan.Loop != nil || plan.HasAgg() || len(plan.GroupBy) > 0 ||
-		plan.Distinct || plan.OrderCol >= 0 || plan.Limit >= 0 ||
-		len(plan.Joins) != 1 {
-		return false
+// classSpec derives a plan's class key and the class's join edges. The key
+// names each FROM position's stream, with its alias where that differs
+// ("sA a"), joined by "+", then the join edges as wide-row columns and op
+// ("|1=4,5<7"). A plan reading a static table adds its query ID ("#q3"), so
+// the table replays once per registration. Plans with one key are
+// layout-compatible (same positions, schemas and edges), which is what makes
+// delivering one engine's wide rows to every member sound.
+func classSpec(plan *sql.Plan, qid int) (key string, joins []cacq.JoinSpec) {
+	var b strings.Builder
+	table := false
+	for pos, entry := range plan.Entries {
+		if pos > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(entry.Name)
+		if alias := plan.Layout.Schemas[pos].Relation; alias != entry.Name {
+			b.WriteString(" " + alias)
+		}
+		table = table || entry.Kind == catalog.Table
 	}
-	return plan.Joins[0].Op == expr.Eq
-}
-
-// sharedClassSpec derives a plan's class identity: the key, the stream per
-// FROM position, and the shared join edges. Plans with the same key are
-// layout-compatible (same FROM order, schemas, and join columns), which is
-// what makes delivering one engine's wide rows to every member sound.
-func sharedClassSpec(plan *sql.Plan) (key string, streams []string, joins []cacq.JoinSpec) {
-	for _, entry := range plan.Entries {
-		streams = append(streams, entry.Name)
+	for i, j := range plan.Joins {
+		b.WriteByte("|,"[min(i, 1)])
+		fmt.Fprintf(&b, "%d%s%d", j.ColA, j.Op, j.ColB)
+		joins = append(joins, cacq.JoinSpec{
+			StreamA: j.StreamA, StreamB: j.StreamB,
+			ColA: j.ColA, ColB: j.ColB, Op: j.Op,
+			TimeKind: plan.TimeKind,
+		})
 	}
-	if len(plan.Joins) == 0 {
-		return streams[0], streams, nil
+	if table {
+		fmt.Fprintf(&b, "#q%d", qid)
 	}
-	j := plan.Joins[0]
-	key = fmt.Sprintf("%s+%s|%d=%d", streams[0], streams[1], j.ColA, j.ColB)
-	joins = []cacq.JoinSpec{{
-		StreamA: j.StreamA, StreamB: j.StreamB,
-		ColA: j.ColA, ColB: j.ColB,
-		TimeKind: plan.TimeKind,
-	}}
-	return key, streams, joins
+	return b.String(), joins
 }
 
 // arrangedProvider returns the shard-scoped arrangement factory for a
@@ -170,16 +172,24 @@ func (e *Engine) arrangedProvider(key string, shard int) func(stream string, key
 
 // joinClass adds q to its plan's shared class, creating the class when no
 // live one exists. A class whose last member left between the lookup and
-// the join has retired; the retry finds or creates a live one.
+// the join has retired; the retry finds or creates a live one. The creator
+// replays the class's static tables and then schedules its DU, so nothing
+// steps the class before its first member is in.
 func (e *Engine) joinClass(q *RunningQuery, plan *sql.Plan) (*sharedClass, error) {
 	for {
-		sc, err := e.sharedClassFor(plan)
+		sc, created, err := e.sharedClassFor(q.ID, plan)
 		if err != nil {
 			return nil, err
 		}
 		err = sc.add(q, plan)
 		if errors.Is(err, errClassGone) {
 			continue
+		}
+		if err == nil && created {
+			err = e.replayTables(sc, plan)
+		}
+		if created {
+			e.schedule(sc.streams, &executor.FuncDU{DUName: "shared:" + sc.key, Fn: sc.step}, sc.conns)
 		}
 		if err != nil {
 			// A class created for q alone retires with it.
@@ -195,45 +205,42 @@ func (e *Engine) joinClass(q *RunningQuery, plan *sql.Plan) (*sharedClass, error
 // e.mu, as retirement does, so a key has at most one live class, and a
 // retired one's arrangements and series are gone before its successor
 // registers the same names.
-func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
-	key, streams, joins := sharedClassSpec(plan)
+func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, created bool, err error) {
+	key, joins := classSpec(plan, qid)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if sc, ok := e.shared[key]; ok {
-		return sc, nil
+		return sc, false, nil
 	}
-	sts := make([]*streamState, len(streams))
-	for i, name := range streams {
-		st, err := e.streamLocked(name)
-		if err != nil {
-			return nil, err
+	sts := make([]*streamState, len(plan.Entries))
+	streams := make([]string, len(plan.Entries))
+	for i, entry := range plan.Entries {
+		if sts[i], err = e.streamLocked(entry.Name); err != nil {
+			return nil, false, err
 		}
-		sts[i] = st
+		streams[i] = entry.Name
 	}
-	sc := &sharedClass{
+	sc = &sharedClass{
 		key:     key,
 		streams: streams,
-		layout:  plan.Layout,
 		members: make(map[int]int),
-		batch:   256,
-		buf:     make([]*tuple.Tuple, e.opts.BatchSize),
+		preSeq:  make([]int64, len(streams)),
+		rec:     recorder{reg: e.reg, names: new([]string)},
 	}
 	for range streams {
 		sc.conns = append(sc.conns, fjord.NewConn(fjord.Push, e.opts.QueueCap))
 	}
+	sc.drainer = newBatchDrain(sc.conns, sc.preSeq, e.recycler, e.opts.BatchSize, 256)
 	// Class-key-derived seed: every engine resolving the same class seeds
-	// identically, while distinct classes adapt independently. A class spans
-	// at most two streams, so route hands it the per-hop lottery and no
-	// probe-order plan to reuse.
-	seed := classSeed(key)
-	if e.opts.Workers > 1 {
-		popt := cacq.ParallelOptions{
+	// identically, while distinct classes adapt independently. The plan's
+	// shape picks the policy, and whether each eddy plans whole probe orders.
+	seed, label := classSeed(key), "shared:"+key
+	pol, reuse := route(plan, seed)
+	if _, ok := cacq.PartitionColumns(plan.Layout, joins); ok && e.opts.Workers > 1 {
+		par, err := cacq.NewParallelEngine(plan.Layout, joins, cacq.ParallelOptions{
 			Workers:   e.opts.Workers,
 			BatchSize: e.opts.BatchSize,
-			// Single stream: Seq is monotone, merge ordered. Join classes
-			// span independently-sequenced streams; their results are a
-			// multiset, merged unordered.
-			Ordered: len(joins) == 0,
+			Ordered:   len(streams) == 1,
 			Policy: func(shard int) eddy.Policy {
 				p, _ := route(plan, seed+int64(shard)+2)
 				return p
@@ -241,12 +248,17 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			Arranged: func(shard int) cacq.ArrangedConfig {
 				return cacq.ArrangedConfig{Provider: e.arrangedProvider(key, shard)}
 			},
-		}
-		par, err := cacq.NewParallelEngine(plan.Layout, joins, popt)
+		})
 		if err != nil {
-			return nil, err
+			return nil, false, err
+		}
+		if reuse > 0 {
+			par.Host().Barrier(func(shard int, s eddy.Shard) {
+				e.planOrders(s.Eddy(), reuse, fmt.Sprintf("%s/s%d", label, shard))
+			})
 		}
 		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
+		sc.unregPar = par.Host().RegisterMetrics(e.reg, label)
 		sc.ingest = func(s int, base []*tuple.Tuple) {
 			par.IngestBatch(s, base)
 			for _, t := range base {
@@ -254,7 +266,6 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			}
 		}
 	} else {
-		pol, _ := route(plan, seed)
 		seq, err := cacq.NewArranged(plan.Layout, joins, pol, cacq.ArrangedConfig{
 			Provider: e.arrangedProvider(key, -1),
 			// The sequential step is fully synchronous, so freed lineage
@@ -263,14 +274,18 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 			ReuseSlots: true,
 		})
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		seq.SetRecycler(e.recycler)
+		seq.Host().SetClock(e.opts.Clock)
+		if reuse > 0 {
+			e.planOrders(seq.Host(), reuse, label)
+		}
 		sc.eng, sc.host, sc.ingest = seq, seq.Host(), seq.IngestOwned
 		if e.tracer != nil {
 			// Tracing follows individual tuples through one eddy's hops; only
 			// the sequential engine offers it (shards would interleave hops).
-			seq.SetTracer(e.tracer, "shared:"+key)
+			seq.SetTracer(e.tracer, label)
 		}
 	}
 	e.shared[key] = sc
@@ -284,53 +299,141 @@ func (e *Engine) sharedClassFor(plan *sql.Plan) (*sharedClass, error) {
 	if e.opts.Introspect {
 		sc.host.SetProbeTimer(e.opts.Clock, 0)
 	}
-	sc.registerMetrics(e.reg)
-	e.schedule(streams, &executor.FuncDU{
-		DUName: "shared:" + key,
-		Fn:     sc.step,
-	}, sc.conns)
-	return sc, nil
+	sc.registerMetrics()
+	return sc, true, nil
+}
+
+// planOrders turns on N-way probe-order planning on one class eddy (every
+// member's footprint is the class's whole layout, so doomed intermediates
+// may be pruned) and, with introspection on, publishes its fresh plans
+// under owner.
+func (e *Engine) planOrders(ed *eddy.Eddy, reuse int, owner string) {
+	ed.SetNWay(reuse)
+	if sink := e.orderSink(owner, ed.ModuleNames); sink != nil {
+		ed.SetOrderSink(sink)
+	}
+}
+
+// replayTables feeds the static tables in a new class's FROM list to it:
+// their rows arrived before the query registered, and streams, by CQ
+// semantics, are consumed from registration onward. Only a class keyed by
+// its one query has tables, so each registration replays its own. A row
+// that landed between the class's subscription and this snapshot is queued
+// too; preSeq drops that copy. Table rows stay in stream history, so the
+// engine widens copies of them.
+func (e *Engine) replayTables(sc *sharedClass, plan *sql.Plan) error {
+	for pos, entry := range plan.Entries {
+		if entry.Kind != catalog.Table {
+			continue
+		}
+		rows, err := e.tableContents(entry)
+		if err != nil {
+			return err
+		}
+		sc.mu.Lock()
+		for _, t := range rows {
+			sc.preSeq[pos] = max(sc.preSeq[pos], t.Seq)
+		}
+		sc.eng.IngestBatch(pos, rows)
+		sc.flushLocked()
+		sc.mu.Unlock()
+	}
+	return nil
 }
 
 // registerMetrics exports the class's series under stream="<class key>":
-// membership and delivery, and the eddy families a private eddy exports
-// under its query label, read under the lock that excludes the stepping DU.
-func (sc *sharedClass) registerMetrics(reg *metrics.Registry) {
-	rec := recorder{reg, &sc.series}
+// membership and delivery, the eddy aggregates, per-SteM counters and, for
+// a sequential engine, per-module routing state — all read under the lock
+// that excludes the stepping DU. A partitioned host snapshots under a shard
+// barrier, so it stays at the aggregates (plus its own shard-layer series).
+func (sc *sharedClass) registerMetrics() {
 	owner := fmt.Sprintf(`stream=%q`, sc.key)
 	lbl := "{" + owner + "}"
-	classStat := func(get func() float64) func() float64 {
-		return func() float64 {
-			sc.mu.Lock()
-			defer sc.mu.Unlock()
-			return get()
-		}
-	}
-	rec.RegisterFunc("tcq_cacq_members"+lbl, metrics.KindGauge,
-		classStat(func() float64 { return float64(len(sc.members)) }))
-	rec.RegisterFunc("tcq_cacq_delivered_total"+lbl, metrics.KindCounter,
-		classStat(func() float64 { return float64(sc.eng.Delivered()) }))
+	sc.rec.RegisterFunc("tcq_cacq_members"+lbl, metrics.KindGauge,
+		sc.locked(func() float64 { return float64(len(sc.members)) }))
+	sc.rec.RegisterFunc("tcq_cacq_delivered_total"+lbl, metrics.KindCounter,
+		sc.locked(func() float64 { return float64(sc.eng.Delivered()) }))
 	// Tuples whose lineage bitmap died entirely (every member's grouped
 	// filter rejected them) count as eddy drops in the shared super-query.
-	rec.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
-		classStat(func() float64 { return float64(sc.host.Stats().Dropped) }))
-
-	var names []string
-	var stems []*ops.SteMModule
-	if seq, ok := sc.eng.(*cacq.Engine); ok {
-		names, stems = seq.Host().ModuleNames(), seq.SteMs()
+	sc.rec.RegisterFunc("tcq_cacq_lineage_dropped_total"+lbl, metrics.KindCounter,
+		sc.locked(func() float64 { return float64(sc.host.Stats().Dropped) }))
+	for name, get := range map[string]func(eddy.Stats) int64{
+		"tcq_eddy_ingested_total":       func(s eddy.Stats) int64 { return s.Ingested },
+		"tcq_eddy_emitted_total":        func(s eddy.Stats) int64 { return s.Emitted },
+		"tcq_eddy_dropped_total":        func(s eddy.Stats) int64 { return s.Dropped },
+		"tcq_eddy_decisions_total":      func(s eddy.Stats) int64 { return s.Decisions },
+		"tcq_eddy_visits_total":         func(s eddy.Stats) int64 { return s.Visits },
+		"tcq_policy_orders_total":       func(s eddy.Stats) int64 { return s.Orders },
+		"tcq_policy_order_reuses_total": func(s eddy.Stats) int64 { return s.OrderReuses },
+		"tcq_nway_pruned_total":         func(s eddy.Stats) int64 { return s.NWayPruned },
+	} {
+		get := get
+		sc.rec.RegisterFunc(name+lbl, metrics.KindCounter,
+			sc.locked(func() float64 { return float64(get(sc.host.Stats())) }))
 	}
-	registerEddyMetrics(rec, owner, names, stems,
-		func() eddy.Stats {
-			sc.mu.Lock()
-			defer sc.mu.Unlock()
-			return sc.host.Stats()
-		},
-		func(i int) stem.Stats {
-			sc.mu.Lock()
-			defer sc.mu.Unlock()
-			return stems[i].SteM().Stats()
-		})
+	seq, ok := sc.eng.(*cacq.Engine)
+	if !ok {
+		return
+	}
+	for _, sm := range seq.SteMs() {
+		st := sm.SteM()
+		slbl := fmt.Sprintf(`{%s,stem=%q}`, owner, st.Name())
+		for name, get := range map[string]func(st stem.Stats) int64{
+			"tcq_stem_builds_total":  func(st stem.Stats) int64 { return st.Builds },
+			"tcq_stem_probes_total":  func(st stem.Stats) int64 { return st.Probes },
+			"tcq_stem_matches_total": func(st stem.Stats) int64 { return st.Matches },
+			"tcq_stem_evicted_total": func(st stem.Stats) int64 { return st.Evicted },
+		} {
+			get := get
+			sc.rec.RegisterFunc(name+slbl, metrics.KindCounter,
+				sc.locked(func() float64 { return float64(get(st.Stats())) }))
+		}
+		sc.rec.RegisterFunc("tcq_stem_size"+slbl, metrics.KindGauge,
+			sc.locked(func() float64 { return float64(st.Stats().Size) }))
+	}
+	sc.registerModules()
+}
+
+// locked wraps a scrape-time read in the lock that excludes the stepping DU.
+func (sc *sharedClass) locked(get func() float64) func() float64 {
+	return func() float64 {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		return get()
+	}
+}
+
+// registerModules (sc.mu held, or before the class is published) exports
+// per-module routing series for the sequential engine's modules added since
+// the last call: its SteMs at creation, a grouped filter the first time a
+// member selects on its column.
+func (sc *sharedClass) registerModules() {
+	seq, ok := sc.eng.(*cacq.Engine)
+	if !ok {
+		return
+	}
+	names := seq.Host().ModuleNames()
+	stat := func(get func(eddy.Stats) float64) func() float64 {
+		return sc.locked(func() float64 { return get(sc.host.Stats()) })
+	}
+	for i := sc.named; i < len(names); i++ {
+		i := i
+		mlbl := fmt.Sprintf(`{stream=%q,module=%q}`, sc.key, names[i])
+		sc.rec.RegisterFunc("tcq_eddy_module_visits_total"+mlbl, metrics.KindCounter,
+			stat(func(s eddy.Stats) float64 { return float64(s.Modules[i].Visits) }))
+		sc.rec.RegisterFunc("tcq_eddy_module_produced_total"+mlbl, metrics.KindCounter,
+			stat(func(s eddy.Stats) float64 { return float64(s.Modules[i].Produced) }))
+		sc.rec.RegisterFunc("tcq_eddy_module_selectivity"+mlbl, metrics.KindGauge,
+			stat(func(s eddy.Stats) float64 { return s.Modules[i].Selectivity() }))
+		sc.rec.RegisterFunc("tcq_eddy_module_tickets"+mlbl, metrics.KindGauge,
+			stat(func(s eddy.Stats) float64 {
+				if i < len(s.Tickets) {
+					return float64(s.Tickets[i])
+				}
+				return 0
+			}))
+	}
+	sc.named = len(names)
 }
 
 // step drains pending stream tuples through the shared engine in batches:
@@ -350,43 +453,38 @@ func (sc *sharedClass) step() (progressed, done bool) {
 	if sc.dead {
 		return false, true
 	}
-	for s, conn := range sc.conns {
-		for taken := 0; taken < sc.batch; {
-			n := conn.RecvBatch(sc.buf)
-			if n == 0 {
-				break
-			}
-			taken += n
-			progressed = true
-			sc.ingest(s, sc.buf[:n])
-			for i := 0; i < n; i++ {
-				sc.buf[i] = nil
-			}
-		}
-	}
-	if progressed {
-		if fl, ok := sc.eng.(interface{ Flush() }); ok {
-			fl.Flush()
-		}
-		sc.eng.AdvanceEpoch()
+	if progressed, _ = sc.drainer.drain(sc.ingest); progressed {
+		sc.flushLocked()
 	}
 	return progressed, false
 }
 
-// add registers a query with the class, delivering into q's egress. A
-// retired class answers errClassGone.
+// flushLocked (sc.mu held) ends an input step: partial shard batches go to
+// their workers and the arrangements seal an epoch.
+func (sc *sharedClass) flushLocked() {
+	if fl, ok := sc.eng.(interface{ Flush() }); ok {
+		fl.Flush()
+	}
+	sc.eng.AdvanceEpoch()
+}
+
+// add registers a query with the class, delivering into q's egress through
+// q's own post-eddy pipeline. A retired class answers errClassGone; a
+// member whose selections would take the class past 64 modules is refused,
+// and the class keeps serving the others.
 func (sc *sharedClass) add(q *RunningQuery, plan *sql.Plan) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.dead {
 		return errClassGone
 	}
-	cq, err := sc.eng.AddQuery(plan.Footprint, plan.Selections, plan.Project,
-		func(t *tuple.Tuple) { q.emit(t) })
+	project, out := memberOutput(q, plan)
+	cq, err := sc.eng.AddQuery(plan.Footprint, plan.Selections, project, out)
 	if err != nil {
 		return err
 	}
 	sc.members[q.ID] = cq.ID
+	sc.registerModules()
 	return nil
 }
 
@@ -442,7 +540,10 @@ func (e *Engine) retireLocked(sc *sharedClass, ifEmpty bool) bool {
 		}
 	}
 	e.arrReg.Drop(sc.key)
-	recorder{e.reg, &sc.series}.unregister()
+	sc.rec.unregister()
+	if sc.unregPar != nil {
+		sc.unregPar()
+	}
 	return true
 }
 
@@ -460,8 +561,8 @@ func (sc *sharedClass) close() {
 	}
 }
 
-// SharedQueryCount reports how many standing queries share a class: the
-// stream name keys a selection class, "A+B|colA=colB" a join class.
+// SharedQueryCount reports how many standing queries share a class, by
+// class key (classSpec): "S" for a selection class, "S+R|0=2" for a join.
 func (e *Engine) SharedQueryCount(key string) int {
 	e.mu.Lock()
 	sc, ok := e.shared[key]

@@ -117,8 +117,8 @@ func TestResultsNeverAheadOfFetch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := q.rt.(*eddyRuntime); !ok {
-				t.Fatalf("query runs on %T, want a private eddy", q.rt)
+			if _, ok := q.rt.(sharedMember); !ok || q.label != "shared:ticks a+ticks b|1=4" {
+				t.Fatalf("query runs on %T as %s, want a member of class ticks a+ticks b|1=4", q.rt, q.label)
 			}
 			if subscribed {
 				q.Subscribe(1)

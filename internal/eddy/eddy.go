@@ -124,7 +124,8 @@ type Eddy struct {
 	// plan from policy.ChooseOrder, cached per (source, ready) signature
 	// for orderEvery reuses, and after a probe hop the remaining sibling
 	// probe-SteMs are marked done without being visited — the alternative
-	// intermediates are provably doomed in a private (non-shared) eddy.
+	// intermediates are provably doomed when only full-span tuples are
+	// results (all != 0).
 	nway       bool
 	orderEvery int
 	orderCache map[uint64]*orderEntry
@@ -148,6 +149,11 @@ type Eddy struct {
 	// release, when set, receives tuples whose routing is over and which no
 	// SteM retains (SetRelease).
 	release func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)
+
+	// probeClk and probeEvery are the last SetProbeTimer arguments, applied
+	// to modules added later too (AddModule).
+	probeClk   chaos.Clock
+	probeEvery int
 }
 
 // CheckModuleCount reports whether n modules fit one eddy's 64-bit
@@ -162,7 +168,9 @@ func CheckModuleCount(n int) error {
 }
 
 // New creates an eddy over the given modules whose output tuples must span
-// allSources. out receives emitted tuples.
+// allSources. out receives emitted tuples. A shared eddy (SetCompletionHook)
+// whose hook delivers full-span tuples only passes that span too, which lets
+// SetNWay prune doomed intermediates; one delivering partial spans passes 0.
 func New(allSources tuple.SourceSet, policy Policy, out func(*tuple.Tuple), modules ...Module) *Eddy {
 	if err := CheckModuleCount(len(modules)); err != nil {
 		panic(err.Error())
@@ -261,6 +269,25 @@ func (e *Eddy) PolicyInfo() (name string, order []int) {
 
 // Modules returns the attached modules (read-only use).
 func (e *Eddy) Modules() []Module { return e.modules }
+
+// AddModule attaches one more module, at the next index, failing when the
+// eddy already routes 64. The policy restarts over the grown module set, as
+// SetPolicy's does, and memoized masks and probe orders are dropped. Call
+// between ingests, never from inside a module.
+func (e *Eddy) AddModule(m Module) error {
+	if err := CheckModuleCount(len(e.modules) + 1); err != nil {
+		return err
+	}
+	e.modules = append(e.modules, m)
+	e.stats.Modules = append(e.stats.Modules, ModuleStats{})
+	if pt, ok := m.(probeTimed); ok && e.probeClk != nil {
+		pt.SetProbeTimer(e.probeClk, e.probeEvery)
+	}
+	e.policy.Reset(len(e.modules))
+	e.wirePolicy(e.policy)
+	e.InvalidateMasks()
+	return nil
+}
 
 // SetCompletionHook installs fn to observe every tuple (full or partial
 // span) that completes its applicable module set, and makes the eddy a
@@ -546,15 +573,15 @@ func (e *Eddy) step(b *tuple.Batch) {
 	}
 
 	bit := uint64(1) << uint(idx)
-	// K-ary probe chain pruning: in a private eddy (no completion hook,
-	// full-span output only), once a batch takes one probe hop, probing any
-	// sibling SteM later could only yield intermediates whose Done set
-	// already contains this SteM — they can never complete the full span
-	// and are provably dead. Mark those siblings done on the survivors
-	// without visiting them. Outputs below keep only the producing
-	// module's bit: they span more streams and get a fresh plan.
+	// K-ary probe chain pruning: when only full-span tuples are results
+	// (all != 0), once a batch takes one probe hop, probing any sibling
+	// SteM later could only yield intermediates whose Done set already
+	// contains this SteM — they can never complete the full span and are
+	// provably dead. Mark those siblings done on the survivors without
+	// visiting them. Outputs below keep only the producing module's bit:
+	// they span more streams and get a fresh plan.
 	var skip uint64
-	if e.nway && e.complete == nil && e.all != 0 {
+	if e.nway && e.all != 0 {
 		if pm := e.probeMask(t0.Source); pm&bit != 0 {
 			skip = pm & ready &^ bit
 		}

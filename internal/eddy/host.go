@@ -10,8 +10,8 @@ import (
 // This file is the eddy control plane: how an eddy host — one Eddy run
 // inline by its caller, or a ParallelEddy's hash-partitioned shards — is
 // observed. Both offer Stats, ModuleNames, ModuleProbeNanos, SetProbeTimer
-// and PolicyInfo, so a private query and a shared CACQ class, at one worker
-// or many, are driven through one contract. An Eddy's methods are
+// and PolicyInfo, so a CACQ class, at one worker or many, is driven through
+// one contract. An Eddy's methods are
 // unsynchronized like the rest of its API; a ParallelEddy's quiesce the
 // shards under a Barrier.
 
@@ -54,8 +54,7 @@ type probeTimed interface {
 	ProbeNanos() int64
 }
 
-// ModuleNames returns the module names in Stats order (the module set is
-// fixed at construction).
+// ModuleNames returns the module names in Stats order.
 func (e *Eddy) ModuleNames() []string {
 	names := make([]string, len(e.modules))
 	for i, m := range e.modules {
@@ -79,6 +78,7 @@ func (e *Eddy) ModuleProbeNanos() []int64 {
 // SetProbeTimer enables sampled probe/filter latency measurement on every
 // module that supports it (see stem.SteM.SetProbeTimer).
 func (e *Eddy) SetProbeTimer(clk chaos.Clock, every int) {
+	e.probeClk, e.probeEvery = clk, every
 	for _, m := range e.modules {
 		if pt, ok := m.(probeTimed); ok {
 			pt.SetProbeTimer(clk, every)
@@ -97,8 +97,9 @@ func (pe *ParallelEddy) Stats() Stats {
 	return agg
 }
 
-// ModuleNames returns the shards' common module names in Stats order
-// (fixed at construction, so no barrier is needed).
+// ModuleNames returns the shards' common module names in Stats order. No
+// barrier: modules are added only under one, by the control plane that
+// also calls this.
 func (pe *ParallelEddy) ModuleNames() []string { return pe.shards[0].Eddy().ModuleNames() }
 
 // ModuleProbeNanos returns the per-module probe latency EWMA, averaged

@@ -27,8 +27,7 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/core", "streamState", "mu"},
 	{modulePath + "/internal/core", "sharedClass", "mu"},
 
-	// Per-query runtimes: stepping locks, then the result sink.
-	{modulePath + "/internal/core", "eddyRuntime", "mu"},
+	// Per-query result sinks.
 	{modulePath + "/internal/core", "RunningQuery", "sinkMu"},
 
 	// Parallel eddy: the ingest gate strictly precedes the per-shard

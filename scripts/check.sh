@@ -8,10 +8,10 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window delivery x20, routing rule x20, panes against
-#                    the rescan x20, shared-class reuse x20, join classes
-#                    x20, pull-log ring x20, wire flushes, FEED runs and
-#                    EO wake x20, fuzz smoke
+#                    window delivery x20, routing rule and class shapes
+#                    x20, panes against the rescan x20, shared-class reuse
+#                    x20, join classes x20, pull-log ring x20, wire
+#                    flushes, FEED runs and EO wake x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -150,15 +150,19 @@ stage_race() {
     echo "==> delivery under race: atomic instances, no aliasing, count after rows (-count=20)"
     go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch' ./internal/core/
 
-    # The routing rule picks each eddy's policy from its plan: every join
-    # shape, two streams or more, inline or on partitioned shards, must yield
-    # its plain-Go multiset at every batch size (the test waits on Results()
-    # and then reads, racing the engine), and on the E18 drift star the
-    # default engine must make fewer module visits than every static probe
-    # order. That margin moves with drain boundaries from run to run, so
-    # twenty passes show it shrinking before it flips.
-    echo "==> routing rule under race: join multisets, drift pin (-count=20)"
-    go test -race -count=20 -run 'TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift|TestBatchEquivalenceJoinMultiset' ./internal/core/
+    # The routing rule picks each class eddy's policy from its plan: every
+    # join shape, two streams or more, inline or on partitioned shards, must
+    # yield its plain-Go multiset at every batch size (the test waits on
+    # Results() and then reads, racing the engine), and on the E18 drift star
+    # the default engine must make fewer module visits than every static
+    # probe order. That margin moves with drain boundaries from run to run,
+    # so twenty passes show it shrinking before it flips. Every unwindowed
+    # shape is a class member: non-equi, self-, 3- and 4-stream joins,
+    # DISTINCT, aggregates and stream-table joins hold their multisets at
+    # Workers 1/4, identical N-way plans share a class, and a late member
+    # sees no match with rows stored before it.
+    echo "==> routing rule under race: join multisets, drift pin, class shapes (-count=20)"
+    go test -race -count=20 -run 'TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift|TestBatchEquivalenceJoinMultiset|TestClassShapes|TestIdenticalNWayPlansShareOneClass|TestLateMemberSeesNoEarlierMatches' ./internal/core/
 
     # A sliding or landmark aggregate folds each row into a pane as it
     # arrives and combines panes at each fire: the differential test holds
