@@ -25,18 +25,6 @@ func TestAllocCheckFixture(t *testing.T) {
 	lint.RunFixture(t, "testdata/src/alloccheck", checks.AllocCheck(checks.NewRepoSummaries()))
 }
 
-func TestChanCheckFixture(t *testing.T) {
-	lint.RunFixture(t, "testdata/src/chancheck", checks.ChanCheck(checks.NewRepoSummaries()))
-}
-
-func TestLineageCheckFixture(t *testing.T) {
-	lint.RunFixture(t, "testdata/src/lineagecheck", checks.LineageCheck())
-}
-
-func TestMetricCheckFixture(t *testing.T) {
-	lint.RunFixture(t, "testdata/src/metriccheck", checks.MetricCheck())
-}
-
 func TestLockCheckFixture(t *testing.T) {
 	order := []checks.LockClass{
 		{Path: "fixture/lockcheck", Type: "Outer", Field: "mu"},

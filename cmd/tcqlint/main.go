@@ -1,8 +1,7 @@
-// Command tcqlint is the repo's invariant linter: a multichecker of seven
-// repo-specific analyzers (clockcheck, ownercheck, alloccheck,
-// chancheck, lineagecheck, metriccheck, lockcheck) enforcing the engine's
-// concurrency, lifecycle, and hot-path allocation invariants that go vet
-// cannot see. It type-checks the named packages
+// Command tcqlint is the repo's invariant linter: a multichecker of four
+// repo-specific analyzers (clockcheck, ownercheck, alloccheck, lockcheck)
+// enforcing the engine's determinism, ownership, hot-path allocation and
+// lock-order invariants that go vet and the tests cannot see. It type-checks the named packages
 // (tests included) from source — dependencies come from build-cache export
 // data, so it runs hermetically — applies every analyzer, and exits
 // non-zero when findings remain.

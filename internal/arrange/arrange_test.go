@@ -96,13 +96,13 @@ func TestEvictDefersUntilCursorsPass(t *testing.T) {
 }
 
 // TestTupleBytesCountsRealSizes pins the reclaimed-bytes estimate on a 64-bit
-// platform: an 88-byte Tuple, 40 bytes per Value, 8 per lineage word — the
+// platform: an 80-byte Tuple, 40 bytes per Value, 8 per lineage word — the
 // sizes the struct layouts have, not the 96/24/8 once hard-coded here, which
 // under-counted every value by 16 bytes.
 func TestTupleBytesCountsRealSizes(t *testing.T) {
 	row := tuple.New(tuple.Int(1), tuple.Float(2), tuple.String_("x"))
 	row.Queries = tuple.NewBitset(16 * 64)
-	if got, want := tupleBytes(row), int64(88+3*40+16*8); got != want {
+	if got, want := tupleBytes(row), int64(80+3*40+16*8); got != want {
 		t.Fatalf("tupleBytes(3 columns, 16-word bitmap) = %d, want %d", got, want)
 	}
 }

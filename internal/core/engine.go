@@ -60,8 +60,6 @@ type Options struct {
 	// everything) and its module-visit path recorded with per-hop
 	// latency, retrievable via Engine.Traces / the TRACE wire command.
 	TraceSampleRate float64
-	// TraceKeep bounds retained traces per query (default 32).
-	TraceKeep int
 	// Clock supplies engine-internal timing (trace hop latency, window
 	// fire latency). nil defaults to the real clock; tests inject a
 	// virtual clock for deterministic runs.
@@ -182,7 +180,7 @@ func NewEngine(opts Options) *Engine {
 		e.pool = storage.NewBufferPool(opts.PoolSegments)
 	}
 	if opts.TraceSampleRate > 0 {
-		e.tracer = metrics.NewTracer(opts.TraceSampleRate, 1, opts.TraceKeep)
+		e.tracer = metrics.NewTracer(opts.TraceSampleRate, 1, 0)
 		// Mirror every recorded span into the tcq_hop_latency_seconds
 		// histogram family; only sampled tuples pay the record.
 		e.tracer.ExportHistograms(e.reg)

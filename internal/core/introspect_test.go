@@ -90,7 +90,7 @@ func TestIntrospectReservedPrefix(t *testing.T) {
 }
 
 func TestIntrospectRoutesStreamFromTracer(t *testing.T) {
-	e, _ := newIntrospectEngine(t, Options{TraceSampleRate: 1, TraceKeep: 16})
+	e, _ := newIntrospectEngine(t, Options{TraceSampleRate: 1})
 	defer e.Stop()
 
 	cq, err := e.Register(`SELECT tag, emitted, path FROM tcq.routes`)

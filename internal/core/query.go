@@ -131,6 +131,10 @@ func (q *RunningQuery) Done() bool { return q.doneFlag.Load() }
 // Wait blocks until a finite query completes (standing queries never do).
 func (q *RunningQuery) Wait() { <-q.doneCh }
 
+// Finished returns a channel closed once the query has ended: finite and
+// complete, deregistered, or stopped with its engine.
+func (q *RunningQuery) Finished() <-chan struct{} { return q.doneCh }
+
 // AddSink attaches an extra result consumer (e.g. a prioritized egress);
 // sinks must not block.
 func (q *RunningQuery) AddSink(fn func(*tuple.Tuple)) {
@@ -175,10 +179,11 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 
 // finish retires the query exactly once — its DU finishing and a
 // concurrent Deregister/Stop may both get here — dropping its metric series
-// before waiters are released.
+// and closing its push clients before waiters are released.
 func (q *RunningQuery) finish() {
 	q.closeOnce.Do(func() {
 		q.metrics().unregister()
+		q.push.Close()
 		q.doneFlag.Store(true)
 		close(q.doneCh)
 	})

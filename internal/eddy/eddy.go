@@ -1,8 +1,8 @@
 // Package eddy implements the Eddy adaptive routing module ([AH00], §2.2):
 // a router that continuously decides, tuple by tuple, the order in which a
 // set of commutative query modules process data, re-optimizing the plan
-// while it runs. Each tuple carries Ready/Done bitmaps recording the
-// modules it has visited; a tuple spanning all of the query's streams whose
+// while it runs. Each tuple carries a Done bitmap recording the modules
+// it has visited; a tuple spanning all of the query's streams whose
 // Done set covers every applicable module is sent to the eddy's output.
 package eddy
 
@@ -156,13 +156,13 @@ type Eddy struct {
 	probeEvery int
 }
 
-// CheckModuleCount reports whether n modules fit one eddy's 64-bit
-// Ready/Done lineage bitmaps, with a descriptive error when they do not.
+// CheckModuleCount reports whether n modules fit one eddy's 64-bit Done
+// lineage bitmap, with a descriptive error when they do not.
 // Planners call it before construction so the limit surfaces as a plan
 // error instead of a panic.
 func CheckModuleCount(n int) error {
 	if n > 64 {
-		return fmt.Errorf("eddy: plan needs %d modules but one eddy routes at most 64 (Ready/Done lineage bitmaps are 64-bit); split the query across multiple eddies or reduce its predicates/joins", n)
+		return fmt.Errorf("eddy: plan needs %d modules but one eddy routes at most 64 (the Done lineage bitmap is 64-bit); split the query across multiple eddies or reduce its predicates/joins", n)
 	}
 	return nil
 }

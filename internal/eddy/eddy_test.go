@@ -328,8 +328,8 @@ func TestJoinEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestModuleCapRejected pins the 64-module ceiling: Ready/Done lineage
-// bitmaps are uint64s, so a 65th module has no bit to claim. The check
+// TestModuleCapRejected pins the 64-module ceiling: the Done lineage
+// bitmap is a uint64, so a 65th module has no bit to claim. The check
 // must fail with a descriptive error, and New must refuse (not corrupt
 // routing state) when handed an oversized module set.
 func TestModuleCapRejected(t *testing.T) {

@@ -19,6 +19,7 @@ type PushEgress struct {
 	mu      sync.Mutex
 	nextID  int
 	clients map[int]chan *tuple.Tuple
+	closed  bool
 	dropped int64
 	sent    int64
 }
@@ -29,7 +30,7 @@ func NewPushEgress() *PushEgress {
 }
 
 // Subscribe attaches a client with the given buffer; the returned channel
-// closes on Unsubscribe.
+// closes on Unsubscribe or Close, and is already closed after Close.
 func (e *PushEgress) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
 	if buffer < 1 {
 		buffer = 64
@@ -39,8 +40,23 @@ func (e *PushEgress) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
 	id := e.nextID
 	e.nextID++
 	ch := make(chan *tuple.Tuple, buffer)
-	e.clients[id] = ch
+	if e.closed {
+		close(ch)
+	} else {
+		e.clients[id] = ch
+	}
 	return id, ch
+}
+
+// Close detaches and closes every client: the results have ended.
+func (e *PushEgress) Close() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.closed = true
+	for id, ch := range e.clients {
+		close(ch)
+		delete(e.clients, id)
+	}
 }
 
 // Unsubscribe detaches a client and closes its channel.

@@ -49,6 +49,31 @@ func TestPushSlowClientDrops(t *testing.T) {
 	}
 }
 
+// TestPushCloseEndsEveryClient: Close closes every channel after what it
+// still buffers, later Subscribes get a closed channel, and Unsubscribe
+// and Publish after Close are no-ops.
+func TestPushCloseEndsEveryClient(t *testing.T) {
+	e := NewPushEgress()
+	id, ch := e.Subscribe(4)
+	e.Publish(mk(1))
+	e.Close()
+	e.Unsubscribe(id)
+	if n := e.Publish(mk(2)); n != 0 {
+		t.Errorf("Publish after Close reached %d clients", n)
+	}
+	var got []int64
+	for r := range ch {
+		got = append(got, r.Vals[0].AsInt())
+	}
+	if !slices.Equal(got, []int64{1}) {
+		t.Errorf("drained %v, want [1]", got)
+	}
+	_, late := e.Subscribe(4)
+	if _, open := <-late; open {
+		t.Error("Subscribe after Close returned an open channel")
+	}
+}
+
 func TestPullCursorSemantics(t *testing.T) {
 	e := NewPullEgress(100)
 	e.Publish(mk(1))

@@ -1,0 +1,9 @@
+package egress
+
+import (
+	"testing"
+
+	"telegraphcq/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -36,7 +36,7 @@ func AllocCheck(sums *lint.Summaries) *lint.Analyzer {
 	reported := make(map[token.Position]bool)
 	a.Run = func(pass *lint.Pass) error {
 		sums.AddPackage(pass)
-		eachFunc(pass.Files, func(decl *ast.FuncDecl) {
+		lint.EachFunc(pass.Files, func(decl *ast.FuncDecl) {
 			hot := lint.HasDirective(decl.Doc, lint.HotpathDirective)
 			cold := lint.HasDirective(decl.Doc, lint.ColdpathDirective)
 			if hot && cold {

@@ -47,7 +47,7 @@ func LockCheck(order []LockClass) *lint.Analyzer {
 	a.Run = func(pass *lint.Pass) error {
 		lc := &lockChecker{pass: pass, rank: rank, order: order}
 		lc.buildSummaries()
-		eachFunc(pass.Files, func(decl *ast.FuncDecl) {
+		lint.EachFunc(pass.Files, func(decl *ast.FuncDecl) {
 			lc.checkUnit(decl.Body)
 			for _, lit := range collectFuncLits(decl.Body) {
 				lc.checkUnit(lit.Body)
@@ -82,7 +82,7 @@ func (lc *lockChecker) classOf(call *ast.CallExpr) (LockClass, bool, bool) {
 	if !ok {
 		return LockClass{}, false, false
 	}
-	f := callee(lc.pass.Info, call)
+	f := lint.Callee(lc.pass.Info, call)
 	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
 		return LockClass{}, false, false
 	}
@@ -98,7 +98,7 @@ func (lc *lockChecker) classOf(call *ast.CallExpr) (LockClass, bool, bool) {
 	if !ok {
 		return LockClass{}, false, false
 	}
-	owner := named(tv.Type)
+	owner := lint.DerefNamed(tv.Type)
 	if owner == nil || owner.Obj().Pkg() == nil {
 		return LockClass{}, false, false
 	}
@@ -120,7 +120,7 @@ func (lc *lockChecker) buildSummaries() {
 	lc.summaries = make(map[*types.Func]map[LockClass]bool)
 	lc.declOf = make(map[*types.Func]*ast.FuncDecl)
 	calls := make(map[*types.Func]map[*types.Func]bool)
-	eachFunc(lc.pass.Files, func(decl *ast.FuncDecl) {
+	lint.EachFunc(lc.pass.Files, func(decl *ast.FuncDecl) {
 		obj, ok := lc.pass.Info.Defs[decl.Name].(*types.Func)
 		if !ok {
 			return
@@ -139,7 +139,7 @@ func (lc *lockChecker) buildSummaries() {
 				}
 				return
 			}
-			if f := callee(lc.pass.Info, call); f != nil && f.Pkg() == lc.pass.Pkg {
+			if f := lint.Callee(lc.pass.Info, call); f != nil && f.Pkg() == lc.pass.Pkg {
 				callees[f] = true
 			}
 		})
@@ -187,7 +187,7 @@ func (lc *lockChecker) checkUnit(body *ast.BlockStmt) {
 			held[cls] = call.Pos()
 			return
 		}
-		f := callee(lc.pass.Info, call)
+		f := lint.Callee(lc.pass.Info, call)
 		if f == nil || f.Pkg() != lc.pass.Pkg {
 			return
 		}

@@ -11,15 +11,15 @@ import (
 // model.go binds the generic interprocedural summary layer (internal/lint
 // interproc.go) to this repository's ownership vocabulary: which calls
 // kill an owned value, which produce one, which packages are "ours", and
-// which external calls are trusted not to allocate. The three summary-
-// driven analyzers (ownercheck, alloccheck, chancheck) share one
-// lint.Summaries built over this model so the per-function analysis runs
-// once regardless of how many analyzers consume it.
+// which external calls are trusted not to allocate. The two summary-
+// driven analyzers (ownercheck, alloccheck) share one lint.Summaries
+// built over this model so the per-function analysis runs once
+// regardless of how many analyzers consume it.
 
 const tuplePath = modulePath + "/internal/tuple"
 
 // NewRepoSummaries returns a fresh summary table over the repository's
-// ownership model. All() shares one across the three interprocedural
+// ownership model. All() shares one across the two interprocedural
 // analyzers; fixture tests build one per analyzer under test.
 func NewRepoSummaries() *lint.Summaries {
 	return lint.NewSummaries(repoModel())
@@ -39,7 +39,7 @@ func repoModel() lint.Model {
 // killSlot classifies the engine's one direct release call. Slots number
 // the receiver first: Pool.Put(t) kills slot 1 (the argument).
 func killSlot(info *types.Info, call *ast.CallExpr) (int, string, bool) {
-	f := callee(info, call)
+	f := lint.Callee(info, call)
 	if f == nil {
 		return 0, "", false
 	}
@@ -53,7 +53,7 @@ func killSlot(info *types.Info, call *ast.CallExpr) (int, string, bool) {
 // produces reports whether a call returns a freshly owned recycler value:
 // the caller is responsible for releasing, transferring, or returning it.
 func produces(info *types.Info, call *ast.CallExpr) bool {
-	f := callee(info, call)
+	f := lint.Callee(info, call)
 	if f == nil || f.Pkg() == nil || f.Pkg().Path() != tuplePath {
 		return false
 	}

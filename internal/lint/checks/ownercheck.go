@@ -41,7 +41,7 @@ func OwnerCheck(sums *lint.Summaries) *lint.Analyzer {
 	}
 	a.Run = func(pass *lint.Pass) error {
 		sums.AddPackage(pass)
-		eachFunc(pass.Files, func(decl *ast.FuncDecl) {
+		lint.EachFunc(pass.Files, func(decl *ast.FuncDecl) {
 			checkFuncOwner(pass, sums, decl)
 		})
 		return nil
@@ -102,7 +102,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 				}
 				owned := sums.Model.Produces(info, call)
 				if !owned {
-					if f := callee(info, call); f != nil {
+					if f := lint.Callee(info, call); f != nil {
 						if s := sums.Of(f); s != nil && s.ReturnsOwned {
 							owned = true
 						}
@@ -125,7 +125,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			f := callee(info, n)
+			f := lint.Callee(info, n)
 			if f == nil {
 				return true
 			}
@@ -202,7 +202,7 @@ func checkFuncOwner(pass *lint.Pass, sums *lint.Summaries, decl *ast.FuncDecl) {
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if slot, verb, ok := killSlot(info, call); ok {
-					slots := lint.CallSlotExprs(info, call, callee(info, call))
+					slots := lint.CallSlotExprs(info, call, lint.Callee(info, call))
 					if slot < len(slots) {
 						if obj := localVar(slots[slot]); obj != nil {
 							for _, ev := range events {
@@ -311,7 +311,7 @@ func objName(obj *types.Var) string { return obj.Name() }
 
 // calleeName renders a call target for diagnostics (best effort).
 func calleeName(info *types.Info, call *ast.CallExpr) string {
-	if f := callee(info, call); f != nil {
+	if f := lint.Callee(info, call); f != nil {
 		if recv := recvNamed(f); recv != nil {
 			return recv.Obj().Name() + "." + f.Name()
 		}

@@ -172,15 +172,6 @@ func analyzeDir(dir string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet
 			return nil, nil, nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
-	for _, a := range analyzers {
-		if a.End == nil {
-			continue
-		}
-		name := a.Name
-		a.End(func(pos token.Position, format string, args ...any) {
-			collected = append(collected, Diagnostic{Analyzer: name, Pos: pos, Message: fmt.Sprintf(format, args...)})
-		})
-	}
 	var out []Diagnostic
 	for _, d := range collected {
 		if !suppressed(d, ignores) {

@@ -1,15 +1,14 @@
 package lint
 
 // interproc.go is the compositional interprocedural layer underneath the
-// ownership analyzers (ownercheck, alloccheck, chancheck). Where the
-// original tcqlint analyzers each walk one function body, this layer
-// builds a per-function Summary — which parameters a function releases,
-// stores beyond its own frame, or closes; whether it returns a freshly
-// owned value; every potential heap-allocation site in its body and in
-// the repo functions it transitively calls — and propagates summaries
-// bottom-up through the call graph to a fixed point (the RacerD-style
-// compositional recipe: analyze each function once, reuse the summary at
-// every call site).
+// ownership analyzers (ownercheck, alloccheck). Where the other tcqlint
+// analyzers each walk one function body, this layer builds a per-function
+// Summary — which parameters a function releases or stores beyond its
+// own frame; whether it returns a freshly owned value; every potential
+// heap-allocation site in its body and in the repo functions it
+// transitively calls — and propagates summaries bottom-up through the
+// call graph to a fixed point (the RacerD-style compositional recipe:
+// analyze each function once, reuse the summary at every call site).
 //
 // Cross-package propagation rides on `go list -deps` order: lint.Run
 // analyzes packages dependencies-first, so by the time a package is
@@ -91,7 +90,7 @@ func RefOf(f *types.Func) (FuncRef, bool) {
 	}
 	ref := FuncRef{Pkg: f.Pkg().Path(), Name: f.Name()}
 	if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
-		n := derefNamed(sig.Recv().Type())
+		n := DerefNamed(sig.Recv().Type())
 		if n == nil {
 			return FuncRef{}, false
 		}
@@ -100,8 +99,8 @@ func RefOf(f *types.Func) (FuncRef, bool) {
 	return ref, true
 }
 
-// derefNamed unwraps pointers and aliases down to a *types.Named, or nil.
-func derefNamed(t types.Type) *types.Named {
+// DerefNamed unwraps pointers and aliases down to a *types.Named, or nil.
+func DerefNamed(t types.Type) *types.Named {
 	for {
 		switch tt := t.(type) {
 		case *types.Pointer:
@@ -138,16 +137,9 @@ type Summary struct {
 	// a field, global, container, channel, closure, or return value —
 	// i.e. the callee may take ownership.
 	Stores uint64
-	// Closes marks channel-typed slots the function may close.
-	Closes uint64
 	// ReturnsOwned reports that the function may return a freshly owned
 	// value (a Tuple obtained from a pool producer).
 	ReturnsOwned bool
-	// ForeverLoop reports that the function body contains an infinite,
-	// channel-coupled for loop with no reachable exit (no return, no
-	// labeled break, no break addressing the loop) — the shape chancheck
-	// flags when spawned as a goroutine.
-	ForeverLoop bool
 	// Hotpath and Coldpath mirror the //tcq:hotpath and //tcq:coldpath
 	// declaration directives.
 	Hotpath  bool
@@ -246,7 +238,7 @@ func HasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // forward records "this function passes its own slot ownSlot as callee
-// slot calleeSlot" — the edge along which Releases/Stores/Closes bits
+// slot calleeSlot" — the edge along which Releases/Stores bits
 // propagate bottom-up.
 type forward struct {
 	callee              FuncRef
@@ -284,7 +276,7 @@ func (s *Summaries) AddPackage(pass *Pass) {
 
 	var decls []*declState
 	var pending []*pendingClosure
-	eachFunc(pass.Files, func(decl *ast.FuncDecl) {
+	EachFunc(pass.Files, func(decl *ast.FuncDecl) {
 		fobj, ok := pass.Info.Defs[decl.Name].(*types.Func)
 		if !ok {
 			return
@@ -331,10 +323,6 @@ func (s *Summaries) AddPackage(pass *Pass) {
 				}
 				if cal.Stores&(1<<uint(fw.calleeSlot)) != 0 && d.sum.Stores&bit == 0 {
 					d.sum.Stores |= bit
-					changed = true
-				}
-				if cal.Closes&(1<<uint(fw.calleeSlot)) != 0 && d.sum.Closes&bit == 0 {
-					d.sum.Closes |= bit
 					changed = true
 				}
 			}
@@ -454,7 +442,7 @@ func (s *Summaries) scanDecl(pass *Pass, d *declState) []*pendingClosure {
 				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
 					if s.Model.Produces != nil && s.Model.Produces(info, call) {
 						d.sum.ReturnsOwned = true
-					} else if f := callee(info, call); f != nil {
+					} else if f := Callee(info, call); f != nil {
 						if ref, ok := RefOf(f); ok && s.isInternal(pass, f) {
 							d.retCalls = append(d.retCalls, ref)
 						}
@@ -535,7 +523,6 @@ func (s *Summaries) scanDecl(pass *Pass, d *declState) []*pendingClosure {
 		}
 		return true
 	})
-	d.sum.ForeverLoop = hasForeverChannelLoop(body)
 	return pending
 }
 
@@ -548,7 +535,7 @@ func (s *Summaries) isInternal(pass *Pass, f *types.Func) bool {
 	return f.Pkg() == pass.Pkg || f.Pkg().Path() == pass.Pkg.Path() || s.Model.internal(f.Pkg().Path())
 }
 
-// scanCall handles one call expression: builtins (make/new/append/close),
+// scanCall handles one call expression: builtins (make/new/append),
 // direct kills, forwarding edges, external-call and boxing sites.
 func (s *Summaries) scanCall(pass *Pass, d *declState, call *ast.CallExpr,
 	parents map[ast.Node]ast.Node, slotIdx func(ast.Expr) int,
@@ -578,12 +565,6 @@ func (s *Summaries) scanCall(pass *Pass, d *declState, call *ast.CallExpr,
 				if len(call.Args) > 0 && isFuncLocalSlice(info, call.Args[0], d.decl) {
 					site(call, "append to function-local slice (grows from empty every call; reuse a field or parameter buffer)")
 				}
-			case "close":
-				if len(call.Args) == 1 {
-					if i := slotIdx(call.Args[0]); i >= 0 && i <= 63 {
-						d.sum.Closes |= 1 << uint(i)
-					}
-				}
 			case "panic":
 				// Panic arguments are off the hot path by construction.
 				return
@@ -595,7 +576,7 @@ func (s *Summaries) scanCall(pass *Pass, d *declState, call *ast.CallExpr,
 	// Direct kills (Pool.Put ...).
 	if s.Model.KillSlot != nil {
 		if slot, _, ok := s.Model.KillSlot(info, call); ok {
-			f := callee(info, call)
+			f := Callee(info, call)
 			slots := CallSlotExprs(info, call, f)
 			if slot < len(slots) {
 				if i := slotIdx(slots[slot]); i >= 0 && i <= 63 {
@@ -606,7 +587,7 @@ func (s *Summaries) scanCall(pass *Pass, d *declState, call *ast.CallExpr,
 		}
 	}
 
-	f := callee(info, call)
+	f := Callee(info, call)
 	if f == nil || f.Pkg() == nil {
 		return // dynamic call or universe method (error.Error): not followed
 	}
@@ -817,7 +798,7 @@ func (s *Summaries) classifyClosure(pass *Pass, d *declState, lit *ast.FuncLit,
 		site(lit, "closure captures variables and escapes")
 		return nil
 	}
-	f := callee(pass.Info, call)
+	f := Callee(pass.Info, call)
 	if f == nil {
 		site(lit, "closure passed to dynamic call")
 		return nil
@@ -842,9 +823,9 @@ func (s *Summaries) classifyClosure(pass *Pass, d *declState, lit *ast.FuncLit,
 	return nil
 }
 
-// eachFunc applies fn to every function declaration with a body across
+// EachFunc applies fn to every function declaration with a body across
 // the package's files.
-func eachFunc(files []*ast.File, fn func(decl *ast.FuncDecl)) {
+func EachFunc(files []*ast.File, fn func(decl *ast.FuncDecl)) {
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -854,10 +835,9 @@ func eachFunc(files []*ast.File, fn func(decl *ast.FuncDecl)) {
 	}
 }
 
-// callee resolves the *types.Func a call statically invokes, or nil for
-// dynamic calls. (Shared with the checks package, which keeps its own
-// copy for historical reasons.)
-func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+// Callee resolves the *types.Func a call statically invokes (function,
+// method, or method expression), or nil for dynamic calls.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		f, _ := info.Uses[fun].(*types.Func)
@@ -941,87 +921,4 @@ func onPanicPath(parents map[ast.Node]ast.Node, n ast.Node, body *ast.BlockStmt)
 		}
 	}
 	return false
-}
-
-// hasForeverChannelLoop reports whether the body (outside nested
-// function literals) contains an infinite for loop that touches
-// channels and has no reachable exit.
-func hasForeverChannelLoop(body *ast.BlockStmt) bool {
-	parents := BuildParents(body)
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || loop.Cond != nil {
-			return true
-		}
-		if ForeverChannelLoop(loop, parents) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// ForeverChannelLoop reports whether loop is an infinite for statement
-// that performs channel operations yet offers no exit: no return, no
-// goto, no labeled break, and no unlabeled break addressing the loop
-// itself. Spawned as a goroutine, such a loop outlives every shutdown.
-func ForeverChannelLoop(loop *ast.ForStmt, parents map[ast.Node]ast.Node) bool {
-	if loop.Cond != nil {
-		return false
-	}
-	channelCoupled := false
-	hasExit := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if hasExit {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt, *ast.SendStmt:
-			channelCoupled = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				channelCoupled = true
-			}
-		case *ast.RangeStmt:
-			// An inner `for range ch` drains to close; the outer loop
-			// still needs its own exit, so just note the coupling.
-			channelCoupled = true
-		case *ast.ReturnStmt:
-			hasExit = true
-		case *ast.BranchStmt:
-			switch n.Tok {
-			case token.GOTO:
-				hasExit = true
-			case token.BREAK:
-				if n.Label != nil {
-					hasExit = true
-				} else if innermostBreakable(parents, n, loop) == ast.Node(loop) {
-					hasExit = true
-				}
-			}
-		}
-		return true
-	})
-	return channelCoupled && !hasExit
-}
-
-// innermostBreakable finds the statement an unlabeled break addresses:
-// the nearest enclosing for, range, switch, or select at or below limit.
-func innermostBreakable(parents map[ast.Node]ast.Node, n ast.Node, limit ast.Node) ast.Node {
-	for p := parents[n]; p != nil; p = parents[p] {
-		switch p.(type) {
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			return p
-		}
-		if p == limit {
-			return limit
-		}
-	}
-	return nil
 }

@@ -4,8 +4,8 @@
 // but is built purely on the standard library (go/ast, go/types, go list)
 // so the tool works in hermetic builds with no module downloads. Analyzers
 // written against it enforce the engine's unwritten invariants: clock
-// discipline, tuple-pool lifetimes, lineage-bitmap hygiene, metric naming
-// and mutex acquisition order.
+// discipline, tuple-pool lifetimes, hot-path allocation and mutex
+// acquisition order.
 package lint
 
 import (
@@ -19,9 +19,7 @@ import (
 )
 
 // Analyzer is one named invariant check. Run is invoked once per analyzed
-// package; End (optional) is invoked once after every package has been
-// analyzed, for whole-program checks that accumulate state across packages
-// (e.g. duplicate metric registration).
+// package.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and ignore directives
 	// (e.g. "clockcheck").
@@ -30,9 +28,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings through pass.Reportf.
 	Run func(pass *Pass) error
-	// End, when non-nil, runs after all packages; report appends a
-	// diagnostic at a position the analyzer recorded during Run.
-	End func(report func(pos token.Position, format string, args ...any))
 }
 
 // Pass carries one type-checked package through an analyzer.

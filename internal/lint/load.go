@@ -242,15 +242,6 @@ func RunWithAudit(dir string, patterns []string, analyzers []*Analyzer) ([]Diagn
 			}
 		}
 	}
-	for _, a := range analyzers {
-		if a.End == nil {
-			continue
-		}
-		name := a.Name
-		a.End(func(pos token.Position, format string, args ...any) {
-			collected = append(collected, Diagnostic{Analyzer: name, Pos: pos, Message: fmt.Sprintf(format, args...)})
-		})
-	}
 
 	// A file compiled into both a base package and its test variant is
 	// analyzed twice; dedup identical findings, then apply ignores.

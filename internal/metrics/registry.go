@@ -43,6 +43,8 @@ type funcMetric struct {
 // Registry is a concurrent-safe named metric collection. Metric names
 // follow the Prometheus convention `family{label="value",...}`; series
 // sharing a family are grouped under one TYPE declaration on export.
+// Creating a series whose family does not match tcq(_[a-z0-9]+)+ panics,
+// as does a RegisterFunc of a name that is still registered.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -74,6 +76,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
+	checkFamily(name)
 	c = &Counter{}
 	r.counters[name] = c
 	return c
@@ -92,6 +95,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
+	checkFamily(name)
 	g = &Gauge{}
 	r.gauges[name] = g
 	return g
@@ -111,6 +115,7 @@ func (r *Registry) Histogram(name string, capSamples int) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
+	checkFamily(name)
 	var seed int64 = 1
 	for _, b := range name {
 		seed = seed*131 + int64(b)
@@ -120,12 +125,31 @@ func (r *Registry) Histogram(name string, capSamples int) *Histogram {
 	return h
 }
 
-// RegisterFunc installs a computed metric evaluated at scrape time. An
-// existing metric of the same name is replaced.
+// RegisterFunc installs a computed metric evaluated at scrape time. It
+// panics if a computed metric of the same name is still registered: two
+// owners of one series would silently replace each other.
 func (r *Registry) RegisterFunc(name string, kind Kind, fn func() float64) {
+	checkFamily(name)
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.funcs[name]; dup {
+		panic("metrics: RegisterFunc of registered series " + strconv.Quote(name))
+	}
 	r.funcs[name] = funcMetric{kind: kind, fn: fn}
-	r.mu.Unlock()
+}
+
+// checkFamily panics unless name's family (the part before '{') matches
+// tcq(_[a-z0-9]+)+. A byte loop, since setup registers thousands of series.
+func checkFamily(name string) {
+	fam, _, _ := strings.Cut(name, "{")
+	ok := len(fam) > 4 && fam[:4] == "tcq_"
+	for i := 4; ok && i < len(fam); i++ {
+		c := fam[i]
+		ok = c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' && fam[i-1] != '_' && i < len(fam)-1
+	}
+	if !ok {
+		panic("metrics: family of " + strconv.Quote(name) + " does not match tcq(_[a-z0-9]+)+")
+	}
 }
 
 // Unregister removes the named metric of any kind.

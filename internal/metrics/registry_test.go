@@ -84,6 +84,51 @@ func TestRegistryFuncMetricsAndUnregister(t *testing.T) {
 	}
 }
 
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+func TestRegistryRejectsBadFamilies(t *testing.T) {
+	r := NewRegistry()
+	fn := func() float64 { return 0 }
+	for _, name := range []string{
+		"tcq", "tcq_", "eddy_visits", "tcq_Eddy", "tcq__x", "tcq_x_",
+		"tcq-x", `tcq_x-y{stream="S"}`, `{stream="S"}`,
+	} {
+		mustPanic(t, "Counter("+name+")", func() { r.Counter(name) })
+		mustPanic(t, "Gauge("+name+")", func() { r.Gauge(name) })
+		mustPanic(t, "Histogram("+name+")", func() { r.Histogram(name, 8) })
+		mustPanic(t, "RegisterFunc("+name+")", func() { r.RegisterFunc(name, KindGauge, fn) })
+	}
+	if n := len(r.Snapshot()); n != 0 {
+		t.Errorf("refused names left %d series behind", n)
+	}
+	// Labels are not the family: anything goes inside the braces.
+	r.Counter(`tcq_x_2{stream="S-1",op="GF(S.v)"}`)
+}
+
+func TestRegisterFuncRejectsLiveDuplicate(t *testing.T) {
+	r := NewRegistry()
+	const name = `tcq_eddy_visits_total{stream="S"}`
+	r.RegisterFunc(name, KindCounter, func() float64 { return 1 })
+	mustPanic(t, "second RegisterFunc", func() {
+		r.RegisterFunc(name, KindCounter, func() float64 { return 2 })
+	})
+	// A retired class's series may be registered again by its successor.
+	r.Unregister(name)
+	r.RegisterFunc(name, KindCounter, func() float64 { return 3 })
+	if snap := r.Snapshot(); len(snap) != 1 || snap[0].Value != 3 {
+		t.Errorf("after retire and re-register: %+v", snap)
+	}
+}
+
 func TestPrometheusEncoding(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`tcq_eddy_visits_total{query="1"}`).Add(5)

@@ -1,0 +1,9 @@
+package tuple_test
+
+import (
+	"testing"
+
+	"telegraphcq/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -82,7 +82,7 @@ func (p *Pool) Get(width int) *Tuple {
 		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestJoinSteadyStateAllocs bounds the sum
 		t.Vals = make([]Value, width, c)
 	}
-	t.TS, t.Seq, t.Source, t.Ready, t.Done, t.Queries = 0, 0, 0, 0, 0, nil
+	t.TS, t.Seq, t.Source, t.Done, t.Queries = 0, 0, 0, 0, nil
 	return t
 }
 
@@ -135,8 +135,7 @@ func (t *Tuple) CloneUsing(pool *Pool) *Tuple {
 	}
 	out := pool.Get(len(t.Vals))
 	copy(out.Vals, t.Vals)
-	out.TS, out.Seq, out.Source = t.TS, t.Seq, t.Source
-	out.Ready, out.Done = t.Ready, t.Done
+	out.TS, out.Seq, out.Source, out.Done = t.TS, t.Seq, t.Source, t.Done
 	if t.Queries != nil {
 		out.Queries = t.Queries.Clone()
 	}

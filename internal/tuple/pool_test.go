@@ -60,11 +60,11 @@ func TestPoolRejectsOversized(t *testing.T) {
 func TestCloneUsingMatchesClone(t *testing.T) {
 	p := NewPool()
 	src := New(Int(1), String_("a"), Float(2.5))
-	src.TS, src.Seq, src.Source, src.Ready, src.Done = 10, 11, 2, 4, 8
+	src.TS, src.Seq, src.Source, src.Done = 10, 11, 2, 8
 	src.Queries = NewBitset(3)
 	src.Queries.Set(2)
 	for _, c := range []*Tuple{src.Clone(), src.CloneUsing(p), src.CloneUsing(nil)} {
-		if c.TS != 10 || c.Seq != 11 || c.Source != 2 || c.Ready != 4 || c.Done != 8 {
+		if c.TS != 10 || c.Seq != 11 || c.Source != 2 || c.Done != 8 {
 			t.Errorf("clone header = %+v", c)
 		}
 		for i := range src.Vals {

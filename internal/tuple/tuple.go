@@ -22,10 +22,10 @@ func (s SourceSet) Overlaps(t SourceSet) bool { return s&t != 0 }
 // Union returns the combined source set.
 func (s SourceSet) Union(t SourceSet) SourceSet { return s | t }
 
-// Tuple is the unit of dataflow. A Tuple owns its Vals slice. The lineage
-// fields (Ready, Done, Queries) are the per-tuple state the paper describes
-// in §2.2: "the state must indicate the set of connected modules
-// successfully visited by the tuple".
+// Tuple is the unit of dataflow. A Tuple owns its Vals slice. Done and
+// Queries are the per-tuple state the paper describes in §2.2: "the state
+// must indicate the set of connected modules successfully visited by the
+// tuple".
 type Tuple struct {
 	// Vals holds the column values, positionally matching the Schema the
 	// tuple flows under.
@@ -42,19 +42,13 @@ type Tuple struct {
 	// Source records which base streams this tuple spans.
 	Source SourceSet
 
-	// Ready and Done are per-eddy operator bitmaps: Ready has a bit per
-	// module the tuple is eligible to visit, Done has a bit per module that
-	// has handled the tuple, so Done is always a subset of Ready. A tuple
-	// whose Done covers all required modules is emitted. Capped at 64
-	// modules per eddy, which matches the paper's observation that each
-	// eddy provides a bounded scope of adaptivity.
-	//
-	// Outside this package the bitmaps are written only through the
-	// lineage accessors (MarkDone, SetLineage, CopyLineage, ClearLineage),
-	// which maintain the subset invariant; tcqlint's lineagecheck enforces
-	// this.
-	Ready uint64
-	Done  uint64
+	// Done has a bit per eddy module that has handled the tuple. The
+	// paper's ready bitmap is not stored: an eddy derives a batch's
+	// eligible modules from its module masks and Done. A tuple whose Done
+	// covers all required modules is emitted. Capped at 64 modules per
+	// eddy, which matches the paper's observation that each eddy provides
+	// a bounded scope of adaptivity.
+	Done uint64
 
 	// Queries is the CACQ completion bitmap: bit q set means the tuple can
 	// still contribute to query q's output. It is routing state: nil outside
@@ -65,32 +59,12 @@ type Tuple struct {
 // New allocates a tuple with the given values.
 func New(vals ...Value) *Tuple { return &Tuple{Vals: vals} }
 
-// MarkDone records that the modules in bits have handled the tuple. The
-// bits are added to Ready as well, so done ⊆ ready holds even for modules
-// the routing policy discovered late (join outputs inherit work their
-// constituents did under a different eligibility mask).
-func (t *Tuple) MarkDone(bits uint64) {
-	t.Ready |= bits
-	t.Done |= bits
-}
+// MarkDone records that the modules in bits have handled the tuple.
+func (t *Tuple) MarkDone(bits uint64) { t.Done |= bits }
 
-// SetLineage replaces both bitmaps. Done bits outside ready are dropped:
-// a module cannot have handled a tuple it was never eligible for.
-func (t *Tuple) SetLineage(ready, done uint64) {
-	t.Ready = ready
-	t.Done = done & ready
-}
-
-// CopyLineage adopts src's bitmaps, normalizing them through SetLineage.
-func (t *Tuple) CopyLineage(src *Tuple) {
-	t.SetLineage(src.Ready, src.Done)
-}
-
-// ClearLineage resets both bitmaps, returning the tuple to the
-// never-routed state (used when recycled memory re-enters an eddy).
-func (t *Tuple) ClearLineage() {
-	t.Ready, t.Done = 0, 0
-}
+// ClearLineage resets Done, returning the tuple to the never-routed state
+// (used when recycled memory re-enters an eddy).
+func (t *Tuple) ClearLineage() { t.Done = 0 }
 
 // Clone deep-copies the tuple, including lineage.
 func (t *Tuple) Clone() *Tuple {
@@ -98,7 +72,6 @@ func (t *Tuple) Clone() *Tuple {
 		TS:     t.TS,
 		Seq:    t.Seq,
 		Source: t.Source,
-		Ready:  t.Ready,
 		Done:   t.Done,
 	}
 	out.Vals = make([]Value, len(t.Vals))

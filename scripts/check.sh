@@ -54,10 +54,10 @@ stage_lint() {
     echo "==> go vet ./..."
     go vet ./...
 
-    # The -ignores audit runs the full seven-analyzer suite (clock, owner,
-    # alloc, chan, lineage, metrics, lock order), prints any live
-    # findings, and additionally fails on stale //lint:ignore directives —
-    # suppressions whose excused code has since been fixed or deleted.
+    # The -ignores audit runs the full suite (clock, owner, alloc, lock
+    # order; tcqlint -list), prints any live findings, and additionally
+    # fails on stale //lint:ignore directives — suppressions whose excused
+    # code has since been fixed or deleted.
     # The ledger lands in reports/ so CI can attach it on failure.
     echo "==> tcqlint -ignores ./... (engine invariants + suppression audit)"
     mkdir -p reports
@@ -69,7 +69,7 @@ stage_lint() {
     fi
 
     # Code no binary, no Open caller and no benchmark run can reach has to
-    # justify itself (ROADMAP item 6). The packages below are the ones that
+    # justify itself (ROADMAP item 9). The packages below are the ones that
     # do so today: leakcheck is test-only by design; cluster, flux and psoup
     # are reached only from tests, examples and root bench_test.go and await
     # that item's decision. Anything else falling off fails here.

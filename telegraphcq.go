@@ -286,13 +286,26 @@ func (db *DB) Register(sqlText string) (*Query, error) {
 
 // Subscribe returns a channel streaming results as they are produced
 // (push egress). Slow consumers drop rows rather than stall the engine.
+// The channel closes when the query ends: a finite query completes, or
+// the query is deregistered, or the DB closes. Rows that do not fit the
+// channel's buffer once the query has ended are dropped.
 func (q *Query) Subscribe(buffer int) <-chan Row {
 	_, ch := q.inner.Subscribe(buffer)
 	out := make(chan Row, buffer)
+	ended := q.inner.Finished()
 	go func() {
 		defer close(out)
 		for t := range ch {
-			out <- toRow(t)
+			select {
+			case out <- toRow(t):
+				continue
+			default:
+			}
+			select {
+			case out <- toRow(t):
+			case <-ended:
+				return
+			}
 		}
 	}()
 	return out

@@ -38,6 +38,40 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestSubscribeEndsWithQuery ranges over Subscribe's channel as a client
+// would: the range ends once the query is deregistered, and a subscriber
+// that stopped reading does not keep its forwarder alive (leakcheck).
+func TestSubscribeEndsWithQuery(t *testing.T) {
+	db := openDB(t)
+	db.MustCreateStream("s", "x INT", "")
+	q, err := db.Register(`SELECT x FROM s WHERE x > 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, stalled := q.Subscribe(4), q.Subscribe(1)
+	for i := 1; i <= 3; i++ {
+		if err := db.Feed("s", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		for range rows {
+		}
+		for range stalled {
+		}
+	}()
+	if err := q.Deregister(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ended:
+	case <-chaos.Real().After(5 * time.Second):
+		t.Fatal("range over Subscribe did not end after Deregister")
+	}
+}
+
 func TestCursorFetch(t *testing.T) {
 	db := openDB(t)
 	db.MustCreateStream("s", "x INT", "")
