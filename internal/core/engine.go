@@ -124,10 +124,11 @@ type streamState struct {
 	// subs is keyed by subscription id: one query may subscribe to the
 	// same stream at several FROM positions (self-joins, paper Ex. 4).
 	subs map[int]*fjord.Conn
-	// history retains all tuples in memory when spooling is off, so
-	// late-registered queries can still see old data (PSoup semantics).
-	history []*tuple.Tuple
-	histCap int
+	// hist retains every tuple's values in memory when spooling is off
+	// (nil with a store), up to its row cap, so late-registered queries can
+	// still see old data (PSoup semantics). It is an encoded log: it keeps
+	// no fed tuple.
+	hist *storage.Log
 	// fed counts tuples delivered into this stream (ingress feed rate).
 	fed *metrics.Counter
 }
@@ -300,21 +301,34 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema) error {
 
 func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
 	st := &streamState{
-		entry:   entry,
-		subs:    make(map[int]*fjord.Conn),
-		histCap: 1 << 20,
+		entry: entry,
+		subs:  make(map[int]*fjord.Conn),
 	}
-	if system {
-		st.histCap = 1 << 13
-	}
+	lbl := fmt.Sprintf(`{stream=%q}`, entry.Name)
 	if e.opts.SpoolDir != "" && !system {
 		store, err := storage.NewSegmentStore(e.opts.SpoolDir, entry.Name, e.opts.SegmentSize, e.pool)
 		if err != nil {
 			return err
 		}
 		st.store = store
+	} else {
+		histCap := 1 << 20
+		if system {
+			histCap = 1 << 13
+		}
+		st.hist = storage.NewLog(histCap)
+		// What the history holds, read from the log at scrape time.
+		e.reg.RegisterFunc("tcq_stream_history_rows"+lbl, metrics.KindGauge, func() float64 {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return float64(st.hist.Len())
+		})
+		e.reg.RegisterFunc("tcq_stream_history_bytes"+lbl, metrics.KindGauge, func() float64 {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			return float64(st.hist.Bytes())
+		})
 	}
-	lbl := fmt.Sprintf(`{stream=%q}`, entry.Name)
 	st.fed = e.reg.Counter("tcq_ingress_tuples_total" + lbl)
 	// Queue depth and shed counts aggregate across every subscriber of the
 	// stream; computed at scrape time so Feed pays nothing for them.
@@ -358,9 +372,11 @@ func (e *Engine) streamLocked(name string) (*streamState, error) {
 	return st, nil
 }
 
-// Feed delivers one tuple into a stream: it is stamped, recorded in the
-// stream's history (spool or memory), and fanned out to every standing
-// query's input queue.
+// Feed delivers one tuple into a stream: it is stamped, its values are
+// recorded in the stream's history (spool or memory), and a copy of it is
+// fanned out to every standing query's input queue. The engine keeps no
+// reference to t: the caller may reuse it, or return it to TuplePool, once
+// Feed returns.
 func (e *Engine) Feed(stream string, t *tuple.Tuple) error {
 	one := [1]*tuple.Tuple{t}
 	_, err := e.FeedMany(stream, one[:])
@@ -371,7 +387,8 @@ func (e *Engine) Feed(stream string, t *tuple.Tuple) error {
 // history lock acquisition and fanned out to each subscriber queue in one
 // batched push, preserving order. It returns how many tuples it fed: all of
 // them, or, with an error, fewer. When spooling tuple k fails, tuples
-// 0…k−1 are fed like any others and k comes back with the error.
+// 0…k−1 are fed like any others and k comes back with the error. Like
+// Feed, it keeps none of ts: the caller may reuse them once it returns.
 func (e *Engine) FeedMany(stream string, ts []*tuple.Tuple) (int, error) {
 	return e.feedMany(stream, ts, e.opts.Shed)
 }
@@ -402,8 +419,8 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 				ts = ts[:i] // the spooled prefix is fed all the same
 				break
 			}
-		} else if len(st.history) < st.histCap {
-			st.history = append(st.history, t)
+		} else {
+			st.hist.Append(t) // false past the row cap: history stops growing
 		}
 	}
 	// Snapshot the subscribers into a stack array: a make sized by the map
@@ -522,21 +539,23 @@ func (e *Engine) AttachSource(stream string, src ingress.Source) (wait func() er
 	return func() error { return <-errc }, nil
 }
 
-// history returns the retained tuples of a stream in [left, right].
+// historyRange returns the retained tuples of a stream in [left, right],
+// decoded into fresh copies. The in-memory log is snapshotted under st.mu
+// and decoded outside it, so a long history does not stall feeders.
 func (st *streamState) historyRange(left, right int64) ([]*tuple.Tuple, error) {
 	if st.store != nil {
 		return st.store.ScanRange(left, right)
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	var out []*tuple.Tuple
-	for _, t := range st.history {
-		if t.TS >= left && t.TS <= right {
-			out = append(out, t)
-		}
-	}
-	return out, nil
+	v := st.hist.View()
+	st.mu.Unlock()
+	return v.Scan(left, right)
 }
+
+// TuplePool returns the engine's tuple recycler. A caller that feeds a
+// tuple drawn from it may Put it back once Feed returns: the engine keeps
+// none of a fed tuple.
+func (e *Engine) TuplePool() *tuple.Pool { return e.recycler }
 
 // Stop shuts the engine down.
 func (e *Engine) Stop() {

@@ -1,0 +1,174 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"telegraphcq/internal/tuple"
+)
+
+// Pins for a stream's in-memory history being an encoded log: the engine
+// keeps values, never a fed tuple, and every value comes back exactly.
+
+// sameValue reports whether two values are identical, floats bit for bit
+// (−0.0 is not 0.0, NaN is itself).
+func sameValue(a, b tuple.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// snapshotRows registers a one-instance snapshot over [1, right] of stream
+// and returns its rows, all of them preloaded from history.
+func snapshotRows(t *testing.T, e *Engine, stream string, right int) []*tuple.Tuple {
+	t.Helper()
+	q, err := e.Register(fmt.Sprintf(`SELECT * FROM %s
+		for (; t == 0; t = -1) { WindowIs(%s, 1, %d); }`, stream, stream, right))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Wait()
+	rows, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestFeedRetainsNoRow: Feed keeps no reference to the caller's tuple, so
+// overwriting a fed row and feeding it again leaves the history with both
+// rows as they were fed (a history holding the pointer would show the
+// later query the second row twice).
+func TestFeedRetainsNoRow(t *testing.T) {
+	e := NewEngine(Options{EOs: 1})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b")
+	row := tuple.New(tuple.Int(10), tuple.Int(11))
+	if err := e.Feed("s", row); err != nil {
+		t.Fatal(err)
+	}
+	row.Vals[0], row.Vals[1] = tuple.Int(20), tuple.Int(21)
+	if err := e.Feed("s", row); err != nil {
+		t.Fatal(err)
+	}
+	rows := snapshotRows(t, e, "s", 2)
+	want := [][2]int64{{10, 11}, {20, 21}}
+	if len(rows) != len(want) {
+		t.Fatalf("history holds %d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		if r.Vals[0].I != want[i][0] || r.Vals[1].I != want[i][1] {
+			t.Errorf("row %d = %v, want %v", i, r.Vals, want[i])
+		}
+	}
+}
+
+// historyKinds are rows covering every value kind and its edge cases:
+// NULL in each column that allows it, −0.0 and ±Inf, the empty and a
+// multi-byte string, both booleans, and times at both signs.
+func historyKinds() [][]tuple.Value {
+	return [][]tuple.Value{
+		{tuple.Int(1), tuple.Null, tuple.Float(math.Copysign(0, -1)), tuple.String_(""), tuple.Bool(true), tuple.Time(-5)},
+		{tuple.Int(2), tuple.Int(math.MinInt64), tuple.Float(math.Inf(1)), tuple.String_("héllo, 世界"), tuple.Bool(false), tuple.Null},
+		{tuple.Int(3), tuple.Int(math.MaxInt64), tuple.Float(math.Inf(-1)), tuple.Null, tuple.Null, tuple.Time(1 << 40)},
+		{tuple.Int(4), tuple.Int(0), tuple.Float(3.25), tuple.String_("x"), tuple.Bool(true), tuple.Time(0)},
+	}
+}
+
+func historySchema(name string, k tuple.Kind) *tuple.Schema {
+	return tuple.NewSchema(name,
+		tuple.Column{Name: "k", Kind: k}, tuple.Column{Name: "i", Kind: tuple.KindInt},
+		tuple.Column{Name: "f", Kind: tuple.KindFloat}, tuple.Column{Name: "s", Kind: tuple.KindString},
+		tuple.Column{Name: "b", Kind: tuple.KindBool}, tuple.Column{Name: "tm", Kind: tuple.KindTime})
+}
+
+// TestHistoryRoundTripsEveryKind: values read back from history — by a
+// windowed query's preload and by a stream-table join's table replay —
+// are the values fed, kind and bits.
+func TestHistoryRoundTripsEveryKind(t *testing.T) {
+	in := historyKinds()
+	for _, tc := range []struct {
+		name string
+		rows func(t *testing.T, e *Engine) []*tuple.Tuple
+	}{
+		{"window preload", func(t *testing.T, e *Engine) []*tuple.Tuple {
+			if err := e.CreateStream("h", historySchema("h", tuple.KindTime), 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, vals := range in {
+				vals = append([]tuple.Value{tuple.Time(vals[0].I)}, vals[1:]...)
+				if err := e.Feed("h", tuple.New(vals...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return snapshotRows(t, e, "h", len(in))
+		}},
+		{"table replay", func(t *testing.T, e *Engine) []*tuple.Tuple {
+			if err := e.CreateTable("tb", historySchema("tb", tuple.KindInt)); err != nil {
+				t.Fatal(err)
+			}
+			for _, vals := range in {
+				if err := e.Feed("tb", tuple.New(vals...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			intStream(t, e, "p", "k")
+			q, err := e.Register(`SELECT tb.k, tb.i, tb.f, tb.s, tb.b, tb.tm FROM p, tb WHERE p.k = tb.k`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range in {
+				if err := e.Feed("p", tuple.New(tuple.Int(int64(k+1)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitResults(t, q, int64(len(in)))
+			rows, err := q.Fetch(q.Cursor())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(Options{EOs: 1})
+			defer e.Stop()
+			rows := tc.rows(t, e)
+			if len(rows) != len(in) {
+				t.Fatalf("%d rows, want %d", len(rows), len(in))
+			}
+			for _, r := range rows {
+				want := in[r.Vals[0].I-1]
+				for j := 1; j < len(want); j++ {
+					if !sameValue(r.Vals[j], want[j]) {
+						t.Errorf("row k=%d column %d = %#v, want %#v", r.Vals[0].I, j, r.Vals[j], want[j])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHistoryGauges: tcq_stream_history_rows and _bytes report what the log
+// holds — every row of a three-INT stream, in under 32 bytes a row of
+// chunk capacity.
+func TestHistoryGauges(t *testing.T) {
+	const n = 100000
+	e := NewEngine(Options{EOs: 1})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b", "c")
+	row := tuple.New(tuple.Int(0), tuple.Int(0), tuple.Int(0))
+	for i := 0; i < n; i++ {
+		row.Vals[0], row.Vals[1], row.Vals[2] = tuple.Int(int64(i)), tuple.Int(int64(i%1000)), tuple.Int(-int64(i))
+		if err := e.Feed("s", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rows := metricValue(t, e, `tcq_stream_history_rows{stream="s"}`); rows != n {
+		t.Errorf("tcq_stream_history_rows = %v, want %d", rows, n)
+	}
+	bytes := metricValue(t, e, `tcq_stream_history_bytes{stream="s"}`)
+	t.Logf("%.1f bytes of history per row", bytes/n)
+	if bytes/n >= 32 {
+		t.Errorf("tcq_stream_history_bytes = %v: %.1f bytes a row, want under 32", bytes, bytes/n)
+	}
+}

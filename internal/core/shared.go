@@ -319,8 +319,7 @@ func (e *Engine) planOrders(ed *eddy.Eddy, reuse int, owner string) {
 // semantics, are consumed from registration onward. Only a class keyed by
 // its one query has tables, so each registration replays its own. A row
 // that landed between the class's subscription and this snapshot is queued
-// too; preSeq drops that copy. Table rows stay in stream history, so the
-// engine widens copies of them.
+// too; preSeq drops that copy.
 func (e *Engine) replayTables(sc *sharedClass, plan *sql.Plan) error {
 	for pos, entry := range plan.Entries {
 		if entry.Kind != catalog.Table {
@@ -442,11 +441,10 @@ func (sc *sharedClass) registerModules() {
 // the end of the step (so trickle traffic is not held back by batch
 // boundaries); an arranged engine additionally seals one arrangement epoch
 // per progressed step, releasing retired state for reclamation. The
-// subscriber clones are the class's own — history retains the original,
-// not the clone — so it hands them to the engine: the sequential engine
-// routes a selection class's clone as the wide row itself, lineage in a
-// reused bitmap, and returns the row to the pool when no member kept it. A
-// retired class's DU retires.
+// subscriber clones are the class's own, so it hands them to the engine:
+// the sequential engine routes a selection class's clone as the wide row
+// itself, lineage in a reused bitmap, and returns the row to the pool when
+// no member kept it. A retired class's DU retires.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

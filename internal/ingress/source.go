@@ -179,35 +179,42 @@ const slabTuples = 64
 
 // Slab parses CSV lines into tuples carved from shared blocks — one of
 // slabTuples tuples, one of their values — so a run of lines costs two
-// allocations per slabTuples lines rather than two per line. Its tuples
-// belong to whoever keeps them (stream history, a spool) like ParseCSV's,
-// except that none may be handed to a tuple.Pool: a block is freed only
-// once every tuple carved from it is unreachable, so a recycled one would
-// be reused in place while its neighbours live on.
+// allocations per slabTuples lines rather than two per line, and none once
+// Reset rewinds the blocks for the next run. Its tuples are the slab's:
+// they stay valid until the next Reset, which the caller makes once no one
+// holds any of them (the engine keeps no fed tuple, so once FeedMany
+// returns). None may be handed to a tuple.Pool: the slab reuses its blocks
+// in place, and a block is freed only once every tuple carved from it is
+// unreachable.
 type Slab struct {
 	tuples []tuple.Tuple
 	vals   []tuple.Value
+	nt, nv int // tuples and values carved from the current blocks
 }
 
 // ParseCSV is the package-level ParseCSV, drawing the tuple and its values
 // from the slab's blocks. A line that fails to parse takes no room.
 func (s *Slab) ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error) {
 	n := schema.Arity()
-	if len(s.vals) < n {
-		s.vals = make([]tuple.Value, slabTuples*n)
+	if len(s.vals)-s.nv < n {
+		s.vals, s.nv = make([]tuple.Value, slabTuples*n), 0
 	}
-	vals := s.vals[:n:n] // capped: an append to one tuple's Vals never reaches the next
+	vals := s.vals[s.nv : s.nv+n : s.nv+n] // capped: an append to one tuple's Vals never reaches the next
 	if err := parseFields(schema, line, vals); err != nil {
 		return nil, err
 	}
-	if len(s.tuples) == 0 {
-		s.tuples = make([]tuple.Tuple, slabTuples)
+	if s.nt == len(s.tuples) {
+		s.tuples, s.nt = make([]tuple.Tuple, slabTuples), 0
 	}
-	t := &s.tuples[0]
-	t.Vals = vals
-	s.tuples, s.vals = s.tuples[1:], s.vals[n:]
+	t := &s.tuples[s.nt]
+	*t = tuple.Tuple{Vals: vals}
+	s.nt, s.nv = s.nt+1, s.nv+n
 	return t, nil
 }
+
+// Reset rewinds the slab to the start of its current blocks: the next
+// lines overwrite the tuples carved before it, which must all be dead.
+func (s *Slab) Reset() { s.nt, s.nv = 0, 0 }
 
 // parseFields parses line's comma-separated fields into vals, one per
 // column of schema, walking the commas in place: no slice of fields, and a

@@ -484,8 +484,11 @@ func (fe *frontEnd) feedRun() {
 		fe.send("ERR " + err.Error())
 		ts = ts[n+1:]
 	}
-	clear(fe.run.ts) // the tuples are the stream's now
+	// FeedMany kept none of the tuples: the next run reuses the slab's
+	// blocks, and the cleared run pins none it leaves behind.
+	clear(fe.run.ts)
 	fe.run.ts = fe.run.ts[:0]
+	fe.slab.Reset()
 }
 
 // handleExplain serves two forms. Given SQL text it binds the query

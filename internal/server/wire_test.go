@@ -234,9 +234,10 @@ func (c *scriptConn) Write(b []byte) (int, error) { return len(b), nil }
 func (c *scriptConn) Close() error                { return nil }
 
 // TestPipelinedFeedBurstAllocs: a pipelined burst of FEED lines into a
-// stream no query reads costs the line's string and its share of the
-// parse slabs, about one allocation per line (the parent paid ~4: the
-// string, strings.Split's slice, the values and the tuple).
+// stream no query reads costs the line's string, about one allocation per
+// line: the parse slab rewinds after every run and history grows by whole
+// chunks (before runs and slabs it was ~4: the string, strings.Split's
+// slice, the values and the tuple).
 func TestPipelinedFeedBurstAllocs(t *testing.T) {
 	e := core.NewEngine(core.Options{EOs: 1})
 	t.Cleanup(e.Stop)
@@ -309,6 +310,49 @@ func TestSpoolErrorEndsRunInPlace(t *testing.T) {
 	}
 	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != 7 {
 		t.Errorf("tcq_ingress_tuples_total = %d, want 7", fed)
+	}
+}
+
+// TestSpooledRunsKeepTheirValues: FEED runs pipelined into a spooled stream
+// whose open segment outlasts several runs come back from the spool as fed.
+// The front door rewinds its parse slab after every run, so a spool that
+// kept the run's tuples instead of their values would read back later
+// runs' rows in their place.
+func TestSpooledRunsKeepTheirValues(t *testing.T) {
+	const n = 300 // runs of at most BatchSize 64 lines, one 1,000-row segment
+	e := core.NewEngine(core.Options{EOs: 1, SpoolDir: t.TempDir(), SegmentSize: 1000})
+	t.Cleanup(e.Stop)
+	schema := tuple.NewSchema("s", tuple.Column{Name: "ts", Kind: tuple.KindTime},
+		tuple.Column{Name: "v", Kind: tuple.KindInt}, tuple.Column{Name: "name", Kind: tuple.KindString})
+	if err := e.CreateStream("s", schema, 0); err != nil {
+		t.Fatal(err)
+	}
+	cli, r, _ := pipeFrontEnd(t, e)
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "FEED s %d,%d,row%d\n", i, i*7, i)
+	}
+	pipeline(t, cli, b.String()+"PING\n")
+	if replies, _ := readReplies(t, r, n+1); replies[n-1] != "OK fed" || replies[n] != "OK pong" {
+		t.Fatalf("last replies %q, want OK fed, OK pong", replies[n-1:])
+	}
+	q, err := e.Register(fmt.Sprintf(`SELECT * FROM s for (; t == 0; t = -1) { WindowIs(s, 1, %d); }`, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Wait()
+	rows, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != n {
+		t.Fatalf("%d rows from the spool, want %d", len(rows), n)
+	}
+	for i, row := range rows {
+		ts := int64(i + 1)
+		if row.Vals[0].I != ts || row.Vals[1].I != 7*ts || row.Vals[2].S != fmt.Sprintf("row%d", ts) {
+			t.Fatalf("row %d = %v, want [@%d %d row%d]", i, row.Vals, ts, 7*ts, ts)
+		}
 	}
 }
 

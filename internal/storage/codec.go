@@ -3,7 +3,9 @@
 // (sequential writes, the write pattern the paper says the file system
 // should exploit), and historical windows are read back through a bounded
 // buffer pool with replacement, giving broadcast-disk-style re-read
-// behaviour for windowed queries over data that spans memory and disk.
+// behaviour for windowed queries over data that spans memory and disk. A
+// stream that is not spooled keeps its history in a Log: the same encoding,
+// held in memory.
 package storage
 
 import (

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +250,58 @@ func TestStoreStockWorkloadRoundTrip(t *testing.T) {
 				t.Fatalf("seq %d val %d: %v != %v", tp.Seq, j, tp.Vals[j], want.Vals[j])
 			}
 		}
+	}
+}
+
+// TestLogChunksViewsAndCap: a Log reads back every row as appended across
+// chunk boundaries, a row larger than a whole chunk included; a view taken
+// mid-way sees exactly the rows before it while appends go on; and the log
+// stops at its row cap.
+func TestLogChunksViewsAndCap(t *testing.T) {
+	const rows = 5000
+	l := NewLog(rows)
+	row := func(i int) *tuple.Tuple {
+		s := "v"
+		if i == 1234 {
+			s = strings.Repeat("x", 2*maxChunk)
+		}
+		r := tuple.New(tuple.Int(int64(i)), tuple.String_(s))
+		r.Seq, r.TS = int64(i), int64(i)
+		return r
+	}
+	var mid LogView
+	for i := 0; i < rows; i++ {
+		if !l.Append(row(i)) {
+			t.Fatalf("append %d refused below the cap", i)
+		}
+		if i == rows/2-1 {
+			mid = l.View()
+		}
+	}
+	if l.Append(row(rows)) || l.Len() != rows {
+		t.Fatalf("log took a row past its cap: %d rows", l.Len())
+	}
+	if len(l.chunks) < 3 || l.Bytes() < 2*maxChunk {
+		t.Fatalf("%d chunks, %d bytes: want the big row to start its own", len(l.chunks), l.Bytes())
+	}
+	for _, tc := range []struct {
+		v    LogView
+		want int
+	}{{mid, rows / 2}, {l.View(), rows}} {
+		got, err := tc.v.Scan(-1<<62, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != tc.want {
+			t.Fatalf("view holds %d rows, want %d", len(got), tc.want)
+		}
+		for i, r := range got {
+			if want := row(i); r.Seq != want.Seq || r.TS != want.TS || r.Vals[1].S != want.Vals[1].S {
+				t.Fatalf("row %d = seq %d ts %d, want %d", i, r.Seq, r.TS, i)
+			}
+		}
+	}
+	if got, _ := l.View().Scan(10, 19); len(got) != 10 || got[0].TS != 10 {
+		t.Errorf("Scan(10, 19) = %d rows", len(got))
 	}
 }

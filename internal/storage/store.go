@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,8 +11,9 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// segMeta describes one on-disk segment: a contiguous, time-ordered run of
-// tuples flushed together. Segments are immutable once written.
+// segMeta describes one on-disk segment: a contiguous run of tuples flushed
+// together, in arrival order, whose TS lie in [minT, maxT]. Segments are
+// immutable once written.
 type segMeta struct {
 	id     int64
 	minT   int64
@@ -30,9 +32,12 @@ type SegmentStore struct {
 	segSize int // tuples per segment
 	pool    *BufferPool
 
-	head   []*tuple.Tuple // open head segment, newest data, in memory
-	segs   []*segMeta     // closed segments, ascending id
-	nextID int64
+	// head is the open head segment, newest data, encoded in memory: Append
+	// keeps no caller tuple. headMin and headMax bound its TS.
+	head             *Log
+	headMin, headMax int64
+	segs             []*segMeta // closed segments, ascending id
+	nextID           int64
 
 	appended int64
 	flushed  int64
@@ -47,22 +52,32 @@ func NewSegmentStore(dir, name string, segSize int, pool *BufferPool) (*SegmentS
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return &SegmentStore{dir: dir, name: name, segSize: segSize, pool: pool}, nil
+	return &SegmentStore{dir: dir, name: name, segSize: segSize, pool: pool, head: newHead()}, nil
 }
+
+// newHead returns an empty head segment. It has no row cap: a head whose
+// flush failed keeps growing until a flush succeeds.
+func newHead() *Log { return NewLog(math.MaxInt) }
 
 func (s *SegmentStore) segPath(id int64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.%06d.seg", s.name, id))
 }
 
 // Append spools one tuple (keyed by TS; callers feeding logical time set
-// TS = Seq upstream). Out-of-order arrivals are tolerated within the open
-// head segment.
+// TS = Seq upstream). It encodes t, so the caller may reuse it once Append
+// returns. Out-of-order arrivals are tolerated: a scan sorts by TS.
 func (s *SegmentStore) Append(t *tuple.Tuple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.head = append(s.head, t)
+	if s.head.Len() == 0 || t.TS < s.headMin {
+		s.headMin = t.TS
+	}
+	if s.head.Len() == 0 || t.TS > s.headMax {
+		s.headMax = t.TS
+	}
+	s.head.Append(t)
 	s.appended++
-	if len(s.head) >= s.segSize {
+	if s.head.Len() >= s.segSize {
 		return s.flushLocked()
 	}
 	return nil
@@ -76,29 +91,31 @@ func (s *SegmentStore) Flush() error {
 }
 
 func (s *SegmentStore) flushLocked() error {
-	if len(s.head) == 0 {
+	if s.head.Len() == 0 {
 		return nil
 	}
-	sort.SliceStable(s.head, func(i, j int) bool { return s.head[i].TS < s.head[j].TS })
 	meta := &segMeta{
 		id:     s.nextID,
-		minT:   s.head[0].TS,
-		maxT:   s.head[len(s.head)-1].TS,
-		count:  len(s.head),
+		minT:   s.headMin,
+		maxT:   s.headMax,
+		count:  s.head.Len(),
 		closed: true,
 	}
-	var buf []byte
-	for _, t := range s.head {
-		buf = appendTuple(buf, t)
-	}
 	path := s.segPath(meta.id)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	f, err := os.Create(path)
+	if err == nil {
+		err = s.head.writeTo(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("storage: flush segment: %w", err)
 	}
 	s.nextID++
 	s.segs = append(s.segs, meta)
 	s.flushed += int64(meta.count)
-	s.head = nil
+	s.head = newHead()
 	return nil
 }
 
@@ -134,7 +151,7 @@ func readSegmentFile(path string, count int) ([]*tuple.Tuple, error) {
 func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 	s.mu.Lock()
 	segs := append([]*segMeta(nil), s.segs...)
-	head := append([]*tuple.Tuple(nil), s.head...)
+	head := s.head.View()
 	s.mu.Unlock()
 
 	var out []*tuple.Tuple
@@ -152,11 +169,11 @@ func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 			}
 		}
 	}
-	for _, t := range head {
-		if t.TS >= left && t.TS <= right {
-			out = append(out, t)
-		}
+	ts, err := head.Scan(left, right)
+	if err != nil {
+		return nil, err
 	}
+	out = append(out, ts...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out, nil
 }
@@ -203,6 +220,6 @@ func (s *SegmentStore) Stats() Stats {
 		Appended:   s.appended,
 		Flushed:    s.flushed,
 		Segments:   len(s.segs),
-		HeadTuples: len(s.head),
+		HeadTuples: s.head.Len(),
 	}
 }

@@ -13,9 +13,9 @@ import (
 //
 // Ownership discipline: Put hands the tuple's memory back to the pool —
 // the caller must hold the only live reference. Tuples that may still be
-// referenced elsewhere (stream history, SteM state, egress logs, sampled
-// traces) must never be recycled; the wiring in internal/eddy and
-// internal/core gates every Put on those conditions. Value contents are
+// referenced elsewhere (SteM state, egress logs, sampled traces) must never
+// be recycled; the wiring in internal/eddy and internal/core gates every
+// Put on those conditions. Value contents are
 // plain structs (string headers share immutable data), so reusing a Vals
 // slice never mutates values previously copied out of it.
 type Pool struct {

@@ -11,7 +11,8 @@
 #                    window delivery x20, routing rule and class shapes
 #                    x20, panes against the rescan x20, shared-class reuse
 #                    x20, join classes x20, pull-log ring x20, wire
-#                    flushes, FEED runs and EO wake x20, fuzz smoke
+#                    flushes, FEED runs and EO wake x20, fed rows kept by
+#                    no one x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -205,6 +206,12 @@ stage_race() {
     echo "==> wire flushes, FEED runs and EO wake under race (-count=20)"
     go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
     go test -race -count=20 -run 'TestIdleEOWakesOnEnqueue|TestParkedEORechecksOnTimer|TestIdleDUsDoNotSpinHot' ./internal/executor/
+
+    # Front-door rows are reused the moment Feed returns: history and the
+    # spool must keep a fed row's values, never the row.
+    echo "==> fed rows kept by no one under race (-count=20)"
+    go test -race -count=20 -run 'TestFeedRetainsNoRow' ./internal/core/
+    go test -race -count=20 -run 'TestSpooledRunsKeepTheirValues' ./internal/server/
 
     echo "==> fuzz smoke (5s per target)"
     go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/sql/

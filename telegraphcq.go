@@ -159,7 +159,10 @@ func parseKind(s string) (tuple.Kind, error) {
 }
 
 // Feed delivers one tuple into a stream; values must match the schema
-// positionally. Supported Go types: int/int64, float64, string, bool.
+// positionally. Supported Go types: int/int64, float64, string, bool. The
+// row is drawn from the engine's tuple pool and put back once the engine's
+// Feed returns, which keeps none of it, so a steady stream of Feed calls
+// allocates no row.
 func (db *DB) Feed(stream string, values ...interface{}) error {
 	entry, err := db.engine.Catalog().Lookup(stream)
 	if err != nil {
@@ -169,15 +172,19 @@ func (db *DB) Feed(stream string, values ...interface{}) error {
 		return fmt.Errorf("telegraphcq: %s wants %d values, got %d",
 			stream, entry.Schema.Arity(), len(values))
 	}
-	vals := make([]tuple.Value, len(values))
+	pool := db.engine.TuplePool()
+	t := pool.Get(len(values))
 	for i, v := range values {
 		tv, err := toValue(v, entry.Schema.Columns[i].Kind)
 		if err != nil {
+			pool.Put(t)
 			return fmt.Errorf("telegraphcq: column %s: %w", entry.Schema.Columns[i].Name, err)
 		}
-		vals[i] = tv
+		t.Vals[i] = tv
 	}
-	return db.engine.Feed(stream, tuple.New(vals...))
+	err = db.engine.Feed(stream, t)
+	pool.Put(t)
+	return err
 }
 
 func toValue(v interface{}, kind tuple.Kind) (tuple.Value, error) {

@@ -1,6 +1,8 @@
 package telegraphcq
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -254,5 +256,60 @@ func TestSubscribePriority(t *testing.T) {
 	}
 	if emitted, _ := pq.Stats(); emitted != 5 {
 		t.Errorf("emitted = %d", emitted)
+	}
+}
+
+// TestDBFeedWindowSteadyStateAllocs: a sliding GROUP BY fed through
+// DB.Feed allocates almost nothing per row at steady state. The row comes
+// from the engine's tuple pool and goes back once Feed returns, history
+// keeps its values in chunks, and the window folds the subscriber clone
+// into its panes and recycles it (a history of pointers cost ~2 a row: the
+// values and the tuple it kept).
+func TestDBFeedWindowSteadyStateAllocs(t *testing.T) {
+	const syms, span, step, warm, measured = 50, 1000, 100, 20000, 40000
+	const total = warm + measured
+	vals := make([][]interface{}, total+1)
+	for ts := 1; ts <= total; ts++ {
+		vals[ts] = []interface{}{ts, ts % syms, float64(ts%97) + 0.5, ts}
+	}
+	// fired is the result count once every instance with t <= ts has fired:
+	// each has every symbol in its window.
+	fired := func(ts int) int64 { return int64((ts-span)/step+1) * syms }
+	best := -1.0
+	for trial := 0; trial < 3; trial++ {
+		db := Open(Config{})
+		db.MustCreateStream("quotes", "ts TIME, sym INT, price FLOAT, born INT", "ts")
+		q, err := db.Register(fmt.Sprintf(`SELECT sym, AVG(price), MAX(born) FROM quotes GROUP BY sym
+			for (t = %d; t <= %d; t += %d) { WindowIs(quotes, t - %d, t); }`, span, total, step, span-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func(from, to int) {
+			for ts := from; ts <= to; ts++ {
+				if err := db.Feed("quotes", vals[ts]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		wait := func(want int64) {
+			if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() >= want }) {
+				t.Fatalf("%d of %d results", q.Results(), want)
+			}
+		}
+		feed(1, warm)
+		wait(fired(warm))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		feed(warm+1, total)
+		wait(fired(total))
+		runtime.ReadMemStats(&after)
+		db.Close()
+		if a := float64(after.Mallocs-before.Mallocs) / measured; best < 0 || a < best {
+			best = a
+		}
+	}
+	t.Logf("%.2f mallocs per row fed through DB.Feed", best)
+	if best > 0.5 {
+		t.Errorf("%.2f mallocs per row fed through DB.Feed at steady state, want <= 0.5", best)
 	}
 }
