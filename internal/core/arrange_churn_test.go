@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -14,223 +13,14 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// Churn test for shared arrangements: hundreds of overlapping join queries
-// register and unregister mid-stream — exercising lineage-slot scrub and
-// reuse — while chaos delay/reorder sites perturb the class's input queues.
-// Lineage must stay exact through it all:
-//
-//   - an anchor query registered before any data sees the complete match
-//     multiset, exactly once each (a scrub touching a live slot would lose
-//     rows; a reuse without scrub would add ghost rows);
-//   - every churned query's results are a duplicate-free subset of the true
-//     match set (a reused slot inheriting stale stored bits would deliver a
-//     match twice or deliver rows from before its registration);
-//   - survivors registered at a quiescent barrier see exactly the matches
-//     both of whose inputs arrived after they registered.
-//
-// Goroutine hygiene is enforced by the package's leakcheck TestMain.
-
-func churnEngine(t *testing.T, workers int) *Engine {
-	t.Helper()
-	e := NewEngine(Options{EOs: 2, Workers: workers, BatchSize: 16})
-	createSR(t, e)
-	return e
-}
-
-// wave returns S and R rows for one feed wave. Values are globally unique
-// across waves (offset), so any duplicated delivery is detectable and the
-// per-wave match set is computable in plain Go.
-func wave(offset int64, n int64) (sRows, rRows []*tuple.Tuple, matches map[string]bool) {
-	matches = make(map[string]bool)
-	for i := int64(0); i < n; i++ {
-		sRows = append(sRows, tuple.New(tuple.Int(i%5), tuple.Int(offset+i)))
-	}
-	for j := int64(0); j < n; j++ {
-		rRows = append(rRows, tuple.New(tuple.Int(j%5), tuple.Int(offset+1000+j)))
-	}
-	for _, s := range sRows {
-		for _, r := range rRows {
-			if s.Vals[0].AsInt() == r.Vals[0].AsInt() {
-				matches[fmt.Sprintf("[%v %v]", s.Vals[1], r.Vals[1])] = true
-			}
-		}
-	}
-	return
-}
-
-func fetchJoinRows(t *testing.T, q *RunningQuery) []string {
-	t.Helper()
-	res, err := q.Fetch(q.Cursor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]string, len(res))
-	for i, r := range res {
-		rows[i] = fmt.Sprint(r.Vals)
-	}
-	return rows
-}
-
-func testArrangeChurn(t *testing.T, workers int) {
-	e := churnEngine(t, workers)
-	defer e.Stop()
-
-	anchor, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Perturb the feed at the ingress boundary: delays and reorders (never
-	// drops or dups — the multiset must survive bit-identical).
-	inj := chaos.New(chaos.Config{Seed: 17, Delay: 0.02, Reorder: 0.25}, nil)
-	e.mu.Lock()
-	sc := e.shared["S+R|0=2"]
-	e.mu.Unlock()
-	if sc == nil {
-		t.Fatal("anchor query did not create the shared join class")
-	}
-	sites := map[string]*chaos.Site{
-		"S": inj.Site("churn/S"),
-		"R": inj.Site("churn/R"),
-	}
-	feedChaos := func(stream string, ts []*tuple.Tuple) {
-		site := sites[stream]
-		buf := make([]*tuple.Tuple, 0, len(ts)+1)
-		keep := func(tt *tuple.Tuple) bool { buf = append(buf, tt); return true }
-		for _, tt := range ts {
-			site.PerturbSend(tt, keep)
-		}
-		site.Flush(keep) // release a held reorder slot at the wave tail
-		if _, err := e.FeedMany(stream, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Wave 1: feed while churning 200 queries through the class. Each
-	// churned query registers, lives briefly, and unregisters — freeing its
-	// lineage slot for scrub and reuse.
-	s1, r1, m1 := wave(0, 40)
-	var wg sync.WaitGroup
-	churned := make(chan *RunningQuery, 256)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if i%2 == 0 {
-				if err := e.Deregister(q.ID); err != nil {
-					t.Error(err)
-					return
-				}
-			} else {
-				churned <- q
-			}
-		}
-		close(churned)
-	}()
-	for i := 0; i < len(s1); i += 8 {
-		hi := i + 8
-		if hi > len(s1) {
-			hi = len(s1)
-		}
-		feedChaos("S", s1[i:hi])
-		feedChaos("R", r1[i:hi])
-	}
-	wg.Wait()
-
-	// The anchor predates all data: it must converge to exactly the wave-1
-	// match multiset despite 200 slot lifecycles around its bit.
-	waitFor(t, "anchor results", func() bool { return anchor.Results() >= int64(len(m1)) })
-	rows := fetchJoinRows(t, anchor)
-	if len(rows) != len(m1) {
-		t.Fatalf("anchor: %d rows, want %d", len(rows), len(m1))
-	}
-	seen := make(map[string]bool)
-	for _, r := range rows {
-		if seen[r] {
-			t.Fatalf("anchor: duplicate result %q", r)
-		}
-		seen[r] = true
-		if !m1[r] {
-			t.Fatalf("anchor: ghost result %q not in expected match set", r)
-		}
-	}
-
-	// Mid-stream churn survivors: results must be a duplicate-free subset
-	// of the true matches (registration time bounds what they can see).
-	for q := range churned {
-		qRows := fetchJoinRows(t, q)
-		qSeen := make(map[string]bool)
-		for _, r := range qRows {
-			if qSeen[r] {
-				t.Fatalf("churned query %d: duplicate result %q", q.ID, r)
-			}
-			qSeen[r] = true
-			if !m1[r] {
-				t.Fatalf("churned query %d: ghost result %q", q.ID, r)
-			}
-		}
-		if err := e.Deregister(q.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Quiescent barrier: register fresh survivors, then feed wave 2. Every
-	// wave-2 input postdates their registration, so each must see exactly
-	// the wave-2 matches — stored wave-1 tuples do not carry their bits.
-	var survivors []*RunningQuery
-	for i := 0; i < 5; i++ {
-		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		survivors = append(survivors, q)
-	}
-	s2, r2, m2 := wave(10000, 20)
-	feedChaos("S", s2)
-	feedChaos("R", r2)
-	want2 := make([]string, 0, len(m2))
-	for r := range m2 {
-		want2 = append(want2, r)
-	}
-	sort.Strings(want2)
-	for _, q := range survivors {
-		q := q
-		waitFor(t, "survivor results", func() bool { return q.Results() >= int64(len(m2)) })
-		got := fetchJoinRows(t, q)
-		sort.Strings(got)
-		if len(got) != len(want2) {
-			t.Fatalf("survivor %d: %d rows, want %d", q.ID, len(got), len(want2))
-		}
-		for i := range want2 {
-			if got[i] != want2[i] {
-				t.Fatalf("survivor %d: row %d = %q, want %q", q.ID, i, got[i], want2[i])
-			}
-		}
-	}
-
-	// Chaos actually fired (the sites saw traffic) — otherwise the test
-	// silently degrades to a no-chaos run.
-	if len(inj.Trace()) == 0 {
-		t.Fatalf("no chaos events recorded; sites not wired")
-	}
-}
-
-func TestArrangeChurnSequential(t *testing.T) { testArrangeChurn(t, 1) }
-
-func TestArrangeChurnParallel(t *testing.T) { testArrangeChurn(t, 4) }
-
 // TestArrangeSlotReuseUnderChurn verifies the allocator actually recycles
 // lineage slots on the sequential engine: after heavy register/unregister
 // churn the class's slot high-water mark stays near the peak live count
 // instead of growing with total registrations.
 func TestArrangeSlotReuseUnderChurn(t *testing.T) {
-	e := churnEngine(t, 1)
+	e := NewEngine(Options{EOs: 2, BatchSize: 16})
 	defer e.Stop()
+	createSR(t, e)
 	anchor, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
 	if err != nil {
 		t.Fatal(err)

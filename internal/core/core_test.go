@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -186,118 +185,6 @@ func TestE7PaperWindowExamples(t *testing.T) {
 	})
 }
 
-func TestUnwindowedSelectionCQ(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices
-		WHERE stockSymbol = 'MSFT' AND closingPrice > 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ch := q.Subscribe(64)
-	feedStocks(t, e, 1, 10) // MSFT prices 1..10; >5 gives 5 rows
-	waitFor(t, "5 results", func() bool { return q.Results() == 5 })
-	got := 0
-	for i := 0; i < 5; i++ {
-		select {
-		case r := <-ch:
-			if r.Vals[0].AsFloat() <= 5 {
-				t.Errorf("filtered row leaked: %v", r)
-			}
-			got++
-		case <-chaos.Real().After(5 * time.Second):
-			t.Fatal("push delivery timed out")
-		}
-	}
-	if got != 5 {
-		t.Errorf("pushed = %d", got)
-	}
-}
-
-func TestUnwindowedJoinCQ(t *testing.T) {
-	e := NewEngine(Options{EOs: 1})
-	defer e.Stop()
-	createSR(t, e)
-	q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 10; i++ {
-		e.Feed("S", tuple.New(tuple.Int(i%3), tuple.Int(i)))
-	}
-	for i := int64(0); i < 6; i++ {
-		e.Feed("R", tuple.New(tuple.Int(i%3), tuple.Int(i)))
-	}
-	// Matches per key: S has 4,3,3 per key {0,1,2}; R has 2 each:
-	// 4*2 + 3*2 + 3*2 = 20.
-	waitFor(t, "20 join results", func() bool { return q.Results() == 20 })
-	cur := q.Cursor()
-	res, _ := q.Fetch(cur)
-	for _, r := range res {
-		if len(r.Vals) != 2 {
-			t.Fatalf("projected row = %v", r)
-		}
-	}
-}
-
-func TestUnwindowedRunningMax(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 5)
-	waitFor(t, "10 running-max updates", func() bool { return q.Results() == 10 })
-	cur := q.Cursor()
-	res, _ := q.Fetch(cur)
-	last := res[len(res)-1]
-	if last.Vals[0].AsFloat() != 105 { // IBM day 5
-		t.Errorf("final max = %v, want 105", last.Vals[0])
-	}
-	// Running max must be non-decreasing.
-	prev := -1.0
-	for _, r := range res {
-		if v := r.Vals[0].AsFloat(); v < prev {
-			t.Errorf("running max decreased: %v after %v", v, prev)
-		} else {
-			prev = v
-		}
-	}
-}
-
-func TestGroupedAggregateWindowed(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT stockSymbol, COUNT(*), MAX(closingPrice)
-		FROM ClosingStockPrices
-		GROUP BY stockSymbol
-		for (t = 3; t <= 4; t++) { WindowIs(ClosingStockPrices, 1, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 6)
-	q.Wait()
-	cur := q.Cursor()
-	res, _ := q.Fetch(cur)
-	// 2 instances x 2 groups.
-	if len(res) != 4 {
-		t.Fatalf("grouped results = %d, want 4", len(res))
-	}
-	byKey := map[string]*tuple.Tuple{}
-	for _, r := range res {
-		byKey[fmt.Sprintf("%s@%d", r.Vals[0].AsString(), r.TS)] = r
-	}
-	msft4 := byKey["MSFT@4"]
-	if msft4 == nil || msft4.Vals[1].AsInt() != 4 || msft4.Vals[2].AsFloat() != 4 {
-		t.Errorf("MSFT@4 = %v", msft4)
-	}
-	ibm3 := byKey["IBM@3"]
-	if ibm3 == nil || ibm3.Vals[1].AsInt() != 3 || ibm3.Vals[2].AsFloat() != 103 {
-		t.Errorf("IBM@3 = %v", ibm3)
-	}
-}
-
 // TestTumblingWindowKeepsTiedTimestamps: rows sharing a window's right-edge
 // timestamp all belong to it, however the drain batches fall — an instance
 // closes at the first tuple beyond its right edge, not at the first one
@@ -342,31 +229,6 @@ func TestGroupedAggregateWithoutWindowRejected(t *testing.T) {
 	_, err := e.Register(`SELECT stockSymbol, COUNT(*) FROM ClosingStockPrices GROUP BY stockSymbol`)
 	if err == nil {
 		t.Fatal("grouped unwindowed aggregate accepted")
-	}
-}
-
-func TestDeregisterStopsDelivery(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 3)
-	waitFor(t, "6 results", func() bool { return q.Results() == 6 })
-	if err := e.Deregister(q.ID); err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 4, 6)
-	chaos.Real().Sleep(20 * time.Millisecond)
-	if q.Results() != 6 {
-		t.Errorf("results after deregister = %d", q.Results())
-	}
-	if err := e.Deregister(q.ID); err == nil {
-		t.Error("double deregister succeeded")
-	}
-	if len(e.Queries()) != 0 {
-		t.Errorf("queries = %v", e.Queries())
 	}
 }
 
@@ -491,37 +353,6 @@ func TestRegisterBadQuery(t *testing.T) {
 	}
 }
 
-func TestPushAndPullAgree(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE stockSymbol = 'IBM'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ch := q.Subscribe(128)
-	feedStocks(t, e, 1, 8)
-	waitFor(t, "8 results", func() bool { return q.Results() == 8 })
-	cur := q.Cursor()
-	pulled, _ := q.Fetch(cur)
-	var pushed []*tuple.Tuple
-	for len(pushed) < 8 {
-		select {
-		case r := <-ch:
-			pushed = append(pushed, r)
-		case <-chaos.Real().After(5 * time.Second):
-			t.Fatal("push starved")
-		}
-	}
-	if len(pulled) != len(pushed) {
-		t.Fatalf("pull %d vs push %d", len(pulled), len(pushed))
-	}
-	for i := range pulled {
-		if !tuple.Equal(pulled[i].Vals[0], pushed[i].Vals[0]) {
-			t.Errorf("row %d differs", i)
-		}
-	}
-}
-
 // TestAgedOutResultsAreCounted: rows that leave the pull log unread used to
 // vanish — RunningQuery.Fetch drops the missed count. Now the query's series
 // account for every published row (retained + evicted = results) and for
@@ -598,36 +429,6 @@ func TestStreamTableJoinPreloadsTable(t *testing.T) {
 	waitFor(t, "more alerts", func() bool { return q.Results() >= 2 })
 }
 
-func TestTopKPerWindowInstance(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	// Top-2 closing prices per 4-day window, descending. IBM (day+100)
-	// always beats MSFT (day), so each instance returns the two most
-	// recent IBM rows in its window, newest (highest) first.
-	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices
-		ORDER BY closingPrice DESC LIMIT 2
-		for (t = 4; t <= 6; t++) { WindowIs(ClosingStockPrices, t - 3, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 8)
-	q.Wait()
-	cur := q.Cursor()
-	res, _ := q.Fetch(cur)
-	if len(res) != 6 { // 3 instances x 2 rows
-		t.Fatalf("top-k rows = %d, want 6", len(res))
-	}
-	for i := 0; i < len(res); i += 2 {
-		instT := res[i].TS
-		want0 := float64(instT + 100) // IBM at the instance's newest day
-		want1 := float64(instT + 99)
-		if res[i].Vals[0].AsFloat() != want0 || res[i+1].Vals[0].AsFloat() != want1 {
-			t.Errorf("instance %d top-2 = %v, %v; want %v, %v",
-				instT, res[i].Vals[0], res[i+1].Vals[0], want0, want1)
-		}
-	}
-}
-
 func TestQoSLoadShedding(t *testing.T) {
 	e := NewEngine(Options{EOs: 1, QueueCap: 4, Shed: true})
 	defer e.Stop()
@@ -683,37 +484,6 @@ func TestBackpressureWithoutShedding(t *testing.T) {
 	}
 }
 
-func TestHoppingWindowSkipsData(t *testing.T) {
-	// Hop (step 4) larger than width (2): days between windows are never
-	// examined (§4.1.2 "some portions of the stream are never involved").
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices
-		WHERE stockSymbol = 'MSFT'
-		for (t = 2; t <= 10; t += 4) { WindowIs(ClosingStockPrices, t - 1, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 12)
-	q.Wait()
-	cur := q.Cursor()
-	res, _ := q.Fetch(cur)
-	// Instances at t=2,6,10 each cover 2 days: 6 rows; days 3,4,7,8,11+
-	// are skipped.
-	if len(res) != 6 {
-		t.Fatalf("hopping rows = %d, want 6", len(res))
-	}
-	seen := map[float64]bool{}
-	for _, r := range res {
-		seen[r.Vals[0].AsFloat()] = true
-	}
-	for _, skipped := range []float64{3, 4, 7, 8} {
-		if seen[skipped] {
-			t.Errorf("day %v should be skipped by the hop", skipped)
-		}
-	}
-}
-
 func TestSlidingForeverEvictsBuffer(t *testing.T) {
 	// Standing sliding query must not retain the whole stream: the window
 	// buffer is evicted up to the next instance's left edge.
@@ -755,149 +525,12 @@ func TestMismatchedTimeKindsRejected(t *testing.T) {
 	}
 }
 
-func TestDistinctWindowed(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	// Two rows per day (MSFT, IBM): DISTINCT stockSymbol per 3-day window
-	// yields exactly 2 rows per instance; the seen-set resets between
-	// instances (set semantics per window).
-	q, err := e.Register(`SELECT DISTINCT stockSymbol FROM ClosingStockPrices
-		for (t = 3; t <= 5; t++) { WindowIs(ClosingStockPrices, t - 2, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 7)
-	q.Wait()
-	res, _ := q.Fetch(q.Cursor())
-	if len(res) != 6 { // 3 instances x 2 symbols
-		t.Fatalf("distinct rows = %d, want 6", len(res))
-	}
-	perInstance := map[int64]int{}
-	for _, r := range res {
-		perInstance[r.TS]++
-	}
-	for inst, n := range perInstance {
-		if n != 2 {
-			t.Errorf("instance %d distinct count = %d", inst, n)
-		}
-	}
-}
-
-func TestDistinctUnwindowed(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	q, err := e.Register(`SELECT DISTINCT stockSymbol FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 50) // 100 tuples, 2 symbols
-	waitFor(t, "2 distinct symbols", func() bool { return q.Results() == 2 })
-	chaos.Real().Sleep(10 * time.Millisecond)
-	if q.Results() != 2 {
-		t.Errorf("distinct emitted %d", q.Results())
-	}
-}
-
 func TestDistinctWithAggregateRejected(t *testing.T) {
 	e := newStockEngine(t)
 	defer e.Stop()
 	if _, err := e.Register(`SELECT DISTINCT MAX(closingPrice) FROM ClosingStockPrices`); err == nil {
 		t.Error("DISTINCT with aggregate accepted")
 	}
-}
-
-func TestThreeWayJoinCQ(t *testing.T) {
-	// A join chain A.k=B.k AND B.j=C.j through three SteMs: the eddy's
-	// applicability rules must avoid Cartesian detours and still find
-	// every match.
-	e := NewEngine(Options{EOs: 1})
-	defer e.Stop()
-	intStream(t, e, "A", "k", "va")
-	intStream(t, e, "B", "k", "j")
-	intStream(t, e, "C", "j", "vc")
-	q, err := e.Register(`SELECT A.va, C.vc FROM A, B, C
-		WHERE A.k = B.k AND B.j = C.j`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A: 6 rows k=i%2; B: 4 rows (k=i%2, j=i%2); C: 4 rows j=i%2.
-	for i := int64(0); i < 6; i++ {
-		e.Feed("A", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-	}
-	for i := int64(0); i < 4; i++ {
-		e.Feed("B", tuple.New(tuple.Int(i%2), tuple.Int(i%2)))
-	}
-	for i := int64(0); i < 4; i++ {
-		e.Feed("C", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-	}
-	// Per key x in {0,1}: |A|=3, |B|=2, |C|=2 → 12 per key, 24 total.
-	waitFor(t, "24 three-way results", func() bool { return q.Results() == 24 })
-	chaos.Real().Sleep(10 * time.Millisecond)
-	if q.Results() != 24 {
-		t.Errorf("three-way join = %d (duplicates?)", q.Results())
-	}
-}
-
-func TestSharedClassServesQualifyingQueries(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	var q1n, q2n int64
-	q1, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 103`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.SharedQueryCount("ClosingStockPrices") != 2 {
-		t.Fatalf("shared members = %d", e.SharedQueryCount("ClosingStockPrices"))
-	}
-	feedStocks(t, e, 1, 10)
-	waitFor(t, "shared results", func() bool {
-		q1n, q2n = q1.Results(), q2.Results()
-		return q1n == 10 && q2n == 7 // MSFT 10 rows; IBM 104..110
-	})
-	// The shared eddy ingested each tuple once for both queries.
-	st, _ := q1.EddyStats()
-	if st.Ingested != 20 {
-		t.Errorf("shared ingested = %d, want 20", st.Ingested)
-	}
-	// Deregister one member; the other keeps flowing.
-	if err := e.Deregister(q1.ID); err != nil {
-		t.Fatal(err)
-	}
-	if e.SharedQueryCount("ClosingStockPrices") != 1 {
-		t.Errorf("members after deregister = %d", e.SharedQueryCount("ClosingStockPrices"))
-	}
-	feedStocks(t, e, 11, 12)
-	waitFor(t, "q2 keeps flowing", func() bool { return q2.Results() == 9 })
-	if q1.Results() != 10 {
-		t.Errorf("deregistered query got more results")
-	}
-}
-
-// TestAggregateJoinsSelectionClass: an ungrouped aggregate is a member of
-// its stream's class like any selection; it folds what it is delivered in
-// its own pipeline, next to a selection member's projected rows.
-func TestAggregateJoinsSelectionClass(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	agg, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := e.Register(`SELECT stockSymbol FROM ClosingStockPrices WHERE closingPrice > 100`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.SharedQueryCount("ClosingStockPrices") != 2 {
-		t.Fatalf("shared members = %d", e.SharedQueryCount("ClosingStockPrices"))
-	}
-	feedStocks(t, e, 1, 5)
-	waitFor(t, "both deliver", func() bool {
-		return agg.Results() == 10 && sel.Results() == 5
-	})
 }
 
 func TestLandmarkGroupedAggIncrementalFastPath(t *testing.T) {
@@ -948,83 +581,6 @@ func TestLandmarkGroupedAggIncrementalFastPath(t *testing.T) {
 	}
 }
 
-// TestIncrementalJoinMatchesBruteForce feeds a randomized two-stream
-// windowed join through the SteM-based incremental fast path and checks
-// every instance's result set against brute force.
-func TestIncrementalJoinMatchesBruteForce(t *testing.T) {
-	e := NewEngine(Options{EOs: 1})
-	defer e.Stop()
-	mkStream := func(name string) {
-		if err := e.CreateStream(name, tuple.NewSchema(name,
-			tuple.Column{Name: "ts", Kind: tuple.KindTime},
-			tuple.Column{Name: "k", Kind: tuple.KindInt},
-			tuple.Column{Name: "v", Kind: tuple.KindInt}), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mkStream("L")
-	mkStream("R")
-	q, err := e.Register(`SELECT L.v, R.v FROM L, R
-		WHERE L.k = R.k AND L.v > 2
-		for (t = 4; t <= 20; t += 3) { WindowIs(L, t - 3, t); WindowIs(R, t - 5, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.rt.(*windowRuntime).incJoin == nil {
-		t.Fatal("incremental join path not selected")
-	}
-
-	type rec struct{ ts, k, v int64 }
-	rng := rand.New(rand.NewSource(13))
-	var ls, rs []rec
-	for ts := int64(1); ts <= 25; ts++ {
-		for n := 0; n < 2; n++ {
-			l := rec{ts, int64(rng.Intn(4)), int64(rng.Intn(10))}
-			r := rec{ts, int64(rng.Intn(4)), int64(rng.Intn(10))}
-			ls = append(ls, l)
-			rs = append(rs, r)
-			e.Feed("L", tuple.New(tuple.Time(l.ts), tuple.Int(l.k), tuple.Int(l.v)))
-			e.Feed("R", tuple.New(tuple.Time(r.ts), tuple.Int(r.k), tuple.Int(r.v)))
-		}
-	}
-	q.Wait()
-	res, _ := q.Fetch(q.Cursor())
-
-	// Brute force per instance.
-	want := map[int64]int{}
-	for t0 := int64(4); t0 <= 20; t0 += 3 {
-		for _, l := range ls {
-			if l.ts < t0-3 || l.ts > t0 || l.v <= 2 {
-				continue
-			}
-			for _, r := range rs {
-				if r.ts < t0-5 || r.ts > t0 {
-					continue
-				}
-				if l.k == r.k {
-					want[t0]++
-				}
-			}
-		}
-	}
-	got := map[int64]int{}
-	for _, r := range res {
-		got[r.TS]++
-	}
-	for inst, w := range want {
-		if got[inst] != w {
-			t.Errorf("instance %d: got %d, want %d", inst, got[inst], w)
-		}
-	}
-	for inst := range got {
-		if _, ok := want[inst]; !ok {
-			t.Errorf("unexpected instance %d with %d rows", inst, got[inst])
-		}
-	}
-}
-
-// TestIncrementalJoinBoundedState: a standing sliding join must not
-// accumulate unbounded SteM or match state.
 func TestIncrementalJoinBoundedState(t *testing.T) {
 	e := NewEngine(Options{EOs: 1})
 	defer e.Stop()
@@ -1173,40 +729,6 @@ func TestFeedManyFeedsSpooledPrefixOnError(t *testing.T) {
 	}
 	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != 7 {
 		t.Errorf("tcq_ingress_tuples_total = %d, want 7", fed)
-	}
-}
-
-func TestEddyStatsAccessors(t *testing.T) {
-	e := newStockEngine(t)
-	defer e.Stop()
-	// A selection member.
-	shared, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An aggregate member of the same class.
-	agg, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Windowed query (no eddy).
-	windowed, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices
-		for (t = 2; t <= 3; t++) { WindowIs(ClosingStockPrices, t - 1, t); }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 1, 5)
-	waitFor(t, "deliveries", func() bool {
-		return shared.Results() > 0 && agg.Results() > 0
-	})
-	if st, ok := shared.EddyStats(); !ok || st.Ingested == 0 {
-		t.Errorf("shared stats = %+v ok=%v", st, ok)
-	}
-	if st, ok := agg.EddyStats(); !ok || st.Ingested == 0 {
-		t.Errorf("agg stats = %+v ok=%v", st, ok)
-	}
-	if _, ok := windowed.EddyStats(); ok {
-		t.Error("windowed query reported eddy stats")
 	}
 }
 

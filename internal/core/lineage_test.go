@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -323,107 +322,4 @@ func TestSharedReleaseIsUseAfterFreeSafe(t *testing.T) {
 			m.verify(t, "pushed", rows)
 		}
 	}
-}
-
-// TestBorrowedLineageKeepsMembersExact: the rows of a stream no member
-// filters carry their join class's lineage template itself, and a match of
-// two such rows shares it. Members come and go around that — a factor-free
-// member, then selections on S and on R (ending the borrowing stream by
-// stream), a deregistration, a registration that reuses the freed slot after
-// a scrub, and the filters leaving again — with a feed between every step.
-// Every member's result multiset must equal the plain-Go matches of the
-// rows fed during its lifetime that pass its selection. Forcing cacq's
-// borrow on for a stream with factors lets a grouped filter clear bits in
-// a template every row holds, and fails here; so does keeping a borrowed
-// template as a spare bitmap.
-func TestBorrowedLineageKeepsMembersExact(t *testing.T) {
-	e := twoStreamEngine(t, Options{EOs: 1, BatchSize: 8})
-	defer e.Stop()
-	type member struct {
-		q            *RunningQuery
-		pass         func(s, r *tuple.Tuple) bool
-		sSeen, rSeen []*tuple.Tuple
-		want         []string
-	}
-	live := map[*member]bool{}
-	register := func(cond string, pass func(s, r *tuple.Tuple) bool) *member {
-		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k` + cond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &member{q: q, pass: pass}
-		live[m] = true
-		return m
-	}
-	verify := func(m *member) {
-		t.Helper()
-		waitResults(t, m.q, int64(len(m.want)))
-		got := fetchJoinRows(t, m.q)
-		sort.Strings(got)
-		sort.Strings(m.want)
-		if fmt.Sprint(got) != fmt.Sprint(m.want) {
-			t.Fatalf("query %d:\n got %v\nwant %v", m.q.ID, got, m.want)
-		}
-	}
-	phase := int64(0)
-	feed := func() {
-		t.Helper()
-		phase++
-		var sRows, rRows []*tuple.Tuple
-		for i := int64(0); i < 12; i++ {
-			sRows = append(sRows, tuple.New(tuple.Int(i%4), tuple.Int(phase*100+i)))
-			rRows = append(rRows, tuple.New(tuple.Int(i%4), tuple.Int(phase*100+50+i)))
-		}
-		for m := range live {
-			m.sSeen = append(m.sSeen, sRows...)
-			m.rSeen = append(m.rSeen, rRows...)
-			m.want = m.want[:0]
-			for _, s := range m.sSeen {
-				for _, r := range m.rSeen {
-					if s.Vals[0].AsInt() == r.Vals[0].AsInt() && m.pass(s, r) {
-						m.want = append(m.want, fmt.Sprint([]tuple.Value{s.Vals[1], r.Vals[1]}))
-					}
-				}
-			}
-		}
-		for i, rows := range [][]*tuple.Tuple{sRows, rRows} {
-			if _, err := e.FeedMany([]string{"S", "R"}[i], rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for m := range live {
-			verify(m)
-		}
-	}
-	leave := func(m *member) {
-		t.Helper()
-		delete(live, m)
-		if err := e.Deregister(m.q.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slot := func(m *member) int {
-		sc := m.q.shared
-		sc.mu.Lock()
-		defer sc.mu.Unlock()
-		return sc.members[m.q.ID]
-	}
-	all := func(s, r *tuple.Tuple) bool { return true }
-
-	bare := register("", all)
-	feed()
-	sSel := register(" AND S.k > 0", func(s, r *tuple.Tuple) bool { return s.Vals[0].AsInt() > 0 })
-	feed()
-	rSel := register(" AND R.k < 3", func(s, r *tuple.Tuple) bool { return r.Vals[0].AsInt() < 3 })
-	feed()
-	leave(bare)
-	feed()
-	if reuse := register("", all); slot(reuse) != slot(bare) {
-		t.Fatalf("slot %d not reused: the new member got %d", slot(bare), slot(reuse))
-	}
-	feed()
-	leave(rSel)
-	feed()
-	leave(sSel)
-	feed()
 }

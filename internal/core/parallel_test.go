@@ -35,80 +35,8 @@ func wantShards(t *testing.T, q *RunningQuery, shards int) {
 	}
 }
 
-// TestParallelRuntimeSelection: Workers=1 keeps every class on its inline
-// eddy; Workers>1 puts the partitioning stage in front of partitionable
-// classes and leaves non-partitionable ones (join edges spanning two key
-// classes) inline.
-func TestParallelRuntimeSelection(t *testing.T) {
-	seq := newParStockEngine(t, 1)
-	defer seq.Stop()
-	q, err := seq.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards(t, q, 0)
-
-	par := newParStockEngine(t, 2)
-	defer par.Stop()
-	q2, err := par.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards(t, q2, 2)
-
-	// Two equivalence classes (A.k=B.k, B.j=C.j) cannot partition; the
-	// engine must fall back to the sequential eddy even with Workers>1.
-	intStream(t, par, "A", "k", "va")
-	intStream(t, par, "B", "k", "j")
-	intStream(t, par, "C", "j", "vc")
-	q3, err := par.Register(`SELECT A.va, C.vc FROM A, B, C WHERE A.k = B.k AND B.j = C.j`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards(t, q3, 0)
-}
-
-// TestParallelRunningMaxMatchesSequential runs the same unwindowed
-// aggregate on a sequential and a parallel engine and requires the exact
-// same sequence of running values: the ordered merge must reproduce the
-// sequential emission order for single-stream plans at any worker count.
-func TestParallelRunningMaxMatchesSequential(t *testing.T) {
-	const days = 40
-	run := func(workers int) []float64 {
-		e := newParStockEngine(t, workers)
-		defer e.Stop()
-		q, err := e.Register(`SELECT MAX(closingPrice) FROM ClosingStockPrices`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedStocks(t, e, 1, days)
-		waitFor(t, "all running-max updates", func() bool {
-			return q.Results() == 2*days
-		})
-		res, _ := q.Fetch(q.Cursor())
-		out := make([]float64, len(res))
-		for i, r := range res {
-			out[i] = r.Vals[0].AsFloat()
-		}
-		return out
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d produced %d values, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d value %d = %v, want %v (order not preserved)",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestParallelUnwindowedJoin runs the equijoin workload from
-// TestUnwindowedJoinCQ on a parallel engine: hash partitioning must
+// TestParallelUnwindowedJoin runs a two-stream equijoin on a parallel
+// engine: hash partitioning must
 // co-locate matching keys so no result is lost or duplicated. The second
 // row is experiment E13's workload at its widest setting — eight shards,
 // 256-tuple handoffs, 20,000+64 rows — so the race stage drives the whole
@@ -156,62 +84,6 @@ func TestParallelUnwindowedJoin(t *testing.T) {
 				t.Errorf("aggregate shard stats = %+v ok=%v, want Ingested=%d", st, ok, tc.sRows+tc.rRows)
 			}
 		})
-	}
-}
-
-// TestParallelDistinctUnwindowed: DISTINCT runs on the merge goroutine;
-// the set semantics must hold regardless of shard interleaving.
-func TestParallelDistinctUnwindowed(t *testing.T) {
-	e := newParStockEngine(t, 3)
-	defer e.Stop()
-	q, err := e.Register(`SELECT DISTINCT stockSymbol FROM ClosingStockPrices`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShards(t, q, 3)
-	feedStocks(t, e, 1, 50)
-	waitFor(t, "2 distinct symbols", func() bool { return q.Results() == 2 })
-	chaos.Real().Sleep(10 * time.Millisecond)
-	if q.Results() != 2 {
-		t.Errorf("distinct emitted %d", q.Results())
-	}
-}
-
-// TestParallelSharedClassDelivery: with Workers>1 the shared CACQ class
-// runs on the partitioned engine with the ordered merge — members see the
-// exact per-stream delivery order, and dynamic membership keeps working.
-func TestParallelSharedClassDelivery(t *testing.T) {
-	e := newParStockEngine(t, 2)
-	defer e.Stop()
-	q1, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := e.Register(`SELECT closingPrice FROM ClosingStockPrices WHERE closingPrice > 103`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.SharedQueryCount("ClosingStockPrices") != 2 {
-		t.Fatalf("shared members = %d", e.SharedQueryCount("ClosingStockPrices"))
-	}
-	feedStocks(t, e, 1, 10)
-	waitFor(t, "shared deliveries", func() bool {
-		return q1.Results() == 10 && q2.Results() == 7
-	})
-	// Ordered merge: q1's MSFT prices arrive in feed order 1..10.
-	res, _ := q1.Fetch(q1.Cursor())
-	for i, r := range res {
-		if r.Vals[0].AsFloat() != float64(i+1) {
-			t.Fatalf("q1 row %d = %v, want %d (order broken)", i, r.Vals[0], i+1)
-		}
-	}
-	if err := e.Deregister(q1.ID); err != nil {
-		t.Fatal(err)
-	}
-	feedStocks(t, e, 11, 12)
-	waitFor(t, "q2 keeps flowing", func() bool { return q2.Results() == 9 })
-	if q1.Results() != 10 {
-		t.Error("deregistered member kept receiving")
 	}
 }
 

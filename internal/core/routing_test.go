@@ -8,37 +8,6 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// newThreeWayEngine builds the TestThreeWayJoinCQ topology — a join chain
-// A.k=B.k AND B.j=C.j through three SteMs — at default options. install,
-// when set, runs on the query's eddy before the fixed dataset producing
-// exactly 24 results is fed.
-func newThreeWayEngine(t *testing.T, install func(*eddy.Eddy)) *RunningQuery {
-	t.Helper()
-	e := NewEngine(Options{EOs: 1})
-	t.Cleanup(e.Stop)
-	intStream(t, e, "A", "k", "va")
-	intStream(t, e, "B", "k", "j")
-	intStream(t, e, "C", "j", "vc")
-	q, err := e.Register(`SELECT A.va, C.vc FROM A, B, C
-		WHERE A.k = B.k AND B.j = C.j`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if install != nil {
-		onEddy(t, q, install)
-	}
-	for i := int64(0); i < 6; i++ {
-		e.Feed("A", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-	}
-	for i := int64(0); i < 4; i++ {
-		e.Feed("B", tuple.New(tuple.Int(i%2), tuple.Int(i%2)))
-	}
-	for i := int64(0); i < 4; i++ {
-		e.Feed("C", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-	}
-	return q
-}
-
 // onEddy runs fn on q's class eddy, when it runs inline, under the class
 // lock: the one seam through which a test replaces the policy the routing
 // rule chose.
@@ -53,68 +22,6 @@ func onEddy(t *testing.T, q *RunningQuery, fn func(*eddy.Eddy)) {
 	if ed == nil {
 		t.Fatalf("query %d has no inline class eddy", q.ID)
 	}
-}
-
-// TestNWayRoutingEquivalence checks the routing rule's two sides and that
-// the policy changes the work, never the output multiset. At default options
-// the three-way join plans whole probe orders with the selectivity policy
-// and prunes doomed intermediates; every other policy installed on the same
-// eddy, with planning on or routing per hop, yields the same 24 results.
-// The two-stream join stays on per-hop lottery.
-func TestNWayRoutingEquivalence(t *testing.T) {
-	install := func(p eddy.Policy, reuse int) func(*eddy.Eddy) {
-		return func(ed *eddy.Eddy) { ed.SetPolicy(p); ed.SetNWay(reuse) }
-	}
-	for _, tc := range []struct {
-		name    string
-		install func(*eddy.Eddy)
-		policy  string
-		nway    bool
-	}{
-		{"selectivity-nway", nil, "selectivity", true},
-		{"lottery-nway", install(eddy.NewLotteryPolicy(1), planReuse), "lottery", true},
-		{"fixed-order", install(eddy.NewFixedPolicy(2, 1, 0), planReuse), "fixed", true},
-		// The engine's routing for this join before the rule: lottery seeded
-		// q.ID+1, per hop.
-		{"legacy", install(eddy.NewLotteryPolicy(1), 0), "lottery", false},
-		// Index order per hop: the eddy's default policy.
-		{"naive-no-nway", install(nil, 0), "fixed", false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			q := newThreeWayEngine(t, tc.install)
-			waitFor(t, "24 three-way results", func() bool { return q.Results() == 24 })
-			qt := q.Telemetry()
-			if qt.Policy != tc.policy || len(qt.Order) != 3 {
-				t.Fatalf("telemetry policy=%q order=%v, want %s over three SteMs", qt.Policy, qt.Order, tc.policy)
-			}
-			st := qt.Stats
-			if tc.nway && (st.Orders == 0 || st.NWayPruned == 0) {
-				// B tuples can probe SteM(A) and SteM(C): a plan must be drawn,
-				// and after the chosen hop the sibling pruned at least once.
-				t.Errorf("N-way planning on but orders=%d pruned=%d", st.Orders, st.NWayPruned)
-			}
-			if !tc.nway && (st.Orders != 0 || st.NWayPruned != 0) {
-				t.Errorf("per-hop routing but orders=%d pruned=%d", st.Orders, st.NWayPruned)
-			}
-		})
-	}
-	t.Run("two-stream", func(t *testing.T) {
-		e := NewEngine(Options{EOs: 1})
-		defer e.Stop()
-		createSR(t, e)
-		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 8; i++ {
-			e.Feed("S", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-			e.Feed("R", tuple.New(tuple.Int(i%2), tuple.Int(i)))
-		}
-		waitFor(t, "32 two-stream results", func() bool { return q.Results() == 32 })
-		if qt := q.Telemetry(); qt.Policy != "lottery" || qt.Stats.Orders != 0 {
-			t.Errorf("two-stream join: policy=%q orders=%d, want lottery and no plans", qt.Policy, qt.Stats.Orders)
-		}
-	})
 }
 
 // TestRoutingThreadsAllRuntimes drives every runtime a plan can land on

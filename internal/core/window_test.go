@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"telegraphcq/internal/tuple"
+	"telegraphcq/internal/workload"
 )
 
 const tickSyms = 8
@@ -333,6 +335,90 @@ func TestWindowSelectionPreloadedAndLive(t *testing.T) {
 	rt := q.rt.(*windowRuntime)
 	if a, m := rt.absorbed[0].Load(), rt.admitted[0].Load(); a != 40 || m != 20 {
 		t.Errorf("absorbed %d admitted %d, want 40 and 20", a, m)
+	}
+}
+
+// rowKey renders one result row including its timestamp.
+func rowKey(t *tuple.Tuple) string {
+	return fmt.Sprintf("ts=%d %v", t.TS, t.Vals)
+}
+
+// fetchAll waits for want results, then drains the pull cursor.
+func fetchAll(t *testing.T, q *RunningQuery, want int) []string {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d results", want), func() bool { return q.Results() >= int64(want) })
+	res, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(res))
+	for i, r := range res {
+		out[i] = rowKey(r)
+	}
+	return out
+}
+
+func assertSameSequence(t *testing.T, name string, base, got []string, bs int) {
+	t.Helper()
+	if len(base) != len(got) {
+		t.Fatalf("%s: BatchSize=%d emitted %d rows, BatchSize=1 emitted %d",
+			name, bs, len(got), len(base))
+	}
+	for i := range base {
+		if base[i] != got[i] {
+			t.Fatalf("%s: BatchSize=%d row %d = %q, BatchSize=1 = %q",
+				name, bs, i, got[i], base[i])
+		}
+	}
+}
+
+// TestWindowedOutputIsAFunctionOfArrivalOrder is the ROADMAP item 0 pin: one
+// fixed reordered arrival — stragglers up to three days behind, two rows
+// per timestamp — must yield byte-identical windowed output at every
+// BatchSize and EO count, and on every repeat. Firing is decided at the
+// arrival position, so where a drain batch happens to end (which is what
+// BatchSize, EOs and scheduling change) cannot move a straggler into or
+// out of an instance.
+func TestWindowedOutputIsAFunctionOfArrivalOrder(t *testing.T) {
+	const days, lastT = 1500, 1400
+	rng := rand.New(rand.NewSource(7))
+	var arrival []*tuple.Tuple
+	for d := int64(1); d <= days; d++ {
+		arrival = append(arrival,
+			tuple.New(tuple.Time(d), tuple.String_("MSFT"), tuple.Float(float64(d))),
+			tuple.New(tuple.Time(d), tuple.String_("IBM"), tuple.Float(float64(d+100))))
+	}
+	for i := range arrival {
+		if j := i + rng.Intn(7); rng.Intn(4) == 0 && j < len(arrival) {
+			arrival[i], arrival[j] = arrival[j], arrival[i]
+		}
+	}
+	run := func(bs, eos int) []string {
+		e := NewEngine(Options{EOs: eos, BatchSize: bs})
+		defer e.Stop()
+		if err := e.CreateStream("ClosingStockPrices", workload.StockSchema(), 0); err != nil {
+			t.Fatal(err)
+		}
+		q, err := e.Register(fmt.Sprintf(`SELECT AVG(closingPrice), COUNT(*) FROM ClosingStockPrices
+			for (t = 10; t <= %d; t++) { WindowIs(ClosingStockPrices, t - 9, t); }`, lastT))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range arrival {
+			if err := e.Feed("ClosingStockPrices", tuple.New(tp.Vals...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q.Wait()
+		return fetchAll(t, q, lastT-9)
+	}
+	base := run(1, 1)
+	for _, bs := range []int{1, 7, 64} {
+		for _, eos := range []int{1, 2, 4} {
+			for rep := 0; rep < 3; rep++ {
+				assertSameSequence(t, fmt.Sprintf("EOs=%d rep=%d", eos, rep), base, run(bs, eos), bs)
+			}
+		}
 	}
 }
 

@@ -222,6 +222,15 @@ func TestQueueStats(t *testing.T) {
 	if enq != 1 || dropped != 1 {
 		t.Errorf("stats = %d enqueued, %d dropped", enq, dropped)
 	}
+	// A closed queue refuses without shedding: its consumer is gone, not
+	// behind (a finished window loop's input, pushed by a stale fan-out).
+	q.Close()
+	if q.Push(tuple.New(tuple.Int(3))) {
+		t.Error("closed queue accepted a push")
+	}
+	if _, dropped := q.Stats(); dropped != 1 {
+		t.Errorf("dropped = %d after a push into a closed queue, want 1", dropped)
+	}
 }
 
 func TestConnModalities(t *testing.T) {

@@ -106,10 +106,15 @@ func (q *Queue) unlockWake(rouse bool) {
 }
 
 // Push enqueues without blocking. It returns false when the queue is full
-// or closed; callers may spool, drop, or retry.
+// or closed; callers may spool, drop, or retry. Only a full queue counts
+// the tuple as dropped: a closed one has no consumer left to fall behind.
 func (q *Queue) Push(t *tuple.Tuple) bool {
 	q.mu.Lock()
-	if q.closed || q.size == len(q.buf) {
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	if q.size == len(q.buf) {
 		q.dropped++
 		q.mu.Unlock()
 		return false
@@ -278,8 +283,8 @@ func (q *Queue) Drained() bool {
 	return q.closed && q.size == 0
 }
 
-// Stats returns the lifetime enqueue count and the number of rejected
-// non-blocking pushes.
+// Stats returns the lifetime enqueue count and the number of non-blocking
+// pushes a full queue rejected.
 func (q *Queue) Stats() (enqueued, dropped int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -8,11 +8,11 @@
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement coverage floor
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
-#                    window delivery x20, routing rule and class shapes
-#                    x20, panes against the rescan x20, shared-class reuse
-#                    x20, join classes x20, pull-log ring x20, wire
-#                    flushes, FEED runs and EO wake x20, fed rows kept by
-#                    no one x20, fuzz smoke
+#                    window delivery x20, differential matrix x3, drift
+#                    pin x20, pane dictionary x20, shared-class reuse x20,
+#                    last member out x20, pull-log ring x20, wire flushes,
+#                    FEED runs and EO wake x20, fed rows kept by no one x20,
+#                    fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -71,16 +71,16 @@ stage_lint() {
 
     # Code no binary, no Open caller and no benchmark run can reach has to
     # justify itself (ROADMAP item 9). The packages below are the ones that
-    # do so today: leakcheck is test-only by design; cluster, flux and psoup
-    # are reached only from tests, examples and root bench_test.go and await
-    # that item's decision. Anything else falling off fails here.
+    # do so today: leakcheck is test-only by design; flux (the paper's Flux,
+    # experiment E6) and psoup are reached only from tests, examples and root
+    # bench_test.go. Anything else falling off fails here.
     echo "==> reachability: internal/ packages no binary, Open or benchmark reaches"
     reached=$( { go list -deps ./cmd/tcqd ./cmd/tcq ./cmd/tcqgen ./cmd/tcqlint .
                  (cd benchmark && go list -deps .); } |
         sed -n 's|^telegraphcq/internal/\([^/]*\).*|\1|p' | sort -u)
     islands=$(ls internal | grep -vxF "$reached" | tr '\n' ' ')
-    if [ "$islands" != "cluster flux leakcheck psoup " ]; then
-        echo "unreachable internal/ packages: ${islands}(want: cluster flux leakcheck psoup)" >&2
+    if [ "$islands" != "flux leakcheck psoup " ]; then
+        echo "unreachable internal/ packages: ${islands}(want: flux leakcheck psoup)" >&2
         exit 1
     fi
 
@@ -151,27 +151,23 @@ stage_race() {
     echo "==> delivery under race: atomic instances, no aliasing, count after rows (-count=20)"
     go test -race -count=20 -run 'TestWindowInstanceAtomic|TestWindowRowsNotAliased|TestResultsNeverAheadOfFetch' ./internal/core/
 
-    # The routing rule picks each class eddy's policy from its plan: every
-    # join shape, two streams or more, inline or on partitioned shards, must
-    # yield its plain-Go multiset at every batch size (the test waits on
-    # Results() and then reads, racing the engine), and on the E18 drift star
-    # the default engine must make fewer module visits than every static
-    # probe order. That margin moves with drain boundaries from run to run,
-    # so twenty passes show it shrinking before it flips. Every unwindowed
-    # shape is a class member: non-equi, self-, 3- and 4-stream joins,
-    # DISTINCT, aggregates and stream-table joins hold their multisets at
-    # Workers 1/4, identical N-way plans share a class, and a late member
-    # sees no match with rows stored before it.
-    echo "==> routing rule under race: join multisets, drift pin, class shapes (-count=20)"
-    go test -race -count=20 -run 'TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift|TestBatchEquivalenceJoinMultiset|TestClassShapes|TestIdenticalNWayPlansShareOneClass|TestLateMemberSeesNoEarlierMatches' ./internal/core/
+    # Every query shape at every configuration against the plain-Go
+    # reference (TESTING.md, "The differential matrix"), results read while
+    # the engine races the feeder. The focused gates named after the
+    # pairwise tests it replaced are slices of it. A pass is 216 engines, so
+    # three passes are a long race campaign.
+    echo "==> differential matrix under race (-count=3)"
+    go test -race -count=3 -run '^TestDifferentialMatrix$' ./internal/core/
 
-    # A sliding or landmark aggregate folds each row into a pane as it
-    # arrives and combines panes at each fire: the differential test holds
-    # that to the rescan it replaced across window shapes, time kinds, late
-    # and tied rows and batch sizes, with the drain racing the feeder; and a
-    # sliding GROUP BY over ever-new keys keeps only the window's groups.
-    echo "==> panes against the rescan under race (-count=20)"
-    go test -race -count=20 -run 'TestPanesMatchRescan|TestSlidingGroupsForgetEvictedKeys' ./internal/core/
+    # On the E18 drift star the default engine must make fewer module visits
+    # than every static probe order. That margin moves with drain boundaries
+    # from run to run, so twenty passes show it shrinking before it flips.
+    echo "==> routing rule under race: drift pin (-count=20)"
+    go test -race -count=20 -run 'TestAdaptiveProbeOrderBeatsEveryStaticOrderUnderDrift' ./internal/core/
+
+    # A sliding GROUP BY over ever-new keys keeps only the window's groups.
+    echo "==> pane dictionary under race (-count=20)"
+    go test -race -count=20 -run 'TestSlidingGroupsForgetEvictedKeys' ./internal/core/
 
     # A selection class returns every row no member kept to the tuple pool
     # while push clients and cursors still read the rows members did keep,
@@ -181,13 +177,11 @@ stage_race() {
     echo "==> shared-class row and lineage reuse under race (-count=20)"
     go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe' ./internal/core/
 
-    # Every two-stream equijoin is a class member: rows of a stream no member
-    # filters borrow the class's lineage template, and the last member out
-    # retires the class while other goroutines register into the same key.
-    # Hold members' multisets through slot reuse and the retirement's
-    # bookkeeping to twenty race-instrumented passes.
-    echo "==> join classes under race: borrowed lineage, last member out (-count=20)"
-    go test -race -count=20 -run 'TestBorrowedLineageKeepsMembersExact|TestLastMemberOutRetiresClass' ./internal/core/
+    # The last member out retires its join class while other goroutines
+    # register into the same key: hold the retirement's bookkeeping to
+    # twenty race-instrumented passes.
+    echo "==> join classes under race: last member out (-count=20)"
+    go test -race -count=20 -run 'TestLastMemberOutRetiresClass' ./internal/core/
 
     # The pull log is a ring whose head and count the publisher moves while
     # cursors read it, all under one mutex: the model test checks every
@@ -217,6 +211,7 @@ stage_race() {
     go test -fuzz=FuzzParse -fuzztime=5s -run '^$' ./internal/sql/
     go test -fuzz=FuzzParseLoop -fuzztime=5s -run '^$' ./internal/window/
     go test -fuzz=FuzzParseCSV -fuzztime=5s -run '^$' ./internal/ingress/
+    go test -fuzz=FuzzRegisterPlan -fuzztime=5s -run '^$' ./internal/core/
 }
 
 stage_bench() {
