@@ -44,12 +44,18 @@ type Query struct {
 	Footprint  tuple.SourceSet // streams whose join the query wants
 	Selections []expr.Predicate
 	Project    []int // wide-row columns to deliver (nil = all)
-	Output     func(*tuple.Tuple)
-	delivered  int64
+	// Emit hands a result on and reports whether its consumer kept the row
+	// past the call (nil: the query delivers nowhere).
+	Emit      func(*tuple.Tuple) (kept bool)
+	delivered int64
 	// proj is the prebuilt projection operator for Project, constructed
 	// once at registration so delivery — which runs once per matching
 	// completion per query — never allocates an operator on the hot path.
 	proj *ops.Project
+	// spare is the query's last projected row when Emit did not keep it:
+	// the next projection writes into it instead of allocating. Delivery
+	// runs on one goroutine per engine, so it needs no lock.
+	spare *tuple.Tuple
 }
 
 // Delivered returns the number of results delivered to the query.
@@ -213,9 +219,28 @@ func (e *Engine) filtersFor(selections []expr.Predicate) error {
 // AddQuery registers a standing query and returns it. Footprint must be a
 // non-empty subset of the layout's streams; selections are wide-row bound.
 // It fails, changing nothing, when the query's selections need grouped
-// filters that would take the eddy past 64 modules.
+// filters that would take the eddy past 64 modules. out may keep every row
+// it is given.
 func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate,
 	project []int, out func(*tuple.Tuple)) (*Query, error) {
+	return e.AddMember(footprint, selections, project, keepsAll(out))
+}
+
+// keepsAll is out as an emit that keeps every row it is given.
+func keepsAll(out func(*tuple.Tuple)) func(*tuple.Tuple) bool {
+	if out == nil {
+		return nil
+	}
+	return func(t *tuple.Tuple) bool { out(t); return true }
+}
+
+// AddMember is AddQuery for a query whose output reports whether it kept
+// each row: a projected row emit did not keep is written over by the
+// query's next result, so a query nobody is watching costs no allocation
+// per result. A row without a projection is the engine's wide row, which
+// the query never owns, whatever emit reports.
+func (e *Engine) AddMember(footprint tuple.SourceSet, selections []expr.Predicate,
+	project []int, emit func(*tuple.Tuple) (kept bool)) (*Query, error) {
 	if footprint == 0 {
 		return nil, fmt.Errorf("cacq: empty query footprint")
 	}
@@ -226,7 +251,7 @@ func (e *Engine) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate
 		Footprint:  footprint,
 		Selections: selections,
 		Project:    project,
-		Output:     out,
+		Emit:       emit,
 	}
 	q.ID = e.allocSlot()
 	if q.ID > e.maxID {
@@ -479,7 +504,8 @@ func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
 // skipped, matching the old member-list semantics exactly. lineage is t's
 // Queries bitmap, which the eddy may already have taken off the row. It
 // reports whether some member received t itself (a query without a
-// projection).
+// projection). A member's projected row is its own: one its Emit did not
+// keep is the next projection's target (Query.spare).
 func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 	src := t.Source
 	lineage.ForEach(func(id int) {
@@ -488,16 +514,18 @@ func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 			return
 		}
 		q.delivered++
-		if q.Output == nil {
-			return
-		}
-		out := t
-		if q.proj != nil {
-			out = q.proj.Apply(t)
-		} else {
+		switch {
+		case q.Emit == nil:
+		case q.proj == nil:
+			q.Emit(t)
 			kept = true
+		default:
+			out := q.proj.ApplyTo(q.spare, t)
+			q.spare = nil
+			if !q.Emit(out) {
+				q.spare = out
+			}
 		}
-		q.Output(out)
 	})
 	return kept
 }

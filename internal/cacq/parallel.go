@@ -174,6 +174,14 @@ func (p *Parallel) Flush() {
 // the front's delivery stage.
 func (p *Parallel) AddQuery(footprint tuple.SourceSet, selections []expr.Predicate,
 	project []int, out func(*tuple.Tuple)) (*Query, error) {
+	return p.AddMember(footprint, selections, project, keepsAll(out))
+}
+
+// AddMember is AddQuery with Engine.AddMember's output on the front: the
+// merge stage delivers on one goroutine, so a projected row emit did not
+// keep is reused as on a sequential engine.
+func (p *Parallel) AddMember(footprint tuple.SourceSet, selections []expr.Predicate,
+	project []int, emit func(*tuple.Tuple) (kept bool)) (*Query, error) {
 	p.ctlMu.Lock()
 	defer p.ctlMu.Unlock()
 	var q *Query
@@ -184,7 +192,7 @@ func (p *Parallel) AddQuery(footprint tuple.SourceSet, selections []expr.Predica
 		}
 		if q == nil {
 			p.deliverMu.Lock()
-			q, err = p.front.AddQuery(footprint, selections, project, out)
+			q, err = p.front.AddMember(footprint, selections, project, emit)
 			p.deliverMu.Unlock()
 			if err != nil {
 				return

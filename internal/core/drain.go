@@ -102,7 +102,7 @@ type outPipe struct {
 // memberOutput builds a member's delivery: the projection the class engine
 // applies for it (none for an aggregate, which folds whole rows) and the
 // callback that runs the rest of its pipeline into its egress.
-func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, out func(*tuple.Tuple)) {
+func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, emit func(*tuple.Tuple) (kept bool)) {
 	var p outPipe
 	if plan.HasAgg() {
 		p.agg = ops.NewLandmarkAgg(plan.Aggs...)
@@ -115,10 +115,13 @@ func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, out func(*tup
 	if p.agg == nil && p.dedup == nil {
 		return project, q.emit
 	}
-	return project, func(t *tuple.Tuple) {
+	// The pipeline, not emit, decides what reaches the egress here, so the
+	// member reports every row kept and its projected row is never reused.
+	return project, func(t *tuple.Tuple) bool {
 		if r := p.route(t); r != nil {
 			q.emit(r)
 		}
+		return true
 	}
 }
 

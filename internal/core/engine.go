@@ -440,6 +440,11 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 	st.fed.Add(int64(len(ts)))
 
 	for _, c := range subs {
+		if c.Q.Closed() {
+			// A consumer that has ended (a windowed loop past its last
+			// instance) is leaving the stream: clone nothing for it.
+			continue
+		}
 		if shed {
 			// QoS mode: never stall the producer; the queue counts
 			// the shed tuples (§4.3 "deciding what work to drop when

@@ -172,3 +172,45 @@ func TestHistoryGauges(t *testing.T) {
 		t.Errorf("tcq_stream_history_bytes = %v: %.1f bytes a row, want under 32", bytes, bytes/n)
 	}
 }
+
+// TestPullLogGauges: tcq_egress_pull_bytes reports the chunks a query's pull
+// log holds — none before its first result, and past the cap the 65,536
+// retained rows of three INTs in under 32 bytes a row of chunk capacity —
+// next to tcq_egress_pull_retained and _evicted_total.
+func TestPullLogGauges(t *testing.T) {
+	const n = 100000
+	e := NewEngine(Options{EOs: 1})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b", "c")
+	q, err := e.Register(`SELECT c, b, a FROM s WHERE a >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := e.Register(`SELECT a FROM s WHERE a < 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := tuple.New(tuple.Int(0), tuple.Int(0), tuple.Int(0))
+	for i := 0; i < n; i++ {
+		row.Vals[0], row.Vals[1], row.Vals[2] = tuple.Int(int64(i)), tuple.Int(int64(i%1000)), tuple.Int(-int64(i))
+		if err := e.Feed("s", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitResults(t, q, n)
+	gauge := func(name string, q *RunningQuery) float64 {
+		return metricValue(t, e, fmt.Sprintf(`%s{query="%d"}`, name, q.ID))
+	}
+	retained, evicted := gauge("tcq_egress_pull_retained", q), gauge("tcq_egress_pull_evicted_total", q)
+	if retained != 1<<16 || retained+evicted != n {
+		t.Errorf("retained %v + evicted %v, want 65536 + %d", retained, evicted, n-1<<16)
+	}
+	bytes := gauge("tcq_egress_pull_bytes", q)
+	t.Logf("%.1f bytes of pull log per retained row", bytes/retained)
+	if bytes/retained >= 32 {
+		t.Errorf("tcq_egress_pull_bytes = %v: %.1f bytes a row, want under 32", bytes, bytes/retained)
+	}
+	if b := gauge("tcq_egress_pull_bytes", idle); b != 0 {
+		t.Errorf("a query with no result holds %v bytes of pull log, want 0", b)
+	}
+}

@@ -83,19 +83,20 @@ func sharedClassAllocsPerTuple(t *testing.T) float64 {
 }
 
 // TestSharedClassSteadyStateAllocs pins what a selection class costs per fed
-// tuple once the tuple pool is warm: the projected result row (a Tuple and
-// its Vals) and nothing else of note — 2.04 here, the residue being the
-// members' pull logs growing. Before the class adopted its subscriber clones
-// and reused lineage bitmaps it was 7.05: a subscriber snapshot per Feed, a
-// wide row and its Vals, a lineage clone, and a lineage clone on the
-// projected row. Leaving the class's engine without SetRecycler (clones and
-// bitmaps to the collector, so every Feed clone misses the pool) measures
-// 5.04 and fails here.
+// tuple once the tuple pool is warm: nothing — 0.00 here. Each member's pull
+// log keeps its results' values in chunks, so the projected row is dead once
+// emit returns and the member's next result is written into it. It was 2.04
+// while the log held a pointer per result (a projected Tuple and its Vals
+// per delivery), and 7.05 before the class adopted its subscriber clones
+// and reused lineage bitmaps: a subscriber snapshot per Feed, a wide row and
+// its Vals, a lineage clone, and a lineage clone on the projected row.
+// Leaving the class's engine without SetRecycler (clones and bitmaps to the
+// collector, so every Feed clone misses the pool) fails here.
 func TestSharedClassSteadyStateAllocs(t *testing.T) {
 	got := sharedClassAllocsPerTuple(t)
 	t.Logf("allocs per fed tuple through a 1,000-member selection class: %.2f", got)
-	if got > 2.5 {
-		t.Errorf("selection class allocates %.2f objects per fed tuple at steady state, want <= 2.5", got)
+	if got > 0.5 {
+		t.Errorf("selection class allocates %.2f objects per fed tuple at steady state, want <= 0.5", got)
 	}
 }
 
@@ -321,5 +322,181 @@ func TestSharedReleaseIsUseAfterFreeSafe(t *testing.T) {
 		for _, rows := range m.pushed {
 			m.verify(t, "pushed", rows)
 		}
+	}
+}
+
+// heldRow is a row a client was handed, with a copy of its values as they
+// were when it arrived.
+type heldRow struct {
+	r    *tuple.Tuple
+	vals []tuple.Value
+}
+
+// holder keeps every row handed to one client.
+type holder struct {
+	mu   sync.Mutex
+	rows []heldRow
+}
+
+func (h *holder) hold(r *tuple.Tuple) {
+	h.mu.Lock()
+	h.rows = append(h.rows, heldRow{r, append([]tuple.Value(nil), r.Vals...)})
+	h.mu.Unlock()
+}
+
+// TestClientRowsAreNeverReused is the ownership differential for the rows a
+// class member writes its next result into: one class S with a projected
+// member that is always push-subscribed, one that never is (its rows are
+// reused from one result to the next), a DISTINCT member, a SELECT *
+// member (it is handed the class's wide row, which it never owns), a
+// projected member whose push clients come and go every fifty rows, and
+// one that gains a sink halfway. Whatever a push client or a sink was
+// handed must keep the values it had when it arrived, and every pull log
+// must hold exactly its member's results. At two workers the class is
+// partitioned and its merge stage delivers.
+func TestClientRowsAreNeverReused(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			const fed, span = 6000, 64
+			e := twoStreamEngine(t, Options{Workers: workers})
+			defer e.Stop()
+			register := func(sql string) *RunningQuery {
+				q, err := e.Register(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return q
+			}
+			watched := register(`SELECT v, k FROM S WHERE v < 48`)
+			unwatched := register(`SELECT v, k FROM S WHERE v >= 16`)
+			distinct := register(`SELECT DISTINCT v FROM S WHERE v < 40`)
+			star := register(`SELECT * FROM S WHERE v >= 8`)
+			churned := register(`SELECT v, k FROM S WHERE v < 56`)
+			sunk := register(`SELECT v, k FROM S WHERE v >= 24`)
+			qs := []*RunningQuery{watched, unwatched, distinct, star, churned, sunk}
+			for _, q := range qs {
+				if q.label != "shared:S" {
+					t.Fatalf("query %d runs as %s, want a member of class S", q.ID, q.label)
+				}
+			}
+			if _, sharded := watched.ParallelStats(); sharded != (workers > 1) {
+				t.Fatalf("class S partitioned: %v at %d workers", sharded, workers)
+			}
+
+			var wg sync.WaitGroup
+			var clients []*holder
+			drain := func(ch <-chan *tuple.Tuple) {
+				h := &holder{}
+				clients = append(clients, h)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := range ch {
+						h.hold(r)
+					}
+				}()
+			}
+			_, ch := watched.Subscribe(fed)
+			drain(ch)
+			sink := &holder{}
+
+			rng := rand.New(rand.NewSource(38))
+			var want [6][][]int64
+			seen := map[int64]bool{}
+			churnID, subscribed := 0, false
+			for k := int64(0); k < fed; k++ {
+				if k%50 == 0 {
+					// Let the class catch up, so clients and the sink join
+					// and leave between rows it delivers.
+					waitFor(t, "the class to catch up", func() bool { return star.Results() >= int64(len(want[3])) })
+					if k == fed/2 {
+						sunk.AddSink(sink.hold)
+					}
+					if subscribed {
+						churned.Unsubscribe(churnID)
+					} else {
+						churnID, ch = churned.Subscribe(fed)
+						drain(ch)
+					}
+					subscribed = !subscribed
+				}
+				v := int64(rng.Intn(span))
+				if v < 48 {
+					want[0] = append(want[0], []int64{v, k})
+				}
+				if v >= 16 {
+					want[1] = append(want[1], []int64{v, k})
+				}
+				if v < 40 && !seen[v] {
+					seen[v] = true
+					want[2] = append(want[2], []int64{v})
+				}
+				if v >= 8 {
+					want[3] = append(want[3], []int64{k, v})
+				}
+				if v < 56 {
+					want[4] = append(want[4], []int64{v, k})
+				}
+				if v >= 24 {
+					want[5] = append(want[5], []int64{v, k})
+				}
+				if err := e.Feed("S", tuple.New(tuple.Int(k), tuple.Int(v))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, q := range qs {
+				waitResults(t, q, int64(len(want[i])))
+			}
+			// A sink is handed a row after the result count moves: stopping
+			// the engine waits for the last one, and closes every client.
+			e.Stop()
+			wg.Wait()
+
+			same := func(r *tuple.Tuple, want []int64) bool {
+				ok := len(r.Vals) == len(want)
+				for j := 0; ok && j < len(want); j++ {
+					ok = r.Vals[j].K == tuple.KindInt && r.Vals[j].I == want[j]
+				}
+				return ok
+			}
+			for i, q := range qs {
+				res, err := q.Fetch(q.Cursor())
+				if err != nil || len(res) != len(want[i]) {
+					t.Fatalf("query %d: fetched %d rows, want %d (err %v)", q.ID, len(res), len(want[i]), err)
+				}
+				for j, r := range res {
+					if !same(r, want[i][j]) {
+						t.Fatalf("query %d: fetched row %d = %v, want %v", q.ID, j, r.Vals, want[i][j])
+					}
+				}
+			}
+			if got := clients[0].rows; len(got) != len(want[0]) {
+				t.Fatalf("the watched member's client got %d rows, want %d", len(got), len(want[0]))
+			}
+			for j, h := range clients[0].rows {
+				if !same(h.r, want[0][j]) {
+					t.Fatalf("the watched member's client row %d = %v, want %v", j, h.r.Vals, want[0][j])
+				}
+			}
+			held := 0
+			for _, h := range append(clients, sink) {
+				last := int64(-1)
+				for _, hr := range h.rows {
+					if !same(hr.r, []int64{hr.vals[0].I, hr.vals[1].I}) {
+						t.Fatalf("a row a client holds changed from %v to %v", hr.vals, hr.r.Vals)
+					}
+					if k := hr.vals[1].I; k <= last {
+						t.Fatalf("a client got row k=%d after k=%d", k, last)
+					} else {
+						last = k
+					}
+				}
+				held += len(h.rows)
+			}
+			if n := len(sink.rows); n == 0 || n == len(want[5]) || held-n <= len(want[0]) {
+				t.Fatalf("the sink holds %d of %d rows, the clients %d of %d: the churn tested nothing",
+					n, len(want[5]), held-n, len(want[0])+len(want[4]))
+			}
+		})
 	}
 }

@@ -902,6 +902,44 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 			fail("%s = %v, want 0: every feed is below QueueCap", s.Name, s.Value)
 		}
 	}
+	// A loop leaves its streams when it fires its last instance: no row
+	// enters its input queues after that, and a row fed once it has
+	// reported Finished is cloned for it not at all, taken in or turned
+	// away.
+	clones := func(q *RunningQuery) (queued, refused int64) {
+		for _, c := range q.inputs {
+			n, _ := c.Q.Stats()
+			queued += n
+			refused += c.Q.Refused()
+		}
+		return queued, refused
+	}
+	type loopClones struct{ queued, refused int64 }
+	loops := map[*RunningQuery]loopClones{}
+	for _, qs := range [][]*RunningQuery{early, late} {
+		for i, q := range qs {
+			if m.shapes[i].path == "" {
+				continue
+			}
+			queued, refused := clones(q)
+			if end := q.rt.(*windowRuntime).queuedAtEnd; queued != end {
+				fail("%s: %d rows entered query %d's inputs after its last instance", m.shapes[i].name, queued-end, q.ID)
+			}
+			loops[q] = loopClones{queued, refused}
+		}
+	}
+	lastRun := map[string]baseline.Run{}
+	for _, run := range m.in.arrival {
+		lastRun[run.Stream] = run
+	}
+	for _, run := range lastRun {
+		feed(baseline.Arrival{run})
+	}
+	for q, was := range loops {
+		if queued, refused := clones(q); queued != was.queued || refused != was.refused {
+			fail("query %d: %d rows cloned for its loop once it had finished", q.ID, queued+refused-was.queued-was.refused)
+		}
+	}
 }
 
 // rowsOf builds fresh tuples of rows for one FeedMany.
@@ -1019,6 +1057,13 @@ func awaitShape(t *testing.T, sh matrixShape, q *RunningQuery, n int) []baseline
 		case <-q.Finished():
 		case <-chaos.Real().After(10 * time.Second):
 			t.Fatalf("%s: the loop did not end", sh.name)
+		}
+		// The loop left its streams when it fired its last instance, before
+		// its DU retired and reported it finished.
+		for pos, c := range q.inputs {
+			if !c.Q.Closed() {
+				t.Fatalf("%s: input %d of query %d still open once the loop ended", sh.name, pos, q.ID)
+			}
 		}
 	} else {
 		waitFor(t, fmt.Sprintf("%s: %d results", sh.name, n), func() bool { return q.Results() >= int64(n) })

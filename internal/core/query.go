@@ -51,8 +51,10 @@ type RunningQuery struct {
 	push *egress.PushEgress
 	pull *egress.PullEgress
 
+	// sinks is copied on write under sinkMu, so emit reads it without a
+	// lock.
 	sinkMu sync.Mutex
-	sinks  []func(*tuple.Tuple)
+	sinks  atomic.Pointer[[]func(*tuple.Tuple)]
 
 	// metricNames lists every registry series this query registered
 	// (through metrics()), for teardown to unregister by exact name.
@@ -97,10 +99,18 @@ func (q *RunningQuery) Unsubscribe(id int) { q.push.Unsubscribe(id) }
 // Cursor registers a pull client replaying all retained results.
 func (q *RunningQuery) Cursor() int { return q.pull.RegisterAt(0) }
 
-// Fetch returns results since the pull cursor's last fetch.
+// Fetch returns results since the pull cursor's last fetch, decoded into
+// fresh tuples the caller owns.
 func (q *RunningQuery) Fetch(cursor int) ([]*tuple.Tuple, error) {
 	res, _, err := q.pull.Fetch(cursor)
 	return res, err
+}
+
+// FetchEncoded is Fetch leaving the rows in the pull log's encoding,
+// appended to dst, for a caller that decodes them into its own memory.
+func (q *RunningQuery) FetchEncoded(cursor int, dst []byte) (egress.Encoded, error) {
+	enc, _, err := q.pull.FetchEncoded(cursor, dst)
+	return enc, err
 }
 
 // CloseCursor drops a pull cursor; a client that goes away closes its own.
@@ -139,35 +149,47 @@ func (q *RunningQuery) Finished() <-chan struct{} { return q.doneCh }
 // sinks must not block.
 func (q *RunningQuery) AddSink(fn func(*tuple.Tuple)) {
 	q.sinkMu.Lock()
-	q.sinks = append(q.sinks, fn)
-	q.sinkMu.Unlock()
+	defer q.sinkMu.Unlock()
+	var sinks []func(*tuple.Tuple)
+	if old := q.sinks.Load(); old != nil {
+		sinks = append(sinks, *old...)
+	}
+	sinks = append(sinks, fn)
+	q.sinks.Store(&sinks)
+}
+
+// loadSinks returns the sinks attached so far.
+func (q *RunningQuery) loadSinks() []func(*tuple.Tuple) {
+	if p := q.sinks.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // emit delivers one result to both egress paths and any extra sinks. The
 // result count moves after the publishes: whoever reads Results() == n can
-// fetch n rows. The pull log never owns a result: a class may deliver one
-// row to many members, and a windowed query re-emits buffered rows.
-func (q *RunningQuery) emit(t *tuple.Tuple) {
-	q.push.Publish(t)
-	q.sinkMu.Lock()
-	sinks := q.sinks
-	q.sinkMu.Unlock()
+// fetch n rows. The pull log keeps the row's values, never the row, so emit
+// reports kept only when a push client or a sink was handed t: otherwise t
+// is dead when emit returns and its producer may reuse it.
+func (q *RunningQuery) emit(t *tuple.Tuple) (kept bool) {
+	clients := q.push.Publish(t)
+	sinks := q.loadSinks()
 	q.pull.Publish(t)
 	q.results.Add(1)
 	for _, fn := range sinks {
 		fn(t)
 	}
+	return clients > 0 || len(sinks) > 0
 }
 
-// emitBatch delivers a result batch under one lock acquisition per egress.
-func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
+// emitBatch delivers a result batch under one lock acquisition per egress
+// and reports, as emit does, whether anyone kept its rows.
+func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) (kept bool) {
 	if len(ts) == 0 {
-		return
+		return false
 	}
-	q.push.PublishBatch(ts)
-	q.sinkMu.Lock()
-	sinks := q.sinks
-	q.sinkMu.Unlock()
+	clients := q.push.PublishBatch(ts)
+	sinks := q.loadSinks()
 	q.pull.PublishBatch(ts, false)
 	q.results.Add(int64(len(ts)))
 	for _, fn := range sinks {
@@ -175,6 +197,7 @@ func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 			fn(t)
 		}
 	}
+	return clients > 0 || len(sinks) > 0
 }
 
 // finish retires the query exactly once — its DU finishing and a
@@ -210,6 +233,9 @@ func (q *RunningQuery) registerMetrics() {
 	})
 	reg.RegisterFunc("tcq_egress_pull_retained"+lbl, metrics.KindGauge, func() float64 {
 		return float64(q.pull.Len())
+	})
+	reg.RegisterFunc("tcq_egress_pull_bytes"+lbl, metrics.KindGauge, func() float64 {
+		return float64(q.pull.Bytes())
 	})
 	// Rows that aged out of the pull log, and the ones a returning cursor
 	// was told it missed: published = retained + evicted, per query.

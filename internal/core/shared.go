@@ -93,7 +93,7 @@ var errClassGone = errors.New("core: shared class retired")
 // over several positions have independent sequences, so their parallel
 // variant merges unordered (join results are a multiset).
 type sharedEngine interface {
-	AddQuery(fp tuple.SourceSet, sels []expr.Predicate, project []int, out func(*tuple.Tuple)) (*cacq.Query, error)
+	AddMember(fp tuple.SourceSet, sels []expr.Predicate, project []int, emit func(*tuple.Tuple) (kept bool)) (*cacq.Query, error)
 	RemoveQuery(id int) error
 	IngestBatch(s int, base []*tuple.Tuple)
 	Delivered() int64
@@ -476,8 +476,8 @@ func (sc *sharedClass) add(q *RunningQuery, plan *sql.Plan) error {
 	if sc.dead {
 		return errClassGone
 	}
-	project, out := memberOutput(q, plan)
-	cq, err := sc.eng.AddQuery(plan.Footprint, plan.Selections, project, out)
+	project, emit := memberOutput(q, plan)
+	cq, err := sc.eng.AddMember(plan.Footprint, plan.Selections, project, emit)
 	if err != nil {
 		return err
 	}

@@ -81,6 +81,9 @@ type windowRuntime struct {
 	nextT    int64
 	pend     window.Instance
 	finished bool
+	// queuedAtEnd is how many rows had entered the input queues when the
+	// loop ended and closed them: all that ever will.
+	queuedAtEnd int64
 }
 
 const maxLoopInstances = 100000
@@ -250,11 +253,26 @@ func gcd(a, b int64) int64 {
 	return b
 }
 
-// setNext moves the forward loop to value t and caches its instance.
+// setNext moves the forward loop to value t and caches its instance, or
+// ends the loop where its condition no longer holds.
 func (rt *windowRuntime) setNext(t int64) {
 	rt.nextT = t
-	if rt.finished = !rt.loop.Cond.Holds(t); !rt.finished {
-		rt.pend = rt.loop.At(t)
+	if !rt.loop.Cond.Holds(t) {
+		rt.end()
+		return
+	}
+	rt.pend = rt.loop.At(t)
+}
+
+// end marks the loop finished and takes it off its streams at once, not
+// when its DU retires: what they bring from here on belongs to no instance,
+// so FeedMany should clone nothing more for it.
+func (rt *windowRuntime) end() {
+	rt.finished = true
+	rt.q.engine.detach(rt.q)
+	for _, c := range rt.q.inputs {
+		n, _ := c.Q.Stats()
+		rt.queuedAtEnd += n
 	}
 }
 
@@ -433,7 +451,7 @@ func (rt *windowRuntime) fireNext() {
 func (rt *windowRuntime) fireReady(beyond bool) (fired bool) {
 	for !rt.finished && rt.reached(beyond) {
 		if rt.loop.Cond.Always && rt.allClosed() && !rt.worthFiring() {
-			rt.finished = true
+			rt.end()
 			break
 		}
 		rt.fireNext()
@@ -468,7 +486,7 @@ func (rt *windowRuntime) step() (bool, bool) {
 		rt.fire(inst)
 		return true
 	})
-	rt.finished = true
+	rt.end()
 	return true, true
 }
 
@@ -616,7 +634,9 @@ func (rt *windowRuntime) rowsFor(pos int, inst window.Instance) []*tuple.Tuple {
 // fire evaluates one window instance and delivers its result set as one
 // batch: each egress takes the instance under one lock acquisition, so a
 // concurrent Fetch sees all of it or none. Result tuples carry the instance's
-// loop value in TS so clients can regroup the output sequence of sets.
+// loop value in TS so clients can regroup the output sequence of sets. On
+// the pane path, an instance nobody kept leaves its rows for the next
+// instance to be written over.
 func (rt *windowRuntime) fire(inst window.Instance) {
 	clk := rt.q.engine.opts.Clock
 	start := clk.Now()
@@ -630,7 +650,9 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 	for _, r := range out {
 		r.TS = inst.T
 	}
-	rt.q.emitBatch(out)
+	if !rt.q.emitBatch(out) && rt.panes != nil {
+		rt.panes.Reuse()
+	}
 	rt.fireLat.Record(clk.Since(start))
 }
 

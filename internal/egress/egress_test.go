@@ -1,12 +1,15 @@
 package egress
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
+	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
 )
 
@@ -214,7 +217,6 @@ func TestPriorityEgressEmpty(t *testing.T) {
 // replaced answer the same calls.
 type pullLog interface {
 	Publish(t *tuple.Tuple)
-	PublishOwned(t *tuple.Tuple, owned bool)
 	PublishBatch(ts []*tuple.Tuple, owned bool)
 	Register() int
 	RegisterAt(pos int64) int
@@ -226,45 +228,28 @@ type pullLog interface {
 
 // sliceLog is the retention log PullEgress had before the ring: a slice
 // that appends, then shifts the survivors down over whatever aged out. It
-// stays here as the oracle the ring is checked against.
+// stays here as the oracle the encoded log is checked against, keeping a
+// copy of each row, since the publisher reuses its tuples.
 type sliceLog struct {
-	log     []pullEntry
+	log     []*tuple.Tuple
 	cap     int
 	base    int64
 	cursors map[int]int64
 	nextID  int
-	pool    *tuple.Pool
 }
 
-func (e *sliceLog) Publish(t *tuple.Tuple) { e.PublishOwned(t, false) }
+func (e *sliceLog) Publish(t *tuple.Tuple) { e.PublishBatch([]*tuple.Tuple{t}, false) }
 
-func (e *sliceLog) PublishOwned(t *tuple.Tuple, owned bool) {
-	e.log = append(e.log, pullEntry{t: t, owned: owned && e.pool != nil})
-	e.evictOver()
-}
-
-func (e *sliceLog) PublishBatch(ts []*tuple.Tuple, owned bool) {
-	owned = owned && e.pool != nil
+func (e *sliceLog) PublishBatch(ts []*tuple.Tuple, _ bool) {
 	for _, t := range ts {
-		e.log = append(e.log, pullEntry{t: t, owned: owned})
+		e.log = append(e.log, t.Clone())
 	}
-	e.evictOver()
-}
-
-func (e *sliceLog) evictOver() {
 	over := len(e.log) - e.cap
 	if over <= 0 {
 		return
 	}
-	for i := 0; i < over; i++ {
-		if ent := e.log[i]; ent.owned {
-			e.pool.Put(ent.t)
-		}
-	}
 	n := copy(e.log, e.log[over:])
-	for i := n; i < len(e.log); i++ {
-		e.log[i] = pullEntry{}
-	}
+	clear(e.log[n:])
 	e.log = e.log[:n]
 	e.base += int64(over)
 }
@@ -293,10 +278,7 @@ func (e *sliceLog) Fetch(id int) (results []*tuple.Tuple, missed int64, err erro
 		missed = e.base - cur
 		cur = e.base
 	}
-	for i := int(cur - e.base); i < len(e.log); i++ {
-		e.log[i].owned = false
-		results = append(results, e.log[i].t)
-	}
+	results = append(results, e.log[cur-e.base:]...)
 	e.cursors[id] = e.base + int64(len(e.log))
 	return results, missed, nil
 }
@@ -305,132 +287,141 @@ func (e *sliceLog) Deregister(id int) { delete(e.cursors, id) }
 func (e *sliceLog) Cursors() int      { return len(e.cursors) }
 func (e *sliceLog) Len() int          { return len(e.log) }
 
-// modelSide is one log under test with a pool of its own: an owned tuple
-// goes back exactly once, so the ring and the oracle cannot share one. Rows
-// are told apart by the number in their one column.
-type modelSide struct {
-	log    pullLog
-	pool   *tuple.Pool
-	tuples map[*tuple.Tuple]int64
-	puts   int64
-}
-
-func newModelSide(log pullLog, pool *tuple.Pool) *modelSide {
-	return &modelSide{log: log, pool: pool, tuples: make(map[*tuple.Tuple]int64)}
-}
-
-func (s *modelSide) tuple(id int64) *tuple.Tuple {
-	t := mk(id)
-	s.tuples[t] = id
-	return t
-}
-
-func (s *modelSide) batch(first int64, n int) []*tuple.Tuple {
-	ts := make([]*tuple.Tuple, n)
-	for i := range ts {
-		ts[i] = s.tuple(first + int64(i))
-	}
-	return ts
-}
-
-// recycled takes back what the log has returned to the pool since the last
-// call (the pool hands out its most recent returns first) and names it: the
-// ids of the tuples Put, sorted.
-func (s *modelSide) recycled(t *testing.T) (tuples []int64) {
-	t.Helper()
-	for puts := s.pool.Stats().Puts; s.puts < puts; s.puts++ {
-		tp := s.pool.Get(1)
-		id, ok := s.tuples[tp]
-		if !ok {
-			t.Fatalf("the pool handed out a tuple that was never published or was Put twice")
+// randomRow fills t, reusing its Vals, with one to five values of every
+// kind the codec knows, extremes included, and a Seq and TS of either sign.
+func randomRow(rng *rand.Rand, t *tuple.Tuple) {
+	t.Vals = t.Vals[:0]
+	for n := 1 + rng.Intn(5); n > 0; n-- {
+		var v tuple.Value
+		switch rng.Intn(6) {
+		case 0:
+			v = tuple.Int([]int64{0, -1, math.MaxInt64, math.MinInt64, rng.Int63n(1000) - 500}[rng.Intn(5)])
+		case 1:
+			v = tuple.Float([]float64{0, math.Copysign(0, -1), math.Inf(-1), math.NaN(), math.MaxFloat64, rng.NormFloat64()}[rng.Intn(6)])
+		case 2:
+			b := make([]byte, rng.Intn(12))
+			rng.Read(b)
+			v = tuple.String_(string(b))
+		case 3:
+			v = tuple.Bool(rng.Intn(2) == 0)
+		case 4:
+			v = tuple.Value{K: tuple.KindTime, I: rng.Int63() - rng.Int63()}
+		default:
+			v = tuple.Null
 		}
-		delete(s.tuples, tp)
-		tuples = append(tuples, id)
+		t.Vals = append(t.Vals, v)
 	}
-	slices.Sort(tuples)
-	return tuples
+	t.Seq, t.TS = rng.Int63n(1<<40)-1<<39, rng.Int63()-rng.Int63()
 }
 
-// rowIDs names fetched rows by the id each was made with: the log must hand
-// back the very pointer it was given.
-func (s *modelSide) rowIDs(t *testing.T, rows []*tuple.Tuple) []int64 {
-	t.Helper()
-	ids := make([]int64, len(rows))
-	for i, r := range rows {
-		id, ok := s.tuples[r]
-		if !ok {
-			t.Fatalf("fetched a tuple that was never published or was already recycled")
+// sameRow reports whether a fetched row carries exactly the published
+// row's Seq, TS and values; floats compare by bits, so NaN and -0 count.
+func sameRow(got, want *tuple.Tuple) bool {
+	if got.Seq != want.Seq || got.TS != want.TS || len(got.Vals) != len(want.Vals) {
+		return false
+	}
+	for i, w := range want.Vals {
+		g := got.Vals[i]
+		if g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+			return false
 		}
-		ids[i] = id
 	}
-	return ids
+	return true
 }
 
-// checkRing holds the ring to its own invariants: never more slots than
-// the cap, no wrap before the array is at the cap, and nothing but zero
-// values outside the retained range, so what aged out is collectable.
+// checkRing holds the encoded log to its own invariants: its chunks hold
+// consecutive positions ending at the log's end, the retained rows are
+// exactly the ones past skip, no chunk but the last is wholly aged out,
+// and the byte count is the capacity of its chunks and spare.
 func checkRing(t *testing.T, e *PullEgress) {
 	t.Helper()
-	if cap(e.ring) > e.cap {
-		t.Fatalf("backing array of %d (cap %d) slots for a cap of %d rows", len(e.ring), cap(e.ring), e.cap)
+	if e.n > e.cap {
+		t.Fatalf("%d rows retained for a cap of %d", e.n, e.cap)
 	}
-	if e.n > len(e.ring) || (len(e.ring) < e.cap && e.head != 0) {
-		t.Fatalf("head %d, %d rows in %d slots, cap %d", e.head, e.n, len(e.ring), e.cap)
-	}
-	for i := e.n; i < len(e.ring); i++ {
-		if ent := e.ring[e.at(i)]; ent != (pullEntry{}) {
-			t.Fatalf("slot %d is outside the %d retained rows and still holds %+v", e.at(i), e.n, ent)
+	if len(e.chunks) == 0 {
+		if e.n != 0 || e.bytes != cap(e.spare) {
+			t.Fatalf("no chunk, %d rows, %d bytes, spare %d", e.n, e.bytes, cap(e.spare))
 		}
+		return
+	}
+	rows, bytes := -e.skip, cap(e.spare)
+	for k, c := range e.chunks {
+		if c.rows == 0 || k > 0 && c.first != e.chunks[k-1].first+int64(e.chunks[k-1].rows) {
+			t.Fatalf("chunk %d of %d: %d rows from %d after %+v", k, len(e.chunks), c.rows, c.first, e.chunks[:k])
+		}
+		rows += c.rows
+		bytes += cap(c.buf)
+	}
+	if rows != e.n || e.chunks[0].first+int64(e.skip) != e.base || e.bytes != bytes {
+		t.Fatalf("chunks hold %d rows past skip %d from %d, log %d from %d; %d bytes, counted %d",
+			rows, e.skip, e.chunks[0].first, e.n, e.base, bytes, e.bytes)
+	}
+	if len(e.chunks) > 1 && e.skip >= e.chunks[0].rows {
+		t.Fatalf("chunk 0 aged out (%d of %d rows) and is still held", e.skip, e.chunks[0].rows)
 	}
 }
 
-// TestPullRingMatchesSliceModel drives the ring and the slice it replaced
-// through one seeded random history per cap and requires them to be
-// indistinguishable: the same rows fetched in the same order, the same
-// missed counts, lengths and cursor counts, and the same tuples handed back
-// for reuse after every single operation.
+// TestPullRingMatchesSliceModel drives the encoded log and the slice it
+// replaced through one seeded random history per cap and requires them to
+// be indistinguishable: the same rows fetched in the same order, value for
+// value over every kind, the same missed counts, lengths and cursor counts
+// after every single operation. The publisher rewrites its tuples the
+// moment a publish returns, as a member recycling its projected row does,
+// so a log that kept a pointer fetches the wrong values. Half the fetches
+// go through FetchEncoded and Each.
 func TestPullRingMatchesSliceModel(t *testing.T) {
 	const ops = 12000
 	for _, capRows := range []int{1, 2, 3, 7, 64} {
 		t.Run(fmt.Sprintf("cap%d", capRows), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + capRows)))
-			ringLog := NewPullEgress(capRows)
-			ringPool, modelPool := tuple.NewPool(), tuple.NewPool()
-			ringLog.SetRecycler(ringPool)
-			oracle := &sliceLog{cap: capRows, cursors: make(map[int]int64), pool: modelPool}
-			ring, model := newModelSide(ringLog, ringPool), newModelSide(oracle, modelPool)
-			sides := []*modelSide{ring, model}
+			ring := NewPullEgress(capRows)
+			oracle := &sliceLog{cap: capRows, cursors: make(map[int]int64)}
+			sides := []pullLog{ring, oracle}
+			rows := make([]*tuple.Tuple, 2*capRows+3) // the publisher's tuples, reused
+			for i := range rows {
+				rows[i] = new(tuple.Tuple)
+			}
+			batch := func(n int) []*tuple.Tuple {
+				for _, r := range rows[:n] {
+					randomRow(rng, r)
+				}
+				return rows[:n]
+			}
+			scribble := func(ts []*tuple.Tuple) {
+				for _, r := range ts {
+					randomRow(rng, r)
+				}
+			}
 
+			var encoded []byte // FetchEncoded's buffer, reused
+			var vals int
 			var cursors []int // ids are handed out in the same order on both sides
-			next := int64(1)  // row ids: positive, never reused
 			published, missedSum := int64(0), int64(0)
 			for op := 0; op < ops; op++ {
 				what := ""
 				switch k := rng.Intn(12); {
-				case k == 0:
+				case k <= 1:
 					what = "Publish"
+					ts := batch(1)
 					for _, s := range sides {
-						s.log.Publish(s.tuple(next))
+						s.Publish(ts[0])
 					}
-					next, published = next+1, published+1
-				case k == 1:
-					what = "PublishOwned"
-					for _, s := range sides {
-						s.log.PublishOwned(s.tuple(next), true)
-					}
-					next, published = next+1, published+1
+					scribble(ts)
+					published++
 				case k <= 5:
 					sizes := []int{0, 1, rng.Intn(capRows), capRows, capRows + 1 + rng.Intn(capRows+2)}
-					n, owned := sizes[rng.Intn(len(sizes))], rng.Intn(2) == 0
-					what = fmt.Sprintf("PublishBatch(%d rows, owned=%v)", n, owned)
+					n := sizes[rng.Intn(len(sizes))]
+					what = fmt.Sprintf("PublishBatch(%d rows)", n)
+					ts := batch(n)
 					for _, s := range sides {
-						s.log.PublishBatch(s.batch(next, n), owned)
+						s.PublishBatch(ts, rng.Intn(2) == 0)
 					}
-					next, published = next+int64(n), published+int64(n)
+					scribble(ts)
+					published += int64(n)
 				case k == 6 && len(cursors) < 6:
 					what = "Register"
-					id := ring.log.Register()
-					if got := model.log.Register(); got != id {
+					id := ring.Register()
+					if got := oracle.Register(); got != id {
 						t.Fatalf("op %d %s: cursor id %d, model %d", op, what, id, got)
 					}
 					cursors = append(cursors, id)
@@ -445,8 +436,8 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 						pos = oracle.base + int64(len(oracle.log)) + 1 + int64(rng.Intn(4))
 					}
 					what = fmt.Sprintf("RegisterAt(%d) with rows [%d, %d)", pos, oracle.base, oracle.base+int64(len(oracle.log)))
-					id := ring.log.RegisterAt(pos)
-					if got := model.log.RegisterAt(pos); got != id {
+					id := ring.RegisterAt(pos)
+					if got := oracle.RegisterAt(pos); got != id {
 						t.Fatalf("op %d %s: cursor id %d, model %d", op, what, id, got)
 					}
 					cursors = append(cursors, id)
@@ -456,13 +447,33 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 						id = cursors[rng.Intn(len(cursors))]
 					}
 					what = fmt.Sprintf("Fetch(%d)", id)
-					got, missed, err := ring.log.Fetch(id)
-					want, wantMissed, wantErr := model.log.Fetch(id)
-					if (err == nil) != (wantErr == nil) || missed != wantMissed {
-						t.Fatalf("op %d %s: missed %d err %v, model missed %d err %v", op, what, missed, err, wantMissed, wantErr)
+					var got []*tuple.Tuple
+					var missed int64
+					var err error
+					if rng.Intn(2) == 0 {
+						got, missed, err = ring.Fetch(id)
+					} else {
+						what = fmt.Sprintf("FetchEncoded(%d)", id)
+						var enc Encoded
+						enc, missed, err = ring.FetchEncoded(id, encoded[:0])
+						encoded, vals = enc.Buf, 0
+						err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) {
+							got = append(got, r.Clone())
+							vals += len(r.Vals)
+						}))
+						if len(got) != enc.Rows || vals != enc.Vals {
+							t.Fatalf("op %d %s: decoded %d rows of %d values, Encoded says %d of %d", op, what, len(got), vals, enc.Rows, enc.Vals)
+						}
 					}
-					if g, w := ring.rowIDs(t, got), model.rowIDs(t, want); !reflect.DeepEqual(g, w) {
-						t.Fatalf("op %d %s: fetched %v, model %v", op, what, g, w)
+					want, wantMissed, wantErr := oracle.Fetch(id)
+					if (err == nil) != (wantErr == nil) || missed != wantMissed || len(got) != len(want) {
+						t.Fatalf("op %d %s: %d rows, missed %d, err %v; model %d rows, missed %d, err %v",
+							op, what, len(got), missed, err, len(want), wantMissed, wantErr)
+					}
+					for i := range got {
+						if !sameRow(got[i], want[i]) {
+							t.Fatalf("op %d %s: row %d is %+v, model %+v", op, what, i, got[i], want[i])
+						}
 					}
 					missedSum += missed
 				default:
@@ -472,25 +483,22 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 					i := rng.Intn(len(cursors))
 					what = fmt.Sprintf("Deregister(%d)", cursors[i])
 					for _, s := range sides {
-						s.log.Deregister(cursors[i])
+						s.Deregister(cursors[i])
 					}
 					cursors = append(cursors[:i], cursors[i+1:]...)
 				}
 
-				if got, want := ring.log.Len(), model.log.Len(); got != want {
+				if got, want := ring.Len(), oracle.Len(); got != want {
 					t.Fatalf("op %d %s: Len %d, model %d", op, what, got, want)
 				}
-				if got, want := ring.log.Cursors(), model.log.Cursors(); got != want {
+				if got, want := ring.Cursors(), oracle.Cursors(); got != want {
 					t.Fatalf("op %d %s: Cursors %d, model %d", op, what, got, want)
 				}
-				if got, want := ring.recycled(t), model.recycled(t); !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d %s: recycled tuples %v, model %v", op, what, got, want)
-				}
-				checkRing(t, ringLog)
-				evicted, missedTotal := ringLog.Stats()
-				if evicted != oracle.base || evicted+int64(ringLog.Len()) != published || missedTotal != missedSum {
+				checkRing(t, ring)
+				evicted, missedTotal := ring.Stats()
+				if evicted != oracle.base || evicted+int64(ring.Len()) != published || missedTotal != missedSum {
 					t.Fatalf("op %d %s: evicted %d (model %d) + retained %d vs published %d; missed %d vs %d returned by Fetch",
-						op, what, evicted, oracle.base, ringLog.Len(), published, missedTotal, missedSum)
+						op, what, evicted, oracle.base, ring.Len(), published, missedTotal, missedSum)
 				}
 			}
 			if oracle.base == 0 || missedSum == 0 {
@@ -501,7 +509,8 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 }
 
 // TestPullRingAtDefaultCap is the acceptance shape: far more rows than the
-// default cap, one cursor that never fetched.
+// default cap, one cursor that never fetched. The log holds the retained
+// rows' bytes and at most one chunk and a spare more.
 func TestPullRingAtDefaultCap(t *testing.T) {
 	const published, retention = 200000, 1 << 16
 	e := NewPullEgress(0)
@@ -527,8 +536,13 @@ func TestPullRingAtDefaultCap(t *testing.T) {
 	if e.Len() != retention || evicted+int64(e.Len()) != published {
 		t.Fatalf("Len %d, evicted %d, published %d", e.Len(), evicted, published)
 	}
-	if len(e.ring) != retention || cap(e.ring) != retention {
-		t.Fatalf("backing array has %d slots (cap %d), want exactly %d", len(e.ring), cap(e.ring), retention)
+	checkRing(t, e)
+	retained := -e.skip * len(storage.AppendRow(nil, mk(published-1)))
+	for _, c := range e.chunks {
+		retained += len(c.buf)
+	}
+	if e.Bytes() > retained+2*maxChunk {
+		t.Fatalf("%d bytes held for %d bytes of retained rows", e.Bytes(), retained)
 	}
 	got, missed, err := e.Fetch(lagging)
 	if err != nil || missed != evicted || len(got) != retention {
@@ -551,7 +565,6 @@ func TestPullRingAtDefaultCap(t *testing.T) {
 func TestPullRingConcurrentFetch(t *testing.T) {
 	const published = 20000
 	e := NewPullEgress(64)
-	e.SetRecycler(tuple.NewPool())
 	cur := e.RegisterAt(0)
 	done := make(chan struct{})
 	go func() {
@@ -563,12 +576,26 @@ func TestPullRingConcurrentFetch(t *testing.T) {
 				batch = append(batch, mk(i))
 				i++
 			}
-			e.PublishBatch(batch, true) // unfetched rows go back to the pool as they age out
+			e.PublishBatch(batch, false)
 		}
 	}()
 	var got, missed, last int64
-	fetch := func() {
-		rows, m, err := e.Fetch(cur)
+	var buf []byte
+	fetch := func(i int) {
+		var rows []*tuple.Tuple
+		var m int64
+		var err error
+		if i%2 == 0 {
+			rows, m, err = e.Fetch(cur)
+		} else {
+			var enc Encoded
+			enc, m, err = e.FetchEncoded(cur, buf[:0])
+			buf = enc.Buf
+			err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) { rows = append(rows, r.Clone()) }))
+			if len(rows) != enc.Rows || enc.Vals != enc.Rows {
+				t.Fatalf("decoded %d rows, Encoded says %d rows of %d values", len(rows), enc.Rows, enc.Vals)
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,13 +609,13 @@ func TestPullRingConcurrentFetch(t *testing.T) {
 		}
 		got += int64(len(rows))
 	}
-	for running := true; running; {
+	for i, running := 0, true; running; i++ {
 		select {
 		case <-done:
 			running = false
 		default:
 		}
-		fetch()
+		fetch(i)
 	}
 	if got+missed != published || last != published {
 		t.Fatalf("fetched %d + missed %d of %d rows, last row %d", got, missed, published, last)
@@ -607,6 +634,9 @@ func filledToCap(ts []*tuple.Tuple) *PullEgress {
 	return e
 }
 
+// TestPullPublishAtCapDoesNotAllocate: at its cap the log ages a row out
+// for every row it takes and reuses the chunk the oldest rows leave, so a
+// publish allocates nothing.
 func TestPullPublishAtCapDoesNotAllocate(t *testing.T) {
 	ts := make([]*tuple.Tuple, 64)
 	for i := range ts {
@@ -618,6 +648,64 @@ func TestPullPublishAtCapDoesNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { e.PublishBatch(ts, false) }); n != 0 {
 		t.Errorf("a 64-row publish into a full log allocates %v times", n)
+	}
+	// AllocsPerRun rounds an allocation every few thousand publishes down
+	// to 0: four caps' worth of rows moves every chunk through the spare.
+	// Best of three, since the runtime can allocate inside the window.
+	best := uint64(1 << 63)
+	for trial := 0; trial < 3; trial++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 4<<16; i += len(ts) {
+			e.PublishBatch(ts, false)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best != 0 {
+		t.Errorf("publishing four caps' worth of rows into a full log allocates %d times", best)
+	}
+}
+
+// TestPullFetchAllocatesPerCallNotPerRow: Fetch of N rows makes the same
+// few allocations whatever N is (a row slice, a tuple slab, a value slab),
+// and FetchEncoded into a buffer of room makes none.
+func TestPullFetchAllocatesPerCallNotPerRow(t *testing.T) {
+	row := tuple.New(tuple.Int(1), tuple.Float(2.5), tuple.Bool(true), tuple.Value{K: tuple.KindTime, I: 9}, tuple.Null)
+	for _, n := range []int{10, 10000} {
+		e := NewPullEgress(0)
+		for e.Len() < 1<<16 {
+			e.Publish(row) // at the cap, publishing allocates nothing
+		}
+		cur := e.Register()
+		var buf []byte
+		fetch := func() {
+			for i := 0; i < n; i++ {
+				e.Publish(row)
+			}
+			rows, _, err := e.Fetch(cur)
+			if err != nil || len(rows) != n {
+				t.Fatalf("fetched %d rows, err %v", len(rows), err)
+			}
+		}
+		fetch()
+		if a := testing.AllocsPerRun(20, fetch); a > 3 {
+			t.Errorf("Fetch of %d rows allocates %v times, want at most 3", n, a)
+		}
+		fetchEncoded := func() {
+			for i := 0; i < n; i++ {
+				e.Publish(row)
+			}
+			enc, _, err := e.FetchEncoded(cur, buf[:0])
+			if err != nil || enc.Rows != n || enc.Vals != n*len(row.Vals) {
+				t.Fatalf("fetched %d rows of %d values, err %v", enc.Rows, enc.Vals, err)
+			}
+			buf = enc.Buf
+		}
+		fetchEncoded()
+		if a := testing.AllocsPerRun(20, fetchEncoded); a != 0 {
+			t.Errorf("FetchEncoded of %d rows allocates %v times into a buffer of room", n, a)
+		}
 	}
 }
 

@@ -60,6 +60,7 @@ type Queue struct {
 	// stats
 	enqueued int64
 	dropped  int64
+	refused  int64 // tuples a closed queue turned away
 }
 
 // NewQueue returns a queue with the given capacity (minimum 1).
@@ -111,6 +112,7 @@ func (q *Queue) unlockWake(rouse bool) {
 func (q *Queue) Push(t *tuple.Tuple) bool {
 	q.mu.Lock()
 	if q.closed {
+		q.refused++
 		q.mu.Unlock()
 		return false
 	}
@@ -132,6 +134,7 @@ func (q *Queue) PushWait(t *tuple.Tuple) bool {
 		q.notFull.Wait()
 	}
 	if q.closed {
+		q.refused++
 		q.mu.Unlock()
 		return false
 	}
@@ -189,7 +192,11 @@ func (q *Queue) PushMany(ts []*tuple.Tuple) int {
 	q.mu.Lock()
 	n := 0
 	for _, t := range ts {
-		if q.closed || q.size == len(q.buf) {
+		if q.closed {
+			q.refused += int64(len(ts) - n)
+			break
+		}
+		if q.size == len(q.buf) {
 			q.dropped += int64(len(ts) - n)
 			break
 		}
@@ -218,6 +225,7 @@ func (q *Queue) PushWaitMany(ts []*tuple.Tuple) int {
 			q.notFull.Wait()
 		}
 		if q.closed {
+			q.refused += int64(len(ts) - n)
 			break
 		}
 		q.put(t)
@@ -281,6 +289,14 @@ func (q *Queue) Drained() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.closed && q.size == 0
+}
+
+// Refused returns the number of tuples pushed after Close: work a producer
+// did for a consumer that had already gone.
+func (q *Queue) Refused() int64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.refused
 }
 
 // Stats returns the lifetime enqueue count and the number of non-blocking

@@ -253,15 +253,26 @@ func (d *groupDict) drop(s int32) {
 	d.free = append(d.free, s)
 }
 
+// rowSlab is the memory rows renders into: the tuples, their values, and
+// the pointers handed out.
+type rowSlab struct {
+	tups []tuple.Tuple
+	vals []tuple.Value
+	out  []*tuple.Tuple
+}
+
 // rows renders n output rows, one per group: for the i-th slot of order
 // (slot i when order is nil), its key values and then one value per spec
-// from accs[i*len(specs):]. All rows share two allocations, one for the
-// tuples and one for their values.
-func (d *groupDict) rows(n int, order []int32, specs []AggSpec, accs []accum) []*tuple.Tuple {
+// from accs[i*len(specs):]. The rows are written into slab, which is
+// replaced by fresh memory when it is too small: all rows share the slab's
+// three allocations.
+func (d *groupDict) rows(n int, order []int32, specs []AggSpec, accs []accum, slab *rowSlab) []*tuple.Tuple {
 	k, w := len(d.cols), len(d.cols)+len(specs)
-	tups := make([]tuple.Tuple, n)
-	vals := make([]tuple.Value, n*w)
-	out := make([]*tuple.Tuple, n)
+	if cap(slab.tups) < n || cap(slab.vals) < n*w {
+		*slab = rowSlab{tups: make([]tuple.Tuple, n), vals: make([]tuple.Value, n*w), out: make([]*tuple.Tuple, n)}
+	}
+	tups, vals, out := slab.tups[:n], slab.vals[:n*w], slab.out[:n]
+	clear(tups)
 	for i := range out {
 		s := i
 		if order != nil {
@@ -307,7 +318,7 @@ func (a *Aggregator) Compute(tuples []*tuple.Tuple) []*tuple.Tuple {
 		}
 		foldRow(a.Specs, accs[s*ns:(s+1)*ns], t)
 	}
-	return d.rows(len(d.next), nil, a.Specs, accs)
+	return d.rows(len(d.next), nil, a.Specs, accs, &rowSlab{})
 }
 
 // PaneAgg computes grouped aggregates over every instance of a forward
@@ -348,6 +359,10 @@ type PaneAgg struct {
 
 	zero   []accum // len(specs) zero accumulators: a group's initial run
 	window pane    // Combine's scratch: the instance being built
+	// out holds the rows Combine last returned; with reuse (Reuse) the
+	// next Combine writes over them.
+	out   rowSlab
+	reuse bool
 }
 
 // pane is one pane's partial aggregates, or a merge of several.
@@ -490,9 +505,10 @@ func (p *pane) reset() {
 
 // Combine returns the aggregates of the instance whose window is
 // [left, right], edges on pane boundaries: the landmark prefix, then every
-// live pane the window covers, merged in pane order, one fresh row per
-// group. Groups come in first-appearance order: pane order, then arrival
-// order within a pane.
+// live pane the window covers, merged in pane order, one row per group.
+// Groups come in first-appearance order: pane order, then arrival order
+// within a pane. The rows are fresh unless Reuse was called since the last
+// Combine, in which case they are written over that call's rows.
 func (a *PaneAgg) Combine(left, right int64) []*tuple.Tuple {
 	lo, hi := a.paneOf(left), a.paneOf(right+1)-1
 	w := &a.window
@@ -505,10 +521,18 @@ func (a *PaneAgg) Combine(left, right int64) []*tuple.Tuple {
 			a.merge(w, p)
 		}
 	}
-	out := a.dict.rows(len(w.order), w.order, a.specs, w.accs)
+	if !a.reuse {
+		a.out = rowSlab{}
+	}
+	a.reuse = false
+	out := a.dict.rows(len(w.order), w.order, a.specs, w.accs, &a.out)
 	w.reset()
 	return out
 }
+
+// Reuse reports that nobody holds the rows the last Combine returned any
+// longer, so the next Combine may write over them.
+func (a *PaneAgg) Reuse() { a.reuse = true }
 
 // Evict retires every live pane wholly below window time below, which
 // must be a pane edge: a landmark merges them into its prefix, any other

@@ -28,6 +28,20 @@ func (p *Project) Apply(t *tuple.Tuple) *tuple.Tuple {
 	return out
 }
 
+// ApplyTo is Apply writing into dst, a row an earlier ApplyTo or Apply of
+// this projection returned and nobody holds any longer; with dst nil it is
+// Apply.
+func (p *Project) ApplyTo(dst, t *tuple.Tuple) *tuple.Tuple {
+	if dst == nil {
+		return p.Apply(t)
+	}
+	dst.TS, dst.Seq, dst.Source, dst.Done, dst.Queries = t.TS, t.Seq, t.Source, 0, nil
+	for i, c := range p.Cols {
+		dst.Vals[i] = t.Vals[c]
+	}
+	return dst
+}
+
 // DupElim suppresses tuples whose projected key columns repeat. It is a
 // streaming operator: the first tuple of each key passes.
 type DupElim struct {

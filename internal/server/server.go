@@ -139,6 +139,10 @@ type frontEnd struct {
 	werr   error  // first write error, guarded by wmu; logged once
 	row    []byte // handleFetch's row scratch, guarded by wmu
 	long   []byte // readLine's scratch for a line longer than the read buffer
+	// fetched and fetchRow are handleFetch's scratch: the encoded rows a
+	// FETCH copies out of the pull log, and the tuple each is decoded into.
+	fetched  []byte
+	fetchRow tuple.Tuple
 	// cmdCount holds the tcq_server_commands_total series this connection
 	// has counted into, so each is looked up in the registry once.
 	cmdCount map[string]*metrics.Counter
@@ -654,23 +658,26 @@ func (fe *frontEnd) handleFetch(rest string) error {
 	fe.mu.Lock()
 	cur := fe.cursors[id]
 	fe.mu.Unlock()
-	rows, err := q.Fetch(cur)
+	// The rows are copied out of the pull log in its encoding, and the log's
+	// lock is released before any of them is decoded or written.
+	enc, err := q.FetchEncoded(cur, fe.fetched[:0])
+	fe.fetched = enc.Buf
 	if err != nil {
 		return err
 	}
 	// Pull rows carry the "." tag so clients can tell them apart from
 	// asynchronous push rows ("ROW q<id> ...") on the same connection. One
 	// lock acquisition for the whole reply keeps push rows out of it; each
-	// row is rendered into one reused buffer, and bufio writes a full buffer
-	// at a time.
+	// row is decoded into one reused tuple and rendered into one reused
+	// buffer, and bufio writes a full buffer at a time.
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
-	for _, t := range rows {
+	err = enc.Each(&fe.fetchRow, func(t *tuple.Tuple) {
 		fe.row = append(ingress.AppendCSV(append(fe.row[:0], "ROW . "...), t), '\n')
 		fe.w.Write(fe.row)
-	}
+	})
 	fe.w.WriteString("END\n")
-	return nil
+	return err
 }
 
 // handleStats reports a query's adaptive-routing counters.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -565,5 +566,45 @@ func TestUnknownCommandsShareOneSeries(t *testing.T) {
 	}
 	if strings.Contains(joined, "BOGUS") {
 		t.Errorf("a bogus command minted its own series:\n%s", joined)
+	}
+}
+
+// TestFetchAllocatesPerCall: a FETCH copies the encoded rows into the
+// connection's scratch and decodes each into one reused tuple, so replying
+// with 10,000 rows costs what replying with 10 does.
+func TestFetchAllocatesPerCall(t *testing.T) {
+	e, q := wireEngine(t)
+	fe := newFrontEnd(e, &scriptConn{r: strings.NewReader("")})
+	qid := strconv.Itoa(q.ID)
+	if err := fe.handleFetch(qid); err != nil { // adopts the query with a cursor
+		t.Fatal(err)
+	}
+	fed := int64(0)
+	fetch := func(n int) (allocs uint64) {
+		for i := 0; i < n; i++ {
+			fed++
+			if err := e.Feed("s", tuple.New(tuple.Int(fed))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == fed }) {
+			t.Fatalf("%d of %d results", q.Results(), fed)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fe.handleFetch(qid)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, n := range []int{10, 10000} {
+		fetch(n) // the connection's scratch grows to the size once
+		a := fetch(n)
+		t.Logf("FETCH of %d rows: %d allocations", n, a)
+		if a > 50 { // a few, and a few more when a collection starts inside
+			t.Errorf("FETCH of %d rows allocates %d times, want a few dozen at most", n, a)
+		}
 	}
 }

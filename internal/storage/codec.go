@@ -11,13 +11,15 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"telegraphcq/internal/tuple"
 )
 
-// appendTuple serializes t to buf. The format is length-prefixed and
-// self-describing: seq, ts, nvals, then kind+payload per value.
-func appendTuple(buf []byte, t *tuple.Tuple) []byte {
+// AppendRow serializes t to buf: the row codec of segments, history logs
+// and pull logs. The format is self-describing: seq, ts, nvals, then
+// kind+payload per value.
+func AppendRow(buf []byte, t *tuple.Tuple) []byte {
 	buf = binary.AppendVarint(buf, t.Seq)
 	buf = binary.AppendVarint(buf, t.TS)
 	buf = binary.AppendUvarint(buf, uint64(len(t.Vals)))
@@ -37,60 +39,79 @@ func appendTuple(buf []byte, t *tuple.Tuple) []byte {
 	return buf
 }
 
-// readTuple deserializes one tuple from buf, returning it and the number
-// of bytes consumed.
-func readTuple(buf []byte) (*tuple.Tuple, int, error) {
+// ReadRow decodes the row AppendRow wrote at the front of buf into t: its
+// Seq and TS, and its values appended to vals, which t.Vals then is (capped
+// at its own length, so appending to one row never writes the next). It
+// returns vals extended and the bytes consumed. Only a string value
+// allocates, and vals only when it lacks room: a caller that sizes vals for
+// every row it decodes, or reuses t.Vals[:0] row after row, pays nothing
+// per row.
+func ReadRow(buf []byte, t *tuple.Tuple, vals []tuple.Value) ([]tuple.Value, int, error) {
 	off := 0
 	seq, n := binary.Varint(buf[off:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("storage: corrupt seq varint")
+		return vals, 0, fmt.Errorf("storage: corrupt seq varint")
 	}
 	off += n
 	ts, n := binary.Varint(buf[off:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("storage: corrupt ts varint")
+		return vals, 0, fmt.Errorf("storage: corrupt ts varint")
 	}
 	off += n
 	nvals, n := binary.Uvarint(buf[off:])
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("storage: corrupt arity varint")
+	if n <= 0 || nvals > uint64(len(buf)) { // every value takes a byte at least
+		return vals, 0, fmt.Errorf("storage: corrupt arity varint")
 	}
 	off += n
-	t := &tuple.Tuple{Seq: seq, TS: ts, Vals: make([]tuple.Value, nvals)}
+	start := len(vals)
+	vals = slices.Grow(vals, int(nvals))
 	for i := uint64(0); i < nvals; i++ {
 		if off >= len(buf) {
-			return nil, 0, fmt.Errorf("storage: truncated tuple")
+			return vals[:start], 0, fmt.Errorf("storage: truncated tuple")
 		}
 		k := tuple.Kind(buf[off])
 		off++
 		switch k {
 		case tuple.KindNull:
-			t.Vals[i] = tuple.Null
+			vals = append(vals, tuple.Null)
 		case tuple.KindFloat:
 			u, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("storage: corrupt float")
+				return vals[:start], 0, fmt.Errorf("storage: corrupt float")
 			}
 			off += n
-			t.Vals[i] = tuple.Float(bitsFloat(u))
+			vals = append(vals, tuple.Float(bitsFloat(u)))
 		case tuple.KindString:
 			l, n := binary.Uvarint(buf[off:])
-			if n <= 0 || off+n+int(l) > len(buf) {
-				return nil, 0, fmt.Errorf("storage: corrupt string")
+			if n <= 0 || l > uint64(len(buf)-off-n) {
+				return vals[:start], 0, fmt.Errorf("storage: corrupt string")
 			}
 			off += n
-			t.Vals[i] = tuple.String_(string(buf[off : off+int(l)]))
+			vals = append(vals, tuple.String_(string(buf[off:off+int(l)])))
 			off += int(l)
 		case tuple.KindInt, tuple.KindBool, tuple.KindTime:
 			v, n := binary.Varint(buf[off:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("storage: corrupt int")
+				return vals[:start], 0, fmt.Errorf("storage: corrupt int")
 			}
 			off += n
-			t.Vals[i] = tuple.Value{K: k, I: v}
+			vals = append(vals, tuple.Value{K: k, I: v})
 		default:
-			return nil, 0, fmt.Errorf("storage: unknown value kind %d", k)
+			return vals[:start], 0, fmt.Errorf("storage: unknown value kind %d", k)
 		}
 	}
-	return t, off, nil
+	t.Seq, t.TS = seq, ts
+	t.Vals = vals[start:len(vals):len(vals)]
+	return vals, off, nil
+}
+
+// readTuple decodes one row from buf into a fresh tuple, returning it and
+// the number of bytes consumed.
+func readTuple(buf []byte) (*tuple.Tuple, int, error) {
+	t := new(tuple.Tuple)
+	_, n, err := ReadRow(buf, t, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, n, nil
 }

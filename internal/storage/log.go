@@ -39,7 +39,7 @@ func (l *Log) Append(t *tuple.Tuple) bool {
 	if l.rows >= l.maxRows {
 		return false
 	}
-	l.scratch = appendTuple(l.scratch[:0], t)
+	l.scratch = AppendRow(l.scratch[:0], t)
 	last := len(l.chunks) - 1
 	if last < 0 || cap(l.chunks[last])-len(l.chunks[last]) < len(l.scratch) {
 		size := firstChunk

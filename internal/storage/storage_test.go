@@ -21,7 +21,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	)
 	in.TS = 123
 	in.Seq = 456
-	buf := appendTuple(nil, in)
+	buf := AppendRow(nil, in)
 	out, n, err := readTuple(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestCodecQuick(t *testing.T) {
 	f := func(i int64, fl float64, s string, b bool, ts int64) bool {
 		in := tuple.New(tuple.Int(i), tuple.Float(fl), tuple.String_(s), tuple.Bool(b))
 		in.TS = ts
-		buf := appendTuple(nil, in)
+		buf := AppendRow(nil, in)
 		out, _, err := readTuple(buf)
 		if err != nil {
 			return false
@@ -75,7 +75,7 @@ func TestCodecQuick(t *testing.T) {
 
 func TestCodecCorruption(t *testing.T) {
 	in := tuple.New(tuple.String_("hello"))
-	buf := appendTuple(nil, in)
+	buf := AppendRow(nil, in)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, _, err := readTuple(buf[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)

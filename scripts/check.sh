@@ -169,13 +169,14 @@ stage_race() {
     echo "==> pane dictionary under race (-count=20)"
     go test -race -count=20 -run 'TestSlidingGroupsForgetEvictedKeys' ./internal/core/
 
-    # A selection class returns every row no member kept to the tuple pool
-    # while push clients and cursors still read the rows members did keep,
-    # and takes lineage off a row before delivering it: hold the steady-state
-    # allocation bound, the lineage-free delivery and the use-after-free
-    # differential to twenty race-instrumented passes.
+    # A selection class returns every row no member kept to the tuple pool,
+    # and a member writes its next projected row into the last one nobody
+    # kept, while push clients, sinks and cursors still read the rows that
+    # were kept; lineage comes off a row before it is delivered: hold the
+    # steady-state allocation bound, the lineage-free delivery and the two
+    # use-after-free differentials to twenty race-instrumented passes.
     echo "==> shared-class row and lineage reuse under race (-count=20)"
-    go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe' ./internal/core/
+    go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe|TestClientRowsAreNeverReused' ./internal/core/
 
     # The last member out retires its join class while other goroutines
     # register into the same key: hold the retirement's bookkeeping to
@@ -183,11 +184,11 @@ stage_race() {
     echo "==> join classes under race: last member out (-count=20)"
     go test -race -count=20 -run 'TestLastMemberOutRetiresClass' ./internal/core/
 
-    # The pull log is a ring whose head and count the publisher moves while
-    # cursors read it, all under one mutex: the model test checks every
-    # observable against the slice it replaced, the concurrent test wraps the
-    # ring under a racing Fetch. (The window tests above race a client
-    # against the same log from the query's side.)
+    # The pull log is a ring of encoded chunks that the publisher fills and
+    # ages out while cursors read it, all under one mutex: the model test
+    # checks every observable against the slice it replaced, the concurrent
+    # test wraps the ring under a racing Fetch and FetchEncoded. (The window
+    # tests above race a client against the same log from the query's side.)
     echo "==> pull-log ring under race: slice model, concurrent fetch (-count=20)"
     go test -race -count=20 -run 'TestPullRingMatchesSliceModel|TestPullRingConcurrentFetch' ./internal/egress/
 

@@ -28,12 +28,14 @@ package telegraphcq
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"telegraphcq/internal/core"
 	"telegraphcq/internal/egress"
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/server"
+	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
 )
 
@@ -328,17 +330,33 @@ func (q *Query) Cursor() *Cursor {
 type Cursor struct {
 	q  *Query
 	id int
+
+	mu  sync.Mutex
+	buf []byte // the encoded rows of the last Fetch, reused by the next
 }
 
-// Fetch returns the results accumulated since the previous Fetch.
+// Fetch returns the results accumulated since the previous Fetch. However
+// many rows it returns, it allocates two arrays, the rows and every value
+// they hold, plus one string per string value.
 func (c *Cursor) Fetch() ([]Row, error) {
-	ts, err := c.q.inner.Fetch(c.id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	enc, err := c.q.inner.FetchEncoded(c.id, c.buf[:0])
+	c.buf = enc.Buf
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Row, len(ts))
-	for i, t := range ts {
-		rows[i] = toRow(t)
+	rows := make([]Row, enc.Rows)
+	vals := make([]tuple.Value, 0, enc.Vals)
+	var t tuple.Tuple
+	buf := enc.Buf
+	for i := range rows {
+		var n int
+		if vals, n, err = storage.ReadRow(buf, &t, vals); err != nil {
+			return nil, err
+		}
+		buf = buf[n:]
+		rows[i] = toRow(&t)
 	}
 	return rows, nil
 }

@@ -313,3 +313,48 @@ func TestDBFeedWindowSteadyStateAllocs(t *testing.T) {
 		t.Errorf("%.2f mallocs per row fed through DB.Feed at steady state, want <= 0.5", best)
 	}
 }
+
+// TestCursorFetchAllocatesPerCall: Cursor.Fetch decodes the pull log into
+// one array of rows and one of values, so fetching 10,000 rows costs what
+// fetching 10 does, not an allocation or two per row.
+func TestCursorFetchAllocatesPerCall(t *testing.T) {
+	db := Open(Config{})
+	defer db.Close()
+	db.MustCreateStream("s", "a INT, b FLOAT, c BOOL", "")
+	q, err := db.Register(`SELECT c, a, b FROM s WHERE a >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := q.Cursor()
+	fed := 0
+	fetch := func(n int) (allocs uint64) {
+		for i := 0; i < n; i++ {
+			fed++
+			if err := db.Feed("s", fed, float64(fed)+0.5, fed%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == int64(fed) }) {
+			t.Fatalf("%d of %d results", q.Results(), fed)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows, err := cur.Fetch()
+		runtime.ReadMemStats(&after)
+		if err != nil || len(rows) != n {
+			t.Fatalf("fetched %d rows, want %d (err %v)", len(rows), n, err)
+		}
+		if r := rows[n-1]; r.Int(1) != int64(fed) || r.Float(2) != float64(fed)+0.5 || r.String_(0) != fmt.Sprint(fed%2 == 0) {
+			t.Fatalf("last row %v, want %d fed as (%d, %v, %v)", r, fed, fed, float64(fed)+0.5, fed%2 == 0)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, n := range []int{10, 10000} {
+		fetch(n) // the cursor's buffer grows to the size once
+		a := fetch(n)
+		t.Logf("Cursor.Fetch of %d rows: %d allocations", n, a)
+		if a > 50 { // a few, and a few more when a collection starts inside
+			t.Errorf("Cursor.Fetch of %d rows allocates %d times, want a few dozen at most", n, a)
+		}
+	}
+}
