@@ -1,31 +1,36 @@
 // Package arrange implements arrangements (PAPERS.md, McSherry et al.): the
 // one row store behind every SteM. An Arrangement is the storage half of a
 // SteM — a hash index on the join column plus the time-ordered (or
-// insertion-ordered) tuple store — owned by exactly ONE writer, the engine
+// insertion-ordered) row store — owned by exactly ONE writer, the engine
 // that builds it, and readable by any number of concurrent cursors. A private
 // join is the one-reader case: its SteM owns an arrangement nobody else can
 // reach, with no cursor, and pays an uncontended lock per call.
 //
-// The writer applies inserts and window evictions in epoch batches: every
-// mutation lands in the current epoch, and Advance seals it. While cursors
-// are open, evicted tuples are not freed immediately — a reader holding a
-// cursor at an older epoch may still be probing state that referenced them —
-// but parked on a retired list tagged with the eviction epoch. Only when
-// every open cursor has synced past that epoch are the tuples reclaimed
-// (returned to the tuple pool). This is the classic epoch-based reclamation
-// discipline: frees are deferred until all cursors pass. With no cursor open
-// there is nobody to wait for and evictions free at once.
+// An arrangement keeps values, not rows. Each inserted row is encoded with
+// the storage row codec (storage.AppendRow) into pointer-free byte chunks,
+// and the index is pointer-free too: a map from key hash to a row number,
+// per-row links in one flat slice, and each row's lineage an id into a small
+// table of interned bitmaps. Nothing a reader sees escapes a Read: a visitor
+// decodes each row it wants into memory of its own. So no reader ever holds
+// a stored row, the caller's row is free the moment Insert returns, and Evict
+// frees what it drops at once.
 //
-// Registering the 10,000th query against an arrangement therefore costs one
-// reader handle — an index entry — instead of a copy of the state: queries
-// attach a Handle to a Cursor, probe the shared index through it, and
-// detach on removal.
+// The writer still seals its mutations into epochs (Advance) and every
+// reader group holds a Cursor at the epoch it last synced: cursors and
+// handles are how an arrangement counts its readers and how far behind the
+// slowest one is. Registering the 10,000th query against an arrangement
+// therefore costs one reader handle — an index entry — instead of a copy of
+// the state: queries attach a Handle to a Cursor, probe the shared index
+// through it, and detach on removal.
 package arrange
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
+	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
@@ -35,69 +40,89 @@ type Options struct {
 	// Name labels the arrangement (typically "<stream>" or
 	// "<stream>.<col>") in stats and introspection rows.
 	Name string
-	// KeyCol is the wide-row column the hash index is built on; -1
-	// disables indexing (Lookup degenerates to Scan).
+	// KeyCol is the column of an inserted row the hash index is built on;
+	// -1 disables indexing (Lookup degenerates to Scan).
 	KeyCol int
-	// Windowed orders stored tuples by the given notion of time and
-	// enables Evict.
+	// Windowed orders stored rows by the given notion of time and enables
+	// Evict.
 	Windowed bool
 	TimeKind window.TimeKind
-	// Recycler, when set, receives reclaimed tuples once every cursor has
-	// passed their eviction epoch.
-	Recycler *tuple.Pool
+	// Borrowed, when set, reports whether a row's lineage bitmap is one its
+	// writer never writes or recycles (a CACQ lineage template): the
+	// arrangement then keeps that bitmap itself, so a probe carrying the
+	// same one merges without copying it (tuple.Bitset.Same). Every other
+	// bitmap is copied. Called under the arrangement's lock.
+	Borrowed func(tuple.Bitset) bool
 }
 
-// retiredBatch is one eviction's worth of tuples awaiting reclamation,
-// tagged with the epoch current when they were evicted.
-type retiredBatch struct {
-	epoch uint64
-	ts    []*tuple.Tuple
+// Chunk sizes: the first chunk is small so an arrangement that stores a
+// handful of rows stays cheap, each later one doubles up to the cap. A chunk
+// is allocated at its full size and never grown.
+const (
+	firstChunk = 4 << 10
+	maxChunk   = 64 << 10
+)
+
+// ref locates one stored row: its chunk and offset, the next row of its
+// index bucket, and its lineage id. A bucket is a ring in arrival order: the
+// index names its newest row, whose next is the oldest.
+type ref struct {
+	chunk, off int32
+	next       int32
+	lineage    int32
 }
 
-// Arrangement is a shared, multi-reader tuple store with epoch-based
-// reclamation. All methods are safe for concurrent use, under a
-// single-writer discipline: exactly one goroutine calls the mutating
-// methods (Insert, Evict, Advance, ScrubLineage), while any number
-// concurrently call the reading methods (Lookup, Scan, Handle.Probe,
-// Stats).
+// Arrangement is a shared, multi-reader row store. All methods are safe for
+// concurrent use, under a single-writer discipline: exactly one goroutine
+// calls the mutating methods (Insert, Evict, Advance, ScrubLineage), while
+// any number concurrently call the reading methods (Read, Lookup, Scan,
+// Handle.Probe, Stats).
 type Arrangement struct {
 	opts Options
 
-	mu    sync.RWMutex
-	index map[uint64][]*tuple.Tuple
-	all   *window.Buffer // when Windowed
-	inseq []*tuple.Tuple // otherwise
+	mu         sync.RWMutex
+	chunks     [][]byte
+	chunkBytes int64 // capacity of every chunk
+	refs       []ref // stored rows, in arrival order
+	index      map[uint64]int32
+	// order lists the rows in window-time order, ties in arrival order, once
+	// a row has arrived out of time order; nil while arrival order is time
+	// order. lastKey is the window time of the last row in time order.
+	order   []int32
+	lastKey int64
+	lin     lineages
+	enc     []byte  // one encoded row, before it is placed in a chunk
+	remap   []int32 // Evict's scratch: each row's number after it
+	ring    []int32 // Evict's scratch: one bucket's survivors
 
-	epoch   uint64
-	retired []retiredBatch
-
+	epoch      uint64
 	cursors    map[int]*Cursor
 	nextCursor int
 	readers    int // open handles across all cursors
 
 	inserts    int64
-	evicted    int64
-	reclaimedN int64
+	evicted    int64 // rows; every one is freed at once
 	reclaimedB int64
 	maxReaders int
 }
 
-// New creates an empty arrangement.
+// New creates an empty arrangement. It holds no chunk until its first
+// Insert.
 func New(opts Options) *Arrangement {
 	a := &Arrangement{opts: opts, cursors: make(map[int]*Cursor)}
 	if opts.KeyCol >= 0 {
-		a.index = make(map[uint64][]*tuple.Tuple)
+		a.index = make(map[uint64]int32)
 	}
-	if opts.Windowed {
-		a.all = window.NewBuffer(opts.TimeKind)
-	}
+	a.lin.init()
 	return a
 }
 
 // Name returns the arrangement's label.
 func (a *Arrangement) Name() string { return a.opts.Name }
 
-// Insert adds a batch of tuples to the current epoch. Writer-only.
+// Insert encodes a batch of rows into the current epoch: their Seq, TS,
+// values and lineage. The arrangement keeps no pointer into any of them, so
+// the caller may reuse them when Insert returns. Writer-only.
 func (a *Arrangement) Insert(ts []*tuple.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -105,23 +130,109 @@ func (a *Arrangement) Insert(ts []*tuple.Tuple) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.inserts += int64(len(ts))
-	if a.index != nil {
-		for _, t := range ts {
-			h := t.Vals[a.opts.KeyCol].Hash()
-			a.index[h] = append(a.index[h], t)
-		}
-	}
-	if a.all != nil {
-		a.all.AddBatch(ts)
-	} else {
-		a.inseq = append(a.inseq, ts...)
+	for _, t := range ts {
+		a.insertLocked(t)
 	}
 }
 
+func (a *Arrangement) insertLocked(t *tuple.Tuple) {
+	a.enc = storage.AppendRow(a.enc[:0], t)
+	c := len(a.chunks) - 1
+	if c < 0 || cap(a.chunks[c])-len(a.chunks[c]) < len(a.enc) {
+		c = a.addChunk(len(a.enc))
+	}
+	i := int32(len(a.refs))
+	r := ref{chunk: int32(c), off: int32(len(a.chunks[c])), next: i,
+		lineage: a.lin.intern(t.Queries, a.opts.Borrowed)}
+	a.chunks[c] = append(a.chunks[c], a.enc...)
+	if a.index != nil {
+		h := t.Vals[a.opts.KeyCol].Hash()
+		if tail, ok := a.index[h]; ok {
+			r.next = a.refs[tail].next
+			a.refs[tail].next = i
+		}
+		a.index[h] = i
+	}
+	a.refs = append(a.refs, r)
+	if a.opts.Windowed {
+		a.place(i, a.timeOf(t.Seq, t.TS))
+	}
+}
+
+// addChunk opens the next chunk, big enough for a row of n bytes: twice the
+// last one, up to maxChunk, and returns its number.
+//
+//tcq:coldpath
+func (a *Arrangement) addChunk(n int) int {
+	size := firstChunk
+	if k := len(a.chunks); k > 0 {
+		size = min(2*cap(a.chunks[k-1]), maxChunk)
+	}
+	size = max(size, n)
+	a.chunks = append(a.chunks, make([]byte, 0, size))
+	a.chunkBytes += int64(size)
+	return len(a.chunks) - 1
+}
+
+// timeOf is a row's window time.
+func (a *Arrangement) timeOf(seq, ts int64) int64 {
+	if a.opts.TimeKind == window.Logical {
+		return seq
+	}
+	return ts
+}
+
+// rowTime decodes stored row i's window time.
+func (a *Arrangement) rowTime(i int32) int64 {
+	r := a.refs[i]
+	return a.timeOf(storage.ReadStamp(a.chunks[r.chunk][r.off:]))
+}
+
+// place records row i, of window time k, in time order: arrival order while
+// rows arrive in order, an explicit order from the first one that does not.
+// A row goes after every stored row of its time.
+func (a *Arrangement) place(i int32, k int64) {
+	if i == 0 || k >= a.lastKey {
+		a.lastKey = k
+		if a.order != nil {
+			a.order = append(a.order, i)
+		}
+		return
+	}
+	if a.order == nil {
+		a.order = make([]int32, i, 2*i+1)
+		for j := range a.order {
+			a.order[j] = int32(j)
+		}
+	}
+	at := sort.Search(len(a.order), func(j int) bool { return a.rowTime(a.order[j]) > k })
+	a.order = slices.Insert(a.order, at, i)
+}
+
 // Rows is an arrangement held read-locked: the view Read passes to its
-// callback. The slices it returns alias the store; neither they nor the
-// Rows may outlive the callback (merge-copy matches instead).
+// callback. Neither it nor any Row it visits may outlive the callback.
 type Rows struct{ a *Arrangement }
+
+// Row is one stored row as a Read sees it, valid only inside the visitor
+// it was passed to.
+type Row struct {
+	buf     []byte
+	lineage tuple.Bitset
+}
+
+// Decode writes the row into t: its Seq and TS, its lineage as t.Queries —
+// the arrangement's bitmap, which t must neither write nor keep past the
+// Read — and its values appended to vals, which t.Vals then is
+// (storage.ReadRow). It returns vals extended. Only a string value
+// allocates, and vals only when it lacks room.
+func (r Row) Decode(t *tuple.Tuple, vals []tuple.Value) []tuple.Value {
+	vals, _, err := storage.ReadRow(r.buf, t, vals)
+	if err != nil {
+		panic("arrange: stored row: " + err.Error())
+	}
+	t.Queries = r.lineage
+	return vals
+}
 
 // Read calls fn with the arrangement read-locked once for the whole call,
 // so a probe batch pays one lock however many keys it looks up. Safe to call
@@ -132,91 +243,201 @@ func (a *Arrangement) Read(fn func(Rows)) {
 	fn(Rows{a})
 }
 
-// Bucket returns the stored tuples whose key column hashes to hash, in
-// insertion order (every stored tuple when the arrangement is unindexed).
-func (r Rows) Bucket(hash uint64) []*tuple.Tuple {
-	if r.a.index == nil {
-		return r.All()
-	}
-	return r.a.index[hash]
+func (r Rows) row(i int32) Row {
+	ref := r.a.refs[i]
+	return Row{buf: r.a.chunks[ref.chunk][ref.off:], lineage: r.a.lin.sets[ref.lineage]}
 }
 
-// All returns every stored tuple in time/insertion order.
-func (r Rows) All() []*tuple.Tuple {
-	if r.a.all != nil {
-		return r.a.all.Range(-1<<62, 1<<62)
+// Bucket calls visit with every stored row whose key column hashes to hash,
+// in arrival order (every stored row, as All visits them, when the
+// arrangement is unindexed).
+func (r Rows) Bucket(hash uint64, visit func(Row)) {
+	a := r.a
+	if a.index == nil {
+		r.All(visit)
+		return
 	}
-	return r.a.inseq
+	tail, ok := a.index[hash]
+	if !ok {
+		return
+	}
+	for i := a.refs[tail].next; ; i = a.refs[i].next {
+		visit(r.row(i))
+		if i == tail {
+			return
+		}
+	}
 }
 
-// Lookup calls emit for every tuple of Bucket(hash), under one Read.
+// All calls visit with every stored row in window-time order, ties in
+// arrival order (arrival order when the arrangement is not windowed).
+func (r Rows) All(visit func(Row)) {
+	if r.a.order != nil {
+		for _, i := range r.a.order {
+			visit(r.row(i))
+		}
+		return
+	}
+	for i := range r.a.refs {
+		visit(r.row(int32(i)))
+	}
+}
+
+// Lookup calls emit for every row of Bucket(hash), under one Read, each
+// decoded into the same tuple: emit must copy what it keeps.
 func (a *Arrangement) Lookup(hash uint64, emit func(*tuple.Tuple)) {
-	a.Read(func(r Rows) {
-		for _, t := range r.Bucket(hash) {
-			emit(t)
-		}
-	})
+	a.Read(func(r Rows) { r.Bucket(hash, decodeEach(emit)) })
 }
 
-// Scan calls emit for every stored tuple in time/insertion order.
+// Scan calls emit for every stored row in All's order, under one Read, each
+// decoded into the same tuple: emit must copy what it keeps.
 func (a *Arrangement) Scan(emit func(*tuple.Tuple)) {
-	a.Read(func(r Rows) {
-		for _, t := range r.All() {
-			emit(t)
-		}
-	})
+	a.Read(func(r Rows) { r.All(decodeEach(emit)) })
 }
 
-// Len returns the number of stored (live, non-retired) tuples.
+// decodeEach is a visitor decoding each row into one tuple for emit.
+func decodeEach(emit func(*tuple.Tuple)) func(Row) {
+	var t tuple.Tuple
+	var vals []tuple.Value
+	return func(row Row) {
+		vals = row.Decode(&t, vals[:0])
+		emit(&t)
+	}
+}
+
+// Len returns the number of stored rows.
 func (a *Arrangement) Len() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.lenLocked()
+	return len(a.refs)
 }
 
-func (a *Arrangement) lenLocked() int {
-	if a.all != nil {
-		return a.all.Len()
-	}
-	return len(a.inseq)
-}
-
-// Evict removes stored tuples with window time strictly below watermark.
-// While any cursor is open they are parked on the retired list of the
-// current epoch and freed only once every open cursor has synced past it;
-// with none open they are freed here. Writer-only. Returns the number
-// evicted. Only valid on windowed arrangements (no-op otherwise).
+// Evict drops the stored rows with window time strictly below watermark and
+// frees them at once: the survivors move down over them, in their chunks,
+// and the index is relinked over the survivors. Writer-only. Returns the
+// number evicted. Only valid on windowed arrangements (no-op otherwise).
 func (a *Arrangement) Evict(watermark int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.all == nil {
+	if !a.opts.Windowed || len(a.refs) == 0 {
 		return 0
 	}
-	old := a.all.Range(-1<<62, watermark-1)
-	if len(old) == 0 {
-		return 0
-	}
-	if len(a.cursors) == 0 && a.opts.Recycler == nil {
-		// Nobody to wait for and no pool to feed: count them and let the
-		// buffer's shift below hand them to the collector.
-		a.free(old)
+	// The rows below the watermark are a prefix of time order.
+	n := len(a.refs)
+	var k int
+	if a.order == nil {
+		k = sort.Search(n, func(j int) bool { return a.rowTime(int32(j)) >= watermark })
 	} else {
-		// old aliases the buffer, which the shift overwrites.
-		parked := make([]*tuple.Tuple, len(old))
-		copy(parked, old)
-		a.retired = append(a.retired, retiredBatch{epoch: a.epoch, ts: parked})
+		k = sort.Search(n, func(j int) bool { return a.rowTime(a.order[j]) >= watermark })
 	}
-	n := a.all.Evict(watermark)
-	a.evicted += int64(n)
-	if a.index != nil {
-		a.index = make(map[uint64][]*tuple.Tuple, a.all.Len())
-		for _, t := range a.all.Range(-1<<62, 1<<62) {
-			h := t.Vals[a.opts.KeyCol].Hash()
-			a.index[h] = append(a.index[h], t)
+	if k == 0 {
+		return 0
+	}
+	// remap[i] is row i's number after the eviction, or -1.
+	a.remap = slices.Grow(a.remap[:0], n)[:n]
+	remap := a.remap
+	clear(remap)
+	if a.order == nil {
+		for i := range remap[:k] {
+			remap[i] = -1
+		}
+	} else {
+		for _, i := range a.order[:k] {
+			remap[i] = -1
 		}
 	}
-	a.reclaimLocked()
-	return n
+	live := int32(0)
+	for i, to := range remap {
+		if to == 0 {
+			remap[i] = live
+			live++
+		}
+	}
+	if a.index != nil {
+		a.relink(remap)
+	}
+	a.compact(remap, int(live))
+	if a.order != nil {
+		sorted := a.order[:0]
+		for _, i := range a.order[k:] {
+			sorted = append(sorted, remap[i])
+		}
+		a.order = sorted
+		if slices.IsSorted(sorted) { // arrival order is time order again
+			a.order = nil
+		}
+	}
+	if live > 0 {
+		last := live - 1
+		if a.order != nil {
+			last = a.order[live-1]
+		}
+		a.lastKey = a.rowTime(last)
+	}
+	a.evicted += int64(k)
+	return k
+}
+
+// relink rewrites every bucket ring over its surviving rows, renumbered by
+// remap, and drops the buckets none survives in.
+func (a *Arrangement) relink(remap []int32) {
+	for h, tail := range a.index {
+		ring := a.ring[:0]
+		for i := a.refs[tail].next; ; i = a.refs[i].next {
+			if remap[i] >= 0 {
+				ring = append(ring, i)
+			}
+			if i == tail {
+				break
+			}
+		}
+		a.ring = ring
+		if len(ring) == 0 {
+			delete(a.index, h)
+			continue
+		}
+		for j, i := range ring {
+			a.refs[i].next = remap[ring[(j+1)%len(ring)]]
+		}
+		a.index[h] = remap[ring[len(ring)-1]]
+	}
+}
+
+// compact moves the surviving rows, live of them, down over the evicted
+// ones in arrival order. A row is never written past where it was read
+// from, so the move stays inside the chunks already held; the chunks it
+// empties are dropped, all but the first, which the next Insert reuses.
+func (a *Arrangement) compact(remap []int32, live int) {
+	n := len(a.refs)
+	w, wOff := 0, 0
+	for i := 0; i < n; i++ {
+		r := a.refs[i]
+		end := len(a.chunks[r.chunk])
+		if i+1 < n && a.refs[i+1].chunk == r.chunk {
+			end = int(a.refs[i+1].off)
+		}
+		size := end - int(r.off)
+		if remap[i] < 0 {
+			a.reclaimedB += int64(size)
+			continue
+		}
+		for cap(a.chunks[w])-wOff < size {
+			a.chunks[w] = a.chunks[w][:wOff]
+			w, wOff = w+1, 0
+		}
+		dst := a.chunks[w][:cap(a.chunks[w])]
+		copy(dst[wOff:wOff+size], a.chunks[r.chunk][r.off:end])
+		r.chunk, r.off = int32(w), int32(wOff)
+		a.refs[remap[i]] = r
+		wOff += size
+	}
+	a.chunks[w] = a.chunks[w][:wOff]
+	for c := w + 1; c < len(a.chunks); c++ {
+		a.chunkBytes -= int64(cap(a.chunks[c]))
+		a.chunks[c] = nil
+	}
+	a.chunks = a.chunks[:w+1]
+	a.refs = a.refs[:live]
 }
 
 // Advance seals the current epoch: mutations so far belong to it, and
@@ -225,83 +446,23 @@ func (a *Arrangement) Evict(watermark int64) int {
 func (a *Arrangement) Advance() {
 	a.mu.Lock()
 	a.epoch++
-	a.reclaimLocked()
 	a.mu.Unlock()
 }
 
-// ScrubLineage clears the lineage bits in mask from every stored tuple —
-// the deferred half of freeing a query's lineage slot: after its removal
-// the slot may only be reused once no stored tuple still carries the dead
-// query's bit. Writer-only.
+// ScrubLineage clears the lineage bits in mask from every stored row — the
+// deferred half of freeing a query's lineage slot: after its removal the
+// slot may only be reused once no stored row still carries the dead query's
+// bit. Writer-only.
 func (a *Arrangement) ScrubLineage(mask tuple.Bitset) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, t := range (Rows{a}).All() {
-		for i := range mask {
-			if i < len(t.Queries) {
-				t.Queries[i] &^= mask[i]
-			}
-		}
-	}
-}
-
-// reclaimLocked frees retired batches every open cursor has passed. With no
-// open cursors everything retired is reclaimable, the current epoch's
-// evictions included.
-func (a *Arrangement) reclaimLocked() {
-	if len(a.retired) == 0 {
-		return
-	}
-	min := a.epoch + 1
-	for _, c := range a.cursors {
-		if c.at < min {
-			min = c.at
-		}
-	}
-	kept := a.retired[:0]
-	for _, rb := range a.retired {
-		if rb.epoch >= min {
-			kept = append(kept, rb)
-			continue
-		}
-		a.free(rb.ts)
-	}
-	// Clear the tail so freed batches become collectable.
-	for i := len(kept); i < len(a.retired); i++ {
-		a.retired[i] = retiredBatch{}
-	}
-	a.retired = kept
-}
-
-// free counts ts as reclaimed and hands them to the recycler, if any.
-func (a *Arrangement) free(ts []*tuple.Tuple) {
-	for _, t := range ts {
-		a.reclaimedN++
-		a.reclaimedB += tupleBytes(t)
-		if a.opts.Recycler != nil {
-			a.opts.Recycler.Put(t)
-		}
-	}
-}
-
-// tupleBytes estimates a tuple's resident size: the struct, its value
-// slice, and its lineage bitmap, sized from the types themselves. An
-// estimate is enough — the metric tracks reclamation volume, not exact heap
-// accounting (slice capacity and allocator rounding are not counted).
-func tupleBytes(t *tuple.Tuple) int64 {
-	const (
-		structBytes = int64(unsafe.Sizeof(tuple.Tuple{}))
-		valueBytes  = int64(unsafe.Sizeof(tuple.Value{}))
-		wordBytes   = int64(unsafe.Sizeof(uint64(0)))
-	)
-	return structBytes + valueBytes*int64(len(t.Vals)) + wordBytes*int64(len(t.Queries))
+	a.lin.scrub(mask)
 }
 
 // Cursor tracks one reader group's progress through the arrangement's
-// epochs. A cursor at epoch E has observed every mutation sealed before E;
-// retired batches of epochs >= E stay un-freed while it is open. Queries
-// sharing an execution engine share one cursor (the engine advances it once
-// per step for all of them); each query still holds its own Handle.
+// epochs: a cursor at epoch E has observed every mutation sealed before E.
+// Queries sharing an execution engine share one cursor (the engine advances
+// it once per step for all of them); each query still holds its own Handle.
 type Cursor struct {
 	a  *Arrangement
 	id int
@@ -318,23 +479,19 @@ func (a *Arrangement) NewCursor() *Cursor {
 	return c
 }
 
-// Sync advances the cursor to the current epoch and reclaims any retired
-// batches every cursor has now passed.
+// Sync advances the cursor to the current epoch.
 func (c *Cursor) Sync() {
 	a := c.a
 	a.mu.Lock()
 	c.at = a.epoch
-	a.reclaimLocked()
 	a.mu.Unlock()
 }
 
-// Close removes the cursor; its handles must already be closed. Retired
-// state it was holding back becomes reclaimable.
+// Close removes the cursor; its handles must already be closed.
 func (c *Cursor) Close() {
 	a := c.a
 	a.mu.Lock()
 	delete(a.cursors, c.id)
-	a.reclaimLocked()
 	a.mu.Unlock()
 }
 
@@ -359,12 +516,13 @@ type Handle struct {
 	closed bool
 }
 
-// Probe looks up candidates by key hash through the handle's cursor.
+// Probe looks up candidates by key hash through the handle's cursor
+// (Lookup).
 func (h *Handle) Probe(hash uint64, emit func(*tuple.Tuple)) {
 	h.c.a.Lookup(hash, emit)
 }
 
-// Scan visits all stored tuples through the handle's cursor.
+// Scan visits all stored rows through the handle's cursor (Scan).
 func (h *Handle) Scan(emit func(*tuple.Tuple)) { h.c.a.Scan(emit) }
 
 // Close detaches the reader. Idempotent.
@@ -379,23 +537,33 @@ func (h *Handle) Close() {
 	a.mu.Unlock()
 }
 
-// Stats is a point-in-time snapshot of arrangement state and reclamation
-// counters.
+// Stats is a point-in-time snapshot of arrangement state and counters.
 type Stats struct {
 	Epoch     uint64
 	MinCursor uint64 // oldest open cursor's epoch (== Epoch when none)
 	Lag       uint64 // Epoch - MinCursor
 	Readers   int    // open handles
 	Cursors   int    // open cursors
-	Size      int    // live stored tuples
-	Retired   int    // evicted tuples awaiting reclamation
+	Size      int    // stored rows
+	// Bytes is the memory the store holds: chunk capacity plus the index
+	// (the per-row refs, the time order, the hash map and the lineage
+	// table).
+	Bytes int64
 
 	Inserts         int64
 	Evicted         int64
-	ReclaimedTuples int64
-	ReclaimedBytes  int64
+	ReclaimedTuples int64 // == Evicted: eviction frees at once
+	ReclaimedBytes  int64 // encoded bytes of the evicted rows
 	MaxReaders      int
 }
+
+// Sizes behind Stats.Bytes. A map entry is a 16-byte slot (an 8-byte key
+// and a 4-byte value, aligned) plus a control byte, at a load factor
+// between 7/16 and 7/8: about 29 bytes an entry.
+const (
+	refBytes      = int64(unsafe.Sizeof(ref{}))
+	mapEntryBytes = 29
+)
 
 // Stats returns a snapshot.
 func (a *Arrangement) Stats() Stats {
@@ -406,21 +574,20 @@ func (a *Arrangement) Stats() Stats {
 		MinCursor:       a.epoch,
 		Readers:         a.readers,
 		Cursors:         len(a.cursors),
+		Size:            len(a.refs),
 		Inserts:         a.inserts,
 		Evicted:         a.evicted,
-		ReclaimedTuples: a.reclaimedN,
+		ReclaimedTuples: a.evicted,
 		ReclaimedBytes:  a.reclaimedB,
 		MaxReaders:      a.maxReaders,
 	}
-	st.Size = a.lenLocked()
+	st.Bytes = a.chunkBytes + refBytes*int64(cap(a.refs)) + 4*int64(cap(a.order)) +
+		mapEntryBytes*int64(len(a.index)) + a.lin.bytes()
 	for _, c := range a.cursors {
 		if c.at < st.MinCursor {
 			st.MinCursor = c.at
 		}
 	}
 	st.Lag = st.Epoch - st.MinCursor
-	for _, rb := range a.retired {
-		st.Retired += len(rb.ts)
-	}
 	return st
 }

@@ -49,14 +49,11 @@ func TestUnindexedLookupScansAll(t *testing.T) {
 	}
 }
 
-// TestEvictDefersUntilCursorsPass is the heart of the epoch protocol: evicted
-// tuples stay parked while any cursor sits at an older epoch and are freed
-// exactly when the last laggard syncs past the eviction epoch.
-func TestEvictDefersUntilCursorsPass(t *testing.T) {
-	pool := tuple.NewPool()
-	opts := windowedOpts()
-	opts.Recycler = pool
-	a := New(opts)
+// TestEvictFreesAtOnceUnderCursors: no reader ever holds a stored row, so
+// evicted rows are freed by Evict itself, with cursors open at older
+// epochs; the cursors still measure how far behind their readers are.
+func TestEvictFreesAtOnceUnderCursors(t *testing.T) {
+	a := New(windowedOpts())
 	c1 := a.NewCursor()
 	c2 := a.NewCursor()
 
@@ -65,45 +62,24 @@ func TestEvictDefersUntilCursorsPass(t *testing.T) {
 		t.Fatalf("Evict(3) = %d, want 2", n)
 	}
 	st := a.Stats()
-	if st.Size != 1 || st.Retired != 2 || st.ReclaimedTuples != 0 {
-		t.Fatalf("after evict: size=%d retired=%d reclaimed=%d, want 1/2/0",
-			st.Size, st.Retired, st.ReclaimedTuples)
+	if st.Size != 1 || st.ReclaimedTuples != 2 || st.ReclaimedBytes <= 0 {
+		t.Fatalf("after evict: size=%d reclaimed=%d bytes=%d, want 1/2/>0",
+			st.Size, st.ReclaimedTuples, st.ReclaimedBytes)
 	}
-	// Lookups no longer see evicted tuples even though they are unreclaimed.
 	n := 0
 	a.Lookup(tuple.Int(10).Hash(), func(*tuple.Tuple) { n++ })
 	if n != 0 {
-		t.Fatalf("evicted tuple still visible to Lookup")
+		t.Fatalf("evicted row still visible to Lookup")
 	}
 
-	a.Advance() // seal the eviction epoch
+	a.Advance()
 	c1.Sync()
-	if st := a.Stats(); st.Retired != 2 {
-		t.Fatalf("retired freed with c2 still at epoch 0 (retired=%d)", st.Retired)
+	if st := a.Stats(); st.Lag != 1 || st.MinCursor != 0 {
+		t.Fatalf("with c2 at epoch 0: lag=%d min=%d, want 1/0", st.Lag, st.MinCursor)
 	}
 	c2.Sync()
-	st = a.Stats()
-	if st.Retired != 0 || st.ReclaimedTuples != 2 || st.ReclaimedBytes <= 0 {
-		t.Fatalf("after all cursors synced: retired=%d reclaimed=%d bytes=%d",
-			st.Retired, st.ReclaimedTuples, st.ReclaimedBytes)
-	}
-	if got := pool.Stats().Puts; got != 2 {
-		t.Fatalf("pool puts = %d, want 2 (reclaimed tuples recycled)", got)
-	}
-	if st.Lag != 0 {
+	if st := a.Stats(); st.Lag != 0 {
 		t.Fatalf("lag = %d after full sync, want 0", st.Lag)
-	}
-}
-
-// TestTupleBytesCountsRealSizes pins the reclaimed-bytes estimate on a 64-bit
-// platform: an 80-byte Tuple, 40 bytes per Value, 8 per lineage word — the
-// sizes the struct layouts have, not the 96/24/8 once hard-coded here, which
-// under-counted every value by 16 bytes.
-func TestTupleBytesCountsRealSizes(t *testing.T) {
-	row := tuple.New(tuple.Int(1), tuple.Float(2), tuple.String_("x"))
-	row.Queries = tuple.NewBitset(16 * 64)
-	if got, want := tupleBytes(row), int64(80+3*40+16*8); got != want {
-		t.Fatalf("tupleBytes(3 columns, 16-word bitmap) = %d, want %d", got, want)
 	}
 }
 
@@ -114,29 +90,14 @@ func TestArrangementName(t *testing.T) {
 	}
 }
 
-func TestCursorCloseReleasesRetired(t *testing.T) {
-	a := New(windowedOpts())
-	c := a.NewCursor()
-	a.Insert([]*tuple.Tuple{mk(1, 10)})
-	a.Evict(5)
-	a.Advance()
-	if st := a.Stats(); st.Retired != 1 {
-		t.Fatalf("retired=%d, want 1 while cursor open", st.Retired)
-	}
-	c.Close()
-	if st := a.Stats(); st.Retired != 0 {
-		t.Fatalf("retired=%d after Close, want 0", st.Retired)
-	}
-}
-
 func TestNoCursorsReclaimImmediatelyOnAdvance(t *testing.T) {
 	a := New(windowedOpts())
 	a.Insert([]*tuple.Tuple{mk(1, 10), mk(2, 20)})
 	a.Evict(10)
 	a.Advance()
-	if st := a.Stats(); st.Retired != 0 || st.ReclaimedTuples != 2 {
-		t.Fatalf("no-cursor reclaim: retired=%d reclaimed=%d, want 0/2",
-			st.Retired, st.ReclaimedTuples)
+	if st := a.Stats(); st.Size != 0 || st.ReclaimedTuples != 2 {
+		t.Fatalf("no-cursor reclaim: size=%d reclaimed=%d, want 0/2",
+			st.Size, st.ReclaimedTuples)
 	}
 }
 
@@ -173,11 +134,16 @@ func TestScrubLineage(t *testing.T) {
 	var mask tuple.Bitset
 	mask.Set(70)
 	a.ScrubLineage(mask)
-	if !t1.Queries.Test(3) || t1.Queries.Test(70) {
-		t.Fatalf("scrub: bit3=%v bit70=%v, want true/false",
-			t1.Queries.Test(3), t1.Queries.Test(70))
+	if !t1.Queries.Test(70) {
+		t.Fatalf("scrub wrote the inserted row's own bitmap, which the store copied")
 	}
-	// A mask wider than a stored tuple's bitmap must not panic.
+	var stored tuple.Bitset
+	a.Scan(func(tt *tuple.Tuple) { stored = tt.Queries.Clone() })
+	if !stored.Test(3) || stored.Test(70) {
+		t.Fatalf("scrub: stored bit3=%v bit70=%v, want true/false",
+			stored.Test(3), stored.Test(70))
+	}
+	// A mask wider than a stored row's bitmap must not panic.
 	short := mk(2, 11)
 	a.Insert([]*tuple.Tuple{short})
 	var wide tuple.Bitset
@@ -225,8 +191,9 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	a.Advance()
-	if st := a.Stats(); st.Retired != 0 {
-		t.Fatalf("retired=%d after all cursors closed, want 0", st.Retired)
+	if st := a.Stats(); int64(st.Size)+st.ReclaimedTuples != st.Inserts || st.Cursors != 0 {
+		t.Fatalf("size %d + reclaimed %d != inserts %d, %d cursors open",
+			st.Size, st.ReclaimedTuples, st.Inserts, st.Cursors)
 	}
 }
 
@@ -280,7 +247,7 @@ func TestRegistryKeysAndDrop(t *testing.T) {
 	k3 := Key{Class: "c2", Stream: "s", Shard: -1}
 	r.GetOrCreate(k2, windowedOpts())
 	a3 := r.GetOrCreate(k3, windowedOpts())
-	if n, _, _, _ := r.Totals(); n != 3 {
+	if n := r.Totals().Count; n != 3 {
 		t.Fatalf("count=%d, want 3", n)
 	}
 	r.Drop("c1")
@@ -297,35 +264,29 @@ func TestRegistryKeysAndDrop(t *testing.T) {
 }
 
 // TestCursorlessEvictFreesAtOnce: a private owner opens no cursor and never
-// calls Advance, so what it evicts must be freed by Evict itself — nothing
-// parks on the retired list, with a recycler (tuples go back to the pool) or
-// without (they go to the collector).
+// calls Advance; what it evicts is freed by Evict itself, round after round,
+// and the emptied store reuses its first chunk instead of growing.
 func TestCursorlessEvictFreesAtOnce(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		opts := windowedOpts()
-		pool := tuple.NewPool()
-		if pooled {
-			opts.Recycler = pool
+	a := New(windowedOpts())
+	var bytes int64
+	for round := int64(1); round <= 3; round++ {
+		batch := make([]*tuple.Tuple, 100)
+		for i := range batch {
+			batch[i] = mk(round*1000+int64(i), int64(i%8))
 		}
-		a := New(opts)
-		for round := int64(1); round <= 3; round++ {
-			batch := make([]*tuple.Tuple, 100)
-			for i := range batch {
-				batch[i] = mk(round*1000+int64(i), int64(i%8))
-			}
-			a.Insert(batch)
-			if n := a.Evict(round*1000 + 100); n != 100 {
-				t.Fatalf("pooled=%v round %d: Evict = %d, want 100", pooled, round, n)
-			}
-			st := a.Stats()
-			if st.Retired != 0 || st.ReclaimedTuples != 100*round || st.Size != 0 {
-				t.Fatalf("pooled=%v round %d: retired=%d reclaimed=%d size=%d, want 0/%d/0",
-					pooled, round, st.Retired, st.ReclaimedTuples, st.Size, 100*round)
-			}
+		a.Insert(batch)
+		if n := a.Evict(round*1000 + 100); n != 100 {
+			t.Fatalf("round %d: Evict = %d, want 100", round, n)
 		}
-		if got := pool.Stats().Puts; pooled && got != 300 {
-			t.Fatalf("pool puts = %d, want 300", got)
+		st := a.Stats()
+		if st.ReclaimedTuples != 100*round || st.Size != 0 {
+			t.Fatalf("round %d: reclaimed=%d size=%d, want %d/0",
+				round, st.ReclaimedTuples, st.Size, 100*round)
 		}
+		if round > 1 && st.Bytes != bytes {
+			t.Fatalf("round %d: the empty store holds %d bytes, %d after round 1", round, st.Bytes, bytes)
+		}
+		bytes = st.Bytes
 	}
 }
 
@@ -335,15 +296,18 @@ func TestReadLocksOncePerBatch(t *testing.T) {
 	a := New(windowedOpts())
 	a.Insert([]*tuple.Tuple{mk(3, 10), mk(1, 20), mk(2, 10)})
 	var byKey, all []int64
+	var row tuple.Tuple
 	a.Read(func(r Rows) {
 		for _, k := range []int64{10, 20, 30} {
-			for _, tt := range r.Bucket(tuple.Int(k).Hash()) {
-				byKey = append(byKey, tt.TS)
-			}
+			r.Bucket(tuple.Int(k).Hash(), func(rw Row) {
+				rw.Decode(&row, nil)
+				byKey = append(byKey, row.TS)
+			})
 		}
-		for _, tt := range r.All() {
-			all = append(all, tt.TS)
-		}
+		r.All(func(rw Row) {
+			rw.Decode(&row, nil)
+			all = append(all, row.TS)
+		})
 		// The read lock is held across the whole callback.
 		if a.mu.TryLock() {
 			t.Error("Read does not hold the arrangement's lock")

@@ -67,18 +67,25 @@ func (r *Registry) Each(fn func(Key, *Arrangement)) {
 	}
 }
 
-// Totals aggregates stats across all registered arrangements: count,
-// readers, maximum epoch lag, and reclaimed bytes — the engine-level
+// Totals sums stats across every registered arrangement: the engine-level
 // tcq_arrangement_* metric values.
-func (r *Registry) Totals() (count, readers int, maxLag uint64, reclaimedBytes int64) {
+type Totals struct {
+	Count, Readers int
+	MaxLag         uint64 // the largest cursor lag
+	Bytes          int64  // memory held (Stats.Bytes)
+	ReclaimedBytes int64
+}
+
+// Totals aggregates stats across all registered arrangements.
+func (r *Registry) Totals() Totals {
+	var t Totals
 	r.Each(func(_ Key, a *Arrangement) {
 		st := a.Stats()
-		count++
-		readers += st.Readers
-		if st.Lag > maxLag {
-			maxLag = st.Lag
-		}
-		reclaimedBytes += st.ReclaimedBytes
+		t.Count++
+		t.Readers += st.Readers
+		t.MaxLag = max(t.MaxLag, st.Lag)
+		t.Bytes += st.Bytes
+		t.ReclaimedBytes += st.ReclaimedBytes
 	})
-	return
+	return t
 }

@@ -1,18 +1,15 @@
 package cacq
 
-import (
-	"telegraphcq/internal/arrange"
-	"telegraphcq/internal/window"
-)
+import "telegraphcq/internal/arrange"
 
 // ArrangedConfig says where an engine's SteMs store their rows and how it
 // numbers its queries.
 type ArrangedConfig struct {
-	// Provider returns the arrangement storing build tuples of the named
-	// stream keyed on keyCol. The provider decides sharing scope (the
+	// Provider returns the arrangement storing the values of the stream
+	// opts.Name, built with opts. The provider decides sharing scope (the
 	// core engine keys on shared-class + stream + shard); asking twice
 	// for the same backing state must return the same *Arrangement.
-	Provider func(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement
+	Provider func(opts arrange.Options) *arrange.Arrangement
 	// ReuseSlots reallocates the lineage-slot IDs of removed queries
 	// (after scrubbing their bits from stored state) so bitmaps stay
 	// dense under churn. Only sound on a sequential engine: its step is
@@ -23,10 +20,8 @@ type ArrangedConfig struct {
 }
 
 // privateArrangement is New's provider: a fresh arrangement per SteM, in no
-// registry and with no recycler, read through this engine's cursor alone.
-func privateArrangement(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement {
-	return arrange.New(arrange.Options{Name: stream, KeyCol: keyCol, Windowed: true, TimeKind: kind})
-}
+// registry, read through this engine's cursor alone.
+func privateArrangement(opts arrange.Options) *arrange.Arrangement { return arrange.New(opts) }
 
 // trackArrangement records a (deduplicated) arrangement this engine reads,
 // opening the engine's cursor on it.

@@ -182,10 +182,17 @@ func storedSide(joins []JoinSpec, s int) (preds []expr.JoinPredicate, keyCol int
 
 // newSteM builds one join SteM for stream s keyed on keyCol, storing into
 // the provider's arrangement for it. The arrangement is named after s's
-// schema, its alias in a self-join.
+// schema, its alias in a self-join; it keeps s's block of each row, keyed
+// on keyCol's place in it, and holds the lineage templates themselves
+// (isTemplate), copying every other bitmap.
 func (e *Engine) newSteM(s, keyCol int, kind window.TimeKind) *stem.SteM {
 	name := e.layout.Schemas[s].Relation
-	a := e.cfg.Provider(name, keyCol, kind)
+	key := -1
+	if keyCol >= 0 {
+		key = keyCol - e.layout.Offsets[s]
+	}
+	a := e.cfg.Provider(arrange.Options{Name: name, KeyCol: key, Windowed: true,
+		TimeKind: kind, Borrowed: e.isTemplate})
 	e.trackArrangement(a)
 	return stem.New(name, tuple.SingleSource(s), e.layout,
 		stem.WithIndex(keyCol), stem.WithWindowEviction(kind), stem.WithStore(a))
@@ -317,10 +324,11 @@ func (e *Engine) invalidate() {
 // of every stream can hold one bitmap, which Layout.Merge then passes on
 // instead of intersecting. When no grouped filter holds a factor on s's
 // columns, no module writes the lineage of s's tuples, and they borrow the
-// template itself. The one write a borrowed template can see is
-// arrange.ScrubLineage clearing freed slots: a current template has none of
-// their bits (it was minted after the removal), and every holder of a stale
-// one wants them gone.
+// template itself; an arrangement storing such a row keeps the template
+// too, not a copy, so a probe carrying it still merges without one. The one
+// write a borrowed template can see is arrange.ScrubLineage clearing freed
+// slots: a current template has none of their bits (it was minted after the
+// removal), and every holder of a stale one wants them gone.
 func (e *Engine) interestedFor(s int) tuple.Bitset {
 	if e.interested[s] != nil {
 		return e.interested[s]
@@ -350,7 +358,10 @@ func (e *Engine) interestedFor(s int) tuple.Bitset {
 // isTemplate reports whether bs is one of the current lineage templates.
 // Tuples carrying a borrowed template finish inside the ingest that stamped
 // them, before a query change can replace it, so the current templates are
-// the only borrowed bitmaps a finished tuple can hold.
+// the only borrowed bitmaps a finished tuple can hold. It is also what the
+// engine's arrangements keep without copying (Options.Borrowed): every
+// bitmap they hold is a template or their own copy, never one that reaches
+// the spare list.
 func (e *Engine) isTemplate(bs tuple.Bitset) bool {
 	for _, tmpl := range e.interested {
 		if tmpl.Same(bs) {
@@ -391,6 +402,8 @@ const maxSpare = 1024
 // borrowed template that the next copy would overwrite under every holder,
 // and, when the row is dead too, returns the row to the pool. A row that
 // lives on is not touched: the eddy took its lineage off before delivery.
+// A built row comes here like any other: its SteM kept its values, and its
+// lineage as a copy unless it was a template.
 func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
 	if lineage != nil && len(e.spare) < maxSpare && !e.isTemplate(lineage) {
 		e.spare = append(e.spare, lineage)
@@ -401,13 +414,17 @@ func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
 }
 
 // SetRecycler makes the engine reuse what it routes: IngestOwned draws wide
-// rows from p (or adopts the base tuple as one), and once a tuple's routing
-// is over its lineage bitmap is kept for the next ingest and its row, when
-// nobody kept it, goes back to p. Delivered rows then carry no lineage.
-// Sequential engines only: a Parallel's shards forward their completions,
-// lineage intact, to the merge stage.
+// rows from p (or adopts the base tuple as one), the join SteMs draw their
+// matches from it, and once a tuple's routing is over its lineage bitmap is
+// kept for the next ingest and its row, when nobody kept it, goes back to
+// p. Delivered rows then carry no lineage. Sequential engines only: a
+// Parallel's shards forward their completions, lineage intact, to the merge
+// stage.
 func (e *Engine) SetRecycler(p *tuple.Pool) {
 	e.pool = p
+	for _, sm := range e.stems {
+		sm.SteM().SetRecycler(p)
+	}
 	e.ed.SetRelease(e.release)
 }
 

@@ -203,20 +203,19 @@ func NewEngine(opts Options) *Engine {
 		return float64(e.recycler.Stats().Drops)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_count", metrics.KindGauge, func() float64 {
-		n, _, _, _ := e.arrReg.Totals()
-		return float64(n)
+		return float64(e.arrReg.Totals().Count)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_readers", metrics.KindGauge, func() float64 {
-		_, readers, _, _ := e.arrReg.Totals()
-		return float64(readers)
+		return float64(e.arrReg.Totals().Readers)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_epoch_lag_max", metrics.KindGauge, func() float64 {
-		_, _, lag, _ := e.arrReg.Totals()
-		return float64(lag)
+		return float64(e.arrReg.Totals().MaxLag)
+	})
+	e.reg.RegisterFunc("tcq_arrangement_bytes", metrics.KindGauge, func() float64 {
+		return float64(e.arrReg.Totals().Bytes)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_reclaimed_bytes_total", metrics.KindCounter, func() float64 {
-		_, _, _, bytes := e.arrReg.Totals()
-		return float64(bytes)
+		return float64(e.arrReg.Totals().ReclaimedBytes)
 	})
 	e.reg.RegisterFunc("tcq_engine_workers", metrics.KindGauge, func() float64 {
 		return float64(opts.Workers)

@@ -317,7 +317,7 @@ func (in *introspector) tick() {
 				tuple.Int(int64(st.Epoch)),
 				tuple.Int(int64(st.Lag)),
 				tuple.Int(int64(st.Size)),
-				tuple.Int(int64(st.Retired)),
+				tuple.Int(st.Bytes),
 				tuple.Int(st.ReclaimedTuples),
 				tuple.Int(st.ReclaimedBytes),
 			},

@@ -500,9 +500,14 @@ func TestDifferentialMatrix(t *testing.T) {
 		m := newMatrixRun(matrixShapes, seed, nil)
 		for _, c := range cells {
 			name := fmt.Sprintf("seed=%d,%s", seed, c)
-			t.Run(name, func(t *testing.T) {
+			ok := t.Run(name, func(t *testing.T) {
 				m.cell(t, c, fmt.Sprintf("CHAOS_SEED=%d go test -run 'TestDifferentialMatrix/^%s$' ./internal/core/", seeds[0], name))
 			})
+			if !ok {
+				// A fault that loses rows fails every cell; the first failure,
+				// with its repro line, is the report.
+				t.Fatalf("stopped after %s failed", name)
+			}
 		}
 	}
 }
@@ -1036,6 +1041,39 @@ func drainClasses(t *testing.T, e *Engine) {
 	}
 }
 
+// awaitResults waits for q's n-th result like waitFor, but fails as soon as
+// q's results have stopped moving for half a second with its input queues
+// empty: a member that lost rows reports then, not at waitFor's deadline.
+func awaitResults(t *testing.T, name string, q *RunningQuery, n int) {
+	t.Helper()
+	const stall = 500 * time.Millisecond
+	clk := chaos.Real()
+	start := clk.Now()
+	last, since := q.Results(), start
+	for last < int64(n) {
+		now := clk.Now()
+		if got := q.Results(); got != last || !queuesEmpty(q) {
+			last, since = got, now
+		} else if now.Sub(since) > stall {
+			t.Fatalf("%s: %d results of %d, and none for %v with its queues empty", name, last, n, stall)
+		}
+		if now.Sub(start) > 10*time.Second {
+			t.Fatalf("timed out waiting for %s: %d results of %d", name, last, n)
+		}
+		clk.Sleep(time.Millisecond)
+	}
+}
+
+// queuesEmpty reports whether none of q's input queues holds a row.
+func queuesEmpty(q *RunningQuery) bool {
+	for _, c := range q.queues {
+		if c.Q.Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // fetchRows returns every retained result of q.
 func fetchRows(t *testing.T, q *RunningQuery) []*tuple.Tuple {
 	t.Helper()
@@ -1066,7 +1104,7 @@ func awaitShape(t *testing.T, sh matrixShape, q *RunningQuery, n int) []baseline
 			}
 		}
 	} else {
-		waitFor(t, fmt.Sprintf("%s: %d results", sh.name, n), func() bool { return q.Results() >= int64(n) })
+		awaitResults(t, sh.name, q, n)
 	}
 	res := fetchRows(t, q)
 	rows := make([]baseline.Result, len(res))

@@ -18,7 +18,6 @@ import (
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
-	"telegraphcq/internal/window"
 )
 
 // eddyHost is the one contract behind which every eddy in the engine is
@@ -156,17 +155,9 @@ func classSpec(plan *sql.Plan, qid int) (key string, joins []cacq.JoinSpec) {
 // class: arrangements live in the engine registry keyed on
 // (class, stream, shard), so metrics and introspection can enumerate them
 // and re-asking for the same key returns the same backing state.
-func (e *Engine) arrangedProvider(key string, shard int) func(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement {
-	return func(stream string, keyCol int, kind window.TimeKind) *arrange.Arrangement {
-		return e.arrReg.GetOrCreate(
-			arrange.Key{Class: key, Stream: stream, Shard: shard},
-			arrange.Options{
-				Name:     stream,
-				KeyCol:   keyCol,
-				Windowed: true,
-				TimeKind: kind,
-				Recycler: e.recycler,
-			})
+func (e *Engine) arrangedProvider(key string, shard int) func(arrange.Options) *arrange.Arrangement {
+	return func(opts arrange.Options) *arrange.Arrangement {
+		return e.arrReg.GetOrCreate(arrange.Key{Class: key, Stream: opts.Name, Shard: shard}, opts)
 	}
 }
 

@@ -47,7 +47,9 @@ type BatchModule interface {
 // Builder is implemented by modules (SteMs) that must receive a tuple as a
 // build before any other module processes it, preserving the paper's
 // "first sent as a build tuple to SteM_S, then as a probe to SteM_T"
-// discipline, which guarantees no match is missed.
+// discipline, which guarantees no match is missed. A Builder keeps a build
+// tuple's values, never the tuple: once its routing ends the row is as dead
+// as any other.
 type Builder interface {
 	Module
 	// BuildsFor reports whether tuples spanning src are build input.
@@ -146,8 +148,7 @@ type Eddy struct {
 	// virtual clock in deterministic tests.
 	clk chaos.Clock
 
-	// release, when set, receives tuples whose routing is over and which no
-	// SteM retains (SetRelease).
+	// release, when set, receives tuples whose routing is over (SetRelease).
 	release func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)
 
 	// probeClk and probeEvery are the last SetProbeTimer arguments, applied
@@ -321,15 +322,15 @@ func (e *Eddy) SetRecycler(p *tuple.Pool) {
 }
 
 // SetRelease installs fn to reclaim what a tuple leaves behind once its
-// routing is over. It is called only for tuples no SteM retains (their
-// source set builds into no module): for one a module dropped, and — in a
-// shared eddy — for one that completed. The tuple's lineage is dead then,
-// and fn receives it already taken off the row. rowDead reports whether
-// the row is dead too: nobody kept it (the completion hook returned false,
-// or a module dropped it) and the tracer was not following it. Everything
-// else (emitted, kept, sampled, or built into state) stays with its holder;
-// the conservative gate means correctness never depends on what fn does
-// with the memory.
+// routing is over: for one a module dropped, for a partial one that visited
+// all its modules, and — in a shared eddy — for one that completed. Built
+// tuples included: a SteM keeps values, not rows (Builder). The tuple's
+// lineage is dead then, and fn receives it already taken off the row.
+// rowDead reports whether the row is dead too: nobody kept it (the
+// completion hook returned false, or a module dropped it) and the tracer
+// was not following it. Everything else (emitted, kept or sampled) stays
+// with its holder; the conservative gate means correctness never depends
+// on what fn does with the memory.
 func (e *Eddy) SetRelease(fn func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)) {
 	e.release = fn
 }
@@ -590,13 +591,11 @@ func (e *Eddy) step(b *tuple.Batch) {
 		e.stats.Dropped++
 		if e.tracer != nil && e.tracer.Live(t) {
 			e.tracer.Finish(t, false)
-		} else if e.release != nil && e.buildMask(t.Source) == 0 {
-			// Dead for sure: dropped here, never retained as a build, and
-			// invisible to the tracer. Outputs (if any) are independent
-			// copies, so handing t's memory back is safe.
-			lineage := t.Queries
-			t.Queries = nil
-			e.release(t, lineage, true)
+		} else if e.release != nil {
+			// Dead for sure: dropped here and invisible to the tracer.
+			// Outputs (if any) and what a SteM built from it are
+			// independent copies, so handing t's memory back is safe.
+			e.releaseRow(t, true)
 		}
 	}
 	b.Tuples = b.Tuples[:passed]
@@ -732,20 +731,33 @@ func (e *Eddy) finish(t *tuple.Tuple, required uint64) {
 		}
 		return
 	}
-	// Partial tuple: consumed, not dropped — it was built into SteMs.
+	// Partial tuple: consumed, not dropped — its values live on in the
+	// SteMs it was built into and in the matches it seeded, all copies.
+	traced := e.tracer != nil && e.tracer.Live(t)
 	e.traceFinish(t, false)
+	if e.release != nil {
+		e.releaseRow(t, !traced)
+	}
 	_ = required
+}
+
+// releaseRow takes t's lineage off the row and hands both to the release
+// func.
+func (e *Eddy) releaseRow(t *tuple.Tuple, rowDead bool) {
+	lineage := t.Queries
+	t.Queries = nil
+	e.release(t, lineage, rowDead)
 }
 
 // finishShared is finish in a shared eddy: the completion hook delivers t,
 // and completion with live lineage is delivery, so the trace records it as
-// emitted. t's routing is over here, so unless a SteM holds it (and reads
-// its lineage on every probe) the lineage comes off the row before the hook
-// runs and goes to the release func afterwards, with the row when the hook
-// did not keep it and the tracer was not following it.
+// emitted. t's routing is over here, so with a release func set the lineage
+// comes off the row before the hook runs and goes to the release func
+// afterwards, with the row when the hook did not keep it and the tracer was
+// not following it.
 func (e *Eddy) finishShared(t *tuple.Tuple) {
 	traced := e.tracer != nil && e.tracer.Live(t)
-	free := e.release != nil && e.buildMask(t.Source) == 0
+	free := e.release != nil
 	lineage := t.Queries
 	if free {
 		t.Queries = nil

@@ -244,6 +244,40 @@ func TestEddySharedLineageDrop(t *testing.T) {
 	}
 }
 
+// TestBuiltRowsAreReleased: a SteM keeps a build row's values, not the row,
+// so a built row whose routing ends goes to the release func like any other
+// — dead unless the tracer follows it — and scribbling over it afterwards
+// changes no later match. The emitted match is not released.
+func TestBuiltRowsAreReleased(t *testing.T) {
+	l := tuple.NewLayout(
+		tuple.NewSchema("S", tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "v", Kind: tuple.KindInt}),
+		tuple.NewSchema("R", tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "w", Kind: tuple.KindInt}))
+	modS, modR := ops.BuildSteMPair(l, 0, 1, 0, 2, window.Physical)
+	var out []*tuple.Tuple
+	e := New(tuple.SingleSource(0)|tuple.SingleSource(1), nil, func(t *tuple.Tuple) { out = append(out, t) }, modS, modR)
+	var released []*tuple.Tuple
+	e.SetRelease(func(t *tuple.Tuple, _ tuple.Bitset, rowDead bool) {
+		if !rowDead {
+			t.Vals = nil // flag it: a row a live holder keeps
+		}
+		released = append(released, t)
+	})
+	s := widen(l, 0, 1, tuple.Int(7), tuple.Int(70))
+	e.Ingest(s)
+	if len(released) != 1 || released[0] != s || s.Vals == nil {
+		t.Fatalf("the built S row was not released as dead: %v", released)
+	}
+	s.Vals[0], s.Vals[1] = tuple.Int(8), tuple.Int(80) // the row is the pool's now
+	r := widen(l, 1, 2, tuple.Int(7), tuple.Int(700))
+	e.Ingest(r)
+	if len(out) != 1 || out[0].Vals[1].I != 70 || out[0].Vals[3].I != 700 {
+		t.Fatalf("join output %v, want one match of the values S was built with", out)
+	}
+	if len(released) != 2 || released[1] != r {
+		t.Fatalf("released %d rows, want the two built ones (not the match)", len(released))
+	}
+}
+
 // TestPlanReusedPerSignature pins §4.3's "batching tuples" as the eddy
 // does it: with N-way planning on, one ChooseOrder plan serves every
 // batches of a lineage signature before the policy is asked again.

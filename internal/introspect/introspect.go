@@ -31,7 +31,7 @@ const (
 	// ChaosStream carries one row per injected fault event.
 	ChaosStream = "tcq.chaos"
 	// ArrangeStream carries one row per shared arrangement per tick:
-	// reader count, epoch/cursor lag, stored and retired tuple counts,
+	// reader count, epoch/cursor lag, stored rows and the bytes they take,
 	// and reclamation volume.
 	ArrangeStream = "tcq.arrange"
 )
@@ -101,7 +101,7 @@ func ArrangeSchema() *tuple.Schema {
 		tuple.Column{Name: "epoch", Kind: tuple.KindInt},
 		tuple.Column{Name: "epoch_lag", Kind: tuple.KindInt},
 		tuple.Column{Name: "size", Kind: tuple.KindInt},
-		tuple.Column{Name: "retired", Kind: tuple.KindInt},
+		tuple.Column{Name: "bytes", Kind: tuple.KindInt},
 		tuple.Column{Name: "reclaimed_tuples", Kind: tuple.KindInt},
 		tuple.Column{Name: "reclaimed_bytes", Kind: tuple.KindInt},
 	)

@@ -86,18 +86,20 @@ var noAllocPkgs = map[string]bool{
 // noAllocFuncs allowlists individual external functions from packages
 // that otherwise allocate.
 var noAllocFuncs = map[string]bool{
-	"sort.Search":       true,
-	"strings.Compare":   true,
-	"strings.EqualFold": true,
-	"bytes.Compare":     true,
-	"bytes.Equal":       true,
-	"time.Nanoseconds":  true, // Duration.Nanoseconds: int64 conversion
-	"time.Seconds":      true, // Duration.Seconds: float64 conversion
-	"time.Sub":          true, // Time.Sub: arithmetic on the wall/mono words
-	"math/rand.Float64": true, // draws from an existing source
-	"math/rand.Int63n":  true,
-	"math/rand.Int63":   true,
-	"math/rand.Uint64":  true,
+	"sort.Search":             true,
+	"encoding/binary.Varint":  true, // decode from an existing buffer
+	"encoding/binary.Uvarint": true,
+	"strings.Compare":         true,
+	"strings.EqualFold":       true,
+	"bytes.Compare":           true,
+	"bytes.Equal":             true,
+	"time.Nanoseconds":        true, // Duration.Nanoseconds: int64 conversion
+	"time.Seconds":            true, // Duration.Seconds: float64 conversion
+	"time.Sub":                true, // Time.Sub: arithmetic on the wall/mono words
+	"math/rand.Float64":       true, // draws from an existing source
+	"math/rand.Int63n":        true,
+	"math/rand.Int63":         true,
+	"math/rand.Uint64":        true,
 }
 
 func noAlloc(f *types.Func) bool {

@@ -334,3 +334,32 @@ func TestSharedAndPrivateFronts(t *testing.T) {
 		t.Fatalf("front stats: builder %+v reader %+v", b, r)
 	}
 }
+
+// TestBuildKeepsValuesNotRows: a SteM over the second stream stores that
+// stream's block of each build row, encoded, so the caller may rewrite its
+// rows the moment BuildBatch returns; with a recycler set, matches are
+// drawn from the pool.
+func TestBuildKeepsValuesNotRows(t *testing.T) {
+	l := twoStreamLayout()
+	st := New("T", tuple.SingleSource(1), l, WithIndex(2)) // index T.k (wide col 2)
+	rows := []*tuple.Tuple{
+		widen(l, 1, 1, tuple.Int(1), tuple.Int(10)),
+		widen(l, 1, 2, tuple.Int(2), tuple.Int(20)),
+	}
+	if err := st.BuildBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		r.Vals[2], r.Vals[3], r.TS = tuple.Int(2), tuple.Int(99), 50
+	}
+	pool := tuple.NewPool()
+	st.SetRecycler(pool)
+	probe := widen(l, 0, 5, tuple.Int(2), tuple.Int(0))
+	m := st.Probe(probe, 0, []expr.JoinPredicate{{LeftCol: 0, Op: expr.Eq, RightCol: 2}})
+	if len(m) != 1 || m[0].Vals[2].I != 2 || m[0].Vals[3].I != 20 || m[0].TS != 5 || m[0].Source != 3 {
+		t.Fatalf("probe matched %v, want the one T row built with k=2, w=20", m)
+	}
+	if g := pool.Stats().Gets; g != 1 {
+		t.Fatalf("%d pool gets, want the match drawn from the pool", g)
+	}
+}

@@ -10,6 +10,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -50,24 +51,25 @@ func ReadRow(buf []byte, t *tuple.Tuple, vals []tuple.Value) ([]tuple.Value, int
 	off := 0
 	seq, n := binary.Varint(buf[off:])
 	if n <= 0 {
-		return vals, 0, fmt.Errorf("storage: corrupt seq varint")
+		return vals, 0, corrupt("corrupt seq varint")
 	}
 	off += n
 	ts, n := binary.Varint(buf[off:])
 	if n <= 0 {
-		return vals, 0, fmt.Errorf("storage: corrupt ts varint")
+		return vals, 0, corrupt("corrupt ts varint")
 	}
 	off += n
 	nvals, n := binary.Uvarint(buf[off:])
 	if n <= 0 || nvals > uint64(len(buf)) { // every value takes a byte at least
-		return vals, 0, fmt.Errorf("storage: corrupt arity varint")
+		return vals, 0, corrupt("corrupt arity varint")
 	}
 	off += n
 	start := len(vals)
+	//lint:ignore alloccheck grows vals only when it lacks room: a caller decoding row after row into one slice of the width pays nothing per row
 	vals = slices.Grow(vals, int(nvals))
 	for i := uint64(0); i < nvals; i++ {
 		if off >= len(buf) {
-			return vals[:start], 0, fmt.Errorf("storage: truncated tuple")
+			return vals[:start], 0, corrupt("truncated tuple")
 		}
 		k := tuple.Kind(buf[off])
 		off++
@@ -77,32 +79,53 @@ func ReadRow(buf []byte, t *tuple.Tuple, vals []tuple.Value) ([]tuple.Value, int
 		case tuple.KindFloat:
 			u, n := binary.Uvarint(buf[off:])
 			if n <= 0 {
-				return vals[:start], 0, fmt.Errorf("storage: corrupt float")
+				return vals[:start], 0, corrupt("corrupt float")
 			}
 			off += n
 			vals = append(vals, tuple.Float(bitsFloat(u)))
 		case tuple.KindString:
 			l, n := binary.Uvarint(buf[off:])
 			if n <= 0 || l > uint64(len(buf)-off-n) {
-				return vals[:start], 0, fmt.Errorf("storage: corrupt string")
+				return vals[:start], 0, corrupt("corrupt string")
 			}
 			off += n
+			//lint:ignore alloccheck a string value is copied out of the encoded row: decoding one allocates (DESIGN.md §5); no join keys on strings yet
 			vals = append(vals, tuple.String_(string(buf[off:off+int(l)])))
 			off += int(l)
 		case tuple.KindInt, tuple.KindBool, tuple.KindTime:
 			v, n := binary.Varint(buf[off:])
 			if n <= 0 {
-				return vals[:start], 0, fmt.Errorf("storage: corrupt int")
+				return vals[:start], 0, corrupt("corrupt int")
 			}
 			off += n
 			vals = append(vals, tuple.Value{K: k, I: v})
 		default:
-			return vals[:start], 0, fmt.Errorf("storage: unknown value kind %d", k)
+			return vals[:start], 0, unknownKind(k)
 		}
 	}
 	t.Seq, t.TS = seq, ts
 	t.Vals = vals[start:len(vals):len(vals)]
 	return vals, off, nil
+}
+
+// corrupt is ReadRow's error for a row it cannot decode.
+//
+//tcq:coldpath
+func corrupt(what string) error { return errors.New("storage: " + what) }
+
+//tcq:coldpath
+func unknownKind(k tuple.Kind) error { return fmt.Errorf("storage: unknown value kind %d", k) }
+
+// ReadStamp decodes only the Seq and TS of the row AppendRow wrote at the
+// front of buf, leaving its values undecoded: what ordering rows by time
+// needs. It returns zeros for a corrupt stamp.
+func ReadStamp(buf []byte) (seq, ts int64) {
+	seq, n := binary.Varint(buf)
+	if n <= 0 {
+		return 0, 0
+	}
+	ts, _ = binary.Varint(buf[n:])
+	return seq, ts
 }
 
 // readTuple decodes one row from buf into a fresh tuple, returning it and

@@ -74,15 +74,18 @@ func (l *Layout) Narrow(s int, wide *Tuple) *Tuple {
 // shared, so the output holds it too. Timestamps take the max. Merge panics
 // if the inputs overlap, which indicates a routing bug.
 func (l *Layout) Merge(a, b *Tuple) *Tuple {
+	return l.mergeInto(&Tuple{Vals: make([]Value, l.Width())}, a, b)
+}
+
+// mergeInto writes Merge(a, b) into out, a zeroed row of the layout's
+// width.
+func (l *Layout) mergeInto(out, a, b *Tuple) *Tuple {
 	if a.Source.Overlaps(b.Source) {
 		panic("tuple: Merge of overlapping wide rows")
 	}
-	out := &Tuple{
-		Vals:   make([]Value, l.Width()),
-		TS:     maxInt64(a.TS, b.TS),
-		Seq:    maxInt64(a.Seq, b.Seq),
-		Source: a.Source.Union(b.Source),
-	}
+	out.TS = maxInt64(a.TS, b.TS)
+	out.Seq = maxInt64(a.Seq, b.Seq)
+	out.Source = a.Source.Union(b.Source)
 	for s := range l.Schemas {
 		src := SingleSource(s)
 		var from *Tuple

@@ -13,8 +13,8 @@ import (
 //
 // Ownership discipline: Put hands the tuple's memory back to the pool —
 // the caller must hold the only live reference. Tuples that may still be
-// referenced elsewhere (SteM state, egress logs, sampled traces) must never
-// be recycled; the wiring in internal/eddy and internal/core gates every
+// referenced elsewhere (a client that kept a result, sampled traces) must
+// never be recycled; the wiring in internal/eddy and internal/core gates every
 // Put on those conditions. Value contents are
 // plain structs (string headers share immutable data), so reusing a Vals
 // slice never mutates values previously copied out of it.
@@ -154,4 +154,12 @@ func (l *Layout) WidenUsing(pool *Pool, s int, base *Tuple) *Tuple {
 		out.Queries = base.Queries.Clone()
 	}
 	return out
+}
+
+// MergeUsing is Merge drawing the output row from pool when non-nil.
+func (l *Layout) MergeUsing(pool *Pool, a, b *Tuple) *Tuple {
+	if pool == nil {
+		return l.Merge(a, b)
+	}
+	return l.mergeInto(pool.Get(l.Width()), a, b)
 }

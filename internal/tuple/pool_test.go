@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -131,5 +132,40 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := p.Stats(); st.Gets != 16000 || st.Puts != 16000 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestMergeUsingMatchesMerge: a merge drawn from the pool is Merge's row —
+// values, stamps, span and lineage, a shared bitmap passed on as itself —
+// written over whatever the recycled row held.
+func TestMergeUsingMatchesMerge(t *testing.T) {
+	l := NewLayout(NewSchema("S", Column{Name: "k", Kind: KindInt}),
+		NewSchema("R", Column{Name: "k", Kind: KindInt}, Column{Name: "w", Kind: KindString}))
+	shared := NewBitset(70)
+	shared.Set(66)
+	own := NewBitset(70)
+	own.Set(66)
+	own.Set(3)
+	for _, lin := range [][2]Bitset{{nil, nil}, {shared, shared}, {own, shared}, {nil, own}} {
+		a := l.Widen(0, &Tuple{Vals: []Value{Int(1)}, TS: 5, Seq: 9, Queries: lin[0]})
+		b := l.Widen(1, &Tuple{Vals: []Value{Int(1), String_("w")}, TS: 7, Seq: 2, Queries: lin[1]})
+		a.Queries, b.Queries = lin[0], lin[1]
+		p := NewPool()
+		stale := p.Get(l.Width())
+		stale.Vals[0], stale.TS, stale.Done = String_("old"), 99, 5
+		p.Put(stale)
+		want := l.Merge(a, b)
+		got := l.MergeUsing(p, a, b)
+		if p.Stats().Hits != 1 {
+			t.Fatalf("MergeUsing did not draw the pooled row (hits %d)", p.Stats().Hits)
+		}
+		if got.TS != want.TS || got.Seq != want.Seq || got.Source != want.Source || got.Done != 0 ||
+			fmt.Sprint(got.Vals) != fmt.Sprint(want.Vals) || fmt.Sprint(got.Queries) != fmt.Sprint(want.Queries) ||
+			got.Queries.Same(shared) != want.Queries.Same(shared) || (got.Queries == nil) != (want.Queries == nil) {
+			t.Fatalf("lineage %v: MergeUsing %+v, Merge %+v", lin, got, want)
+		}
+	}
+	if m := l.MergeUsing(nil, l.Widen(0, New(Int(1))), l.Widen(1, New(Int(2), Null))); m.Vals[1].I != 2 {
+		t.Fatalf("MergeUsing without a pool = %v", m.Vals)
 	}
 }

@@ -10,9 +10,9 @@
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window delivery x20, differential matrix x3, drift
 #                    pin x20, pane dictionary x20, shared-class reuse x20,
-#                    last member out x20, pull-log ring x20, wire flushes,
-#                    FEED runs and EO wake x20, fed rows kept by no one x20,
-#                    fuzz smoke
+#                    last member out x20, pull-log ring x20, join state
+#                    x20, wire flushes, FEED runs and EO wake x20, fed rows
+#                    kept by no one x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -111,9 +111,9 @@ stage_test() {
     (cd benchmark && go vet ./... && go test ./...)
 
     # The arrangement layer is the engine's shared-state backbone: one
-    # writer, many cursors, epoch-deferred frees. Hold its line coverage to
-    # a floor so the cursor/epoch protocol never drifts out from under its
-    # tests.
+    # writer, many cursors, encoded values under a pointer-free index. Hold
+    # its line coverage to a floor so the store never drifts out from under
+    # its tests.
     echo "==> coverage floor: internal/arrange >= 85%"
     profile=$(mktemp)
     go test -coverprofile="$profile" ./internal/arrange/ > /dev/null
@@ -191,6 +191,15 @@ stage_race() {
     # tests above race a client against the same log from the query's side.)
     echo "==> pull-log ring under race: slice model, concurrent fetch (-count=20)"
     go test -race -count=20 -run 'TestPullRingMatchesSliceModel|TestPullRingConcurrentFetch' ./internal/egress/
+
+    # An arrangement keeps encoded values that probes decode under its read
+    # lock while the writer inserts, evicts and scrubs, and a class hands
+    # every built row back to the tuple pool once its routing ends: hold the
+    # store to its slice model and its concurrent readers, and the join's
+    # allocation and byte bounds, to twenty race-instrumented passes.
+    echo "==> join state keeps values under race: slice model, readers, bounds (-count=20)"
+    go test -race -count=20 -run 'TestArrangementMatchesSliceModel|TestArrangementConcurrentReads' ./internal/arrange/
+    go test -race -count=20 -run 'TestJoinSteadyStateAllocs|TestJoinStoredBytesPerRow|TestArrangementBytesGauge' ./internal/core/
 
     # Replies are buffered and flushed when a FrontEnd's input is drained,
     # while SUBSCRIBE pushers write the same buffer from their goroutines; a
