@@ -1,10 +1,10 @@
 // Package arrange implements arrangements (PAPERS.md, McSherry et al.): the
 // one row store behind every SteM. An Arrangement is the storage half of a
 // SteM — a hash index on the join column plus the time-ordered (or
-// insertion-ordered) row store — owned by exactly ONE writer, the engine
-// that builds it, and readable by any number of concurrent cursors. A private
-// join is the one-reader case: its SteM owns an arrangement nobody else can
-// reach, with no cursor, and pays an uncontended lock per call.
+// insertion-ordered) row store — owned by the engine whose SteM writes it.
+// It is safe for one writer and any number of concurrent readers, and pays
+// an uncontended lock per call when, as in a sequential class, the writer
+// is its only reader.
 //
 // An arrangement keeps values, not rows. Each inserted row is encoded with
 // the storage row codec (storage.AppendRow) into pointer-free byte chunks,
@@ -14,14 +14,6 @@
 // decodes each row it wants into memory of its own. So no reader ever holds
 // a stored row, the caller's row is free the moment Insert returns, and Evict
 // frees what it drops at once.
-//
-// The writer still seals its mutations into epochs (Advance) and every
-// reader group holds a Cursor at the epoch it last synced: cursors and
-// handles are how an arrangement counts its readers and how far behind the
-// slowest one is. Registering the 10,000th query against an arrangement
-// therefore costs one reader handle — an index entry — instead of a copy of
-// the state: queries attach a Handle to a Cursor, probe the shared index
-// through it, and detach on removal.
 package arrange
 
 import (
@@ -72,11 +64,10 @@ type ref struct {
 	lineage    int32
 }
 
-// Arrangement is a shared, multi-reader row store. All methods are safe for
-// concurrent use, under a single-writer discipline: exactly one goroutine
-// calls the mutating methods (Insert, Evict, Advance, ScrubLineage), while
-// any number concurrently call the reading methods (Read, Lookup, Scan,
-// Handle.Probe, Stats).
+// Arrangement is a row store. All methods are safe for concurrent use,
+// under a single-writer discipline: exactly one goroutine calls the mutating
+// methods (Insert, Evict, ScrubLineage), while any number concurrently call
+// the reading methods (Read, Lookup, Scan, Len, Stats).
 type Arrangement struct {
 	opts Options
 
@@ -95,21 +86,15 @@ type Arrangement struct {
 	remap   []int32 // Evict's scratch: each row's number after it
 	ring    []int32 // Evict's scratch: one bucket's survivors
 
-	epoch      uint64
-	cursors    map[int]*Cursor
-	nextCursor int
-	readers    int // open handles across all cursors
-
 	inserts    int64
 	evicted    int64 // rows; every one is freed at once
 	reclaimedB int64
-	maxReaders int
 }
 
 // New creates an empty arrangement. It holds no chunk until its first
 // Insert.
 func New(opts Options) *Arrangement {
-	a := &Arrangement{opts: opts, cursors: make(map[int]*Cursor)}
+	a := &Arrangement{opts: opts}
 	if opts.KeyCol >= 0 {
 		a.index = make(map[uint64]int32)
 	}
@@ -120,7 +105,7 @@ func New(opts Options) *Arrangement {
 // Name returns the arrangement's label.
 func (a *Arrangement) Name() string { return a.opts.Name }
 
-// Insert encodes a batch of rows into the current epoch: their Seq, TS,
+// Insert encodes a batch of rows: their Seq, TS,
 // values and lineage. The arrangement keeps no pointer into any of them, so
 // the caller may reuse them when Insert returns. Writer-only.
 func (a *Arrangement) Insert(ts []*tuple.Tuple) {
@@ -440,15 +425,6 @@ func (a *Arrangement) compact(remap []int32, live int) {
 	a.refs = a.refs[:live]
 }
 
-// Advance seals the current epoch: mutations so far belong to it, and
-// subsequent ones land in the next. Writer-only; typically called once per
-// engine step.
-func (a *Arrangement) Advance() {
-	a.mu.Lock()
-	a.epoch++
-	a.mu.Unlock()
-}
-
 // ScrubLineage clears the lineage bits in mask from every stored row — the
 // deferred half of freeing a query's lineage slot: after its removal the
 // slot may only be reused once no stored row still carries the dead query's
@@ -459,102 +435,17 @@ func (a *Arrangement) ScrubLineage(mask tuple.Bitset) {
 	a.lin.scrub(mask)
 }
 
-// Cursor tracks one reader group's progress through the arrangement's
-// epochs: a cursor at epoch E has observed every mutation sealed before E.
-// Queries sharing an execution engine share one cursor (the engine advances
-// it once per step for all of them); each query still holds its own Handle.
-type Cursor struct {
-	a  *Arrangement
-	id int
-	at uint64
-}
-
-// NewCursor opens a cursor at the current epoch.
-func (a *Arrangement) NewCursor() *Cursor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	c := &Cursor{a: a, id: a.nextCursor, at: a.epoch}
-	a.nextCursor++
-	a.cursors[c.id] = c
-	return c
-}
-
-// Sync advances the cursor to the current epoch.
-func (c *Cursor) Sync() {
-	a := c.a
-	a.mu.Lock()
-	c.at = a.epoch
-	a.mu.Unlock()
-}
-
-// Close removes the cursor; its handles must already be closed.
-func (c *Cursor) Close() {
-	a := c.a
-	a.mu.Lock()
-	delete(a.cursors, c.id)
-	a.mu.Unlock()
-}
-
-// Attach registers one reader on the cursor and returns its handle. This is
-// what a standing query costs: an entry in the reader count, not a copy of
-// the state.
-func (c *Cursor) Attach() *Handle {
-	a := c.a
-	a.mu.Lock()
-	a.readers++
-	if a.readers > a.maxReaders {
-		a.maxReaders = a.readers
-	}
-	a.mu.Unlock()
-	return &Handle{c: c}
-}
-
-// Handle is one reader's registration: a lightweight capability to probe
-// the shared state through its cursor.
-type Handle struct {
-	c      *Cursor
-	closed bool
-}
-
-// Probe looks up candidates by key hash through the handle's cursor
-// (Lookup).
-func (h *Handle) Probe(hash uint64, emit func(*tuple.Tuple)) {
-	h.c.a.Lookup(hash, emit)
-}
-
-// Scan visits all stored rows through the handle's cursor (Scan).
-func (h *Handle) Scan(emit func(*tuple.Tuple)) { h.c.a.Scan(emit) }
-
-// Close detaches the reader. Idempotent.
-func (h *Handle) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	a := h.c.a
-	a.mu.Lock()
-	a.readers--
-	a.mu.Unlock()
-}
-
 // Stats is a point-in-time snapshot of arrangement state and counters.
 type Stats struct {
-	Epoch     uint64
-	MinCursor uint64 // oldest open cursor's epoch (== Epoch when none)
-	Lag       uint64 // Epoch - MinCursor
-	Readers   int    // open handles
-	Cursors   int    // open cursors
-	Size      int    // stored rows
+	Size int // stored rows
 	// Bytes is the memory the store holds: chunk capacity plus the index
 	// (the per-row refs, the time order, the hash map and the lineage
 	// table).
 	Bytes int64
 
-	Inserts         int64
-	Evicted         int64
-	ReclaimedTuples int64 // == Evicted: eviction frees at once
-	ReclaimedBytes  int64 // encoded bytes of the evicted rows
-	MaxReaders      int
+	Inserts        int64
+	Evicted        int64 // rows evicted; eviction frees them at once
+	ReclaimedBytes int64 // encoded bytes of the evicted rows
 }
 
 // Sizes behind Stats.Bytes. A map entry is a 16-byte slot (an 8-byte key
@@ -569,25 +460,12 @@ const (
 func (a *Arrangement) Stats() Stats {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	st := Stats{
-		Epoch:           a.epoch,
-		MinCursor:       a.epoch,
-		Readers:         a.readers,
-		Cursors:         len(a.cursors),
-		Size:            len(a.refs),
-		Inserts:         a.inserts,
-		Evicted:         a.evicted,
-		ReclaimedTuples: a.evicted,
-		ReclaimedBytes:  a.reclaimedB,
-		MaxReaders:      a.maxReaders,
+	return Stats{
+		Size: len(a.refs),
+		Bytes: a.chunkBytes + refBytes*int64(cap(a.refs)) + 4*int64(cap(a.order)) +
+			mapEntryBytes*int64(len(a.index)) + a.lin.bytes(),
+		Inserts:        a.inserts,
+		Evicted:        a.evicted,
+		ReclaimedBytes: a.reclaimedB,
 	}
-	st.Bytes = a.chunkBytes + refBytes*int64(cap(a.refs)) + 4*int64(cap(a.order)) +
-		mapEntryBytes*int64(len(a.index)) + a.lin.bytes()
-	for _, c := range a.cursors {
-		if c.at < st.MinCursor {
-			st.MinCursor = c.at
-		}
-	}
-	st.Lag = st.Epoch - st.MinCursor
-	return st
 }

@@ -50,36 +50,22 @@ func TestUnindexedLookupScansAll(t *testing.T) {
 }
 
 // TestEvictFreesAtOnceUnderCursors: no reader ever holds a stored row, so
-// evicted rows are freed by Evict itself, with cursors open at older
-// epochs; the cursors still measure how far behind their readers are.
+// evicted rows are freed by Evict itself and are gone from the next Lookup.
 func TestEvictFreesAtOnceUnderCursors(t *testing.T) {
 	a := New(windowedOpts())
-	c1 := a.NewCursor()
-	c2 := a.NewCursor()
-
 	a.Insert([]*tuple.Tuple{mk(1, 10), mk(2, 20), mk(3, 30)})
 	if n := a.Evict(3); n != 2 {
 		t.Fatalf("Evict(3) = %d, want 2", n)
 	}
 	st := a.Stats()
-	if st.Size != 1 || st.ReclaimedTuples != 2 || st.ReclaimedBytes <= 0 {
-		t.Fatalf("after evict: size=%d reclaimed=%d bytes=%d, want 1/2/>0",
-			st.Size, st.ReclaimedTuples, st.ReclaimedBytes)
+	if st.Size != 1 || st.Evicted != 2 || st.ReclaimedBytes <= 0 {
+		t.Fatalf("after evict: size=%d evicted=%d bytes=%d, want 1/2/>0",
+			st.Size, st.Evicted, st.ReclaimedBytes)
 	}
 	n := 0
 	a.Lookup(tuple.Int(10).Hash(), func(*tuple.Tuple) { n++ })
 	if n != 0 {
 		t.Fatalf("evicted row still visible to Lookup")
-	}
-
-	a.Advance()
-	c1.Sync()
-	if st := a.Stats(); st.Lag != 1 || st.MinCursor != 0 {
-		t.Fatalf("with c2 at epoch 0: lag=%d min=%d, want 1/0", st.Lag, st.MinCursor)
-	}
-	c2.Sync()
-	if st := a.Stats(); st.Lag != 0 {
-		t.Fatalf("lag = %d after full sync, want 0", st.Lag)
 	}
 }
 
@@ -94,34 +80,8 @@ func TestNoCursorsReclaimImmediatelyOnAdvance(t *testing.T) {
 	a := New(windowedOpts())
 	a.Insert([]*tuple.Tuple{mk(1, 10), mk(2, 20)})
 	a.Evict(10)
-	a.Advance()
-	if st := a.Stats(); st.Size != 0 || st.ReclaimedTuples != 2 {
-		t.Fatalf("no-cursor reclaim: size=%d reclaimed=%d, want 0/2",
-			st.Size, st.ReclaimedTuples)
-	}
-}
-
-func TestHandleAttachCloseCountsReaders(t *testing.T) {
-	a := New(windowedOpts())
-	c := a.NewCursor()
-	h1 := c.Attach()
-	h2 := c.Attach()
-	if st := a.Stats(); st.Readers != 2 || st.MaxReaders != 2 {
-		t.Fatalf("readers=%d max=%d, want 2/2", st.Readers, st.MaxReaders)
-	}
-	h1.Close()
-	h1.Close() // idempotent
-	h2.Close()
-	if st := a.Stats(); st.Readers != 0 || st.MaxReaders != 2 {
-		t.Fatalf("readers=%d max=%d after close, want 0/2", st.Readers, st.MaxReaders)
-	}
-	a.Insert([]*tuple.Tuple{mk(1, 7)})
-	n := 0
-	h3 := c.Attach()
-	h3.Probe(tuple.Int(7).Hash(), func(*tuple.Tuple) { n++ })
-	h3.Scan(func(*tuple.Tuple) { n++ })
-	if n != 2 {
-		t.Fatalf("handle probe+scan visited %d, want 2", n)
+	if st := a.Stats(); st.Size != 0 || st.Evicted != 2 {
+		t.Fatalf("reclaim: size=%d evicted=%d, want 0/2", st.Size, st.Evicted)
 	}
 }
 
@@ -152,31 +112,26 @@ func TestScrubLineage(t *testing.T) {
 }
 
 // TestConcurrentReadersOneWriter exercises the single-writer/many-reader
-// contract under the race detector: one goroutine inserts, evicts, and
-// advances while readers probe through handles and sync their cursor.
+// contract under the race detector: one goroutine inserts and evicts while
+// readers probe and snapshot stats.
 func TestConcurrentReadersOneWriter(t *testing.T) {
 	a := New(windowedOpts())
 	const readers = 4
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < readers; r++ {
-		c := a.NewCursor()
-		h := c.Attach()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer h.Close()
-			defer c.Close()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				h.Probe(tuple.Int(1).Hash(), func(tt *tuple.Tuple) {
+				a.Lookup(tuple.Int(1).Hash(), func(tt *tuple.Tuple) {
 					_ = tt.TS
 				})
-				c.Sync()
 				_ = a.Stats()
 			}
 		}()
@@ -186,14 +141,11 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 		if i%16 == 0 {
 			a.Evict(i - 64)
 		}
-		a.Advance()
 	}
 	close(stop)
 	wg.Wait()
-	a.Advance()
-	if st := a.Stats(); int64(st.Size)+st.ReclaimedTuples != st.Inserts || st.Cursors != 0 {
-		t.Fatalf("size %d + reclaimed %d != inserts %d, %d cursors open",
-			st.Size, st.ReclaimedTuples, st.Inserts, st.Cursors)
+	if st := a.Stats(); int64(st.Size)+st.Evicted != st.Inserts {
+		t.Fatalf("size %d + evicted %d != inserts %d", st.Size, st.Evicted, st.Inserts)
 	}
 }
 
@@ -236,36 +188,9 @@ func TestSlotsLifecycle(t *testing.T) {
 	}
 }
 
-func TestRegistryKeysAndDrop(t *testing.T) {
-	r := NewRegistry()
-	k1 := Key{Class: "c1", Stream: "s", Shard: -1}
-	a1 := r.GetOrCreate(k1, windowedOpts())
-	if r.GetOrCreate(k1, windowedOpts()) != a1 {
-		t.Fatalf("same key must return same arrangement")
-	}
-	k2 := Key{Class: "c1", Stream: "s", Shard: 0}
-	k3 := Key{Class: "c2", Stream: "s", Shard: -1}
-	r.GetOrCreate(k2, windowedOpts())
-	a3 := r.GetOrCreate(k3, windowedOpts())
-	if n := r.Totals().Count; n != 3 {
-		t.Fatalf("count=%d, want 3", n)
-	}
-	r.Drop("c1")
-	n := 0
-	r.Each(func(k Key, a *Arrangement) {
-		n++
-		if a != a3 {
-			t.Fatalf("unexpected survivor %v", k)
-		}
-	})
-	if n != 1 {
-		t.Fatalf("after Drop: %d arrangements, want 1", n)
-	}
-}
-
-// TestCursorlessEvictFreesAtOnce: a private owner opens no cursor and never
-// calls Advance; what it evicts is freed by Evict itself, round after round,
-// and the emptied store reuses its first chunk instead of growing.
+// TestCursorlessEvictFreesAtOnce: what an arrangement evicts is freed by
+// Evict itself, round after round, and the emptied store reuses its first
+// chunk instead of growing.
 func TestCursorlessEvictFreesAtOnce(t *testing.T) {
 	a := New(windowedOpts())
 	var bytes int64
@@ -279,9 +204,9 @@ func TestCursorlessEvictFreesAtOnce(t *testing.T) {
 			t.Fatalf("round %d: Evict = %d, want 100", round, n)
 		}
 		st := a.Stats()
-		if st.ReclaimedTuples != 100*round || st.Size != 0 {
-			t.Fatalf("round %d: reclaimed=%d size=%d, want %d/0",
-				round, st.ReclaimedTuples, st.Size, 100*round)
+		if st.Evicted != 100*round || st.Size != 0 {
+			t.Fatalf("round %d: evicted=%d size=%d, want %d/0",
+				round, st.Evicted, st.Size, 100*round)
 		}
 		if round > 1 && st.Bytes != bytes {
 			t.Fatalf("round %d: the empty store holds %d bytes, %d after round 1", round, st.Bytes, bytes)

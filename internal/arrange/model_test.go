@@ -265,9 +265,9 @@ func TestArrangementMatchesSliceModel(t *testing.T) {
 				if st.Size != len(model.rows) || a.Len() != len(model.rows) {
 					t.Fatalf("op %d %s: Size %d, model %d", op, what, st.Size, len(model.rows))
 				}
-				if int64(st.Size)+st.ReclaimedTuples != st.Inserts || st.ReclaimedTuples != st.Evicted {
-					t.Fatalf("op %d %s: size %d + reclaimed %d != inserts %d (evicted %d)",
-						op, what, st.Size, st.ReclaimedTuples, st.Inserts, st.Evicted)
+				if int64(st.Size)+st.Evicted != st.Inserts {
+					t.Fatalf("op %d %s: size %d + evicted %d != inserts %d",
+						op, what, st.Size, st.Evicted, st.Inserts)
 				}
 				if op%16 == 0 {
 					checkStore(t, a)

@@ -85,22 +85,36 @@ type Engine struct {
 	pool  *tuple.Pool
 	spare []tuple.Bitset
 
-	// cfg says where SteM rows live and whether lineage slots are reused
-	// (arranged.go). arrs are the arrangements behind the SteMs, cursors the
-	// engine's cursor on each, handles each query's reader handles; slots
-	// hands out lineage-slot IDs.
-	cfg     ArrangedConfig
-	arrs    []*arrange.Arrangement
-	cursors []*arrange.Cursor
-	handles map[int][]*arrange.Handle
-	slots   arrange.Slots
+	// arrs are the arrangements the join SteMs store into, one per SteM, all
+	// the engine's own. slots hands out lineage-slot IDs; with reuse it
+	// hands out those of removed queries again, once scrubbed from arrs.
+	arrs  []*arrange.Arrangement
+	slots arrange.Slots
+	reuse bool
+	// reserved counts the SteMs a partitioned class's shards hold and its
+	// front engine does not: module slots the front keeps free so that it
+	// refuses exactly the members a shard would.
+	reserved int
 }
 
+// role is what an engine is built for: a sequential engine of its own, or a
+// Parallel's shard or front.
+type role int
+
+const (
+	roleSequential role = iota
+	roleShard
+	roleFront
+)
+
 // New creates a shared engine over layout with the given shared join edges,
-// its SteMs storing into arrangements only this engine reaches and its query
-// IDs monotone. policy nil selects a lottery policy.
+// its SteMs storing into arrangements the engine owns. It reuses the lineage
+// slots of removed queries, scrubbed from its stored rows first, so bitmaps
+// stay dense under query churn: its step is fully synchronous, so no tuple
+// in flight can carry a freed slot's bit. policy nil selects a lottery
+// policy.
 func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, error) {
-	return NewArranged(layout, joins, policy, ArrangedConfig{Provider: privateArrangement})
+	return build(layout, joins, policy, roleSequential)
 }
 
 // engineSeq numbers engine constructions so defaulted policies get distinct
@@ -108,11 +122,13 @@ func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, e
 // replaying one RNG stream.
 var engineSeq atomic.Int64
 
-// NewArranged is New with the caller deciding, through cfg, which
-// arrangements the join SteMs store into and whether lineage slots are
-// reused. The SteM fronts keep validation, predicate verification and
-// counters private either way.
-func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg ArrangedConfig) (*Engine, error) {
+// build is New for an engine in role r. A Parallel's engines number their
+// queries monotonically: outputs already handed to the merge stage keep
+// flowing through a Barrier, so a freed slot's bit could still be in flight
+// when the slot is reallocated, and monotone IDs keep front and shards in
+// lockstep. A front engine only stamps lineage, keeps members and delivers,
+// so it builds no SteMs, only reserves their module slots.
+func build(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, r role) (*Engine, error) {
 	if policy == nil {
 		policy = eddy.NewLotteryPolicy(engineSeq.Add(1))
 	}
@@ -123,8 +139,7 @@ func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg
 		filters:     make([]*gfilter.GroupedFilter, layout.Width()),
 		interested:  make([]tuple.Bitset, layout.Streams()),
 		borrow:      make([]bool, layout.Streams()),
-		cfg:         cfg,
-		handles:     make(map[int][]*arrange.Handle),
+		reuse:       r == roleSequential,
 	}
 
 	// One SteM per joined stream, holding every join predicate whose stored
@@ -139,11 +154,15 @@ func NewArranged(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, cfg
 		if preds == nil {
 			continue
 		}
+		if r == roleFront {
+			e.reserved++
+			continue
+		}
 		sm := ops.NewSteMModule(e.newSteM(s, keyCol, kind), layout, preds)
 		e.stems = append(e.stems, sm)
 		modules = append(modules, sm)
 	}
-	if err := eddy.CheckModuleCount(len(modules)); err != nil {
+	if err := eddy.CheckModuleCount(len(modules) + e.reserved); err != nil {
 		return nil, err
 	}
 	// Delivery happens per query in the completion hook, never through the
@@ -181,7 +200,7 @@ func storedSide(joins []JoinSpec, s int) (preds []expr.JoinPredicate, keyCol int
 }
 
 // newSteM builds one join SteM for stream s keyed on keyCol, storing into
-// the provider's arrangement for it. The arrangement is named after s's
+// an arrangement of the engine's own. The arrangement is named after s's
 // schema, its alias in a self-join; it keeps s's block of each row, keyed
 // on keyCol's place in it, and holds the lineage templates themselves
 // (isTemplate), copying every other bitmap.
@@ -191,9 +210,9 @@ func (e *Engine) newSteM(s, keyCol int, kind window.TimeKind) *stem.SteM {
 	if keyCol >= 0 {
 		key = keyCol - e.layout.Offsets[s]
 	}
-	a := e.cfg.Provider(arrange.Options{Name: name, KeyCol: key, Windowed: true,
+	a := arrange.New(arrange.Options{Name: name, KeyCol: key, Windowed: true,
 		TimeKind: kind, Borrowed: e.isTemplate})
-	e.trackArrangement(a)
+	e.arrs = append(e.arrs, a)
 	return stem.New(name, tuple.SingleSource(s), e.layout,
 		stem.WithIndex(keyCol), stem.WithWindowEviction(kind), stem.WithStore(a))
 }
@@ -211,7 +230,7 @@ func (e *Engine) filtersFor(selections []expr.Predicate) error {
 			fresh = append(fresh, p.Col)
 		}
 	}
-	if err := eddy.CheckModuleCount(len(e.ed.Modules()) + len(fresh)); err != nil {
+	if err := eddy.CheckModuleCount(len(e.ed.Modules()) + e.reserved + len(fresh)); err != nil {
 		return err
 	}
 	for _, col := range fresh {
@@ -272,13 +291,6 @@ func (e *Engine) AddMember(footprint tuple.SourceSet, selections []expr.Predicat
 	}
 	e.queries[q.ID] = q
 	e.byFootprint[footprint] = append(e.byFootprint[footprint], q)
-	if len(e.cursors) > 0 {
-		hs := make([]*arrange.Handle, len(e.cursors))
-		for i, c := range e.cursors {
-			hs[i] = c.Attach()
-		}
-		e.handles[q.ID] = hs
-	}
 	e.invalidate()
 	return q, nil
 }
@@ -300,16 +312,40 @@ func (e *Engine) RemoveQuery(id int) error {
 			break
 		}
 	}
-	for _, h := range e.handles[id] {
-		h.Close()
-	}
-	delete(e.handles, id)
-	if e.cfg.ReuseSlots {
+	if e.reuse {
 		e.slots.Free(id)
 	}
 	e.invalidate()
 	return nil
 }
+
+// allocSlot hands out a lineage-slot ID: a scrubbed free slot when one
+// exists; else, if removed queries are cooling, scrub their bits from every
+// arrangement in one batched pass, promote, and retry; else a fresh ID —
+// always a fresh one without reuse, where nothing is ever freed. Purely
+// driven by allocator state, so the same mutation sequence yields the same
+// IDs regardless of timing.
+func (e *Engine) allocSlot() int {
+	if id, ok := e.slots.Alloc(); ok {
+		return id
+	}
+	if e.slots.Cooling() > 0 {
+		mask := e.slots.CoolingMask()
+		for _, a := range e.arrs {
+			a.ScrubLineage(mask)
+		}
+		e.slots.Promote()
+		if id, ok := e.slots.Alloc(); ok {
+			return id
+		}
+	}
+	return e.slots.Fresh()
+}
+
+// SlotHighWater returns the number of lineage-slot IDs ever minted: on a
+// sequential engine it stays near the live query count under churn instead
+// of growing monotonically.
+func (e *Engine) SlotHighWater() int { return e.slots.High() }
 
 func (e *Engine) invalidate() {
 	e.ed.InvalidateMasks()
@@ -548,8 +584,7 @@ func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 }
 
 // EvictWindows drops SteM state older than watermark across all shared
-// SteMs (the engine's window maintenance tick). The engine holds a cursor on
-// every arrangement, so what is dropped is freed at the next AdvanceEpoch.
+// SteMs (the engine's window maintenance tick) and frees it at once.
 func (e *Engine) EvictWindows(watermark int64) int {
 	n := 0
 	for _, sm := range e.stems {
@@ -569,6 +604,14 @@ func (e *Engine) Host() *eddy.Eddy { return e.ed }
 // SteMs returns the join SteM modules, one per joined stream in stream
 // order. Unsynchronized like every Engine method.
 func (e *Engine) SteMs() []*ops.SteMModule { return e.stems }
+
+// Arrangements calls fn with each arrangement the join SteMs store into, as
+// shard -1: a sequential engine is not partitioned.
+func (e *Engine) Arrangements(fn func(shard int, a *arrange.Arrangement)) {
+	for _, a := range e.arrs {
+		fn(-1, a)
+	}
+}
 
 // QueryCount returns the number of standing queries.
 func (e *Engine) QueryCount() int { return len(e.queries) }

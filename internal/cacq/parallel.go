@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
@@ -24,18 +25,13 @@ type ParallelOptions struct {
 	// engine's order. Leave false for workloads without a global arrival
 	// order (independently sequenced streams).
 	Ordered bool
-	// Arranged says where each engine's SteMs store their rows: called
-	// once with shard -1 for the front engine and once per worker shard
-	// (shard-local arrangements — partitioned state never crosses shards).
-	// Nil gives every engine New's private arrangements. ReuseSlots is
-	// forced off in parallel mode (see ArrangedConfig).
-	Arranged func(shard int) ArrangedConfig
 }
 
 // Parallel executes one shared CACQ super-query across hash-partitioned
 // worker shards. A "front" Engine owns the standing queries and performs
-// delivery on the single-threaded merge stage; each worker owns a full
-// shard Engine (grouped filters + SteM partitions) processing only its
+// delivery on the single-threaded merge stage (it has grouped filters but no
+// SteMs: it routes nothing); each worker owns a full shard Engine (grouped
+// filters + SteM partitions, in shard-local arrangements) processing only its
 // slice of the key space. Lineage bitmaps are stamped once at ingress,
 // mutated shard-locally, and read at merge — no cross-shard lineage
 // traffic. Tuples partition on their stream's column in the shared
@@ -45,9 +41,9 @@ type Parallel struct {
 	front  *Engine
 	pe     *eddy.ParallelEddy
 	layout *tuple.Layout
-	// shardEngs lists the shard engines (construction-time only) so
-	// AdvanceEpoch can reach their internally-locked arrangements without
-	// a barrier.
+	// shardEngs lists the shard engines by shard (construction-time only)
+	// so Arrangements can reach their internally-locked arrangements
+	// without a barrier.
 	shardEngs []*Engine
 
 	// deliverMu guards the front engine's delivery state (byFootprint,
@@ -88,19 +84,7 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 			return eddy.NewLotteryPolicy(base*64 + int64(shard) + 2)
 		}
 	}
-	newEng := func(shard int) (*Engine, error) {
-		cfg := ArrangedConfig{Provider: privateArrangement}
-		if opt.Arranged != nil {
-			cfg = opt.Arranged(shard)
-		}
-		// Slot reuse is unsound here: outputs already handed to the merge
-		// stage keep flowing through a Barrier, so a tuple carrying a
-		// freed slot's bit can still be in flight when the slot is
-		// reallocated. Monotone IDs also keep front/shard lockstep.
-		cfg.ReuseSlots = false
-		return NewArranged(layout, joins, pol(shard), cfg)
-	}
-	front, err := newEng(-1)
+	front, err := build(layout, joins, pol(-1), roleFront)
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +98,9 @@ func NewParallelEngine(layout *tuple.Layout, joins []JoinSpec, opt ParallelOptio
 		BatchSize: opt.BatchSize,
 		Partition: eddy.KeyPartition(keyCols),
 		NewShard: func(shard int, emit func(*tuple.Tuple)) eddy.Shard {
-			sh, err := newEng(shard)
+			sh, err := build(layout, joins, pol(shard), roleShard)
 			if err != nil {
-				// Unreachable: the front engine's identical build succeeded.
+				// Unreachable: the front engine reserved as many modules.
 				panic(err)
 			}
 			sh.SetDeliverySink(emit)
@@ -234,14 +218,14 @@ func (p *Parallel) RemoveQuery(id int) error {
 	return err
 }
 
-// AdvanceEpoch seals the current epoch on every shard's arrangements (and
-// the front's, which stay empty). No barrier: arrangements are internally
-// locked, and which epoch a concurrent insert lands in is immaterial — the
-// epoch protocol only defers frees.
-func (p *Parallel) AdvanceEpoch() {
-	p.front.AdvanceEpoch()
-	for _, sh := range p.shardEngs {
-		sh.AdvanceEpoch()
+// Arrangements calls fn with every shard's arrangements, by shard; the front
+// engine has none. No barrier: the lists are fixed at construction and an
+// arrangement is internally locked.
+func (p *Parallel) Arrangements(fn func(shard int, a *arrange.Arrangement)) {
+	for i, sh := range p.shardEngs {
+		for _, a := range sh.arrs {
+			fn(i, a)
+		}
 	}
 }
 

@@ -3,9 +3,11 @@ package cacq
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
+	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
@@ -207,6 +209,44 @@ func TestParallelDynamicAddRemove(t *testing.T) {
 	if got := par.Delivered(); got != int64(bCount) {
 		// qa was removed; Delivered sums standing queries only.
 		t.Errorf("Delivered() = %d, want %d", got, bCount)
+	}
+}
+
+// TestParallelFrontRefusesWhatAShardWould: a partitioned engine's front
+// builds no SteM and so no arrangement, yet it refuses a member exactly when
+// a shard would — at the 65th module, counting the shards' two SteMs — and
+// keeps no trace of the refused member.
+func TestParallelFrontRefusesWhatAShardWould(t *testing.T) {
+	cols := make([]tuple.Column, 64)
+	for i := range cols {
+		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
+	}
+	layout := tuple.NewLayout(tuple.NewSchema("A", cols...),
+		tuple.NewSchema("B", tuple.Column{Name: "k", Kind: tuple.KindInt}))
+	joins := []JoinSpec{{StreamA: 0, StreamB: 1, ColA: 0, ColB: 64}}
+	par, err := NewParallelEngine(layout, joins, ParallelOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	both := tuple.SingleSource(0) | tuple.SingleSource(1)
+	// Two SteMs and 62 grouped filters make 64 modules on each shard.
+	for c := 1; c <= 62; c++ {
+		if _, err := par.AddQuery(both, []expr.Predicate{{Col: c, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil); err != nil {
+			t.Fatalf("query on column %d: %v", c, err)
+		}
+	}
+	_, err = par.AddQuery(both, []expr.Predicate{{Col: 63, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "64") {
+		t.Fatalf("query needing module 65: err = %v, want the 64-module cap", err)
+	}
+	if n := par.QueryCount(); n != 62 {
+		t.Errorf("the front holds %d members after the refusal, want 62", n)
+	}
+	n := 0
+	par.Arrangements(func(int, *arrange.Arrangement) { n++ })
+	if n != 4 {
+		t.Errorf("%d arrangements, want 4: two per shard, none on the front", n)
 	}
 }
 

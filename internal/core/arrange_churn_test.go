@@ -54,7 +54,7 @@ func TestArrangeSlotReuseUnderChurn(t *testing.T) {
 }
 
 // classFootprint is what join classes hold in an engine: live classes,
-// registry arrangements and the rows they hold, subscriptions on S and R,
+// their arrangements and the rows they hold, subscriptions on S and R,
 // series labelled with the S+R|0=2 class key, and scheduled DUs.
 type classFootprint struct{ classes, arrangements, rows, subs, series, dus int }
 
@@ -69,7 +69,7 @@ func footprintOf(e *Engine) classFootprint {
 		st.mu.Unlock()
 	}
 	e.mu.Unlock()
-	e.arrReg.Each(func(_ arrange.Key, a *arrange.Arrangement) {
+	e.eachArrangement(func(_ *sharedClass, _ int, a *arrange.Arrangement) {
 		f.arrangements++
 		f.rows += a.Stats().Size
 	})
@@ -85,8 +85,8 @@ func footprintOf(e *Engine) classFootprint {
 }
 
 // TestLastMemberOutRetiresClass: deregistering a join class's last member
-// retires the class — out of the engine's class map, its arrangements and
-// the rows they hold out of the registry, its subscriptions off S and R,
+// retires the class — out of the engine's class map, and with it its
+// arrangements and the rows they hold, its subscriptions off S and R,
 // its series out of the metrics and its DU off its EO — while a member left
 // behind keeps it live. Then Register and Deregister of the same key
 // interleave from four goroutines: every registration lands in a live class

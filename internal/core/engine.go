@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/catalog"
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/executor"
@@ -151,10 +150,6 @@ type Engine struct {
 	// out of retention.
 	recycler *tuple.Pool
 
-	// arrReg holds every live shared class's arrangements, keyed on
-	// (class, stream, shard), for metrics and introspection to enumerate.
-	arrReg *arrange.Registry
-
 	// intro is the introspection collector (nil without Options.Introspect).
 	intro *introspector
 
@@ -178,7 +173,6 @@ func NewEngine(opts Options) *Engine {
 		streams: make(map[string]*streamState),
 		queries: make(map[int]*RunningQuery),
 		shared:  make(map[string]*sharedClass),
-		arrReg:  arrange.NewRegistry(),
 	}
 	if opts.SpoolDir != "" {
 		e.pool = storage.NewBufferPool(opts.PoolSegments)
@@ -203,19 +197,16 @@ func NewEngine(opts Options) *Engine {
 		return float64(e.recycler.Stats().Drops)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_count", metrics.KindGauge, func() float64 {
-		return float64(e.arrReg.Totals().Count)
+		return float64(e.arrangementTotals().count)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_readers", metrics.KindGauge, func() float64 {
-		return float64(e.arrReg.Totals().Readers)
-	})
-	e.reg.RegisterFunc("tcq_arrangement_epoch_lag_max", metrics.KindGauge, func() float64 {
-		return float64(e.arrReg.Totals().MaxLag)
+		return float64(e.arrangementTotals().readers)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_bytes", metrics.KindGauge, func() float64 {
-		return float64(e.arrReg.Totals().Bytes)
+		return float64(e.arrangementTotals().bytes)
 	})
 	e.reg.RegisterFunc("tcq_arrangement_reclaimed_bytes_total", metrics.KindCounter, func() float64 {
-		return float64(e.arrReg.Totals().ReclaimedBytes)
+		return float64(e.arrangementTotals().reclaimedBytes)
 	})
 	e.reg.RegisterFunc("tcq_engine_workers", metrics.KindGauge, func() float64 {
 		return float64(opts.Workers)

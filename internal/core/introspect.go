@@ -303,22 +303,20 @@ func (in *introspector) tick() {
 		}
 	}
 
-	// One tcq.arrange row per registry arrangement per tick (none until
-	// a shared join class exists).
-	e.arrReg.Each(func(k arrange.Key, a *arrange.Arrangement) {
+	// One tcq.arrange row per live class's arrangement per tick (none until
+	// a join class exists), read by every member of the class.
+	e.eachArrangement(func(sc *sharedClass, shard int, a *arrange.Arrangement) {
 		st := a.Stats()
 		byStream[introspect.ArrangeStream] = append(byStream[introspect.ArrangeStream], &tuple.Tuple{
 			Vals: []tuple.Value{
 				tuple.Time(now),
-				tuple.String_(k.Class),
-				tuple.String_(k.Stream),
-				tuple.Int(int64(k.Shard)),
-				tuple.Int(int64(st.Readers)),
-				tuple.Int(int64(st.Epoch)),
-				tuple.Int(int64(st.Lag)),
+				tuple.String_(sc.key),
+				tuple.String_(a.Name()),
+				tuple.Int(int64(shard)),
+				tuple.Int(int64(len(sc.members))),
 				tuple.Int(int64(st.Size)),
 				tuple.Int(st.Bytes),
-				tuple.Int(st.ReclaimedTuples),
+				tuple.Int(st.Evicted),
 				tuple.Int(st.ReclaimedBytes),
 			},
 		})

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/introspect"
@@ -68,6 +71,98 @@ func TestIntrospectStatsCQEndToEnd(t *testing.T) {
 		if r.Vals[visCol].AsInt() == 0 {
 			t.Error("stats row has zero visits for a module that processed tuples")
 		}
+	}
+}
+
+// TestArrangeStreamFollowsLiveClasses: SELECT * FROM tcq.arrange, an
+// ordinary CQ, sees one row per (class, stream, shard) of a live join class,
+// its readers the class's member count — at one worker, and at two, where
+// the class is partitioned and only its shards hold arrangements — and none
+// once the last member has left, when the arrangement gauges read 0 too.
+func TestArrangeStreamFollowsLiveClasses(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// The hour-long interval keeps the background sampler from
+			// ticking: every tick here is the test's own.
+			e := twoStreamEngine(t, Options{Introspect: true, IntrospectInterval: time.Hour, Workers: workers})
+			defer e.Stop()
+			cq, err := e.Register(`SELECT * FROM tcq.arrange`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := cq.Cursor()
+			const join = `SELECT S.v, R.w FROM S, R WHERE S.k = R.k`
+			a, err := e.Register(join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.Register(join + ` AND S.v > 2`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < 8; i++ {
+				if err := errors.Join(e.Feed("S", tuple.New(tuple.Int(i%2), tuple.Int(i))),
+					e.Feed("R", tuple.New(tuple.Int(i%2), tuple.Int(i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitResults(t, a, 32)
+
+			shards := []int64{-1}
+			if workers > 1 {
+				shards = []int64{0, 1}
+			}
+			want := 2 * len(shards)
+			e.TickIntrospection()
+			var rows []*tuple.Tuple
+			waitFor(t, "tcq.arrange rows", func() bool {
+				got, _ := cq.Fetch(cur)
+				rows = append(rows, got...)
+				return len(rows) >= want
+			})
+			schema := introspect.ArrangeSchema()
+			col := func(r *tuple.Tuple, name string) tuple.Value { return r.Vals[schema.MustColumnIndex(name)] }
+			seen := map[string]bool{}
+			var stored int64
+			for _, r := range rows {
+				key := fmt.Sprintf("%s/%s/%d", col(r, "class").S, col(r, "arrangement").S, col(r, "shard").AsInt())
+				if seen[key] {
+					t.Errorf("two rows for %s in one tick", key)
+				}
+				seen[key] = true
+				if readers := col(r, "readers").AsInt(); readers != 2 {
+					t.Errorf("%s: readers = %d, want the class's 2 members", key, readers)
+				}
+				stored += col(r, "size").AsInt()
+			}
+			for _, stream := range []string{"S", "R"} {
+				for _, shard := range shards {
+					if key := fmt.Sprintf("S+R|0=2/%s/%d", stream, shard); !seen[key] {
+						t.Errorf("no row for %s among %v", key, seen)
+					}
+				}
+			}
+			if len(rows) != want || stored != 16 {
+				t.Errorf("%d rows storing %d rows, want %d storing 16", len(rows), stored, want)
+			}
+
+			for _, q := range []*RunningQuery{a, b} {
+				if err := e.Deregister(q.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const fed = `tcq_ingress_tuples_total{stream="tcq.arrange"}`
+			before := metricValue(t, e, fed)
+			e.TickIntrospection()
+			if n := metricValue(t, e, fed) - before; n != 0 {
+				t.Errorf("a tick after the last member left fed %v tcq.arrange rows, want 0", n)
+			}
+			for _, name := range []string{"tcq_arrangement_count", "tcq_arrangement_readers", "tcq_arrangement_bytes"} {
+				if v := metricValue(t, e, name); v != 0 {
+					t.Errorf("%s = %v after the last member left, want 0", name, v)
+				}
+			}
+		})
 	}
 }
 

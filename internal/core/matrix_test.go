@@ -877,15 +877,15 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 			}
 		}
 	}
-	// A join class builds once per FROM position, on each shard and for the
-	// class itself when partitioned, however many members it serves.
+	// A join class builds once per FROM position, on each shard when
+	// partitioned, however many members it serves.
 	builds := map[string]int{}
 	for _, qs := range [][]*RunningQuery{early, late} {
 		for i, q := range qs {
 			if key := strings.TrimPrefix(q.label, "shared:"); m.shapes[i].path == "" && key != "S" {
 				builds[key] = strings.Count(key[:strings.Index(key+"|", "|")], "+") + 1
 				if _, sharded := q.ParallelStats(); sharded {
-					builds[key] *= c.workers + 1
+					builds[key] *= c.workers
 				}
 			}
 		}

@@ -36,7 +36,7 @@ type eddyHost interface {
 // the SQL engine: every unwindowed query is a member of a CACQ class, and a
 // lone query is the one-member case. Members with one class key share one
 // grouped-filter pass per tuple and one SteM build per FROM position —
-// stored in the engine registry's multi-reader arrangements — while each
+// stored in arrangements the class's engine owns — while each
 // runs its own projection, aggregate and DISTINCT on what it is delivered.
 // Queries enter and leave the running class dynamically, and the last one
 // out tears it down.
@@ -96,7 +96,7 @@ type sharedEngine interface {
 	RemoveQuery(id int) error
 	IngestBatch(s int, base []*tuple.Tuple)
 	Delivered() int64
-	AdvanceEpoch()
+	Arrangements(fn func(shard int, a *arrange.Arrangement))
 }
 
 // sharedMember is the runtime of a query inside a shared class: the class's
@@ -151,16 +151,6 @@ func classSpec(plan *sql.Plan, qid int) (key string, joins []cacq.JoinSpec) {
 	return b.String(), joins
 }
 
-// arrangedProvider returns the shard-scoped arrangement factory for a
-// class: arrangements live in the engine registry keyed on
-// (class, stream, shard), so metrics and introspection can enumerate them
-// and re-asking for the same key returns the same backing state.
-func (e *Engine) arrangedProvider(key string, shard int) func(arrange.Options) *arrange.Arrangement {
-	return func(opts arrange.Options) *arrange.Arrangement {
-		return e.arrReg.GetOrCreate(arrange.Key{Class: key, Stream: opts.Name, Shard: shard}, opts)
-	}
-}
-
 // joinClass adds q to its plan's shared class, creating the class when no
 // live one exists. A class whose last member left between the lookup and
 // the join has retired; the retry finds or creates a live one. The creator
@@ -194,8 +184,8 @@ func (e *Engine) joinClass(q *RunningQuery, plan *sql.Plan) (*sharedClass, error
 // sharedClassFor returns the plan's live shared class, creating it when
 // there is none. Lookup, creation and publication run under one hold of
 // e.mu, as retirement does, so a key has at most one live class, and a
-// retired one's arrangements and series are gone before its successor
-// registers the same names.
+// retired one's series are gone before its successor registers the same
+// names.
 func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, created bool, err error) {
 	key, joins := classSpec(plan, qid)
 	e.mu.Lock()
@@ -236,9 +226,6 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 				p, _ := route(plan, seed+int64(shard)+2)
 				return p
 			},
-			Arranged: func(shard int) cacq.ArrangedConfig {
-				return cacq.ArrangedConfig{Provider: e.arrangedProvider(key, shard)}
-			},
 		})
 		if err != nil {
 			return nil, false, err
@@ -257,13 +244,7 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 			}
 		}
 	} else {
-		seq, err := cacq.NewArranged(plan.Layout, joins, pol, cacq.ArrangedConfig{
-			Provider: e.arrangedProvider(key, -1),
-			// The sequential step is fully synchronous, so freed lineage
-			// slots can be scrubbed and reused — bitmaps stay dense under
-			// query churn.
-			ReuseSlots: true,
-		})
+		seq, err := cacq.New(plan.Layout, joins, pol)
 		if err != nil {
 			return nil, false, err
 		}
@@ -430,12 +411,10 @@ func (sc *sharedClass) registerModules() {
 // one lineage-template lookup and one eddy entry per batch instead of per
 // tuple. In the parallel configuration it flushes partial shard batches at
 // the end of the step (so trickle traffic is not held back by batch
-// boundaries); an arranged engine additionally seals one arrangement epoch
-// per progressed step, releasing retired state for reclamation. The
-// subscriber clones are the class's own, so it hands them to the engine:
-// the sequential engine routes a selection class's clone as the wide row
-// itself, lineage in a reused bitmap, and returns the row to the pool when
-// no member kept it. A retired class's DU retires.
+// boundaries). The subscriber clones are the class's own, so it hands them
+// to the engine: the sequential engine routes a selection class's clone as
+// the wide row itself, lineage in a reused bitmap, and returns the row to
+// the pool when no member kept it. A retired class's DU retires.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -449,12 +428,11 @@ func (sc *sharedClass) step() (progressed, done bool) {
 }
 
 // flushLocked (sc.mu held) ends an input step: partial shard batches go to
-// their workers and the arrangements seal an epoch.
+// their workers.
 func (sc *sharedClass) flushLocked() {
 	if fl, ok := sc.eng.(interface{ Flush() }); ok {
 		fl.Flush()
 	}
-	sc.eng.AdvanceEpoch()
 }
 
 // add registers a query with the class, delivering into q's egress through
@@ -505,11 +483,11 @@ func (e *Engine) leaveClass(sc *sharedClass, queryID int) {
 	}
 }
 
-// retireLocked (e.mu held) takes sc out of the engine, once: out of
-// e.shared, off its streams, its arrangements out of the registry and its
-// series out of the metrics. With ifEmpty it leaves a class that has
-// members alone. It reports whether it retired sc; the caller then closes
-// it outside e.mu.
+// retireLocked (e.mu held) takes sc out of the engine, once: marked dead
+// and out of e.shared, which takes its arrangements out of the gauges and
+// tcq.arrange, off its streams, and its series out of the metrics. With
+// ifEmpty it leaves a class that has members alone. It reports whether it
+// retired sc; the caller then closes it outside e.mu.
 func (e *Engine) retireLocked(sc *sharedClass, ifEmpty bool) bool {
 	sc.mu.Lock()
 	retire := !sc.dead && (!ifEmpty || len(sc.members) == 0)
@@ -528,7 +506,6 @@ func (e *Engine) retireLocked(sc *sharedClass, ifEmpty bool) bool {
 			st.mu.Unlock()
 		}
 	}
-	e.arrReg.Drop(sc.key)
 	sc.rec.unregister()
 	if sc.unregPar != nil {
 		sc.unregPar()
@@ -548,6 +525,48 @@ func (sc *sharedClass) close() {
 	if par, ok := sc.eng.(*cacq.Parallel); ok {
 		par.Close()
 	}
+}
+
+// eachArrangement calls fn with every arrangement of every live class and
+// the shard that holds it (-1: the class is not partitioned), under the
+// class's lock, so fn may read the class and take a's stats: the declared
+// order Engine.mu → sharedClass.mu → Arrangement.mu. e.mu is held only to
+// list the classes, not while a class's lock is awaited, so a walk never
+// holds Feed or Register up behind a class's step; a class that retired
+// since the listing is skipped.
+func (e *Engine) eachArrangement(fn func(sc *sharedClass, shard int, a *arrange.Arrangement)) {
+	e.mu.Lock()
+	classes := make([]*sharedClass, 0, len(e.shared))
+	for _, sc := range e.shared {
+		classes = append(classes, sc)
+	}
+	e.mu.Unlock()
+	for _, sc := range classes {
+		sc.mu.Lock()
+		if !sc.dead {
+			sc.eng.Arrangements(func(shard int, a *arrange.Arrangement) { fn(sc, shard, a) })
+		}
+		sc.mu.Unlock()
+	}
+}
+
+// arrangementTotals are the tcq_arrangement_* values: every live class's
+// arrangements counted, their readers (each arrangement is read by every
+// member of its class) and their bytes summed.
+type arrangementTotals struct {
+	count, readers        int
+	bytes, reclaimedBytes int64
+}
+
+func (e *Engine) arrangementTotals() (t arrangementTotals) {
+	e.eachArrangement(func(sc *sharedClass, _ int, a *arrange.Arrangement) {
+		st := a.Stats()
+		t.count++
+		t.readers += len(sc.members)
+		t.bytes += st.Bytes
+		t.reclaimedBytes += st.ReclaimedBytes
+	})
+	return t
 }
 
 // SharedQueryCount reports how many standing queries share a class, by

@@ -40,7 +40,9 @@ type BatchModule interface {
 	// ProcessBatch handles every tuple of b — all sharing one routing
 	// lineage — and partitions b.Tuples in place: survivors keep their
 	// relative order in b.Tuples[:passed]; dropped tuples land after.
-	// outputs collects the new tuples generated across the whole batch.
+	// outputs collects the new tuples generated across the whole batch; the
+	// slice may be the module's scratch, valid until its next call, so the
+	// eddy copies the tuples out of it (enqueueRuns) and keeps no part of it.
 	ProcessBatch(b *tuple.Batch) (outputs []*tuple.Tuple, passed int)
 }
 

@@ -30,9 +30,9 @@ const (
 	PoolStream = "tcq.pool"
 	// ChaosStream carries one row per injected fault event.
 	ChaosStream = "tcq.chaos"
-	// ArrangeStream carries one row per shared arrangement per tick:
-	// reader count, epoch/cursor lag, stored rows and the bytes they take,
-	// and reclamation volume.
+	// ArrangeStream carries one row per join class's arrangement per tick:
+	// reader count (the class's members), stored rows and the bytes they
+	// take, and reclamation volume.
 	ArrangeStream = "tcq.arrange"
 )
 
@@ -98,8 +98,6 @@ func ArrangeSchema() *tuple.Schema {
 		tuple.Column{Name: "arrangement", Kind: tuple.KindString},
 		tuple.Column{Name: "shard", Kind: tuple.KindInt},
 		tuple.Column{Name: "readers", Kind: tuple.KindInt},
-		tuple.Column{Name: "epoch", Kind: tuple.KindInt},
-		tuple.Column{Name: "epoch_lag", Kind: tuple.KindInt},
 		tuple.Column{Name: "size", Kind: tuple.KindInt},
 		tuple.Column{Name: "bytes", Kind: tuple.KindInt},
 		tuple.Column{Name: "reclaimed_tuples", Kind: tuple.KindInt},

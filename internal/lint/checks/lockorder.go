@@ -46,9 +46,11 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/egress", "PriorityEgress", "mu"},
 
 	// The one row store behind every SteM: taken under the class, runtime
-	// and shard locks above by whichever eddy steps the SteM. A leaf — a
-	// callback running under it merges rows and may enter tuple.Pool,
-	// nothing in this table.
+	// and shard locks above by whichever eddy steps the SteM, and under
+	// Engine.mu and sharedClass.mu by the engine's walk of its live classes
+	// (the tcq_arrangement_* gauges, tcq.arrange). A leaf — a callback
+	// running under it merges rows and may enter tuple.Pool, nothing in
+	// this table.
 	{modulePath + "/internal/arrange", "Arrangement", "mu"},
 
 	// Innermost leaves: metric registry/tracer and the fjord queues. Code

@@ -260,6 +260,39 @@ func TestSteMModuleNames(t *testing.T) {
 	}
 }
 
+// TestWarmProbeBatchAllocatesNothing: a probe batch through a SteM module
+// whose SteM draws its matches from a warm pool allocates nothing — the
+// slice holding the matches is the module's own, reused from batch to batch.
+func TestWarmProbeBatchAllocatesNothing(t *testing.T) {
+	l := tuple.NewLayout(
+		tuple.NewSchema("S", tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "v", Kind: tuple.KindInt}),
+		tuple.NewSchema("R", tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "w", Kind: tuple.KindInt}))
+	_, modR := BuildSteMPair(l, 0, 1, 0, 2, window.Physical)
+	pool := tuple.NewPool()
+	modR.SteM().SetRecycler(pool)
+	var builds, probes tuple.Batch
+	for i := int64(0); i < 64; i++ {
+		builds.Append(l.Widen(1, tuple.New(tuple.Int(i%8), tuple.Int(i))))
+	}
+	modR.ProcessBatch(&builds)
+	for i := int64(0); i < 16; i++ {
+		probes.Append(l.Widen(0, tuple.New(tuple.Int(i%8), tuple.Int(i))))
+	}
+	probe := func() {
+		out, passed := modR.ProcessBatch(&probes)
+		if passed != 16 || len(out) != 16*8 {
+			t.Fatalf("probe batch passed %d with %d matches, want 16 with 128", passed, len(out))
+		}
+		for _, m := range out {
+			pool.Put(m)
+		}
+	}
+	probe() // the match slice grows once, and the pool fills
+	if a := testing.AllocsPerRun(100, probe); a != 0 {
+		t.Errorf("a warm probe batch allocates %.1f objects, want 0", a)
+	}
+}
+
 func TestAggSpecString(t *testing.T) {
 	if s := (AggSpec{Fn: Count, Col: -1}).String(); s != "COUNT(*)" {
 		t.Errorf("got %q", s)

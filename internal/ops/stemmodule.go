@@ -26,9 +26,12 @@ type SteMModule struct {
 	// eqPred indexes the equality predicate used for hash probing, or -1.
 	eqPred int
 
-	// probePreds is the per-batch predicate selection, reused across
-	// ProcessBatch calls so probing allocates nothing per tuple.
+	// probePreds is the per-batch predicate selection and out the batch's
+	// matches, both reused across ProcessBatch calls so probing allocates
+	// nothing per batch. The eddy copies the matches out of out before it
+	// calls the module again (eddy.enqueueRuns).
 	probePreds []expr.JoinPredicate
+	out        []*tuple.Tuple
 }
 
 // NewSteMModule wraps st. preds must have RightCol owned by st's stream set
@@ -137,8 +140,8 @@ func (m *SteMModule) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
 			}
 		}
 	}
-	matches := m.stem.ProbeBatch(ts, probeKey, m.probePreds, nil)
-	return matches, len(ts)
+	m.out = m.stem.ProbeBatch(ts, probeKey, m.probePreds, m.out[:0])
+	return m.out, len(ts)
 }
 
 // Evict drops stored tuples older than the window watermark.

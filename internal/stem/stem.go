@@ -36,8 +36,8 @@ type SteM struct {
 	spans  tuple.SourceSet // stream set of stored tuples
 	layout *tuple.Layout
 
-	// store holds the values: an arrangement New builds for this SteM alone
-	// (unregistered, no cursor), or a shared one from WithStore. A stored
+	// store holds the values: an arrangement New builds for this SteM
+	// alone, or a shared one from WithStore. A stored
 	// row is the wide row's block [lo, hi) — the spanned streams' columns.
 	store  *arrange.Arrangement
 	shared bool

@@ -261,7 +261,7 @@ func TestEvictThenProbeKeepsSurvivorOrder(t *testing.T) {
 // TestBuildAllocatesLikeBuildBatch: a single-row Build allocates no slice of
 // its own, over a private store or a shared one — n Builds cost what one
 // BuildBatch of the same n rows costs, and nothing at all once an unindexed
-// store has grown to hold them (a cursor-less Evict parks no copy either).
+// store has grown to hold them (Evict parks no copy either).
 func TestBuildAllocatesLikeBuildBatch(t *testing.T) {
 	l := twoStreamLayout()
 	rows := make([]*tuple.Tuple, 64)

@@ -10,9 +10,9 @@
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window delivery x20, differential matrix x3, drift
 #                    pin x20, pane dictionary x20, shared-class reuse x20,
-#                    last member out x20, pull-log ring x20, join state
-#                    x20, wire flushes, FEED runs and EO wake x20, fed rows
-#                    kept by no one x20, fuzz smoke
+#                    last member out and arrangement walk x20, pull-log
+#                    ring x20, join state x20, wire flushes, FEED runs and
+#                    EO wake x20, fed rows kept by no one x20, fuzz smoke
 #   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
 #                    BenchmarkPullPublish must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
@@ -110,8 +110,8 @@ stage_test() {
     echo "==> benchmark module: go vet + go test"
     (cd benchmark && go vet ./... && go test ./...)
 
-    # The arrangement layer is the engine's shared-state backbone: one
-    # writer, many cursors, encoded values under a pointer-free index. Hold
+    # The arrangement layer is the engine's join-state backbone: one
+    # writer, concurrent readers, encoded values under a pointer-free index. Hold
     # its line coverage to a floor so the store never drifts out from under
     # its tests.
     echo "==> coverage floor: internal/arrange >= 85%"
@@ -179,10 +179,12 @@ stage_race() {
     go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe|TestClientRowsAreNeverReused' ./internal/core/
 
     # The last member out retires its join class while other goroutines
-    # register into the same key: hold the retirement's bookkeeping to
-    # twenty race-instrumented passes.
-    echo "==> join classes under race: last member out (-count=20)"
-    go test -race -count=20 -run 'TestLastMemberOutRetiresClass' ./internal/core/
+    # register into the same key, and the arrangement gauges and tcq.arrange
+    # walk the live classes while classes retire: hold the retirement's
+    # bookkeeping and what the walk reports to twenty race-instrumented
+    # passes.
+    echo "==> join classes under race: last member out, arrangement walk (-count=20)"
+    go test -race -count=20 -run 'TestLastMemberOutRetiresClass|TestArrangeStreamFollowsLiveClasses' ./internal/core/
 
     # The pull log is a ring of encoded chunks that the publisher fills and
     # ages out while cursors read it, all under one mutex: the model test
