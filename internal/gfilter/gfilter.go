@@ -3,27 +3,46 @@
 // queries, all on the same attribute. One pass of a tuple through the
 // grouped filter decides, for every registered query, whether that query's
 // factors on this attribute hold — clearing the corresponding bits of the
-// tuple's lineage bitmap. The per-tuple cost is O(log Q + Q/64) rather
-// than O(Q), which is what makes processing thousands of standing queries
-// feasible (experiment E9).
+// tuple's lineage bitmap. That one pass in place of one test per query is
+// what makes processing thousands of standing queries feasible (experiment
+// E9).
 //
 // Internally the filter keeps four sub-indexes, one per comparison class:
 //
-//   - greater-than factors, sorted by bound with suffix-union bitsets (a
-//     tuple value v FAILS "col > c" iff v <= c — a suffix of the order);
-//   - less-than factors, sorted by bound with prefix-union bitsets;
+//   - greater-than factors, sorted by bound (a tuple value v FAILS
+//     "col > c" iff v <= c — a suffix of the order);
+//   - less-than factors, sorted by bound (the failing ones are a prefix);
 //   - equality factors, hashed by constant (all fail except the matching
 //     bucket);
 //   - inequality factors, hashed by constant (only the bucket fails).
 //
-// The failing sets from each sub-index are unioned and cleared from the
-// tuple's lineage, which handles queries with several factors on the same
+// Each ordered sub-index is packed, once per Add/Remove, into parallel
+// arrays — a compare key that orders as tuple.Compare does, a tie flag and
+// an int32 query id — and into union tables: at every chunk-th position,
+// the union of the queries on the failing side of it, all carved out of one
+// backing array. A probe bisects the keys inline, clears one union from the
+// lineage, then clears one by one the fewer than chunk "straggler" queries
+// between the cut and that position. With F factors on a side over Q
+// queries, a probe costs per side O(log F) key compares, ⌈Q/64⌉ word
+// operations and fewer than chunk single-bit clears.
+//
+// The chunk is the finest spacing whose union tables fit unionBudget (2^16
+// words, 512 KiB) per side, but never coarser than ~64 boundaries (chunk
+// max(64, ⌈F/64⌉)). So there is one union per factor and no straggler
+// while (F+1)·⌈Q/64⌉ ≤ 2^16 — 1,000 ranges over 1,000 queries, say — and a
+// side's unions never take more than max(2^16, 65·⌈Q/64⌉) words.
+//
+// The failing sets of the sub-indexes are cleared from the lineage one
+// after another, which handles queries with several factors on the same
 // attribute (e.g. range predicates) for free: any failing factor kills the
 // query's bit.
 package gfilter
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
+	"strings"
 	"time"
 
 	"telegraphcq/internal/chaos"
@@ -31,12 +50,188 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// bound is one ordered factor: a constant plus strictness. For a
-// greater-than factor "col > c" strict is true; "col >= c" strict is false.
+// key is a value reduced to what tuple.Compare orders it by, so that one
+// unsigned compare orders almost every pair: u is 0 for NULL, the
+// order-preserving bits of the float64 Compare compares a number by, and
+// strKey for a string, whose bytes are in s. Keys order as the values they
+// were made from (cmpKey).
+type key struct {
+	u uint64
+	s string
+}
+
+const (
+	nanKey = 0xFFF0000000000001 // every NaN: above +Inf's key (0xFFF0...0)
+	strKey = ^uint64(0)         // every string, above every number
+)
+
+// keyOf returns v's compare key.
+func keyOf(v tuple.Value) key {
+	switch {
+	case v.K == tuple.KindNull:
+		return key{}
+	case v.Numeric():
+		return key{u: floatKey(v.AsFloat())}
+	default:
+		return key{u: strKey, s: v.S}
+	}
+}
+
+// floatKey maps f to a uint64 whose unsigned order is the order Compare
+// puts numbers in: both zeros share a key, every NaN has nanKey, and no
+// number maps to 0 or to strKey.
+func floatKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 1 << 63
+	case f != f:
+		return nanKey
+	case f < 0:
+		return ^math.Float64bits(f)
+	}
+	return math.Float64bits(f) | 1<<63
+}
+
+// cmpKey orders keys exactly as tuple.Compare orders the values they were
+// made from: by u, and two strings by their bytes.
+func cmpKey(a, b key) int {
+	switch {
+	case a.u < b.u:
+		return -1
+	case a.u > b.u:
+		return 1
+	}
+	return strings.Compare(a.s, b.s)
+}
+
+// bound is one factor: its constant's key, its query, and for an ordered
+// factor its tie flag — whether, against a probe value equal to its
+// constant, it sits above the cut (see ordered).
 type bound struct {
-	val    tuple.Value
-	strict bool
-	query  int
+	k     key
+	tie   bool
+	query int
+}
+
+// ordered is one ordered sub-index packed for the probe: its factors
+// sorted by (key, tie) into parallel arrays. A probe key k cuts it at the
+// first i with k < keys[i], or k == keys[i] and tie[i]. For greater-than
+// factors the suffix from the cut fails ("col > c" fails at v == c, so its
+// tie is true; "col >= c" holds there, tie false); for less-than factors
+// the prefix before the cut fails ("col <= c" holds at v == c, tie true;
+// "col < c" fails there, tie false).
+type ordered struct {
+	keys []uint64 // each factor's key.u, ascending
+	strs []string // each factor's key.s
+	tie  []bool
+	ids  []int32
+
+	// unions holds one union of words lineage words per boundary b*chunk,
+	// b = 0..⌈len/chunk⌉, at unions[b*words:]: of ids[b*chunk:] for a
+	// suffix-failing side, of ids[:b*chunk] for a prefix-failing one.
+	chunk  int
+	unions []uint64
+}
+
+// unionBudget is the words one ordered sub-index's union tables may take
+// before the boundaries are spaced out (see chunkFor).
+const unionBudget = 1 << 16
+
+// coarseChunk is the boundary spacing that keeps ~64 boundaries: at least
+// 64 factors apart, growing with n. No chunk is coarser, so a probe never
+// clears more than that many stragglers.
+func coarseChunk(n int) int { return max(64, (n+63)/64) }
+
+// chunkFor spaces the union boundaries of n ordered factors over words
+// lineage words: as finely as unionBudget allows — one boundary per
+// factor when n+1 unions fit — but never more coarsely than coarseChunk.
+// So the unions take at most max(unionBudget, (⌈n/coarseChunk⌉+1)·words)
+// words.
+func chunkFor(n, words int) int {
+	fit := unionBudget/words - 1 // boundaries past the first that fit
+	if fit < 1 {
+		return coarseChunk(n)
+	}
+	return min(coarseChunk(n), max(1, (n+fit-1)/fit))
+}
+
+// pack sorts bs by (key, tie) and lays it out for the probe, with the
+// union tables of a suffix-failing side (suffix) or a prefix-failing one,
+// carved out of one new backing array.
+func (o *ordered) pack(bs []bound, suffix bool, words int) {
+	slices.SortFunc(bs, func(a, b bound) int {
+		if c := cmpKey(a.k, b.k); c != 0 || a.tie == b.tie {
+			return c
+		}
+		if a.tie {
+			return 1
+		}
+		return -1
+	})
+	n := len(bs)
+	o.keys, o.strs, o.tie, o.ids = o.keys[:0], o.strs[:0], o.tie[:0], o.ids[:0]
+	for _, b := range bs {
+		o.keys = append(o.keys, b.k.u)
+		o.strs = append(o.strs, b.k.s)
+		o.tie = append(o.tie, b.tie)
+		o.ids = append(o.ids, int32(b.query))
+	}
+	o.chunk = chunkFor(n, words)
+	nb := (n+o.chunk-1)/o.chunk + 1
+	o.unions = make([]uint64, nb*words)
+	// Each union is its neighbour toward the empty end plus one chunk.
+	for b := 1; b < nb; b++ {
+		dst, src := b, b-1
+		lo, hi := (b-1)*o.chunk, min(b*o.chunk, n)
+		if suffix {
+			dst, src = nb-1-b, nb-b
+			lo, hi = dst*o.chunk, min((dst+1)*o.chunk, n)
+		}
+		u := o.unions[dst*words : (dst+1)*words]
+		copy(u, o.unions[src*words:(src+1)*words])
+		for _, q := range o.ids[lo:hi] {
+			u[q>>6] |= 1 << (q & 63)
+		}
+	}
+}
+
+// cut returns the first index whose factor sits above probe key k. The
+// bisection keeps the answer in [base, base+n] and compares only u: a
+// step adds half to base when the middle key is below k, by the borrow of
+// their difference as a mask, so no step is a branch to mispredict.
+// Factors whose u equals k's (an equal number, or any string) are left to
+// cutTie.
+func (o *ordered) cut(k key) int {
+	keys := o.keys
+	base, n := 0, len(keys)
+	for n > 1 {
+		half := n >> 1
+		_, below := bits.Sub64(keys[base+half], k.u, 0)
+		base += half & -int(below)
+		n -= half
+	}
+	if n == 1 && keys[base] < k.u {
+		base++
+	}
+	if base < len(keys) && keys[base] == k.u {
+		return o.cutTie(base, k)
+	}
+	return base
+}
+
+// cutTie finishes cut from lo, the first factor not below k by u alone,
+// bisecting the rest by the full key compare and the tie flags.
+func (o *ordered) cutTie(lo int, k key) int {
+	hi := len(o.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := cmpKey(key{o.keys[m], o.strs[m]}, k); c < 0 || c == 0 && !o.tie[m] {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // GroupedFilter indexes the factors of many queries over one attribute
@@ -45,26 +240,19 @@ type GroupedFilter struct {
 	col  int
 	owns tuple.SourceSet
 
-	gt      []bound // ascending by (val, strict): suffix fails
-	lt      []bound // ascending by (val, !strict): prefix fails
+	gt      []bound // greater-than factors as added; packed into gtIdx
+	lt      []bound // less-than factors as added; packed into ltIdx
 	eq      map[uint64][]bound
 	ne      map[uint64][]bound
 	eqCount map[int]int // query -> number of equality factors
 
-	// Suffix/prefix unions are kept only at chunk boundaries: a full
-	// per-index union table costs O(factors · queries/64) memory, which at
-	// 100k factors is gigabytes. With boundary unions every chunkSize
-	// factors (chunk grows with the index so there are at most ~65
-	// boundaries), Failing pays O(chunk) individual Set calls to cover the
-	// partial chunk — O(F/64) time for O(Q) memory.
-	gtChunk  int
-	gtSuffix []tuple.Bitset // gtSuffix[k] = union of queries in gt[k*gtChunk:]
-	ltChunk  int
-	ltPrefix []tuple.Bitset // ltPrefix[k] = union of queries in lt[:k*ltChunk]
-	eqAll    tuple.Bitset   // all queries with equality factors
+	gtIdx ordered      // fails from the cut on
+	ltIdx ordered      // fails before the cut
+	eqAll tuple.Bitset // all queries with equality factors
 
 	registered tuple.Bitset // every query with >= 1 factor here
 	maxQuery   int
+	words      int // lineage words up to maxQuery, as of the last rebuild
 	dirty      bool
 
 	// scratch bitsets reused per tuple to avoid allocation in the hot path.
@@ -100,22 +288,21 @@ func (g *GroupedFilter) Add(q int, p expr.Predicate) {
 		g.maxQuery = q
 	}
 	g.registered.Set(q)
+	b := bound{k: keyOf(p.Val), query: q}
 	switch p.Op {
-	case expr.Gt:
-		g.gt = append(g.gt, bound{val: p.Val, strict: true, query: q})
-	case expr.Ge:
-		g.gt = append(g.gt, bound{val: p.Val, strict: false, query: q})
-	case expr.Lt:
-		g.lt = append(g.lt, bound{val: p.Val, strict: true, query: q})
-	case expr.Le:
-		g.lt = append(g.lt, bound{val: p.Val, strict: false, query: q})
+	case expr.Gt, expr.Ge:
+		b.tie = p.Op == expr.Gt
+		g.gt = append(g.gt, b)
+	case expr.Lt, expr.Le:
+		b.tie = p.Op == expr.Le
+		g.lt = append(g.lt, b)
 	case expr.Eq:
 		h := p.Val.Hash()
-		g.eq[h] = append(g.eq[h], bound{val: p.Val, query: q})
+		g.eq[h] = append(g.eq[h], b)
 		g.eqCount[q]++
 	case expr.Ne:
 		h := p.Val.Hash()
-		g.ne[h] = append(g.ne[h], bound{val: p.Val, query: q})
+		g.ne[h] = append(g.ne[h], b)
 	}
 	g.dirty = true
 }
@@ -154,78 +341,17 @@ func removeQuery(bs []bound, q int) []bound {
 	return out
 }
 
-// chunkSize picks the union-boundary spacing for an ordered sub-index of n
-// factors: at least 64, growing with n so the boundary count stays ~64 and
-// union memory stays O(queries) rather than O(factors · queries).
-func chunkSize(n int) int {
-	c := (n + 63) / 64
-	if c < 64 {
-		c = 64
-	}
-	return c
-}
-
-// rebuild sorts the ordered sub-indexes and recomputes the boundary-union
-// bitsets. Amortized over many tuples per registration change: it runs
-// once per Add/Remove, never per probe, so its allocations are off the
+// rebuild packs the ordered sub-indexes and recomputes the equality
+// union. Amortized over many tuples per registration change: it runs once
+// per Add/Remove, never per probe, so its allocations are off the
 // per-tuple budget.
 //
 //tcq:coldpath
 func (g *GroupedFilter) rebuild() {
-	words := g.maxQuery/64 + 1
-
-	// gt: ascending by value; at equal values, non-strict (>=) first so
-	// that the fail boundary "v < c || (v == c && strict)" is a clean
-	// suffix: at v == c, ">= c" holds (early) while "> c" fails (late).
-	sort.SliceStable(g.gt, func(i, j int) bool {
-		c := tuple.Compare(g.gt[i].val, g.gt[j].val)
-		if c != 0 {
-			return c < 0
-		}
-		return !g.gt[i].strict && g.gt[j].strict
-	})
-	g.gtChunk = chunkSize(len(g.gt))
-	nk := (len(g.gt) + g.gtChunk - 1) / g.gtChunk
-	g.gtSuffix = make([]tuple.Bitset, nk+1)
-	g.gtSuffix[nk] = make(tuple.Bitset, words)
-	for k := nk - 1; k >= 0; k-- {
-		bs := g.gtSuffix[k+1].Clone()
-		hi := (k + 1) * g.gtChunk
-		if hi > len(g.gt) {
-			hi = len(g.gt)
-		}
-		for i := k * g.gtChunk; i < hi; i++ {
-			bs.Set(g.gt[i].query)
-		}
-		g.gtSuffix[k] = bs
-	}
-
-	// lt: ascending by value; at equal values, strict (<) first so the
-	// fail condition "v > c || (v == c && strict)" is a clean prefix.
-	sort.SliceStable(g.lt, func(i, j int) bool {
-		c := tuple.Compare(g.lt[i].val, g.lt[j].val)
-		if c != 0 {
-			return c < 0
-		}
-		return g.lt[i].strict && !g.lt[j].strict
-	})
-	g.ltChunk = chunkSize(len(g.lt))
-	nk = (len(g.lt) + g.ltChunk - 1) / g.ltChunk
-	g.ltPrefix = make([]tuple.Bitset, nk+1)
-	g.ltPrefix[0] = make(tuple.Bitset, words)
-	for k := 1; k <= nk; k++ {
-		bs := g.ltPrefix[k-1].Clone()
-		hi := k * g.ltChunk
-		if hi > len(g.lt) {
-			hi = len(g.lt)
-		}
-		for i := (k - 1) * g.ltChunk; i < hi; i++ {
-			bs.Set(g.lt[i].query)
-		}
-		g.ltPrefix[k] = bs
-	}
-
-	g.eqAll = make(tuple.Bitset, words)
+	g.words = g.maxQuery/64 + 1
+	g.gtIdx.pack(g.gt, true, g.words)
+	g.ltIdx.pack(g.lt, false, g.words)
+	g.eqAll = make(tuple.Bitset, g.words)
 	for _, bs := range g.eq {
 		for _, b := range bs {
 			g.eqAll.Set(b.query)
@@ -240,66 +366,84 @@ func (g *GroupedFilter) Failing(v tuple.Value) tuple.Bitset {
 	if g.dirty {
 		g.rebuild()
 	}
-	words := g.maxQuery/64 + 1
-	if len(g.failing) < words {
-		//lint:ignore alloccheck result-bitset grow: once per registered-query high-water mark, not per probe
-		g.failing = make(tuple.Bitset, words)
+	if len(g.failing) < g.words {
+		g.failing = make(tuple.Bitset, g.words)
 	}
-	f := g.failing[:words]
+	f := g.failing[:g.words]
 	for i := range f {
-		f[i] = 0
+		f[i] = ^uint64(0)
+	}
+	g.clearFailing(v, f)
+	for i := range f {
+		f[i] = ^f[i]
+	}
+	return f
+}
+
+// Apply evaluates the filter on tuple t, clearing the lineage bits of every
+// query whose factors fail. It returns whether any query remains live.
+func (g *GroupedFilter) Apply(t *tuple.Tuple) bool {
+	if g.dirty {
+		g.rebuild()
+	}
+	g.clearFailing(t.Vals[g.col], t.Queries)
+	return t.Queries.Any()
+}
+
+// clearFailing clears in lineage the bit of every query whose factors on
+// this attribute fail for v; bits past lineage's length are left alone.
+// The filter must be rebuilt.
+func (g *GroupedFilter) clearFailing(v tuple.Value, lineage tuple.Bitset) {
+	lin := lineage[:min(len(lineage), g.words)]
+	k := keyOf(v)
+
+	// Greater-than: the suffix from the cut fails. Clear the union at the
+	// first boundary at or after the cut, then the stragglers before it.
+	if o := &g.gtIdx; len(o.keys) > 0 {
+		i := o.cut(k)
+		b := (i + o.chunk - 1) / o.chunk
+		andNot(lin, o.unions[b*g.words:])
+		for _, q := range o.ids[i:min(b*o.chunk, len(o.ids))] {
+			lin.Clear(int(q))
+		}
 	}
 
-	// Greater-than: fails iff v < c || (v == c && strict). First index
-	// where that holds begins the failing suffix: union from the next
-	// chunk boundary, then the stragglers up to it individually.
-	i := sort.Search(len(g.gt), func(i int) bool {
-		c := tuple.Compare(v, g.gt[i].val)
-		return c < 0 || (c == 0 && g.gt[i].strict)
-	})
-	k := (i + g.gtChunk - 1) / g.gtChunk
-	f.Or(g.gtSuffix[k])
-	hi := k * g.gtChunk
-	if hi > len(g.gt) {
-		hi = len(g.gt)
-	}
-	for idx := i; idx < hi; idx++ {
-		f.Set(g.gt[idx].query)
+	// Less-than: the prefix before the cut fails. Clear the union at the
+	// last boundary at or before the cut, then the stragglers after it.
+	if o := &g.ltIdx; len(o.keys) > 0 {
+		j := o.cut(k)
+		b := j / o.chunk
+		andNot(lin, o.unions[b*g.words:])
+		for _, q := range o.ids[b*o.chunk : j] {
+			lin.Clear(int(q))
+		}
 	}
 
-	// Less-than: fails iff v > c || (v == c && strict). The failing
-	// prefix ends at the first index where the factor HOLDS: union up to
-	// the last chunk boundary before it, stragglers individually.
-	j := sort.Search(len(g.lt), func(i int) bool {
-		c := tuple.Compare(v, g.lt[i].val)
-		return !(c > 0 || (c == 0 && g.lt[i].strict))
-	})
-	k = j / g.ltChunk
-	f.Or(g.ltPrefix[k])
-	for idx := k * g.ltChunk; idx < j; idx++ {
-		f.Set(g.lt[idx].query)
+	if len(g.eq) == 0 && len(g.ne) == 0 {
+		return
 	}
+	h := v.Hash()
 
 	// Equality: every eq query fails except those whose constant is v.
-	// Failures are computed in a separate scratch set so that clearing a
-	// matching equality factor cannot erase a failure recorded by another
-	// sub-index for the same query (e.g. "x = 1 AND x > 1" at v = 1).
-	if g.eqAll.Any() {
-		if len(g.eqFail) < words {
+	// Failures are computed in a separate scratch set so that a matching
+	// equality factor cannot restore a bit another sub-index cleared (e.g.
+	// "x = 1 AND x > 1" at v = 1).
+	if len(g.eq) > 0 {
+		if len(g.eqFail) < g.words {
 			//lint:ignore alloccheck equality-scratch grow: once per registered-query high-water mark, not per probe
-			g.eqFail = make(tuple.Bitset, words)
+			g.eqFail = make(tuple.Bitset, g.words)
 		}
-		ef := g.eqFail[:words]
-		copy(ef, g.eqAll[:words])
+		ef := g.eqFail[:g.words]
+		copy(ef, g.eqAll)
 		// A query's equality factors are all satisfied only when every
 		// one of them matched v (a query with "x = 4 AND x = 10" never
 		// passes). The common single-factor case avoids the map; the
 		// multi-factor case reuses one scratch map across probes.
 		matched := g.eqMatched
 		clear(matched)
-		bucket := g.eq[v.Hash()]
+		bucket := g.eq[h]
 		for _, b := range bucket {
-			if !tuple.Equal(b.val, v) {
+			if cmpKey(b.k, k) != 0 {
 				continue
 			}
 			if g.eqCount[b.query] == 1 {
@@ -319,28 +463,23 @@ func (g *GroupedFilter) Failing(v tuple.Value) tuple.Bitset {
 				ef.Clear(q)
 			}
 		}
-		f.Or(ef)
+		andNot(lin, ef)
 	}
 
 	// Inequality: only the matching bucket fails.
-	for _, b := range g.ne[v.Hash()] {
-		if tuple.Equal(b.val, v) {
-			f.Set(b.query)
+	for _, b := range g.ne[h] {
+		if cmpKey(b.k, k) == 0 {
+			lin.Clear(b.query)
 		}
 	}
-	return f
 }
 
-// Apply evaluates the filter on tuple t, clearing the lineage bits of every
-// query whose factors fail. It returns whether any query remains live.
-func (g *GroupedFilter) Apply(t *tuple.Tuple) bool {
-	failing := g.Failing(t.Vals[g.col])
-	for i := range failing {
-		if i < len(t.Queries) {
-			t.Queries[i] &^= failing[i]
-		}
+// andNot clears from lin every bit set in the first len(lin) words of u.
+func andNot(lin, u []uint64) {
+	u = u[:len(lin)]
+	for i := range lin {
+		lin[i] &^= u[i]
 	}
-	return t.Queries.Any()
 }
 
 // Empty reports whether no query has a factor here: the filter then applies

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +33,45 @@ func TestValueCompare(t *testing.T) {
 	}
 }
 
+// TestCompareIsATotalOrder checks Compare over values that include NaN,
+// the infinities and both zeros: antisymmetric, transitive, and NaN equal
+// to NaN and above every other number (below every string).
+func TestCompareIsATotalOrder(t *testing.T) {
+	nan, otherNaN := math.NaN(), math.Float64frombits(0x7FF0000000000ABC)
+	vals := []Value{
+		Null, Float(math.Inf(-1)), Int(-3), Float(-0.5), Float(math.Copysign(0, -1)),
+		Int(0), Time(0), Bool(true), Float(2.5), Int(1 << 60), Float(math.Inf(1)),
+		Float(nan), Float(otherNaN), String_(""), String_("NaN"), String_("b"),
+	}
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{Float(nan), Float(otherNaN), 0},
+		{Float(nan), Float(math.Inf(1)), 1},
+		{Int(math.MaxInt64), Float(nan), -1},
+		{Float(nan), Null, 1},
+		{Float(nan), String_(""), -1},
+	} {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ab, ba := Compare(a, b), Compare(b, a)
+			if ab != -ba {
+				t.Errorf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+			}
+			for _, c := range vals {
+				if ab <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
+					t.Errorf("not transitive: %v <= %v <= %v but %v > %v", a, b, c, a, c)
+				}
+			}
+		}
+	}
+}
+
 func TestValueHashEqualConsistency(t *testing.T) {
 	// Values that compare equal must hash equal (required by SteM probing).
 	pairs := [][2]Value{
@@ -39,6 +79,7 @@ func TestValueHashEqualConsistency(t *testing.T) {
 		{Int(0), Float(0)},
 		{Time(7), Int(7)},
 		{String_("x"), String_("x")},
+		{Float(math.NaN()), Float(math.Float64frombits(0xFFF0000000000001))},
 	}
 	for _, p := range pairs {
 		if !Equal(p[0], p[1]) {

@@ -126,8 +126,10 @@ func (v Value) Numeric() bool {
 }
 
 // Compare orders two values. NULLs sort first; numeric kinds compare by
-// value regardless of exact kind; strings compare lexicographically.
-// Comparing a string against a numeric value orders the numeric first.
+// value regardless of exact kind, by compareFloat; strings compare
+// lexicographically. Comparing a string against a numeric value orders the
+// numeric first. It is a total order: NaN equals NaN and sorts above every
+// other number.
 //
 //tcq:hotpath
 func Compare(a, b Value) int {
@@ -140,15 +142,7 @@ func Compare(a, b Value) int {
 	case b.K == KindNull:
 		return 1
 	case an && bn:
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return compareFloat(a.AsFloat(), b.AsFloat())
 	case an:
 		return -1
 	case bn:
@@ -162,6 +156,35 @@ func Compare(a, b Value) int {
 		default:
 			return 0
 		}
+	}
+}
+
+// compareFloat orders two float64s totally: by value, with NaN equal to
+// NaN and above every other number (PostgreSQL's rule). NaN is tested only
+// once neither operand is below the other, so ordered operands pay nothing
+// for it.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	return compareNaN(a, b)
+}
+
+// compareNaN orders a and b when at least one of them is NaN.
+func compareNaN(a, b float64) int {
+	an, bn := a != a, b != b
+	switch {
+	case an == bn:
+		return 0
+	case an:
+		return 1
+	default:
+		return -1
 	}
 }
 
@@ -202,11 +225,17 @@ func (v Value) Hash() uint64 {
 }
 
 func floatBits(f float64) uint64 {
-	if f == 0 {
+	switch {
+	case f == 0:
 		return 0 // collapse +0 and -0
+	case f != f:
+		return canonicalNaN // every NaN compares equal to every other
 	}
 	return math.Float64bits(f)
 }
+
+// canonicalNaN is the bit pattern every NaN hashes as.
+const canonicalNaN = 0x7FF8000000000001
 
 // String renders the value for display and CSV egress.
 func (v Value) String() string {

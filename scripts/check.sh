@@ -13,8 +13,10 @@
 #                    last member out and arrangement walk x20, pull-log
 #                    ring x20, join state x20, wire flushes, FEED runs and
 #                    EO wake x20, fed rows kept by no one x20, fuzz smoke
-#   check.sh bench   two smokes with no threshold: BenchmarkWindowFire and
-#                    BenchmarkPullPublish must run and print their numbers.
+#                    (parser, loop, CSV, plan, grouped filter)
+#   check.sh bench   three smokes with no threshold: BenchmarkWindowFire,
+#                    BenchmarkPullPublish and BenchmarkGroupedFilterProbe
+#                    must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
 #                    module's question: cd benchmark && go run . -compare
 #   check.sh [all]   every stage in order
@@ -224,6 +226,7 @@ stage_race() {
     go test -fuzz=FuzzParseLoop -fuzztime=5s -run '^$' ./internal/window/
     go test -fuzz=FuzzParseCSV -fuzztime=5s -run '^$' ./internal/ingress/
     go test -fuzz=FuzzRegisterPlan -fuzztime=5s -run '^$' ./internal/core/
+    go test -fuzz=FuzzGroupedFilter -fuzztime=5s -run '^$' ./internal/gfilter/
 }
 
 stage_bench() {
@@ -240,6 +243,14 @@ stage_bench() {
     # atcap/b1 was ~74,000 ns/row). Also a smoke with no threshold.
     echo "==> bench smoke: BenchmarkPullPublish (1,000 publishes each, no threshold)"
     go test -run '^$' -bench BenchmarkPullPublish -benchtime=1000x ./internal/egress/
+
+    # One grouped-filter probe (Apply on one tuple) at one factor, at the
+    # 1,000 disjoint ranges of shared_cqs_embedded and at 100,000 factors.
+    # Every probe must report 0 allocs/op; the ns/op are for the next
+    # filter change to compare against (before the flat kernel, the 1,000
+    # ranges took ~1,270 ns a probe, after it ~220 on the same machine).
+    echo "==> bench smoke: BenchmarkGroupedFilterProbe (100,000 probes each, no threshold)"
+    go test -run '^$' -bench BenchmarkGroupedFilterProbe -benchtime=100000x ./internal/gfilter/
 }
 
 stage="${1:-all}"
