@@ -6,11 +6,10 @@
 // an uncontended lock per call when, as in a sequential class, the writer
 // is its only reader.
 //
-// An arrangement keeps values, not rows. Each inserted row is encoded with
-// the storage row codec (storage.AppendRow) into pointer-free byte chunks,
-// and the index is pointer-free too: a map from key hash to a row number,
-// per-row links in one flat slice, and each row's lineage an id into a small
-// table of interned bitmaps. Nothing a reader sees escapes a Read: a visitor
+// An arrangement keeps values, not rows. Each inserted row is encoded into a
+// storage.Log, its first chunk 4 KiB, under a pointer-free index: a map from
+// key hash to a row number, per-row links in one flat slice, and each row's
+// lineage an id into a small table of interned bitmaps. Nothing a reader sees escapes a Read: a visitor
 // decodes each row it wants into memory of its own. So no reader ever holds
 // a stored row, the caller's row is free the moment Insert returns, and Evict
 // frees what it drops at once.
@@ -33,7 +32,7 @@ type Options struct {
 	// "<stream>.<col>") in stats and introspection rows.
 	Name string
 	// KeyCol is the column of an inserted row the hash index is built on;
-	// -1 disables indexing (Lookup degenerates to Scan).
+	// -1 disables indexing (Bucket visits every row).
 	KeyCol int
 	// Windowed orders stored rows by the given notion of time and enables
 	// Evict.
@@ -47,42 +46,32 @@ type Options struct {
 	Borrowed func(tuple.Bitset) bool
 }
 
-// Chunk sizes: the first chunk is small so an arrangement that stores a
-// handful of rows stays cheap, each later one doubles up to the cap. A chunk
-// is allocated at its full size and never grown.
-const (
-	firstChunk = 4 << 10
-	maxChunk   = 64 << 10
-)
-
-// ref locates one stored row: its chunk and offset, the next row of its
-// index bucket, and its lineage id. A bucket is a ring in arrival order: the
-// index names its newest row, whose next is the oldest.
+// ref locates one stored row: where it starts in the log, the next row of
+// its index bucket, and its lineage id. A bucket is a ring in arrival order:
+// the index names its newest row, whose next is the oldest.
 type ref struct {
-	chunk, off int32
-	next       int32
-	lineage    int32
+	at      storage.Loc
+	next    int32
+	lineage int32
 }
 
 // Arrangement is a row store. All methods are safe for concurrent use,
 // under a single-writer discipline: exactly one goroutine calls the mutating
 // methods (Insert, Evict, ScrubLineage), while any number concurrently call
-// the reading methods (Read, Lookup, Scan, Len, Stats).
+// the reading methods (Read, Len, Stats).
 type Arrangement struct {
 	opts Options
 
-	mu         sync.RWMutex
-	chunks     [][]byte
-	chunkBytes int64 // capacity of every chunk
-	refs       []ref // stored rows, in arrival order
-	index      map[uint64]int32
+	mu    sync.RWMutex
+	log   storage.Log // stored rows, in arrival order
+	refs  []ref       // by row number, the rows' order in the log
+	index map[uint64]int32
 	// order lists the rows in window-time order, ties in arrival order, once
 	// a row has arrived out of time order; nil while arrival order is time
 	// order. lastKey is the window time of the last row in time order.
 	order   []int32
 	lastKey int64
 	lin     lineages
-	enc     []byte  // one encoded row, before it is placed in a chunk
 	remap   []int32 // Evict's scratch: each row's number after it
 	ring    []int32 // Evict's scratch: one bucket's survivors
 
@@ -91,10 +80,9 @@ type Arrangement struct {
 	reclaimedB int64
 }
 
-// New creates an empty arrangement. It holds no chunk until its first
-// Insert.
+// New creates an empty arrangement, holding no chunk until its first Insert.
 func New(opts Options) *Arrangement {
-	a := &Arrangement{opts: opts}
+	a := &Arrangement{opts: opts, log: *storage.NewLog(4 << 10)}
 	if opts.KeyCol >= 0 {
 		a.index = make(map[uint64]int32)
 	}
@@ -105,9 +93,8 @@ func New(opts Options) *Arrangement {
 // Name returns the arrangement's label.
 func (a *Arrangement) Name() string { return a.opts.Name }
 
-// Insert encodes a batch of rows: their Seq, TS,
-// values and lineage. The arrangement keeps no pointer into any of them, so
-// the caller may reuse them when Insert returns. Writer-only.
+// Insert encodes a batch of rows, lineage included, keeping no pointer into
+// them: the caller may reuse them when Insert returns. Writer-only.
 func (a *Arrangement) Insert(ts []*tuple.Tuple) {
 	if len(ts) == 0 {
 		return
@@ -121,15 +108,8 @@ func (a *Arrangement) Insert(ts []*tuple.Tuple) {
 }
 
 func (a *Arrangement) insertLocked(t *tuple.Tuple) {
-	a.enc = storage.AppendRow(a.enc[:0], t)
-	c := len(a.chunks) - 1
-	if c < 0 || cap(a.chunks[c])-len(a.chunks[c]) < len(a.enc) {
-		c = a.addChunk(len(a.enc))
-	}
 	i := int32(len(a.refs))
-	r := ref{chunk: int32(c), off: int32(len(a.chunks[c])), next: i,
-		lineage: a.lin.intern(t.Queries, a.opts.Borrowed)}
-	a.chunks[c] = append(a.chunks[c], a.enc...)
+	r := ref{at: a.log.Append(t), next: i, lineage: a.lin.intern(t.Queries, a.opts.Borrowed)}
 	if a.index != nil {
 		h := t.Vals[a.opts.KeyCol].Hash()
 		if tail, ok := a.index[h]; ok {
@@ -144,21 +124,6 @@ func (a *Arrangement) insertLocked(t *tuple.Tuple) {
 	}
 }
 
-// addChunk opens the next chunk, big enough for a row of n bytes: twice the
-// last one, up to maxChunk, and returns its number.
-//
-//tcq:coldpath
-func (a *Arrangement) addChunk(n int) int {
-	size := firstChunk
-	if k := len(a.chunks); k > 0 {
-		size = min(2*cap(a.chunks[k-1]), maxChunk)
-	}
-	size = max(size, n)
-	a.chunks = append(a.chunks, make([]byte, 0, size))
-	a.chunkBytes += int64(size)
-	return len(a.chunks) - 1
-}
-
 // timeOf is a row's window time.
 func (a *Arrangement) timeOf(seq, ts int64) int64 {
 	if a.opts.TimeKind == window.Logical {
@@ -169,8 +134,7 @@ func (a *Arrangement) timeOf(seq, ts int64) int64 {
 
 // rowTime decodes stored row i's window time.
 func (a *Arrangement) rowTime(i int32) int64 {
-	r := a.refs[i]
-	return a.timeOf(storage.ReadStamp(a.chunks[r.chunk][r.off:]))
+	return a.timeOf(storage.ReadStamp(a.log.Row(a.refs[i].at)))
 }
 
 // place records row i, of window time k, in time order: arrival order while
@@ -230,7 +194,7 @@ func (a *Arrangement) Read(fn func(Rows)) {
 
 func (r Rows) row(i int32) Row {
 	ref := r.a.refs[i]
-	return Row{buf: r.a.chunks[ref.chunk][ref.off:], lineage: r.a.lin.sets[ref.lineage]}
+	return Row{buf: r.a.log.Row(ref.at), lineage: r.a.lin.sets[ref.lineage]}
 }
 
 // Bucket calls visit with every stored row whose key column hashes to hash,
@@ -268,28 +232,6 @@ func (r Rows) All(visit func(Row)) {
 	}
 }
 
-// Lookup calls emit for every row of Bucket(hash), under one Read, each
-// decoded into the same tuple: emit must copy what it keeps.
-func (a *Arrangement) Lookup(hash uint64, emit func(*tuple.Tuple)) {
-	a.Read(func(r Rows) { r.Bucket(hash, decodeEach(emit)) })
-}
-
-// Scan calls emit for every stored row in All's order, under one Read, each
-// decoded into the same tuple: emit must copy what it keeps.
-func (a *Arrangement) Scan(emit func(*tuple.Tuple)) {
-	a.Read(func(r Rows) { r.All(decodeEach(emit)) })
-}
-
-// decodeEach is a visitor decoding each row into one tuple for emit.
-func decodeEach(emit func(*tuple.Tuple)) func(Row) {
-	var t tuple.Tuple
-	var vals []tuple.Value
-	return func(row Row) {
-		vals = row.Decode(&t, vals[:0])
-		emit(&t)
-	}
-}
-
 // Len returns the number of stored rows.
 func (a *Arrangement) Len() int {
 	a.mu.RLock()
@@ -298,23 +240,25 @@ func (a *Arrangement) Len() int {
 }
 
 // Evict drops the stored rows with window time strictly below watermark and
-// frees them at once: the survivors move down over them, in their chunks,
-// and the index is relinked over the survivors. Writer-only. Returns the
-// number evicted. Only valid on windowed arrangements (no-op otherwise).
+// frees them at once: the index is relinked over the survivors, which then
+// move down over the dropped rows in the log (storage.Log.Compact).
+// Writer-only. Returns the number evicted. Only valid on windowed
+// arrangements (no-op otherwise).
 func (a *Arrangement) Evict(watermark int64) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.opts.Windowed || len(a.refs) == 0 {
 		return 0
 	}
+	at := func(j int) int32 { // the row at j in time order
+		if a.order == nil {
+			return int32(j)
+		}
+		return a.order[j]
+	}
 	// The rows below the watermark are a prefix of time order.
 	n := len(a.refs)
-	var k int
-	if a.order == nil {
-		k = sort.Search(n, func(j int) bool { return a.rowTime(int32(j)) >= watermark })
-	} else {
-		k = sort.Search(n, func(j int) bool { return a.rowTime(a.order[j]) >= watermark })
-	}
+	k := sort.Search(n, func(j int) bool { return a.rowTime(at(j)) >= watermark })
 	if k == 0 {
 		return 0
 	}
@@ -322,14 +266,8 @@ func (a *Arrangement) Evict(watermark int64) int {
 	a.remap = slices.Grow(a.remap[:0], n)[:n]
 	remap := a.remap
 	clear(remap)
-	if a.order == nil {
-		for i := range remap[:k] {
-			remap[i] = -1
-		}
-	} else {
-		for _, i := range a.order[:k] {
-			remap[i] = -1
-		}
+	for j := 0; j < k; j++ {
+		remap[at(j)] = -1
 	}
 	live := int32(0)
 	for i, to := range remap {
@@ -341,7 +279,12 @@ func (a *Arrangement) Evict(watermark int64) int {
 	if a.index != nil {
 		a.relink(remap)
 	}
-	a.compact(remap, int(live))
+	a.reclaimedB += int64(a.log.Compact(func(i int) bool { return remap[i] >= 0 }, func(i int, at storage.Loc) {
+		r := a.refs[i]
+		r.at = at
+		a.refs[remap[i]] = r
+	}))
+	a.refs = a.refs[:live]
 	if a.order != nil {
 		sorted := a.order[:0]
 		for _, i := range a.order[k:] {
@@ -353,11 +296,7 @@ func (a *Arrangement) Evict(watermark int64) int {
 		}
 	}
 	if live > 0 {
-		last := live - 1
-		if a.order != nil {
-			last = a.order[live-1]
-		}
-		a.lastKey = a.rowTime(last)
+		a.lastKey = a.rowTime(at(int(live) - 1))
 	}
 	a.evicted += int64(k)
 	return k
@@ -388,43 +327,6 @@ func (a *Arrangement) relink(remap []int32) {
 	}
 }
 
-// compact moves the surviving rows, live of them, down over the evicted
-// ones in arrival order. A row is never written past where it was read
-// from, so the move stays inside the chunks already held; the chunks it
-// empties are dropped, all but the first, which the next Insert reuses.
-func (a *Arrangement) compact(remap []int32, live int) {
-	n := len(a.refs)
-	w, wOff := 0, 0
-	for i := 0; i < n; i++ {
-		r := a.refs[i]
-		end := len(a.chunks[r.chunk])
-		if i+1 < n && a.refs[i+1].chunk == r.chunk {
-			end = int(a.refs[i+1].off)
-		}
-		size := end - int(r.off)
-		if remap[i] < 0 {
-			a.reclaimedB += int64(size)
-			continue
-		}
-		for cap(a.chunks[w])-wOff < size {
-			a.chunks[w] = a.chunks[w][:wOff]
-			w, wOff = w+1, 0
-		}
-		dst := a.chunks[w][:cap(a.chunks[w])]
-		copy(dst[wOff:wOff+size], a.chunks[r.chunk][r.off:end])
-		r.chunk, r.off = int32(w), int32(wOff)
-		a.refs[remap[i]] = r
-		wOff += size
-	}
-	a.chunks[w] = a.chunks[w][:wOff]
-	for c := w + 1; c < len(a.chunks); c++ {
-		a.chunkBytes -= int64(cap(a.chunks[c]))
-		a.chunks[c] = nil
-	}
-	a.chunks = a.chunks[:w+1]
-	a.refs = a.refs[:live]
-}
-
 // ScrubLineage clears the lineage bits in mask from every stored row — the
 // deferred half of freeing a query's lineage slot: after its removal the
 // slot may only be reused once no stored row still carries the dead query's
@@ -438,9 +340,8 @@ func (a *Arrangement) ScrubLineage(mask tuple.Bitset) {
 // Stats is a point-in-time snapshot of arrangement state and counters.
 type Stats struct {
 	Size int // stored rows
-	// Bytes is the memory the store holds: chunk capacity plus the index
-	// (the per-row refs, the time order, the hash map and the lineage
-	// table).
+	// Bytes is the memory the store holds: its log's plus the index (the
+	// per-row refs, the time order, the hash map and the lineage table).
 	Bytes int64
 
 	Inserts        int64
@@ -462,7 +363,7 @@ func (a *Arrangement) Stats() Stats {
 	defer a.mu.RUnlock()
 	return Stats{
 		Size: len(a.refs),
-		Bytes: a.chunkBytes + refBytes*int64(cap(a.refs)) + 4*int64(cap(a.order)) +
+		Bytes: int64(a.log.Bytes()) + refBytes*int64(cap(a.refs)) + 4*int64(cap(a.order)) +
 			mapEntryBytes*int64(len(a.index)) + a.lin.bytes(),
 		Inserts:        a.inserts,
 		Evicted:        a.evicted,

@@ -26,14 +26,14 @@ func TestInsertLookupScan(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", a.Len())
 	}
 	var hits []int64
-	a.Lookup(tuple.Int(10).Hash(), func(tt *tuple.Tuple) {
+	lookup(a, tuple.Int(10).Hash(), func(tt *tuple.Tuple) {
 		hits = append(hits, tt.TS)
 	})
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
 		t.Fatalf("Lookup(10) = %v, want [1 3]", hits)
 	}
 	var seen []int64
-	a.Scan(func(tt *tuple.Tuple) { seen = append(seen, tt.TS) })
+	scan(a, func(tt *tuple.Tuple) { seen = append(seen, tt.TS) })
 	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
 		t.Fatalf("Scan = %v, want time order [1 2 3]", seen)
 	}
@@ -43,7 +43,7 @@ func TestUnindexedLookupScansAll(t *testing.T) {
 	a := New(Options{Name: "s", KeyCol: -1})
 	a.Insert([]*tuple.Tuple{mk(1, 10), mk(2, 20)})
 	n := 0
-	a.Lookup(12345, func(*tuple.Tuple) { n++ })
+	lookup(a, 12345, func(*tuple.Tuple) { n++ })
 	if n != 2 {
 		t.Fatalf("unindexed Lookup visited %d, want 2 (scan)", n)
 	}
@@ -63,7 +63,7 @@ func TestEvictFreesAtOnceUnderCursors(t *testing.T) {
 			st.Size, st.Evicted, st.ReclaimedBytes)
 	}
 	n := 0
-	a.Lookup(tuple.Int(10).Hash(), func(*tuple.Tuple) { n++ })
+	lookup(a, tuple.Int(10).Hash(), func(*tuple.Tuple) { n++ })
 	if n != 0 {
 		t.Fatalf("evicted row still visible to Lookup")
 	}
@@ -98,7 +98,7 @@ func TestScrubLineage(t *testing.T) {
 		t.Fatalf("scrub wrote the inserted row's own bitmap, which the store copied")
 	}
 	var stored tuple.Bitset
-	a.Scan(func(tt *tuple.Tuple) { stored = tt.Queries.Clone() })
+	scan(a, func(tt *tuple.Tuple) { stored = tt.Queries.Clone() })
 	if !stored.Test(3) || stored.Test(70) {
 		t.Fatalf("scrub: stored bit3=%v bit70=%v, want true/false",
 			stored.Test(3), stored.Test(70))
@@ -129,7 +129,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 					return
 				default:
 				}
-				a.Lookup(tuple.Int(1).Hash(), func(tt *tuple.Tuple) {
+				lookup(a, tuple.Int(1).Hash(), func(tt *tuple.Tuple) {
 					_ = tt.TS
 				})
 				_ = a.Stats()
@@ -216,7 +216,7 @@ func TestCursorlessEvictFreesAtOnce(t *testing.T) {
 }
 
 // TestReadLocksOncePerBatch: Read answers any number of lookups under one
-// acquisition, and Bucket/All see what Lookup/Scan see, in the same order.
+// acquisition, and Bucket/All see what the lookup/scan helpers see, in the same order.
 func TestReadLocksOncePerBatch(t *testing.T) {
 	a := New(windowedOpts())
 	a.Insert([]*tuple.Tuple{mk(3, 10), mk(1, 20), mk(2, 10)})
@@ -243,5 +243,26 @@ func TestReadLocksOncePerBatch(t *testing.T) {
 	}
 	if len(all) != 3 || all[0] != 1 || all[1] != 2 || all[2] != 3 {
 		t.Fatalf("All = %v, want time order [1 2 3]", all)
+	}
+}
+
+// lookup calls emit for every row of Bucket(hash), under one Read, each
+// decoded into the same tuple: emit must copy what it keeps.
+func lookup(a *Arrangement, hash uint64, emit func(*tuple.Tuple)) {
+	a.Read(func(r Rows) { r.Bucket(hash, decodeEach(emit)) })
+}
+
+// scan calls emit for every stored row in All's order, under one Read.
+func scan(a *Arrangement, emit func(*tuple.Tuple)) {
+	a.Read(func(r Rows) { r.All(decodeEach(emit)) })
+}
+
+// decodeEach is a visitor decoding each row into one tuple for emit.
+func decodeEach(emit func(*tuple.Tuple)) func(Row) {
+	var t tuple.Tuple
+	var vals []tuple.Value
+	return func(row Row) {
+		vals = row.Decode(&t, vals[:0])
+		emit(&t)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 )
@@ -155,8 +156,8 @@ func TestArrangementMatchesSliceModel(t *testing.T) {
 			}
 			a := New(opts)
 			model := &sliceModel{opts: opts}
-			if st := a.Stats(); st.Bytes != int64(a.lin.bytes()) || len(a.chunks) != 0 {
-				t.Fatalf("an empty arrangement holds %d bytes in %d chunks", st.Bytes, len(a.chunks))
+			if st := a.Stats(); st.Bytes != int64(a.lin.bytes()) || a.log.Bytes() != 0 {
+				t.Fatalf("an empty arrangement holds %d bytes, %d in its log", st.Bytes, a.log.Bytes())
 			}
 			rows := make([]*tuple.Tuple, 12) // the caller's tuples, reused
 			for i := range rows {
@@ -228,13 +229,13 @@ func TestArrangementMatchesSliceModel(t *testing.T) {
 					key := modelKeys[rng.Intn(len(modelKeys))]
 					what = fmt.Sprintf("Lookup(%v)", key)
 					var got []*tuple.Tuple
-					a.Lookup(key.Hash(), func(tt *tuple.Tuple) { got = append(got, tt.Clone()) })
+					lookup(a, key.Hash(), func(tt *tuple.Tuple) { got = append(got, tt.Clone()) })
 					check(op, what, got, model.bucket(key.Hash()))
 				case k < 16:
 					what = "Scan"
 					var got []*tuple.Tuple
 					var same []bool
-					a.Scan(func(tt *tuple.Tuple) {
+					scan(a, func(tt *tuple.Tuple) {
 						got = append(got, tt.Clone())
 						same = append(same, tt.Queries.Same(templates[0]) || tt.Queries.Same(templates[1]))
 					})
@@ -282,25 +283,23 @@ func TestArrangementMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// checkStore holds the store to its own invariants: rows sit back to back
-// in their chunks in arrival order, the byte count is the chunks' capacity,
-// every bucket ring holds only rows of its hash, the rings together hold
-// every row once, and the time order is a permutation.
+// checkStore holds the store to its own invariants: the log holds one row
+// per ref, each ref locates the row of its number (the log's rows are in
+// arrival order), every bucket ring holds only rows of its hash, the rings
+// together hold every row once, and the time order is a permutation.
+// FuzzLog (internal/storage) holds the log to its chunk rule.
 func checkStore(t *testing.T, a *Arrangement) {
 	t.Helper()
-	var capacity int64
-	for _, c := range a.chunks {
-		capacity += int64(cap(c))
+	if a.log.Len() != len(a.refs) {
+		t.Fatalf("the log holds %d rows for %d refs", a.log.Len(), len(a.refs))
 	}
-	if capacity != a.chunkBytes {
-		t.Fatalf("chunks hold %d bytes, counted %d", capacity, a.chunkBytes)
+	rows, err := a.log.Decode(a.log.Locate(0, storage.Mark{}), math.MinInt64, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, r := range a.refs {
-		if i > 0 {
-			p := a.refs[i-1]
-			if r.chunk < p.chunk || r.chunk == p.chunk && r.off <= p.off {
-				t.Fatalf("row %d at chunk %d+%d follows row %d at chunk %d+%d", i, r.chunk, r.off, i-1, p.chunk, p.off)
-			}
+		if seq, ts := storage.ReadStamp(a.log.Row(r.at)); seq != rows[i].Seq || ts != rows[i].TS {
+			t.Fatalf("ref %d locates the row stamped %d/%d, the log's row %d is %d/%d", i, seq, ts, i, rows[i].Seq, rows[i].TS)
 		}
 	}
 	if a.index != nil {

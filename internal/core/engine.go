@@ -127,10 +127,11 @@ type streamState struct {
 	// same stream at several FROM positions (self-joins, paper Ex. 4).
 	subs map[int]*fjord.Conn
 	// hist retains every tuple's values in memory when spooling is off
-	// (nil with a store), up to its row cap, so late-registered queries can
+	// (nil with a store), up to histCap rows, so late-registered queries can
 	// still see old data (PSoup semantics). It is an encoded log: it keeps
 	// no fed tuple.
-	hist *storage.Log
+	hist    *storage.Log
+	histCap int
 	// fed counts tuples delivered into this stream (ingress feed rate).
 	fed *metrics.Counter
 }
@@ -305,11 +306,10 @@ func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
 		}
 		st.store = store
 	} else {
-		histCap := 1 << 20
+		st.hist, st.histCap = storage.NewLog(4<<10), 1<<20
 		if system {
-			histCap = 1 << 13
+			st.histCap = 1 << 13
 		}
-		st.hist = storage.NewLog(histCap)
 		// What the history holds, read from the log at scrape time.
 		e.reg.RegisterFunc("tcq_stream_history_rows"+lbl, metrics.KindGauge, func() float64 {
 			st.mu.Lock()
@@ -412,8 +412,8 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 				ts = ts[:i] // the spooled prefix is fed all the same
 				break
 			}
-		} else {
-			st.hist.Append(t) // false past the row cap: history stops growing
+		} else if st.hist.Len() < st.histCap { // past the cap, history stops growing
+			st.hist.Append(t)
 		}
 	}
 	// Snapshot the subscribers into a stack array: a make sized by the map
@@ -545,9 +545,9 @@ func (st *streamState) historyRange(left, right int64) ([]*tuple.Tuple, error) {
 		return st.store.ScanRange(left, right)
 	}
 	st.mu.Lock()
-	v := st.hist.View()
+	v := st.hist.Snapshot()
 	st.mu.Unlock()
-	return v.Scan(left, right)
+	return v.Decode(v.Locate(0, storage.Mark{}), left, right)
 }
 
 // TuplePool returns the engine's tuple recycler. A caller that feeds a

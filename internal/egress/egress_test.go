@@ -329,35 +329,16 @@ func sameRow(got, want *tuple.Tuple) bool {
 	return true
 }
 
-// checkRing holds the encoded log to its own invariants: its chunks hold
-// consecutive positions ending at the log's end, the retained rows are
-// exactly the ones past skip, no chunk but the last is wholly aged out,
-// and the byte count is the capacity of its chunks and spare.
+// checkRing holds the pull log to its cap and to what it retains: the rows
+// from Start to the end, encoded back to back, and its bytes cover them
+// with at most two chunks and the spare more. FuzzLog (internal/storage)
+// holds the chunks themselves to the chunk rule.
 func checkRing(t *testing.T, e *PullEgress) {
 	t.Helper()
-	if e.n > e.cap {
-		t.Fatalf("%d rows retained for a cap of %d", e.n, e.cap)
-	}
-	if len(e.chunks) == 0 {
-		if e.n != 0 || e.bytes != cap(e.spare) {
-			t.Fatalf("no chunk, %d rows, %d bytes, spare %d", e.n, e.bytes, cap(e.spare))
-		}
-		return
-	}
-	rows, bytes := -e.skip, cap(e.spare)
-	for k, c := range e.chunks {
-		if c.rows == 0 || k > 0 && c.first != e.chunks[k-1].first+int64(e.chunks[k-1].rows) {
-			t.Fatalf("chunk %d of %d: %d rows from %d after %+v", k, len(e.chunks), c.rows, c.first, e.chunks[:k])
-		}
-		rows += c.rows
-		bytes += cap(c.buf)
-	}
-	if rows != e.n || e.chunks[0].first+int64(e.skip) != e.base || e.bytes != bytes {
-		t.Fatalf("chunks hold %d rows past skip %d from %d, log %d from %d; %d bytes, counted %d",
-			rows, e.skip, e.chunks[0].first, e.n, e.base, bytes, e.bytes)
-	}
-	if len(e.chunks) > 1 && e.skip >= e.chunks[0].rows {
-		t.Fatalf("chunk 0 aged out (%d of %d rows) and is still held", e.skip, e.chunks[0].rows)
+	enc, rows, _ := e.log.AppendTo(nil, e.log.Locate(e.log.Start(), storage.Mark{}))
+	held := len(enc)
+	if n := e.log.Len(); n > e.cap || rows != n || e.log.Bytes() < held || e.log.Bytes() > held+3*(64<<10) {
+		t.Fatalf("%d rows (%d from the start) for a cap of %d; %d bytes held for %d encoded", n, rows, e.cap, e.log.Bytes(), held)
 	}
 }
 
@@ -537,11 +518,9 @@ func TestPullRingAtDefaultCap(t *testing.T) {
 		t.Fatalf("Len %d, evicted %d, published %d", e.Len(), evicted, published)
 	}
 	checkRing(t, e)
-	retained := -e.skip * len(storage.AppendRow(nil, mk(published-1)))
-	for _, c := range e.chunks {
-		retained += len(c.buf)
-	}
-	if e.Bytes() > retained+2*maxChunk {
+	enc, _, _ := e.log.AppendTo(nil, e.log.Locate(0, storage.Mark{}))
+	retained := len(enc)
+	if e.Bytes() > retained+2*(64<<10) {
 		t.Fatalf("%d bytes held for %d bytes of retained rows", e.Bytes(), retained)
 	}
 	got, missed, err := e.Fetch(lagging)

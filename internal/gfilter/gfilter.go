@@ -42,8 +42,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"time"
+	"unsafe"
 
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/expr"
@@ -52,9 +52,10 @@ import (
 
 // key is a value reduced to what tuple.Compare orders it by, so that one
 // unsigned compare orders almost every pair: u is 0 for NULL, the
-// order-preserving bits of the float64 Compare compares a number by, and
-// strKey for a string, whose bytes are in s. Keys order as the values they
-// were made from (cmpKey).
+// order-preserving bits of a number's float64, and strKey for a string,
+// whose bytes are in s. An integer its float64 rounds (past ±2^53) keeps
+// its own bits in s, so keys of equal u go to the exact compare. Keys order
+// as the values they were made from (cmpKey).
 type key struct {
 	u uint64
 	s string
@@ -65,13 +66,23 @@ const (
 	strKey = ^uint64(0)         // every string, above every number
 )
 
-// keyOf returns v's compare key.
-func keyOf(v tuple.Value) key {
+// keyOf returns v's compare key. The bits of an integer its float64 rounds
+// are written to buf, big-endian, and the key's s reads them there.
+func keyOf(v tuple.Value, buf *[8]byte) key {
 	switch {
 	case v.K == tuple.KindNull:
 		return key{}
+	case v.K == tuple.KindFloat:
+		return key{u: floatKey(v.F)}
 	case v.Numeric():
-		return key{u: floatKey(v.AsFloat())}
+		f, exact := tuple.IntAsFloat(v.I)
+		if exact {
+			return key{u: floatKey(f)}
+		}
+		for j := range buf {
+			buf[j] = byte(uint64(v.I) >> (56 - 8*j))
+		}
+		return key{u: floatKey(f), s: unsafe.String(&buf[0], len(buf))}
 	default:
 		return key{u: strKey, s: v.S}
 	}
@@ -93,15 +104,37 @@ func floatKey(f float64) uint64 {
 }
 
 // cmpKey orders keys exactly as tuple.Compare orders the values they were
-// made from: by u, and two strings by their bytes.
+// made from: by u, two strings by their bytes, and two numbers of one u
+// that are not both its float exactly by the numbers themselves.
 func cmpKey(a, b key) int {
 	switch {
 	case a.u < b.u:
 		return -1
 	case a.u > b.u:
 		return 1
+	case a.s == b.s:
+		return 0
+	case a.u != strKey:
+		return tuple.Compare(a.number(), b.number())
+	case a.s < b.s:
+		return -1
 	}
-	return strings.Compare(a.s, b.s)
+	return 1
+}
+
+// number is the number a numeric key was made from.
+func (k key) number() tuple.Value {
+	if k.s != "" {
+		var i uint64
+		for j := 0; j < len(k.s); j++ {
+			i = i<<8 | uint64(k.s[j])
+		}
+		return tuple.Int(int64(i))
+	}
+	if k.u >= 1<<63 {
+		return tuple.Float(math.Float64frombits(k.u &^ (1 << 63)))
+	}
+	return tuple.Float(math.Float64frombits(^k.u))
 }
 
 // bound is one factor: its constant's key, its query, and for an ordered
@@ -288,7 +321,7 @@ func (g *GroupedFilter) Add(q int, p expr.Predicate) {
 		g.maxQuery = q
 	}
 	g.registered.Set(q)
-	b := bound{k: keyOf(p.Val), query: q}
+	b := bound{k: keyOf(p.Val, new([8]byte)), query: q}
 	switch p.Op {
 	case expr.Gt, expr.Ge:
 		b.tie = p.Op == expr.Gt
@@ -395,7 +428,8 @@ func (g *GroupedFilter) Apply(t *tuple.Tuple) bool {
 // The filter must be rebuilt.
 func (g *GroupedFilter) clearFailing(v tuple.Value, lineage tuple.Bitset) {
 	lin := lineage[:min(len(lineage), g.words)]
-	k := keyOf(v)
+	var buf [8]byte
+	k := keyOf(v, &buf)
 
 	// Greater-than: the suffix from the cut fails. Clear the union at the
 	// first boundary at or after the cut, then the stragglers before it.

@@ -1,8 +1,10 @@
 package gfilter
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -109,8 +111,64 @@ func naiveFails(ps []expr.Predicate, tp *tuple.Tuple) bool {
 	return false
 }
 
+// exactCmp orders two numbers other than NaN independently of
+// tuple.Compare: two integers or two floats as themselves, an integer and
+// a float as float64s while the integer is within ±2^53, which float64
+// holds exactly, and through math/big beyond. ok is false for any other
+// pair.
+func exactCmp(a, b tuple.Value) (c int, ok bool) {
+	isInt := func(x tuple.Value) bool { return x.Numeric() && x.K != tuple.KindFloat }
+	isNum := func(x tuple.Value) bool { return isInt(x) || x.K == tuple.KindFloat && !math.IsNaN(x.F) }
+	switch {
+	case !isNum(a) || !isNum(b):
+		return 0, false
+	case isInt(a) && isInt(b):
+		return cmp.Compare(a.I, b.I), true
+	case !isInt(a) && !isInt(b):
+		return cmp.Compare(a.F, b.F), true
+	}
+	i, f, sign := a.I, b.F, 1
+	if !isInt(a) {
+		i, f, sign = b.I, a.F, -1
+	}
+	if -1<<53 <= i && i <= 1<<53 {
+		return sign * cmp.Compare(float64(i), f), true
+	}
+	return sign * new(big.Float).SetInt64(i).Cmp(new(big.Float).SetFloat64(f)), true
+}
+
+// exactFails is naiveFails by exactCmp, where it can order v against every
+// constant of ps: a reference a Compare that rounds through float64 cannot
+// bend.
+func exactFails(ps []expr.Predicate, v tuple.Value) (fails, ok bool) {
+	for _, p := range ps {
+		c, ok := exactCmp(v, p.Val)
+		if !ok {
+			return false, false
+		}
+		switch p.Op {
+		case expr.Eq:
+			fails = fails || c != 0
+		case expr.Ne:
+			fails = fails || c == 0
+		case expr.Lt:
+			fails = fails || c >= 0
+		case expr.Le:
+			fails = fails || c > 0
+		case expr.Gt:
+			fails = fails || c <= 0
+		case expr.Ge:
+			fails = fails || c < 0
+		default:
+			return false, false
+		}
+	}
+	return fails, true
+}
+
 // checkProbe fails t unless both Failing and Apply agree with naiveFails
-// on v for every query in preds, and neither touches any other query.
+// on v for every query in preds, naiveFails agrees with exact arithmetic
+// wherever exactFails applies, and neither touches any other query.
 func checkProbe(t *testing.T, g *GroupedFilter, preds map[int][]expr.Predicate, v tuple.Value, ctx string) {
 	t.Helper()
 	failing := g.Failing(v)
@@ -124,6 +182,9 @@ func checkProbe(t *testing.T, g *GroupedFilter, preds map[int][]expr.Predicate, 
 		want := naiveFails(ps, tp)
 		if want {
 			nfail++
+		}
+		if exact, ok := exactFails(ps, v); ok && exact != want {
+			t.Fatalf("%s v=%v q=%d %v: Eval fails=%v, exact arithmetic fails=%v", ctx, v, q, ps, want, exact)
 		}
 		if got := failing.Test(q); got != want {
 			t.Fatalf("%s v=%v q=%d %v: Failing=%v, naive=%v", ctx, v, q, ps, got, want)
@@ -160,6 +221,9 @@ func probesAround(preds map[int][]expr.Predicate) []tuple.Value {
 			x := p.Val.AsFloat()
 			add(p.Val, tuple.Int(int64(x)-1), tuple.Int(int64(x)+1),
 				tuple.Float(x-0.5), tuple.Float(x+0.5))
+			if p.Val.K != tuple.KindFloat { // exactly, past where float64 rounds
+				add(tuple.Int(p.Val.I-1), tuple.Int(p.Val.I+1), tuple.Time(p.Val.I), tuple.Float(x))
+			}
 		}
 	}
 	return out
@@ -170,18 +234,22 @@ func probesAround(preds map[int][]expr.Predicate) []tuple.Value {
 // per-factor evaluation. The query counts reach both spacing regimes: up
 // to 1,000 queries every ordered factor has its own union, at 5,000 the
 // union budget spaces the boundaries out and probes clear stragglers.
-// Constants mix INT, FLOAT and TIME on one column; probes cover every
-// constant, ±1, ±0.5, NULL, strings and NaN; queries leave and rejoin
-// between probe rounds.
+// Constants mix INT, FLOAT and TIME on one column, INT and TIME also past
+// 2^53 where float64 rounds them; probes cover every constant, ±1, ±0.5,
+// NULL, strings and NaN; queries leave and rejoin between probe rounds.
 func TestEquivalenceWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ops := []expr.Op{expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge}
 	constant := func() tuple.Value {
-		switch rng.Intn(3) {
+		switch rng.Intn(5) {
 		case 0:
 			return tuple.Int(int64(rng.Intn(100)))
 		case 1:
 			return tuple.Float(float64(rng.Intn(200)) / 2)
+		case 2:
+			return tuple.Int(1<<53 - 2 + int64(rng.Intn(5))) // float64 rounds the odd ones
+		case 3:
+			return tuple.Time(1_700_000_000_000_000_000 + int64(rng.Intn(300))) // unix ns
 		default:
 			return tuple.Time(int64(rng.Intn(100)))
 		}
@@ -240,10 +308,12 @@ func TestKeyOrdersAsCompare(t *testing.T) {
 		tuple.Float(math.Copysign(0, -1)), tuple.Int(0), tuple.Time(0), tuple.Bool(true),
 		tuple.Bool(false), tuple.Float(1.5), tuple.Time(7), tuple.Float(math.Inf(1)),
 		tuple.Float(math.NaN()), tuple.String_(""), tuple.String_("a"), tuple.String_("b"),
+		tuple.Int(1<<53 - 1), tuple.Int(1 << 53), tuple.Int(1<<53 + 1), tuple.Float(1 << 53),
+		tuple.Float(1<<53 + 2), tuple.Time(1<<53 + 3), tuple.Int(math.MaxInt64), tuple.Float(0x1p63),
 	}
 	for _, a := range vals {
 		for _, b := range vals {
-			if got, want := cmpKey(keyOf(a), keyOf(b)), tuple.Compare(a, b); got != want {
+			if got, want := cmpKey(keyOf(a, new([8]byte)), keyOf(b, new([8]byte))), tuple.Compare(a, b); got != want {
 				t.Errorf("cmpKey(%v, %v) = %d, Compare = %d", a, b, got, want)
 			}
 		}

@@ -3,9 +3,11 @@
 // (sequential writes, the write pattern the paper says the file system
 // should exploit), and historical windows are read back through a bounded
 // buffer pool with replacement, giving broadcast-disk-style re-read
-// behaviour for windowed queries over data that spans memory and disk. A
-// stream that is not spooled keeps its history in a Log: the same encoding,
-// held in memory.
+// behaviour for windowed queries over data that spans memory and disk. Its
+// Log is the engine's one in-memory row container, in the segments' row
+// codec: an unspooled stream's history, the open head segment, a SteM's
+// join state (internal/arrange) and a query's pull results
+// (internal/egress).
 package storage
 
 import (
@@ -44,9 +46,7 @@ func AppendRow(buf []byte, t *tuple.Tuple) []byte {
 // Seq and TS, and its values appended to vals, which t.Vals then is (capped
 // at its own length, so appending to one row never writes the next). It
 // returns vals extended and the bytes consumed. Only a string value
-// allocates, and vals only when it lacks room: a caller that sizes vals for
-// every row it decodes, or reuses t.Vals[:0] row after row, pays nothing
-// per row.
+// allocates, and vals only when it lacks room.
 func ReadRow(buf []byte, t *tuple.Tuple, vals []tuple.Value) ([]tuple.Value, int, error) {
 	off := 0
 	seq, n := binary.Varint(buf[off:])
@@ -128,13 +128,33 @@ func ReadStamp(buf []byte) (seq, ts int64) {
 	return seq, ts
 }
 
-// readTuple decodes one row from buf into a fresh tuple, returning it and
-// the number of bytes consumed.
-func readTuple(buf []byte) (*tuple.Tuple, int, error) {
-	t := new(tuple.Tuple)
-	_, n, err := ReadRow(buf, t, nil)
-	if err != nil {
-		return nil, 0, err
+// rowSize steps over the row at the front of buf without decoding it: the
+// bytes it takes and the values it holds, or 0, 0 when it does not decode.
+func rowSize(buf []byte) (n, vals int) {
+	var arity uint64
+	for i := -3; i < int(arity); i++ { // seq, ts and the arity, then each value
+		kind := tuple.KindInt
+		if i >= 0 {
+			if n >= len(buf) {
+				return 0, 0
+			}
+			kind, n = tuple.Kind(buf[n]), n+1
+		}
+		if kind == tuple.KindNull {
+			continue
+		}
+		u, k := binary.Uvarint(buf[n:])
+		if n += k; k <= 0 || kind > tuple.KindTime {
+			return 0, 0
+		}
+		switch {
+		case kind == tuple.KindString && u <= uint64(len(buf)-n):
+			n += int(u)
+		case kind == tuple.KindString || i == -1 && u > uint64(len(buf)):
+			return 0, 0
+		case i == -1:
+			arity = u
+		}
 	}
-	return t, n, nil
+	return n, int(arity)
 }

@@ -55,9 +55,8 @@ func NewBufferPool(capSegments int) *BufferPool {
 }
 
 // Get returns the decoded tuples of the segment at key, reading from disk
-// on a miss. count hints the expected tuple count. Concurrent misses on
-// one key perform a single disk read.
-func (p *BufferPool) Get(key string, count int) ([]*tuple.Tuple, error) {
+// on a miss. Concurrent misses on one key perform a single disk read.
+func (p *BufferPool) Get(key string) ([]*tuple.Tuple, error) {
 	p.mu.Lock()
 	if el, ok := p.pages[key]; ok {
 		p.lru.MoveToFront(el)
@@ -77,7 +76,7 @@ func (p *BufferPool) Get(key string, count int) ([]*tuple.Tuple, error) {
 	p.mu.Unlock()
 
 	// Read outside the lock: disk I/O must not serialize the whole pool.
-	fl.tuples, fl.err = readSegmentFile(key, count)
+	fl.tuples, fl.err = readSegmentFile(key)
 
 	p.mu.Lock()
 	p.decodes++

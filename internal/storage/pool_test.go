@@ -43,7 +43,7 @@ func TestPoolSingleFlightDecode(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			ts, err := p.Get(key, 16)
+			ts, err := p.Get(key)
 			errs[i], lens[i] = err, len(ts)
 		}(i)
 	}
@@ -81,7 +81,7 @@ func TestPoolInvalidateDuringInflightRead(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				p.Get(key, 8) // may error if the file is already deleted
+				p.Get(key) // may error if the file is already deleted
 			}()
 		}
 		os.Remove(key)
@@ -118,7 +118,7 @@ func TestPoolConcurrentGetDuringEviction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				k := (g + i) % keys
-				ts, err := p.Get(paths[k], 4+k)
+				ts, err := p.Get(paths[k])
 				if err != nil {
 					t.Errorf("get %s: %v", paths[k], err)
 					return

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,12 +24,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	in.TS = 123
 	in.Seq = 456
 	buf := AppendRow(nil, in)
-	out, n, err := readTuple(buf)
+	out, n, err := readOne(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) {
-		t.Errorf("consumed %d of %d bytes", n, len(buf))
+	if size, vals := rowSize(buf); n != len(buf) || size != n || vals != 6 {
+		t.Errorf("consumed %d of %d bytes; rowSize says %d bytes of %d values", n, len(buf), size, vals)
 	}
 	if out.TS != 123 || out.Seq != 456 || len(out.Vals) != 6 {
 		t.Fatalf("decoded = %+v", out)
@@ -44,7 +46,7 @@ func TestCodecQuick(t *testing.T) {
 		in := tuple.New(tuple.Int(i), tuple.Float(fl), tuple.String_(s), tuple.Bool(b))
 		in.TS = ts
 		buf := AppendRow(nil, in)
-		out, _, err := readTuple(buf)
+		out, _, err := readOne(buf)
 		if err != nil {
 			return false
 		}
@@ -77,10 +79,20 @@ func TestCodecCorruption(t *testing.T) {
 	in := tuple.New(tuple.String_("hello"))
 	buf := AppendRow(nil, in)
 	for cut := 1; cut < len(buf); cut++ {
-		if _, _, err := readTuple(buf[:cut]); err == nil {
+		if _, _, err := readOne(buf[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
+		if n, _ := rowSize(buf[:cut]); n != 0 {
+			t.Errorf("rowSize steps %d bytes over a row truncated at %d", n, cut)
+		}
 	}
+}
+
+// readOne decodes the row at the front of buf into a fresh tuple.
+func readOne(buf []byte) (*tuple.Tuple, int, error) {
+	t := new(tuple.Tuple)
+	_, n, err := ReadRow(buf, t, nil)
+	return t, n, err
 }
 
 func mkTS(ts int64) *tuple.Tuple {
@@ -254,12 +266,12 @@ func TestStoreStockWorkloadRoundTrip(t *testing.T) {
 }
 
 // TestLogChunksViewsAndCap: a Log reads back every row as appended across
-// chunk boundaries, a row larger than a whole chunk included; a view taken
-// mid-way sees exactly the rows before it while appends go on; and the log
-// stops at its row cap.
+// chunk boundaries, a row larger than a whole chunk included; a snapshot
+// taken mid-way sees exactly the rows before it while appends go on; and no
+// chunk outgrows the chunk cap but the one sized to the big row.
 func TestLogChunksViewsAndCap(t *testing.T) {
 	const rows = 5000
-	l := NewLog(rows)
+	l := NewLog(4 << 10)
 	row := func(i int) *tuple.Tuple {
 		s := "v"
 		if i == 1234 {
@@ -269,26 +281,30 @@ func TestLogChunksViewsAndCap(t *testing.T) {
 		r.Seq, r.TS = int64(i), int64(i)
 		return r
 	}
-	var mid LogView
+	var mid Log
 	for i := 0; i < rows; i++ {
-		if !l.Append(row(i)) {
-			t.Fatalf("append %d refused below the cap", i)
-		}
+		l.Append(row(i))
 		if i == rows/2-1 {
-			mid = l.View()
+			mid = l.Snapshot()
 		}
 	}
-	if l.Append(row(rows)) || l.Len() != rows {
-		t.Fatalf("log took a row past its cap: %d rows", l.Len())
+	if l.Len() != rows || l.Bytes() < 2*maxChunk {
+		t.Fatalf("%d rows, %d bytes: want the big row to start its own chunk", l.Len(), l.Bytes())
 	}
-	if len(l.chunks) < 3 || l.Bytes() < 2*maxChunk {
-		t.Fatalf("%d chunks, %d bytes: want the big row to start its own", len(l.chunks), l.Bytes())
+	big := 0
+	for _, c := range l.chunks {
+		if cap(c.buf) > maxChunk {
+			big++
+		}
+	}
+	if len(l.chunks) < 3 || big != 1 {
+		t.Fatalf("%d chunks, %d of them past the cap: want one, the big row's", len(l.chunks), big)
 	}
 	for _, tc := range []struct {
-		v    LogView
+		v    *Log
 		want int
-	}{{mid, rows / 2}, {l.View(), rows}} {
-		got, err := tc.v.Scan(-1<<62, 1<<62)
+	}{{&mid, rows / 2}, {l, rows}} {
+		got, err := tc.v.Decode(tc.v.Locate(0, Mark{}), -1<<62, 1<<62)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +317,54 @@ func TestLogChunksViewsAndCap(t *testing.T) {
 			}
 		}
 	}
-	if got, _ := l.View().Scan(10, 19); len(got) != 10 || got[0].TS != 10 {
+	if got, _ := l.Decode(l.Locate(0, Mark{}), 10, 19); len(got) != 10 || got[0].TS != 10 {
 		t.Errorf("Scan(10, 19) = %d rows", len(got))
+	}
+}
+
+// TestScanAllocatesPerCallNotPerRow: decoding a history or a spooled
+// segment makes a fixed number of allocations however many rows it holds or
+// the range keeps (none of the rows hold a string).
+func TestScanAllocatesPerCallNotPerRow(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSegmentStore(dir, "s", 1<<20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{10, 10000} {
+		l := NewLog(4 << 10)
+		for i := 0; i < n; i++ {
+			r := tuple.New(tuple.Int(int64(i)), tuple.Float(1.5), tuple.Time(int64(i)))
+			r.Seq, r.TS = int64(i), int64(i)
+			l.Append(r)
+		}
+		for _, rng := range [][2]int64{{0, int64(n)}, {2, 5}} {
+			var got []*tuple.Tuple
+			a := testing.AllocsPerRun(10, func() {
+				v := l.Snapshot()
+				got, err = v.Decode(v.Locate(0, Mark{}), rng[0], rng[1])
+			})
+			if want := min(int(rng[1]-rng[0]+1), n); err != nil || len(got) != want || a > 4 {
+				t.Errorf("scan of %v over %d rows: %d rows (want %d), %v allocations, err %v", rng, n, len(got), want, a, err)
+			}
+		}
+		path := s.segPath(int64(n))
+		f, err := os.Create(path)
+		if err == nil {
+			err = errors.Join(l.writeTo(f), f.Close())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := testing.AllocsPerRun(10, func() { _, err = os.ReadFile(path) })
+		a := testing.AllocsPerRun(10, func() {
+			var got []*tuple.Tuple
+			if got, err = readSegmentFile(path); err != nil || len(got) != n {
+				t.Fatalf("segment of %d rows read as %d, err %v", n, len(got), err)
+			}
+		})
+		if a > read+3 {
+			t.Errorf("reading a segment of %d rows allocates %v times, the file read %v", n, a, read)
+		}
 	}
 }

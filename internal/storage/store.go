@@ -15,11 +15,10 @@ import (
 // together, in arrival order, whose TS lie in [minT, maxT]. Segments are
 // immutable once written.
 type segMeta struct {
-	id     int64
-	minT   int64
-	maxT   int64
-	count  int
-	closed bool
+	id    int64
+	minT  int64
+	maxT  int64
+	count int
 }
 
 // SegmentStore spools one stream to disk as a log of segments. Writes are
@@ -33,7 +32,8 @@ type SegmentStore struct {
 	pool    *BufferPool
 
 	// head is the open head segment, newest data, encoded in memory: Append
-	// keeps no caller tuple. headMin and headMax bound its TS.
+	// keeps no caller tuple. headMin and headMax bound its TS. A head whose
+	// flush failed keeps growing until a flush succeeds.
 	head             *Log
 	headMin, headMax int64
 	segs             []*segMeta // closed segments, ascending id
@@ -52,12 +52,8 @@ func NewSegmentStore(dir, name string, segSize int, pool *BufferPool) (*SegmentS
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return &SegmentStore{dir: dir, name: name, segSize: segSize, pool: pool, head: newHead()}, nil
+	return &SegmentStore{dir: dir, name: name, segSize: segSize, pool: pool, head: NewLog(4 << 10)}, nil
 }
-
-// newHead returns an empty head segment. It has no row cap: a head whose
-// flush failed keeps growing until a flush succeeds.
-func newHead() *Log { return NewLog(math.MaxInt) }
 
 func (s *SegmentStore) segPath(id int64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.%06d.seg", s.name, id))
@@ -95,11 +91,10 @@ func (s *SegmentStore) flushLocked() error {
 		return nil
 	}
 	meta := &segMeta{
-		id:     s.nextID,
-		minT:   s.headMin,
-		maxT:   s.headMax,
-		count:  s.head.Len(),
-		closed: true,
+		id:    s.nextID,
+		minT:  s.headMin,
+		maxT:  s.headMax,
+		count: s.head.Len(),
 	}
 	path := s.segPath(meta.id)
 	f, err := os.Create(path)
@@ -115,7 +110,7 @@ func (s *SegmentStore) flushLocked() error {
 	s.nextID++
 	s.segs = append(s.segs, meta)
 	s.flushed += int64(meta.count)
-	s.head = newHead()
+	s.head = NewLog(4 << 10)
 	return nil
 }
 
@@ -123,25 +118,22 @@ func (s *SegmentStore) flushLocked() error {
 func (s *SegmentStore) readSegment(m *segMeta) ([]*tuple.Tuple, error) {
 	key := s.segPath(m.id)
 	if s.pool != nil {
-		return s.pool.Get(key, m.count)
+		return s.pool.Get(key)
 	}
-	return readSegmentFile(key, m.count)
+	return readSegmentFile(key)
 }
 
-func readSegmentFile(path string, count int) ([]*tuple.Tuple, error) {
+// readSegmentFile decodes a segment file into fresh tuples, read as a
+// one-chunk Log.
+func readSegmentFile(path string) ([]*tuple.Tuple, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read segment: %w", err)
 	}
-	out := make([]*tuple.Tuple, 0, count)
-	off := 0
-	for off < len(buf) {
-		t, n, err := readTuple(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("storage: segment %s at %d: %w", path, off, err)
-		}
-		out = append(out, t)
-		off += n
+	l := Log{chunks: []logChunk{{buf: buf}}}
+	out, err := l.Decode(Mark{}, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return nil, fmt.Errorf("storage: segment %s: %w", path, err)
 	}
 	return out, nil
 }
@@ -151,7 +143,7 @@ func readSegmentFile(path string, count int) ([]*tuple.Tuple, error) {
 func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 	s.mu.Lock()
 	segs := append([]*segMeta(nil), s.segs...)
-	head := s.head.View()
+	head := s.head.Snapshot()
 	s.mu.Unlock()
 
 	var out []*tuple.Tuple
@@ -169,7 +161,7 @@ func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 			}
 		}
 	}
-	ts, err := head.Scan(left, right)
+	ts, err := head.Decode(head.Locate(0, Mark{}), left, right)
 	if err != nil {
 		return nil, err
 	}

@@ -36,12 +36,19 @@ func TestValueCompare(t *testing.T) {
 // TestCompareIsATotalOrder checks Compare over values that include NaN,
 // the infinities and both zeros: antisymmetric, transitive, and NaN equal
 // to NaN and above every other number (below every string).
+// unixNS is a unix-nanosecond timestamp, far past 2^53.
+const unixNS = 1_700_000_000_000_000_000
+
 func TestCompareIsATotalOrder(t *testing.T) {
 	nan, otherNaN := math.NaN(), math.Float64frombits(0x7FF0000000000ABC)
 	vals := []Value{
 		Null, Float(math.Inf(-1)), Int(-3), Float(-0.5), Float(math.Copysign(0, -1)),
 		Int(0), Time(0), Bool(true), Float(2.5), Int(1 << 60), Float(math.Inf(1)),
 		Float(nan), Float(otherNaN), String_(""), String_("NaN"), String_("b"),
+		// Past 2^53 float64 rounds integers: they compare as integers.
+		Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1), Float(1 << 53), Float(1<<53 + 2),
+		Time(unixNS), Time(unixNS + 1), Time(unixNS + 99), Float(unixNS),
+		Int(math.MaxInt64), Int(math.MinInt64), Float(0x1p63), Float(-0x1p63), Float(-2.5), Int(-2),
 	}
 	for _, c := range []struct {
 		a, b Value
@@ -52,6 +59,16 @@ func TestCompareIsATotalOrder(t *testing.T) {
 		{Int(math.MaxInt64), Float(nan), -1},
 		{Float(nan), Null, 1},
 		{Float(nan), String_(""), -1},
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Float(1 << 53), Int(1 << 53), 0},
+		{Float(1<<53 + 2), Int(1<<53 + 1), 1},
+		{Time(unixNS + 1), Time(unixNS), 1},
+		{Time(unixNS), Float(unixNS), 0},
+		{Int(math.MaxInt64), Float(0x1p63), -1},
+		{Int(math.MinInt64), Float(-0x1p63), 0},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
 	} {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
@@ -80,6 +97,9 @@ func TestValueHashEqualConsistency(t *testing.T) {
 		{Time(7), Int(7)},
 		{String_("x"), String_("x")},
 		{Float(math.NaN()), Float(math.Float64frombits(0xFFF0000000000001))},
+		{Int(1 << 53), Float(1 << 53)},
+		{Time(unixNS), Float(unixNS)},
+		{Int(math.MinInt64), Float(-0x1p63)},
 	}
 	for _, p := range pairs {
 		if !Equal(p[0], p[1]) {
@@ -87,6 +107,17 @@ func TestValueHashEqualConsistency(t *testing.T) {
 		}
 		if p[0].Hash() != p[1].Hash() {
 			t.Errorf("equal values hash differently: %v vs %v", p[0], p[1])
+		}
+	}
+	// An integer float64 rounds equals no float and hashes by its own bits,
+	// so integers a rounding float64 would merge stay apart.
+	for _, p := range [][2]Value{
+		{Int(1<<53 + 1), Int(1 << 53)},
+		{Time(unixNS + 1), Time(unixNS)},
+		{Int(math.MaxInt64), Float(0x1p63)},
+	} {
+		if Equal(p[0], p[1]) || p[0].Hash() == p[1].Hash() {
+			t.Errorf("%v and %v compare or hash as one value", p[0], p[1])
 		}
 	}
 }

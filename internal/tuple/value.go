@@ -126,7 +126,9 @@ func (v Value) Numeric() bool {
 }
 
 // Compare orders two values. NULLs sort first; numeric kinds compare by
-// value regardless of exact kind, by compareFloat; strings compare
+// value regardless of exact kind and exactly: two integers (INT, BOOL, TIME)
+// by their int64s, two floats by compareFloat, an integer and a float by
+// compareIntFloat, never through a rounding float64; strings compare
 // lexicographically. Comparing a string against a numeric value orders the
 // numeric first. It is a total order: NaN equals NaN and sorts above every
 // other number.
@@ -142,7 +144,15 @@ func Compare(a, b Value) int {
 	case b.K == KindNull:
 		return 1
 	case an && bn:
-		return compareFloat(a.AsFloat(), b.AsFloat())
+		switch {
+		case a.K != KindFloat && b.K != KindFloat:
+			return compareInt(a.I, b.I)
+		case a.K == KindFloat && b.K == KindFloat:
+			return compareFloat(a.F, b.F)
+		case a.K == KindFloat:
+			return -compareIntFloat(b.I, a.F)
+		}
+		return compareIntFloat(a.I, b.F)
 	case an:
 		return -1
 	case bn:
@@ -173,6 +183,39 @@ func compareFloat(a, b float64) int {
 		return 0
 	}
 	return compareNaN(a, b)
+}
+
+// compareIntFloat orders integer i against float f exactly: f is cut at
+// its integer part, which int64 holds whenever f lies in int64's range.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	if c := compareInt(i, int64(f)); c != 0 {
+		return c
+	}
+	return compareFloat(math.Trunc(f), f)
+}
+
+// compareInt orders two int64s.
+func compareInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// IntAsFloat returns i as a float64 and whether that float is i exactly:
+// false only for an integer beyond ±2^53 that float64 rounds.
+func IntAsFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < 0x1p63 && int64(f) == i
 }
 
 // compareNaN orders a and b when at least one of them is NaN.
@@ -210,9 +253,15 @@ func (v Value) Hash() uint64 {
 		h = (h ^ 0) * prime64
 	case v.Numeric():
 		// Hash the float64 bit pattern so Int(3) and Float(3.0) collide,
-		// matching Compare/Equal semantics.
-		f := v.AsFloat()
-		u := floatBits(f)
+		// matching Compare/Equal semantics; an integer no float64 equals
+		// hashes by its own bits.
+		u := floatBits(v.F)
+		if v.K != KindFloat {
+			f, exact := IntAsFloat(v.I)
+			if u = uint64(v.I); exact {
+				u = floatBits(f)
+			}
+		}
 		for i := 0; i < 8; i++ {
 			h = (h ^ uint64(byte(u>>(8*i)))) * prime64
 		}

@@ -6,14 +6,14 @@
 #                    internal/ reachability audit, staticcheck (blocking when
 #                    TCQ_REQUIRE_STATICCHECK=1)
 #   check.sh test    build + full test suite, benchmark module vet + tests,
-#                    arrangement coverage floor
+#                    arrangement and storage coverage floors
 #   check.sh race    race-instrumented suite, chaos campaign, soak x50,
 #                    window delivery x20, differential matrix x3, drift
 #                    pin x20, pane dictionary x20, shared-class reuse x20,
 #                    last member out and arrangement walk x20, pull-log
 #                    ring x20, join state x20, wire flushes, FEED runs and
 #                    EO wake x20, fed rows kept by no one x20, fuzz smoke
-#                    (parser, loop, CSV, plan, grouped filter)
+#                    (parser, loop, CSV, plan, grouped filter, row log)
 #   check.sh bench   three smokes with no threshold: BenchmarkWindowFire,
 #                    BenchmarkPullPublish and BenchmarkGroupedFilterProbe
 #                    must run and print their numbers.
@@ -113,19 +113,22 @@ stage_test() {
     (cd benchmark && go vet ./... && go test ./...)
 
     # The arrangement layer is the engine's join-state backbone: one
-    # writer, concurrent readers, encoded values under a pointer-free index. Hold
-    # its line coverage to a floor so the store never drifts out from under
-    # its tests.
-    echo "==> coverage floor: internal/arrange >= 85%"
-    profile=$(mktemp)
-    go test -coverprofile="$profile" ./internal/arrange/ > /dev/null
-    cov=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
-    rm -f "$profile"
-    echo "    internal/arrange coverage: ${cov}%"
-    if awk -v c="$cov" 'BEGIN { exit !(c < 85) }'; then
-        echo "internal/arrange coverage ${cov}% is below the 85% floor" >&2
-        exit 1
-    fi
+    # writer, concurrent readers, encoded values under a pointer-free index.
+    # storage.Log is the one row container under it, the pull logs and
+    # stream history. Hold both packages' line coverage to a floor so
+    # neither drifts out from under its tests.
+    for pkg in arrange storage; do
+        echo "==> coverage floor: internal/$pkg >= 85%"
+        profile=$(mktemp)
+        go test -coverprofile="$profile" ./internal/$pkg/ > /dev/null
+        cov=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
+        rm -f "$profile"
+        echo "    internal/$pkg coverage: ${cov}%"
+        if awk -v c="$cov" 'BEGIN { exit !(c < 85) }'; then
+            echo "internal/$pkg coverage ${cov}% is below the 85% floor" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_race() {
@@ -188,8 +191,8 @@ stage_race() {
     echo "==> join classes under race: last member out, arrangement walk (-count=20)"
     go test -race -count=20 -run 'TestLastMemberOutRetiresClass|TestArrangeStreamFollowsLiveClasses' ./internal/core/
 
-    # The pull log is a ring of encoded chunks that the publisher fills and
-    # ages out while cursors read it, all under one mutex: the model test
+    # The pull log is a storage.Log that the publisher fills and ages out
+    # while cursors read it, all under one mutex: the model test
     # checks every observable against the slice it replaced, the concurrent
     # test wraps the ring under a racing Fetch and FetchEncoded. (The window
     # tests above race a client against the same log from the query's side.)
@@ -227,6 +230,7 @@ stage_race() {
     go test -fuzz=FuzzParseCSV -fuzztime=5s -run '^$' ./internal/ingress/
     go test -fuzz=FuzzRegisterPlan -fuzztime=5s -run '^$' ./internal/core/
     go test -fuzz=FuzzGroupedFilter -fuzztime=5s -run '^$' ./internal/gfilter/
+    go test -fuzz=FuzzLog -fuzztime=5s -run '^$' ./internal/storage/
 }
 
 stage_bench() {
