@@ -597,7 +597,7 @@ func (e *Engine) EvictWindows(watermark int64) int {
 func (e *Engine) Stats() eddy.Stats { return e.ed.Stats() }
 
 // Host returns the engine's eddy as its control plane: stats, module names,
-// probe timing, policy info (eddy/host.go). Unsynchronized like every
+// sampled hop latency, policy info (eddy/host.go). Unsynchronized like every
 // Engine method; callers exclude the ingest goroutine.
 func (e *Engine) Host() *eddy.Eddy { return e.ed }
 

@@ -57,7 +57,9 @@ type Options struct {
 	// TraceSampleRate enables tuple-lineage tracing: each tuple entering
 	// an eddy is sampled with this probability (0 disables, 1 traces
 	// everything) and its module-visit path recorded with per-hop
-	// latency, retrievable via Engine.Traces / the TRACE wire command.
+	// latency, retrievable via Engine.Traces / the TRACE wire command. A
+	// sampled tuple travels through the eddy as a batch of one, through the
+	// same module code as the rest.
 	TraceSampleRate float64
 	// Clock supplies engine-internal timing (trace hop latency, window
 	// fire latency). nil defaults to the real clock; tests inject a
@@ -82,8 +84,7 @@ type Options struct {
 	// Introspect registers the engine's telemetry streams (tcq.stats,
 	// tcq.routes, tcq.pool, tcq.chaos) as ordinary catalog sources fed by a
 	// background collector, so continuous queries can run over the engine's
-	// own runtime state. It also enables sampled probe timing on SteMs and
-	// grouped filters. Idle introspection (streams registered, nobody
+	// own runtime state. Idle introspection (streams registered, nobody
 	// subscribed) costs only the collector's scrape-style tick.
 	Introspect bool
 	// IntrospectInterval is the collector's tick period (default 250ms).

@@ -296,6 +296,36 @@ func TestIntrospectProbeTimerWired(t *testing.T) {
 		}
 		return false
 	})
+	// The eddy samples every module's hops whether or not introspection is
+	// on: each grouped filter and SteM reports its latency, at one worker
+	// and across two shards.
+	for _, workers := range []int{1, 2} {
+		e := NewEngine(Options{Workers: workers})
+		createSR(t, e)
+		q, err := e.Register(`SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 3 AND R.w < 1000`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			for _, s := range []string{"S", "R"} {
+				if err := e.Feed(s, tuple.New(tuple.Int(int64(i%8)), tuple.Int(int64(i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		waitFor(t, fmt.Sprintf("a latency sample on every module at %d workers", workers), func() bool {
+			kinds := map[string]bool{}
+			for _, m := range q.Telemetry().Modules {
+				kind, _, _ := strings.Cut(m.Module, "(")
+				if m.ProbeNanos <= 0 {
+					return false
+				}
+				kinds[kind] = true
+			}
+			return kinds["GF"] && (kinds["Arr"] || kinds["SteM"])
+		})
+		e.Stop()
+	}
 }
 
 // TestIntrospectSharedClassStats exercises telemetry for queries running in

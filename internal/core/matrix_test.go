@@ -425,21 +425,27 @@ func matrixArrival(seed int64) matrixInput {
 	return in
 }
 
-// matrixCell is one point of the configuration lattice.
+// matrixCell is one point of the configuration lattice. A traced cell's
+// engine follows half its tuples (TraceSampleRate 0.5), each of which the
+// eddy routes as a batch of one.
 type matrixCell struct {
 	workers, batch, eos int
-	shed                bool
+	shed, traced        bool
 }
 
 func (c matrixCell) String() string {
-	return fmt.Sprintf("workers=%d,batch=%d,eos=%d,shed=%v", c.workers, c.batch, c.eos, c.shed)
+	s := fmt.Sprintf("workers=%d,batch=%d,eos=%d,shed=%v", c.workers, c.batch, c.eos, c.shed)
+	if c.traced {
+		s += ",traced"
+	}
+	return s
 }
 
 // grid is every (workers, batch) pair at two EOs without shedding.
 func grid(workers, batches []int) (out []matrixCell) {
 	for _, w := range workers {
 		for _, b := range batches {
-			out = append(out, matrixCell{w, b, 2, false})
+			out = append(out, matrixCell{w, b, 2, false, false})
 		}
 	}
 	return out
@@ -491,10 +497,11 @@ func TestDifferentialMatrix(t *testing.T) {
 	for _, c := range grid([]int{1, 2, 4}, []int{1, 7, 64}) {
 		for _, eos := range []int{1, 2, 4} {
 			for _, shed := range []bool{false, true} {
-				cells = append(cells, matrixCell{c.workers, c.batch, eos, shed})
+				cells = append(cells, matrixCell{c.workers, c.batch, eos, shed, false})
 			}
 		}
 	}
+	cells = append(cells, matrixCell{1, 7, 2, false, true}, matrixCell{1, 64, 2, false, true})
 	seeds := matrixSeeds(t)
 	for _, seed := range seeds {
 		m := newMatrixRun(matrixShapes, seed, nil)
@@ -549,7 +556,7 @@ func (s matrixSlice) run(t *testing.T) {
 // Focused gates: each runs the slice of the matrix that pins one
 // subsystem, so a change to it is checked in a second; the whole matrix is
 // the gate for everything. sole is one sequential lattice point.
-var sole = []matrixCell{{1, 1, 1, false}}
+var sole = []matrixCell{{1, 1, 1, false, false}}
 
 func gate(t *testing.T, cells []matrixCell, prefixes ...string) {
 	matrixSlice{shapes: shapesNamed(prefixes...), cells: cells}.run(t)
@@ -598,10 +605,14 @@ func TestParallelSharedClassDelivery(t *testing.T) { gate(t, grid([]int{2}, []in
 // The borrowing class R+S|0=2, copies of its first member churning through
 // it while rows stream.
 func TestBorrowedLineageKeepsMembersExact(t *testing.T) {
-	gate(t, []matrixCell{{1, 8, 1, false}}, "borrow/")
+	gate(t, []matrixCell{{1, 8, 1, false, false}}, "borrow/")
 }
-func TestArrangeChurnSequential(t *testing.T) { gate(t, []matrixCell{{1, 16, 2, true}}, "borrow/") }
-func TestArrangeChurnParallel(t *testing.T)   { gate(t, []matrixCell{{4, 16, 2, true}}, "borrow/") }
+func TestArrangeChurnSequential(t *testing.T) {
+	gate(t, []matrixCell{{1, 16, 2, true, false}}, "borrow/")
+}
+func TestArrangeChurnParallel(t *testing.T) {
+	gate(t, []matrixCell{{4, 16, 2, true, false}}, "borrow/")
+}
 
 // A selection class beside the S⋈R members, the members sharing one class
 // or each alone in an engine of its own.
@@ -630,7 +641,7 @@ func TestNWayRoutingEquivalence(t *testing.T) {
 		return func(ed *eddy.Eddy) { ed.SetPolicy(p); ed.SetNWay(reuse) }
 	}
 	nway := shapesNamed("join/chain", "join/triangle", "join/one-key", "class/4-stream")
-	cells := []matrixCell{{1, 1, 1, false}, {1, 8, 2, false}}
+	cells := []matrixCell{{1, 1, 1, false, false}, {1, 8, 2, false, false}}
 	for _, g := range []struct {
 		name   string
 		policy *matrixPolicy
@@ -722,8 +733,12 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 		t.Helper()
 		t.Fatalf("seed %d, %s: %s\nrepro: %s", m.seed, c, fmt.Sprintf(format, args...), repro)
 	}
-	e := NewEngine(Options{EOs: c.eos, Workers: c.workers, BatchSize: c.batch, Shed: c.shed,
-		Clock: chaos.NewVirtual(time.Time{})})
+	opts := Options{EOs: c.eos, Workers: c.workers, BatchSize: c.batch, Shed: c.shed,
+		Clock: chaos.NewVirtual(time.Time{})}
+	if c.traced {
+		opts.TraceSampleRate = 0.5
+	}
+	e := NewEngine(opts)
 	defer e.Stop()
 	createSRT(t, e)
 	intStream(t, e, "U", "k", "y")

@@ -9,7 +9,6 @@ import (
 	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/cacq"
 	"telegraphcq/internal/catalog"
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/eddy"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/expr"
@@ -28,7 +27,6 @@ type eddyHost interface {
 	Stats() eddy.Stats
 	ModuleNames() []string
 	ModuleProbeNanos() []int64
-	SetProbeTimer(clk chaos.Clock, every int)
 	PolicyInfo() (name string, order []int)
 }
 
@@ -230,11 +228,12 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 		if err != nil {
 			return nil, false, err
 		}
-		if reuse > 0 {
-			par.Host().Barrier(func(shard int, s eddy.Shard) {
+		par.Host().Barrier(func(shard int, s eddy.Shard) {
+			s.Eddy().SetClock(e.opts.Clock)
+			if reuse > 0 {
 				e.planOrders(s.Eddy(), reuse, fmt.Sprintf("%s/s%d", label, shard))
-			})
-		}
+			}
+		})
 		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
 		sc.unregPar = par.Host().RegisterMetrics(e.reg, label)
 		sc.ingest = func(s int, base []*tuple.Tuple) {
@@ -267,9 +266,6 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 		st.subs[e.nextSub] = sc.conns[i]
 		st.mu.Unlock()
 		e.nextSub++
-	}
-	if e.opts.Introspect {
-		sc.host.SetProbeTimer(e.opts.Clock, 0)
 	}
 	sc.registerMetrics()
 	return sc, true, nil

@@ -18,31 +18,22 @@ import (
 
 // Module is a query operator attached to an eddy. Modules are invoked
 // synchronously from the routing loop (the non-preemptive Dispatch Unit
-// model of §4.2.2), so implementations need no internal locking.
+// model of §4.2.2), so implementations need no internal locking. The eddy
+// hands a module whole batches, amortizing per-tuple dispatch and index
+// lookup; a tuple the tracer follows travels as a batch of one.
 type Module interface {
 	// Name identifies the module in stats and diagnostics.
 	Name() string
 	// AppliesTo reports whether tuples spanning src must visit this
 	// module before they can be output.
 	AppliesTo(src tuple.SourceSet) bool
-	// Process handles t. outputs are new tuples the module generated
-	// (e.g. join matches) to be routed onward; pass reports whether t
-	// itself survived (a failed selection returns pass=false).
-	Process(t *tuple.Tuple) (outputs []*tuple.Tuple, pass bool)
-}
-
-// BatchModule is implemented by modules that can evaluate a whole batch in
-// one call, amortizing per-tuple dispatch, lock acquisition, and index
-// lookup. The eddy routes a batch here instead of looping Process when the
-// tracer is off (per-hop trace timing needs per-tuple granularity).
-type BatchModule interface {
-	Module
 	// ProcessBatch handles every tuple of b — all sharing one routing
 	// lineage — and partitions b.Tuples in place: survivors keep their
 	// relative order in b.Tuples[:passed]; dropped tuples land after.
-	// outputs collects the new tuples generated across the whole batch; the
-	// slice may be the module's scratch, valid until its next call, so the
-	// eddy copies the tuples out of it (enqueueRuns) and keeps no part of it.
+	// outputs collects the new tuples generated across the whole batch
+	// (e.g. join matches) to be routed onward; the slice may be the
+	// module's scratch, valid until its next call, so the eddy copies the
+	// tuples out of it (enqueueRuns) and keeps no part of it.
 	ProcessBatch(b *tuple.Batch) (outputs []*tuple.Tuple, passed int)
 }
 
@@ -118,7 +109,6 @@ type Eddy struct {
 	// runScratch is enqueueRuns's reusable run buffer, so run-splitting a
 	// mixed ingest batch allocates nothing in steady state.
 	runScratch []*tuple.Batch
-	selMask    tuple.Mask // reused selection mask for the per-tuple partition adapter
 	appliesC   map[tuple.SourceSet]uint64
 	buildsC    map[tuple.SourceSet]uint64
 	probesC    map[tuple.SourceSet]uint64
@@ -146,18 +136,20 @@ type Eddy struct {
 	tracer   *metrics.Tracer
 	traceTag string
 
-	// clk times sampled hops; injectable so traced runs can execute on a
-	// virtual clock in deterministic tests.
+	// clk times sampled and traced hops; injectable so timed runs can
+	// execute on a virtual clock in deterministic tests.
 	clk chaos.Clock
+	// probeNs is each module's EWMA of ns per tuple over its sampled hops
+	// (step), in module order.
+	probeNs []int64
 
 	// release, when set, receives tuples whose routing is over (SetRelease).
 	release func(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool)
-
-	// probeClk and probeEvery are the last SetProbeTimer arguments, applied
-	// to modules added later too (AddModule).
-	probeClk   chaos.Clock
-	probeEvery int
 }
+
+// sampleEvery is the hop sampler's rate: step clocks a module's batch when
+// its visits cross a multiple of it.
+const sampleEvery = 64
 
 // CheckModuleCount reports whether n modules fit one eddy's 64-bit Done
 // lineage bitmap, with a descriptive error when they do not.
@@ -191,31 +183,9 @@ func New(allSources tuple.SourceSet, policy Policy, out func(*tuple.Tuple), modu
 		clk:      chaos.Real(),
 	}
 	e.stats.Modules = make([]ModuleStats, len(modules))
+	e.probeNs = make([]int64, len(modules))
 	policy.Reset(len(modules))
-	e.wirePolicy(policy)
 	return e
-}
-
-// costSettable is implemented by policies (SelectivityPolicy) that rank by
-// observed per-module cost; the eddy feeds them its modules' probe timers.
-type costSettable interface {
-	SetCostSource(func(idx int) int64)
-}
-
-// wirePolicy connects policy extras — currently the cost source — to this
-// eddy's module set.
-func (e *Eddy) wirePolicy(p Policy) {
-	if cs, ok := p.(costSettable); ok {
-		mods := e.modules
-		cs.SetCostSource(func(idx int) int64 {
-			if idx >= 0 && idx < len(mods) {
-				if pn, ok := mods[idx].(interface{ ProbeNanos() int64 }); ok {
-					return pn.ProbeNanos()
-				}
-			}
-			return 0
-		})
-	}
 }
 
 // orderEntry is one cached probe-order plan.
@@ -258,7 +228,6 @@ func (e *Eddy) SetPolicy(p Policy) {
 	}
 	e.policy = p
 	p.Reset(len(e.modules))
-	e.wirePolicy(p)
 	if e.orderCache != nil {
 		e.orderCache = make(map[uint64]*orderEntry)
 	}
@@ -283,11 +252,8 @@ func (e *Eddy) AddModule(m Module) error {
 	}
 	e.modules = append(e.modules, m)
 	e.stats.Modules = append(e.stats.Modules, ModuleStats{})
-	if pt, ok := m.(probeTimed); ok && e.probeClk != nil {
-		pt.SetProbeTimer(e.probeClk, e.probeEvery)
-	}
+	e.probeNs = append(e.probeNs, 0)
 	e.policy.Reset(len(e.modules))
-	e.wirePolicy(e.policy)
 	e.InvalidateMasks()
 	return nil
 }
@@ -337,8 +303,8 @@ func (e *Eddy) SetRelease(fn func(t *tuple.Tuple, lineage tuple.Bitset, rowDead 
 	e.release = fn
 }
 
-// SetClock replaces the clock used for per-hop trace timing (nil restores
-// the real clock). Call before Ingest.
+// SetClock replaces the clock that times sampled hops and traced spans (nil
+// restores the real clock). Call before Ingest.
 func (e *Eddy) SetClock(clk chaos.Clock) {
 	if clk == nil {
 		clk = chaos.Real()
@@ -475,14 +441,18 @@ func (e *Eddy) putBatch(b *tuple.Batch) {
 }
 
 // enqueueRuns copies ts into internal work batches, splitting on lineage
-// divergence: each run of equal (Source, Done) becomes one batch. Runs are
-// pushed in reverse so the LIFO work list drains them in arrival order.
+// divergence: each run of equal (Source, Done) becomes one batch, and a
+// tuple the tracer follows becomes a batch of its own, so step can time and
+// record its hops. Runs are pushed in reverse so the LIFO work list drains
+// them in arrival order.
 func (e *Eddy) enqueueRuns(ts []*tuple.Tuple) {
 	e.runScratch = e.runScratch[:0]
 	for i := 0; i < len(ts); {
 		j := i + 1
-		for j < len(ts) && ts[j].Source == ts[i].Source && ts[j].Done == ts[i].Done {
-			j++
+		if !e.follows(ts[i]) {
+			for j < len(ts) && ts[j].Source == ts[i].Source && ts[j].Done == ts[i].Done && !e.follows(ts[j]) {
+				j++
+			}
 		}
 		nb := e.getBatch()
 		nb.Tuples = append(nb.Tuples, ts[i:j]...)
@@ -502,6 +472,9 @@ func (e *Eddy) enqueueRuns(ts []*tuple.Tuple) {
 	}
 	e.runScratch = runs[:0]
 }
+
+// follows reports whether the tracer is following t.
+func (e *Eddy) follows(t *tuple.Tuple) bool { return e.tracer != nil && e.tracer.Live(t) }
 
 func (e *Eddy) push(b *tuple.Batch) { e.work = append(e.work, b) }
 
@@ -548,17 +521,30 @@ func (e *Eddy) step(b *tuple.Batch) {
 
 	mod := e.modules[idx]
 	doneBefore := t0.Done
-	var outputs []*tuple.Tuple
-	var passed int
-	if bm, ok := mod.(BatchModule); ok && e.tracer == nil {
-		outputs, passed = bm.ProcessBatch(b)
-	} else {
-		// Per-tuple adapter: modules without a batch entry point, and any
-		// batch when tracing is on (per-hop timing needs tuple granularity).
-		outputs, passed = e.processSeq(mod, b)
-	}
 	n := len(b.Tuples)
 	ms := &e.stats.Modules[idx]
+	// The one hop clock: a batch whose visits cross a multiple of
+	// sampleEvery feeds the module's probe EWMA, and a traced tuple, which
+	// travels alone (enqueueRuns), records its span and forks its outputs.
+	sampled := (ms.Visits+int64(n))/sampleEvery != ms.Visits/sampleEvery
+	traced := n == 1 && e.follows(t0)
+	var start time.Time
+	if sampled || traced {
+		start = e.clk.Now()
+	}
+	outputs, passed := mod.ProcessBatch(b)
+	if sampled || traced {
+		end := e.clk.Now()
+		if sampled {
+			e.foldProbe(idx, end.Sub(start).Nanoseconds()/int64(n))
+		}
+		if traced {
+			e.tracer.Span(t0, mod.Name(), start, end, passed == 1, len(outputs))
+			for _, o := range outputs {
+				e.tracer.Fork(t0, o)
+			}
+		}
+	}
 	ms.Visits += int64(n)
 	e.stats.Visits += int64(n)
 	ms.Passed += int64(passed)
@@ -674,33 +660,13 @@ func (e *Eddy) chooseNWay(t0 *tuple.Tuple, ready uint64) int {
 	return idx
 }
 
-// processSeq routes a batch through mod one tuple at a time, recording
-// survivors in a selection mask and partitioning them to the front of
-// b.Tuples in stable order via the shared mask partition.
-func (e *Eddy) processSeq(mod Module, b *tuple.Batch) (outputs []*tuple.Tuple, passed int) {
-	ts := b.Tuples
-	e.selMask.Reset(len(ts))
-	for i, t := range ts {
-		// Per-hop timing only for sampled tuples: the clock reads stay off
-		// the untraced fast path.
-		traced := e.tracer != nil && e.tracer.Live(t)
-		var hopStart time.Time
-		if traced {
-			hopStart = e.clk.Now()
-		}
-		outs, pass := mod.Process(t)
-		if traced {
-			e.tracer.Span(t, mod.Name(), hopStart, e.clk.Now(), pass, len(outs))
-			for _, o := range outs {
-				e.tracer.Fork(t, o)
-			}
-		}
-		outputs = append(outputs, outs...)
-		if pass {
-			e.selMask.Set(i)
-		}
+// foldProbe folds one sampled hop's ns per tuple into module idx's EWMA.
+func (e *Eddy) foldProbe(idx int, ns int64) {
+	if p := &e.probeNs[idx]; *p == 0 {
+		*p = ns
+	} else {
+		*p = (7**p + ns) / 8
 	}
-	return outputs, b.PartitionByMask(&e.selMask)
 }
 
 // finishBatch retires a batch whose tuples have visited every applicable

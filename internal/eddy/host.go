@@ -3,17 +3,15 @@ package eddy
 import (
 	"math/bits"
 
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/tuple"
 )
 
 // This file is the eddy control plane: how an eddy host — one Eddy run
 // inline by its caller, or a ParallelEddy's hash-partitioned shards — is
-// observed. Both offer Stats, ModuleNames, ModuleProbeNanos, SetProbeTimer
-// and PolicyInfo, so a CACQ class, at one worker or many, is driven through
-// one contract. An Eddy's methods are
-// unsynchronized like the rest of its API; a ParallelEddy's quiesce the
-// shards under a Barrier.
+// observed. Both offer Stats, ModuleNames, ModuleProbeNanos and PolicyInfo,
+// so a CACQ class, at one worker or many, is driven through one contract.
+// An Eddy's methods are unsynchronized like the rest of its API; a
+// ParallelEddy's quiesce the shards under a Barrier.
 
 // Add accumulates o into s, folding shard eddies into one logical eddy's
 // Stats: every shard builds the same module list, so per-module counters
@@ -47,13 +45,6 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// probeTimed is any module offering sampled probe latency measurement
-// (grouped filters and SteM modules).
-type probeTimed interface {
-	SetProbeTimer(clk chaos.Clock, every int)
-	ProbeNanos() int64
-}
-
 // ModuleNames returns the module names in Stats order.
 func (e *Eddy) ModuleNames() []string {
 	names := make([]string, len(e.modules))
@@ -63,28 +54,10 @@ func (e *Eddy) ModuleNames() []string {
 	return names
 }
 
-// ModuleProbeNanos returns each module's sampled probe latency EWMA in
-// Stats order (0 for modules without probe timing).
-func (e *Eddy) ModuleProbeNanos() []int64 {
-	out := make([]int64, len(e.modules))
-	for i, m := range e.modules {
-		if pt, ok := m.(probeTimed); ok {
-			out[i] = pt.ProbeNanos()
-		}
-	}
-	return out
-}
-
-// SetProbeTimer enables sampled probe/filter latency measurement on every
-// module that supports it (see stem.SteM.SetProbeTimer).
-func (e *Eddy) SetProbeTimer(clk chaos.Clock, every int) {
-	e.probeClk, e.probeEvery = clk, every
-	for _, m := range e.modules {
-		if pt, ok := m.(probeTimed); ok {
-			pt.SetProbeTimer(clk, every)
-		}
-	}
-}
+// ModuleProbeNanos returns each module's sampled hop latency, an EWMA of ns
+// per tuple visit on the eddy's clock, in Stats order (0 until the module's
+// first sampled hop).
+func (e *Eddy) ModuleProbeNanos() []int64 { return append([]int64(nil), e.probeNs...) }
 
 // Eddy makes *Eddy a Shard: it is its own eddy.
 func (e *Eddy) Eddy() *Eddy { return e }
@@ -102,8 +75,8 @@ func (pe *ParallelEddy) Stats() Stats {
 // also calls this.
 func (pe *ParallelEddy) ModuleNames() []string { return pe.shards[0].Eddy().ModuleNames() }
 
-// ModuleProbeNanos returns the per-module probe latency EWMA, averaged
-// across the shards that have a sample (barrier snapshot).
+// ModuleProbeNanos returns the per-module hop latency EWMA, averaged across
+// the shards that have a sample (barrier snapshot).
 func (pe *ParallelEddy) ModuleProbeNanos() []int64 {
 	var sums, counts []int64
 	pe.Barrier(func(_ int, s Shard) {
@@ -125,12 +98,6 @@ func (pe *ParallelEddy) ModuleProbeNanos() []int64 {
 		}
 	}
 	return sums
-}
-
-// SetProbeTimer enables sampled probe latency measurement on every shard's
-// modules (barrier: applied atomically w.r.t. in-flight tuples).
-func (pe *ParallelEddy) SetProbeTimer(clk chaos.Clock, every int) {
-	pe.Barrier(func(_ int, s Shard) { s.Eddy().SetProbeTimer(clk, every) })
 }
 
 // PolicyInfo reports shard 0's policy kind and module ranking: every shard

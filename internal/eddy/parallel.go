@@ -306,7 +306,7 @@ func (pe *ParallelEddy) Close() {
 
 // Barrier quiesces the shards — waits until every worker has processed all
 // it was sent, then locks out the workers — and runs fn once per shard. Use
-// it to mutate shard state (add or remove standing queries, set probe timers)
+// it to mutate shard state (add or remove standing queries, set the clock)
 // or snapshot shard statistics without racing the workers. The driver is
 // locked out for the duration; outputs already handed to the merge stage
 // keep flowing.

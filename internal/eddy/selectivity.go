@@ -13,13 +13,11 @@ import (
 // in flight after the module. Filters that drop a lot and SteMs with low
 // join fanout score low and are probed first — the classic
 // rank-by-selectivity ordering, but re-estimated continuously so the chain
-// re-plans itself when the data drifts. When probe timers are enabled
-// (introspection), observed per-module probe latency breaks ties so equally
-// selective modules order cheapest-first.
+// re-plans itself when the data drifts. Equally selective modules order by
+// index, so observing a module's latency never changes a plan.
 type SelectivityPolicy struct {
 	rng     *rand.Rand
 	rate    []float64 // EWMA of pass+produced per visit; lower is better
-	cost    func(idx int) int64
 	alpha   float64
 	explore float64
 }
@@ -34,23 +32,12 @@ func NewSelectivityPolicy(seed int64) *SelectivityPolicy {
 	}
 }
 
-// SetCostSource wires a per-module cost estimate (cumulative probe
-// nanoseconds); the eddy installs one over its modules' probe timers.
-func (p *SelectivityPolicy) SetCostSource(fn func(idx int) int64) { p.cost = fn }
-
 // Reset implements Policy.
 func (p *SelectivityPolicy) Reset(n int) {
 	p.rate = make([]float64, n)
 	for i := range p.rate {
 		p.rate[i] = 1 // optimistic prior: every module starts mid-rank
 	}
-}
-
-func (p *SelectivityPolicy) costOf(i int) int64 {
-	if p.cost == nil {
-		return 0
-	}
-	return p.cost(i)
 }
 
 // Choose implements Policy: the lowest-rate ready module, with a small
@@ -80,15 +67,11 @@ func (p *SelectivityPolicy) Choose(_ *tuple.Tuple, ready uint64) int {
 	return best
 }
 
-// less ranks module a strictly before b: lower EWMA rate first, observed
-// probe cost then index breaking ties.
+// less ranks module a strictly before b: lower EWMA rate first, index
+// breaking ties.
 func (p *SelectivityPolicy) less(a, b int) bool {
 	if p.rate[a] != p.rate[b] {
 		return p.rate[a] < p.rate[b]
-	}
-	ca, cb := p.costOf(a), p.costOf(b)
-	if ca != cb {
-		return ca < cb
 	}
 	return a < b
 }

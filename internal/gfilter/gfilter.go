@@ -42,10 +42,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 	"unsafe"
 
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
 )
@@ -543,15 +541,6 @@ type Module struct {
 
 	// mask is the reused selection bitmap for the batch partition.
 	mask tuple.Mask
-
-	// Sampled probe timing (SetProbeTimer): every probeEvery-th batch or
-	// tuple pass through the shared index is clocked into an EWMA, so
-	// introspection sees grouped-filter probe latency without per-tuple
-	// clock reads.
-	probeClk   chaos.Clock
-	probeEvery int64
-	probeCalls int64
-	probeNanos int64
 }
 
 // NewModule wraps g as an eddy module.
@@ -560,65 +549,16 @@ func NewModule(name string, g *GroupedFilter) *Module { return &Module{GroupedFi
 // Name implements eddy.Module.
 func (m *Module) Name() string { return m.name }
 
-// SetProbeTimer enables sampled filter-pass latency measurement on clk
-// (nil disables); every < 1 defaults to 64 calls between samples.
-func (m *Module) SetProbeTimer(clk chaos.Clock, every int) {
-	if every < 1 {
-		every = 64
-	}
-	m.probeClk = clk
-	m.probeEvery = int64(every)
-}
-
-// ProbeNanos returns the sampled filter-pass latency EWMA per tuple (0
-// until a sample lands).
-func (m *Module) ProbeNanos() int64 { return m.probeNanos }
-
-// probeStart reports whether this pass — covering n tuples — is sampled.
-// The counter advances by tuple count so batched passes sample at the
-// same rate as single ones.
-func (m *Module) probeStart(n int) (time.Time, bool) {
-	if m.probeClk == nil || n < 1 {
-		return time.Time{}, false
-	}
-	before := m.probeCalls
-	m.probeCalls += int64(n)
-	if before/m.probeEvery == m.probeCalls/m.probeEvery {
-		return time.Time{}, false
-	}
-	return m.probeClk.Now(), true
-}
-
-func (m *Module) probeEnd(start time.Time, tuples int) {
-	if tuples < 1 {
-		tuples = 1
-	}
-	lat := m.probeClk.Since(start).Nanoseconds() / int64(tuples)
-	if m.probeNanos == 0 {
-		m.probeNanos = lat
-	} else {
-		m.probeNanos = (7*m.probeNanos + lat) / 8
-	}
-}
-
 // AppliesTo implements eddy.Module: an empty filter (no registered
 // factors) applies to nothing, so idle columns cost no routing visits.
 func (m *Module) AppliesTo(src tuple.SourceSet) bool {
 	return !m.Empty() && src.Contains(m.owns)
 }
 
-// Process implements eddy.Module: lineage bits of failing queries are
-// cleared; the tuple dies once no query wants it.
-func (m *Module) Process(t *tuple.Tuple) ([]*tuple.Tuple, bool) {
-	if start, sampled := m.probeStart(1); sampled {
-		defer m.probeEnd(start, 1)
-	}
-	return nil, m.Apply(t)
-}
-
-// ProcessBatch implements eddy.BatchModule: the whole batch runs against
-// the shared sub-indexes in one pass (any pending rebuild is paid once),
-// survivors stably partitioned to the front.
+// ProcessBatch implements eddy.Module: the whole batch runs against the
+// shared sub-indexes in one pass (any pending rebuild is paid once),
+// survivors stably partitioned to the front; lineage bits of failing
+// queries are cleared, and a tuple dies once no query wants it.
 //
 //tcq:hotpath
 func (m *Module) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
@@ -626,9 +566,6 @@ func (m *Module) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
 		m.rebuild()
 	}
 	ts := b.Tuples
-	if start, sampled := m.probeStart(len(ts)); sampled {
-		defer m.probeEnd(start, len(ts))
-	}
 	m.mask.Reset(len(ts))
 	for i, t := range ts {
 		if m.Apply(t) {

@@ -431,7 +431,7 @@ func TestModuleInterface(t *testing.T) {
 	tp := l.Widen(0, tuple.New(tuple.Int(3)))
 	tp.Queries = tuple.NewBitset(1)
 	tp.Queries.Set(0)
-	if _, pass := m.Process(tp); pass {
+	if _, passed := m.ProcessBatch(&tuple.Batch{Tuples: []*tuple.Tuple{tp}}); passed != 0 {
 		t.Error("tuple failing all queries passed")
 	}
 }

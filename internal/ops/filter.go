@@ -42,12 +42,7 @@ func (f *Filter) Predicate() expr.Predicate { return f.pred }
 // carrying the column it tests.
 func (f *Filter) AppliesTo(src tuple.SourceSet) bool { return src.Contains(f.owns) }
 
-// Process implements eddy.Module.
-func (f *Filter) Process(t *tuple.Tuple) ([]*tuple.Tuple, bool) {
-	return nil, f.pred.Eval(t)
-}
-
-// ProcessBatch implements eddy.BatchModule: the whole batch is evaluated
+// ProcessBatch implements eddy.Module: the whole batch is evaluated
 // under one dispatch into a selection mask, survivors stably partitioned
 // to the front by the shared mask partition.
 //
@@ -65,43 +60,3 @@ func (f *Filter) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
 
 // String describes the filter.
 func (f *Filter) String() string { return fmt.Sprintf("Filter[%s %s]", f.name, f.pred) }
-
-// CostedFilter wraps a Filter with an artificial per-tuple cost, used by
-// experiments to model expensive predicates (e.g. remote lookups) whose
-// optimal ordering the eddy must discover.
-type CostedFilter struct {
-	*Filter
-	// Spin is the number of busy-work iterations per tuple.
-	Spin int
-}
-
-// NewCostedFilter builds a filter burning spin iterations per evaluation.
-func NewCostedFilter(name string, layout *tuple.Layout, pred expr.Predicate, spin int) *CostedFilter {
-	return &CostedFilter{Filter: NewFilter(name, layout, pred), Spin: spin}
-}
-
-// Process implements eddy.Module.
-func (f *CostedFilter) Process(t *tuple.Tuple) ([]*tuple.Tuple, bool) {
-	sink := 0
-	for i := 0; i < f.Spin; i++ {
-		sink += i
-	}
-	costSink = sink
-	return f.Filter.Process(t)
-}
-
-// ProcessBatch shadows the embedded Filter's batch path so the artificial
-// per-tuple cost is still paid for every tuple in the batch.
-func (f *CostedFilter) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
-	sink := 0
-	for range b.Tuples {
-		for i := 0; i < f.Spin; i++ {
-			sink += i
-		}
-	}
-	costSink = sink
-	return f.Filter.ProcessBatch(b)
-}
-
-// costSink defeats dead-code elimination of the busy loop.
-var costSink int

@@ -32,19 +32,9 @@ func TestFilterModule(t *testing.T) {
 	if f.AppliesTo(tuple.SingleSource(1)) {
 		t.Error("filter applied to foreign stream")
 	}
-	if _, pass := f.Process(mk(l, 7, 0)); !pass {
-		t.Error("7 >= 5 should pass")
-	}
-	if _, pass := f.Process(mk(l, 3, 0)); pass {
-		t.Error("3 >= 5 should fail")
-	}
-}
-
-func TestCostedFilterBurnsAndFilters(t *testing.T) {
-	l := singleLayout()
-	f := NewCostedFilter("slow", l, expr.Predicate{Col: 0, Op: expr.Lt, Val: tuple.Int(5)}, 100)
-	if _, pass := f.Process(mk(l, 3, 0)); !pass {
-		t.Error("costed filter wrong result")
+	b := &tuple.Batch{Tuples: []*tuple.Tuple{mk(l, 3, 0), mk(l, 7, 0)}}
+	if _, passed := f.ProcessBatch(b); passed != 1 || b.Tuples[0].Vals[0].AsInt() != 7 {
+		t.Errorf("passed %d, first %v: want only 7 >= 5 to pass", passed, b.Tuples[0].Vals)
 	}
 }
 

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
@@ -52,13 +51,6 @@ func NewSteMModule(st *stem.SteM, layout *tuple.Layout, preds []expr.JoinPredica
 // SteM returns the wrapped state module.
 func (m *SteMModule) SteM() *stem.SteM { return m.stem }
 
-// SetProbeTimer enables sampled probe latency measurement on the wrapped
-// SteM (see stem.SteM.SetProbeTimer).
-func (m *SteMModule) SetProbeTimer(clk chaos.Clock, every int) { m.stem.SetProbeTimer(clk, every) }
-
-// ProbeNanos returns the wrapped SteM's sampled probe latency EWMA.
-func (m *SteMModule) ProbeNanos() int64 { return m.stem.Stats().ProbeNanos }
-
 // Name implements eddy.Module. A SteM front over a shared arrangement
 // reports as Arr(...) so introspection (tcq.stats, EXPLAIN, TOP) shows
 // which state is shared.
@@ -90,35 +82,9 @@ func (m *SteMModule) AppliesTo(src tuple.SourceSet) bool {
 	return false
 }
 
-// Process implements eddy.Module.
-func (m *SteMModule) Process(t *tuple.Tuple) ([]*tuple.Tuple, bool) {
-	if t.Source == m.stem.Spans() {
-		if err := m.stem.Build(t); err != nil {
-			panic(fmt.Sprintf("ops: %v", err)) // routing invariant violated
-		}
-		return nil, true
-	}
-	// Select the predicates evaluable on this probe.
-	var preds []expr.JoinPredicate
-	probeKey := -1
-	for i, p := range m.preds {
-		if t.Source.Contains(m.leftOwners[i]) {
-			preds = append(preds, p)
-			if i == m.eqPred {
-				probeKey = p.LeftCol
-			}
-		}
-	}
-	matches := m.stem.Probe(t, probeKey, preds)
-	// The probe tuple itself passes: it has now been handled by this
-	// module; its matches carry the joint lineage onward.
-	return matches, true
-}
-
-// ProcessBatch implements eddy.BatchModule. A lineage-homogeneous batch is
+// ProcessBatch implements eddy.Module. A lineage-homogeneous batch is
 // either all builds or all probes; builds insert in one BuildBatch call and
-// probes share one predicate selection and one ProbeBatch call, amortizing
-// the per-tuple dispatch and predicate-slice allocation of Process.
+// probes share one predicate selection and one ProbeBatch call.
 func (m *SteMModule) ProcessBatch(b *tuple.Batch) ([]*tuple.Tuple, int) {
 	ts := b.Tuples
 	if len(ts) == 0 {

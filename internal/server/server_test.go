@@ -473,6 +473,39 @@ func TestTraceCommand(t *testing.T) {
 	if _, err := c.Trace(99); err == nil {
 		t.Error("TRACE of unknown query succeeded")
 	}
+
+	// A join result's trace is forked from the probe that produced it: it
+	// carries the fork edge and the probe tuple's path so far, its build
+	// into one SteM and its probe of the other.
+	for _, s := range []string{"a", "b"} {
+		if err := c.CreateStream(s, "x INT", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jid, err := c.Query(`SELECT a.x, b.x FROM a, b WHERE a.x = b.x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		for _, s := range []string{"a", "b"} {
+			if err := c.Feed(s, fmt.Sprintf("%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitRows(t, c, jid, 5)
+	if rows, err = c.Trace(jid); err != nil {
+		t.Fatal(err)
+	}
+	forked := false
+	for _, r := range rows {
+		forked = forked || strings.Contains(r, "emitted=true") && strings.Contains(r, "fork-of=") &&
+			strings.Contains(r, "Arr(a)") && strings.Contains(r, "Arr(b)")
+	}
+	if !forked {
+		t.Errorf("TRACE has no emitted join result forked after a build and a probe hop:\n%s",
+			strings.Join(rows, "\n"))
+	}
 }
 
 func TestTraceDisabled(t *testing.T) {

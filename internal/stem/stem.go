@@ -13,10 +13,8 @@ package stem
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"telegraphcq/internal/arrange"
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
@@ -25,8 +23,7 @@ import (
 // SteM is a state module: the per-query front of an arrangement
 // (internal/arrange), which holds the values — hash index, ordered store and
 // eviction. The front keeps what is per-SteM: span checks, the stored block,
-// predicate verification, merge construction, counters and sampled probe
-// timing. It keeps no build tuple: a built row is the caller's again the
+// predicate verification, merge construction and counters. It keeps no build tuple: a built row is the caller's again the
 // moment BuildBatch returns. It is
 // not safe for concurrent use: within an eddy, SteMs are invoked
 // synchronously from the routing loop (the paper's non-preemptive Dispatch
@@ -61,14 +58,6 @@ type SteM struct {
 	windowed bool
 
 	builds, probes, matches, evicted int64
-
-	// Sampled probe timing (SetProbeTimer): every probeEvery-th probe call
-	// is clocked and folded into an EWMA, so introspection sees probe
-	// latency without a clock read on every probe.
-	probeClk   chaos.Clock
-	probeEvery int64
-	probeCalls int64
-	probeNanos int64
 }
 
 // Option configures a SteM.
@@ -142,47 +131,6 @@ func (s *SteM) Size() int { return s.store.Len() }
 // the stored stream set).
 func (s *SteM) Accepts(t *tuple.Tuple) bool { return t.Source == s.spans }
 
-// SetProbeTimer enables sampled probe latency measurement: roughly one in
-// every `every` probed tuples triggers a clocked probe whose latency folds
-// into the EWMA that Stats reports as ProbeNanos (per probe tuple). clk
-// nil disables; every < 1 defaults to 64.
-func (s *SteM) SetProbeTimer(clk chaos.Clock, every int) {
-	if every < 1 {
-		every = 64
-	}
-	s.probeClk = clk
-	s.probeEvery = int64(every)
-}
-
-// probeStart reports whether this probe call — covering n tuples — is
-// sampled, returning its clocked start when so. The counter advances by
-// tuple count so batched probes sample at the same rate as single ones.
-func (s *SteM) probeStart(n int) (time.Time, bool) {
-	if s.probeClk == nil || n < 1 {
-		return time.Time{}, false
-	}
-	before := s.probeCalls
-	s.probeCalls += int64(n)
-	if before/s.probeEvery == s.probeCalls/s.probeEvery {
-		return time.Time{}, false
-	}
-	return s.probeClk.Now(), true
-}
-
-// probeEnd folds one sampled probe latency (normalized per probe tuple)
-// into the EWMA.
-func (s *SteM) probeEnd(start time.Time, tuples int) {
-	if tuples < 1 {
-		tuples = 1
-	}
-	lat := s.probeClk.Since(start).Nanoseconds() / int64(tuples)
-	if s.probeNanos == 0 {
-		s.probeNanos = lat
-	} else {
-		s.probeNanos = (7*s.probeNanos + lat) / 8
-	}
-}
-
 // Build inserts a tuple. It returns an error if the tuple does not span the
 // SteM's stream set — that indicates an eddy routing bug.
 func (s *SteM) Build(t *tuple.Tuple) error {
@@ -235,9 +183,6 @@ func (s *SteM) growNarrow(n int) {
 // set) that share nothing with the store but, perhaps, a lineage template.
 func (s *SteM) ProbeBatch(ps []*tuple.Tuple, probeKey int, preds []expr.JoinPredicate, out []*tuple.Tuple) []*tuple.Tuple {
 	s.probes += int64(len(ps))
-	if start, sampled := s.probeStart(len(ps)); sampled {
-		defer s.probeEnd(start, len(ps))
-	}
 	before := len(out)
 	indexed := s.keyCol >= 0 && probeKey >= 0
 	s.store.Read(func(r arrange.Rows) {
@@ -292,13 +237,10 @@ func (s *SteM) Evict(watermark int64) int {
 type Stats struct {
 	Builds, Probes, Matches, Evicted int64
 	Size                             int
-	// ProbeNanos is the sampled probe latency EWMA per probe tuple
-	// (0 until SetProbeTimer is enabled and a sample lands).
-	ProbeNanos int64
 }
 
 // Stats returns activity counters.
 func (s *SteM) Stats() Stats {
 	return Stats{Builds: s.builds, Probes: s.probes, Matches: s.matches,
-		Evicted: s.evicted, Size: s.Size(), ProbeNanos: s.probeNanos}
+		Evicted: s.evicted, Size: s.Size()}
 }

@@ -44,9 +44,8 @@ func (b *Batch) Len() int { return len(b.Tuples) }
 // mask: rows whose bit is set move to the front (order preserved), rows
 // whose bit is clear follow (order preserved), and the survivor count is
 // returned. This is the one shared implementation of mask-based survivor
-// selection — filters, grouped filters, and the eddy's per-tuple adapter
-// all evaluate into a Mask and call it, instead of each keeping a private
-// dropped-tuple splice.
+// selection — filters and grouped filters evaluate into a Mask and call
+// it, instead of each keeping a private dropped-tuple splice.
 func (b *Batch) PartitionByMask(m *Mask) int {
 	ts := b.Tuples
 	b.scratch = b.scratch[:0]

@@ -179,9 +179,11 @@ stage_race() {
     # kept, while push clients, sinks and cursors still read the rows that
     # were kept; lineage comes off a row before it is delivered: hold the
     # steady-state allocation bound, the lineage-free delivery and the two
-    # use-after-free differentials to twenty race-instrumented passes.
-    echo "==> shared-class row and lineage reuse under race (-count=20)"
-    go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe|TestClientRowsAreNeverReused' ./internal/core/
+    # use-after-free differentials to twenty race-instrumented passes, and
+    # beside them the eddy's one hop clock: sampled latency per module, and
+    # probe orders that do not depend on it.
+    echo "==> shared-class row and lineage reuse, hop sampler under race (-count=20)"
+    go test -race -count=20 -run 'TestSharedClassSteadyStateAllocs|TestSharedDeliveryCarriesNoLineage|TestSharedReleaseIsUseAfterFreeSafe|TestClientRowsAreNeverReused|TestOneHopSampler' ./internal/core/ ./internal/eddy/
 
     # The last member out retires its join class while other goroutines
     # register into the same key, and the arrangement gauges and tcq.arrange
