@@ -536,14 +536,15 @@ func (e *Engine) IngestWide(t *tuple.Tuple) { e.ed.Ingest(t) }
 // per-query delivery: fn receives every completion whose lineage is still
 // live and whose span matches at least one standing footprint. A shard
 // engine inside a Parallel uses it to forward results — lineage bitmap
-// intact — to the merge stage, where the front engine delivers them.
+// intact — to the merge stage, where the front engine delivers them. A
+// forwarded tuple counts as delivered.
 func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
-	e.ed.SetCompletionHook(func(t *tuple.Tuple, lineage tuple.Bitset) bool {
+	e.ed.SetCompletionHook(func(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool) {
 		if !lineage.Any() || len(e.byFootprint[t.Source]) == 0 {
-			return false
+			return false, false
 		}
 		fn(t)
-		return true
+		return true, true
 	})
 }
 
@@ -557,9 +558,10 @@ func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
 // skipped, matching the old member-list semantics exactly. lineage is t's
 // Queries bitmap, which the eddy may already have taken off the row. It
 // reports whether some member received t itself (a query without a
-// projection). A member's projected row is its own: one its Emit did not
-// keep is the next projection's target (Query.spare).
-func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
+// projection), and whether any member was delivered it. A member's
+// projected row is its own: one its Emit did not keep is the next
+// projection's target (Query.spare).
+func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool) {
 	src := t.Source
 	lineage.ForEach(func(id int) {
 		q := e.queries[id]
@@ -567,6 +569,7 @@ func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 			return
 		}
 		q.delivered++
+		delivered = true
 		switch {
 		case q.Emit == nil:
 		case q.proj == nil:
@@ -580,7 +583,7 @@ func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept bool) {
 			}
 		}
 	})
-	return kept
+	return kept, delivered
 }
 
 // EvictWindows drops SteM state older than watermark across all shared

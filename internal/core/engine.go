@@ -127,8 +127,8 @@ type streamState struct {
 	// subs is keyed by subscription id: one query may subscribe to the
 	// same stream at several FROM positions (self-joins, paper Ex. 4).
 	subs map[int]*fjord.Conn
-	// hist retains every tuple's values in memory when spooling is off
-	// (nil with a store), up to histCap rows, so late-registered queries can
+	// hist retains tuples' values in memory when spooling is off (nil with
+	// a store), the newest histCap rows, so late-registered queries can
 	// still see old data (PSoup semantics). It is an encoded log: it keeps
 	// no fed tuple.
 	hist    *storage.Log
@@ -413,9 +413,14 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 				ts = ts[:i] // the spooled prefix is fed all the same
 				break
 			}
-		} else if st.hist.Len() < st.histCap { // past the cap, history stops growing
+		} else {
 			st.hist.Append(t)
 		}
+	}
+	if st.store == nil && st.hist.Len() > st.histCap {
+		// Past the cap the oldest rows age out: a query registered later
+		// sees the newest histCap rows.
+		st.hist.TruncateFront(st.hist.Start() + int64(st.hist.Len()-st.histCap))
 	}
 	// Snapshot the subscribers into a stack array: a make sized by the map
 	// escapes, one allocation per Feed. Only past eight does append move to
@@ -430,43 +435,42 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 	st.mu.Unlock()
 	st.fed.Add(int64(len(ts)))
 
+	// Each subscriber's clones come from the pool fanOut at a time, into a
+	// stack buffer: one pool lock and one queue lock per chunk, and no
+	// allocation per call.
+	var buf [fanOut]*tuple.Tuple
 	for _, c := range subs {
 		if c.Q.Closed() {
 			// A consumer that has ended (a windowed loop past its last
 			// instance) is leaving the stream: clone nothing for it.
 			continue
 		}
-		if shed {
-			// QoS mode: never stall the producer; the queue counts
-			// the shed tuples (§4.3 "deciding what work to drop when
-			// the system is in danger of falling behind").
-			for _, t := range ts {
-				if clone := t.CloneUsing(e.recycler); !c.Q.Push(clone) && e.recycler != nil {
-					e.recycler.Put(clone)
-				}
+		for rest := ts; len(rest) > 0; {
+			run := buf[:min(len(rest), fanOut)]
+			e.recycler.CloneMany(run, rest[:len(run)])
+			rest = rest[len(run):]
+			var n int
+			if shed {
+				// QoS mode: never stall the producer; the queue counts
+				// the shed tuples (§4.3 "deciding what work to drop when
+				// the system is in danger of falling behind").
+				n = c.Q.PushMany(run)
+			} else {
+				// Default: back-pressure the producer rather than drop,
+				// matching the pull-queue modality on the ingestion side.
+				n = c.Q.PushWaitMany(run)
 			}
-			continue
-		}
-		// Default: back-pressure the producer rather than drop,
-		// matching the pull-queue modality on the ingestion side.
-		if len(ts) == 1 {
-			c.Q.PushWait(ts[0].CloneUsing(e.recycler))
-			continue
-		}
-		clones := make([]*tuple.Tuple, len(ts))
-		for i, t := range ts {
-			clones[i] = t.CloneUsing(e.recycler)
-		}
-		n := c.Q.PushWaitMany(clones)
-		if e.recycler != nil {
-			// Short only when the queue closed mid-batch; reclaim the rest.
-			for _, cl := range clones[n:] {
+			for _, cl := range run[n:] { // shed, or the queue closed
 				e.recycler.Put(cl)
 			}
 		}
 	}
 	return len(ts), err
 }
+
+// fanOut is how many subscriber clones feedMany takes from the pool and
+// pushes at a time.
+const fanOut = 64
 
 // AttachSource pumps an ingress source into a stream until the source
 // ends. A reader goroutine pulls tuples one at a time (Source.Next is
@@ -539,16 +543,16 @@ func (e *Engine) AttachSource(stream string, src ingress.Source) (wait func() er
 }
 
 // historyRange returns the retained tuples of a stream in [left, right],
-// decoded into fresh copies. The in-memory log is snapshotted under st.mu
-// and decoded outside it, so a long history does not stall feeders.
+// decoded into fresh copies. The in-memory log is decoded under st.mu from
+// its oldest held row: feeders age rows out of its front, and a chunk they
+// retire is written over by the next one opened.
 func (st *streamState) historyRange(left, right int64) ([]*tuple.Tuple, error) {
 	if st.store != nil {
 		return st.store.ScanRange(left, right)
 	}
 	st.mu.Lock()
-	v := st.hist.Snapshot()
-	st.mu.Unlock()
-	return v.Decode(v.Locate(0, storage.Mark{}), left, right)
+	defer st.mu.Unlock()
+	return st.hist.Decode(st.hist.Locate(st.hist.Start(), storage.Mark{}), left, right)
 }
 
 // TuplePool returns the engine's tuple recycler. A caller that feeds a

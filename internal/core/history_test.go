@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/tuple"
 )
 
@@ -170,6 +172,85 @@ func TestHistoryGauges(t *testing.T) {
 	t.Logf("%.1f bytes of history per row", bytes/n)
 	if bytes/n >= 32 {
 		t.Errorf("tcq_stream_history_bytes = %v: %.1f bytes a row, want under 32", bytes, bytes/n)
+	}
+}
+
+// TestHistoryKeepsNewestRowsPastCap: past its row cap a stream's history
+// ages out its oldest rows, so a windowed query registered afterwards over
+// the newest rows finds them and fires (the parent kept the first rows and
+// dropped every later one, and such an instance never fired).
+func TestHistoryKeepsNewestRowsPastCap(t *testing.T) {
+	const capRows, n = 1000, 5000
+	e := NewEngine(Options{EOs: 1})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b")
+	st, err := e.stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	st.histCap = capRows
+	st.mu.Unlock()
+	run := make([]*tuple.Tuple, 0, 37)
+	for i := 1; i <= n; i++ {
+		run = append(run, tuple.New(tuple.Int(int64(i)), tuple.Int(int64(2*i))))
+		if len(run) == cap(run) || i == n {
+			if fed, err := e.FeedMany("s", run); fed != len(run) || err != nil {
+				t.Fatalf("FeedMany fed %d of %d: %v", fed, len(run), err)
+			}
+			run = run[:0]
+		}
+	}
+	if rows := metricValue(t, e, `tcq_stream_history_rows{stream="s"}`); rows != capRows {
+		t.Errorf("tcq_stream_history_rows = %v, want %d", rows, capRows)
+	}
+	q, err := e.Register(fmt.Sprintf(`SELECT * FROM s
+		for (; t == 0; t = -1) { WindowIs(s, %d, %d); }`, n-9, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, q.Done) {
+		t.Fatal("a window over the newest rows did not fire within 10 s")
+	}
+	rows, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 10 {
+		t.Fatalf("window over the newest 10 rows returned %d", len(rows))
+	}
+	for i, r := range rows {
+		if want := int64(n - 9 + i); r.Vals[0].I != want || r.Vals[1].I != 2*want {
+			t.Errorf("row %d = %v, want [%d %d]", i, r.Vals, want, 2*want)
+		}
+	}
+
+	// Reads of the history race a feeder that ages its rows out and reuses
+	// the chunks it retires: every read holds the newest capRows rows, as fed.
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := n + 1; i <= 20*n && err == nil; i++ {
+			err = e.Feed("s", tuple.New(tuple.Int(int64(i)), tuple.Int(int64(2*i))))
+		}
+		done <- err
+	}()
+	for k := 0; k < 50; k++ {
+		hist, err := st.historyRange(-1<<62, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hist) != capRows {
+			t.Fatalf("read %d: %d rows, want %d", k, len(hist), capRows)
+		}
+		for i, r := range hist {
+			if r.Vals[1].I != 2*r.Vals[0].I || i > 0 && r.Vals[0].I != hist[i-1].Vals[0].I+1 {
+				t.Fatalf("read %d, row %d = %v after %v", k, i, r.Vals, hist[max(i-1, 0)].Vals)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

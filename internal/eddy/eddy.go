@@ -128,8 +128,9 @@ type Eddy struct {
 	// complete, when set, observes every tuple that has visited all of
 	// its applicable modules — including partial (sub-join) tuples. CACQ
 	// uses it to deliver results per query footprint rather than per
-	// full-span tuple; it reports whether it kept the tuple itself.
-	complete func(t *tuple.Tuple, lineage tuple.Bitset) (kept bool)
+	// full-span tuple; it reports whether it kept the tuple itself and
+	// whether any member was delivered it.
+	complete func(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool)
 
 	// tracer, when set, samples ingested tuples and records their
 	// module-visit path with per-hop latency under traceTag.
@@ -267,8 +268,9 @@ func (e *Eddy) AddModule(m Module) error {
 // tuple, the eddy has already taken the bitmap off the row: a row the hook
 // hands on is lineage-free before anyone else can see it. fn reports
 // whether it kept the tuple itself (handed the pointer on) rather than only
-// reading it.
-func (e *Eddy) SetCompletionHook(fn func(t *tuple.Tuple, lineage tuple.Bitset) (kept bool)) {
+// reading it, and whether it delivered the tuple to any member: what a
+// trace records as emitted.
+func (e *Eddy) SetCompletionHook(fn func(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool)) {
 	e.complete = fn
 }
 
@@ -718,8 +720,8 @@ func (e *Eddy) releaseRow(t *tuple.Tuple, rowDead bool) {
 }
 
 // finishShared is finish in a shared eddy: the completion hook delivers t,
-// and completion with live lineage is delivery, so the trace records it as
-// emitted. t's routing is over here, so with a release func set the lineage
+// and the trace records it as emitted when the hook delivered it to some
+// member. t's routing is over here, so with a release func set the lineage
 // comes off the row before the hook runs and goes to the release func
 // afterwards, with the row when the hook did not keep it and the tracer was
 // not following it.
@@ -730,8 +732,8 @@ func (e *Eddy) finishShared(t *tuple.Tuple) {
 	if free {
 		t.Queries = nil
 	}
-	kept := e.complete(t, lineage)
-	e.traceFinish(t, lineage.Any())
+	kept, delivered := e.complete(t, lineage)
+	e.traceFinish(t, delivered)
 	if free {
 		e.release(t, lineage, !kept && !traced)
 	}

@@ -29,14 +29,16 @@
 //
 // Pipelining: a client may send many commands in one write without waiting
 // for replies, which come back in command order. Consecutive FEED lines of
-// one stream form a run, parsed into per-connection slabs and handed to
-// Engine.FeedMany in one call, up to Options.BatchSize lines; a line for
-// another stream, any other command, a line that cannot be fed, and the
-// input running dry each end the run, so arrival order is unchanged and a
-// later command sees every earlier line fed. Replies are flushed when the
-// connection's input is drained — before the FrontEnd reads again with no
-// complete line buffered — so a pipelined burst costs a socket write per
-// read and per 64 KiB of replies, not one per line. Push rows
+// any streams form a run, parsed into per-connection slabs, up to
+// Options.BatchSize lines; any other command, a line that cannot be fed,
+// and the input running dry each end the run, so a later command sees every
+// earlier line fed. Each stream's lines in a run go to Engine.FeedMany in
+// one call, in line order: each stream's arrival order is unchanged, and a
+// line the engine refuses is answered ERR in place, its stream's later
+// lines fed after it. Replies are flushed when the connection's input is
+// drained — before the FrontEnd reads again with no complete line
+// buffered — so a pipelined burst costs a socket write per read and per 64
+// KiB of replies, not one per line. Push rows
 // ("ROW q<qid> ...") are written by their own goroutine and may fall
 // between any two reply lines except inside a FETCH. A line longer than
 // 1 MiB is answered with "ERR line exceeds 1 MiB" and the connection closed.
@@ -148,7 +150,7 @@ type frontEnd struct {
 	cmdCount map[string]*metrics.Counter
 
 	// run holds the FEED lines parsed but not yet fed: consecutive lines
-	// of one stream, at most batch of them, carved from slab.
+	// of any streams, at most batch of them, carved from slab.
 	run   feedRun
 	batch int
 	slab  ingress.Slab
@@ -426,41 +428,81 @@ func parseKind(s string) (tuple.Kind, error) {
 	}
 }
 
-// feedRun is a run of FEED lines: parsed tuples of one stream, in line
-// order, waiting for one Engine.FeedMany.
+// feedRun is a run of FEED lines waiting for Engine.FeedMany: up to batch
+// parsed lines of any streams. streams[:n] hold each stream's lines, the
+// streams in the order of their first line; the rest keep their capacity
+// for later runs. line holds each line's index into streams, in line order.
 type feedRun struct {
-	stream string
-	schema *tuple.Schema
-	ts     []*tuple.Tuple
+	streams []runStream
+	n       int
+	line    []int
+}
+
+// runStream is one stream's lines in a run, in line order, and the lines
+// the engine refused. answered counts the lines answered so far.
+type runStream struct {
+	name     string
+	schema   *tuple.Schema
+	ts       []*tuple.Tuple
+	refused  []refusal
+	answered int
+}
+
+// refusal is a line the engine refused: its index among its stream's lines
+// in the run, and why.
+type refusal struct {
+	at  int
+	err error
 }
 
 // feedLine parses one FEED line ("<stream> <csv>") onto the run, feeding
-// the run first when the line names another stream. A line that cannot
-// join it (no CSV, an unknown stream, a malformed row) ends the run before
-// it and is answered ERR in its place.
+// the run once it holds batch lines. A line that cannot join it (no CSV,
+// an unknown stream, a malformed row) ends the run before it and is
+// answered ERR in its place.
 func (fe *frontEnd) feedLine(rest string) {
 	i := strings.IndexAny(rest, " \t")
 	if i < 0 {
 		fe.feedErr(errors.New("FEED needs a stream and a CSV row"))
 		return
 	}
-	if stream := rest[:i]; stream != fe.run.stream || len(fe.run.ts) == 0 {
-		fe.feedRun()
-		entry, err := fe.engine.Catalog().Lookup(stream) // once per run
-		if err != nil {
-			fe.feedErr(err)
-			return
-		}
-		fe.run.stream, fe.run.schema = stream, entry.Schema
-	}
-	t, err := fe.slab.ParseCSV(fe.run.schema, strings.TrimSpace(rest[i:]))
+	si, err := fe.streamIndex(rest[:i])
 	if err != nil {
 		fe.feedErr(err)
 		return
 	}
-	if fe.run.ts = append(fe.run.ts, t); len(fe.run.ts) >= fe.batch {
+	rs := &fe.run.streams[si]
+	t, err := fe.slab.ParseCSV(rs.schema, strings.TrimSpace(rest[i:]))
+	if err != nil {
+		fe.feedErr(err)
+		return
+	}
+	rs.ts = append(rs.ts, t)
+	if fe.run.line = append(fe.run.line, si); len(fe.run.line) >= fe.batch {
 		fe.feedRun()
 	}
+}
+
+// streamIndex returns the index of stream's lines in the run, opening them
+// with the stream's schema if the run holds none: the catalog is read once
+// per stream per run.
+func (fe *frontEnd) streamIndex(stream string) (int, error) {
+	run := &fe.run
+	for i := range run.streams[:run.n] {
+		if run.streams[i].name == stream {
+			return i, nil
+		}
+	}
+	entry, err := fe.engine.Catalog().Lookup(stream)
+	if err != nil {
+		return 0, err
+	}
+	if run.n == len(run.streams) {
+		run.streams = append(run.streams, runStream{})
+	}
+	rs := &run.streams[run.n]
+	rs.name, rs.schema = stream, entry.Schema
+	run.n++
+	return run.n - 1, nil
 }
 
 // feedErr answers a FEED line that joined no run, after the run before it.
@@ -470,28 +512,49 @@ func (fe *frontEnd) feedErr(err error) {
 	fe.count("FEED", 1)
 }
 
-// feedRun hands the run to FeedMany and answers its lines in order: "OK
-// fed" for each line fed, "ERR ..." for the line whose tuple the engine
-// refused, after which the lines behind it are fed as a new run.
+// feedRun hands each stream's lines to FeedMany as one slice, so they reach
+// the stream's queues together, and answers every line in line order: "OK
+// fed", or "ERR ..." for a line whose tuple the engine refused, after which
+// that stream's lines behind it are fed as a new run.
 func (fe *frontEnd) feedRun() {
-	ts := fe.run.ts
-	if len(ts) == 0 {
+	run := &fe.run
+	if len(run.line) == 0 {
 		return
 	}
-	fe.count("FEED", len(ts))
-	for len(ts) > 0 {
-		n, err := fe.engine.FeedMany(fe.run.stream, ts)
-		fe.sendN("OK fed", n)
-		if err == nil {
-			break
+	fe.count("FEED", len(run.line))
+	streams := run.streams[:run.n]
+	for i := range streams {
+		rs := &streams[i]
+		for at := 0; at < len(rs.ts); at++ {
+			n, err := fe.engine.FeedMany(rs.name, rs.ts[at:])
+			if err == nil {
+				break
+			}
+			at += n
+			rs.refused = append(rs.refused, refusal{at, err})
 		}
-		fe.send("ERR " + err.Error())
-		ts = ts[n+1:]
 	}
+	ok := 0
+	for _, si := range run.line {
+		rs := &streams[si]
+		if len(rs.refused) > 0 && rs.refused[0].at == rs.answered {
+			fe.sendN("OK fed", ok)
+			fe.send("ERR " + rs.refused[0].err.Error())
+			ok, rs.refused = 0, rs.refused[1:]
+		} else {
+			ok++
+		}
+		rs.answered++
+	}
+	fe.sendN("OK fed", ok)
 	// FeedMany kept none of the tuples: the next run reuses the slab's
 	// blocks, and the cleared run pins none it leaves behind.
-	clear(fe.run.ts)
-	fe.run.ts = fe.run.ts[:0]
+	for i := range streams {
+		rs := &streams[i]
+		clear(rs.ts)
+		rs.ts, rs.refused, rs.answered = rs.ts[:0], nil, 0
+	}
+	run.n, run.line = 0, run.line[:0]
 	fe.slab.Reset()
 }
 

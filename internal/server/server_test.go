@@ -497,14 +497,27 @@ func TestTraceCommand(t *testing.T) {
 	if rows, err = c.Trace(jid); err != nil {
 		t.Fatal(err)
 	}
-	forked := false
+	forked, unmatched := false, false
 	for _, r := range rows {
 		forked = forked || strings.Contains(r, "emitted=true") && strings.Contains(r, "fork-of=") &&
 			strings.Contains(r, "Arr(a)") && strings.Contains(r, "Arr(b)")
+		// A fed row is a partial join tuple: no member reads it, matched or
+		// not, so it was emitted to no one.
+		if !strings.Contains(r, "fork-of=") {
+			if strings.Contains(r, "emitted=true") {
+				t.Errorf("a fed row that reached no client reads emitted=true: %s", r)
+			}
+			// The probe hop, last on the path, found no match.
+			unmatched = unmatched || strings.Contains(r, "emitted=false") && strings.HasSuffix(r, "pass+0") &&
+				strings.Contains(r, "Arr(a)") && strings.Contains(r, "Arr(b)")
+		}
 	}
 	if !forked {
 		t.Errorf("TRACE has no emitted join result forked after a build and a probe hop:\n%s",
 			strings.Join(rows, "\n"))
+	}
+	if !unmatched {
+		t.Errorf("TRACE has no emitted=false row that matched nothing:\n%s", strings.Join(rows, "\n"))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -32,7 +33,7 @@ func (c *countingConn) Write(b []byte) (int, error) {
 
 // pipeFrontEnd serves one FrontEnd over an in-memory pipe. It returns the
 // client end, a reader over it, and the server end's write counter.
-func pipeFrontEnd(t *testing.T, e *core.Engine) (net.Conn, *bufio.Reader, *countingConn) {
+func pipeFrontEnd(t testing.TB, e *core.Engine) (net.Conn, *bufio.Reader, *countingConn) {
 	t.Helper()
 	srv, cli := net.Pipe()
 	cc := &countingConn{Conn: srv}
@@ -234,83 +235,173 @@ func (c *scriptConn) Read(b []byte) (int, error)  { return c.r.Read(b) }
 func (c *scriptConn) Write(b []byte) (int, error) { return len(b), nil }
 func (c *scriptConn) Close() error                { return nil }
 
-// TestPipelinedFeedBurstAllocs: a pipelined burst of FEED lines into a
-// stream no query reads costs the line's string, about one allocation per
-// line: the parse slab rewinds after every run and history grows by whole
-// chunks (before runs and slabs it was ~4: the string, strings.Split's
-// slice, the values and the tuple).
+// TestPipelinedFeedBurstAllocs: a pipelined burst of FEED lines costs the
+// line's string, about one allocation per line: the parse slab rewinds
+// after every run, history grows by whole chunks and a run's fan-out takes
+// its clones from the pool in one call (before runs and slabs it was ~4:
+// the string, strings.Split's slice, the values and the tuple). It holds
+// for a stream no query reads, and for two streams fed alternately into an
+// equijoin whose every second line finds a match.
 func TestPipelinedFeedBurstAllocs(t *testing.T) {
-	e := core.NewEngine(core.Options{EOs: 1})
-	t.Cleanup(e.Stop)
-	schema := tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt},
-		tuple.Column{Name: "y", Kind: tuple.KindFloat}, tuple.Column{Name: "z", Kind: tuple.KindInt})
-	if err := e.CreateStream("s", schema, -1); err != nil {
-		t.Fatal(err)
-	}
 	const n = 4096
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "FEED s %d,%d.5,%d\n", i, i, -i)
-	}
-	fe := newFrontEnd(e, &scriptConn{r: strings.NewReader(b.String())})
+	t.Run("one stream", func(t *testing.T) {
+		e := core.NewEngine(core.Options{EOs: 1})
+		t.Cleanup(e.Stop)
+		schema := tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt},
+			tuple.Column{Name: "y", Kind: tuple.KindFloat}, tuple.Column{Name: "z", Kind: tuple.KindInt})
+		if err := e.CreateStream("s", schema, -1); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "FEED s %d,%d.5,%d\n", i, i, -i)
+		}
+		burstAllocs(t, e, b.String(), n, func() bool {
+			return e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value() == n
+		})
+	})
+	t.Run("alternating join", func(t *testing.T) {
+		e, q := joinEngine(t)
+		// A first burst warms the tuple pool and the join's state.
+		newFrontEnd(e, &scriptConn{r: strings.NewReader(alternatingFeeds(0, n))}).serve()
+		if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == n/2 }) {
+			t.Fatal("the first burst was not processed within 10 s")
+		}
+		// How far the front end runs ahead of the join is the scheduler's
+		// choice, and each tuple in flight past what the pool holds costs
+		// two allocations. Stock the pool with a four-value tuple (the join's
+		// width) per line, so the count is the feed path's.
+		pool, held := e.TuplePool(), make([]*tuple.Tuple, n)
+		for i := range held {
+			held[i] = pool.Get(4)
+		}
+		for _, tu := range held {
+			pool.Put(tu)
+		}
+		burstAllocs(t, e, alternatingFeeds(n/2, n), n, func() bool { return q.Results() == n })
+	})
+}
+
+// burstAllocs serves script, n FEED lines, to a front end, waits until done
+// reports the engine has processed them, and fails when that cost more than
+// 1.5 allocations per line.
+func burstAllocs(t *testing.T, e *core.Engine, script string, n int, done func() bool) {
+	t.Helper()
+	fe := newFrontEnd(e, &scriptConn{r: strings.NewReader(script)})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fe.serve()
-	runtime.ReadMemStats(&after)
-	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != n {
-		t.Fatalf("%d of %d lines fed", fed, n)
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, done) {
+		t.Fatal("the burst was not processed within 10 s")
 	}
-	perLine := float64(after.Mallocs-before.Mallocs) / n
+	runtime.ReadMemStats(&after)
+	perLine := float64(after.Mallocs-before.Mallocs) / float64(n)
 	t.Logf("%.2f mallocs per FEED line", perLine)
 	if perLine > 1.5 {
 		t.Errorf("%.2f mallocs per FEED line, want <= 1.5", perLine)
 	}
 }
 
-// TestSpoolErrorEndsRunInPlace: when spooling fails partway through a run,
-// the lines before the failing one are answered "OK fed", that one ERR, and
-// the lines behind it are fed as a new run (here each fails in turn: the
-// spool's directory is gone).
-func TestSpoolErrorEndsRunInPlace(t *testing.T) {
-	dir := t.TempDir()
-	e := core.NewEngine(core.Options{EOs: 1, SpoolDir: dir, SegmentSize: 8})
+// joinEngine is an engine with streams r(k, v) and s(k, w) and a standing
+// equijoin of them on k.
+func joinEngine(t testing.TB) (*core.Engine, *core.RunningQuery) {
+	t.Helper()
+	e := core.NewEngine(core.Options{EOs: 1})
 	t.Cleanup(e.Stop)
-	if err := e.CreateStream("s", tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ { // the open segment holds 5 of 8
-		if err := e.Feed("s", tuple.New(tuple.Int(int64(i)))); err != nil {
+	for _, name := range []string{"r", "s"} {
+		schema := tuple.NewSchema(name, tuple.Column{Name: "k", Kind: tuple.KindInt}, tuple.Column{Name: "v", Kind: tuple.KindInt})
+		if err := e.CreateStream(name, schema, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	q, err := e.Register("SELECT r.v, s.v FROM r, s WHERE r.k = s.k")
+	if err != nil {
 		t.Fatal(err)
 	}
-	cli, r, _ := pipeFrontEnd(t, e)
+	return e, q
+}
+
+// alternatingFeeds returns n FEED lines alternating r and s, numbered from
+// first: line i carries key first+i/2, so each s line matches the r line
+// before it.
+func alternatingFeeds(first, n int) string {
 	var b strings.Builder
-	for i := 5; i < 15; i++ {
-		fmt.Fprintf(&b, "FEED s %d\n", i)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "FEED %s %d,%d\n", [2]string{"r", "s"}[i%2], first+i/2, i)
 	}
-	pipeline(t, cli, b.String()+"PING\n")
-	var got []string
-	for l := ""; l != "OK pong"; {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("after %q: %v", got, err)
-		}
-		l = strings.TrimSuffix(line, "\n")
-		got = append(got, l)
-	}
-	if len(got) != 11 || got[0] != "OK fed" || got[1] != "OK fed" {
-		t.Fatalf("replies = %q, want 2 OK fed, 8 ERR, OK pong", got)
-	}
-	for _, l := range got[2:10] {
-		if !strings.HasPrefix(l, "ERR storage: flush segment") {
-			t.Fatalf("replies = %q, want 2 OK fed, 8 ERR, OK pong", got)
-		}
-	}
-	if fed := e.Metrics().Counter(`tcq_ingress_tuples_total{stream="s"}`).Value(); fed != 7 {
-		t.Errorf("tcq_ingress_tuples_total = %d, want 7", fed)
+	return b.String()
+}
+
+// TestSpoolErrorEndsRunInPlace: when spooling fails partway through a run,
+// the lines before the failing one are answered "OK fed", that one ERR, and
+// the lines behind it are fed as a new run (here each fails in turn: the
+// spool's directory is gone). In a run that mixes the failing stream s with
+// a healthy stream r, the replies keep line order and every r line is fed.
+func TestSpoolErrorEndsRunInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mixed bool
+	}{{"one stream", false}, {"mixed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := core.NewEngine(core.Options{EOs: 1, SpoolDir: dir, SegmentSize: 8})
+			t.Cleanup(e.Stop)
+			for _, name := range []string{"s", "r"} {
+				if err := e.CreateStream(name, tuple.NewSchema(name, tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5; i++ { // the open segment holds 5 of 8
+				if err := e.Feed("s", tuple.New(tuple.Int(int64(i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			cli, r, _ := pipeFrontEnd(t, e)
+			// s's lines 5 and 6 fill its open segment and the next fails to
+			// flush; r's seven lines fit its own and never flush.
+			var b strings.Builder
+			var want []string
+			rLines := 0
+			for i := 5; i < 15; i++ {
+				fmt.Fprintf(&b, "FEED s %d\n", i)
+				if i < 7 {
+					want = append(want, "OK fed")
+				} else {
+					want = append(want, "ERR storage: flush segment")
+				}
+				if tc.mixed && rLines < 7 {
+					fmt.Fprintf(&b, "FEED r %d\n", i)
+					want = append(want, "OK fed")
+					rLines++
+				}
+			}
+			pipeline(t, cli, b.String()+"PING\n")
+			want = append(want, "OK pong")
+			var got []string
+			for l := ""; l != "OK pong"; {
+				line, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatalf("after %q: %v", got, err)
+				}
+				l = strings.TrimSuffix(line, "\n")
+				got = append(got, l)
+			}
+			ok := len(got) == len(want)
+			for i := 0; ok && i < len(got); i++ {
+				ok = strings.HasPrefix(got[i], want[i])
+			}
+			if !ok {
+				t.Fatalf("replies =\n%s\nwant lines beginning\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			for stream, fed := range map[string]int64{"s": 7, "r": int64(rLines)} {
+				if got := e.Metrics().Counter(fmt.Sprintf(`tcq_ingress_tuples_total{stream=%q}`, stream)).Value(); got != fed {
+					t.Errorf("tcq_ingress_tuples_total{stream=%q} = %d, want %d", stream, got, fed)
+				}
+			}
+		})
 	}
 }
 
@@ -357,20 +448,25 @@ func TestSpooledRunsKeepTheirValues(t *testing.T) {
 	}
 }
 
-// TestPipelinedFeedsMatchOnePerWrite: a script of FEEDs to two streams, a
-// malformed line, a FEED to an unknown stream, a wrong arity, a FETCH, a
-// STATS and a PING between FEEDs, and a QUIT followed by more lines (or an
-// unterminated last line and EOF) gets the same replies, line for line,
-// sent in one write as sent one line per write, and leaves each stream the
-// same history: Seq, TS and values.
+// TestPipelinedFeedsMatchOnePerWrite: a script of FEEDs to two streams and,
+// alternating line by line, to the two sides of an equijoin, a malformed
+// line, a FEED to an unknown stream, a wrong arity, a FETCH, a STATS and a
+// PING between FEEDs, and a QUIT followed by more lines (or an unterminated
+// last line and EOF) gets the same replies, line for line, sent in one
+// write as sent one line per write. It leaves each stream the same history
+// (Seq, TS and values) and the join the same results.
 func TestPipelinedFeedsMatchOnePerWrite(t *testing.T) {
 	body := []string{
 		// Query 0 reads c, which no line feeds, so its FETCH and STATS
-		// replies are fixed.
+		// replies are fixed. Query 3 joins j1 and j2: seven matches.
 		"CREATE STREAM c (x INT)", "QUERY SELECT x FROM c WHERE x > 0",
 		"CREATE STREAM a (ts TIME, v INT) TIMECOL ts", "QUERY SELECT * FROM a",
 		"CREATE STREAM b (k INT, name STRING)", "QUERY SELECT * FROM b",
+		"CREATE STREAM j1 (k INT, v INT)", "CREATE STREAM j2 (k INT, w INT)",
+		"QUERY SELECT j1.v, j2.w FROM j1, j2 WHERE j1.k = j2.k",
 		"FEED a 1,10", "FEED a 2,20", "FEED b 1,one", "FEED b 2,two", "FEED a 3,30",
+		"FEED j1 1,10", "FEED j2 1,100", "FEED j1 2,20", "FEED j2 2,200", "FEED j1 1,11",
+		"FEED j2 3,300", "FEED j1 3,30", "FEED j2 x,1", "FEED j1 2,21", "FEED j2 1,101",
 		"FEED a x,40", "FEED a 4,40", "FEED zz 1", "FEED b 3,three", "FETCH 0",
 		"FEED a 5,50", "feed b 4, four ", "STATS 0", "FEED b 5", "FEED", "FEED a 6,60",
 		"FEED a 7,70", "", "PING", "FEED b 6,six",
@@ -378,10 +474,10 @@ func TestPipelinedFeedsMatchOnePerWrite(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		tail []string
-		fed  int // the body's 16 FEED lines less its four bad ones, plus the tail's
+		fed  int // the body's 26 FEED lines less its five bad ones, plus the tail's
 	}{
-		{"quit", []string{"QUIT", "FEED a 8,80", "FEED b 7,seven"}, 12},
-		{"eof", []string{"FEED a 8,80", "FEED b 7,seven"}, 14},
+		{"quit", []string{"QUIT", "FEED a 8,80", "FEED b 7,seven"}, 21},
+		{"eof", []string{"FEED a 8,80", "FEED b 7,seven"}, 23},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			script := append(append([]string(nil), body...), tc.tail...)
@@ -395,7 +491,7 @@ func TestPipelinedFeedsMatchOnePerWrite(t *testing.T) {
 			}
 			for s, h := range pipedHist {
 				if h != singleHist[s] {
-					t.Errorf("stream %s history differs:\npipelined:\n%s\none per write:\n%s", s, h, singleHist[s])
+					t.Errorf("%s differs:\npipelined:\n%s\none per write:\n%s", s, h, singleHist[s])
 				}
 			}
 			fed := 0
@@ -418,7 +514,9 @@ func TestPipelinedFeedsMatchOnePerWrite(t *testing.T) {
 // script in one write; otherwise it sends a line per write and reads each
 // line's reply before the next. Either way it then closes its write side
 // and reads to EOF. It returns the replies and, per stream the script's
-// queries 0 to 2 read, its history rendered "Seq TS values" a row per line.
+// queries 0 to 2 read, its history rendered "Seq TS values" a row per line,
+// and under "join" the values of query 3's seven results, sorted: the
+// order in which a join finds its matches is the class drain's.
 func runScript(t *testing.T, script []string, unterminated, pipelined bool) ([]string, map[string]string) {
 	t.Helper()
 	e, pm := startServer(t)
@@ -494,8 +592,22 @@ func runScript(t *testing.T, script []string, unterminated, pipelined bool) ([]s
 		for _, row := range rows {
 			fmt.Fprintf(&b, "%d %d %v\n", row.Seq, row.TS, row.Vals)
 		}
-		hist[s] = b.String()
+		hist["stream "+s] = b.String()
 	}
+	q, _ := e.Query(3)
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == 7 }) {
+		t.Fatalf("join: %d of 7 results", q.Results())
+	}
+	rows, err := q.Fetch(q.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := make([]string, len(rows))
+	for i, row := range rows {
+		joined[i] = fmt.Sprint(row.Vals)
+	}
+	slices.Sort(joined)
+	hist["join"] = strings.Join(joined, "\n")
 	return replies, hist
 }
 

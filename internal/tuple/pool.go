@@ -40,8 +40,8 @@ const maxPooledWidth = 256
 
 // coreDepth is the GC-stable freelist size: deep enough to cover the
 // in-flight window between ingress clones and executor recycling — a
-// batched FeedMany clones its whole batch before pushing, on top of the
-// 256 tuples each query input pipe can hold — small enough that a fully
+// FeedMany clones up to 64 tuples before pushing them, on top of the 256
+// tuples each query input pipe can hold — small enough that a fully
 // retained core of hot-path-sized rows stays near a megabyte.
 const coreDepth = 4096
 
@@ -50,40 +50,75 @@ func NewPool() *Pool {
 	return &Pool{p: sync.Pool{New: func() any { return new(Tuple) }}}
 }
 
-// Get returns a zeroed tuple with Vals of length width. The tuple may
-// reuse memory from a previous Put; every field is reset before return.
+// Get returns a zeroed tuple with Vals of length width: the one-tuple case
+// of take. The tuple may reuse memory from a previous Put; every field is
+// reset before return.
 //
 //tcq:hotpath
 func (p *Pool) Get(width int) *Tuple {
-	var t *Tuple
-	p.mu.Lock()
-	if n := len(p.core); n > 0 {
-		t = p.core[n-1]
-		p.core[n-1] = nil
-		p.core = p.core[:n-1]
-	}
-	p.mu.Unlock()
-	if t == nil {
-		t = p.p.Get().(*Tuple)
-	}
-	p.gets.Add(1)
-	if cap(t.Vals) >= width {
-		p.hits.Add(1)
-		t.Vals = t.Vals[:width]
-		for i := range t.Vals {
-			t.Vals[i] = Value{}
+	var one [1]*Tuple
+	p.take(one[:], nil, width)
+	return one[0]
+}
+
+// CloneMany sets dst[i] to a deep copy of src[i], as CloneUsing would, for
+// every i below len(src); dst must be at least as long. A run's copies
+// cost one lock and one update of each counter, however many there are.
+func (p *Pool) CloneMany(dst, src []*Tuple) {
+	p.take(dst[:len(src)], src, 0)
+	for i, s := range src {
+		if s.Queries != nil {
+			dst[i].Queries = s.Queries.Clone()
 		}
-	} else {
-		// Round the capacity up to a small slab so a recycled narrow
-		// clone can serve a later, slightly wider request: ingress
-		// alternates narrow subscriber clones with wide rows, and exact
-		// sizing would make every other Get a miss.
-		c := (width + 3) &^ 3
-		//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestJoinSteadyStateAllocs bounds the sum
-		t.Vals = make([]Value, width, c)
 	}
-	t.TS, t.Seq, t.Source, t.Done, t.Queries = 0, 0, 0, 0, nil
-	return t
+}
+
+// take is the pool's one take path. It fills dst with tuples drawn under one
+// lock: a copy of src[i] in dst[i] when src is non-nil, lineage aside, else
+// a zeroed tuple of width values.
+//
+//tcq:hotpath
+func (p *Pool) take(dst, src []*Tuple, width int) {
+	p.mu.Lock()
+	n := len(p.core)
+	got := min(n, len(dst))
+	for i := range got {
+		dst[i], p.core[n-1-i] = p.core[n-1-i], nil
+	}
+	p.core = p.core[:n-got]
+	p.mu.Unlock()
+	hits := 0
+	for i, t := range dst {
+		if i >= got {
+			t = p.p.Get().(*Tuple)
+			dst[i] = t
+		}
+		w := width
+		if src != nil {
+			w = len(src[i].Vals)
+		}
+		if cap(t.Vals) >= w {
+			hits++
+			t.Vals = t.Vals[:w]
+		} else {
+			// Round the capacity up to a small slab so a recycled narrow
+			// clone can serve a later, slightly wider request: ingress
+			// alternates narrow subscriber clones with wide rows, and exact
+			// sizing would make every other take a miss.
+			//lint:ignore alloccheck pool miss path: one slab per recycled tuple, amortized by the core freelist hit rate; core.TestJoinSteadyStateAllocs bounds the sum
+			t.Vals = make([]Value, w, (w+3)&^3)
+		}
+		if src == nil {
+			clear(t.Vals)
+			t.TS, t.Seq, t.Source, t.Done, t.Queries = 0, 0, 0, 0, nil
+			continue
+		}
+		s := src[i]
+		copy(t.Vals, s.Vals)
+		t.TS, t.Seq, t.Source, t.Done, t.Queries = s.TS, s.Seq, s.Source, s.Done, nil
+	}
+	p.gets.Add(int64(len(dst)))
+	p.hits.Add(int64(hits))
 }
 
 // Put returns a dead tuple to the pool. Oversized tuples are dropped so
@@ -128,18 +163,15 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // CloneUsing deep-copies the tuple like Clone, drawing the copy's memory
-// from pool when non-nil.
+// from pool when non-nil: the one-tuple case of Pool.CloneMany.
 func (t *Tuple) CloneUsing(pool *Pool) *Tuple {
 	if pool == nil {
 		return t.Clone()
 	}
-	out := pool.Get(len(t.Vals))
-	copy(out.Vals, t.Vals)
-	out.TS, out.Seq, out.Source, out.Done = t.TS, t.Seq, t.Source, t.Done
-	if t.Queries != nil {
-		out.Queries = t.Queries.Clone()
-	}
-	return out
+	var one [1]*Tuple
+	src := [1]*Tuple{t}
+	pool.CloneMany(one[:], src[:])
+	return one[0]
 }
 
 // WidenUsing is Widen drawing the wide row from pool when non-nil.

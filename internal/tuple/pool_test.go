@@ -115,6 +115,56 @@ func TestWidenUsingMatchesWiden(t *testing.T) {
 	}
 }
 
+// TestCloneManyMatchesClone: a run cloned in one take is each row's Clone
+// (values, stamps, span, a lineage copy of its own), over recycled rows of
+// other widths, and counts one get per row and one hit per row whose
+// recycled values were wide enough.
+func TestCloneManyMatchesClone(t *testing.T) {
+	p := NewPool()
+	// Two recycled rows, of four values and of eight: too few for the
+	// first row, enough for the second. The third row's is new.
+	narrow, wide := p.Get(1), p.Get(8)
+	for _, dirty := range []*Tuple{narrow, wide} {
+		for i := range dirty.Vals {
+			dirty.Vals[i] = Int(-1)
+		}
+		p.Put(dirty)
+	}
+	src := []*Tuple{New(Int(1), String_("a"), Int(2), Int(3), Int(4), Int(5), Int(6), Int(7), Int(8)),
+		New(Float(2.5)), New(Int(3), Int(4), Int(5))}
+	for i, s := range src {
+		s.TS, s.Seq, s.Source, s.Done = int64(10+i), int64(20+i), SingleSource(i), 1
+	}
+	src[1].Queries = NewBitset(3)
+	src[1].Queries.Set(2)
+	before := p.Stats()
+	dst := make([]*Tuple, len(src)+1)
+	p.CloneMany(dst, src)
+	if st := p.Stats(); st.Gets-before.Gets != 3 || st.Hits-before.Hits != 1 {
+		t.Errorf("counters moved by %d gets, %d hits; want 3, 1", st.Gets-before.Gets, st.Hits-before.Hits)
+	}
+	if dst[len(src)] != nil {
+		t.Error("CloneMany wrote past len(src)")
+	}
+	for i, s := range src {
+		c := dst[i]
+		if c.TS != s.TS || c.Seq != s.Seq || c.Source != s.Source || c.Done != s.Done || len(c.Vals) != len(s.Vals) {
+			t.Fatalf("clone %d = %+v, want %+v", i, c, s)
+		}
+		for j := range s.Vals {
+			if !Equal(c.Vals[j], s.Vals[j]) {
+				t.Errorf("clone %d val %d = %v, want %v", i, j, c.Vals[j], s.Vals[j])
+			}
+		}
+		if (s.Queries == nil) != (c.Queries == nil) {
+			t.Errorf("clone %d lineage = %v, want %v", i, c.Queries, s.Queries)
+		}
+	}
+	if dst[1].Queries.Set(0); src[1].Queries.Test(0) {
+		t.Error("a clone shares its source's lineage bitmap")
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool()
 	var wg sync.WaitGroup

@@ -14,9 +14,9 @@
 #                    ring x20, join state x20, wire flushes, FEED runs and
 #                    EO wake x20, fed rows kept by no one x20, fuzz smoke
 #                    (parser, loop, CSV, plan, grouped filter, row log)
-#   check.sh bench   three smokes with no threshold: BenchmarkWindowFire,
-#                    BenchmarkPullPublish and BenchmarkGroupedFilterProbe
-#                    must run and print their numbers.
+#   check.sh bench   four smokes with no threshold: BenchmarkWindowFire,
+#                    BenchmarkPullPublish, BenchmarkGroupedFilterProbe and
+#                    BenchmarkFeedRun must run and print their numbers.
 #                    Whether a change made anything slower is the benchmark
 #                    module's question: cd benchmark && go run . -compare
 #   check.sh [all]   every stage in order
@@ -212,18 +212,23 @@ stage_race() {
 
     # Replies are buffered and flushed when a FrontEnd's input is drained,
     # while SUBSCRIBE pushers write the same buffer from their goroutines; a
-    # read's FEED lines of one stream are fed as one run; an idle EO parks
-    # until a queue push rouses it. Hold the reply order, pipelined against
-    # one line per write, the write counts, the SUBSCRIBE reply and the
-    # park/rouse handshake to twenty race-instrumented passes.
+    # read's FEED lines of any streams are fed as one run, each stream's
+    # lines in one FeedMany whose fan-out takes its clones from the pool in
+    # one call; an idle EO parks until a queue push rouses it. Hold the
+    # reply order, pipelined against one line per write and around a
+    # refused line, the write counts, the SUBSCRIBE reply, the run's pool
+    # traffic and allocations, and the park/rouse handshake to twenty
+    # race-instrumented passes.
     echo "==> wire flushes, FEED runs and EO wake under race (-count=20)"
-    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
+    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestSpoolErrorEndsRunInPlace|TestPipelinedFeedBurstAllocs|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
+    go test -race -count=20 -run 'TestWarmFeedManyAllocatesNothing|TestFeedRunCountsPoolTraffic' ./internal/core/
     go test -race -count=20 -run 'TestIdleEOWakesOnEnqueue|TestParkedEORechecksOnTimer|TestIdleDUsDoNotSpinHot' ./internal/executor/
 
     # Front-door rows are reused the moment Feed returns: history and the
-    # spool must keep a fed row's values, never the row.
+    # spool must keep a fed row's values, never the row. Past its cap the
+    # history ages out its oldest rows while a registration decodes it.
     echo "==> fed rows kept by no one under race (-count=20)"
-    go test -race -count=20 -run 'TestFeedRetainsNoRow' ./internal/core/
+    go test -race -count=20 -run 'TestFeedRetainsNoRow|TestHistoryKeepsNewestRowsPastCap' ./internal/core/
     go test -race -count=20 -run 'TestSpooledRunsKeepTheirValues' ./internal/server/
 
     echo "==> fuzz smoke (5s per target)"
@@ -257,6 +262,14 @@ stage_bench() {
     # ranges took ~1,270 ns a probe, after it ~220 on the same machine).
     echo "==> bench smoke: BenchmarkGroupedFilterProbe (100,000 probes each, no threshold)"
     go test -run '^$' -bench BenchmarkGroupedFilterProbe -benchtime=100000x ./internal/gfilter/
+
+    # The front door under join_fetch_wire: 4,096 FEED lines alternating
+    # between the two sides of a standing equijoin, through a FrontEnd over
+    # an in-memory pipe. It prints ns and allocations per line, join work
+    # included (about 1,250 ns and 1.2 allocs after FEED runs spanned
+    # streams, ~2,000 ns before, on a 2-vCPU Xeon).
+    echo "==> bench smoke: BenchmarkFeedRun (20 x 4,096 lines, no threshold)"
+    go test -run '^$' -bench BenchmarkFeedRun -benchtime=20x ./internal/server/
 }
 
 stage="${1:-all}"
