@@ -45,8 +45,8 @@ func main() {
 	traceRate := flag.Float64("trace", 0, "tuple-lineage trace sample rate in [0,1] (0 disables; traces served via the TRACE command)")
 	demo := flag.Bool("demo", false, "create ClosingStockPrices and feed synthetic quotes")
 	rate := flag.Int("rate", 100, "demo feed rate (tuples/second)")
-	workers := flag.Int("workers", 1, "parallel worker shards per eligible query (1 = sequential)")
-	batch := flag.Int("batch", 64, "engine-wide tuple batch size: ingress fan-out, each query's input drain, eddy entry and (with -workers > 1) shard handoff all move up to this many tuples per operation; 1 = per-tuple processing")
+	workers := flag.Int("workers", 1, "worker shards per selection class (one FROM stream; joins are sequential at any -workers; 1 = sequential)")
+	batch := flag.Int("batch", 64, "engine-wide tuple batch size: ingress fan-out, each query's input drain, eddy entry and (with -workers > 1) each batch a shard routes move up to this many tuples per operation; 1 = per-tuple processing")
 	introspect := flag.Bool("introspect", false, "register the tcq.* introspection streams (query engine telemetry with ordinary CQs; enables live EXPLAIN <qid> and TOP)")
 	introInterval := flag.Duration("introspect-interval", 250*time.Millisecond, "telemetry sampling period for the tcq.* streams")
 	flag.Parse()

@@ -75,7 +75,6 @@ type Engine struct {
 	interested []tuple.Bitset
 	borrow     []bool
 	maxID      int
-	watermarks []int64
 	// wide is the reusable ingest batch (single ingest goroutine).
 	wide tuple.Batch
 	// pool, when set (SetRecycler), is where the engine draws the wide rows
@@ -86,26 +85,17 @@ type Engine struct {
 	spare []tuple.Bitset
 
 	// arrs are the arrangements the join SteMs store into, one per SteM, all
-	// the engine's own. slots hands out lineage-slot IDs; with reuse it
-	// hands out those of removed queries again, once scrubbed from arrs.
+	// the engine's own. slots hands out lineage-slot IDs, those of removed
+	// queries again once scrubbed from arrs.
 	arrs  []*arrange.Arrangement
 	slots arrange.Slots
-	reuse bool
-	// reserved counts the SteMs a partitioned class's shards hold and its
-	// front engine does not: module slots the front keeps free so that it
-	// refuses exactly the members a shard would.
-	reserved int
+
+	// shard marks a Parallel's shard (forward), whose out collects the
+	// results of the batch in Run, each with its lineage, for the merge
+	// stage to deliver.
+	shard bool
+	out   []eddy.Output
 }
-
-// role is what an engine is built for: a sequential engine of its own, or a
-// Parallel's shard or front.
-type role int
-
-const (
-	roleSequential role = iota
-	roleShard
-	roleFront
-)
 
 // New creates a shared engine over layout with the given shared join edges,
 // its SteMs storing into arrangements the engine owns. It reuses the lineage
@@ -114,21 +104,6 @@ const (
 // in flight can carry a freed slot's bit. policy nil selects a lottery
 // policy.
 func New(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy) (*Engine, error) {
-	return build(layout, joins, policy, roleSequential)
-}
-
-// engineSeq numbers engine constructions so defaulted policies get distinct
-// seeds: repeated trials (fresh engines) adapt independently instead of
-// replaying one RNG stream.
-var engineSeq atomic.Int64
-
-// build is New for an engine in role r. A Parallel's engines number their
-// queries monotonically: outputs already handed to the merge stage keep
-// flowing through a Barrier, so a freed slot's bit could still be in flight
-// when the slot is reallocated, and monotone IDs keep front and shards in
-// lockstep. A front engine only stamps lineage, keeps members and delivers,
-// so it builds no SteMs, only reserves their module slots.
-func build(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, r role) (*Engine, error) {
 	if policy == nil {
 		policy = eddy.NewLotteryPolicy(engineSeq.Add(1))
 	}
@@ -139,7 +114,6 @@ func build(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, r role) (
 		filters:     make([]*gfilter.GroupedFilter, layout.Width()),
 		interested:  make([]tuple.Bitset, layout.Streams()),
 		borrow:      make([]bool, layout.Streams()),
-		reuse:       r == roleSequential,
 	}
 
 	// One SteM per joined stream, holding every join predicate whose stored
@@ -154,15 +128,11 @@ func build(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, r role) (
 		if preds == nil {
 			continue
 		}
-		if r == roleFront {
-			e.reserved++
-			continue
-		}
 		sm := ops.NewSteMModule(e.newSteM(s, keyCol, kind), layout, preds)
 		e.stems = append(e.stems, sm)
 		modules = append(modules, sm)
 	}
-	if err := eddy.CheckModuleCount(len(modules) + e.reserved); err != nil {
+	if err := eddy.CheckModuleCount(len(modules)); err != nil {
 		return nil, err
 	}
 	// Delivery happens per query in the completion hook, never through the
@@ -173,6 +143,11 @@ func build(layout *tuple.Layout, joins []JoinSpec, policy eddy.Policy, r role) (
 	e.ed.SetCompletionHook(e.deliver)
 	return e, nil
 }
+
+// engineSeq numbers engine constructions so defaulted policies get distinct
+// seeds: repeated trials (fresh engines) adapt independently instead of
+// replaying one RNG stream.
+var engineSeq atomic.Int64
 
 // storedSide collects the join predicates whose stored side is stream s
 // (LeftCol probing, RightCol stored), the first equality column to index s's
@@ -230,7 +205,7 @@ func (e *Engine) filtersFor(selections []expr.Predicate) error {
 			fresh = append(fresh, p.Col)
 		}
 	}
-	if err := eddy.CheckModuleCount(len(e.ed.Modules()) + e.reserved + len(fresh)); err != nil {
+	if err := eddy.CheckModuleCount(len(e.ed.Modules()) + len(fresh)); err != nil {
 		return err
 	}
 	for _, col := range fresh {
@@ -312,19 +287,16 @@ func (e *Engine) RemoveQuery(id int) error {
 			break
 		}
 	}
-	if e.reuse {
-		e.slots.Free(id)
-	}
+	e.slots.Free(id)
 	e.invalidate()
 	return nil
 }
 
 // allocSlot hands out a lineage-slot ID: a scrubbed free slot when one
 // exists; else, if removed queries are cooling, scrub their bits from every
-// arrangement in one batched pass, promote, and retry; else a fresh ID —
-// always a fresh one without reuse, where nothing is ever freed. Purely
-// driven by allocator state, so the same mutation sequence yields the same
-// IDs regardless of timing.
+// arrangement in one batched pass, promote, and retry; else a fresh ID.
+// Purely driven by allocator state, so the same mutation sequence yields the
+// same IDs regardless of timing.
 func (e *Engine) allocSlot() int {
 	if id, ok := e.slots.Alloc(); ok {
 		return id
@@ -342,9 +314,9 @@ func (e *Engine) allocSlot() int {
 	return e.slots.Fresh()
 }
 
-// SlotHighWater returns the number of lineage-slot IDs ever minted: on a
-// sequential engine it stays near the live query count under churn instead
-// of growing monotonically.
+// SlotHighWater returns the number of lineage-slot IDs ever minted: it
+// stays near the live query count under churn instead of growing
+// monotonically.
 func (e *Engine) SlotHighWater() int { return e.slots.High() }
 
 func (e *Engine) invalidate() {
@@ -434,17 +406,29 @@ func (e *Engine) lineage(s int, tmpl tuple.Bitset) tuple.Bitset {
 const maxSpare = 1024
 
 // release is the eddy's release func (SetRecycler): it keeps a finished
-// tuple's lineage bitmap for the next ingest, unless the bitmap is a
-// borrowed template that the next copy would overwrite under every holder,
-// and, when the row is dead too, returns the row to the pool. A row that
-// lives on is not touched: the eddy took its lineage off before delivery.
-// A built row comes here like any other: its SteM kept its values, and its
-// lineage as a copy unless it was a template.
+// tuple's lineage bitmap for the next ingest and, when the row is dead too,
+// returns the row to the pool. A row that lives on is not touched: the eddy
+// took its lineage off before delivery. A built row comes here like any
+// other: its SteM kept its values, and its lineage as a copy unless it was a
+// template. On a shard a live row is a forwarded result, whose lineage goes
+// with it to the merge stage and comes back through Reclaim.
 func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
+	switch {
+	case rowDead:
+		e.recycle(t, lineage)
+	case !e.shard:
+		e.recycle(nil, lineage)
+	}
+}
+
+// recycle keeps lineage for the next ingest, unless it is a borrowed
+// template that the next copy would overwrite under every holder, and
+// returns t, when non-nil, to the pool.
+func (e *Engine) recycle(t *tuple.Tuple, lineage tuple.Bitset) {
 	if lineage != nil && len(e.spare) < maxSpare && !e.isTemplate(lineage) {
 		e.spare = append(e.spare, lineage)
 	}
-	if rowDead && e.pool != nil {
+	if t != nil && e.pool != nil {
 		e.pool.Put(t)
 	}
 }
@@ -453,9 +437,7 @@ func (e *Engine) release(t *tuple.Tuple, lineage tuple.Bitset, rowDead bool) {
 // rows from p (or adopts the base tuple as one), the join SteMs draw their
 // matches from it, and once a tuple's routing is over its lineage bitmap is
 // kept for the next ingest and its row, when nobody kept it, goes back to
-// p. Delivered rows then carry no lineage. Sequential engines only: a
-// Parallel's shards forward their completions, lineage intact, to the merge
-// stage.
+// p. Delivered rows then carry no lineage.
 func (e *Engine) SetRecycler(p *tuple.Pool) {
 	e.pool = p
 	for _, sm := range e.stems {
@@ -526,24 +508,17 @@ func (e *Engine) ingestBatch(s int, base []*tuple.Tuple, owned bool) {
 	e.wide.Reset()
 }
 
-// IngestWide feeds a tuple already widened to the engine's layout and
-// already carrying its lineage bitmap. The parallel layer widens and
-// stamps lineage once on the driver, then routes the wide tuple to a
-// shard engine through this entry point.
-func (e *Engine) IngestWide(t *tuple.Tuple) { e.ed.Ingest(t) }
-
-// SetDeliverySink diverts completed tuples away from this engine's
-// per-query delivery: fn receives every completion whose lineage is still
-// live and whose span matches at least one standing footprint. A shard
-// engine inside a Parallel uses it to forward results — lineage bitmap
-// intact — to the merge stage, where the front engine delivers them. A
-// forwarded tuple counts as delivered.
-func (e *Engine) SetDeliverySink(fn func(*tuple.Tuple)) {
+// forward makes the engine a Parallel's shard: every completion whose
+// lineage is still live and whose span matches a standing footprint goes,
+// with its lineage, into out for the merge stage, where the front engine
+// delivers it. A forwarded tuple counts as delivered.
+func (e *Engine) forward() {
+	e.shard = true
 	e.ed.SetCompletionHook(func(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool) {
 		if !lineage.Any() || len(e.byFootprint[t.Source]) == 0 {
 			return false, false
 		}
-		fn(t)
+		e.out = append(e.out, eddy.Output{T: t, Lineage: lineage})
 		return true, true
 	})
 }
@@ -608,11 +583,10 @@ func (e *Engine) Host() *eddy.Eddy { return e.ed }
 // order. Unsynchronized like every Engine method.
 func (e *Engine) SteMs() []*ops.SteMModule { return e.stems }
 
-// Arrangements calls fn with each arrangement the join SteMs store into, as
-// shard -1: a sequential engine is not partitioned.
-func (e *Engine) Arrangements(fn func(shard int, a *arrange.Arrangement)) {
+// Arrangements calls fn with each arrangement the join SteMs store into.
+func (e *Engine) Arrangements(fn func(a *arrange.Arrangement)) {
 	for _, a := range e.arrs {
-		fn(-1, a)
+		fn(a)
 	}
 }
 

@@ -4,19 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
-	"telegraphcq/internal/arrange"
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
-	"telegraphcq/internal/window"
 )
 
 // TestParallelSelectionMatchesSequential runs the same standing-query
 // population and tuple stream through a sequential Engine and Parallel
-// engines at 1, 2, and 4 workers: per-query delivery counts — and, with
-// the ordered merge, the exact delivery order — must be identical.
+// engines at 1, 2, and 4 workers: every query's deliveries, in order, must
+// be identical.
 func TestParallelSelectionMatchesSequential(t *testing.T) {
 	l := stockLayout()
 	const nq, nt = 40, 600
@@ -61,14 +58,13 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			par, err := NewParallelEngine(l, nil, ParallelOptions{
-				Workers: workers, BatchSize: 16, Ordered: true})
+			par, err := NewParallelEngine(l, ParallelOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := run(func(tp *tuple.Tuple) { par.IngestBatch(0, []*tuple.Tuple{tp.Clone()}) },
 				func(q int, sels []expr.Predicate, out func(*tuple.Tuple)) {
-					if _, err := par.AddQuery(tuple.SingleSource(0), sels, nil, out); err != nil {
+					if _, err := par.AddMember(tuple.SingleSource(0), sels, nil, keepsAll(out)); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -79,83 +75,7 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 				}
 				for i := range want[q] {
 					if got[q][i] != want[q][i] {
-						t.Fatalf("query %d result %d: Seq %d, want %d (ordered merge)", q, i, got[q][i], want[q][i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestParallelSharedJoinMatchesSequential partitions the shared equijoin
-// across shards and compares per-query delivery multisets against the
-// sequential engine.
-func TestParallelSharedJoinMatchesSequential(t *testing.T) {
-	l := joinLayout()
-	joins := []JoinSpec{{StreamA: 0, StreamB: 1, ColA: 0, ColB: 2, TimeKind: window.Physical}}
-	const n, mod = 150, 6
-
-	feed := func(ingest func(int, *tuple.Tuple)) {
-		for i := 0; i < n; i++ {
-			k := int64(i) % mod
-			s := mk(k, int64(i))
-			s.Seq = int64(2*i + 1)
-			tt := mk(k, int64(-i))
-			tt.Seq = int64(2*i + 2)
-			ingest(0, s)
-			ingest(1, tt)
-		}
-	}
-	both := tuple.SingleSource(0).Union(tuple.SingleSource(1))
-	sels := []expr.Predicate{{Col: 1, Op: expr.Ge, Val: tuple.Int(20)}}
-
-	count := func(ms map[string]int) func(*tuple.Tuple) {
-		var mu sync.Mutex
-		return func(tp *tuple.Tuple) {
-			mu.Lock()
-			ms[fmt.Sprint(tp.Vals)]++
-			mu.Unlock()
-		}
-	}
-
-	seq, _ := New(l, joins, nil)
-	wantJoin := map[string]int{}
-	wantSel := map[string]int{}
-	if _, err := seq.AddQuery(both, nil, nil, count(wantJoin)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := seq.AddQuery(both, sels, nil, count(wantSel)); err != nil {
-		t.Fatal(err)
-	}
-	feed(func(s int, tp *tuple.Tuple) { seq.Ingest(s, tp.Clone()) })
-	if len(wantJoin) == 0 {
-		t.Fatal("sequential reference join produced nothing")
-	}
-
-	for _, workers := range []int{2, 4} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			par, err := NewParallelEngine(l, joins, ParallelOptions{Workers: workers, BatchSize: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJoin := map[string]int{}
-			gotSel := map[string]int{}
-			if _, err := par.AddQuery(both, nil, nil, count(gotJoin)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := par.AddQuery(both, sels, nil, count(gotSel)); err != nil {
-				t.Fatal(err)
-			}
-			feed(func(s int, tp *tuple.Tuple) { par.IngestBatch(s, []*tuple.Tuple{tp.Clone()}) })
-			par.Close()
-			for name, want := range map[string]map[string]int{"join": wantJoin, "sel": wantSel} {
-				got := map[string]map[string]int{"join": gotJoin, "sel": gotSel}[name]
-				if len(got) != len(want) {
-					t.Fatalf("%s query: %d distinct results, want %d", name, len(got), len(want))
-				}
-				for k, c := range want {
-					if got[k] != c {
-						t.Errorf("%s query: result %s seen %d times, want %d", name, k, got[k], c)
+						t.Fatalf("query %d result %d: Seq %d, want %d (batch-order merge)", q, i, got[q][i], want[q][i])
 					}
 				}
 			}
@@ -167,31 +87,33 @@ func TestParallelSharedJoinMatchesSequential(t *testing.T) {
 // live parallel engine; delivery must follow the standing set exactly.
 func TestParallelDynamicAddRemove(t *testing.T) {
 	l := stockLayout()
-	par, err := NewParallelEngine(l, nil, ParallelOptions{Workers: 3, BatchSize: 4, Ordered: true})
+	par, err := NewParallelEngine(l, ParallelOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var aCount, bCount int
-	qa, err := par.AddQuery(tuple.SingleSource(0),
+	qa, err := par.AddMember(tuple.SingleSource(0),
 		[]expr.Predicate{{Col: 1, Op: expr.Ge, Val: tuple.Int(50)}}, nil,
-		func(*tuple.Tuple) { aCount++ })
+		keepsAll(func(*tuple.Tuple) { aCount++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := int64(0)
 	wave := func(n int) {
-		for i := 0; i < n; i++ {
-			seq++
-			tp := mk(int64(i%4), int64(i%100))
-			tp.Seq = seq
-			par.IngestBatch(0, []*tuple.Tuple{tp})
+		for i := 0; i < n; i += 4 {
+			batch := make([]*tuple.Tuple, 4)
+			for j := range batch {
+				seq++
+				batch[j] = mk(int64((i+j)%4), int64((i+j)%100))
+				batch[j].Seq = seq
+			}
+			par.IngestOwned(0, batch)
 		}
-		par.Flush()
 	}
 	wave(200) // i%100 >= 50 for half
-	if _, err := par.AddQuery(tuple.SingleSource(0),
+	if _, err := par.AddMember(tuple.SingleSource(0),
 		[]expr.Predicate{{Col: 1, Op: expr.Lt, Val: tuple.Int(50)}}, nil,
-		func(*tuple.Tuple) { bCount++ }); err != nil {
+		keepsAll(func(*tuple.Tuple) { bCount++ })); err != nil {
 		t.Fatal(err)
 	}
 	wave(200)
@@ -212,79 +134,49 @@ func TestParallelDynamicAddRemove(t *testing.T) {
 	}
 }
 
-// TestParallelFrontRefusesWhatAShardWould: a partitioned engine's front
-// builds no SteM and so no arrangement, yet it refuses a member exactly when
-// a shard would — at the 65th module, counting the shards' two SteMs — and
-// keeps no trace of the refused member.
+// TestParallelFrontRefusesWhatAShardWould: a parallel engine's front
+// builds no grouped filter, yet the engine refuses a member exactly when a
+// shard would — at the 65th module — and keeps no trace of the refused
+// member on the front or on any shard.
 func TestParallelFrontRefusesWhatAShardWould(t *testing.T) {
-	cols := make([]tuple.Column, 64)
+	cols := make([]tuple.Column, 65)
 	for i := range cols {
 		cols[i] = tuple.Column{Name: fmt.Sprintf("c%d", i), Kind: tuple.KindInt}
 	}
-	layout := tuple.NewLayout(tuple.NewSchema("A", cols...),
-		tuple.NewSchema("B", tuple.Column{Name: "k", Kind: tuple.KindInt}))
-	joins := []JoinSpec{{StreamA: 0, StreamB: 1, ColA: 0, ColB: 64}}
-	par, err := NewParallelEngine(layout, joins, ParallelOptions{Workers: 2})
+	layout := tuple.NewLayout(tuple.NewSchema("A", cols...))
+	par, err := NewParallelEngine(layout, ParallelOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	both := tuple.SingleSource(0) | tuple.SingleSource(1)
-	// Two SteMs and 62 grouped filters make 64 modules on each shard.
-	for c := 1; c <= 62; c++ {
-		if _, err := par.AddQuery(both, []expr.Predicate{{Col: c, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil); err != nil {
+	a := tuple.SingleSource(0)
+	// 64 grouped filters make 64 modules on each shard.
+	for c := 0; c < 64; c++ {
+		if _, err := par.AddMember(a, []expr.Predicate{{Col: c, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil); err != nil {
 			t.Fatalf("query on column %d: %v", c, err)
 		}
 	}
-	_, err = par.AddQuery(both, []expr.Predicate{{Col: 63, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil)
+	_, err = par.AddMember(a, []expr.Predicate{{Col: 64, Op: expr.Ge, Val: tuple.Int(0)}}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "64") {
 		t.Fatalf("query needing module 65: err = %v, want the 64-module cap", err)
 	}
-	if n := par.QueryCount(); n != 62 {
-		t.Errorf("the front holds %d members after the refusal, want 62", n)
+	if n := par.front.QueryCount(); n != 64 {
+		t.Errorf("the front holds %d members after the refusal, want 64", n)
 	}
-	n := 0
-	par.Arrangements(func(int, *arrange.Arrangement) { n++ })
-	if n != 4 {
-		t.Errorf("%d arrangements, want 4: two per shard, none on the front", n)
+	for i, sh := range par.shards {
+		if n, m := sh.QueryCount(), len(sh.ed.Modules()); n != 64 || m != 64 {
+			t.Errorf("shard %d holds %d members on %d modules after the refusal, want 64 on 64", i, n, m)
+		}
+	}
+	if m := len(par.front.ed.Modules()); m != 0 {
+		t.Errorf("the front routes through %d modules, want none", m)
 	}
 }
 
-// TestPartitionColumns pins the partitionability rule: one equivalence
-// class is parallelizable, two are not.
-func TestPartitionColumns(t *testing.T) {
-	threeStream := tuple.NewLayout(
-		tuple.NewSchema("A", tuple.Column{Name: "x", Kind: tuple.KindInt}),
-		tuple.NewSchema("B", tuple.Column{Name: "x", Kind: tuple.KindInt}, tuple.Column{Name: "y", Kind: tuple.KindInt}),
-		tuple.NewSchema("C", tuple.Column{Name: "y", Kind: tuple.KindInt}),
-	)
-	// A.x = B.x and B.x = C.y: one class {0,1,3} — partitionable.
-	cols, ok := PartitionColumns(threeStream, []JoinSpec{
-		{StreamA: 0, StreamB: 1, ColA: 0, ColB: 1},
-		{StreamA: 1, StreamB: 2, ColA: 1, ColB: 3},
-	})
-	if !ok {
-		t.Fatal("single-class join set reported unpartitionable")
-	}
-	if cols[0] != 0 || cols[1] != 1 || cols[2] != 3 {
-		t.Errorf("key columns = %v, want [0 1 3]", cols)
-	}
-	// A.x = B.x and B.y = C.y: two classes — must refuse.
-	if _, ok := PartitionColumns(threeStream, []JoinSpec{
-		{StreamA: 0, StreamB: 1, ColA: 0, ColB: 1},
-		{StreamA: 1, StreamB: 2, ColA: 2, ColB: 3},
-	}); ok {
-		t.Error("two-class join set reported partitionable")
-	}
-	// No joins: every stream partitions on its first column.
-	cols, ok = PartitionColumns(threeStream, nil)
-	if !ok || cols[0] != 0 || cols[1] != 1 || cols[2] != 3 {
-		t.Errorf("no-join key columns = %v ok=%v", cols, ok)
-	}
-	if _, err := NewParallelEngine(threeStream, []JoinSpec{
-		{StreamA: 0, StreamB: 1, ColA: 0, ColB: 1},
-		{StreamA: 1, StreamB: 2, ColA: 2, ColB: 3},
-	}, ParallelOptions{Workers: 2}); err == nil {
-		t.Error("NewParallelEngine accepted an unpartitionable join set")
+// TestParallelRefusesJoinLayouts: the pipeline runs one-stream classes only;
+// a join class stays on a sequential Engine at any worker count.
+func TestParallelRefusesJoinLayouts(t *testing.T) {
+	if _, err := NewParallelEngine(joinLayout(), ParallelOptions{Workers: 2}); err == nil {
+		t.Error("NewParallelEngine accepted a two-stream layout")
 	}
 }

@@ -69,7 +69,7 @@ func footprintOf(e *Engine) classFootprint {
 		st.mu.Unlock()
 	}
 	e.mu.Unlock()
-	e.eachArrangement(func(_ *sharedClass, _ int, a *arrange.Arrangement) {
+	e.eachArrangement(func(_ *sharedClass, a *arrange.Arrangement) {
 		f.arrangements++
 		f.rows += a.Stats().Size
 	})

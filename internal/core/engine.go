@@ -9,8 +9,8 @@
 // Execution model: each registered query becomes one Dispatch Unit
 // scheduled on the Execution Object owning its footprint class.
 // Unwindowed continuous queries run through an adaptive eddy (filters +
-// SteMs, routed by the one rule in routing.go; hash-partitioned across
-// worker shards when Options.Workers > 1 and the plan allows); windowed
+// SteMs, routed by the one rule in routing.go; a selection class runs as a
+// batch pipeline over worker shards when Options.Workers > 1); windowed
 // queries follow the paper's sequence-of-sets semantics — for every
 // for-loop instance the engine evaluates the query over the declared window
 // of each stream, buffered in memory and optionally spooled through the
@@ -65,21 +65,21 @@ type Options struct {
 	// fire latency). nil defaults to the real clock; tests inject a
 	// virtual clock for deterministic runs.
 	Clock chaos.Clock
-	// Workers selects intra-process parallel execution: a CACQ class whose
-	// join edges form one equijoin key class (every selection class does)
-	// gets a hash-partitioning stage in front of Workers shard copies of
-	// its modules, with a merge stage behind them. 1 (the default) runs
-	// every eddy inline on its dispatch unit; other classes stay inline
-	// regardless of this setting. The trade-off: a selection class with
-	// many members gains throughput, paid for in allocations per tuple,
-	// memory and a little latency; a two-stream join gains nothing and
-	// still pays the allocations.
+	// Workers selects intra-process parallel execution for selection
+	// classes only: a class with one FROM position runs Workers shard
+	// copies of its grouped filters as a batch pipeline, each drained batch
+	// going whole to the next shard in turn and a merge stage delivering
+	// the results in batch order, the order Workers 1 delivers in. Join
+	// classes run sequentially at any Workers. 1 (the default) runs every
+	// eddy inline on its dispatch unit. The trade-off: a selection class
+	// with many members gains throughput for a little latency and the
+	// shards' memory.
 	Workers int
 	// BatchSize is the tuple-batch granularity of the whole dataflow:
-	// ingress fan-out, each runtime's input drain, eddy entry, and shard
-	// handoff in parallel execution all move up to BatchSize tuples per
-	// operation (default 64). BatchSize 1 degenerates to per-tuple
-	// processing with identical output sequences.
+	// ingress fan-out, each runtime's input drain and eddy entry (so also
+	// the batches a selection class hands its worker shards) move up to
+	// BatchSize tuples per operation (default 64). BatchSize 1 degenerates
+	// to per-tuple processing with identical output sequences.
 	BatchSize int
 	// Introspect registers the engine's telemetry streams (tcq.stats,
 	// tcq.routes, tcq.pool, tcq.chaos) as ordinary catalog sources fed by a

@@ -32,7 +32,7 @@ type ModuleTelemetry struct {
 }
 
 // QueryTelemetry is one standing query's live execution state, aggregated
-// across parallel shards when the query runs partitioned.
+// across pipeline shards when its class runs on several.
 type QueryTelemetry struct {
 	ID      int
 	Label   string // trace tag: "q<id>", or "shared:<stream>" inside a class
@@ -305,14 +305,13 @@ func (in *introspector) tick() {
 
 	// One tcq.arrange row per live class's arrangement per tick (none until
 	// a join class exists), read by every member of the class.
-	e.eachArrangement(func(sc *sharedClass, shard int, a *arrange.Arrangement) {
+	e.eachArrangement(func(sc *sharedClass, a *arrange.Arrangement) {
 		st := a.Stats()
 		byStream[introspect.ArrangeStream] = append(byStream[introspect.ArrangeStream], &tuple.Tuple{
 			Vals: []tuple.Value{
 				tuple.Time(now),
 				tuple.String_(sc.key),
 				tuple.String_(a.Name()),
-				tuple.Int(int64(shard)),
 				tuple.Int(int64(len(sc.members))),
 				tuple.Int(int64(st.Size)),
 				tuple.Int(st.Bytes),

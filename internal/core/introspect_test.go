@@ -75,10 +75,10 @@ func TestIntrospectStatsCQEndToEnd(t *testing.T) {
 }
 
 // TestArrangeStreamFollowsLiveClasses: SELECT * FROM tcq.arrange, an
-// ordinary CQ, sees one row per (class, stream, shard) of a live join class,
-// its readers the class's member count — at one worker, and at two, where
-// the class is partitioned and only its shards hold arrangements — and none
-// once the last member has left, when the arrangement gauges read 0 too.
+// ordinary CQ, sees one row per (class, stream) of a live join class, its
+// readers the class's member count — at one worker, and at two, where the
+// join class still runs on one sequential engine — and none once the last
+// member has left, when the arrangement gauges read 0 too.
 func TestArrangeStreamFollowsLiveClasses(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -108,11 +108,7 @@ func TestArrangeStreamFollowsLiveClasses(t *testing.T) {
 			}
 			waitResults(t, a, 32)
 
-			shards := []int64{-1}
-			if workers > 1 {
-				shards = []int64{0, 1}
-			}
-			want := 2 * len(shards)
+			const want = 2
 			e.TickIntrospection()
 			var rows []*tuple.Tuple
 			waitFor(t, "tcq.arrange rows", func() bool {
@@ -125,7 +121,7 @@ func TestArrangeStreamFollowsLiveClasses(t *testing.T) {
 			seen := map[string]bool{}
 			var stored int64
 			for _, r := range rows {
-				key := fmt.Sprintf("%s/%s/%d", col(r, "class").S, col(r, "arrangement").S, col(r, "shard").AsInt())
+				key := col(r, "class").S + "/" + col(r, "arrangement").S
 				if seen[key] {
 					t.Errorf("two rows for %s in one tick", key)
 				}
@@ -136,10 +132,8 @@ func TestArrangeStreamFollowsLiveClasses(t *testing.T) {
 				stored += col(r, "size").AsInt()
 			}
 			for _, stream := range []string{"S", "R"} {
-				for _, shard := range shards {
-					if key := fmt.Sprintf("S+R|0=2/%s/%d", stream, shard); !seen[key] {
-						t.Errorf("no row for %s among %v", key, seen)
-					}
+				if key := "S+R|0=2/" + stream; !seen[key] {
+					t.Errorf("no row for %s among %v", key, seen)
 				}
 			}
 			if len(rows) != want || stored != 16 {
@@ -298,7 +292,7 @@ func TestIntrospectProbeTimerWired(t *testing.T) {
 	})
 	// The eddy samples every module's hops whether or not introspection is
 	// on: each grouped filter and SteM reports its latency, at one worker
-	// and across two shards.
+	// and at two, where the join class still runs sequentially.
 	for _, workers := range []int{1, 2} {
 		e := NewEngine(Options{Workers: workers})
 		createSR(t, e)

@@ -35,8 +35,9 @@ import (
 type matrixShape struct {
 	name, sql string
 	// key is the class an unwindowed plan joins ("%d" stands for the query
-	// ID of a table-reading plan); part whether that class runs partitioned
-	// at Workers > 1.
+	// ID of a table-reading plan); part whether that class runs on pipeline
+	// shards at Workers > 1 (selection classes only: a join class runs
+	// sequentially at any Workers).
 	key  string
 	part bool
 	// path is where a windowed plan evaluates: "pane", "rescan", "incjoin".
@@ -184,7 +185,7 @@ var matrixShapes = func() []matrixShape {
 
 	shapes := []matrixShape{
 		// Selections, a running aggregate and DISTINCT: one class on S, in
-		// order at every worker count through the ordered merge.
+		// order at every worker count through the batch-order merge.
 		{name: "select/eq", sql: `SELECT v FROM S WHERE k = 3`, key: "S", part: true, cmp: baseline.Sequence,
 			want: join("S", func(x rows) bool { return x[0].Int(0) == 3 }, v0)},
 		{name: "select/range", sql: `SELECT k, v FROM S WHERE v > 12 AND v <= 30`, key: "S", part: true, cmp: baseline.Sequence,
@@ -216,16 +217,16 @@ var matrixShapes = func() []matrixShape {
 
 		// Equijoins: four overlapping members of S+R|0=2, a self-join, and
 		// three-stream chains and a triangle, which the routing rule plans
-		// with the selectivity policy; the one-key chain partitions.
-		{name: "join/bare", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k`, key: "S+R|0=2", part: true,
+		// with the selectivity policy. Every join class runs sequentially.
+		{name: "join/bare", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k`, key: "S+R|0=2",
 			want: join("SR", sr, v0, v1)},
-		{name: "join/sel", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 10`, key: "S+R|0=2", part: true,
+		{name: "join/sel", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND S.v > 10`, key: "S+R|0=2",
 			want: join("SR", func(x rows) bool { return sr(x) && x[0].Int(1) > 10 }, v0, v1)},
-		{name: "join/conj", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND R.w < 40 AND S.v > 2`, key: "S+R|0=2", part: true,
+		{name: "join/conj", sql: `SELECT S.v, R.w FROM S, R WHERE S.k = R.k AND R.w < 40 AND S.v > 2`, key: "S+R|0=2",
 			want: join("SR", func(x rows) bool { return sr(x) && x[1].Int(1) < 40 && x[0].Int(1) > 2 }, v0, v1)},
-		{name: "join/star", sql: `SELECT * FROM S, R WHERE S.k = R.k`, key: "S+R|0=2", part: true,
+		{name: "join/star", sql: `SELECT * FROM S, R WHERE S.k = R.k`, key: "S+R|0=2",
 			want: join("SR", sr)},
-		{name: "join/self", sql: `SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`, key: "S a+S b|0=2", part: true,
+		{name: "join/self", sql: `SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k`, key: "S a+S b|0=2",
 			want: join("SS", sr, v0, v1)},
 		{name: "join/chain", sql: `SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.w = T.w`, key: "S+R+T|0=2,3=5",
 			want: join("SRT", chain, v0, v1, x2)},
@@ -233,7 +234,7 @@ var matrixShapes = func() []matrixShape {
 			key: "S+R+T|0=2,3=5,4=0", want: join("SRT", func(x rows) bool { return chain(x) && eq(x, 2, 0, 0, 0) }, v0, v1, x2)},
 		{name: "join/chain-sel", sql: `SELECT S.v, T.x FROM S, R, T WHERE S.k = R.k AND R.w = T.w AND R.w < 50`, key: "S+R+T|0=2,3=5",
 			want: join("SRT", func(x rows) bool { return chain(x) && x[1].Int(1) < 50 }, v0, x2)},
-		{name: "join/one-key", sql: `SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.k = T.k`, key: "S+R+T|0=2,2=4", part: true,
+		{name: "join/one-key", sql: `SELECT S.v, R.w, T.x FROM S, R, T WHERE S.k = R.k AND R.k = T.k`, key: "S+R+T|0=2,2=4",
 			want: join("SRT", func(x rows) bool { return sr(x) && eq(x, 1, 0, 2, 0) }, v0, v1, x2)},
 
 		// Class shapes beyond single-edge equijoins.
@@ -245,14 +246,14 @@ var matrixShapes = func() []matrixShape {
 			want: join("SR", func(x rows) bool { return sr(x) && x[0].Int(1) < x[1].Int(1) }, v0, v1)},
 		{name: "class/self-lt", sql: `SELECT a.v, b.v FROM S a, S b WHERE a.k = b.k AND a.v < b.v`, key: "S a+S b|0=2,1<3",
 			want: join("SS", func(x rows) bool { return sr(x) && x[0].Int(1) < x[1].Int(1) }, v0, v1)},
-		{name: "class/stream-table", sql: `SELECT S.v, P.name FROM S, P WHERE S.k = P.k`, key: "S+P|0=2#q%d", part: true,
+		{name: "class/stream-table", sql: `SELECT S.v, P.name FROM S, P WHERE S.k = P.k`, key: "S+P|0=2#q%d",
 			want: join("SP", sr, v0, v1)},
 
 		// Borrowed lineage: no member of R+S|0=2 filters R, so R's rows carry
 		// the class's lineage template while a member filters S. The churn
 		// registers and drops copies of the first while rows stream.
-		{name: "borrow/bare", sql: churnSQL, key: "R+S|0=2", part: true, want: join("RS", sr, v0, v1)},
-		{name: "borrow/sel", sql: churnSQL + ` AND S.v > 5`, key: "R+S|0=2", part: true,
+		{name: "borrow/bare", sql: churnSQL, key: "R+S|0=2", want: join("RS", sr, v0, v1)},
+		{name: "borrow/sel", sql: churnSQL + ` AND S.v > 5`, key: "R+S|0=2",
 			want: join("RS", func(x rows) bool { return sr(x) && x[1].Int(1) > 5 }, v0, v1)},
 	}
 	for i := range shapes {
@@ -488,7 +489,7 @@ type matrixPolicy struct {
 // TestDifferentialMatrix runs every shape at every lattice point for two
 // arrival seeds, registered before the first row and again once its class
 // has drained. Per cell it also checks each plan's class, routing rule,
-// partitioning or window path; that shedding shed nothing (no feed reaches
+// shards or window path; that shedding shed nothing (no feed reaches
 // QueueCap); that churned members saw a duplicate-free subset of the true
 // matches and nothing after they left; and that windowed output is bit for
 // bit the same at every lattice point.
@@ -892,16 +893,13 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 			}
 		}
 	}
-	// A join class builds once per FROM position, on each shard when
-	// partitioned, however many members it serves.
+	// A join class builds once per FROM position, however many members it
+	// serves.
 	builds := map[string]int{}
 	for _, qs := range [][]*RunningQuery{early, late} {
 		for i, q := range qs {
 			if key := strings.TrimPrefix(q.label, "shared:"); m.shapes[i].path == "" && key != "S" {
 				builds[key] = strings.Count(key[:strings.Index(key+"|", "|")], "+") + 1
-				if _, sharded := q.ParallelStats(); sharded {
-					builds[key] *= c.workers
-				}
 			}
 		}
 	}
@@ -979,8 +977,9 @@ func createSRT(t testing.TB, e *Engine) {
 }
 
 // checkPlacement checks where a plan runs: an unwindowed plan in its class,
-// partitioned at Workers > 1 when its class allows; a windowed one on its
-// path.
+// on pipeline shards at Workers > 1 when the class is a selection class
+// (part) and on one sequential engine otherwise, so no join class reports
+// ParallelStats; a windowed one on its path.
 func checkPlacement(t *testing.T, c matrixCell, sh matrixShape, q *RunningQuery) {
 	t.Helper()
 	if sh.path != "" {
@@ -1003,7 +1002,7 @@ func checkPlacement(t *testing.T, c matrixCell, sh matrixShape, q *RunningQuery)
 	}
 	ps, sharded := q.ParallelStats()
 	if want := c.workers > 1 && sh.part; sharded != want || want && ps.Workers != c.workers {
-		t.Fatalf("%s: partitioned=%v over %d shards at Workers=%d", sh.name, sharded, ps.Workers, c.workers)
+		t.Fatalf("%s: on pipeline shards=%v (%d of them) at Workers=%d", sh.name, sharded, ps.Workers, c.workers)
 	}
 }
 

@@ -291,7 +291,7 @@ func feedJoinSides(t *testing.T, e *Engine, from, to int) {
 // storedRows sums the rows every live class's arrangements hold.
 func storedRows(e *Engine) int {
 	n := 0
-	e.eachArrangement(func(_ *sharedClass, _ int, a *arrange.Arrangement) { n += a.Len() })
+	e.eachArrangement(func(_ *sharedClass, a *arrange.Arrangement) { n += a.Len() })
 	return n
 }
 

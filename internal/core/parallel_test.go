@@ -21,9 +21,9 @@ func newParStockEngine(t *testing.T, workers int) *Engine {
 }
 
 // wantShards asserts where a query's eddy runs, through the observable
-// surface: ParallelStats reports ok with the worker count when the host is
-// hash-partitioned, and !ok when the eddy runs inline on the stepping DU
-// (shards == 0).
+// surface: ParallelStats reports ok with the worker count when its class
+// runs on pipeline shards, and !ok when the eddy runs inline on the
+// stepping DU (shards == 0).
 func wantShards(t *testing.T, q *RunningQuery, shards int) {
 	t.Helper()
 	ps, ok := q.ParallelStats()
@@ -35,12 +35,11 @@ func wantShards(t *testing.T, q *RunningQuery, shards int) {
 	}
 }
 
-// TestParallelUnwindowedJoin runs a two-stream equijoin on a parallel
-// engine: hash partitioning must
-// co-locate matching keys so no result is lost or duplicated. The second
-// row is experiment E13's workload at its widest setting — eight shards,
-// 256-tuple handoffs, 20,000+64 rows — so the race stage drives the whole
-// driver → shard queues → workers → merge handoff at volume.
+// TestParallelUnwindowedJoin runs a two-stream equijoin on an engine with
+// worker shards: the join class stays on one sequential engine, whatever
+// Workers says, and loses or duplicates no result. The second row is
+// experiment E13's workload at its widest setting — eight workers,
+// 256-tuple batches, 20,000+64 rows.
 func TestParallelUnwindowedJoin(t *testing.T) {
 	for _, tc := range []struct {
 		workers, batch     int
@@ -58,7 +57,7 @@ func TestParallelUnwindowedJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantShards(t, q, tc.workers)
+			wantShards(t, q, 0)
 			for i := int64(0); i < tc.sRows; i++ {
 				e.Feed("S", tuple.New(tuple.Int(i%tc.keys), tuple.Int(i)))
 			}
@@ -81,7 +80,7 @@ func TestParallelUnwindowedJoin(t *testing.T) {
 				t.Errorf("fetched %d rows, want %d", len(res), tc.want)
 			}
 			if st, ok := q.EddyStats(); !ok || st.Ingested != tc.sRows+tc.rRows {
-				t.Errorf("aggregate shard stats = %+v ok=%v, want Ingested=%d", st, ok, tc.sRows+tc.rRows)
+				t.Errorf("eddy stats = %+v ok=%v, want Ingested=%d", st, ok, tc.sRows+tc.rRows)
 			}
 		})
 	}
@@ -102,7 +101,7 @@ func TestParallelDeregisterReleasesRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deregister closes the runtime synchronously: the shard queues are
-	// sealed and drained (the package's leakcheck TestMain additionally
+	// closed and drained (the package's leakcheck TestMain additionally
 	// fails the run if a worker or merge goroutine survives).
 	ps, ok := q.ParallelStats()
 	if !ok || ps.Workers != 2 {
@@ -110,7 +109,7 @@ func TestParallelDeregisterReleasesRuntime(t *testing.T) {
 	}
 	for shard, depth := range ps.QueueDepths {
 		if depth != 0 {
-			t.Errorf("shard %d still holds %d tuples after close", shard, depth)
+			t.Errorf("shard %d still holds %d batches after close", shard, depth)
 		}
 	}
 	// A second close is a no-op, and feeding after deregister changes nothing.
@@ -123,7 +122,7 @@ func TestParallelDeregisterReleasesRuntime(t *testing.T) {
 }
 
 // TestParallelMetricsExported: a parallel class exports both the aggregate
-// eddy counters (class-key stream label) and the shard-layer series (par
+// eddy counters (class-key stream label) and the pipeline series (par
 // label), and deregistering its last member removes them all.
 func TestParallelMetricsExported(t *testing.T) {
 	e := newParStockEngine(t, 2)

@@ -43,8 +43,8 @@ type RunningQuery struct {
 	// queues are where the query's tuples wait: its own inputs, or its
 	// shared class's (sheds there affect every member).
 	queues []*fjord.Conn
-	// parStats reads the shard layer's counters when the query's eddy host
-	// is partitioned (nil otherwise). Lock-free, unlike rt.control: STATS
+	// parStats reads the pipeline's counters when the query's eddy host is
+	// a batch pipeline (nil otherwise). Lock-free, unlike rt.control: STATS
 	// polls it, and must not queue behind the stepping DU twice.
 	parStats func() eddy.ParallelStats
 
@@ -456,9 +456,9 @@ func (q *RunningQuery) EddyStats() (st eddy.Stats, ok bool) {
 	return st, ok
 }
 
-// ParallelStats returns the shard-layer counters (handoff batches, queue
-// depths, merge buffer high-water mark) of a hash-partitioned eddy host;
-// ok is false on an inline host and on runtimes without an eddy.
+// ParallelStats returns the pipeline counters (batches, shard queue depths,
+// merged results) of a selection class running on worker shards; ok is
+// false on an inline host and on runtimes without an eddy.
 func (q *RunningQuery) ParallelStats() (eddy.ParallelStats, bool) {
 	if q.parStats == nil {
 		return eddy.ParallelStats{}, false

@@ -26,7 +26,7 @@ func onEddy(t *testing.T, q *RunningQuery, fn func(*eddy.Eddy)) {
 
 // TestRoutingThreadsAllRuntimes drives every runtime a plan can land on
 // through the one control-plane contract: the routing rule must reach each
-// eddy host (inline or partitioned), Telemetry must be labelled
+// eddy host (inline or pipeline), Telemetry must be labelled
 // and non-empty whatever executes the query, EddyStats must have the same
 // shape on every eddy-backed row, and the windowed runtime must report no
 // eddy and no policy.
@@ -43,9 +43,9 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 		modules []string // names that must appear among the telemetry rows
 	}{
 		{"selfjoin/workers=1", Options{}, selfJoin, "shared:S a+S b|0=2", true, 0, []string{"Arr(a)", "Arr(b)"}},
-		{"selfjoin/workers=4", Options{Workers: 4}, selfJoin, "shared:S a+S b|0=2", true, 4, []string{"Arr(a)", "Arr(b)"}},
+		{"selfjoin/workers=4", Options{Workers: 4}, selfJoin, "shared:S a+S b|0=2", true, 0, []string{"Arr(a)", "Arr(b)"}},
 		{"join/workers=1", Options{}, join, "shared:S+R|0=2", true, 0, []string{"Arr(S)", "Arr(R)"}},
-		{"join/workers=4", Options{Workers: 4}, join, "shared:S+R|0=2", true, 4, []string{"Arr(S)", "Arr(R)"}},
+		{"join/workers=4", Options{Workers: 4}, join, "shared:S+R|0=2", true, 0, []string{"Arr(S)", "Arr(R)"}},
 		{"shared/workers=1", Options{}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 0, []string{"GF(S.v)"}},
 		{"shared/workers=4", Options{Workers: 4}, `SELECT v FROM S WHERE v > 2`, "shared:S", true, 4, []string{"GF(S.v)"}},
 		{"windowed", Options{}, `SELECT COUNT(*) FROM S for (t = 4; ; t += 4) { WindowIs(S, t - 3, t); }`,
@@ -108,10 +108,9 @@ func TestRoutingThreadsAllRuntimes(t *testing.T) {
 			if st.Ingested == 0 || st.Visits == 0 || len(st.Modules) != len(qt.Modules) {
 				t.Errorf("eddy stats shape: %+v against %d telemetry rows", st, len(qt.Modules))
 			}
-			// Inline hosts take whole drained batches; shards are fed tuple
-			// by tuple behind the partitioner, so only the former must have
-			// counted lineage runs.
-			if tc.shards == 0 && st.Runs == 0 {
+			// Inline hosts and pipeline shards alike take whole drained
+			// batches, so every eddy has counted lineage runs.
+			if st.Runs == 0 {
 				t.Error("batch run counter empty after batched ingest")
 			}
 			// Every host here spans fewer than three streams, so the routing

@@ -21,8 +21,8 @@ import (
 
 // eddyHost is the one contract behind which every eddy in the engine is
 // observed (internal/eddy/host.go). *eddy.Eddy and *eddy.ParallelEddy
-// satisfy it, so a class's cacq engine, at one worker or many, is driven the
-// same way.
+// satisfy it, so a class's cacq engine, at one worker or many, is observed
+// the same way.
 type eddyHost interface {
 	Stats() eddy.Stats
 	ModuleNames() []string
@@ -51,8 +51,8 @@ type sharedClass struct {
 	// client goroutines.
 	mu  sync.Mutex
 	eng sharedEngine
-	// host is eng's eddy control plane: its one eddy, or its shard layer
-	// (then parStats reads that layer's own counters).
+	// host is eng's eddy control plane: its one eddy, or its pipeline
+	// (then parStats reads the pipeline's own counters).
 	host     eddyHost
 	parStats func() eddy.ParallelStats
 	members  map[int]int // RunningQuery.ID -> cacq query id
@@ -62,16 +62,15 @@ type sharedClass struct {
 	drainer *batchDrain
 	preSeq  []int64
 	// ingest routes one batch of stream-s subscriber clones through eng and
-	// takes ownership of them: the sequential engine adopts or recycles each
-	// itself (cacq.Engine.IngestOwned); a parallel one widens copies, after
-	// which the clones go back to the engine's tuple pool.
+	// takes ownership of them: the engine, or the pipeline shard the batch
+	// goes to, adopts or recycles each itself (IngestOwned).
 	ingest func(s int, base []*tuple.Tuple)
 	// dead marks a retired class (retireLocked): it is out of e.shared, add
 	// refuses members, and step retires its DU.
 	dead bool
 	// rec records the registry series the class registered, for retirement
 	// to drop by exact name; named counts the modules with per-module series.
-	// unregPar drops a parallel engine's shard-layer series.
+	// unregPar drops a parallel engine's pipeline series.
 	rec      recorder
 	named    int
 	unregPar func()
@@ -83,18 +82,15 @@ var errClassGone = errors.New("core: shared class retired")
 
 // sharedEngine abstracts the execution strategy behind a shared class:
 // the sequential cacq.Engine, or — when the engine runs with Workers > 1 and
-// the class's join set is one equijoin key class — a cacq.Parallel
-// partitioning the same super-query across worker shards. A single-stream
-// class's Seq is monotone, so the parallel variant runs its ordered merge:
-// members observe the exact sequential delivery order either way. Classes
-// over several positions have independent sequences, so their parallel
-// variant merges unordered (join results are a multiset).
+// the class has one FROM position — a cacq.Parallel running the same
+// super-query as a batch pipeline over worker shards, which delivers in the
+// sequential engine's order. A class that joins runs sequentially at any
+// Workers.
 type sharedEngine interface {
 	AddMember(fp tuple.SourceSet, sels []expr.Predicate, project []int, emit func(*tuple.Tuple) (kept bool)) (*cacq.Query, error)
 	RemoveQuery(id int) error
 	IngestBatch(s int, base []*tuple.Tuple)
 	Delivered() int64
-	Arrangements(fn func(shard int, a *arrange.Arrangement))
 }
 
 // sharedMember is the runtime of a query inside a shared class: the class's
@@ -215,11 +211,9 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 	// shape picks the policy, and whether each eddy plans whole probe orders.
 	seed, label := classSeed(key), "shared:"+key
 	pol, reuse := route(plan, seed)
-	if _, ok := cacq.PartitionColumns(plan.Layout, joins); ok && e.opts.Workers > 1 {
-		par, err := cacq.NewParallelEngine(plan.Layout, joins, cacq.ParallelOptions{
-			Workers:   e.opts.Workers,
-			BatchSize: e.opts.BatchSize,
-			Ordered:   len(streams) == 1,
+	if len(streams) == 1 && e.opts.Workers > 1 {
+		par, err := cacq.NewParallelEngine(plan.Layout, cacq.ParallelOptions{
+			Workers: e.opts.Workers,
 			Policy: func(shard int) eddy.Policy {
 				p, _ := route(plan, seed+int64(shard)+2)
 				return p
@@ -228,20 +222,15 @@ func (e *Engine) sharedClassFor(qid int, plan *sql.Plan) (sc *sharedClass, creat
 		if err != nil {
 			return nil, false, err
 		}
-		par.Host().Barrier(func(shard int, s eddy.Shard) {
-			s.Eddy().SetClock(e.opts.Clock)
-			if reuse > 0 {
-				e.planOrders(s.Eddy(), reuse, fmt.Sprintf("%s/s%d", label, shard))
+		par.SetRecycler(e.recycler)
+		par.Host().Barrier(func(shards []eddy.Shard) {
+			for _, s := range shards {
+				s.Eddy().SetClock(e.opts.Clock)
 			}
 		})
 		sc.eng, sc.host, sc.parStats = par, par.Host(), par.Host().ParStats
 		sc.unregPar = par.Host().RegisterMetrics(e.reg, label)
-		sc.ingest = func(s int, base []*tuple.Tuple) {
-			par.IngestBatch(s, base)
-			for _, t := range base {
-				e.recycler.Put(t)
-			}
-		}
+		sc.ingest = par.IngestOwned
 	} else {
 		seq, err := cacq.New(plan.Layout, joins, pol)
 		if err != nil {
@@ -302,7 +291,6 @@ func (e *Engine) replayTables(sc *sharedClass, plan *sql.Plan) error {
 			sc.preSeq[pos] = max(sc.preSeq[pos], t.Seq)
 		}
 		sc.eng.IngestBatch(pos, rows)
-		sc.flushLocked()
 		sc.mu.Unlock()
 	}
 	return nil
@@ -311,8 +299,8 @@ func (e *Engine) replayTables(sc *sharedClass, plan *sql.Plan) error {
 // registerMetrics exports the class's series under stream="<class key>":
 // membership and delivery, the eddy aggregates, per-SteM counters and, for
 // a sequential engine, per-module routing state — all read under the lock
-// that excludes the stepping DU. A partitioned host snapshots under a shard
-// barrier, so it stays at the aggregates (plus its own shard-layer series).
+// that excludes the stepping DU. A pipeline host snapshots under a barrier,
+// so it stays at the aggregates (plus its own pipeline series).
 func (sc *sharedClass) registerMetrics() {
 	owner := fmt.Sprintf(`stream=%q`, sc.key)
 	lbl := "{" + owner + "}"
@@ -405,30 +393,19 @@ func (sc *sharedClass) registerModules() {
 
 // step drains pending stream tuples through the shared engine in batches:
 // one lineage-template lookup and one eddy entry per batch instead of per
-// tuple. In the parallel configuration it flushes partial shard batches at
-// the end of the step (so trickle traffic is not held back by batch
-// boundaries). The subscriber clones are the class's own, so it hands them
-// to the engine: the sequential engine routes a selection class's clone as
-// the wide row itself, lineage in a reused bitmap, and returns the row to
-// the pool when no member kept it. A retired class's DU retires.
+// tuple; a parallel engine hands each drained batch whole to a shard. The
+// subscriber clones are the class's own, so it hands them to the engine:
+// a selection class's clone is routed as the wide row itself, lineage in a
+// reused bitmap, and goes back to the pool when no member kept it. A
+// retired class's DU retires.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.dead {
 		return false, true
 	}
-	if progressed, _ = sc.drainer.drain(sc.ingest); progressed {
-		sc.flushLocked()
-	}
+	progressed, _ = sc.drainer.drain(sc.ingest)
 	return progressed, false
-}
-
-// flushLocked (sc.mu held) ends an input step: partial shard batches go to
-// their workers.
-func (sc *sharedClass) flushLocked() {
-	if fl, ok := sc.eng.(interface{ Flush() }); ok {
-		fl.Flush()
-	}
 }
 
 // add registers a query with the class, delivering into q's egress through
@@ -523,14 +500,14 @@ func (sc *sharedClass) close() {
 	}
 }
 
-// eachArrangement calls fn with every arrangement of every live class and
-// the shard that holds it (-1: the class is not partitioned), under the
-// class's lock, so fn may read the class and take a's stats: the declared
-// order Engine.mu → sharedClass.mu → Arrangement.mu. e.mu is held only to
+// eachArrangement calls fn with every arrangement of every live class (a
+// sequential engine's: a parallel one holds no SteM), under the class's
+// lock, so fn may read the class and take a's stats: the declared order
+// Engine.mu → sharedClass.mu → Arrangement.mu. e.mu is held only to
 // list the classes, not while a class's lock is awaited, so a walk never
 // holds Feed or Register up behind a class's step; a class that retired
 // since the listing is skipped.
-func (e *Engine) eachArrangement(fn func(sc *sharedClass, shard int, a *arrange.Arrangement)) {
+func (e *Engine) eachArrangement(fn func(sc *sharedClass, a *arrange.Arrangement)) {
 	e.mu.Lock()
 	classes := make([]*sharedClass, 0, len(e.shared))
 	for _, sc := range e.shared {
@@ -539,8 +516,8 @@ func (e *Engine) eachArrangement(fn func(sc *sharedClass, shard int, a *arrange.
 	e.mu.Unlock()
 	for _, sc := range classes {
 		sc.mu.Lock()
-		if !sc.dead {
-			sc.eng.Arrangements(func(shard int, a *arrange.Arrangement) { fn(sc, shard, a) })
+		if seq, ok := sc.eng.(*cacq.Engine); ok && !sc.dead {
+			seq.Arrangements(func(a *arrange.Arrangement) { fn(sc, a) })
 		}
 		sc.mu.Unlock()
 	}
@@ -555,7 +532,7 @@ type arrangementTotals struct {
 }
 
 func (e *Engine) arrangementTotals() (t arrangementTotals) {
-	e.eachArrangement(func(sc *sharedClass, _ int, a *arrange.Arrangement) {
+	e.eachArrangement(func(sc *sharedClass, a *arrange.Arrangement) {
 		st := a.Stats()
 		t.count++
 		t.readers += len(sc.members)

@@ -1,13 +1,7 @@
 package eddy
 
-import (
-	"math/bits"
-
-	"telegraphcq/internal/tuple"
-)
-
 // This file is the eddy control plane: how an eddy host — one Eddy run
-// inline by its caller, or a ParallelEddy's hash-partitioned shards — is
+// inline by its caller, or a ParallelEddy's pipeline shards — is
 // observed. Both offer Stats, ModuleNames, ModuleProbeNanos and PolicyInfo,
 // so a CACQ class, at one worker or many, is driven through one contract.
 // An Eddy's methods are unsynchronized like the rest of its API; a
@@ -59,14 +53,15 @@ func (e *Eddy) ModuleNames() []string {
 // first sampled hop).
 func (e *Eddy) ModuleProbeNanos() []int64 { return append([]int64(nil), e.probeNs...) }
 
-// Eddy makes *Eddy a Shard: it is its own eddy.
-func (e *Eddy) Eddy() *Eddy { return e }
-
 // Stats sums the shard eddies' counters (a barrier snapshot): the same
 // shape of telemetry as a single eddy.
 func (pe *ParallelEddy) Stats() Stats {
 	var agg Stats
-	pe.Barrier(func(_ int, s Shard) { agg.Add(s.Eddy().Stats()) })
+	pe.Barrier(func(shards []Shard) {
+		for _, s := range shards {
+			agg.Add(s.Eddy().Stats())
+		}
+	})
 	return agg
 }
 
@@ -79,16 +74,18 @@ func (pe *ParallelEddy) ModuleNames() []string { return pe.shards[0].Eddy().Modu
 // the shards that have a sample (barrier snapshot).
 func (pe *ParallelEddy) ModuleProbeNanos() []int64 {
 	var sums, counts []int64
-	pe.Barrier(func(_ int, s Shard) {
-		ns := s.Eddy().ModuleProbeNanos()
-		if sums == nil {
-			sums = make([]int64, len(ns))
-			counts = make([]int64, len(ns))
-		}
-		for i, n := range ns {
-			if n > 0 {
-				sums[i] += n
-				counts[i]++
+	pe.Barrier(func(shards []Shard) {
+		for _, s := range shards {
+			ns := s.Eddy().ModuleProbeNanos()
+			if sums == nil {
+				sums = make([]int64, len(ns))
+				counts = make([]int64, len(ns))
+			}
+			for i, n := range ns {
+				if n > 0 {
+					sums[i] += n
+					counts[i]++
+				}
 			}
 		}
 	})
@@ -101,22 +98,9 @@ func (pe *ParallelEddy) ModuleProbeNanos() []int64 {
 }
 
 // PolicyInfo reports shard 0's policy kind and module ranking: every shard
-// runs the same kind but learns per key range, so one order stands for all.
+// runs the same kind but learns from its own batches, so one order stands
+// for all.
 func (pe *ParallelEddy) PolicyInfo() (name string, order []int) {
-	pe.Barrier(func(shard int, s Shard) {
-		if shard == 0 {
-			name, order = s.Eddy().PolicyInfo()
-		}
-	})
+	pe.Barrier(func(shards []Shard) { name, order = shards[0].Eddy().PolicyInfo() })
 	return name, order
-}
-
-// KeyPartition returns the flux-style partition function: a single-source
-// wide tuple hashes on keyCols[its stream], that stream's column in the
-// join set's one key class, so tuples that could ever join share a shard.
-func KeyPartition(keyCols []int) func(*tuple.Tuple) int {
-	return func(t *tuple.Tuple) int {
-		s := bits.TrailingZeros64(uint64(t.Source))
-		return int(t.Vals[keyCols[s]].Hash())
-	}
 }

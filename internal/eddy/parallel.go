@@ -6,511 +6,255 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/tuple"
 )
 
-// Shard is one worker's execution unit inside a ParallelEddy: an eddy (or
-// an engine wrapping one) that processes a tuple synchronously on the
-// worker's goroutine. Eddy exposes the shard's eddy to the control plane
-// (host.go), which observes it under a Barrier. *Eddy
-// satisfies Shard.
+// Shard is one worker's execution unit inside a ParallelEddy: it routes a
+// whole batch on the worker's goroutine, the way a sequential engine routes
+// one drained batch. Eddy exposes the shard's eddy to the control plane
+// (host.go), which observes it under a Barrier.
 type Shard interface {
-	Ingest(*tuple.Tuple)
+	// Run routes in, a batch the shard now owns, to completion and appends
+	// its results to out in the order its eddy completed them. It keeps no
+	// reference to in's backing array.
+	Run(in []*tuple.Tuple, out []Output) []Output
+	// Reclaim takes back the results of an earlier Run once the merge stage
+	// has delivered them; a result whose row the consumer kept has T nil.
+	// It runs on the shard's goroutine, or under a Barrier before fn, so
+	// the shard's state is as Run left it.
+	Reclaim(out []Output)
 	Eddy() *Eddy
+}
+
+// Output is one result of a shard: the row and the lineage its eddy took
+// off it (nil when it had none).
+type Output struct {
+	T       *tuple.Tuple
+	Lineage tuple.Bitset
 }
 
 // ParallelConfig parameterizes a ParallelEddy.
 type ParallelConfig struct {
 	// Workers is the number of shards (default GOMAXPROCS).
 	Workers int
-	// BatchSize is the tuple count amortizing each queue handoff
-	// (default 64). Ingest buffers per shard and flushes full batches;
-	// Flush pushes partial ones.
-	BatchSize int
-	// Partition maps a tuple to a shard index (taken mod Workers). Use
-	// flux-style key hashing so tuples that must meet in one SteM
-	// co-locate; see KeyPartition.
-	Partition func(*tuple.Tuple) int
-	// NewShard builds shard s's execution unit. emit is the shard's
-	// output: it may be called only while the shard is processing a
-	// tuple handed to it by the worker (the usual eddy output path).
-	NewShard func(shard int, emit func(*tuple.Tuple)) Shard
-	// Merge receives every shard output on a single merge goroutine —
-	// downstream code (aggregates, DISTINCT, egress) needs no locking.
-	Merge func(*tuple.Tuple)
-	// OrderBy, when set, enables the order-preserving merge: inputs must
-	// arrive at Ingest in non-decreasing OrderBy order (e.g. the ingress
-	// Seq of a single stream), and outputs are released globally sorted
-	// by the OrderBy value of the input that triggered them — the exact
-	// emission order of a sequential eddy. Nil selects arrival-order
-	// merge (joins over multiple independently-sequenced streams, where
-	// per-source order is not defined across streams).
-	OrderBy func(*tuple.Tuple) int64
+	// NewShard builds shard s's execution unit.
+	NewShard func(shard int) Shard
+	// Merge delivers one result on the single merge goroutine, in batch
+	// order, and reports whether its consumer kept the row. Downstream code
+	// (aggregates, DISTINCT, egress) needs no locking.
+	Merge func(o Output) (kept bool)
 }
 
-func (c *ParallelConfig) defaults() {
-	if c.Workers < 1 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 64
-	}
+// job is one batch's trip through the pipeline: Ingest fills in, a
+// shard's Run fills out, the merge stage delivers out, and the job goes back
+// to its shard's free list with both slices kept for the next batch.
+type job struct {
+	in  []*tuple.Tuple
+	out []Output
 }
 
-// mergeItem is one shard output labelled with its trigger's order key.
-type mergeItem struct {
-	key int64
-	t   *tuple.Tuple
-}
+// jobsPerShard bounds the batches a shard has in the pipeline at once; the
+// caller's Ingest waits for one of them to come back before handing it
+// another.
+const jobsPerShard = 4
 
-// workerState is the emit-side state shared between a shard's output
-// closure and its worker loop: outputs accumulated during the current
-// batch, labelled with the key of the tuple being processed. Only touched
-// under the worker's shardMu.
-type workerState struct {
-	out    []mergeItem
-	curKey int64
-}
-
-// parMsg is the one channel type feeding the merge goroutine: worker
-// output batches (shard >= 0) and driver progress marks (shard == -1).
-type parMsg struct {
-	shard int
-	items []mergeItem
-	// done is the worker's cumulative count of inputs fully processed;
-	// procMax the highest order key among them. Outputs for those inputs
-	// precede the message (same channel, FIFO), so the pair is a
-	// watermark: this shard will never again emit an item keyed <=
-	// procMax.
-	done    int64
-	procMax int64
-	// Driver marks: g is the highest key ingested so far and sent[i] the
-	// cumulative tuples handed to shard i. A shard that has processed
-	// everything sent to it (done == sent) is idle at watermark g: its
-	// next output can only be triggered by a key > g.
-	g    int64
-	sent []int64
-	// ack, on a driver mark, is closed once the mark is handled (Settle).
-	ack chan struct{}
-}
-
-// ParallelEddy executes one logical eddy as hash-partitioned worker
-// shards. The driver (Ingest/Flush/Close — single goroutine, like a
-// sequential eddy's caller) partitions tuples by key and hands them to
-// workers in batches over fjord pull connections; each worker owns a
-// private Shard (eddy + SteM partitions), so shards share no state and
-// need no locks; a single merge goroutine re-serializes the shards'
-// outputs, optionally restoring the sequential emission order.
+// ParallelEddy executes one logical eddy as a batch pipeline. Ingest
+// hands each batch whole to the next shard in turn; each worker owns a
+// private Shard and routes its batches in the order it got them; the merge
+// stage reads the shards' results back in the same turn order, so it
+// delivers batch k's results before batch k+1's: the order a sequential
+// eddy fed the same batches delivers in, whichever shard finishes first.
 //
-// Workers=1 degenerates to one shard fed through one queue — the same
-// module code on the same tuple order as the sequential eddy.
+// Like a sequential eddy's, its methods (Ingest, Barrier and the host
+// methods built on it, Close) are called one at a time: a class calls
+// them under its own lock. ParStats and the metrics read atomics and may
+// run at any time.
 type ParallelEddy struct {
 	cfg    ParallelConfig
-	conns  []*fjord.Conn
 	shards []Shard
-	wstate []*workerState
-	// shardMu[i] is held by worker i while it processes a batch; Barrier
-	// acquires all of them (after draining the queues) to mutate or read
-	// shard state safely.
-	shardMu []sync.Mutex
+	// in, out and free carry shard i's jobsPerShard jobs: Ingest → worker,
+	// worker → merge, and merge → Ingest while idle. Each is sized to hold
+	// all of the shard's jobs, so only Ingest's wait for an idle job
+	// blocks.
+	in, out, free []chan *job
 
-	// Driver state (single ingest goroutine).
-	pending [][]*tuple.Tuple
-	// pendFirst[s] is the order key of the oldest tuple still buffered in
-	// pending[s]; the driver's published watermark must stay below it, or
-	// the merge could release a later key while an earlier one has not
-	// even reached its shard yet.
-	pendFirst []int64
-	sent      []int64
-	g         int64
-	closed    bool
-	// processed[i] is worker i's cumulative count of inputs fully processed
-	// (stored under shardMu[i]), handed[i] of those whose outputs it has
-	// passed to the merge stage; Barrier and Settle compare them with sent[i].
-	processed, handed []atomic.Int64
+	next   int // shard of the next batch
+	closed bool
+	// inflight counts batches handed to a shard and not yet delivered by the
+	// merge stage. Only Ingest adds to it, and never during a Barrier, so
+	// the Barrier's Wait sees it settle.
+	inflight sync.WaitGroup
 
-	// ingestMu excludes Barrier from the driver hot path: Ingest/Flush
-	// hold it shared, Barrier exclusively.
-	ingestMu sync.RWMutex
-
-	mergeCh   chan parMsg
-	workersWG sync.WaitGroup
+	workers   sync.WaitGroup
 	mergeDone chan struct{}
 
-	ingested    atomic.Int64
-	merged      atomic.Int64
-	batches     atomic.Int64
-	batchTuples atomic.Int64
-	maxHeld     atomic.Int64 // high-water mark of the ordered-merge buffer
+	ingested atomic.Int64
+	merged   atomic.Int64
+	batches  atomic.Int64
 }
 
 // NewParallel starts the workers and merge stage.
 func NewParallel(cfg ParallelConfig) *ParallelEddy {
-	cfg.defaults()
-	if cfg.Partition == nil {
-		panic("eddy: ParallelConfig.Partition is required")
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.NewShard == nil {
 		panic("eddy: ParallelConfig.NewShard is required")
 	}
+	n := cfg.Workers
 	pe := &ParallelEddy{
 		cfg:       cfg,
-		conns:     make([]*fjord.Conn, cfg.Workers),
-		shards:    make([]Shard, cfg.Workers),
-		shardMu:   make([]sync.Mutex, cfg.Workers),
-		pending:   make([][]*tuple.Tuple, cfg.Workers),
-		pendFirst: make([]int64, cfg.Workers),
-		sent:      make([]int64, cfg.Workers),
-		processed: make([]atomic.Int64, cfg.Workers),
-		handed:    make([]atomic.Int64, cfg.Workers),
-		mergeCh:   make(chan parMsg, 4*cfg.Workers),
+		shards:    make([]Shard, n),
+		in:        make([]chan *job, n),
+		out:       make([]chan *job, n),
+		free:      make([]chan *job, n),
 		mergeDone: make(chan struct{}),
 	}
-	pe.wstate = make([]*workerState, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		// Eight handoff batches of slack per shard; a full queue
-		// back-pressures Ingest.
-		pe.conns[i] = fjord.NewConn(fjord.Pull, 8*cfg.BatchSize)
-		pe.pending[i] = make([]*tuple.Tuple, 0, cfg.BatchSize)
-		ws := &workerState{}
-		pe.wstate[i] = ws
-		pe.shards[i] = cfg.NewShard(i, func(t *tuple.Tuple) {
-			ws.out = append(ws.out, mergeItem{key: ws.curKey, t: t})
-		})
+	for i := range n {
+		pe.shards[i] = cfg.NewShard(i)
+		pe.in[i] = make(chan *job, jobsPerShard)
+		pe.out[i] = make(chan *job, jobsPerShard)
+		pe.free[i] = make(chan *job, jobsPerShard)
+		for range jobsPerShard {
+			pe.free[i] <- new(job)
+		}
 	}
-	go pe.mergeLoop()
-	for i := 0; i < cfg.Workers; i++ {
-		i := i
-		pe.workersWG.Add(1)
+	go pe.merge()
+	for i := range n {
+		pe.workers.Add(1)
 		go pe.worker(i)
 	}
-	go func() {
-		// Close the merge channel only after every worker has pushed its
-		// final watermark, so the merge loop can drain and release the
-		// tail of the ordered buffer.
-		pe.workersWG.Wait()
-		close(pe.mergeCh)
-	}()
 	return pe
 }
 
-// Ingest partitions one tuple to its shard, buffering up to BatchSize
-// before handing the batch to the worker. Single-goroutine, like a
-// sequential eddy's Ingest. In ordered mode the OrderBy key must be
-// non-decreasing across calls.
-func (pe *ParallelEddy) Ingest(t *tuple.Tuple) {
-	pe.ingestMu.RLock()
-	defer pe.ingestMu.RUnlock()
-	if pe.closed {
+// Ingest hands b, whose tuples the pipeline now owns, whole to the next
+// shard in turn, waiting while that shard has jobsPerShard batches in the
+// pipeline (back-pressure). The caller may reuse b's backing array on
+// return. After Close the tuples are dropped.
+func (pe *ParallelEddy) Ingest(b []*tuple.Tuple) {
+	if len(b) == 0 || pe.closed {
 		return
 	}
-	var key int64
-	if pe.cfg.OrderBy != nil {
-		key = pe.cfg.OrderBy(t)
-		if key > pe.g {
-			pe.g = key
-		}
-	}
-	s := pe.cfg.Partition(t) % pe.cfg.Workers
-	if s < 0 {
-		s += pe.cfg.Workers
-	}
-	if len(pe.pending[s]) == 0 {
-		pe.pendFirst[s] = key
-	}
-	pe.pending[s] = append(pe.pending[s], t)
-	pe.ingested.Add(1)
-	if len(pe.pending[s]) >= pe.cfg.BatchSize {
-		pe.flushShard(s)
-		pe.driverMark()
-	}
-}
-
-// IngestBatch partitions a batch of tuples in order. The caller keeps
-// ownership of b's header and may reuse it on return, like Eddy.IngestBatch.
-func (pe *ParallelEddy) IngestBatch(b *tuple.Batch) {
-	for _, t := range b.Tuples {
-		pe.Ingest(t)
-	}
-}
-
-// Flush pushes every shard's partial batch to its worker and publishes
-// the driver's progress watermark. Call at the end of an input step so
-// trickling streams are not held back by batch boundaries.
-func (pe *ParallelEddy) Flush() {
-	pe.ingestMu.RLock()
-	defer pe.ingestMu.RUnlock()
-	if pe.closed {
-		return
-	}
-	pe.flushAll()
-}
-
-func (pe *ParallelEddy) flushAll() {
-	for s := range pe.pending {
-		if len(pe.pending[s]) > 0 {
-			pe.flushShard(s)
-		}
-	}
-	pe.driverMark()
-}
-
-// flushShard hands shard s's pending batch to its worker over the pull
-// connection (blocking when the worker is behind — back-pressure).
-func (pe *ParallelEddy) flushShard(s int) {
-	batch := pe.pending[s]
-	pe.conns[s].SendBatch(batch)
-	pe.sent[s] += int64(len(batch))
+	i := pe.next
+	pe.next = (i + 1) % len(pe.shards)
+	j := <-pe.free[i]
+	j.in = append(j.in[:0], b...)
+	pe.inflight.Add(1)
+	pe.ingested.Add(int64(len(b)))
 	pe.batches.Add(1)
-	pe.batchTuples.Add(int64(len(batch)))
-	pe.pending[s] = pe.pending[s][:0]
+	pe.in[i] <- j
 }
 
-// driverMark publishes ingest progress to the merge stage (ordered mode
-// only), letting idle shards' watermarks advance with the stream. The
-// published watermark is the highest key K such that every tuple keyed
-// <= K has been handed to a worker: tuples still buffered in a pending
-// batch cap it at their key minus one.
-func (pe *ParallelEddy) driverMark() {
-	if pe.cfg.OrderBy == nil {
-		return
-	}
-	g := pe.g
-	for s := range pe.pending {
-		if len(pe.pending[s]) > 0 && pe.pendFirst[s]-1 < g {
-			g = pe.pendFirst[s] - 1
+// Close stops the workers once they have routed everything handed to them
+// and returns when the merge stage has delivered it. Idempotent.
+func (pe *ParallelEddy) Close() {
+	if !pe.closed {
+		pe.closed = true
+		for _, c := range pe.in {
+			close(c)
 		}
 	}
-	pe.mergeCh <- parMsg{shard: -1, g: g, sent: append([]int64(nil), pe.sent...)}
-}
-
-// Close flushes pending batches, stops the workers, waits for the merge
-// stage to drain, and returns. Idempotent.
-func (pe *ParallelEddy) Close() {
-	pe.ingestMu.Lock()
-	if pe.closed {
-		pe.ingestMu.Unlock()
-		<-pe.mergeDone
-		return
-	}
-	pe.flushAll()
-	pe.closed = true
-	for _, c := range pe.conns {
-		c.Close()
-	}
-	pe.ingestMu.Unlock()
+	pe.workers.Wait()
 	<-pe.mergeDone
 }
 
-// Barrier quiesces the shards — waits until every worker has processed all
-// it was sent, then locks out the workers — and runs fn once per shard. Use
-// it to mutate shard state (add or remove standing queries, set the clock)
-// or snapshot shard statistics without racing the workers. The driver is
-// locked out for the duration; outputs already handed to the merge stage
-// keep flowing.
-func (pe *ParallelEddy) Barrier(fn func(shard int, s Shard)) {
-	pe.ingestMu.Lock()
-	defer pe.ingestMu.Unlock()
-	if !pe.closed {
-		pe.flushAll()
-	}
-	for i := range pe.shardMu {
-		// Wait for the worker to have processed everything handed to it —
-		// not merely for an empty queue: a batch it has received but not
-		// yet started on is in neither the queue nor the shard.
-		for pe.processed[i].Load() < pe.sent[i] {
-			runtime.Gosched()
-		}
-		pe.shardMu[i].Lock()
-	}
+// Barrier waits until the merge stage has delivered every batch handed to
+// the shards, takes back their delivered results, and runs fn with the
+// shards. The pipeline is empty then, and stays so until the next Ingest: fn may mutate shard state (add or remove standing queries, set
+// the clock), read shard statistics, or change what the Merge callback
+// delivers to.
+func (pe *ParallelEddy) Barrier(fn func(shards []Shard)) {
+	pe.inflight.Wait()
 	for i, s := range pe.shards {
-		fn(i, s)
-	}
-	for i := range pe.shardMu {
-		pe.shardMu[i].Unlock()
-	}
-}
-
-// Settle returns once the merge stage has delivered every output of the
-// input handed to the shards. A Barrier quiesces only the shards; call
-// Settle after one, the driver still held off, before retiring something
-// the Merge callback needs (a standing query's delivery entry).
-func (pe *ParallelEddy) Settle() {
-	pe.ingestMu.Lock()
-	defer pe.ingestMu.Unlock()
-	if pe.closed {
-		return // Close drained the merge stage
-	}
-	for i := range pe.handed {
-		for pe.handed[i].Load() < pe.sent[i] {
-			runtime.Gosched()
+		for range jobsPerShard {
+			j := <-pe.free[i]
+			reclaim(s, j)
+			pe.free[i] <- j
 		}
 	}
-	ack := make(chan struct{})
-	pe.mergeCh <- parMsg{shard: -1, g: pe.g, sent: append([]int64(nil), pe.sent...), ack: ack}
-	<-ack
+	fn(pe.shards)
 }
 
-// worker is shard i's goroutine: receive a batch, process each tuple
-// through the private shard, label the outputs with the trigger's order
-// key, and forward outputs plus the new watermark to the merge stage. The
-// shard itself is created synchronously in NewParallel (before any worker
-// runs), so Barrier callers never observe a nil shard; ws carries the
-// emit-side state shared between the shard's output closure and this loop.
+// reclaim hands j's delivered results back to shard s and empties j.out.
+func reclaim(s Shard, j *job) {
+	if len(j.out) == 0 {
+		return
+	}
+	s.Reclaim(j.out)
+	clear(j.out)
+	j.out = j.out[:0]
+}
+
+// worker is shard i's goroutine: take back the job's previous results,
+// route its batch, and pass the job on to the merge stage.
 func (pe *ParallelEddy) worker(i int) {
-	defer pe.workersWG.Done()
-	conn := pe.conns[i]
-	ws := pe.wstate[i]
-	buf := make([]*tuple.Tuple, pe.cfg.BatchSize)
-	var done, procMax int64
-	for {
-		n := conn.RecvBatch(buf)
-		if n == 0 {
-			if conn.Drained() {
-				pe.mergeCh <- parMsg{shard: i, done: done, procMax: 1<<63 - 1}
-				return
-			}
-			continue
-		}
-		pe.shardMu[i].Lock()
-		for _, t := range buf[:n] {
-			if pe.cfg.OrderBy != nil {
-				ws.curKey = pe.cfg.OrderBy(t)
-				if ws.curKey > procMax {
-					procMax = ws.curKey
-				}
-			}
-			pe.shards[i].Ingest(t)
-		}
-		out := ws.out
-		ws.out = nil
-		done += int64(n)
-		pe.processed[i].Store(done)
-		pe.shardMu[i].Unlock()
-		pe.mergeCh <- parMsg{shard: i, items: out, done: done, procMax: procMax}
-		pe.handed[i].Store(done)
+	defer pe.workers.Done()
+	s := pe.shards[i]
+	for j := range pe.in[i] {
+		reclaim(s, j)
+		j.out = s.Run(j.in, j.out)
+		clear(j.in)
+		j.in = j.in[:0]
+		pe.out[i] <- j
 	}
+	close(pe.out[i])
 }
 
-// mergeLoop re-serializes shard outputs onto cfg.Merge. In ordered mode
-// it buffers items in a min-heap and releases those whose key every
-// shard's watermark has passed; otherwise it forwards in arrival order.
-func (pe *ParallelEddy) mergeLoop() {
+// merge delivers the shards' results in batch order: batch k went to shard
+// k mod Workers, and each shard passes its jobs on in the order it got
+// them, so reading the shards' outputs in turn reads the batches in order.
+// A closed output means that shard got no further batch, so neither did any
+// later one.
+func (pe *ParallelEddy) merge() {
 	defer close(pe.mergeDone)
-	n := pe.cfg.Workers
-	ordered := pe.cfg.OrderBy != nil
-	var (
-		heap    mergeHeap
-		ord     int64
-		done    = make([]int64, n)
-		sent    = make([]int64, n)
-		procMax = make([]int64, n)
-		g       int64
-	)
-	for i := range procMax {
-		procMax[i] = -1 << 62
+	for i := 0; ; i = (i + 1) % len(pe.out) {
+		j, ok := <-pe.out[i]
+		if !ok {
+			return
+		}
+		for k := range j.out {
+			if pe.cfg.Merge != nil && pe.cfg.Merge(j.out[k]) {
+				j.out[k].T = nil
+			}
+		}
+		pe.merged.Add(int64(len(j.out)))
+		pe.free[i] <- j
+		pe.inflight.Done()
 	}
-	watermark := func(i int) int64 {
-		// An idle shard (everything sent has been processed) rides the
-		// driver's watermark: its next trigger key exceeds g.
-		if done[i] >= sent[i] {
-			if g > procMax[i] {
-				return g
-			}
-		}
-		return procMax[i]
-	}
-	release := func(final bool) {
-		var minW int64 = 1<<63 - 1
-		if !final {
-			for i := 0; i < n; i++ {
-				if w := watermark(i); w < minW {
-					minW = w
-				}
-			}
-		}
-		for heap.Len() > 0 && heap.top().key <= minW {
-			it := heap.pop()
-			pe.merged.Add(1)
-			if pe.cfg.Merge != nil {
-				pe.cfg.Merge(it.t)
-			}
-		}
-	}
-	for msg := range pe.mergeCh {
-		if msg.shard < 0 {
-			if msg.g > g {
-				g = msg.g
-			}
-			copy(sent, msg.sent)
-			release(false)
-			if msg.ack != nil {
-				close(msg.ack)
-			}
-			continue
-		}
-		if !ordered {
-			for _, it := range msg.items {
-				pe.merged.Add(1)
-				if pe.cfg.Merge != nil {
-					pe.cfg.Merge(it.t)
-				}
-			}
-			continue
-		}
-		for _, it := range msg.items {
-			ord++
-			heap.push(heapItem{mergeItem: it, ord: ord})
-		}
-		if int64(heap.Len()) > pe.maxHeld.Load() {
-			pe.maxHeld.Store(int64(heap.Len()))
-		}
-		done[msg.shard] = msg.done
-		if msg.procMax > procMax[msg.shard] {
-			procMax[msg.shard] = msg.procMax
-		}
-		release(false)
-	}
-	release(true)
 }
 
 // ParallelStats snapshots a ParallelEddy's activity.
 type ParallelStats struct {
 	Workers     int
-	Ingested    int64 // tuples accepted by the driver
-	Merged      int64 // outputs released downstream
-	Batches     int64 // shard handoffs
-	BatchTuples int64 // tuples across those handoffs (avg = BatchTuples/Batches)
-	MaxHeld     int64 // ordered-merge buffer high-water mark
-	QueueDepths []int // current per-shard input queue depths
+	Ingested    int64 // tuples accepted by Ingest
+	Merged      int64 // results delivered by the merge stage
+	Batches     int64 // batches handed to shards (mean size = Ingested/Batches)
+	QueueDepths []int // batches waiting in each shard's input queue
 }
 
-// ParStats returns a snapshot of the shard layer's own counters (safe to
-// call while running); Stats reports the shard eddies' summed counters.
+// ParStats returns a snapshot of the pipeline's own counters (safe to call
+// while running); Stats reports the shard eddies' summed counters.
 func (pe *ParallelEddy) ParStats() ParallelStats {
 	st := ParallelStats{
-		Workers:     pe.cfg.Workers,
-		Ingested:    pe.ingested.Load(),
-		Merged:      pe.merged.Load(),
-		Batches:     pe.batches.Load(),
-		BatchTuples: pe.batchTuples.Load(),
-		MaxHeld:     pe.maxHeld.Load(),
+		Workers:  len(pe.shards),
+		Ingested: pe.ingested.Load(),
+		Merged:   pe.merged.Load(),
+		Batches:  pe.batches.Load(),
 	}
-	for _, c := range pe.conns {
-		st.QueueDepths = append(st.QueueDepths, c.Q.Len())
+	for _, c := range pe.in {
+		st.QueueDepths = append(st.QueueDepths, len(c))
 	}
 	return st
 }
 
-// RegisterMetrics exports the parallel layer's series into reg, labelled
-// par="<name>": per-shard queue depths, handoff batch counts and mean
-// size, and merge activity. The returned function unregisters them.
+// RegisterMetrics exports the pipeline's series into reg, labelled
+// par="<name>": per-shard queue depths, batch counts and mean size, and
+// merge activity. The returned function unregisters them.
 func (pe *ParallelEddy) RegisterMetrics(reg *metrics.Registry, name string) func() {
 	lbl := fmt.Sprintf(`{par=%q}`, name)
 	reg.RegisterFunc("tcq_parallel_workers"+lbl, metrics.KindGauge, func() float64 {
-		return float64(pe.cfg.Workers)
+		return float64(len(pe.shards))
 	})
 	reg.RegisterFunc("tcq_parallel_ingested_total"+lbl, metrics.KindCounter, func() float64 {
 		return float64(pe.ingested.Load())
@@ -526,75 +270,14 @@ func (pe *ParallelEddy) RegisterMetrics(reg *metrics.Registry, name string) func
 		if b == 0 {
 			return 0
 		}
-		return float64(pe.batchTuples.Load()) / float64(b)
+		return float64(pe.ingested.Load()) / float64(b)
 	})
-	reg.RegisterFunc("tcq_parallel_merge_held_max"+lbl, metrics.KindGauge, func() float64 {
-		return float64(pe.maxHeld.Load())
-	})
-	for i, c := range pe.conns {
-		c := c
+	for i, c := range pe.in {
 		slbl := fmt.Sprintf(`{par=%q,shard="%d"}`, name, i)
 		reg.RegisterFunc("tcq_parallel_shard_queue_depth"+slbl, metrics.KindGauge, func() float64 {
-			return float64(c.Q.Len())
+			return float64(len(c))
 		})
 	}
 	match := fmt.Sprintf(`par=%q`, name)
 	return func() { reg.UnregisterMatching(match) }
-}
-
-// heapItem carries the stable arrival order for tie-breaking equal keys.
-type heapItem struct {
-	mergeItem
-	ord int64
-}
-
-// mergeHeap is a plain binary min-heap over (key, ord) — small and
-// allocation-light, avoiding container/heap interface boxing.
-type mergeHeap struct{ a []heapItem }
-
-func (h *mergeHeap) Len() int      { return len(h.a) }
-func (h *mergeHeap) top() heapItem { return h.a[0] }
-func (h *mergeHeap) less(i, j int) bool {
-	if h.a[i].key != h.a[j].key {
-		return h.a[i].key < h.a[j].key
-	}
-	return h.a[i].ord < h.a[j].ord
-}
-
-func (h *mergeHeap) push(it heapItem) {
-	h.a = append(h.a, it)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
-		i = p
-	}
-}
-
-func (h *mergeHeap) pop() heapItem {
-	it := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a[last] = heapItem{}
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h.a) && h.less(l, s) {
-			s = l
-		}
-		if r < len(h.a) && h.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h.a[i], h.a[s] = h.a[s], h.a[i]
-		i = s
-	}
-	return it
 }

@@ -96,7 +96,6 @@ func ArrangeSchema() *tuple.Schema {
 		tuple.Column{Name: "ts", Kind: tuple.KindTime},
 		tuple.Column{Name: "class", Kind: tuple.KindString},
 		tuple.Column{Name: "arrangement", Kind: tuple.KindString},
-		tuple.Column{Name: "shard", Kind: tuple.KindInt},
 		tuple.Column{Name: "readers", Kind: tuple.KindInt},
 		tuple.Column{Name: "size", Kind: tuple.KindInt},
 		tuple.Column{Name: "bytes", Kind: tuple.KindInt},

@@ -12,7 +12,7 @@ import (
 // LockClass names one mutex in the acquisition-order table: the field
 // Field of struct Type in package Path (e.g. core.Engine's mu). Every
 // instance of that field is one class — ordering between instances of the
-// same class (slice elements like ParallelEddy.shardMu) is out of scope.
+// same class (slice or map elements of one struct type) is out of scope.
 type LockClass struct {
 	Path, Type, Field string
 }

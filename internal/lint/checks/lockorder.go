@@ -4,9 +4,10 @@ package checks
 // outermost first. A goroutine may acquire a class further down the table
 // while holding one further up, never the reverse. The table encodes the
 // layering of the dataflow: server session state wraps engine registry
-// state, which wraps per-stream and per-class state, which wraps the
-// runtime/shard structures, with egress sinks, the arrangement a SteM stores
-// into and scrape-time metric state innermost. lockcheck verifies every
+// state, which wraps per-stream and per-class state, with egress sinks,
+// the arrangement a SteM stores into and scrape-time metric state
+// innermost. (A class's worker pipeline, eddy.ParallelEddy, has no lock of
+// its own: the class calls it under sharedClass.mu.) lockcheck verifies every
 // function (and every helper reachable through same-package calls) against
 // it.
 var RepoLockOrder = []LockClass{
@@ -30,11 +31,6 @@ var RepoLockOrder = []LockClass{
 	// Per-query result sinks.
 	{modulePath + "/internal/core", "RunningQuery", "sinkMu"},
 
-	// Parallel eddy: the ingest gate strictly precedes the per-shard
-	// queue locks (Close holds ingestMu while sealing every shard).
-	{modulePath + "/internal/eddy", "ParallelEddy", "ingestMu"},
-	{modulePath + "/internal/eddy", "ParallelEddy", "shardMu"},
-
 	// Flux routing state and its consumers.
 	{modulePath + "/internal/flux", "Flux", "mu"},
 	{modulePath + "/internal/flux", "JoinHalf", "mu"},
@@ -45,9 +41,9 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/egress", "PullEgress", "mu"},
 	{modulePath + "/internal/egress", "PriorityEgress", "mu"},
 
-	// The one row store behind every SteM: taken under the class, runtime
-	// and shard locks above by whichever eddy steps the SteM, and under
-	// Engine.mu and sharedClass.mu by the engine's walk of its live classes
+	// The one row store behind every SteM: taken under sharedClass.mu by
+	// the class eddy that steps the SteM, and under Engine.mu and
+	// sharedClass.mu by the engine's walk of its live classes
 	// (the tcq_arrangement_* gauges, tcq.arrange). A leaf — a callback
 	// running under it merges rows and may enter tuple.Pool, nothing in
 	// this table.

@@ -765,20 +765,20 @@ func (fe *frontEnd) handleStats(rest string) error {
 			fe.send(line)
 		}
 	}
-	// Queries whose eddy host is partitioned also carry shard-layer counters
-	// (the tcq_parallel_* metric family), merged into the same report.
+	// Queries whose class runs on worker shards also carry the pipeline's
+	// counters (the tcq_parallel_* metric family), merged into the same
+	// report.
 	if ps, ok := q.ParallelStats(); ok {
 		avg := 0.0
 		if ps.Batches > 0 {
-			avg = float64(ps.BatchTuples) / float64(ps.Batches)
+			avg = float64(ps.Ingested) / float64(ps.Batches)
 		}
 		depths := make([]string, len(ps.QueueDepths))
 		for i, d := range ps.QueueDepths {
 			depths[i] = strconv.Itoa(d)
 		}
-		fe.send(fmt.Sprintf("ROW . parallel: workers=%d ingested=%d merged=%d batches=%d avgBatch=%.1f maxHeld=%d queues=%s",
-			ps.Workers, ps.Ingested, ps.Merged, ps.Batches, avg, ps.MaxHeld,
-			strings.Join(depths, ",")))
+		fe.send(fmt.Sprintf("ROW . parallel: workers=%d ingested=%d merged=%d batches=%d avgBatch=%.1f queues=%s",
+			ps.Workers, ps.Ingested, ps.Merged, ps.Batches, avg, strings.Join(depths, ",")))
 	}
 	fe.send("END")
 	return nil

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -343,13 +344,17 @@ func (p *parser) parseNumber() (tuple.Value, error) {
 	return tuple.Int(v), nil
 }
 
-// parseInt parses an optionally negated integer literal.
+// parseInt parses an optionally negated integer literal: a number with a
+// fraction is refused, not truncated.
 func (p *parser) parseInt() (int64, error) {
 	v, err := p.parseNumber()
 	if err != nil {
 		return 0, err
 	}
-	return v.AsInt(), nil
+	if v.K != tuple.KindInt {
+		return 0, fmt.Errorf("sql: expected integer, found %s", p.toks[p.i-1])
+	}
+	return v.I, nil
 }
 
 // parseForLoop parses the paper's window construct. The grammar is
@@ -432,7 +437,14 @@ func (p *parser) parseForLoop() (*window.Loop, error) {
 			if err != nil {
 				return nil, err
 			}
-			loop.Step = v - loop.Init
+			step := v - loop.Init
+			// Refuse steps that wrap or that render as -2^63 (whose
+			// absolute value is no integer literal), so that Loop.String
+			// parses back to the same loop.
+			if (v >= loop.Init) != (step >= 0) || step == math.MinInt64 {
+				return nil, fmt.Errorf("sql: loop reassignment t = %d overflows the step", v)
+			}
+			loop.Step = step
 		default:
 			return nil, fmt.Errorf("sql: expected loop change, found %s", p.peek())
 		}

@@ -55,15 +55,17 @@ type Config struct {
 	// traces with Query.Traces or the TRACE wire command.
 	TraceSampleRate float64
 	// BatchSize is the tuple-batch granularity of the dataflow: ingress
-	// fan-out, query input drains, eddy routing, and parallel shard
-	// handoffs move up to BatchSize tuples per operation (default 64).
+	// fan-out, query input drains, eddy routing, and the batches a
+	// selection class hands its worker shards move up to BatchSize tuples
+	// per operation (default 64).
 	// BatchSize 1 degenerates to per-tuple processing with identical
 	// output sequences — larger values trade a little latency for
 	// amortized locking and routing on saturated streams.
 	BatchSize int
-	// Workers > 1 enables intra-process parallel execution for eligible
-	// query classes (hash-partitioned eddy shards behind a merge stage);
-	// the default 1 keeps every query on the sequential path.
+	// Workers > 1 runs selection classes only (one FROM stream) on worker
+	// shards: whole drained batches in turn, merged back in arrival order.
+	// Joins are sequential at any Workers; the default 1 keeps every query
+	// on the sequential path.
 	Workers int
 }
 
