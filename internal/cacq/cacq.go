@@ -237,9 +237,9 @@ func keepsAll(out func(*tuple.Tuple)) func(*tuple.Tuple) bool {
 
 // AddMember is AddQuery for a query whose output reports whether it kept
 // each row: a projected row emit did not keep is written over by the
-// query's next result, so a query nobody is watching costs no allocation
-// per result. A row without a projection is the engine's wide row, which
-// the query never owns, whatever emit reports.
+// query's next result, so a query costs no allocation per result. A row
+// without a projection is the engine's wide row, which the query never
+// owns: one no member's emit kept goes back to the pool (SetRecycler).
 func (e *Engine) AddMember(footprint tuple.SourceSet, selections []expr.Predicate,
 	project []int, emit func(*tuple.Tuple) (kept bool)) (*Query, error) {
 	if footprint == 0 {
@@ -532,9 +532,9 @@ func (e *Engine) forward() {
 // removed mid-flight) or whose owner has a different footprint are
 // skipped, matching the old member-list semantics exactly. lineage is t's
 // Queries bitmap, which the eddy may already have taken off the row. It
-// reports whether some member received t itself (a query without a
-// projection), and whether any member was delivered it. A member's
-// projected row is its own: one its Emit did not keep is the next
+// reports whether some member kept t itself (a query without a projection
+// whose Emit reported it kept), and whether any member was delivered it. A
+// member's projected row is its own: one its Emit did not keep is the next
 // projection's target (Query.spare).
 func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered bool) {
 	src := t.Source
@@ -548,8 +548,9 @@ func (e *Engine) deliver(t *tuple.Tuple, lineage tuple.Bitset) (kept, delivered 
 		switch {
 		case q.Emit == nil:
 		case q.proj == nil:
-			q.Emit(t)
-			kept = true
+			if q.Emit(t) {
+				kept = true
+			}
 		default:
 			out := q.proj.ApplyTo(q.spare, t)
 			q.spare = nil

@@ -101,8 +101,11 @@ type outPipe struct {
 
 // memberOutput builds a member's delivery: the projection the class engine
 // applies for it (none for an aggregate, which folds whole rows) and the
-// callback that runs the rest of its pipeline into its egress.
-func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, emit func(*tuple.Tuple) (kept bool)) {
+// callback that runs the rest of its pipeline into its result log. The
+// callback reports false, as AddMember asks of a row it did not keep: the
+// log keeps values, so the member's projected row is the next result's
+// target and a SELECT * member's wide row can go back to the pool.
+func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, emit func(*tuple.Tuple) bool) {
 	var p outPipe
 	if plan.HasAgg() {
 		p.agg = ops.NewLandmarkAgg(plan.Aggs...)
@@ -113,15 +116,16 @@ func memberOutput(q *RunningQuery, plan *sql.Plan) (project []int, emit func(*tu
 		p.dedup = ops.NewDupElim()
 	}
 	if p.agg == nil && p.dedup == nil {
-		return project, q.emit
+		return project, func(t *tuple.Tuple) bool {
+			q.emit(t)
+			return false
+		}
 	}
-	// The pipeline, not emit, decides what reaches the egress here, so the
-	// member reports every row kept and its projected row is never reused.
 	return project, func(t *tuple.Tuple) bool {
 		if r := p.route(t); r != nil {
 			q.emit(r)
 		}
-		return true
+		return false
 	}
 }
 

@@ -130,7 +130,7 @@ type streamState struct {
 	// hist retains tuples' values in memory when spooling is off (nil with
 	// a store), the newest histCap rows, so late-registered queries can
 	// still see old data (PSoup semantics). It is an encoded log: it keeps
-	// no fed tuple.
+	// no fed tuple. A store keeps at least histCap rows, in whole segments.
 	hist    *storage.Log
 	histCap int
 	// fed counts tuples delivered into this stream (ingress feed rate).
@@ -162,6 +162,9 @@ type Engine struct {
 	nextQID int
 	nextSub int
 	stopped bool
+	// quit closes when the engine stops, releasing push readers still
+	// waiting on a client.
+	quit chan struct{}
 }
 
 // NewEngine starts an engine.
@@ -175,6 +178,7 @@ func NewEngine(opts Options) *Engine {
 		streams: make(map[string]*streamState),
 		queries: make(map[int]*RunningQuery),
 		shared:  make(map[string]*sharedClass),
+		quit:    make(chan struct{}),
 	}
 	if opts.SpoolDir != "" {
 		e.pool = storage.NewBufferPool(opts.PoolSegments)
@@ -305,7 +309,16 @@ func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
 		if err != nil {
 			return err
 		}
-		st.store = store
+		// The spool keeps what the in-memory history would, at least: each
+		// flush ages out the oldest whole segments past histCap rows.
+		st.store, st.histCap = store, 1<<20
+		store.Retain(st.histCap)
+		e.reg.RegisterFunc("tcq_stream_spool_rows"+lbl, metrics.KindGauge, func() float64 {
+			return float64(store.Stats().Rows)
+		})
+		e.reg.RegisterFunc("tcq_stream_spool_bytes"+lbl, metrics.KindGauge, func() float64 {
+			return float64(store.Stats().Bytes)
+		})
 	} else {
 		st.hist, st.histCap = storage.NewLog(4<<10), 1<<20
 		if system {
@@ -568,6 +581,7 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
+	close(e.quit)
 	intro := e.intro
 	e.mu.Unlock()
 	// Quiesce the collector before tearing queries down so no tick races
@@ -599,6 +613,9 @@ func (e *Engine) Stop() {
 	}
 	e.exec.Stop()
 }
+
+// Stopped returns a channel closed once Stop has begun.
+func (e *Engine) Stopped() <-chan struct{} { return e.quit }
 
 // Queries returns the ids of standing queries.
 func (e *Engine) Queries() []int {

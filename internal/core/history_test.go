@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -251,6 +252,53 @@ func TestHistoryKeepsNewestRowsPastCap(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpoolAgesOutPastTheCap: a spooled stream fed far past its history
+// cap keeps only the segments that hold the newest cap rows (the file
+// count stays bounded), the tcq_stream_spool_* gauges say what it holds,
+// and a window reaching into the retained history reads it as fed.
+func TestSpoolAgesOutPastTheCap(t *testing.T) {
+	const capRows, seg, n = 256, 64, 5000
+	dir := t.TempDir()
+	e := NewEngine(Options{EOs: 1, SpoolDir: dir, SegmentSize: seg})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b")
+	st, err := e.stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.store.Retain(capRows)
+	for i := 1; i <= n; i++ {
+		if err := e.Feed("s", tuple.New(tuple.Int(int64(i)), tuple.Int(int64(2*i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The newest capRows rows span at most capRows/seg + 1 segments, the
+	// head aside.
+	if len(files) > capRows/seg+1 {
+		t.Errorf("%d segment files after %d rows, want at most %d", len(files), n, capRows/seg+1)
+	}
+	rows := metricValue(t, e, `tcq_stream_spool_rows{stream="s"}`)
+	if rows < capRows || rows >= capRows+2*seg {
+		t.Errorf("tcq_stream_spool_rows = %v, want the %d newest rows and less than two segments more", rows, capRows)
+	}
+	if b := metricValue(t, e, `tcq_stream_spool_bytes{stream="s"}`); b <= 0 {
+		t.Errorf("tcq_stream_spool_bytes = %v", b)
+	}
+	got := snapshotRows(t, e, "s", n)
+	if int64(len(got)) != int64(rows) {
+		t.Fatalf("a window over all of history read %d rows, the spool holds %v", len(got), rows)
+	}
+	for i, r := range got {
+		if want := int64(n - len(got) + 1 + i); r.Vals[0].I != want || r.Vals[1].I != 2*want {
+			t.Fatalf("row %d = %v, want [%d %d]", i, r.Vals, want, 2*want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 
 // Pins for "lineage stays inside the shared eddy" (DESIGN.md §5): a
 // sequential shared class routes its subscriber clones as the wide rows,
-// copies lineage into reused bitmaps, returns every row nobody kept to the
-// tuple pool, and delivers rows that carry no lineage.
+// copies lineage into reused bitmaps, returns every delivered row to the
+// tuple pool (members publish its values), and delivers rows that carry no
+// lineage.
 
 // rangeQuery is the SQL of a member selecting lo <= v < hi from S(k, v):
 // the whole row when star, else v alone.
@@ -316,7 +318,16 @@ func TestSharedReleaseIsUseAfterFreeSafe(t *testing.T) {
 	for _, m := range members {
 		waitResults(t, m.q, int64(len(m.want)))
 	}
+	// Push readers follow the result logs, and Unsubscribe drops what a
+	// reader has not yet sent: wait until every client has read to the end.
 	for _, m := range members {
+		for s := range m.pushed {
+			waitFor(t, "the push clients to read every result", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(m.pushed[s]) >= len(m.want)
+			})
+		}
 		for _, id := range m.subIDs {
 			m.q.Unsubscribe(id)
 		}
@@ -355,14 +366,16 @@ func (h *holder) hold(r *tuple.Tuple) {
 
 // TestClientRowsAreNeverReused is the ownership differential for the rows a
 // class member writes its next result into: one class S with a projected
-// member that is always push-subscribed, one that never is (its rows are
-// reused from one result to the next), a DISTINCT member, a SELECT *
-// member (it is handed the class's wide row, which it never owns), a
-// projected member whose push clients come and go every fifty rows, and
-// one that gains a sink halfway. Whatever a push client or a sink was
-// handed must keep the values it had when it arrived, and every pull log
-// must hold exactly its member's results. At two workers the class runs on
-// pipeline shards and its merge stage delivers.
+// member that is always push-subscribed, one that never is, a DISTINCT
+// member, a SELECT * member (it is handed the class's wide row, which goes
+// back to the tuple pool once delivered) with a push client, a projected
+// member whose push clients come and go every fifty rows, and one that
+// gains a push client halfway. Every member's projected row is written
+// over by its next result, and every push client reads the result log, so
+// whatever a client was handed must keep the values it had when it
+// arrived, and every pull log must hold exactly its member's results. At
+// two workers the class runs on pipeline shards and its merge stage
+// delivers.
 func TestClientRowsAreNeverReused(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
@@ -381,8 +394,8 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 			distinct := register(`SELECT DISTINCT v FROM S WHERE v < 40`)
 			star := register(`SELECT * FROM S WHERE v >= 8`)
 			churned := register(`SELECT v, k FROM S WHERE v < 56`)
-			sunk := register(`SELECT v, k FROM S WHERE v >= 24`)
-			qs := []*RunningQuery{watched, unwatched, distinct, star, churned, sunk}
+			late := register(`SELECT v, k FROM S WHERE v >= 24`)
+			qs := []*RunningQuery{watched, unwatched, distinct, star, churned, late}
 			for _, q := range qs {
 				if q.label != "shared:S" {
 					t.Fatalf("query %d runs as %s, want a member of class S", q.ID, q.label)
@@ -393,10 +406,8 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 			}
 
 			var wg sync.WaitGroup
-			var clients []*holder
-			drain := func(ch <-chan *tuple.Tuple) {
+			drain := func(ch <-chan *tuple.Tuple) *holder {
 				h := &holder{}
-				clients = append(clients, h)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -404,10 +415,14 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 						h.hold(r)
 					}
 				}()
+				return h
 			}
 			_, ch := watched.Subscribe(fed)
-			drain(ch)
-			sink := &holder{}
+			watchedClient := drain(ch)
+			_, ch = star.Subscribe(fed)
+			starClient := drain(ch)
+			var churnClients []*holder
+			var lateClient *holder
 
 			rng := rand.New(rand.NewSource(38))
 			var want [6][][]int64
@@ -415,17 +430,18 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 			churnID, subscribed := 0, false
 			for k := int64(0); k < fed; k++ {
 				if k%50 == 0 {
-					// Let the class catch up, so clients and the sink join
-					// and leave between rows it delivers.
+					// Let the class catch up, so clients join and leave
+					// between rows it delivers.
 					waitFor(t, "the class to catch up", func() bool { return star.Results() >= int64(len(want[3])) })
 					if k == fed/2 {
-						sunk.AddSink(sink.hold)
+						_, ch = late.Subscribe(fed)
+						lateClient = drain(ch)
 					}
 					if subscribed {
 						churned.Unsubscribe(churnID)
 					} else {
 						churnID, ch = churned.Subscribe(fed)
-						drain(ch)
+						churnClients = append(churnClients, drain(ch))
 					}
 					subscribed = !subscribed
 				}
@@ -456,8 +472,20 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 			for i, q := range qs {
 				waitResults(t, q, int64(len(want[i])))
 			}
-			// A sink is handed a row after the result count moves: stopping
-			// the engine waits for the last one, and closes every client.
+			// Push readers follow the result logs: wait until the clients
+			// that stay have read to the end, then stop the engine, which
+			// closes every client.
+			lastOf := func(h *holder, want [][]int64) func() bool {
+				return func() bool {
+					h.mu.Lock()
+					defer h.mu.Unlock()
+					n := len(h.rows)
+					return n > 0 && slices.Equal(intsOf(h.rows[n-1].vals), want[len(want)-1])
+				}
+			}
+			waitFor(t, "the watched member's client", lastOf(watchedClient, want[0]))
+			waitFor(t, "the SELECT * member's client", lastOf(starClient, want[3]))
+			waitFor(t, "the late client", lastOf(lateClient, want[5]))
 			e.Stop()
 			wg.Wait()
 
@@ -479,16 +507,32 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 					}
 				}
 			}
-			if got := clients[0].rows; len(got) != len(want[0]) {
-				t.Fatalf("the watched member's client got %d rows, want %d", len(got), len(want[0]))
-			}
-			for j, h := range clients[0].rows {
-				if !same(h.r, want[0][j]) {
-					t.Fatalf("the watched member's client row %d = %v, want %v", j, h.r.Vals, want[0][j])
+			// The watched and SELECT * clients got every result of their
+			// members, the late client a suffix of its member's, each as it
+			// arrived.
+			for _, c := range []struct {
+				name string
+				h    *holder
+				want [][]int64
+			}{
+				{"watched", watchedClient, want[0]},
+				{"SELECT *", starClient, want[3]},
+				{"late", lateClient, want[5][len(want[5])-len(lateClient.rows):]},
+			} {
+				if len(c.h.rows) != len(c.want) {
+					t.Fatalf("the %s member's client got %d rows, want %d", c.name, len(c.h.rows), len(c.want))
+				}
+				for j, hr := range c.h.rows {
+					if !same(hr.r, c.want[j]) || !same(hr.r, []int64{hr.vals[0].I, hr.vals[1].I}) {
+						t.Fatalf("the %s member's client row %d = %v (arrived as %v), want %v", c.name, j, hr.r.Vals, hr.vals, c.want[j])
+					}
 				}
 			}
+			if n := len(lateClient.rows); n == len(want[5]) {
+				t.Fatalf("the late client got all %d of its member's rows: it joined at the start", n)
+			}
 			held := 0
-			for _, h := range append(clients, sink) {
+			for _, h := range churnClients {
 				last := int64(-1)
 				for _, hr := range h.rows {
 					if !same(hr.r, []int64{hr.vals[0].I, hr.vals[1].I}) {
@@ -502,10 +546,18 @@ func TestClientRowsAreNeverReused(t *testing.T) {
 				}
 				held += len(h.rows)
 			}
-			if n := len(sink.rows); n == 0 || n == len(want[5]) || held-n <= len(want[0]) {
-				t.Fatalf("the sink holds %d of %d rows, the clients %d of %d: the churn tested nothing",
-					n, len(want[5]), held-n, len(want[0])+len(want[4]))
+			if held == 0 || held >= len(want[4]) {
+				t.Fatalf("the churned member's clients hold %d of %d rows: the churn tested nothing", held, len(want[4]))
 			}
 		})
 	}
+}
+
+// intsOf returns the integer payloads of vals.
+func intsOf(vals []tuple.Value) []int64 {
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		out[i] = v.I
+	}
+	return out
 }

@@ -771,8 +771,7 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 	}
 	// Late unwindowed members also push their results, to a buffer the
 	// reference's answer fits (a windowed one fires its preloaded instances
-	// before a client can subscribe); early ones only keep them, so their
-	// classes return rows no push client holds to the tuple pool.
+	// before a client can subscribe); early ones only keep them.
 	pushed := make([]<-chan *tuple.Tuple, len(m.shapes))
 	register := func(point int) []*RunningQuery {
 		qs := make([]*RunningQuery, len(m.shapes))
@@ -860,10 +859,18 @@ func (m *matrixRun) cell(t *testing.T, c matrixCell, repro string) {
 				fail("%s: %s", label, d)
 			}
 			if pushed[i] != nil && point == 1 {
+				// The push reader follows the result log, so its rows may
+				// trail the fetched ones by a moment.
 				var rows []baseline.Result
-				for len(rows) < len(got) && len(pushed[i]) > 0 {
-					r := <-pushed[i]
-					rows = append(rows, baseline.Result{TS: r.TS, Vals: r.Vals})
+				timeout := chaos.Real().After(5 * time.Second)
+			read:
+				for len(rows) < len(got) {
+					select {
+					case r := <-pushed[i]:
+						rows = append(rows, baseline.Result{TS: r.TS, Vals: r.Vals})
+					case <-timeout:
+						break read
+					}
 				}
 				if d := baseline.Diff(sh.cmp, sh.avg, baseline.Canonical(sh.cmp, rows), got); d != "" {
 					fail("%s: pushed %s", label, d)

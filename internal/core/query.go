@@ -48,13 +48,18 @@ type RunningQuery struct {
 	// polls it, and must not queue behind the stepping DU twice.
 	parStats func() eddy.ParallelStats
 
-	push *egress.PushEgress
+	// pull is the query's result log: FETCH cursors and push readers
+	// (followers) alike read it.
 	pull *egress.PullEgress
+	// pushSent and pushMissed count the rows push readers were handed and
+	// the rows they missed behind the log's cap.
+	pushSent, pushMissed atomic.Int64
 
-	// sinks is copied on write under sinkMu, so emit reads it without a
-	// lock.
-	sinkMu sync.Mutex
-	sinks  atomic.Pointer[[]func(*tuple.Tuple)]
+	// subMu guards subs, which stops each RunningQuery.Subscribe reader,
+	// by subscription id, and waits until it has closed its channel.
+	subMu   sync.Mutex
+	subs    map[int]func()
+	nextSub int
 
 	// metricNames lists every registry series this query registered
 	// (through metrics()), for teardown to unregister by exact name.
@@ -82,19 +87,108 @@ type runtime interface {
 	// excludes the stepping DU; it returns false without calling fn when
 	// there is no adaptive routing layer (windowed).
 	control(fn func(h eddyHost)) bool
-	// stages reports one row per pipeline stage, from counters already
-	// kept, for a runtime without an eddy (nil with one: the host's modules
+	// stages reports one row per pipeline stage, from counters it already
+	// maintains, for a runtime without an eddy (nil with one: the host's modules
 	// are the rows).
 	stages() []ModuleTelemetry
 }
 
-// Subscribe attaches a push client to the query's results.
-func (q *RunningQuery) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
-	return q.push.Subscribe(buffer)
+// Follow starts a push reader of the query's results: a cursor on its
+// result log that starts at the log's end, and a goroutine that waits for
+// each publish, fetches the rows past the cursor and hands them to deliver
+// as one encoded run. deliver may block, and returns false to stop. Every
+// result published after Follow returns reaches the reader, unless the log
+// ages it out first: those rows count in tcq_egress_push_dropped_total.
+// The reader ends when stop closes, when deliver returns false, or once the
+// query has ended and a last fetch has been delivered; then exit, if not
+// nil, runs.
+func (q *RunningQuery) Follow(stop <-chan struct{}, deliver func(egress.Encoded) bool, exit func()) {
+	cur, wake := q.pull.Follow()
+	go func() {
+		if exit != nil {
+			defer exit()
+		}
+		defer q.pull.Deregister(cur)
+		var buf []byte
+		for {
+			ended := false
+			select {
+			case <-wake:
+			case <-q.doneCh:
+				ended = true
+			case <-stop:
+				return
+			}
+			enc, missed, err := q.pull.FetchEncoded(cur, buf[:0])
+			if err != nil {
+				return // the cursor is the reader's own: cannot happen
+			}
+			buf = enc.Buf
+			q.pushMissed.Add(missed)
+			q.pushSent.Add(int64(enc.Rows))
+			if (enc.Rows > 0 && !deliver(enc)) || ended {
+				return
+			}
+		}
+	}()
 }
 
-// Unsubscribe detaches a push client.
-func (q *RunningQuery) Unsubscribe(id int) { q.push.Unsubscribe(id) }
+// Subscribe attaches a push client to the query's results: a reader
+// (Follow) that decodes each result into a fresh tuple the client owns and
+// sends it on the returned channel, waiting while the channel is full. A
+// slow client holds up only its own reader, and loses rows only when the
+// result log ages them out first (tcq_egress_push_dropped_total). The
+// channel closes after the query's last result, on Unsubscribe, or when
+// the engine stops.
+func (q *RunningQuery) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
+	if buffer < 1 {
+		buffer = 64
+	}
+	ch := make(chan *tuple.Tuple, buffer)
+	stop, exited := make(chan struct{}), make(chan struct{})
+	q.subMu.Lock()
+	id := q.nextSub
+	q.nextSub++
+	q.subs[id] = func() { close(stop); <-exited }
+	q.subMu.Unlock()
+	quit := q.engine.quit
+	q.Follow(stop, func(enc egress.Encoded) bool {
+		ts, err := enc.Tuples()
+		if err != nil {
+			return false
+		}
+		for _, t := range ts {
+			select {
+			case ch <- t:
+			case <-stop:
+				return false
+			case <-quit:
+				return false
+			}
+		}
+		return true
+	}, func() {
+		q.subMu.Lock()
+		delete(q.subs, id)
+		q.subMu.Unlock()
+		close(ch)
+		close(exited)
+	})
+	return id, ch
+}
+
+// Unsubscribe detaches a push client: its channel is closed when
+// Unsubscribe returns, and rows its reader had not yet sent are not
+// delivered.
+func (q *RunningQuery) Unsubscribe(id int) {
+	q.subMu.Lock()
+	stop, ok := q.subs[id]
+	delete(q.subs, id)
+	q.subMu.Unlock()
+	if ok {
+		stop()
+	}
+}
 
 // Cursor registers a pull client replaying all retained results.
 func (q *RunningQuery) Cursor() int { return q.pull.RegisterAt(0) }
@@ -145,68 +239,31 @@ func (q *RunningQuery) Wait() { <-q.doneCh }
 // complete, deregistered, or stopped with its engine.
 func (q *RunningQuery) Finished() <-chan struct{} { return q.doneCh }
 
-// AddSink attaches an extra result consumer (e.g. a prioritized egress);
-// sinks must not block.
-func (q *RunningQuery) AddSink(fn func(*tuple.Tuple)) {
-	q.sinkMu.Lock()
-	defer q.sinkMu.Unlock()
-	var sinks []func(*tuple.Tuple)
-	if old := q.sinks.Load(); old != nil {
-		sinks = append(sinks, *old...)
-	}
-	sinks = append(sinks, fn)
-	q.sinks.Store(&sinks)
-}
-
-// loadSinks returns the sinks attached so far.
-func (q *RunningQuery) loadSinks() []func(*tuple.Tuple) {
-	if p := q.sinks.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// emit delivers one result to both egress paths and any extra sinks. The
-// result count moves after the publishes: whoever reads Results() == n can
-// fetch n rows. The pull log keeps the row's values, never the row, so emit
-// reports kept only when a push client or a sink was handed t: otherwise t
-// is dead when emit returns and its producer may reuse it.
-func (q *RunningQuery) emit(t *tuple.Tuple) (kept bool) {
-	clients := q.push.Publish(t)
-	sinks := q.loadSinks()
+// emit publishes one result to the query's result log. The result count
+// moves after the publish: whoever reads Results() == n can fetch n rows.
+// The log keeps the row's values, never the row, so t is dead once emit
+// returns and its producer may reuse it.
+func (q *RunningQuery) emit(t *tuple.Tuple) {
 	q.pull.Publish(t)
 	q.results.Add(1)
-	for _, fn := range sinks {
-		fn(t)
-	}
-	return clients > 0 || len(sinks) > 0
 }
 
-// emitBatch delivers a result batch under one lock acquisition per egress
-// and reports, as emit does, whether anyone kept its rows.
-func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) (kept bool) {
+// emitBatch publishes a result batch under one lock acquisition, as emit
+// does one result.
+func (q *RunningQuery) emitBatch(ts []*tuple.Tuple) {
 	if len(ts) == 0 {
-		return false
+		return
 	}
-	clients := q.push.PublishBatch(ts)
-	sinks := q.loadSinks()
 	q.pull.PublishBatch(ts, false)
 	q.results.Add(int64(len(ts)))
-	for _, fn := range sinks {
-		for _, t := range ts {
-			fn(t)
-		}
-	}
-	return clients > 0 || len(sinks) > 0
 }
 
 // finish retires the query exactly once — its DU finishing and a
 // concurrent Deregister/Stop may both get here — dropping its metric series
-// and closing its push clients before waiters are released.
+// before waiters and push readers are released.
 func (q *RunningQuery) finish() {
 	q.closeOnce.Do(func() {
 		q.metrics().unregister()
-		q.push.Close()
 		q.doneFlag.Store(true)
 		close(q.doneCh)
 	})
@@ -214,7 +271,7 @@ func (q *RunningQuery) finish() {
 
 // registerMetrics exports the query's runtime-independent series (each
 // runtime registers its own at construction, through the same recorder).
-// Everything is computed at scrape time from counters already kept, so
+// Everything is computed at scrape time from counters already maintained, so
 // registration adds no hot-path cost. All series carry a query="<id>"
 // label.
 func (q *RunningQuery) registerMetrics() {
@@ -223,13 +280,13 @@ func (q *RunningQuery) registerMetrics() {
 	reg.RegisterFunc("tcq_query_results_total"+lbl, metrics.KindCounter, func() float64 {
 		return float64(q.Results())
 	})
+	// Rows push readers fetched, and the rows they missed because the log
+	// aged them out before their next fetch.
 	reg.RegisterFunc("tcq_egress_push_sent_total"+lbl, metrics.KindCounter, func() float64 {
-		sent, _ := q.push.Stats()
-		return float64(sent)
+		return float64(q.pushSent.Load())
 	})
 	reg.RegisterFunc("tcq_egress_push_dropped_total"+lbl, metrics.KindCounter, func() float64 {
-		_, dropped := q.push.Stats()
-		return float64(dropped)
+		return float64(q.pushMissed.Load())
 	})
 	reg.RegisterFunc("tcq_egress_pull_retained"+lbl, metrics.KindGauge, func() float64 {
 		return float64(q.pull.Len())
@@ -300,8 +357,8 @@ func (e *Engine) RegisterPlan(plan *sql.Plan) (*RunningQuery, error) {
 		ID:     id,
 		Plan:   plan,
 		engine: e,
-		push:   egress.NewPushEgress(),
 		pull:   egress.NewPullEgress(1 << 16),
+		subs:   make(map[int]func()),
 		doneCh: make(chan struct{}),
 	}
 

@@ -87,7 +87,7 @@ var errClassGone = errors.New("core: shared class retired")
 // sequential engine's order. A class that joins runs sequentially at any
 // Workers.
 type sharedEngine interface {
-	AddMember(fp tuple.SourceSet, sels []expr.Predicate, project []int, emit func(*tuple.Tuple) (kept bool)) (*cacq.Query, error)
+	AddMember(fp tuple.SourceSet, sels []expr.Predicate, project []int, emit func(*tuple.Tuple) bool) (*cacq.Query, error)
 	RemoveQuery(id int) error
 	IngestBatch(s int, base []*tuple.Tuple)
 	Delivered() int64
@@ -396,8 +396,8 @@ func (sc *sharedClass) registerModules() {
 // tuple; a parallel engine hands each drained batch whole to a shard. The
 // subscriber clones are the class's own, so it hands them to the engine:
 // a selection class's clone is routed as the wide row itself, lineage in a
-// reused bitmap, and goes back to the pool when no member kept it. A
-// retired class's DU retires.
+// reused bitmap, and goes back to the pool once delivered: members publish
+// values, never the row. A retired class's DU retires.
 func (sc *sharedClass) step() (progressed, done bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

@@ -326,7 +326,7 @@ func (rt *windowRuntime) intake(pos int, ts []*tuple.Tuple) {
 // (late tuples stay buffered, or folded, for later overlapping instances),
 // and — admitted here, once, however many instances will read it — the
 // panes, the incremental join or the position's window buffer. A tuple its
-// selections reject still moves time on; it is only not kept. ts itself is
+// selections reject still moves time on; it is only not held. ts itself is
 // not retained.
 func (rt *windowRuntime) absorb(pos int, ts []*tuple.Tuple) {
 	rt.absorbed[pos].Add(int64(len(ts)))
@@ -635,8 +635,8 @@ func (rt *windowRuntime) rowsFor(pos int, inst window.Instance) []*tuple.Tuple {
 // batch: each egress takes the instance under one lock acquisition, so a
 // concurrent Fetch sees all of it or none. Result tuples carry the instance's
 // loop value in TS so clients can regroup the output sequence of sets. On
-// the pane path, an instance nobody kept leaves its rows for the next
-// instance to be written over.
+// the pane path, the result log holds the instance's values, so its rows are
+// the next instance's to write over.
 func (rt *windowRuntime) fire(inst window.Instance) {
 	clk := rt.q.engine.opts.Clock
 	start := clk.Now()
@@ -650,7 +650,8 @@ func (rt *windowRuntime) fire(inst window.Instance) {
 	for _, r := range out {
 		r.TS = inst.T
 	}
-	if !rt.q.emitBatch(out) && rt.panes != nil {
+	rt.q.emitBatch(out)
+	if rt.panes != nil {
 		rt.panes.Reuse()
 	}
 	rt.fireLat.Record(clk.Since(start))

@@ -15,9 +15,11 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// PushEgress fans results out to subscribed clients. Delivery is
+// PushEgress fans live result rows out to subscribed clients. Delivery is
 // non-blocking: a client that cannot keep up has tuples dropped (counted),
-// never stalling the executor — the QoS stance of §4.3.
+// never stalling the executor — the QoS stance of §4.3. The engine no longer
+// uses it: a push reader follows a query's PullEgress (Follow). It stays
+// only because the benchmark's layer timings still import it.
 type PushEgress struct {
 	mu      sync.Mutex
 	nextID  int
@@ -132,14 +134,17 @@ func (e *PushEgress) Stats() (sent, dropped int64) {
 // of the results' values, its first chunk 512 B so a query with a handful
 // of results holds little; at the cap each publish ages the oldest row out,
 // so a log at its cap reuses its chunks and allocates nothing. A cursor is
-// a storage.Mark: where its last fetch ended.
+// a storage.Mark: where its last fetch ended. A push reader is a cursor too
+// (Follow), one that each publish wakes.
 type PullEgress struct {
 	mu      sync.Mutex
 	log     storage.Log
 	cap     int
 	missed  int64 // aged-out rows Fetch has reported to a cursor, summed over cursors
 	cursors map[int]storage.Mark
-	nextID  int
+	// wakes holds the followers' one-slot wake channels, by cursor.
+	wakes  map[int]chan struct{}
+	nextID int
 }
 
 // NewPullEgress keeps at most capTuples results (older ones age out).
@@ -147,14 +152,16 @@ func NewPullEgress(capTuples int) *PullEgress {
 	if capTuples < 1 {
 		capTuples = 1 << 16
 	}
-	return &PullEgress{log: *storage.NewLog(512), cap: capTuples, cursors: make(map[int]storage.Mark)}
+	return &PullEgress{log: *storage.NewLog(512), cap: capTuples,
+		cursors: make(map[int]storage.Mark), wakes: make(map[int]chan struct{})}
 }
 
-// Publish appends a result's values to the log.
+// Publish appends a result's values to the log and wakes its followers.
 func (e *PullEgress) Publish(t *tuple.Tuple) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pushLocked(t)
+	e.wakeLocked()
 }
 
 // PublishBatch appends a batch of results under one lock acquisition.
@@ -166,6 +173,18 @@ func (e *PullEgress) PublishBatch(ts []*tuple.Tuple, owned bool) {
 	defer e.mu.Unlock()
 	for _, t := range ts {
 		e.pushLocked(t)
+	}
+	e.wakeLocked()
+}
+
+// wakeLocked signals every follower once, never blocking: a wake channel
+// that is full already holds the signal of a fetch to come.
+func (e *PullEgress) wakeLocked() {
+	for _, w := range e.wakes {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -191,6 +210,20 @@ func (e *PullEgress) RegisterAt(pos int64) int {
 	e.nextID++
 	e.cursors[id] = e.log.Locate(pos, storage.Mark{})
 	return id
+}
+
+// Follow creates a client cursor at the log's end, as Register does, and a
+// one-slot channel that every later publish signals: a follower waits on
+// it, then fetches. Deregister drops both.
+func (e *PullEgress) Follow() (id int, wake <-chan struct{}) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id = e.nextID
+	e.nextID++
+	e.cursors[id] = e.log.End()
+	w := make(chan struct{}, 1)
+	e.wakes[id] = w
+	return id, w
 }
 
 // fetchLocked moves the client's cursor to the log's end, returning where
@@ -262,11 +295,31 @@ func (b Encoded) Each(t *tuple.Tuple, fn func(*tuple.Tuple)) error {
 	return nil
 }
 
-// Deregister drops a client cursor.
+// Tuples decodes the run's rows into fresh tuples the caller owns: three
+// allocations however many rows it holds (the pointers, the tuples and
+// their values), plus one per string value.
+func (b Encoded) Tuples() ([]*tuple.Tuple, error) {
+	out, tups := make([]*tuple.Tuple, b.Rows), make([]tuple.Tuple, b.Rows)
+	vals := make([]tuple.Value, 0, b.Vals)
+	buf := b.Buf
+	for i := range tups {
+		var n int
+		var err error
+		if vals, n, err = storage.ReadRow(buf, &tups[i], vals); err != nil {
+			return nil, err
+		}
+		buf = buf[n:]
+		out[i] = &tups[i]
+	}
+	return out, nil
+}
+
+// Deregister drops a client cursor, and a follower's wake channel.
 func (e *PullEgress) Deregister(id int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.cursors, id)
+	delete(e.wakes, id)
 }
 
 // Cursors returns the number of registered client cursors.

@@ -646,6 +646,41 @@ func TestPullPublishAtCapDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPullFollowWakesOncePerPublish: a follower's cursor starts at the
+// log's end, and its one-slot wake channel holds one signal however many
+// publishes arrived since it last looked; a publish signals without
+// allocating, and a deregistered follower is signalled no more.
+func TestPullFollowWakesOncePerPublish(t *testing.T) {
+	ts := make([]*tuple.Tuple, 64)
+	for i := range ts {
+		ts[i] = mk(int64(i))
+	}
+	e := filledToCap(ts)
+	id, wake := e.Follow()
+	if len(wake) != 0 {
+		t.Fatal("a new follower has a wake pending")
+	}
+	e.Publish(ts[1])
+	e.PublishBatch(ts[2:4], false)
+	if len(wake) != 1 {
+		t.Fatalf("%d wakes pending after two publishes, want 1", len(wake))
+	}
+	<-wake
+	rows, missed, err := e.Fetch(id)
+	if err != nil || missed != 0 || len(rows) != 3 || rows[0].Vals[0].I != 1 || rows[2].Vals[0].I != 3 {
+		t.Fatalf("the follower fetched %v (missed %d, err %v), want rows 1, 2, 3", rows, missed, err)
+	}
+	if n := testing.AllocsPerRun(1000, func() { e.Publish(ts[0]) }); n != 0 {
+		t.Errorf("a publish into a full log with a follower allocates %v times", n)
+	}
+	<-wake
+	e.Deregister(id)
+	e.Publish(ts[0])
+	if len(wake) != 0 || e.Cursors() != 0 {
+		t.Errorf("a deregistered follower was woken (%d pending, %d cursors)", len(wake), e.Cursors())
+	}
+}
+
 // TestPullFetchAllocatesPerCallNotPerRow: Fetch of N rows makes the same
 // few allocations whatever N is (a row slice, a tuple slab, a value slab),
 // and FetchEncoded into a buffer of room makes none.

@@ -4,7 +4,7 @@ package checks
 // outermost first. A goroutine may acquire a class further down the table
 // while holding one further up, never the reverse. The table encodes the
 // layering of the dataflow: server session state wraps engine registry
-// state, which wraps per-stream and per-class state, with egress sinks,
+// state, which wraps per-stream and per-class state, with the egress logs,
 // the arrangement a SteM stores into and scrape-time metric state
 // innermost. (A class's worker pipeline, eddy.ParallelEddy, has no lock of
 // its own: the class calls it under sharedClass.mu.) lockcheck verifies every
@@ -28,8 +28,8 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/core", "streamState", "mu"},
 	{modulePath + "/internal/core", "sharedClass", "mu"},
 
-	// Per-query result sinks.
-	{modulePath + "/internal/core", "RunningQuery", "sinkMu"},
+	// A query's in-process push subscriptions (their stop channels).
+	{modulePath + "/internal/core", "RunningQuery", "subMu"},
 
 	// Flux routing state and its consumers.
 	{modulePath + "/internal/flux", "Flux", "mu"},

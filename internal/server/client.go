@@ -57,7 +57,7 @@ func (c *Client) readLoop() {
 			if ch != nil {
 				select {
 				case ch <- csv:
-				default: // slow consumer: drop, matching push egress QoS
+				default: // slow consumer: drop, so replies on the same connection never wait
 				}
 			}
 			continue

@@ -57,6 +57,7 @@ import (
 	"sync/atomic"
 
 	"telegraphcq/internal/core"
+	"telegraphcq/internal/egress"
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/sql"
@@ -120,7 +121,7 @@ func (pm *Postmaster) Close() error {
 }
 
 const (
-	// pushBatch is the most rows a SUBSCRIBE goroutine writes under one flush.
+	// pushBatch is the most rows a SUBSCRIBE pusher writes under one flush.
 	pushBatch = 64
 	// ioBuf sizes a connection's read and write buffers: a drained read of
 	// pipelined commands is answered in one write per ioBuf of replies.
@@ -158,7 +159,7 @@ type frontEnd struct {
 	mu      sync.Mutex
 	queries map[int]*core.RunningQuery
 	cursors map[int]int    // qid -> pull cursor
-	pushers map[int]func() // qid -> unsubscribe
+	pushers map[int]func() // qid -> stop the SUBSCRIBE pusher and wait for it
 }
 
 func newFrontEnd(engine *core.Engine, conn net.Conn) *frontEnd {
@@ -669,47 +670,41 @@ func (fe *frontEnd) handleSubscribe(rest string) error {
 	if err != nil {
 		return err
 	}
-	sub, ch := q.Subscribe(1024)
-	stopped := make(chan struct{})
+	stop, stopped := make(chan struct{}), make(chan struct{})
 	fe.mu.Lock()
 	if _, dup := fe.pushers[id]; dup {
 		fe.mu.Unlock()
-		q.Unsubscribe(sub)
 		return fmt.Errorf("query %d already subscribed", id)
 	}
-	fe.pushers[id] = func() { q.Unsubscribe(sub); <-stopped }
+	fe.pushers[id] = func() { close(stop); <-stopped }
 	fe.mu.Unlock()
-	// The reply goes into the write buffer before the pusher exists, so no
-	// pushed row can precede it.
-	fe.send(fmt.Sprintf("OK subscribed %d", id))
-	go func() {
-		defer close(stopped)
-		// Greedily drain whatever the egress has already pushed — up to
-		// pushBatch rows — into one reused buffer and write it under one
-		// lock/flush, so a fast query pays neither a syscall nor a string
-		// per row.
-		prefix := fmt.Sprintf("ROW q%d ", id)
-		row := func(buf []byte, t *tuple.Tuple) []byte {
-			return append(ingress.AppendCSV(append(buf, prefix...), t), '\n')
-		}
-		var buf []byte
-		for t := range ch {
-			buf = row(buf[:0], t)
-		fill:
-			for rows := 1; rows < pushBatch; rows++ {
-				select {
-				case t2, ok := <-ch:
-					if !ok {
-						break fill
-					}
-					buf = row(buf, t2)
-				default:
-					break fill
-				}
+	// The pusher follows the query's result log: each wake-up renders what
+	// the log gained into one reused buffer, one reused tuple per row, and
+	// writes it pushBatch rows per lock and flush, so a fast query pays
+	// neither a syscall nor an allocation per row. The reply is buffered
+	// under wmu before the pusher starts, and the pusher's writes take wmu,
+	// so no pushed row can precede it.
+	prefix := fmt.Sprintf("ROW q%d ", id)
+	var row tuple.Tuple
+	var buf []byte
+	fe.wmu.Lock()
+	defer fe.wmu.Unlock()
+	fmt.Fprintf(fe.w, "OK subscribed %d\n", id)
+	q.Follow(stop, func(enc egress.Encoded) bool {
+		rows := 0
+		err := enc.Each(&row, func(t *tuple.Tuple) {
+			buf = append(ingress.AppendCSV(append(buf, prefix...), t), '\n')
+			if rows++; rows == pushBatch {
+				fe.sendBytes(buf)
+				buf, rows = buf[:0], 0
 			}
+		})
+		if rows > 0 {
 			fe.sendBytes(buf)
+			buf = buf[:0]
 		}
-	}()
+		return err == nil
+	}, func() { close(stopped) })
 	return nil
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -240,8 +241,9 @@ func (c *scriptConn) Close() error                { return nil }
 // after every run, history grows by whole chunks and a run's fan-out takes
 // its clones from the pool in one call (before runs and slabs it was ~4:
 // the string, strings.Split's slice, the values and the tuple). It holds
-// for a stream no query reads, and for two streams fed alternately into an
-// equijoin whose every second line finds a match.
+// for a stream no query reads, for two streams fed alternately into an
+// equijoin whose every second line finds a match, and for a filter whose
+// every second line passes and is pushed to a SUBSCRIBEd client.
 func TestPipelinedFeedBurstAllocs(t *testing.T) {
 	const n = 4096
 	t.Run("one stream", func(t *testing.T) {
@@ -280,6 +282,54 @@ func TestPipelinedFeedBurstAllocs(t *testing.T) {
 		}
 		burstAllocs(t, e, alternatingFeeds(n/2, n), n, func() bool { return q.Results() == n })
 	})
+	t.Run("subscribed filter", func(t *testing.T) {
+		// Every second line passes the filter and is pushed to a client
+		// that drains the connection: the pusher renders each row from the
+		// query's result log, so a pushed row costs no allocation (a live
+		// pushed row cost two, its header and its values: 2.00 per line).
+		e, q := wireEngine(t)
+		cli, r, _ := pipeFrontEnd(t, e)
+		fmt.Fprintf(cli, "SUBSCRIBE %d\n", q.ID)
+		if line, err := r.ReadString('\n'); err != nil || line != fmt.Sprintf("OK subscribed %d\n", q.ID) {
+			t.Fatalf("SUBSCRIBE answered %q, %v", line, err)
+		}
+		var pushed atomic.Int64
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				line, err := r.ReadSlice('\n')
+				if err != nil {
+					return
+				}
+				if bytes.HasPrefix(line, []byte("ROW q")) {
+					pushed.Add(1)
+				}
+			}
+		}()
+		t.Cleanup(func() { cli.Close(); <-drained })
+		feeds := func(first int) string {
+			var b strings.Builder
+			for i := first; i < first+n; i++ {
+				fmt.Fprintf(&b, "FEED s %d\n", [2]int{i, -1 - i}[i%2])
+			}
+			return b.String()
+		}
+		// A first burst warms the pool, the log and the pusher's buffers.
+		io.WriteString(cli, feeds(0))
+		if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return pushed.Load() == n/2 }) {
+			t.Fatalf("%d of %d rows pushed after the first burst", pushed.Load(), n/2)
+		}
+		pool, held := e.TuplePool(), make([]*tuple.Tuple, n)
+		for i := range held {
+			held[i] = pool.Get(1)
+		}
+		for _, tu := range held {
+			pool.Put(tu)
+		}
+		script := feeds(n)
+		mallocsPerLine(t, n, func() { io.WriteString(cli, script) }, func() bool { return pushed.Load() == n })
+	})
 }
 
 // burstAllocs serves script, n FEED lines, to a front end, waits until done
@@ -288,9 +338,17 @@ func TestPipelinedFeedBurstAllocs(t *testing.T) {
 func burstAllocs(t *testing.T, e *core.Engine, script string, n int, done func() bool) {
 	t.Helper()
 	fe := newFrontEnd(e, &scriptConn{r: strings.NewReader(script)})
+	mallocsPerLine(t, n, fe.serve, done)
+}
+
+// mallocsPerLine runs send, which sends n FEED lines, waits until done
+// reports the engine has processed them, and fails when that cost more than
+// 1.5 allocations per line.
+func mallocsPerLine(t *testing.T, n int, send func(), done func() bool) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	fe.serve()
+	send()
 	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, done) {
 		t.Fatal("the burst was not processed within 10 s")
 	}
@@ -656,6 +714,86 @@ func TestSubscribeReplyPrecedesPushedRows(t *testing.T) {
 			t.Fatalf("subscription %d: first line %q, want %q", i, line, want)
 		}
 	}
+}
+
+// TestFollowSubscribeMatchesFetch: a SUBSCRIBE pusher reads the query's
+// result log, so on one connection the rows it pushes are exactly the
+// rows FETCH returns for the same query, in the same order, at BatchSize 1
+// and 64.
+func TestFollowSubscribeMatchesFetch(t *testing.T) {
+	const n = 3000
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			e := core.NewEngine(core.Options{EOs: 1, BatchSize: batch})
+			t.Cleanup(e.Stop)
+			if err := e.CreateStream("s", tuple.NewSchema("s", tuple.Column{Name: "x", Kind: tuple.KindInt}), -1); err != nil {
+				t.Fatal(err)
+			}
+			q, err := e.Register("SELECT x FROM s WHERE x >= 0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, r, _ := pipeFrontEnd(t, e)
+			fmt.Fprintf(cli, "SUBSCRIBE %d\n", q.ID)
+			var b strings.Builder
+			for i := 0; i < n; i++ {
+				x := i
+				if i%3 == 0 {
+					x = -1 - i // every third line fails the filter
+				}
+				fmt.Fprintf(&b, "FEED s %d\n", x)
+			}
+			pipeline(t, cli, b.String())
+			pushPrefix := fmt.Sprintf("ROW q%d ", q.ID)
+
+			var pushed, fetched []string
+			fed, ended := 0, false
+			cli.SetReadDeadline(chaos.Real().Now().Add(10 * time.Second))
+			for !ended || len(pushed) < len(fetched) {
+				line, err := r.ReadString('\n')
+				if err != nil {
+					t.Fatalf("after %d pushed and %d fetched rows: %v", len(pushed), len(fetched), err)
+				}
+				line = strings.TrimSuffix(line, "\n")
+				switch {
+				case strings.HasPrefix(line, pushPrefix):
+					pushed = append(pushed, strings.TrimPrefix(line, pushPrefix))
+				case strings.HasPrefix(line, "ROW . "):
+					fetched = append(fetched, strings.TrimPrefix(line, "ROW . "))
+				case line == "END":
+					ended = true
+				case line == "OK fed":
+					if fed++; fed == n {
+						// Every line is fed; FETCH once every result is in.
+						waitResults(t, q, 2*n/3)
+						fmt.Fprintf(cli, "FETCH %d\n", q.ID)
+					}
+				case line != fmt.Sprintf("OK subscribed %d", q.ID):
+					t.Fatalf("unexpected line %q", line)
+				}
+			}
+			if len(fetched) != 2*n/3 || !slices.Equal(pushed, fetched) {
+				t.Fatalf("pushed %d rows, fetched %d; first difference at %d", len(pushed), len(fetched), firstDiff(pushed, fetched))
+			}
+		})
+	}
+}
+
+// waitResults waits until q has produced want results.
+func waitResults(t *testing.T, q *core.RunningQuery, want int64) {
+	t.Helper()
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool { return q.Results() == want }) {
+		t.Fatalf("%d of %d results", q.Results(), want)
+	}
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // TestUnknownCommandsShareOneSeries: garbage first words all count under

@@ -282,3 +282,12 @@ func (l *Log) writeTo(w io.Writer) error {
 	}
 	return nil
 }
+
+// size returns the bytes writeTo writes.
+func (l *Log) size() int64 {
+	var n int64
+	for _, c := range l.chunks {
+		n += int64(len(c.buf))
+	}
+	return n
+}

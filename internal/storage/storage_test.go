@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,42 @@ func TestStoreEvict(t *testing.T) {
 	got, _ := st.ScanRange(0, 100)
 	if len(got) != 30 {
 		t.Errorf("post-evict scan = %d, want 30", len(got))
+	}
+}
+
+// TestStoreRetainKeepsTheNewestRows: with a retain bound, each flush drops
+// the oldest whole segments while the rest still hold the bound, deleting
+// their files; Stats counts what is left, files and head.
+func TestStoreRetainKeepsTheNewestRows(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := NewSegmentStore(dir, "s", 10, NewBufferPool(4))
+	st.Retain(25)
+	for ts := int64(0); ts < 105; ts++ {
+		if err := st.Append(mkTS(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last flush, of the tenth segment, left three segments: two would
+	// hold only 20 rows. Five rows have reached the head since.
+	stats := st.Stats()
+	if stats.Segments != 3 || stats.Rows != 35 || stats.HeadTuples != 5 {
+		t.Fatalf("stats = %+v, want 3 segments, 35 rows, 5 in the head", stats)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	var size int64
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += fi.Size()
+	}
+	if len(files) != 3 || stats.Bytes <= size {
+		t.Errorf("%d files of %d bytes, Stats.Bytes %d: want 3 files, and the head's bytes on top", len(files), size, stats.Bytes)
+	}
+	got, err := st.ScanRange(0, 200)
+	if err != nil || len(got) != 35 || got[0].TS != 70 || got[34].TS != 104 {
+		t.Fatalf("scan = %d rows (err %v), want 70..104", len(got), err)
 	}
 }
 

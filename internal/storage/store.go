@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,6 +20,7 @@ type segMeta struct {
 	minT  int64
 	maxT  int64
 	count int
+	bytes int64 // the file's size
 }
 
 // SegmentStore spools one stream to disk as a log of segments. Writes are
@@ -38,9 +40,14 @@ type SegmentStore struct {
 	headMin, headMax int64
 	segs             []*segMeta // closed segments, ascending id
 	nextID           int64
+	// retain, when positive, is how many rows a flush leaves the store
+	// at least: it ages out the oldest whole segments past that.
+	retain int
 
 	appended int64
 	flushed  int64
+	evicted  int64 // rows in segments dropped since
+	segBytes int64 // the size of the segment files held
 }
 
 // NewSegmentStore creates a store for stream name under dir, flushing
@@ -99,6 +106,7 @@ func (s *SegmentStore) flushLocked() error {
 	path := s.segPath(meta.id)
 	f, err := os.Create(path)
 	if err == nil {
+		meta.bytes = s.head.size()
 		err = s.head.writeTo(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -110,7 +118,52 @@ func (s *SegmentStore) flushLocked() error {
 	s.nextID++
 	s.segs = append(s.segs, meta)
 	s.flushed += int64(meta.count)
+	s.segBytes += meta.bytes
 	s.head = NewLog(4 << 10)
+	return s.ageLocked()
+}
+
+// Retain bounds the store by rows: from the next flush on, it drops its
+// oldest whole segments while the segments after them and the head still
+// hold at least rows tuples (0 keeps every segment).
+func (s *SegmentStore) Retain(rows int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.retain = rows
+}
+
+// ageLocked drops the oldest segments that the retain bound lets go.
+func (s *SegmentStore) ageLocked() error {
+	if s.retain <= 0 {
+		return nil
+	}
+	held := s.flushed - s.evicted + int64(s.head.Len())
+	n := 0
+	for ; n < len(s.segs) && held-int64(s.segs[n].count) >= int64(s.retain); n++ {
+		held -= int64(s.segs[n].count)
+	}
+	for i, m := range s.segs[:n] {
+		if err := s.dropLocked(m); err != nil {
+			s.segs = slices.Delete(s.segs, 0, i)
+			return err
+		}
+	}
+	s.segs = slices.Delete(s.segs, 0, n)
+	return nil
+}
+
+// dropLocked deletes a segment's file and forgets its pages; the caller
+// removes it from segs.
+func (s *SegmentStore) dropLocked(m *segMeta) error {
+	path := s.segPath(m.id)
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("storage: evict: %w", err)
+	}
+	if s.pool != nil {
+		s.pool.Invalidate(path)
+	}
+	s.evicted += int64(m.count)
+	s.segBytes -= m.bytes
 	return nil
 }
 
@@ -178,14 +231,11 @@ func (s *SegmentStore) EvictBefore(watermark int64) (int, error) {
 	defer s.mu.Unlock()
 	dropped := 0
 	keep := s.segs[:0]
-	for _, m := range s.segs {
+	for i, m := range s.segs {
 		if m.maxT < watermark {
-			path := s.segPath(m.id)
-			if err := os.Remove(path); err != nil {
-				return dropped, fmt.Errorf("storage: evict: %w", err)
-			}
-			if s.pool != nil {
-				s.pool.Invalidate(path)
+			if err := s.dropLocked(m); err != nil {
+				s.segs = append(keep, s.segs[i:]...)
+				return dropped, err
 			}
 			dropped += m.count
 			continue
@@ -196,12 +246,15 @@ func (s *SegmentStore) EvictBefore(watermark int64) (int, error) {
 	return dropped, nil
 }
 
-// Stats describes store occupancy.
+// Stats describes store occupancy: Rows and Bytes are what the store holds
+// now, its segments' files plus the head's memory.
 type Stats struct {
 	Appended   int64
 	Flushed    int64
 	Segments   int
 	HeadTuples int
+	Rows       int64
+	Bytes      int64
 }
 
 // Stats returns a snapshot.
@@ -213,5 +266,7 @@ func (s *SegmentStore) Stats() Stats {
 		Flushed:    s.flushed,
 		Segments:   len(s.segs),
 		HeadTuples: s.head.Len(),
+		Rows:       s.flushed - s.evicted + int64(s.head.Len()),
+		Bytes:      s.segBytes + int64(s.head.Bytes()),
 	}
 }

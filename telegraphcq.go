@@ -296,30 +296,50 @@ func (db *DB) Register(sqlText string) (*Query, error) {
 }
 
 // Subscribe returns a channel streaming results as they are produced
-// (push egress). Slow consumers drop rows rather than stall the engine.
-// The channel closes when the query ends: a finite query completes, or
-// the query is deregistered, or the DB closes. Rows that do not fit the
-// channel's buffer once the query has ended are dropped.
+// (push egress). Its reader follows the query's result log, which holds
+// the last 65,536 results: a slow consumer holds up only its own channel,
+// never the engine, and misses rows only when the log ages them out before
+// they are sent (counted in tcq_egress_push_dropped_total). The channel
+// closes once the query has ended and its last rows are sent, or when the
+// DB closes; a consumer that stops reading before then keeps its reader
+// waiting until the DB closes.
 func (q *Query) Subscribe(buffer int) <-chan Row {
-	_, ch := q.inner.Subscribe(buffer)
 	out := make(chan Row, buffer)
-	ended := q.inner.Finished()
-	go func() {
-		defer close(out)
-		for t := range ch {
+	stop := q.db.engine.Stopped()
+	q.inner.Follow(stop, func(enc egress.Encoded) bool {
+		rows, err := decodeRows(enc)
+		if err != nil {
+			return false
+		}
+		for _, r := range rows {
 			select {
-			case out <- toRow(t):
-				continue
-			default:
-			}
-			select {
-			case out <- toRow(t):
-			case <-ended:
-				return
+			case out <- r:
+			case <-stop:
+				return false
 			}
 		}
-	}()
+		return true
+	}, func() { close(out) })
 	return out
+}
+
+// decodeRows decodes an encoded run into Rows that share one values array:
+// two allocations however many rows it holds, plus one per string value.
+func decodeRows(enc egress.Encoded) ([]Row, error) {
+	rows := make([]Row, enc.Rows)
+	vals := make([]tuple.Value, 0, enc.Vals)
+	var t tuple.Tuple
+	buf := enc.Buf
+	for i := range rows {
+		var n int
+		var err error
+		if vals, n, err = storage.ReadRow(buf, &t, vals); err != nil {
+			return nil, err
+		}
+		buf = buf[n:]
+		rows[i] = toRow(&t)
+	}
+	return rows, nil
 }
 
 // Cursor opens a pull cursor replaying all retained results (PSoup-style
@@ -348,19 +368,7 @@ func (c *Cursor) Fetch() ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Row, enc.Rows)
-	vals := make([]tuple.Value, 0, enc.Vals)
-	var t tuple.Tuple
-	buf := enc.Buf
-	for i := range rows {
-		var n int
-		if vals, n, err = storage.ReadRow(buf, &t, vals); err != nil {
-			return nil, err
-		}
-		buf = buf[n:]
-		rows[i] = toRow(&t)
-	}
-	return rows, nil
+	return decodeRows(enc)
 }
 
 // Results returns the lifetime result count.
@@ -424,12 +432,23 @@ type PriorityQueue struct {
 
 // SubscribePriority attaches a preference-ordered result buffer to the
 // query. priority maps each result row to its interest (higher = sooner);
-// at most capacity rows are buffered between Drain calls.
+// at most capacity rows are buffered between Drain calls. The buffer is
+// filled by a reader of the query's result log, as Subscribe's channel is,
+// so a row reaches it shortly after Results counts it.
 func (q *Query) SubscribePriority(capacity int, priority func(Row) float64) *PriorityQueue {
 	pe := egress.NewPriorityEgress(capacity, func(t *tuple.Tuple) float64 {
 		return priority(toRow(t))
 	})
-	q.inner.AddSink(pe.Publish)
+	q.inner.Follow(q.db.engine.Stopped(), func(enc egress.Encoded) bool {
+		ts, err := enc.Tuples()
+		if err != nil {
+			return false
+		}
+		for _, t := range ts {
+			pe.Publish(t)
+		}
+		return true
+	}, nil)
 	return &PriorityQueue{pe: pe}
 }
 
@@ -452,6 +471,9 @@ func (pq *PriorityQueue) Drain(max int) []Row {
 	}
 	return rows
 }
+
+// Pending returns the number of rows buffered, waiting for Next or Drain.
+func (pq *PriorityQueue) Pending() int { return pq.pe.Pending() }
 
 // Stats returns delivered and preference-shed counts.
 func (pq *PriorityQueue) Stats() (emitted, shed int64) { return pq.pe.Stats() }

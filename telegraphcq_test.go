@@ -41,8 +41,10 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 // TestSubscribeEndsWithQuery ranges over Subscribe's channel as a client
-// would: the range ends once the query is deregistered, and a subscriber
-// that stopped reading does not keep its forwarder alive (leakcheck).
+// would: the range ends once the query is deregistered. A subscriber that
+// stalled with a one-row buffer still gets every result once it reads on
+// (its reader waits instead of dropping), and no reader outlives the DB
+// (leakcheck).
 func TestSubscribeEndsWithQuery(t *testing.T) {
 	db := openDB(t)
 	db.MustCreateStream("s", "x INT", "")
@@ -56,12 +58,17 @@ func TestSubscribeEndsWithQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool { return q.Results() == 3 }) {
+		t.Fatalf("%d of 3 results", q.Results())
+	}
+	var got []int64
 	ended := make(chan struct{})
 	go func() {
 		defer close(ended)
 		for range rows {
 		}
-		for range stalled {
+		for r := range stalled {
+			got = append(got, r.Int(0))
 		}
 	}()
 	if err := q.Deregister(); err != nil {
@@ -71,6 +78,9 @@ func TestSubscribeEndsWithQuery(t *testing.T) {
 	case <-ended:
 	case <-chaos.Real().After(5 * time.Second):
 		t.Fatal("range over Subscribe did not end after Deregister")
+	}
+	if fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("the stalled subscriber read %v, want [1 2 3]", got)
 	}
 }
 
@@ -239,8 +249,10 @@ func TestSubscribePriority(t *testing.T) {
 	for i, u := range []float64{0.1, 0.9, 0.5, 0.7, 0.3} {
 		db.Feed("s", i, u)
 	}
+	// The buffer is filled by a reader of the result log, a moment after
+	// Results counts each row.
 	deadline := chaos.Real().Now().Add(5 * time.Second)
-	for q.Results() < 5 && chaos.Real().Now().Before(deadline) {
+	for pq.Pending() < 5 && chaos.Real().Now().Before(deadline) {
 		chaos.Real().Sleep(time.Millisecond)
 	}
 	rows := pq.Drain(0)
