@@ -319,6 +319,9 @@ func (e *Engine) addStreamState(entry *catalog.Entry, system bool) error {
 		e.reg.RegisterFunc("tcq_stream_spool_bytes"+lbl, metrics.KindGauge, func() float64 {
 			return float64(store.Stats().Bytes)
 		})
+		e.reg.RegisterFunc("tcq_stream_spool_remove_errors_total"+lbl, metrics.KindCounter, func() float64 {
+			return float64(store.Stats().RemoveErrors)
+		})
 	} else {
 		st.hist, st.histCap = storage.NewLog(4<<10), 1<<20
 		if system {

@@ -302,6 +302,52 @@ func TestSpoolAgesOutPastTheCap(t *testing.T) {
 	}
 }
 
+// TestSpoolReadsRaceAgeOut: reads of a spooled stream's history race a
+// feeder whose flushes age out and delete the segments a read has already
+// listed. No read fails, and each holds consecutive rows as fed: a segment
+// gone since the read's snapshot is one of its oldest.
+func TestSpoolReadsRaceAgeOut(t *testing.T) {
+	const capRows, seg, n = 64, 8, 8000
+	e := NewEngine(Options{EOs: 1, SpoolDir: t.TempDir(), SegmentSize: seg})
+	defer e.Stop()
+	intStream(t, e, "s", "a", "b")
+	st, err := e.stream("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.store.Retain(capRows)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 1; i <= n && err == nil; i++ {
+			err = e.Feed("s", tuple.New(tuple.Int(int64(i)), tuple.Int(int64(2*i))))
+		}
+		done <- err
+	}()
+	for fed := false; !fed; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed = true
+		default:
+		}
+		hist, err := st.historyRange(-1<<62, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range hist {
+			if r.Vals[1].I != 2*r.Vals[0].I || i > 0 && r.Vals[0].I != hist[i-1].Vals[0].I+1 {
+				t.Fatalf("row %d = %v after %v", i, r.Vals, hist[max(i-1, 0)].Vals)
+			}
+		}
+	}
+	if s := st.store.Stats(); s.RemoveErrors != 0 || s.Rows < capRows {
+		t.Errorf("stats = %+v, want every aged-out file removed and %d rows kept", s, capRows)
+	}
+}
+
 // TestPullLogGauges: tcq_egress_pull_bytes reports the chunks a query's pull
 // log holds — none before its first result, and past the cap the 65,536
 // retained rows of three INTs in under 32 bytes a row of chunk capacity —

@@ -141,10 +141,19 @@ func (q *RunningQuery) Follow(stop <-chan struct{}, deliver func(egress.Encoded)
 // channel closes after the query's last result, on Unsubscribe, or when
 // the engine stops.
 func (q *RunningQuery) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
+	return SubscribeAs(q, buffer, (*tuple.Tuple).Clone, nil)
+}
+
+// SubscribeAs is Subscribe delivering conv(row) for each result: conv
+// copies what it keeps of a row decoded into a scratch tuple. The reader
+// decodes one row per send, so one that waits on a full channel holds its
+// fetched run encoded, and one row converted. exit, if not nil, runs as
+// the reader ends, before the channel closes.
+func SubscribeAs[T any](q *RunningQuery, buffer int, conv func(*tuple.Tuple) T, exit func()) (int, <-chan T) {
 	if buffer < 1 {
 		buffer = 64
 	}
-	ch := make(chan *tuple.Tuple, buffer)
+	ch := make(chan T, buffer)
 	stop, exited := make(chan struct{}), make(chan struct{})
 	q.subMu.Lock()
 	id := q.nextSub
@@ -152,25 +161,27 @@ func (q *RunningQuery) Subscribe(buffer int) (int, <-chan *tuple.Tuple) {
 	q.subs[id] = func() { close(stop); <-exited }
 	q.subMu.Unlock()
 	quit := q.engine.quit
+	var row tuple.Tuple
 	q.Follow(stop, func(enc egress.Encoded) bool {
-		ts, err := enc.Tuples()
-		if err != nil {
-			return false
-		}
-		for _, t := range ts {
+		sent := true
+		err := enc.Each(&row, func(t *tuple.Tuple) bool {
 			select {
-			case ch <- t:
+			case ch <- conv(t):
 			case <-stop:
-				return false
+				sent = false
 			case <-quit:
-				return false
+				sent = false
 			}
-		}
-		return true
+			return sent
+		})
+		return sent && err == nil
 	}, func() {
 		q.subMu.Lock()
 		delete(q.subs, id)
 		q.subMu.Unlock()
+		if exit != nil {
+			exit()
+		}
 		close(ch)
 		close(exited)
 	})

@@ -279,39 +279,22 @@ func (e *PullEgress) FetchEncoded(id int, dst []byte) (Encoded, int64, error) {
 	return Encoded{Buf: buf, Rows: rows, Vals: vals}, missed, nil
 }
 
-// Each decodes the run's rows in order into t, each reusing t.Vals' array,
-// and hands t to fn, which must copy whatever it keeps of the row.
-func (b Encoded) Each(t *tuple.Tuple, fn func(*tuple.Tuple)) error {
-	vals := t.Vals[:0]
+// Each decodes the run's rows in order into t and hands t to fn, until fn
+// returns false. Each row's values go into t.Vals[:0], so into t.Vals'
+// array while it has room: fn copies whatever it keeps of the row, or
+// points t.Vals past the row at spare room of its own before returning.
+func (b Encoded) Each(t *tuple.Tuple, fn func(*tuple.Tuple) bool) error {
 	for buf := b.Buf; len(buf) > 0; {
-		var n int
-		var err error
-		if vals, n, err = storage.ReadRow(buf, t, vals[:0]); err != nil {
+		_, n, err := storage.ReadRow(buf, t, t.Vals[:0])
+		if err != nil {
 			return err
 		}
 		buf = buf[n:]
-		fn(t)
+		if !fn(t) {
+			return nil
+		}
 	}
 	return nil
-}
-
-// Tuples decodes the run's rows into fresh tuples the caller owns: three
-// allocations however many rows it holds (the pointers, the tuples and
-// their values), plus one per string value.
-func (b Encoded) Tuples() ([]*tuple.Tuple, error) {
-	out, tups := make([]*tuple.Tuple, b.Rows), make([]tuple.Tuple, b.Rows)
-	vals := make([]tuple.Value, 0, b.Vals)
-	buf := b.Buf
-	for i := range tups {
-		var n int
-		var err error
-		if vals, n, err = storage.ReadRow(buf, &tups[i], vals); err != nil {
-			return nil, err
-		}
-		buf = buf[n:]
-		out[i] = &tups[i]
-	}
-	return out, nil
 }
 
 // Deregister drops a client cursor, and a follower's wake channel.

@@ -438,9 +438,10 @@ func TestPullRingMatchesSliceModel(t *testing.T) {
 						var enc Encoded
 						enc, missed, err = ring.FetchEncoded(id, encoded[:0])
 						encoded, vals = enc.Buf, 0
-						err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) {
+						err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) bool {
 							got = append(got, r.Clone())
 							vals += len(r.Vals)
+							return true
 						}))
 						if len(got) != enc.Rows || vals != enc.Vals {
 							t.Fatalf("op %d %s: decoded %d rows of %d values, Encoded says %d of %d", op, what, len(got), vals, enc.Rows, enc.Vals)
@@ -541,6 +542,28 @@ func TestPullRingAtDefaultCap(t *testing.T) {
 // that wraps every few batches (run it under -race): whatever the
 // interleaving, the cursor sees strictly ascending rows, and the rows it got
 // plus the rows it was told it missed are all the rows there were.
+// TestEncodedEachStopsWhenAsked: Each hands rows to fn in order and stops
+// at the first one fn declines.
+func TestEncodedEachStopsWhenAsked(t *testing.T) {
+	e := NewPullEgress(64)
+	cur := e.RegisterAt(0)
+	for i := int64(1); i <= 5; i++ {
+		e.Publish(mk(i))
+	}
+	enc, _, err := e.FetchEncoded(cur, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int64
+	err = enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) bool {
+		seen = append(seen, r.Vals[0].AsInt())
+		return len(seen) < 3
+	})
+	if err != nil || fmt.Sprint(seen) != "[1 2 3]" {
+		t.Fatalf("Each saw %v (err %v), want [1 2 3]", seen, err)
+	}
+}
+
 func TestPullRingConcurrentFetch(t *testing.T) {
 	const published = 20000
 	e := NewPullEgress(64)
@@ -570,7 +593,7 @@ func TestPullRingConcurrentFetch(t *testing.T) {
 			var enc Encoded
 			enc, m, err = e.FetchEncoded(cur, buf[:0])
 			buf = enc.Buf
-			err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) { rows = append(rows, r.Clone()) }))
+			err = errors.Join(err, enc.Each(new(tuple.Tuple), func(r *tuple.Tuple) bool { rows = append(rows, r.Clone()); return true }))
 			if len(rows) != enc.Rows || enc.Vals != enc.Rows {
 				t.Fatalf("decoded %d rows, Encoded says %d rows of %d values", len(rows), enc.Rows, enc.Vals)
 			}

@@ -28,7 +28,10 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/core", "streamState", "mu"},
 	{modulePath + "/internal/core", "sharedClass", "mu"},
 
-	// A query's in-process push subscriptions (their stop channels).
+	// A query's in-process push subscriptions: the public Query's channels
+	// (held while it subscribes through the core), then the core's stop
+	// channels.
+	{modulePath, "Query", "subMu"},
 	{modulePath + "/internal/core", "RunningQuery", "subMu"},
 
 	// Flux routing state and its consumers.

@@ -692,12 +692,13 @@ func (fe *frontEnd) handleSubscribe(rest string) error {
 	fmt.Fprintf(fe.w, "OK subscribed %d\n", id)
 	q.Follow(stop, func(enc egress.Encoded) bool {
 		rows := 0
-		err := enc.Each(&row, func(t *tuple.Tuple) {
+		err := enc.Each(&row, func(t *tuple.Tuple) bool {
 			buf = append(ingress.AppendCSV(append(buf, prefix...), t), '\n')
 			if rows++; rows == pushBatch {
 				fe.sendBytes(buf)
 				buf, rows = buf[:0], 0
 			}
+			return true
 		})
 		if rows > 0 {
 			fe.sendBytes(buf)
@@ -730,9 +731,10 @@ func (fe *frontEnd) handleFetch(rest string) error {
 	// buffer, and bufio writes a full buffer at a time.
 	fe.wmu.Lock()
 	defer fe.wmu.Unlock()
-	err = enc.Each(&fe.fetchRow, func(t *tuple.Tuple) {
+	err = enc.Each(&fe.fetchRow, func(t *tuple.Tuple) bool {
 		fe.row = append(ingress.AppendCSV(append(fe.row[:0], "ROW . "...), t), '\n')
 		fe.w.Write(fe.row)
+		return true
 	})
 	fe.w.WriteString("END\n")
 	return err

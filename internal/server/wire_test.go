@@ -765,8 +765,11 @@ func TestFollowSubscribeMatchesFetch(t *testing.T) {
 				case line == "OK fed":
 					if fed++; fed == n {
 						// Every line is fed; FETCH once every result is in.
+						// The pipe is unbuffered and the pusher may be
+						// writing, so the FETCH is sent while this loop
+						// reads on.
 						waitResults(t, q, 2*n/3)
-						fmt.Fprintf(cli, "FETCH %d\n", q.ID)
+						pipeline(t, cli, fmt.Sprintf("FETCH %d\n", q.ID))
 					}
 				case line != fmt.Sprintf("OK subscribed %d", q.ID):
 					t.Fatalf("unexpected line %q", line)

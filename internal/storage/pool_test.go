@@ -166,11 +166,7 @@ func TestPoolNoStaleSegmentAfterStoreEvict(t *testing.T) {
 	if got, err := st.ScanRange(0, 7); err != nil || len(got) != 8 {
 		t.Fatalf("scan: %d tuples, err %v", len(got), err)
 	}
-	dropped, err := st.EvictBefore(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 4 {
+	if dropped := st.EvictBefore(4); dropped != 4 {
 		t.Fatalf("evicted %d tuples, want the first segment's 4", dropped)
 	}
 	got, err := st.ScanRange(0, 7)

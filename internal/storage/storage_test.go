@@ -157,11 +157,7 @@ func TestStoreEvict(t *testing.T) {
 	for ts := int64(0); ts < 50; ts++ {
 		st.Append(mkTS(ts))
 	}
-	n, err := st.EvictBefore(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 20 { // segments [0,9], [10,19] fully below 25; [20,29] kept
+	if n := st.EvictBefore(25); n != 20 { // segments [0,9], [10,19] fully below 25; [20,29] kept
 		t.Errorf("evicted %d, want 20", n)
 	}
 	got, _ := st.ScanRange(0, 100)
@@ -203,6 +199,63 @@ func TestStoreRetainKeepsTheNewestRows(t *testing.T) {
 	got, err := st.ScanRange(0, 200)
 	if err != nil || len(got) != 35 || got[0].TS != 70 || got[34].TS != 104 {
 		t.Fatalf("scan = %d rows (err %v), want 70..104", len(got), err)
+	}
+}
+
+// TestStoreRetainToleratesAMissingFile: a segment whose file is already
+// gone when it ages out counts as removed; the Append whose flush aged it
+// out still succeeds, and later flushes keep aging.
+func TestStoreRetainToleratesAMissingFile(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := NewSegmentStore(dir, "s", 10, nil)
+	st.Retain(25)
+	for ts := int64(0); ts < 20; ts++ {
+		if err := st.Append(mkTS(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(st.segPath(0)); err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(20); ts < 100; ts++ {
+		if err := st.Append(mkTS(ts)); err != nil {
+			t.Fatalf("append %d: %v", ts, err)
+		}
+	}
+	if s := st.Stats(); s.Segments != 3 || s.RemoveErrors != 0 {
+		t.Fatalf("stats = %+v, want 3 segments and no remove errors", s)
+	}
+	got, err := st.ScanRange(0, 200)
+	if err != nil || len(got) != 30 || got[0].TS != 70 {
+		t.Fatalf("scan = %d rows (err %v), want 70..99", len(got), err)
+	}
+}
+
+// TestStoreRetainSparesOutOfOrderSegments: retention drops through
+// EvictBefore, at the smallest maxT among the segments the bound keeps, so
+// a kept segment whose rows arrived late is never dropped.
+func TestStoreRetainSparesOutOfOrderSegments(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := NewSegmentStore(dir, "s", 10, nil)
+	for ts := int64(0); ts < 30; ts++ {
+		st.Append(mkTS(ts))
+	}
+	for ts := int64(15); ts < 25; ts++ { // a late segment, TS 15..24
+		st.Append(mkTS(ts))
+	}
+	st.Retain(20)
+	for ts := int64(30); ts < 40; ts++ {
+		st.Append(mkTS(ts))
+	}
+	// The bound lets the first three segments go and keeps the late one
+	// and [30,39]; the late one's maxT, 24, is the watermark, so [20,29]
+	// stays with it.
+	if s := st.Stats(); s.Segments != 3 || s.Rows != 30 {
+		t.Fatalf("stats = %+v, want [20,29], the late segment and [30,39] kept", s)
+	}
+	got, _ := st.ScanRange(0, 24)
+	if len(got) != 15 || got[0].TS != 15 {
+		t.Fatalf("scan to 24 = %d rows from %v, want 15 from TS 15", len(got), got[0].TS)
 	}
 }
 
@@ -260,9 +313,7 @@ func TestPoolInvalidateOnEvict(t *testing.T) {
 	}
 	st.ScanRange(0, 29)
 	before := pool.Resident()
-	if _, err := st.EvictBefore(15); err != nil {
-		t.Fatal(err)
-	}
+	st.EvictBefore(15)
 	if pool.Resident() >= before {
 		t.Errorf("pool did not invalidate evicted segments: %d -> %d",
 			before, pool.Resident())

@@ -1,11 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 
@@ -21,6 +22,11 @@ type segMeta struct {
 	maxT  int64
 	count int
 	bytes int64 // the file's size
+
+	// pins counts the scans reading the segment; a segment dropped while
+	// pinned keeps its file until the last of them unpins it.
+	pins    int
+	dropped bool
 }
 
 // SegmentStore spools one stream to disk as a log of segments. Writes are
@@ -44,10 +50,11 @@ type SegmentStore struct {
 	// at least: it ages out the oldest whole segments past that.
 	retain int
 
-	appended int64
-	flushed  int64
-	evicted  int64 // rows in segments dropped since
-	segBytes int64 // the size of the segment files held
+	appended   int64
+	flushed    int64
+	evicted    int64 // rows in segments dropped since
+	segBytes   int64 // the size of the segment files held
+	removeErrs int64 // dropped segments whose file could not be removed
 }
 
 // NewSegmentStore creates a store for stream name under dir, flushing
@@ -120,7 +127,8 @@ func (s *SegmentStore) flushLocked() error {
 	s.flushed += int64(meta.count)
 	s.segBytes += meta.bytes
 	s.head = NewLog(4 << 10)
-	return s.ageLocked()
+	s.ageLocked()
+	return nil
 }
 
 // Retain bounds the store by rows: from the next flush on, it drops its
@@ -132,39 +140,28 @@ func (s *SegmentStore) Retain(rows int) {
 	s.retain = rows
 }
 
-// ageLocked drops the oldest segments that the retain bound lets go.
-func (s *SegmentStore) ageLocked() error {
+// ageLocked applies the retain bound through evictBeforeLocked: the
+// oldest segments the bound lets go are those before the first one it
+// keeps, and the watermark is the smallest maxT among the kept ones, so
+// no kept segment falls below it. An out-of-order segment the bound lets
+// go whose maxT reaches that watermark stays until a later flush.
+func (s *SegmentStore) ageLocked() {
 	if s.retain <= 0 {
-		return nil
+		return
 	}
 	held := s.flushed - s.evicted + int64(s.head.Len())
 	n := 0
 	for ; n < len(s.segs) && held-int64(s.segs[n].count) >= int64(s.retain); n++ {
 		held -= int64(s.segs[n].count)
 	}
-	for i, m := range s.segs[:n] {
-		if err := s.dropLocked(m); err != nil {
-			s.segs = slices.Delete(s.segs, 0, i)
-			return err
-		}
+	if n == 0 {
+		return
 	}
-	s.segs = slices.Delete(s.segs, 0, n)
-	return nil
-}
-
-// dropLocked deletes a segment's file and forgets its pages; the caller
-// removes it from segs.
-func (s *SegmentStore) dropLocked(m *segMeta) error {
-	path := s.segPath(m.id)
-	if err := os.Remove(path); err != nil {
-		return fmt.Errorf("storage: evict: %w", err)
+	watermark := int64(math.MaxInt64)
+	for _, m := range s.segs[n:] {
+		watermark = min(watermark, m.maxT)
 	}
-	if s.pool != nil {
-		s.pool.Invalidate(path)
-	}
-	s.evicted += int64(m.count)
-	s.segBytes -= m.bytes
-	return nil
+	s.evictBeforeLocked(watermark)
 }
 
 // readSegment loads a segment's tuples, via the buffer pool when present.
@@ -193,17 +190,24 @@ func readSegmentFile(path string) ([]*tuple.Tuple, error) {
 
 // ScanRange returns all spooled tuples with TS in [left, right], oldest
 // first — the "scanner" operator driven by window descriptors (§4.2.3).
+// It reads the store as it was when called: the segments it lists are
+// pinned, so a flush that ages one out meanwhile defers deleting its file
+// to the scan's end.
 func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 	s.mu.Lock()
-	segs := append([]*segMeta(nil), s.segs...)
+	var segs []*segMeta
+	for _, m := range s.segs {
+		if m.maxT >= left && m.minT <= right {
+			m.pins++
+			segs = append(segs, m)
+		}
+	}
 	head := s.head.Snapshot()
 	s.mu.Unlock()
+	defer s.unpin(segs)
 
 	var out []*tuple.Tuple
 	for _, m := range segs {
-		if m.maxT < left || m.minT > right {
-			continue
-		}
 		ts, err := s.readSegment(m)
 		if err != nil {
 			return nil, err
@@ -223,27 +227,62 @@ func (s *SegmentStore) ScanRange(left, right int64) ([]*tuple.Tuple, error) {
 	return out, nil
 }
 
-// EvictBefore drops whole segments whose newest tuple is older than
-// watermark, deleting their files. Partial segments are retained (windows
-// may still need part of them). It returns the number of tuples dropped.
-func (s *SegmentStore) EvictBefore(watermark int64) (int, error) {
+// unpin ends a scan's hold on segs, deleting the files of those dropped
+// meanwhile that no other scan still reads.
+func (s *SegmentStore) unpin(segs []*segMeta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, m := range segs {
+		if m.pins--; m.pins == 0 && m.dropped {
+			s.removeLocked(m)
+		}
+	}
+}
+
+// EvictBefore drops whole segments whose newest tuple is older than
+// watermark, deleting their files (once no scan reads them). Partial segments are retained (windows
+// may still need part of them). It returns the number of tuples dropped.
+func (s *SegmentStore) EvictBefore(watermark int64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evictBeforeLocked(watermark)
+}
+
+// evictBeforeLocked is EvictBefore under s.mu. A dropped segment leaves
+// segs at once; its file goes now, or when the last scan reading it ends.
+func (s *SegmentStore) evictBeforeLocked(watermark int64) int {
 	dropped := 0
 	keep := s.segs[:0]
-	for i, m := range s.segs {
-		if m.maxT < watermark {
-			if err := s.dropLocked(m); err != nil {
-				s.segs = append(keep, s.segs[i:]...)
-				return dropped, err
-			}
-			dropped += m.count
+	for _, m := range s.segs {
+		if m.maxT >= watermark {
+			keep = append(keep, m)
 			continue
 		}
-		keep = append(keep, m)
+		s.evicted += int64(m.count)
+		s.segBytes -= m.bytes
+		dropped += m.count
+		if m.dropped = true; m.pins == 0 {
+			s.removeLocked(m)
+		}
 	}
+	clear(s.segs[len(keep):])
 	s.segs = keep
-	return dropped, nil
+	return dropped
+}
+
+// removeLocked deletes a dropped segment's file and forgets its pages. The
+// rows were spooled before, so a failed remove is counted
+// (Stats.RemoveErrors) and leaves an orphan file, never an error for the
+// Append whose flush aged the segment out. A file already gone counts as
+// removed.
+func (s *SegmentStore) removeLocked(m *segMeta) {
+	path := s.segPath(m.id)
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		s.removeErrs++
+	}
+	if s.pool != nil {
+		s.pool.Invalidate(path)
+	}
 }
 
 // Stats describes store occupancy: Rows and Bytes are what the store holds
@@ -255,6 +294,9 @@ type Stats struct {
 	HeadTuples int
 	Rows       int64
 	Bytes      int64
+	// RemoveErrors counts dropped segments whose file could not be
+	// deleted; each is an orphan file on disk.
+	RemoveErrors int64
 }
 
 // Stats returns a snapshot.
@@ -262,11 +304,12 @@ func (s *SegmentStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Appended:   s.appended,
-		Flushed:    s.flushed,
-		Segments:   len(s.segs),
-		HeadTuples: s.head.Len(),
-		Rows:       s.flushed - s.evicted + int64(s.head.Len()),
-		Bytes:      s.segBytes + int64(s.head.Bytes()),
+		Appended:     s.appended,
+		Flushed:      s.flushed,
+		Segments:     len(s.segs),
+		HeadTuples:   s.head.Len(),
+		Rows:         s.flushed - s.evicted + int64(s.head.Len()),
+		Bytes:        s.segBytes + int64(s.head.Bytes()),
+		RemoveErrors: s.removeErrs,
 	}
 }

@@ -239,19 +239,20 @@ stage_race() {
     # a fetch of what the log gained, and a reader that waits on its own
     # client instead of dropping rows. Hold the wake slot, SUBSCRIBE against
     # FETCH, the slow reader's delivered + missed, the in-process
-    # subscriptions' endings and order, and the subscribed burst's
-    # allocations to twenty race-instrumented passes.
+    # subscriptions' endings, order and Unsubscribe, and the subscribed
+    # burst's allocations to twenty race-instrumented passes.
     echo "==> push readers follow the result log under race (-count=20)"
     go test -race -count=20 -run 'TestPullFollow' ./internal/egress/
     go test -race -count=20 -run 'TestFollower' ./internal/core/
     go test -race -count=20 -run 'TestFollowSubscribeMatchesFetch|TestSubscribeReplyPrecedesPushedRows|TestPipelinedFeedBurstAllocs/subscribed' ./internal/server/
-    go test -race -count=20 -run 'TestSubscribe' .
+    go test -race -count=20 -run 'TestSubscribe|TestUnsubscribe' .
 
     # Front-door rows are reused the moment Feed returns: history and the
     # spool must keep a fed row's values, never the row. Past its cap the
-    # history ages out its oldest rows while a registration decodes it.
+    # history ages out its oldest rows while a registration decodes it, and
+    # the spool ages out segments that a scan has listed.
     echo "==> fed rows kept by no one under race (-count=20)"
-    go test -race -count=20 -run 'TestFeedRetainsNoRow|TestHistoryKeepsNewestRowsPastCap' ./internal/core/
+    go test -race -count=20 -run 'TestFeedRetainsNoRow|TestHistoryKeepsNewestRowsPastCap|TestSpoolReadsRaceAgeOut' ./internal/core/
     go test -race -count=20 -run 'TestSpooledRunsKeepTheirValues' ./internal/server/
 
     echo "==> fuzz smoke (5s per target)"

@@ -27,6 +27,7 @@ package telegraphcq
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -35,7 +36,6 @@ import (
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/server"
-	"telegraphcq/internal/storage"
 	"telegraphcq/internal/tuple"
 )
 
@@ -275,6 +275,9 @@ func toRow(t *tuple.Tuple) Row { return Row{T: t.TS, vals: t.Vals} }
 type Query struct {
 	db    *DB
 	inner *core.RunningQuery
+
+	subMu sync.Mutex
+	subs  map[<-chan Row]int // Subscribe's channels, for Unsubscribe
 }
 
 // ID returns the engine-assigned query id.
@@ -300,44 +303,57 @@ func (db *DB) Register(sqlText string) (*Query, error) {
 // the last 65,536 results: a slow consumer holds up only its own channel,
 // never the engine, and misses rows only when the log ages them out before
 // they are sent (counted in tcq_egress_push_dropped_total). The channel
-// closes once the query has ended and its last rows are sent, or when the
-// DB closes; a consumer that stops reading before then keeps its reader
-// waiting until the DB closes.
+// closes once the query has ended and its last rows are sent, on
+// Unsubscribe, or when the DB closes. A consumer that stops reading before
+// then calls Unsubscribe to end its reader.
 func (q *Query) Subscribe(buffer int) <-chan Row {
-	out := make(chan Row, buffer)
-	stop := q.db.engine.Stopped()
-	q.inner.Follow(stop, func(enc egress.Encoded) bool {
-		rows, err := decodeRows(enc)
-		if err != nil {
-			return false
-		}
-		for _, r := range rows {
-			select {
-			case out <- r:
-			case <-stop:
-				return false
-			}
-		}
-		return true
-	}, func() { close(out) })
-	return out
+	q.subMu.Lock()
+	defer q.subMu.Unlock()
+	if q.subs == nil {
+		q.subs = make(map[<-chan Row]int)
+	}
+	// The reader's exit waits on subMu, so it finds ch registered.
+	var ch <-chan Row
+	id, ch := core.SubscribeAs(q.inner, buffer, func(t *tuple.Tuple) Row {
+		return Row{T: t.TS, vals: slices.Clone(t.Vals)}
+	}, func() {
+		q.subMu.Lock()
+		delete(q.subs, ch)
+		q.subMu.Unlock()
+	})
+	q.subs[ch] = id
+	return ch
+}
+
+// Unsubscribe ends the reader behind a channel Subscribe returned: the
+// channel is closed when Unsubscribe returns, and rows not yet sent on it
+// are not delivered.
+func (q *Query) Unsubscribe(rows <-chan Row) {
+	q.subMu.Lock()
+	id, ok := q.subs[rows]
+	delete(q.subs, rows)
+	q.subMu.Unlock()
+	if ok {
+		q.inner.Unsubscribe(id)
+	}
 }
 
 // decodeRows decodes an encoded run into Rows that share one values array:
-// two allocations however many rows it holds, plus one per string value.
+// three allocations however many rows it holds (the Rows, the values and
+// the tuple enc.Each decodes into), plus one per string value.
 func decodeRows(enc egress.Encoded) ([]Row, error) {
-	rows := make([]Row, enc.Rows)
+	rows := make([]Row, 0, enc.Rows)
 	vals := make([]tuple.Value, 0, enc.Vals)
-	var t tuple.Tuple
-	buf := enc.Buf
-	for i := range rows {
-		var n int
-		var err error
-		if vals, n, err = storage.ReadRow(buf, &t, vals); err != nil {
-			return nil, err
-		}
-		buf = buf[n:]
-		rows[i] = toRow(&t)
+	t := tuple.Tuple{Vals: vals}
+	err := enc.Each(&t, func(t *tuple.Tuple) bool {
+		rows = append(rows, toRow(t))
+		n := min(len(t.Vals), cap(vals)) // the row's values, at vals' front
+		vals = vals[n:n]
+		t.Vals = vals
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -359,7 +375,7 @@ type Cursor struct {
 
 // Fetch returns the results accumulated since the previous Fetch. However
 // many rows it returns, it allocates two arrays, the rows and every value
-// they hold, plus one string per string value.
+// they hold, and one scratch tuple, plus one string per string value.
 func (c *Cursor) Fetch() ([]Row, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,15 +455,12 @@ func (q *Query) SubscribePriority(capacity int, priority func(Row) float64) *Pri
 	pe := egress.NewPriorityEgress(capacity, func(t *tuple.Tuple) float64 {
 		return priority(toRow(t))
 	})
+	var row tuple.Tuple
 	q.inner.Follow(q.db.engine.Stopped(), func(enc egress.Encoded) bool {
-		ts, err := enc.Tuples()
-		if err != nil {
-			return false
-		}
-		for _, t := range ts {
-			pe.Publish(t)
-		}
-		return true
+		return enc.Each(&row, func(t *tuple.Tuple) bool {
+			pe.Publish(t.Clone())
+			return true
+		}) == nil
 	}, nil)
 	return &PriorityQueue{pe: pe}
 }

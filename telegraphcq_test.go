@@ -84,6 +84,88 @@ func TestSubscribeEndsWithQuery(t *testing.T) {
 	}
 }
 
+// TestUnsubscribeEndsAStalledReader: a consumer that stops reading ends
+// its reader with Unsubscribe, which closes the channel, even while the
+// query runs on; a reader that ends with its query forgets its channel.
+func TestUnsubscribeEndsAStalledReader(t *testing.T) {
+	db := openDB(t)
+	db.MustCreateStream("s", "x INT", "")
+	q, err := db.Register(`SELECT x FROM s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, drained := q.Subscribe(1), q.Subscribe(64)
+	for i := 1; i <= 100; i++ {
+		if err := db.Feed("s", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool { return q.Results() == 100 }) {
+		t.Fatalf("%d of 100 results", q.Results())
+	}
+	q.Unsubscribe(stalled)
+	n := 0
+	for range stalled {
+		n++
+	}
+	if n > 1 {
+		t.Errorf("read %d rows after Unsubscribe, want at most the one buffered", n)
+	}
+	go func() {
+		for range drained {
+		}
+	}()
+	if err := q.Deregister(); err != nil {
+		t.Fatal(err)
+	}
+	if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool {
+		q.subMu.Lock()
+		defer q.subMu.Unlock()
+		return len(q.subs) == 0
+	}) {
+		t.Errorf("%d subscriptions still held after the query ended", len(q.subs))
+	}
+	q.Unsubscribe(drained) // a no-op once its reader has ended
+}
+
+// TestDecodeRowsAllocatesPerFetch: Cursor.Fetch decodes a run into Rows
+// sharing one values array, so however many rows it holds it allocates
+// the Rows, the values and the tuple it decodes into (no string columns
+// here).
+func TestDecodeRowsAllocatesPerFetch(t *testing.T) {
+	db := openDB(t)
+	db.MustCreateStream("s", "x INT, y FLOAT", "")
+	q, err := db.Register(`SELECT x, y FROM s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := q.inner.Cursor()
+	for i := 1; i <= 500; i++ {
+		if err := db.Feed("s", i, float64(i)/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !chaos.Poll(nil, 5*time.Second, time.Millisecond, func() bool { return q.Results() == 500 }) {
+		t.Fatalf("%d of 500 results", q.Results())
+	}
+	enc, err := q.inner.FetchEncoded(cur, nil)
+	if err != nil || enc.Rows != 500 {
+		t.Fatalf("fetched %d rows (err %v)", enc.Rows, err)
+	}
+	rows, err := decodeRows(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if r.Int(0) != int64(i+1) || r.Float(1) != float64(i+1)/2 {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { decodeRows(enc) }); n != 3 {
+		t.Errorf("decodeRows allocates %v times a run, want 3", n)
+	}
+}
+
 func TestCursorFetch(t *testing.T) {
 	db := openDB(t)
 	db.MustCreateStream("s", "x INT", "")
