@@ -1,6 +1,6 @@
-// Command tcqgen writes synthetic workload streams as CSV, suitable for
-// feeding a TelegraphCQ server via the FEED command or the file-reader
-// ingress wrapper.
+// Command tcqgen writes synthetic workload streams as CSV, one row a
+// line, suitable for feeding a TelegraphCQ server via the FEED command or
+// an embedded engine via DB.FeedCSV.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
-// Package catalog maintains the metadata of streams, tables, and their
-// ingress wrappers — the role PostgreSQL's system catalog plays in the
-// TelegraphCQ front end (Fig. 4–5). The catalog is shared by every
-// connection's parser/planner, so it is safe for concurrent use.
+// Package catalog maintains the metadata of streams and tables — the
+// role PostgreSQL's system catalog plays in the TelegraphCQ front end
+// (Fig. 4–5). The catalog is shared by every connection's parser/planner,
+// so it is safe for concurrent use.
 package catalog
 
 import (
@@ -40,9 +40,6 @@ type Entry struct {
 	TimeCol int
 	// TimeKind is the default notion of time for windows on this stream.
 	TimeKind window.TimeKind
-	// Wrapper names the ingress wrapper feeding this stream ("" for
-	// tables and locally fed streams).
-	Wrapper string
 }
 
 // Catalog is the registry. The zero value is unusable; use New.
@@ -79,18 +76,6 @@ func (c *Catalog) create(e *Entry) (*Entry, error) {
 	}
 	c.entries[e.Name] = e
 	return e, nil
-}
-
-// SetWrapper records which ingress wrapper feeds a stream.
-func (c *Catalog) SetWrapper(name, wrapper string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return fmt.Errorf("catalog: relation %q not found", name)
-	}
-	e.Wrapper = wrapper
-	return nil
 }
 
 // Lookup finds a relation by name.

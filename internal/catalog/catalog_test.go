@@ -60,21 +60,6 @@ func TestTables(t *testing.T) {
 	}
 }
 
-func TestWrapper(t *testing.T) {
-	c := New()
-	c.CreateStream("s", schema(), 0)
-	if err := c.SetWrapper("s", "tess"); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := c.Lookup("s")
-	if e.Wrapper != "tess" {
-		t.Errorf("wrapper = %q", e.Wrapper)
-	}
-	if err := c.SetWrapper("nope", "x"); err == nil {
-		t.Error("wrapper on unknown relation succeeded")
-	}
-}
-
 func TestListSorted(t *testing.T) {
 	c := New()
 	c.CreateStream("zeta", schema(), 0)

@@ -10,7 +10,6 @@ package chaos_test
 // runs a reduced campaign this way).
 
 import (
-	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -20,7 +19,6 @@ import (
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/flux"
-	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/tuple"
 )
 
@@ -283,92 +281,6 @@ func TestChaosFjordDropDupAccounting(t *testing.T) {
 	if want := total - drops + dups; delivered != want {
 		t.Fatalf("delivered = %d, want %d (= %d sent - %d drops + %d dups)",
 			delivered, want, total, drops, dups)
-	}
-}
-
-// TestChaosIngressSheddingAccounting produces a burst far larger than the
-// push connection and checks the §4.3 shedding contract: every produced
-// tuple is either delivered or counted as shed, and the producer is never
-// blocked.
-func TestChaosIngressSheddingAccounting(t *testing.T) {
-	const produce, qcap = 2000, 64
-	i := 0
-	src := ingress.NewFuncSource(func() (*tuple.Tuple, error) {
-		if i >= produce {
-			return nil, io.EOF
-		}
-		i++
-		return tuple.New(tuple.Int(int64(i))), nil
-	}, 0)
-	out := fjord.NewConn(fjord.Push, qcap)
-	st := ingress.NewStreamer(src, out, -1, nil)
-	// No consumer while producing: the connection fills and stays full, so
-	// shedding is deterministic — exactly cap delivered, the rest shed.
-	st.Start()
-	if err := st.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Delivered() != qcap {
-		t.Errorf("delivered = %d, want %d (queue capacity)", st.Delivered(), qcap)
-	}
-	if st.Delivered()+st.Drops() != produce {
-		t.Fatalf("delivered %d + shed %d != produced %d", st.Delivered(), st.Drops(), produce)
-	}
-	var drained int64
-	for {
-		_, ok := out.Recv()
-		if !ok {
-			break
-		}
-		drained++
-	}
-	if drained != st.Delivered() {
-		t.Fatalf("drained %d tuples, delivered counter says %d", drained, st.Delivered())
-	}
-}
-
-// TestChaosIngressBurstSource runs a simulated-latency source on an
-// auto-advancing virtual clock with injected arrival bursts: burst fetches
-// skip the latency sleep, so the virtual time consumed must fall short of
-// the no-burst baseline by exactly the burst-suppressed sleeps.
-func TestChaosIngressBurstSource(t *testing.T) {
-	clk := chaos.NewVirtual(time.Unix(0, 0))
-	clk.SetAutoAdvance(true)
-	inj := chaos.New(chaos.Config{Seed: 5, Burst: 0.05, MaxBurst: 8}, clk)
-	const produce = 500
-	latency := time.Millisecond
-	i := 0
-	src := ingress.NewFuncSourceChaos(func() (*tuple.Tuple, error) {
-		if i >= produce {
-			return nil, io.EOF
-		}
-		i++
-		return tuple.New(tuple.Int(int64(i))), nil
-	}, latency, clk, inj.Site("ingress/burst"))
-	out := fjord.NewConn(fjord.Push, produce+1)
-	st := ingress.NewStreamer(src, out, -1, nil)
-	start := clk.Now()
-	st.Start()
-	if err := st.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := clk.Since(start)
-	var bursts int
-	for _, ev := range inj.Trace() {
-		if ev.Fault == chaos.Burst {
-			bursts++
-		}
-	}
-	if bursts == 0 {
-		t.Fatal("no bursts fired at 5% over 500 fetches")
-	}
-	baseline := time.Duration(produce+1) * latency // +1: the EOF fetch sleeps too
-	if elapsed >= baseline {
-		t.Fatalf("virtual elapsed %v not reduced below baseline %v despite %d bursts",
-			elapsed, baseline, bursts)
-	}
-	if st.Delivered() != produce {
-		t.Fatalf("delivered = %d, want %d", st.Delivered(), produce)
 	}
 }
 

@@ -2,8 +2,8 @@
 // engine's "uncertain world" machinery is tested with: an injectable Clock
 // (real and virtual implementations) and a seeded Injector that perturbs
 // hot paths — tuple drop/delay/duplicate/reorder at Fjord queue
-// boundaries, node crashes and slow-consumer stalls in Flux, queue-full
-// bursts in ingress, and connection resets in the server proxy. Every
+// boundaries, node crashes and slow-consumer stalls in Flux, and
+// connection resets in the server proxy. Every
 // decision an Injector makes is drawn from a per-site RNG stream derived
 // from one seed, so a whole chaos run is reproducible: a failing trial
 // prints its seed and rerunning with that seed replays the identical
@@ -17,9 +17,8 @@ import (
 
 // Clock abstracts the time operations the engine's hot paths need, so
 // tests can substitute a virtual clock and make timing deterministic.
-// Production code in internal/flux, internal/fjord and internal/ingress
-// must reach time only through a Clock (the grep-clean invariant checked
-// by TestNoDirectTimeInProductionCode).
+// Production code outside this package must reach time only through a
+// Clock (tcqlint's clockcheck analyzer enforces it).
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time

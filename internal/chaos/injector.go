@@ -23,7 +23,6 @@ const (
 	Reorder       // swap a tuple with its successor
 	Crash         // kill a Flux node mid-stream
 	Stall         // slow-consumer pause inside a Flux node
-	Burst         // ingress emits a seeded burst of arrivals at once
 	Reset         // sever the server proxy's upstream connection
 )
 
@@ -44,8 +43,6 @@ func (f Fault) String() string {
 		return "crash"
 	case Stall:
 		return "stall"
-	case Burst:
-		return "burst"
 	case Reset:
 		return "reset"
 	default:
@@ -67,13 +64,10 @@ type Config struct {
 	Reorder float64
 	Crash   float64
 	Stall   float64
-	Burst   float64
 	Reset   float64
 
 	// MaxDelay caps Delay/Stall durations (default 1ms).
 	MaxDelay time.Duration
-	// MaxBurst caps Burst sizes (default 16).
-	MaxBurst int
 }
 
 // Event is one recorded injection decision. N is the site-local decision
@@ -119,9 +113,6 @@ func New(cfg Config, clk Clock) *Injector {
 	}
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = time.Millisecond
-	}
-	if cfg.MaxBurst <= 0 {
-		cfg.MaxBurst = 16
 	}
 	return &Injector{cfg: cfg, clk: clk, sites: make(map[string]*Site)}
 }
@@ -234,7 +225,7 @@ func (s *Site) nextLocked() Fault {
 		f    Fault
 	}{
 		{cfg.Drop, Drop}, {cfg.Delay, Delay}, {cfg.Dup, Dup}, {cfg.Reorder, Reorder},
-		{cfg.Crash, Crash}, {cfg.Stall, Stall}, {cfg.Burst, Burst}, {cfg.Reset, Reset},
+		{cfg.Crash, Crash}, {cfg.Stall, Stall}, {cfg.Reset, Reset},
 	} {
 		cum += p.prob
 		if u < cum {
@@ -253,16 +244,6 @@ func (s *Site) DelayFor() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return time.Duration(s.rng.Int63n(int64(s.inj.cfg.MaxDelay))) + 1
-}
-
-// BurstSize draws a seeded burst size in [1, MaxBurst].
-func (s *Site) BurstSize() int {
-	if s == nil {
-		return 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Intn(s.inj.cfg.MaxBurst) + 1
 }
 
 // PerturbSend applies one tuple-stream fault decision at a queue boundary,

@@ -9,7 +9,6 @@ import (
 
 	"telegraphcq/internal/chaos"
 
-	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/workload"
 )
@@ -648,7 +647,6 @@ func TestEngineAccessorsAndSources(t *testing.T) {
 	if e.Catalog() == nil {
 		t.Fatal("nil catalog")
 	}
-	// AttachSource pumps a pull source to completion.
 	rows := []*tuple.Tuple{
 		tuple.New(tuple.Time(1), tuple.String_("MSFT"), tuple.Float(10)),
 		tuple.New(tuple.Time(2), tuple.String_("MSFT"), tuple.Float(20)),
@@ -657,22 +655,14 @@ func TestEngineAccessorsAndSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait, err := e.AttachSource("ClosingStockPrices", ingress.NewSliceSource(rows))
-	if err != nil {
-		t.Fatal(err)
+	// FeedMany, the one way in, takes a batch.
+	if n, err := e.FeedMany("ClosingStockPrices", rows); n != 2 || err != nil {
+		t.Fatalf("FeedMany = %d, %v", n, err)
 	}
-	if err := wait(); err != nil {
-		t.Fatal(err)
+	waitFor(t, "batch delivered", func() bool { return q.Results() == 2 })
+	if _, err := e.FeedMany("nope", rows); err == nil {
+		t.Error("feed into an unknown stream succeeded")
 	}
-	waitFor(t, "source rows delivered", func() bool { return q.Results() == 2 })
-	if _, err := e.AttachSource("nope", ingress.NewSliceSource(nil)); err == nil {
-		t.Error("attach to unknown stream succeeded")
-	}
-	// FeedMany batch path.
-	if _, err := e.FeedMany("ClosingStockPrices", rows[:1]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "batch delivered", func() bool { return q.Results() == 3 })
 	// Unsubscribe closes the push channel.
 	sub, ch := q.Subscribe(4)
 	q.Unsubscribe(sub)

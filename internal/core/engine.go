@@ -1,6 +1,6 @@
 // Package core is TelegraphCQ's engine: the paper's primary contribution
 // assembled from the substrates. It owns the catalog, accepts stream
-// definitions and data (locally or via ingress wrappers), parses and
+// definitions and data (through FeedMany, the one way in), parses and
 // registers continuous queries, folds them dynamically into the running
 // executor (§4.2.1 "the listener accepts multiple continuous queries and
 // adds them dynamically to the running executor"), and delivers results
@@ -18,9 +18,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -29,7 +27,6 @@ import (
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/fjord"
-	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/introspect"
 	"telegraphcq/internal/metrics"
 	"telegraphcq/internal/sql"
@@ -487,76 +484,6 @@ func (e *Engine) feedMany(stream string, ts []*tuple.Tuple, shed bool) (int, err
 // fanOut is how many subscriber clones feedMany takes from the pool and
 // pushes at a time.
 const fanOut = 64
-
-// AttachSource pumps an ingress source into a stream until the source
-// ends. A reader goroutine pulls tuples one at a time (Source.Next is
-// inherently per-tuple and may block); a feeder goroutine takes one tuple,
-// then greedily drains whatever else is already pending — up to BatchSize
-// — into a single FeedMany call. Trickling sources keep per-tuple latency;
-// saturated sources amortize the stamp/fan-out locks across the batch. It
-// returns a wait function.
-func (e *Engine) AttachSource(stream string, src ingress.Source) (wait func() error, err error) {
-	if _, err := e.stream(stream); err != nil {
-		return nil, err
-	}
-	errc := make(chan error, 1)
-	readErr := make(chan error, 1)
-	tc := make(chan *tuple.Tuple, e.opts.BatchSize)
-	done := make(chan struct{})
-	go func() {
-		defer close(tc)
-		// finish releases the source exactly once per return path; a
-		// close failure surfaces through the wait function rather than
-		// being dropped.
-		finish := func(err error) {
-			if cerr := src.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			readErr <- err
-		}
-		for {
-			t, err := src.Next()
-			if err != nil {
-				if err == io.EOF {
-					err = nil
-				}
-				finish(err)
-				return
-			}
-			select {
-			case tc <- t:
-			case <-done:
-				finish(nil)
-				return
-			}
-		}
-	}()
-	go func() {
-		buf := make([]*tuple.Tuple, 0, e.opts.BatchSize)
-		for t := range tc {
-			buf = append(buf[:0], t)
-		fill:
-			for len(buf) < cap(buf) {
-				select {
-				case t2, ok := <-tc:
-					if !ok {
-						break fill
-					}
-					buf = append(buf, t2)
-				default:
-					break fill
-				}
-			}
-			if _, err := e.FeedMany(stream, buf); err != nil {
-				close(done)
-				errc <- err
-				return
-			}
-		}
-		errc <- <-readErr
-	}()
-	return func() error { return <-errc }, nil
-}
 
 // historyRange returns the retained tuples of a stream in [left, right],
 // decoded into fresh copies. The in-memory log is decoded under st.mu from

@@ -158,61 +158,6 @@ func TestPullLen(t *testing.T) {
 	}
 }
 
-func TestPriorityEgressOrder(t *testing.T) {
-	e := NewPriorityEgress(10, func(t *tuple.Tuple) float64 {
-		return float64(t.Vals[0].AsInt())
-	})
-	for _, v := range []int64{3, 9, 1, 7, 5} {
-		e.Publish(mk(v))
-	}
-	got := e.Drain(0)
-	want := []int64{9, 7, 5, 3, 1}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d", len(got))
-	}
-	for i := range want {
-		if got[i].Vals[0].AsInt() != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-	emitted, shed := e.Stats()
-	if emitted != 5 || shed != 0 {
-		t.Errorf("stats = %d, %d", emitted, shed)
-	}
-}
-
-func TestPriorityEgressShedsLeastInteresting(t *testing.T) {
-	e := NewPriorityEgress(3, func(t *tuple.Tuple) float64 {
-		return float64(t.Vals[0].AsInt())
-	})
-	for v := int64(1); v <= 6; v++ {
-		e.Publish(mk(v))
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("pending = %d", e.Pending())
-	}
-	got := e.Drain(0)
-	// Highest three survive the preference-aware shedding.
-	for i, want := range []int64{6, 5, 4} {
-		if got[i].Vals[0].AsInt() != want {
-			t.Fatalf("survivors = %v", got)
-		}
-	}
-	if _, shed := e.Stats(); shed != 3 {
-		t.Errorf("shed = %d", shed)
-	}
-}
-
-func TestPriorityEgressEmpty(t *testing.T) {
-	e := NewPriorityEgress(2, func(*tuple.Tuple) float64 { return 0 })
-	if e.Next() != nil {
-		t.Error("next on empty")
-	}
-	if got := e.Drain(5); len(got) != 0 {
-		t.Errorf("drain = %d", len(got))
-	}
-}
-
 // pullLog is what the model test drives: PullEgress and the slice it
 // replaced answer the same calls.
 type pullLog interface {

@@ -79,7 +79,8 @@ func (p *SensorProxy) Adjustments() int {
 	return p.adjustments
 }
 
-// Next implements Source: readings drain tick by tick.
+// Next returns the next reading, draining the network tick by tick; the
+// caller feeds it through the front door. io.EOF after Close.
 func (p *SensorProxy) Next() (*tuple.Tuple, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -94,7 +95,7 @@ func (p *SensorProxy) Next() (*tuple.Tuple, error) {
 	return t, nil
 }
 
-// Close implements Source.
+// Close ends the readings: Next returns io.EOF from then on.
 func (p *SensorProxy) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

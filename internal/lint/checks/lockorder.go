@@ -39,10 +39,11 @@ var RepoLockOrder = []LockClass{
 	{modulePath + "/internal/flux", "JoinHalf", "mu"},
 	{modulePath + "/internal/flux", "Ledger", "mu"},
 
-	// Egress sinks.
+	// Egress sinks, and the preference buffer a result-log reader fills
+	// with no other lock held.
 	{modulePath + "/internal/egress", "PushEgress", "mu"},
 	{modulePath + "/internal/egress", "PullEgress", "mu"},
-	{modulePath + "/internal/egress", "PriorityEgress", "mu"},
+	{modulePath, "PriorityQueue", "mu"},
 
 	// The one row store behind every SteM: taken under sharedClass.mu by
 	// the class eddy that steps the SteM, and under Engine.mu and

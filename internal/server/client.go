@@ -20,8 +20,9 @@ type Client struct {
 	cmdMu   sync.Mutex // one command in flight at a time
 	replyCh chan string
 
-	subMu sync.Mutex
-	subs  map[int]chan string
+	subMu   sync.Mutex
+	subs    map[int]chan string
+	dropped map[int]int64 // pushed rows that found their channel full, per query
 
 	readErr  error
 	readDone chan struct{}
@@ -38,6 +39,7 @@ func Dial(addr string) (*Client, error) {
 		w:        bufio.NewWriter(conn),
 		replyCh:  make(chan string, 64),
 		subs:     make(map[int]chan string),
+		dropped:  make(map[int]int64),
 		readDone: make(chan struct{}),
 	}
 	go c.readLoop()
@@ -52,14 +54,14 @@ func (c *Client) readLoop() {
 		line := sc.Text()
 		if qid, csv, ok := parsePushRow(line); ok {
 			c.subMu.Lock()
-			ch := c.subs[qid]
-			c.subMu.Unlock()
-			if ch != nil {
+			if ch := c.subs[qid]; ch != nil {
 				select {
 				case ch <- csv:
-				default: // slow consumer: drop, so replies on the same connection never wait
+				default: // slow consumer: drop and count, so replies on the same connection never wait
+					c.dropped[qid]++
 				}
 			}
+			c.subMu.Unlock()
 			continue
 		}
 		c.replyCh <- line
@@ -187,7 +189,8 @@ func (c *Client) Query(sqlText string) (int, error) {
 }
 
 // Subscribe starts push delivery for a query; rows arrive as CSV on the
-// returned channel (buffered; overflow drops).
+// returned channel (buffered; a row that finds it full is dropped and
+// counted in Dropped).
 func (c *Client) Subscribe(qid int, buffer int) (<-chan string, error) {
 	if buffer < 1 {
 		buffer = 256
@@ -203,6 +206,16 @@ func (c *Client) Subscribe(qid int, buffer int) (<-chan string, error) {
 		return nil, err
 	}
 	return ch, nil
+}
+
+// Dropped returns how many rows pushed for query qid this client dropped
+// because its Subscribe channel was full. A row the server itself missed
+// (behind the result log's cap) never reaches the client, so it is not
+// counted here but in tcq_egress_push_dropped_total.
+func (c *Client) Dropped(qid int) int64 {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	return c.dropped[qid]
 }
 
 // Fetch pulls the results accumulated since the last Fetch.

@@ -68,7 +68,7 @@ func TestCreateErrors(t *testing.T) {
 
 // TestE10EndToEnd is experiment E10: the Fig. 4–5 architecture exercised
 // over TCP — create streams, register queries dynamically against a
-// running executor, feed data through the wrapper path, and receive
+// running executor, feed data through the FEED front door, and receive
 // results over both push and pull cursors.
 func TestE10EndToEnd(t *testing.T) {
 	_, pm := startServer(t)
@@ -131,6 +131,43 @@ func TestE10EndToEnd(t *testing.T) {
 	}
 	if _, err := c.Fetch(q1); err == nil {
 		t.Error("fetch after deregister succeeded")
+	}
+}
+
+// TestClientCountsDroppedPushRows: a Subscribe consumer that reads nothing
+// while 1,000 results are pushed keeps its channel's four rows, and the
+// client counts every other row it had no room for, so buffered + dropped
+// accounts for each pushed row.
+func TestClientCountsDroppedPushRows(t *testing.T) {
+	const n = 1000
+	_, pm := startServer(t)
+	c := dial(t, pm.Addr())
+	if err := c.CreateStream("s", "x INT", ""); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.Query(`SELECT x FROM s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := c.Subscribe(q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := c.Feed("s", fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !chaos.Poll(nil, 10*time.Second, time.Millisecond, func() bool {
+		return int64(len(ch))+c.Dropped(q) >= n
+	}) {
+		t.Fatalf("%d buffered + %d dropped of %d pushed", len(ch), c.Dropped(q), n)
+	}
+	if len(ch) != 4 || c.Dropped(q) != n-4 {
+		t.Errorf("%d buffered + %d dropped, want 4 + %d", len(ch), c.Dropped(q), n-4)
+	}
+	if d := c.Dropped(q + 1); d != 0 {
+		t.Errorf("a query with no subscription counts %d drops", d)
 	}
 }
 

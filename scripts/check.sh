@@ -3,7 +3,8 @@
 # failures are attributable at a glance:
 #
 #   check.sh lint    docs/gofmt/vet, tcqlint incl. -ignores audit (blocking),
-#                    internal/ reachability audit, staticcheck (blocking when
+#                    internal/ reachability audit (packages and exported
+#                    functions), staticcheck (blocking when
 #                    TCQ_REQUIRE_STATICCHECK=1)
 #   check.sh test    build + full test suite, benchmark module vet + tests,
 #                    arrangement and storage coverage floors
@@ -73,17 +74,60 @@ stage_lint() {
     fi
 
     # Code no binary, no Open caller and no benchmark run can reach has to
-    # justify itself (ROADMAP item 9). The packages below are the ones that
+    # justify itself (ROADMAP item 13). The packages below are the ones that
     # do so today: leakcheck is test-only by design; flux (the paper's Flux,
     # experiment E6) and psoup are reached only from tests, examples and root
     # bench_test.go. Anything else falling off fails here.
     echo "==> reachability: internal/ packages no binary, Open or benchmark reaches"
-    reached=$( { go list -deps ./cmd/tcqd ./cmd/tcq ./cmd/tcqgen ./cmd/tcqlint .
-                 (cd benchmark && go list -deps .); } |
-        sed -n 's|^telegraphcq/internal/\([^/]*\).*|\1|p' | sort -u)
+    deps=$( { go list -deps ./cmd/tcqd ./cmd/tcq ./cmd/tcqgen ./cmd/tcqlint .
+              (cd benchmark && go list -deps .); } | grep '^telegraphcq/internal/' | sort -u)
+    reached=$(echo "$deps" | sed 's|^telegraphcq/internal/\([^/]*\).*|\1|' | sort -u)
     islands=$(ls internal | grep -vxF "$reached" | tr '\n' ' ')
     if [ "$islands" != "flux leakcheck psoup " ]; then
         echo "unreachable internal/ packages: ${islands}(want: flux leakcheck psoup)" >&2
+        exit 1
+    fi
+
+    # A reached package can still hold a layer nothing outside it uses. So
+    # the same holds one level down: an exported package-level function of
+    # a reached internal/ package that no non-test file outside its package
+    # names (comment lines aside) must be on the list below. Today they are
+    # test and fixture entry points (baseline, chaos.New, lint.Run), the
+    # analyzers checks.All bundles, the fjord pull modality experiment E1
+    # drives, and constructors only tests or sibling helpers call. A new
+    # name fails here until it is used or listed; a listed name that gains a
+    # caller or goes fails until it is struck off.
+    echo "==> reachability: exported functions no other package calls"
+    users=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print)
+    unused=$(go list -f '{{.ImportPath}} {{.Name}}' $deps | while read -r path name; do
+        dir=./${path#telegraphcq/}
+        named=$(echo "$users" | grep -v "^$dir/[^/]*\$" | xargs grep -hv '^[[:space:]]*//' |
+            grep -ow "$name\.[A-Z][A-Za-z0-9_]*" | sort -u)
+        ls "$dir"/*.go | grep -v '_test\.go$' |
+            xargs sed -n "s/^func \([A-Z][A-Za-z0-9_]*\)[[(].*/$name.\1/p" | sort -u |
+            grep -vxF -e "$named" || true
+    done | sort | xargs)
+    want=$(echo "
+        baseline.Aggregate baseline.Canonical baseline.Diff baseline.FireInOrder
+        baseline.FireOne baseline.FirstN baseline.NewPerQueryJoin
+        chaos.New chaos.NewVirtual
+        checks.AllocCheck checks.ClockCheck checks.LockCheck
+        checks.NewRepoSummaries checks.OwnerCheck
+        eddy.NewFixedPolicy eddy.PolicyName executor.NewWithClock
+        fjord.Pipeline fjord.Transform
+        introspect.ArrangeSchema introspect.ChaosSchema introspect.PoolSchema
+        introspect.RoutesSchema introspect.StatsSchema
+        lint.Run lint.RunFixture metrics.NewHistogram metrics.NewHistogramSeeded
+        ops.NewFilter server.NewProxyOpts sql.BindPlan sql.Parse storage.AppendRow
+        window.Backward window.Landmark window.Sliding window.SlidingForever
+        window.Snapshot
+        workload.Describe workload.DriftSchema workload.PacketSchema
+        workload.SensorSchema" | xargs)
+    if [ "$unused" != "$want" ]; then
+        echo "exported functions no other package calls, not listed:" \
+            "$(printf '%s\n' $unused | grep -vxF -e "$(printf '%s\n' $want)" | xargs)" >&2
+        echo "listed, but now called or gone:" \
+            "$(printf '%s\n' $want | grep -vxF -e "$(printf '%s\n' $unused)" | xargs)" >&2
         exit 1
     fi
 

@@ -35,6 +35,7 @@ import (
 	"telegraphcq/internal/egress"
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/metrics"
+	"telegraphcq/internal/ops"
 	"telegraphcq/internal/server"
 	"telegraphcq/internal/tuple"
 )
@@ -45,10 +46,6 @@ type Config struct {
 	ExecutionObjects int
 	// SpoolDir enables disk spooling of stream history when set.
 	SpoolDir string
-	// SegmentSize is tuples per spool segment (default 1024).
-	SegmentSize int
-	// PoolSegments bounds the buffer pool (default 64).
-	PoolSegments int
 	// TraceSampleRate enables tuple-lineage tracing: each tuple entering
 	// an eddy is sampled with this probability (0 disables, 1 traces all)
 	// and its module-visit path recorded with per-hop latency. Retrieve
@@ -79,8 +76,6 @@ func Open(cfg Config) *DB {
 	return &DB{engine: core.NewEngine(core.Options{
 		EOs:             cfg.ExecutionObjects,
 		SpoolDir:        cfg.SpoolDir,
-		SegmentSize:     cfg.SegmentSize,
-		PoolSegments:    cfg.PoolSegments,
 		TraceSampleRate: cfg.TraceSampleRate,
 		BatchSize:       cfg.BatchSize,
 		Workers:         cfg.Workers,
@@ -443,31 +438,54 @@ func NewProxy(serverAddr, listenAddr string) (*server.Proxy, error) {
 // interesting rows reach the application first, and under overflow the
 // LEAST interesting pending rows are shed.
 type PriorityQueue struct {
-	pe *egress.PriorityEgress
+	mu      sync.Mutex
+	j       *ops.Juggle
+	emitted int64
+	shed    int64
 }
 
 // SubscribePriority attaches a preference-ordered result buffer to the
 // query. priority maps each result row to its interest (higher = sooner);
-// at most capacity rows are buffered between Drain calls. The buffer is
-// filled by a reader of the query's result log, as Subscribe's channel is,
-// so a row reaches it shortly after Results counts it.
+// at most capacity rows (default 1024) are buffered between Drain calls.
+// The buffer is filled by a reader of the query's result log, as
+// Subscribe's channel is, so a row reaches it shortly after Results counts
+// it. priority runs on that reader under the queue's lock, so it must not
+// call the queue's methods.
 func (q *Query) SubscribePriority(capacity int, priority func(Row) float64) *PriorityQueue {
-	pe := egress.NewPriorityEgress(capacity, func(t *tuple.Tuple) float64 {
+	if capacity < 1 {
+		capacity = 1024
+	}
+	pq := &PriorityQueue{j: ops.NewJuggle(capacity, func(t *tuple.Tuple) float64 {
 		return priority(toRow(t))
-	})
+	})}
 	var row tuple.Tuple
 	q.inner.Follow(q.db.engine.Stopped(), func(enc egress.Encoded) bool {
 		return enc.Each(&row, func(t *tuple.Tuple) bool {
-			pe.Publish(t.Clone())
+			pq.push(t.Clone())
 			return true
 		}) == nil
 	}, nil)
-	return &PriorityQueue{pe: pe}
+	return pq
+}
+
+// push buffers one result; when the buffer is full the lowest-priority
+// pending row (possibly this one) is shed and counted.
+func (pq *PriorityQueue) push(t *tuple.Tuple) {
+	pq.mu.Lock()
+	defer pq.mu.Unlock()
+	if pq.j.Push(t) != nil {
+		pq.shed++
+	}
 }
 
 // Next returns the highest-priority pending row.
 func (pq *PriorityQueue) Next() (Row, bool) {
-	t := pq.pe.Next()
+	pq.mu.Lock()
+	t := pq.j.Pop()
+	if t != nil {
+		pq.emitted++
+	}
+	pq.mu.Unlock()
 	if t == nil {
 		return Row{}, false
 	}
@@ -477,16 +495,27 @@ func (pq *PriorityQueue) Next() (Row, bool) {
 // Drain returns up to max pending rows in priority order (max <= 0 drains
 // everything pending).
 func (pq *PriorityQueue) Drain(max int) []Row {
-	ts := pq.pe.Drain(max)
-	rows := make([]Row, len(ts))
-	for i, t := range ts {
-		rows[i] = toRow(t)
+	var rows []Row
+	for max <= 0 || len(rows) < max {
+		r, ok := pq.Next()
+		if !ok {
+			break
+		}
+		rows = append(rows, r)
 	}
 	return rows
 }
 
 // Pending returns the number of rows buffered, waiting for Next or Drain.
-func (pq *PriorityQueue) Pending() int { return pq.pe.Pending() }
+func (pq *PriorityQueue) Pending() int {
+	pq.mu.Lock()
+	defer pq.mu.Unlock()
+	return pq.j.Len()
+}
 
 // Stats returns delivered and preference-shed counts.
-func (pq *PriorityQueue) Stats() (emitted, shed int64) { return pq.pe.Stats() }
+func (pq *PriorityQueue) Stats() (emitted, shed int64) {
+	pq.mu.Lock()
+	defer pq.mu.Unlock()
+	return pq.emitted, pq.shed
+}

@@ -348,8 +348,36 @@ func TestSubscribePriority(t *testing.T) {
 			t.Fatalf("priority order = %v", rows)
 		}
 	}
-	if emitted, _ := pq.Stats(); emitted != 5 {
-		t.Errorf("emitted = %d", emitted)
+	if emitted, shed := pq.Stats(); emitted != 5 || shed != 0 {
+		t.Errorf("stats = %d emitted, %d shed", emitted, shed)
+	}
+	if _, ok := pq.Next(); ok || len(pq.Drain(5)) != 0 {
+		t.Error("an empty queue handed out a row")
+	}
+
+	// Past its capacity the queue sheds the least interesting rows: of six
+	// rows into a queue of three, the three most urgent survive.
+	small := q.SubscribePriority(3, func(r Row) float64 { return r.Float(1) })
+	for i := 1; i <= 6; i++ {
+		db.Feed("s", 10+i, float64(i))
+	}
+	for chaos.Real().Now().Before(deadline) {
+		if _, shed := small.Stats(); shed == 3 {
+			break
+		}
+		chaos.Real().Sleep(time.Millisecond)
+	}
+	if small.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", small.Pending())
+	}
+	rows = small.Drain(0)
+	for i, want := range []float64{6, 5, 4} {
+		if rows[i].Float(1) != want {
+			t.Fatalf("survivors = %v", rows)
+		}
+	}
+	if emitted, shed := small.Stats(); emitted != 3 || shed != 3 {
+		t.Errorf("stats = %d emitted, %d shed, want 3 and 3", emitted, shed)
 	}
 }
 
