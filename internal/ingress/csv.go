@@ -15,6 +15,7 @@ import (
 )
 
 // ParseCSV converts one comma-separated line into a tuple under schema.
+// The tuple keeps no part of line.
 func ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error) {
 	vals := make([]tuple.Value, schema.Arity())
 	if err := parseFields(schema, line, vals); err != nil {
@@ -34,7 +35,8 @@ const slabTuples = 64
 // holds any of them (the engine keeps no fed tuple, so once FeedMany
 // returns). None may be handed to a tuple.Pool: the slab reuses its blocks
 // in place, and a block is freed only once every tuple carved from it is
-// unreachable.
+// unreachable. The line parsed may alias memory the caller reuses once
+// ParseCSV returns (a connection's read buffer): no value keeps it.
 type Slab struct {
 	tuples []tuple.Tuple
 	vals   []tuple.Value
@@ -66,8 +68,9 @@ func (s *Slab) ParseCSV(schema *tuple.Schema, line string) (*tuple.Tuple, error)
 func (s *Slab) Reset() { s.nt, s.nv = 0, 0 }
 
 // parseFields parses line's comma-separated fields into vals, one per
-// column of schema, walking the commas in place: no slice of fields, and a
-// string column keeps a substring of line.
+// column of schema, walking the commas in place: no slice of fields. A
+// string column gets a copy of its field, so no value keeps line, which
+// may alias memory the caller reuses.
 func parseFields(schema *tuple.Schema, line string, vals []tuple.Value) error {
 	if got := strings.Count(line, ",") + 1; got != len(vals) {
 		return fmt.Errorf("want %d fields, got %d", len(vals), got)
@@ -99,7 +102,7 @@ func parseFields(schema *tuple.Schema, line string, vals []tuple.Value) error {
 			}
 			vals[i] = tuple.Bool(v)
 		default:
-			vals[i] = tuple.String_(f)
+			vals[i] = tuple.String_(strings.Clone(f))
 		}
 	}
 	return nil

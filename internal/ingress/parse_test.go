@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"telegraphcq/internal/tuple"
 )
@@ -85,7 +86,8 @@ func sameParse(got *tuple.Tuple, err error, want *tuple.Tuple, wantErr error) st
 // FuzzParseCSV: ParseCSV and Slab.ParseCSV yield what the strings.Split
 // parser they replaced yields — the same values, or the same error text —
 // for any line under any schema. A slab's earlier tuples survive later
-// parses.
+// parses, and a tuple parsed from a view of a buffer survives the buffer's
+// reuse: no value aliases the line.
 func FuzzParseCSV(f *testing.F) {
 	const (
 		i, fl, s, b, tm, null = "\x01", "\x02", "\x03", "\x04", "\x05", "\x00"
@@ -137,6 +139,14 @@ func FuzzParseCSV(f *testing.F) {
 			if d := sameParse(first, nil, want, nil); d != "" {
 				t.Fatalf("first slab tuple after the second parse: %s", d)
 			}
+		}
+		buf := []byte(line)
+		viewed, err := slab.ParseCSV(schema, unsafe.String(unsafe.SliceData(buf), len(buf)))
+		for i := range buf {
+			buf[i] = ^buf[i] // the caller reuses its buffer
+		}
+		if d := sameParse(viewed, err, want, wantErr); d != "" {
+			t.Fatalf("Slab.ParseCSV(%q, %q) of a view, after the buffer changed: %s", kinds, line, d)
 		}
 	})
 }

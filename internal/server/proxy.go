@@ -29,7 +29,7 @@ import (
 // retried after redialing the postmaster with exponential backoff, and
 // push subscriptions are re-established on the fresh connection.
 type Proxy struct {
-	opts       ProxyOptions
+	opts       proxyOptions
 	serverAddr string
 	ln         net.Listener
 	wg         sync.WaitGroup
@@ -44,8 +44,8 @@ type Proxy struct {
 	active map[*proxyClient]bool
 }
 
-// ProxyOptions tunes the proxy's upstream fault handling.
-type ProxyOptions struct {
+// proxyOptions tunes the proxy's upstream fault handling.
+type proxyOptions struct {
 	// Clock times the reconnect backoff; nil defaults to the real clock.
 	Clock chaos.Clock
 	// Retries is how many redial-and-retry rounds follow a failed command
@@ -61,11 +61,11 @@ type ProxyOptions struct {
 // NewProxy connects to serverAddr and listens for clients on listenAddr
 // with default fault handling.
 func NewProxy(serverAddr, listenAddr string) (*Proxy, error) {
-	return NewProxyOpts(serverAddr, listenAddr, ProxyOptions{})
+	return newProxyOpts(serverAddr, listenAddr, proxyOptions{})
 }
 
-// NewProxyOpts is NewProxy with explicit retry/backoff/injection options.
-func NewProxyOpts(serverAddr, listenAddr string, opts ProxyOptions) (*Proxy, error) {
+// newProxyOpts is NewProxy with explicit retry/backoff/injection options.
+func newProxyOpts(serverAddr, listenAddr string, opts proxyOptions) (*Proxy, error) {
 	if opts.Clock == nil {
 		opts.Clock = chaos.Real()
 	}

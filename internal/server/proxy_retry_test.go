@@ -15,7 +15,7 @@ import (
 func TestProxyRetriesInjectedResets(t *testing.T) {
 	_, pm := startServer(t)
 	inj := chaos.New(chaos.Config{Seed: 7, Reset: 0.15}, nil)
-	proxy, err := NewProxyOpts(pm.Addr(), "127.0.0.1:0", ProxyOptions{
+	proxy, err := newProxyOpts(pm.Addr(), "127.0.0.1:0", proxyOptions{
 		Retries: 4,
 		Backoff: time.Millisecond,
 		Chaos:   inj.Site("proxy/upstream"),

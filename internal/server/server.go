@@ -30,18 +30,21 @@
 // Pipelining: a client may send many commands in one write without waiting
 // for replies, which come back in command order. Consecutive FEED lines of
 // any streams form a run, parsed into per-connection slabs, up to
-// Options.BatchSize lines; any other command, a line that cannot be fed,
-// and the input running dry each end the run, so a later command sees every
-// earlier line fed. Each stream's lines in a run go to Engine.FeedMany in
-// one call, in line order: each stream's arrival order is unchanged, and a
-// line the engine refuses is answered ERR in place, its stream's later
-// lines fed after it. Replies are flushed when the connection's input is
-// drained — before the FrontEnd reads again with no complete line
-// buffered — so a pipelined burst costs a socket write per read and per 64
-// KiB of replies, not one per line. Push rows
-// ("ROW q<qid> ...") are written by their own goroutine and may fall
-// between any two reply lines except inside a FETCH. A line longer than
-// 1 MiB is answered with "ERR line exceeds 1 MiB" and the connection closed.
+// Options.BatchSize lines. A FEED line is parsed where it lies in the read
+// buffer, which the next read reuses, so no tuple or value keeps any part
+// of it: a line costs no allocation but a copy of each STRING field. Any
+// other command, a line that cannot be fed, and the input running dry each
+// end the run, so a later command sees every earlier line fed. Each
+// stream's lines in a run go to Engine.FeedMany in one call, in line order:
+// each stream's arrival order is unchanged, and a line the engine refuses
+// is answered ERR in place, its stream's later lines fed after it. Replies
+// are flushed when the connection's input is drained — before the
+// FrontEnd reads again with no complete line buffered — so a pipelined
+// burst costs a socket write per read and per 64 KiB of replies, not one
+// per line. Push rows ("ROW q<qid> ...") are written by their own
+// goroutine and may fall between any two reply lines except inside a
+// FETCH. A line longer than 1 MiB is answered with "ERR line exceeds
+// 1 MiB" and the connection closed.
 package server
 
 import (
@@ -55,6 +58,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"telegraphcq/internal/core"
 	"telegraphcq/internal/egress"
@@ -239,20 +243,29 @@ func (fe *frontEnd) serve() {
 			fe.send("ERR " + err.Error())
 			return
 		}
-		line := string(bytes.TrimSpace(raw))
-		word := firstWord(line)
-		cmd, rest := strings.ToUpper(word), strings.TrimSpace(line[len(word):])
+		line := bytes.TrimSpace(raw)
+		word := line
+		if i := bytes.IndexAny(line, " \t"); i >= 0 {
+			word = line[:i]
+		}
 		switch {
-		case cmd == "FEED":
-			fe.feedLine(rest)
-		case line == "":
-		case strings.EqualFold(line, "QUIT"):
+		case bytes.EqualFold(word, []byte("FEED")):
+			rest := bytes.TrimSpace(line[len(word):])
+			// A FEED line is parsed where it lies: rest is a view of the
+			// read buffer (or of fe.long), valid only until the next
+			// readLine, so a fed line costs no copy. No part of it may
+			// outlive the line: the run names its streams by the catalog's
+			// names, and ingress clones every STRING field it parses.
+			fe.feedLine(unsafe.String(unsafe.SliceData(rest), len(rest)))
+		case len(line) == 0:
+		case bytes.EqualFold(line, []byte("QUIT")):
 			fe.feedRun()
 			fe.send("OK bye")
 			return
 		default:
 			fe.feedRun() // every other command sees each earlier line fed
-			fe.dispatch(cmd, rest, line)
+			text := string(line)
+			fe.dispatch(strings.ToUpper(text[:len(word)]), strings.TrimSpace(text[len(word):]), text)
 		}
 		if err != nil {
 			fe.feedRun()
@@ -501,7 +514,7 @@ func (fe *frontEnd) streamIndex(stream string) (int, error) {
 		run.streams = append(run.streams, runStream{})
 	}
 	rs := &run.streams[run.n]
-	rs.name, rs.schema = stream, entry.Schema
+	rs.name, rs.schema = entry.Name, entry.Schema // stream is a view of the line
 	run.n++
 	return run.n - 1, nil
 }

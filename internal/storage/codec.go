@@ -19,10 +19,10 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
-// AppendRow serializes t to buf: the row codec of segments, history logs
+// appendRow serializes t to buf: the row codec of segments, history logs
 // and pull logs. The format is self-describing: seq, ts, nvals, then
 // kind+payload per value.
-func AppendRow(buf []byte, t *tuple.Tuple) []byte {
+func appendRow(buf []byte, t *tuple.Tuple) []byte {
 	buf = binary.AppendVarint(buf, t.Seq)
 	buf = binary.AppendVarint(buf, t.TS)
 	buf = binary.AppendUvarint(buf, uint64(len(t.Vals)))
@@ -42,7 +42,7 @@ func AppendRow(buf []byte, t *tuple.Tuple) []byte {
 	return buf
 }
 
-// ReadRow decodes the row AppendRow wrote at the front of buf into t: its
+// ReadRow decodes the row appendRow wrote at the front of buf into t: its
 // Seq and TS, and its values appended to vals, which t.Vals then is (capped
 // at its own length, so appending to one row never writes the next). It
 // returns vals extended and the bytes consumed. Only a string value
@@ -116,7 +116,7 @@ func corrupt(what string) error { return errors.New("storage: " + what) }
 //tcq:coldpath
 func unknownKind(k tuple.Kind) error { return fmt.Errorf("storage: unknown value kind %d", k) }
 
-// ReadStamp decodes only the Seq and TS of the row AppendRow wrote at the
+// ReadStamp decodes only the Seq and TS of the row appendRow wrote at the
 // front of buf, leaving its values undecoded: what ordering rows by time
 // needs. It returns zeros for a corrupt stamp.
 func ReadStamp(buf []byte) (seq, ts int64) {

@@ -59,7 +59,7 @@ func NewLog(first int) *Log { return &Log{first: first} }
 // Append encodes t behind the newest row and returns where it starts. The
 // caller may reuse t once Append returns.
 func (l *Log) Append(t *tuple.Tuple) Loc {
-	l.scratch = AppendRow(l.scratch[:0], t)
+	l.scratch = appendRow(l.scratch[:0], t)
 	last := len(l.chunks) - 1
 	if last < 0 || cap(l.chunks[last].buf)-len(l.chunks[last].buf) < len(l.scratch) {
 		l.open(len(l.scratch))

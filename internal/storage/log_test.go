@@ -40,7 +40,7 @@ func FuzzLog(f *testing.F) {
 				next++
 				locs = append(locs, l.Append(r))
 				model = append(model, r)
-				biggest = max(biggest, len(AppendRow(nil, r)))
+				biggest = max(biggest, len(appendRow(nil, r)))
 			case 1: // visit from a position below, inside or past the rows held
 				pos := l.Start() - 2 + int64(arg%(len(model)+4))
 				if arg%3 == 0 {
@@ -75,7 +75,7 @@ func FuzzLog(f *testing.F) {
 					if keep(i) {
 						kept = append(kept, r)
 					} else {
-						want += len(AppendRow(nil, r))
+						want += len(appendRow(nil, r))
 					}
 				}
 				got := l.Compact(keep, func(i int, at Loc) {
@@ -102,7 +102,7 @@ func checkRun(t *testing.T, l *Log, from Mark, want []*tuple.Tuple) {
 	var enc []byte
 	for _, r := range want {
 		vals += len(r.Vals)
-		enc = AppendRow(enc, r)
+		enc = appendRow(enc, r)
 	}
 	got, err := l.Decode(from, math.MinInt64, math.MaxInt64)
 	if err != nil || !sameRows(got, want) {

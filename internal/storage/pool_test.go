@@ -17,7 +17,7 @@ func writeTestSegment(t *testing.T, dir, name string, n int) string {
 		tp := tuple.New(tuple.Int(int64(i)))
 		tp.TS = int64(i)
 		tp.Seq = int64(i)
-		buf = AppendRow(buf, tp)
+		buf = appendRow(buf, tp)
 	}
 	path := filepath.Join(dir, name+".seg")
 	if err := os.WriteFile(path, buf, 0o644); err != nil {

@@ -24,7 +24,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	)
 	in.TS = 123
 	in.Seq = 456
-	buf := AppendRow(nil, in)
+	buf := appendRow(nil, in)
 	out, n, err := readOne(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestCodecQuick(t *testing.T) {
 	f := func(i int64, fl float64, s string, b bool, ts int64) bool {
 		in := tuple.New(tuple.Int(i), tuple.Float(fl), tuple.String_(s), tuple.Bool(b))
 		in.TS = ts
-		buf := AppendRow(nil, in)
+		buf := appendRow(nil, in)
 		out, _, err := readOne(buf)
 		if err != nil {
 			return false
@@ -78,7 +78,7 @@ func TestCodecQuick(t *testing.T) {
 
 func TestCodecCorruption(t *testing.T) {
 	in := tuple.New(tuple.String_("hello"))
-	buf := AppendRow(nil, in)
+	buf := appendRow(nil, in)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, _, err := readOne(buf[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)

@@ -12,8 +12,9 @@
 #                    window delivery x20, differential matrix x3, drift
 #                    pin x20, pane dictionary x20, shared-class reuse x20,
 #                    last member out and arrangement walk x20, pull-log
-#                    ring x20, join state x20, wire flushes, FEED runs and
-#                    EO wake x20, fed rows kept by no one x20, worker
+#                    ring x20, join state x20, wire flushes, FEED runs,
+#                    STRING fields across buffer refills and EO wake x20,
+#                    fed rows kept by no one x20, worker
 #                    pipeline x20, fuzz smoke (parser and its loop
 #                    round trip, CSV, plan, grouped filter, row log)
 #   check.sh bench   four smokes with no threshold: BenchmarkWindowFire,
@@ -118,7 +119,7 @@ stage_lint() {
         introspect.ArrangeSchema introspect.ChaosSchema introspect.PoolSchema
         introspect.RoutesSchema introspect.StatsSchema
         lint.Run lint.RunFixture metrics.NewHistogram metrics.NewHistogramSeeded
-        ops.NewFilter server.NewProxyOpts sql.BindPlan sql.Parse storage.AppendRow
+        ops.NewFilter sql.BindPlan sql.Parse
         window.Backward window.Landmark window.Sliding window.SlidingForever
         window.Snapshot
         workload.Describe workload.DriftSchema workload.PacketSchema
@@ -269,13 +270,14 @@ stage_race() {
     # while SUBSCRIBE pushers write the same buffer from their goroutines; a
     # read's FEED lines of any streams are fed as one run, each stream's
     # lines in one FeedMany whose fan-out takes its clones from the pool in
-    # one call; an idle EO parks until a queue push rouses it. Hold the
+    # one call; each line is parsed in the read buffer, which the next read
+    # overwrites; an idle EO parks until a queue push rouses it. Hold the
     # reply order, pipelined against one line per write and around a
     # refused line, the write counts, the SUBSCRIBE reply, the run's pool
-    # traffic and allocations, and the park/rouse handshake to twenty
-    # race-instrumented passes.
+    # traffic and allocations, STRING fields across buffer refills, and the
+    # park/rouse handshake to twenty race-instrumented passes.
     echo "==> wire flushes, FEED runs and EO wake under race (-count=20)"
-    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestSpoolErrorEndsRunInPlace|TestPipelinedFeedBurstAllocs|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
+    go test -race -count=20 -run 'TestPipelinedFeedsFlushPerRead|TestFetchWritesPerBuffer|TestPipelinedRepliesInCommandOrder|TestPipelinedFeedsMatchOnePerWrite|TestSpoolErrorEndsRunInPlace|TestPipelinedFeedBurstAllocs|TestFeedStringColumnSurvivesBufferReuse|TestOverlongLineIsRefused|TestSubscribeReplyPrecedesPushedRows|TestUnknownCommandsShareOneSeries' ./internal/server/
     go test -race -count=20 -run 'TestWarmFeedManyAllocatesNothing|TestFeedRunCountsPoolTraffic' ./internal/core/
     go test -race -count=20 -run 'TestIdleEOWakesOnEnqueue|TestParkedEORechecksOnTimer|TestIdleDUsDoNotSpinHot' ./internal/executor/
 
